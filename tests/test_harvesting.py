@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
 
+from vharvest import harvesting
 from vharvest.angular import EulerAngles
 from vharvest.atoms import AtomSpec
 from vharvest.harvesting import (DetectorPair, HarvestTerms, ModelKind,
@@ -89,6 +90,47 @@ def test_derivative_vs_scalar_integrand_ratio(rng):
     ks = rng.uniform(0.05, 30.0, 200)
     assert np.max(np.abs(f_dv(ks) / f_sc(ks) - ks * ks) / (ks * ks)) <= 1e-12
     assert np.max(np.abs(g_dv(ks) / g_sc(ks) - ks * ks) / (ks * ks)) <= 1e-12
+
+
+def test_local_memo_hit_on_repeated_terms():
+    memo = harvesting._local_quadrature
+    memo.cache_clear()
+    pair = make_pair(omega=12.0, d=11.0, tba=10.0)
+    first = compute_terms(pair, include_cross=False)
+    assert memo.cache_info().misses == 1 and memo.cache_info().hits == 0
+    # another point of the same grid (new d and t_BA) shares L
+    again = compute_terms(make_pair(omega=12.0, d=3.0, tba=0.5), include_cross=False)
+    assert memo.cache_info().misses == 1 and memo.cache_info().hits == 1
+    assert again.l_aa == first.l_aa
+    assert again.quadrature_errors["l_aa"] == first.quadrature_errors["l_aa"]
+
+
+def test_local_memo_loosened_retry_is_a_separate_key():
+    # survey._eval_point retries at atol and rtol x 1e3; that must not reuse
+    # the tight-tolerance entry or vice versa
+    memo = harvesting._local_quadrature
+    memo.cache_clear()
+    pair = make_pair(omega=5.0)
+    compute_terms(pair, include_cross=False, atol=1e-16, rtol=1e-10)
+    compute_terms(pair, include_cross=False, atol=1e-13, rtol=1e-7)
+    info = memo.cache_info()
+    assert info.misses == 2 and info.hits == 0 and info.currsize == 2
+    assert info.maxsize is not None  # bounded
+
+
+def test_local_memo_cannot_mask_a_mutated_coefficient(monkeypatch):
+    memo = harvesting._local_quadrature
+    pair = make_pair(omega=12.0)
+    compute_terms(pair, include_cross=False)
+    base = compute_terms(pair, include_cross=False)
+    hits = memo.cache_info().hits
+    monkeypatch.setattr(harvesting, "EM_LOCAL_COEFF",
+                        harvesting.EM_LOCAL_COEFF * (1.0 + 1e-6))
+    mutated = compute_terms(pair, include_cross=False)
+    assert memo.cache_info().hits == hits + 1  # served from the memo
+    assert mutated.l_aa / base.l_aa - 1.0 == pytest.approx(1e-6, rel=1e-8)
+    assert local_term(pair) / base.l_aa - 1.0 == pytest.approx(1e-6, rel=1e-8)
+    assert mutated.m == base.m
 
 
 # ----------------------------------------------------------------------------

@@ -6,10 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scipy.special import wofz
+
 from vharvest.specfun import (DampedKernelSpec, QuadratureConvergenceError,
-                              QuadratureResult, erfc_complex, faddeeva_w,
-                              integrate_damped, scaled_time_kernel,
-                              spherical_bessel_j)
+                              QuadratureResult, _adaptive_gk, _wynn_epsilon,
+                              erfc_complex, faddeeva_w, integrate_damped,
+                              scaled_time_kernel, spherical_bessel_j,
+                              spherical_bessel_j0_plus_j2)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -177,6 +180,34 @@ def test_kernel_fused_equals_unfused_where_representable(rng):
             assert abs(got - ref) <= 1e-10 * abs(ref)
 
 
+def two_wofz_kernel(k, t_ba, T, omega):
+    # the wings as the difference of two Faddeeva calls, before the
+    # reflection w(-conj z) = conj w(z) folded them into one
+    k = np.asarray(k, dtype=float)
+    a = abs(t_ba) / (SQRT2 * T)
+    b = T * k / SQRT2
+    damp = -0.5 * (T * omega) ** 2
+    wings = np.exp(damp - a * a) * (wofz(-b + 1j * a) - wofz(b + 1j * a))
+    return wings + 2.0 * np.exp(damp - b * b - 2j * a * b)
+
+
+@pytest.mark.parametrize("t_ba, T, omega", [
+    (0.0, 1.0, 0.0),      # t_ba = 0: the wings reduce to -2i Im w(b)
+    (10.0, 1.0, 0.0),
+    (-3.5, 0.7, 2.0),     # omega != 0, negative delay
+    (24.0, 2.0, 12.0),
+])
+def test_kernel_bitwise_equal_to_two_wofz_form(t_ba, T, omega):
+    # k out to T k = 200, well past the T k > 38 overflow of the bare erfc
+    k = np.concatenate([np.linspace(0.0, 200.0 / T, 15001), [38.5 / T, 60.0 / T]])
+    assert np.any(T * k > 38.0)
+    new = scaled_time_kernel(k, t_ba, T, omega)
+    assert np.array_equal(new, two_wofz_kernel(k, t_ba, T, omega))
+    for kk in (0.0, 1.3, 45.0 / T):
+        assert scaled_time_kernel(kk, t_ba, T, omega) == complex(
+            two_wofz_kernel(kk, t_ba, T, omega))
+
+
 def test_kernel_rejects_bad_width():
     with pytest.raises(ValueError):
         scaled_time_kernel(1.0, 0.0, -1.0, 0.0)
@@ -246,6 +277,35 @@ def test_bessel_recurrence(rng):
         scale = np.maximum(np.abs(lhs), np.abs(rhs))
         scale = np.maximum(scale, np.abs(spherical_bessel_j(l, xs)))
         assert np.max(np.abs(lhs - rhs) / scale) < 1e-11
+
+
+def test_j0_plus_j2_matches_the_two_calls():
+    # dense in [0, 500], with both sides of the x = 5 series/trig switch
+    x = np.concatenate([np.linspace(0.0, 500.0, 500001),
+                        np.linspace(4.9, 5.1, 20001),
+                        [0.0, np.nextafter(5.0, 0.0), 5.0, np.nextafter(5.0, 6.0)]])
+    fused = spherical_bessel_j0_plus_j2(x)
+    pair = spherical_bessel_j(0, x) + spherical_bessel_j(2, x)
+    # above the switch both share the closed forms: bit-identical
+    assert np.array_equal(fused[x >= 5.0], pair[x >= 5.0])
+    # below it the two-call sum itself is off by up to ~1.1e-15 just below
+    # x = 5 (its j0 series cancels from terms ~5), hence 1.5e-15, not 1e-15
+    assert np.max(np.abs(fused - pair)) <= 1.5e-15
+    assert spherical_bessel_j0_plus_j2(0.0) == 1.0
+    assert isinstance(spherical_bessel_j0_plus_j2(5.0), float)
+    assert spherical_bessel_j0_plus_j2(5.0) == pytest.approx(
+        spherical_bessel_j(0, 5.0) + spherical_bessel_j(2, 5.0), abs=1e-15)
+    with pytest.raises(ValueError):
+        spherical_bessel_j0_plus_j2(-1e-3)
+
+
+def test_j0_plus_j2_against_high_precision():
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 40
+    xs = np.concatenate([np.linspace(0.01, 12.0, 1200), [4.99, 5.0, 5.01, 250.0]])
+    ref = np.array([float(3 * mp.sqrt(mp.pi / (2 * mp.mpf(v))) * mp.besselj(1.5, mp.mpf(v))
+                          / mp.mpf(v)) for v in xs])
+    assert np.max(np.abs(spherical_bessel_j0_plus_j2(xs) - ref)) <= 5e-16
 
 
 def test_bessel_domain_errors():
@@ -335,3 +395,183 @@ def test_nonconvergence_carries_best_estimate():
         integrate_damped(spec, rtol=1e-12, atol=1e-300, max_panels=64)
     assert isinstance(err.value.result, QuadratureResult)
     assert err.value.result.abs_error_estimate > 0
+
+
+# ----------------------------------------------------------------------------
+# Wynn epsilon and the adaptive GK15 loop
+# ----------------------------------------------------------------------------
+
+def wynn_reference(partial_sums):
+    # the list-and-loop Wynn table the array version replaced
+    s = [complex(v) for v in partial_sums]
+    if len(s) < 3:
+        return s[-1], abs(s[-1] - s[0])
+    scale = max(abs(v) for v in s)
+    if scale == 0.0:
+        return 0.0 + 0.0j, 0.0
+    floor = 4.0 * np.finfo(float).eps * scale
+    prev = [0.0 + 0.0j] * (len(s) + 1)
+    curr = list(s)
+    best = s[-1]
+    best_err = abs(s[-1] - s[-2])
+    col = 0
+    while len(curr) >= 2:
+        nxt = []
+        converged = False
+        for j in range(len(curr) - 1):
+            diff = curr[j + 1] - curr[j]
+            if col % 2 == 0 and abs(diff) <= floor:
+                if abs(diff) <= best_err:
+                    best, best_err = curr[j + 1], max(abs(diff), floor)
+                converged = True
+                break
+            if diff == 0:
+                converged = True
+                break
+            nxt.append(prev[j + 1] + 1.0 / diff)
+        if converged or not nxt:
+            break
+        prev, curr = curr, nxt
+        col += 1
+        if col % 2 == 0 and len(curr) >= 2:
+            cand_err = abs(curr[-1] - curr[-2])
+            if cand_err < best_err:
+                best, best_err = curr[-1], cand_err
+    return best, max(best_err, floor)
+
+
+def _assert_wynn_agrees(seq, limit=None):
+    val, err = _wynn_epsilon(seq)
+    ref_val, ref_err = wynn_reference(seq)
+    # the array table reciprocates with numpy's complex division, which can
+    # differ from Python's in the last bit
+    assert abs(val - ref_val) <= 64 * np.finfo(float).eps * max(1.0, abs(ref_val))
+    assert err == pytest.approx(ref_err, rel=1e-6, abs=1e-15)
+    if limit is not None:
+        assert abs(val - limit) <= max(10.0 * err, 1e-13)
+    return val, err
+
+
+@pytest.mark.parametrize("n_terms", [5, 8, 12, 40])
+def test_wynn_alternating_log2(n_terms):
+    # short tables stop on the candidate rule, long ones on the roundoff floor
+    terms = [(-1) ** (n + 1) / n for n in range(1, n_terms + 1)]
+    _assert_wynn_agrees(np.cumsum(terms), math.log(2.0))
+
+
+@pytest.mark.parametrize("n_terms", [6, 11, 60])
+def test_wynn_leibniz_pi_over_4(n_terms):
+    terms = [(-1) ** n / (2 * n + 1) for n in range(n_terms)]
+    _assert_wynn_agrees(np.cumsum(terms), math.pi / 4.0)
+
+
+def test_wynn_complex_oscillatory_tail():
+    # partial sums of a damped complex Fourier tail, as _oscillatory_tail feeds it
+    n = np.arange(1, 77)
+    terms = (-1.0) ** n * np.exp(0.3j * n) / n ** 1.5
+    _assert_wynn_agrees(np.cumsum(terms))
+
+
+def test_wynn_constant_sequence_stops_on_zero_difference():
+    val, err = _assert_wynn_agrees([0.25 + 0.5j] * 12)
+    assert val == 0.25 + 0.5j
+    assert err == pytest.approx(4.0 * np.finfo(float).eps * abs(0.25 + 0.5j))
+
+
+def test_wynn_zero_difference_stops_the_table():
+    # a zero term mid-sequence stops column 0 and returns the sum before it
+    val, err = _assert_wynn_agrees(np.cumsum([1.0, -0.5, 0.0, 0.25, -0.125]))
+    assert val == 0.5
+    # two equal leading terms give a zero difference in column 1, which stops
+    # the table before any extrapolation: the last partial sum comes back
+    seq = [1.0, 2.0, 3.0] + list(3.0 + np.cumsum([(-1) ** n / (n + 1) for n in range(8)]))
+    val, err = _assert_wynn_agrees(seq)
+    assert val == seq[-1] and err == pytest.approx(0.125)
+
+
+def test_wynn_all_zero_sequence():
+    assert _wynn_epsilon([0.0] * 9) == (0.0 + 0.0j, 0.0)
+    assert wynn_reference([0.0] * 9) == (0.0 + 0.0j, 0.0)
+
+
+def test_wynn_short_sequences():
+    for seq in ([1.5], [1.0, 0.5 + 0.25j]):
+        val, err = _wynn_epsilon(seq)
+        ref_val, ref_err = wynn_reference(seq)
+        assert val == ref_val and err == ref_err
+
+
+def _counting(f):
+    calls = []
+
+    def g(k):
+        calls.append(np.size(k))
+        return f(k)
+    return g, calls
+
+
+def adaptive_gk_reference(f, breakpoints, atol, rtol, max_panels=4000):
+    # the list-of-tuples version the panel arrays replaced
+    from vharvest.specfun import _gk15_panels
+    lo = np.asarray(breakpoints[:-1], dtype=float)
+    hi = np.asarray(breakpoints[1:], dtype=float)
+    vals, errs, absl, n = _gk15_panels(f, lo, hi)
+    panels = list(zip(lo, hi, vals, errs, absl))
+    evals = n
+    while True:
+        total = sum(p[2] for p in panels)
+        toterr = sum(p[3] for p in panels)
+        if toterr <= max(atol, rtol * abs(total)):
+            break
+        if len(panels) >= max_panels:
+            break
+        panels.sort(key=lambda p: p[3])
+        n_split = min(16, max(1, len(panels) // 8))
+        worst = panels[-n_split:]
+        panels = panels[:-n_split]
+        los, his = [], []
+        for a, b, _, _, _ in worst:
+            m = 0.5 * (a + b)
+            los += [a, m]
+            his += [m, b]
+        vals, errs, absl, n = _gk15_panels(f, np.array(los), np.array(his))
+        evals += n
+        panels.extend(zip(los, his, vals, errs, absl))
+    return (sum(p[2] for p in panels), float(sum(p[3] for p in panels)),
+            float(sum(p[4] for p in panels)), evals)
+
+
+@pytest.mark.parametrize("f, breakpoints, max_panels", [
+    (lambda k: np.exp(-k) * np.cos(3.0 * k), np.linspace(0.0, 40.0, 5), 4000),
+    (lambda k: k ** 3 * np.exp(-0.5 * k * k) * np.exp(7.0j * k), np.linspace(0.0, 12.0, 4), 4000),
+    (lambda k: 1.0 / np.sqrt(k + 1e-9), np.geomspace(1e-6, 1.0, 6), 4000),
+    (lambda k: np.exp(-k * k) * np.sign(np.sin(1000.0 * k) + 0.1), np.linspace(0.0, 6.0, 9), 200),
+])
+def test_adaptive_gk_matches_list_version(f, breakpoints, max_panels):
+    counted, calls = _counting(f)
+    val, err, absint, evals = _adaptive_gk(counted, breakpoints, 1e-300, 1e-12,
+                                           max_panels=max_panels)
+    ref = adaptive_gk_reference(f, breakpoints, 1e-300, 1e-12, max_panels=max_panels)
+    # same panels split in the same order; only the summation order differs
+    assert evals == ref[3] == sum(calls) and evals % 15 == 0
+    tol = 64 * np.finfo(float).eps
+    assert abs(val - ref[0]) <= tol * ref[2]
+    assert err == pytest.approx(ref[1], rel=tol)
+    assert absint == pytest.approx(ref[2], rel=tol)
+
+
+def test_adaptive_gk_honours_max_panels():
+    rough = lambda k: np.exp(-k * k) * np.sign(np.sin(1000.0 * k) + 0.1)
+    breakpoints = np.linspace(0.0, 6.0, 9)
+    for max_panels in (8, 50, 300):
+        f, calls = _counting(rough)
+        _, err, _, evals = _adaptive_gk(f, breakpoints, 1e-300, 1e-14,
+                                        max_panels=max_panels)
+        assert err > 0.0
+        # every evaluation is one GK15 node: 15 per panel evaluated
+        assert evals == sum(calls) and evals % 15 == 0
+        evaluated = evals // 15
+        initial = breakpoints.size - 1
+        # each split evaluates two halves and adds one panel net
+        final = initial + (evaluated - initial) // 2
+        assert max_panels <= final < max_panels + 16
