@@ -10,7 +10,7 @@ harvesting diagnostics.
 __version__ = "0.1.0"
 
 from .angular import EulerAngles
-from .atoms import AtomSpec, SwitchingKind, TransitionSpec
+from .atoms import AtomSpec, SwitchingKind
 from .harvesting import (DetectorPair, HarvestTerms, ModelKind, TwoQubitState,
                          assemble_state, compute_terms, cross_noise_term,
                          local_term, nonlocal_term)
@@ -21,7 +21,6 @@ __all__ = [
     "EulerAngles",
     "AtomSpec",
     "SwitchingKind",
-    "TransitionSpec",
     "DetectorPair",
     "HarvestTerms",
     "ModelKind",

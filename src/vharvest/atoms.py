@@ -1,5 +1,6 @@
-"""Hydrogenlike orbital data: radial wavefunctions, smearing functions,
-Gaussian switching and closed-form radial overlap integrals.
+"""Hydrogenlike orbital data: the atom and switching specifications, radial
+wavefunctions, the scalar smearing function and closed-form radial overlap
+integrals.
 
 Natural units with c = 1 throughout; a0 is the generalized Bohr radius and
 the energy gap Omega is an inverse length.  Only the levels that enter the
@@ -13,17 +14,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .angular import EulerAngles, rotate_harmonic, sph_harm_y
+from .angular import EulerAngles
 from .specfun import spherical_bessel_j
 
 __all__ = [
     "AtomSpec",
-    "TransitionSpec",
     "SwitchingKind",
     "radial_R",
-    "smearing_vector",
     "smearing_scalar",
-    "switching",
     "radial_overlap",
     "wavefunction_overlap_log10",
     "RADIAL_OVERLAP_L0_COEFF",
@@ -35,32 +33,6 @@ __all__ = [
 #   l=2: c2 * a0 * u / (4u + 9)^4             c2 = 3072 sqrt(6)
 RADIAL_OVERLAP_L0_COEFF = 384.0 * math.sqrt(6.0)
 RADIAL_OVERLAP_L2_COEFF = 3072.0 * math.sqrt(6.0)
-
-
-@dataclass(frozen=True)
-class TransitionSpec:
-    """Ground/excited level pair as (n, l, m) triples."""
-
-    ground: tuple[int, int, int] = (1, 0, 0)
-    excited: tuple[int, int, int] = (2, 1, 0)
-
-    def __post_init__(self):
-        if self.ground != (1, 0, 0):
-            raise ValueError("only the 1s ground state is supported")
-        if self.excited not in ((2, 1, 0), (2, 0, 0)):
-            raise ValueError("excited state must be 2p_z or 2s")
-
-    @classmethod
-    def em_dipole(cls) -> "TransitionSpec":
-        return cls(excited=(2, 1, 0))
-
-    @classmethod
-    def scalar(cls) -> "TransitionSpec":
-        return cls(excited=(2, 0, 0))
-
-    @property
-    def is_dipole_allowed(self) -> bool:
-        return abs(self.excited[1] - self.ground[1]) == 1
 
 
 @dataclass(frozen=True)
@@ -119,38 +91,6 @@ def radial_R(n: int, l: int, r, a0: float):
     return out
 
 
-def _direction_angles(x: np.ndarray) -> tuple[float, float]:
-    return math.atan2(math.hypot(x[0], x[1]), x[2]), math.atan2(x[1], x[0])
-
-
-def smearing_vector(atom: AtomSpec, x,
-                    transition: TransitionSpec | None = None) -> np.ndarray:
-    """Spatial smearing vector F(x) = psi_e*(x) x psi_g(x) of the dipole
-    coupling, with the atom's 2p_z orbital expressed in the base frame via
-    its Euler orientation.
-
-    For the identity orientation this is the closed form
-    cos(th)/(4 pi a0^4 sqrt(2)) e^{-3r/2a0} r^2 (sin th cos ph, sin th sin ph, cos th).
-    """
-    transition = transition or TransitionSpec.em_dipole()
-    if not transition.is_dipole_allowed:
-        raise ValueError("smearing_vector requires the dipole-allowed 1s->2p transition")
-    x = np.asarray(x, dtype=float)
-    if x.shape != (3,):
-        raise ValueError("x must be a 3-vector")
-    r = float(np.linalg.norm(x))
-    if r == 0.0:
-        return np.zeros(3, dtype=complex)
-    theta, phi = _direction_angles(x)
-    n_e, l_e, m_e = atom.orientation, 1, 0
-    if n_e.is_identity:
-        y_e = sph_harm_y(l_e, m_e, theta, phi)
-    else:
-        y_e = rotate_harmonic(l_e, m_e, atom.orientation, theta, phi)
-    radial = radial_R(2, 1, r, atom.a0) * radial_R(1, 0, r, atom.a0)
-    return np.conj(y_e) * radial / math.sqrt(4.0 * math.pi) * x.astype(complex)
-
-
 def smearing_scalar(atom: AtomSpec, x) -> float:
     """Scalar smearing F(x) = psi_2s(x) psi_1s(x) for the monopole couplings:
     (4 pi a0^3 sqrt(2))^-1 e^{-3|x|/2a0} (2 - |x|/a0)."""
@@ -158,20 +98,6 @@ def smearing_scalar(atom: AtomSpec, x) -> float:
     r = float(np.linalg.norm(x)) if x.shape == (3,) else float(abs(x))
     a0 = atom.a0
     return math.exp(-1.5 * r / a0) * (2.0 - r / a0) / (4.0 * math.pi * a0 ** 3 * math.sqrt(2.0))
-
-
-def switching(kind: SwitchingKind, t, atom: AtomSpec):
-    """Gaussian switching chi(t) = exp(-(t - t0)^2/T^2); the cropped variant
-    is identically zero beyond crop_sigmas * T/sqrt(2) from the center."""
-    tt = np.asarray(t, dtype=float)
-    arg = (tt - atom.switching_center) / atom.switching_width
-    out = np.exp(-arg * arg)
-    if kind.variant == "cropped_gaussian":
-        cut = kind.crop_sigmas * atom.sigma
-        out = np.where(np.abs(tt - atom.switching_center) > cut, 0.0, out)
-    if np.isscalar(t) or np.asarray(t).ndim == 0:
-        return float(out)
-    return out
 
 
 def _radial_overlap_quadrature(l: int, k: float, a0: float) -> float:

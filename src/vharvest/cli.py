@@ -3,8 +3,9 @@ reproduction and the oracle self-check.
 
 Exit codes: 0 success, 1 self-check failure, 2 invalid configuration,
 3 quadrature non-convergence.  Environment variables prefixed VH_ override
-the built-in defaults of the corresponding flags (e.g. VH_THREADS,
-VH_TOL_REL, VH_FORMAT); explicit flags win over the environment.
+the built-in defaults of the corresponding flags (e.g. VH_TOL_REL,
+VH_FORMAT); explicit flags win over the environment.  --threads (and
+VH_THREADS) is accepted and has no effect.
 
 CSV output is locale-independent: '#'-prefixed header lines, then
 comma-separated columns with 17-significant-digit floats, reproducible
@@ -66,7 +67,7 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--crop-sigmas", type=float, default=_env("CROP_SIGMAS", 8.0),
                    dest="crop_sigmas", help="crop distance in units of sigma = T/sqrt(2)")
     p.add_argument("--threads", type=int, default=_env("THREADS", 1),
-                   help="worker threads for grid rows")
+                   help="accepted for compatibility; has no effect")
     p.add_argument("--format", default=_env("FORMAT", "csv"),
                    choices=["csv", "json"], help="output format")
 

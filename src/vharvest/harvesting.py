@@ -1,25 +1,31 @@
-"""Harvesting engine: per-model local and nonlocal momentum integrals, the
-closed-form Gaussian time kernels, the two-qubit X-state with its negativity
-and concurrence, and the positivity diagnostics.
+"""Harvesting engine: the momentum integrals of the three coupling models,
+the closed-form Gaussian time kernels, the two-qubit X-state with its
+negativity and concurrence, and the positivity diagnostics.
 
-Momentum integrands (k in units of inverse length, u = (a0 k)^2):
+Every matrix element is one term, prefactor * int_0^inf dk k^p kern(kd)
+time(k) / (4u+9)^6 with u = (a0 k)^2, and one engine evaluates each term
+from its description (p, kern, time, wings, prefactor):
 
-    local      L    = e^2 (C_L/pi) a0^q T^2 * int k^p exp(-T^2(Omega+k)^2/2) / (4u+9)^6
-    nonlocal   M    = -e^2 (C_M/pi) rel a0^q T^2 e^{i Omega (t_A+t_B)}
-                      * int k^p kern(kd) exp(-T^2(Omega^2+k^2)/2) [E(k,t_BA)+E(k,-t_BA)] / (4u+9)^6
-    cross      L_AB = e^2 (C_L/pi) rel a0^q T^2 e^{-i Omega t_BA}
-                      * int k^p kern(kd) exp(-T^2(Omega+k)^2/2) e^{-i k t_BA} / (4u+9)^6
+    term  time(k)              wings      prefactor / (e^2 a0^q T^2 S)
+    L     G(k)                 -           C_L/pi
+    M     K(k, t_BA)           algebraic  -C_M/pi rel e^{i Omega (t_A+t_B)}
+    L_AB  e^{-i k t_BA} G(k)   -           C_L/pi rel e^{-i Omega t_BA}
 
-with (C_L, C_M, p, q, kern, rel) =
-    EM dipole:   (49152, 24576, 3, 2, j0+j2, cos(theta))
-    UdW scalar:  (32768, 16384, 5, 4, j0,    1)
-    derivative:  (32768, 16384, 7, 4, j0,    1)
+    model        C_L    C_M    p  q  kern   rel
+    EM dipole:   49152  24576  3  2  j0+j2  cos(theta)
+    UdW scalar:  32768  16384  5  4  j0     1
+    derivative:  32768  16384  7  4  j0     1
 
-The derivative coupling differs from the scalar one by exactly k^2 in every
-integrand.  All integrals are evaluated with the Gaussian factor
-exp(-T^2 Omega^2 / 2) pulled out analytically, so the sign of |M| - L (the
-harvesting criterion) is available even where the values themselves
-underflow (Omega T > ~38).
+with S = exp(-T^2 Omega^2/2), G(k) = exp(-T^2 (k^2/2 + Omega k)), kern = 1
+for L, and K(k, t) = exp(-T^2 k^2/2) [E(k,t) + E(k,-t)] the fused kernel
+``scaled_time_kernel``.  For unequal gaps M takes ``time_integral_closed``
+(which carries its own pi T^2/2, S and phase) as its time factor, with
+prefactor -e^2 (2 C_M/pi^2) rel a0^q.  The erfc wings of both M time factors
+decay only algebraically in k: M integrates them to the rational cutoff or
+sums them over the spatial period.  The derivative coupling differs from the
+scalar one by exactly k^2 in every integrand.  S stays out of the integrals
+as a log scale, so the sign of |M| - L (the harvesting criterion) is
+available even where the values underflow (Omega T > ~38).
 """
 
 from __future__ import annotations
@@ -29,13 +35,13 @@ import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import Callable
 
 import numpy as np
-from scipy.special import wofz as _wofz
 
-from .atoms import AtomSpec, SwitchingKind, TransitionSpec
-from .specfun import (DampedKernelSpec, QuadratureResult, integrate_damped,
-                      scaled_time_kernel, spherical_bessel_j,
+from .atoms import AtomSpec, SwitchingKind
+from .specfun import (DampedKernelSpec, QuadratureResult, exp_erfc,
+                      integrate_damped, scaled_time_kernel, spherical_bessel_j,
                       spherical_bessel_j0_plus_j2)
 
 __all__ = [
@@ -82,19 +88,18 @@ class ModelKind(Enum):
         raise ValueError(f"unknown model {name!r} (choose from "
                          f"{[k.value for k in cls]})")
 
-    @property
-    def transition(self) -> TransitionSpec:
-        if self is ModelKind.EM_DIPOLE:
-            return TransitionSpec.em_dipole()
-        return TransitionSpec.scalar()
+
+def _j0(x):
+    return spherical_bessel_j(0, x)
 
 
 def _model_params(model: ModelKind):
+    # (C_L, C_M, p, q, kern), read at call time
     if model is ModelKind.EM_DIPOLE:
-        return EM_LOCAL_COEFF, EM_NONLOCAL_COEFF, 3, 2
+        return EM_LOCAL_COEFF, EM_NONLOCAL_COEFF, 3, 2, spherical_bessel_j0_plus_j2
     if model is ModelKind.UDW_SCALAR:
-        return SCALAR_LOCAL_COEFF, SCALAR_NONLOCAL_COEFF, 5, 4
-    return SCALAR_LOCAL_COEFF, SCALAR_NONLOCAL_COEFF, 7, 4
+        return SCALAR_LOCAL_COEFF, SCALAR_NONLOCAL_COEFF, 5, 4, _j0
+    return SCALAR_LOCAL_COEFF, SCALAR_NONLOCAL_COEFF, 7, 4, _j0
 
 
 @dataclass(frozen=True)
@@ -105,11 +110,20 @@ class DetectorPair:
     coupling: float = 1.0
 
     def __post_init__(self):
-        if not self.atom_a.orientation.is_identity:
+        a, b = self.atom_a, self.atom_b
+        if not a.orientation.is_identity:
             raise ValueError("atom A defines the reference frame; its "
                              "orientation must be the identity")
         if not (self.coupling > 0):
             raise ValueError("coupling must be positive")
+        # not computed correctly yet, so rejected: M uses atom A's a0 and T
+        # for both atoms, and the EM kernel assumes B on A's 2p_z axis
+        if a.a0 != b.a0 or a.switching_width != b.switching_width:
+            raise ValueError("atoms with unequal a0 or unequal switching "
+                             "widths are not supported")
+        dx = np.subtract(b.position, a.position)
+        if self.model is ModelKind.EM_DIPOLE and (dx[0] or dx[1]):
+            raise ValueError("EM dipole pairs need atom B on atom A's z axis")
 
     @property
     def separation(self) -> float:
@@ -219,131 +233,165 @@ class EmDecomposition:
 
 
 # ----------------------------------------------------------------------------
-# Momentum integrals
+# The term engine
 # ----------------------------------------------------------------------------
 
-def _rational(u: np.ndarray) -> np.ndarray:
-    return (4.0 * u + 9.0) ** 6
+# where k^p / (4 a0^2 k^2 + 9)^6 has rolled off by ~1e-13 of its peak, in
+# units of 1/(2 a0): the cutoff of the algebraic erfc wings
+_WING_CUTOFF = {3: 120.0, 5: 400.0, 7: 4000.0}
 
 
-def _spatial_kernel(model: ModelKind, x: np.ndarray) -> np.ndarray:
-    if model is ModelKind.EM_DIPOLE:
-        return spherical_bessel_j0_plus_j2(x)
-    return spherical_bessel_j(0, x)
+@dataclass(frozen=True)
+class _Term:
+    """prefactor * int_0^inf k^p kern(k d) time(k) / (4 (a0 k)^2 + 9)^6 dk"""
+
+    p: int
+    kernel: Callable | None    # spatial kernel of k d: None (L), j0 or j0+j2
+    time: Callable             # k -> time factors, multiplied in this order
+    wings: bool                # erfc wings decaying algebraically (M)
+    # (coeff, q, width, rel, phase, log_scale): coeff a0^q width^2 rel phase
+    # exp(log_scale), coeff with e^2 and sign, width 1 where time() carries
+    # its own T^2, log_scale the Gaussian kept out of the integral
+    prefactor: tuple
+    a0: float
+    T: float                   # damping exp(-T^2 k^2 / 2)
+    d: float = 0.0
+    t_ba: float = 0.0          # time factors oscillate with period 2 pi/|t_ba|
+    memo: tuple | None = None  # _local_quadrature key (L)
 
 
-def _wing_cutoff(model: ModelKind, a0: float) -> float:
-    # where k^p / (4 a0^2 k^2 + 9)^6 has rolled off by ~1e-13 of its peak
-    _, _, p, _ = _model_params(model)
-    x = {3: 120.0, 5: 400.0, 7: 4000.0}[p]
-    return x / (2.0 * a0)
-
-
-def local_integrand(model: ModelKind, a0: float, omega: float, T: float):
-    """Scaled local-term integrand (the closed kernel with exp(T^2 omega^2/2)
-    factored out); exposed so tests can compare models pointwise."""
-    _, _, p, _ = _model_params(model)
+def _spec(term: _Term) -> DampedKernelSpec:
+    """The integrand and quadrature spec of a term."""
+    p, kernel, time, a0, d = term.p, term.kernel, term.time, term.a0, term.d
 
     def f(k):
         u = (a0 * k) ** 2
-        return k ** p * np.exp(-0.5 * T * T * k * k - T * T * omega * k) / _rational(u)
+        out = k ** p * (kernel(k * d) if kernel is not None and d > 0 else 1.0)
+        for factor in time(k):
+            out = out * factor
+        return out / (4.0 * u + 9.0) ** 6
 
-    return f
-
-
-def nonlocal_integrand(pair: DetectorPair):
-    """Scaled nonlocal-term integrand (fused time kernel, zero-gap scaling);
-    the derivative and scalar models differ by exactly k^2 here."""
-    a = pair.atom_a
-    _, _, p, _ = _model_params(pair.model)
-    d = pair.separation
-    t_ba = pair.t_ba
-    T = a.switching_width
-    model = pair.model
-
-    def f(k):
-        u = (a.a0 * k) ** 2
-        kern = _spatial_kernel(model, k * d) if d > 0 else 1.0
-        return k ** p * kern * scaled_time_kernel(k, t_ba, T, 0.0) / _rational(u)
-
-    return f
+    spatial = (2.0 * math.pi / d,) if kernel is not None and d > 0 else ()
+    temporal = (2.0 * math.pi / abs(term.t_ba),) if term.t_ba != 0.0 else ()
+    return DampedKernelSpec(
+        damping_width=0.5 * term.T * term.T,
+        oscillation_lengths=spatial + temporal,
+        integrand=f,
+        algebraic_cutoff=_WING_CUTOFF[p] / (2.0 * a0) if term.wings else None,
+        tail_oscillation_length=spatial[0] if term.wings and spatial else None,
+    )
 
 
 @functools.lru_cache(maxsize=256)
 def _local_quadrature(model: ModelKind, a0: float, omega: float, T: float,
                       atol: float, rtol: float) -> QuadratureResult:
     # Memoised: a grid at fixed gap and radius shares one L.  Only the bare
-    # integral is cached; every prefactor (the mutable coefficients included)
-    # is applied by the callers.
-    spec = DampedKernelSpec(damping_width=0.5 * T * T, oscillation_lengths=(),
-                            integrand=local_integrand(model, a0, omega, T))
-    return integrate_damped(spec, atol=atol, rtol=rtol)
+    # integral is cached; the prefactor (the mutable coefficients included)
+    # is applied outside.
+    atom = AtomSpec(a0=a0, omega=omega, switching_width=T)
+    return integrate_damped(_spec(_local(model, atom)), atol=atol, rtol=rtol)
+
+
+def _evaluate(term: _Term, log_scale: float, atol: float,
+              rtol: float) -> QuadratureResult:
+    """A term's value, error and integral of |.| relative to exp(log_scale):
+    the one place a prefactor is applied."""
+    quad = (_local_quadrature(*term.memo, atol, rtol) if term.memo
+            else integrate_damped(_spec(term), atol=atol, rtol=rtol))
+    coeff, q, width, rel, phase, term_scale = term.prefactor
+    pref = coeff * term.a0 ** q * width * width * math.exp(term_scale - log_scale)
+    return QuadratureResult(value=pref * rel * phase * quad.value,
+                            abs_error_estimate=abs(pref) * abs(rel) * quad.abs_error_estimate,
+                            evaluations=quad.evaluations,
+                            abs_integral=abs(pref) * quad.abs_integral)
+
+
+def _log_scale(pair: DetectorPair) -> float:
+    # S of identical atoms, shared by all their terms; unequal gaps share
+    # none, so their values are absolute
+    a = pair.atom_a
+    return -0.5 * (a.switching_width * a.omega) ** 2 if pair.identical else 0.0
+
+
+def _absolute(pair: DetectorPair, term: _Term, atol: float, rtol: float):
+    log_scale = _log_scale(pair)
+    return math.exp(log_scale) * _evaluate(term, log_scale, atol, rtol).value
+
+
+def _gaussian(k, T: float, omega: float):
+    return np.exp(-0.5 * T * T * k * k - T * T * omega * k)
+
+
+def _local(model: ModelKind, atom: AtomSpec, coupling: float = 1.0) -> _Term:
+    c_l, _, p, q, _ = _model_params(model)
+    T, omega = atom.switching_width, atom.omega
+
+    def time(k):
+        return (_gaussian(k, T, omega),)
+
+    return _Term(p, None, time, False, (coupling ** 2 * (c_l / math.pi), q, T,
+                                        1.0, 1.0, -0.5 * (T * omega) ** 2),
+                 atom.a0, T, memo=(model, atom.a0, omega, T))
+
+
+def _nonlocal(pair: DetectorPair, fused: bool) -> _Term:
+    # fused: the scaled kernel of equal gaps; else the closed double time
+    # integral, one call per node
+    a, b = pair.atom_a, pair.atom_b
+    _, c_m, p, q, kernel = _model_params(pair.model)
+    T, t_ba, e2 = a.switching_width, pair.t_ba, pair.coupling ** 2
+    rel = pair.cos_relative_angle
+    if fused:
+        def time(k):
+            return (scaled_time_kernel(k, t_ba, T, 0.0),)
+        phase = cmath.exp(1j * a.omega * (a.switching_center + b.switching_center))
+        prefactor = (-e2 * (c_m / math.pi), q, T, rel, phase, -0.5 * (T * a.omega) ** 2)
+    else:
+        def time(k):
+            return (np.array([time_integral_closed(a.omega, b.omega, kk, a.switching_center,
+                                                   b.switching_center, T)
+                              for kk in np.atleast_1d(np.asarray(k, dtype=float))]),)
+        prefactor = (-e2 * (2.0 * c_m / math.pi ** 2), q, 1.0, rel, 1.0, 0.0)
+    return _Term(p, kernel, time, True, prefactor, a.a0, T, pair.separation, t_ba)
+
+
+def _cross(pair: DetectorPair) -> _Term:
+    a = pair.atom_a
+    c_l, _, p, q, kernel = _model_params(pair.model)
+    T, t_ba, omega = a.switching_width, pair.t_ba, a.omega
+
+    def time(k):
+        if t_ba == 0.0:
+            return (_gaussian(k, T, omega),)
+        return np.exp(-1j * k * t_ba), _gaussian(k, T, omega)
+
+    prefactor = (pair.coupling ** 2 * (c_l / math.pi), q, T, pair.cos_relative_angle,
+                 cmath.exp(-1j * omega * t_ba), -0.5 * (T * omega) ** 2)
+    return _Term(p, kernel, time, False, prefactor, a.a0, T, pair.separation, t_ba)
+
+
+# ----------------------------------------------------------------------------
+# Public views of the engine
+# ----------------------------------------------------------------------------
+
+def local_integrand(model: ModelKind, a0: float, omega: float, T: float):
+    """Scaled local-term integrand (the closed kernel with exp(T^2 omega^2/2)
+    factored out); exposed so tests can compare models pointwise."""
+    return _spec(_local(model, AtomSpec(a0=a0, omega=omega, switching_width=T))).integrand
+
+
+def nonlocal_integrand(pair: DetectorPair):
+    """Scaled nonlocal-term integrand (fused time kernel, zero-gap scaling);
+    the derivative and scalar models differ by exactly k^2 here."""
+    return _spec(_nonlocal(pair, True)).integrand
 
 
 def local_term(pair: DetectorPair, which: str = "A",
                atol: float = 1e-16, rtol: float = 1e-10) -> float:
     """Local vacuum-noise term L_mumu for one atom (orientation and
-    separation independent)."""
+    separation independent); equal to the matching ``compute_terms`` field."""
     atom = pair.atom_a if which.upper() == "A" else pair.atom_b
-    c_l, _, _, q = _model_params(pair.model)
-    quad = _local_quadrature(pair.model, atom.a0, atom.omega,
-                             atom.switching_width, atol, rtol)
-    pref = pair.coupling ** 2 * (c_l / math.pi) * atom.a0 ** q \
-        * atom.switching_width ** 2
-    scale = math.exp(-0.5 * (atom.switching_width * atom.omega) ** 2)
-    return pref * scale * quad.value.real
-
-
-def _nonlocal_quadrature(pair: DetectorPair, atol: float, rtol: float) -> QuadratureResult:
-    a = pair.atom_a
-    d = pair.separation
-    t_ba = pair.t_ba
-    lengths = []
-    if d > 0:
-        lengths.append(2.0 * math.pi / d)
-    if t_ba != 0.0:
-        lengths.append(2.0 * math.pi / abs(t_ba))
-    spec = DampedKernelSpec(
-        damping_width=0.5 * a.switching_width ** 2,
-        oscillation_lengths=tuple(lengths),
-        integrand=nonlocal_integrand(pair),
-        algebraic_cutoff=_wing_cutoff(pair.model, a.a0),
-        tail_oscillation_length=(2.0 * math.pi / d) if d > 0 else None,
-    )
-    return integrate_damped(spec, atol=atol, rtol=rtol)
-
-
-def _nonlocal_general_quadrature(pair: DetectorPair, atol: float,
-                                 rtol: float) -> QuadratureResult:
-    # unequal gaps: closed double time integral under the k integral
-    a, b = pair.atom_a, pair.atom_b
-    _, _, p, _ = _model_params(pair.model)
-    d = pair.separation
-    T = a.switching_width
-    model = pair.model
-
-    def f(k):
-        karr = np.atleast_1d(np.asarray(k, dtype=float))
-        j = np.array([time_integral_closed(a.omega, b.omega, kk,
-                                           a.switching_center, b.switching_center, T)
-                      for kk in karr])
-        u = (a.a0 * karr) ** 2
-        kern = _spatial_kernel(model, karr * d) if d > 0 else 1.0
-        return karr ** p * kern * j / _rational(u)
-
-    lengths = []
-    if d > 0:
-        lengths.append(2.0 * math.pi / d)
-    if pair.t_ba != 0.0:
-        lengths.append(2.0 * math.pi / abs(pair.t_ba))
-    spec = DampedKernelSpec(
-        damping_width=0.5 * T * T,
-        oscillation_lengths=tuple(lengths),
-        integrand=f,
-        algebraic_cutoff=_wing_cutoff(model, a.a0),
-        tail_oscillation_length=(2.0 * math.pi / d) if d > 0 else None,
-    )
-    return integrate_damped(spec, atol=atol, rtol=rtol)
+    return _absolute(pair, _local(pair.model, atom, pair.coupling), atol, rtol).real
 
 
 def nonlocal_term(pair: DetectorPair, atol: float = 1e-16,
@@ -351,45 +399,7 @@ def nonlocal_term(pair: DetectorPair, atol: float = 1e-16,
     """Nonlocal correlation term M (phase retained; |M| feeds the
     negativity).  Identical atoms use the fused scaled kernel; unequal gaps
     route through the general closed time integral."""
-    a = pair.atom_a
-    _, c_m, _, q = _model_params(pair.model)
-    T = a.switching_width
-    rel = pair.cos_relative_angle
-    e2 = pair.coupling ** 2
-    if pair.identical:
-        quad = _nonlocal_quadrature(pair, atol, rtol)
-        omega = a.omega
-        phase = cmath.exp(1j * omega * (a.switching_center + pair.atom_b.switching_center))
-        scale = math.exp(-0.5 * (T * omega) ** 2)
-        return -e2 * (c_m / math.pi) * rel * a.a0 ** q * T * T * phase * scale * quad.value
-    quad = _nonlocal_general_quadrature(pair, atol, rtol)
-    return -e2 * (2.0 * c_m / math.pi ** 2) * rel * a.a0 ** q * quad.value
-
-
-def _cross_quadrature(pair: DetectorPair, atol: float, rtol: float) -> QuadratureResult:
-    a = pair.atom_a
-    _, _, p, _ = _model_params(pair.model)
-    d = pair.separation
-    t_ba = pair.t_ba
-    T = a.switching_width
-    omega = a.omega
-    model = pair.model
-
-    def f(k):
-        u = (a.a0 * k) ** 2
-        kern = _spatial_kernel(model, k * d) if d > 0 else 1.0
-        phase = np.exp(-1j * k * t_ba) if t_ba != 0.0 else 1.0
-        return (k ** p * kern * phase
-                * np.exp(-0.5 * T * T * k * k - T * T * omega * k) / _rational(u))
-
-    lengths = []
-    if d > 0:
-        lengths.append(2.0 * math.pi / d)
-    if t_ba != 0.0:
-        lengths.append(2.0 * math.pi / abs(t_ba))
-    spec = DampedKernelSpec(damping_width=0.5 * T * T,
-                            oscillation_lengths=tuple(lengths), integrand=f)
-    return integrate_damped(spec, atol=atol, rtol=rtol)
+    return _absolute(pair, _nonlocal(pair, pair.identical), atol, rtol)
 
 
 def cross_noise_term(pair: DetectorPair, atol: float = 1e-16,
@@ -398,28 +408,12 @@ def cross_noise_term(pair: DetectorPair, atol: float = 1e-16,
     time factor with phase exp(i (Omega+k) t_AB).  Identical atoms only."""
     if not pair.identical:
         raise ValueError("cross_noise_term requires identical atoms")
-    a = pair.atom_a
-    c_l, _, _, q = _model_params(pair.model)
-    T = a.switching_width
-    quad = _cross_quadrature(pair, atol, rtol)
-    phase = cmath.exp(-1j * a.omega * pair.t_ba)
-    scale = math.exp(-0.5 * (T * a.omega) ** 2)
-    return (pair.coupling ** 2 * (c_l / math.pi) * pair.cos_relative_angle
-            * a.a0 ** q * T * T * phase * scale * quad.value)
+    return _absolute(pair, _cross(pair), atol, rtol)
 
 
 # ----------------------------------------------------------------------------
 # Closed-form Gaussian time integral (general gaps)
 # ----------------------------------------------------------------------------
-
-def _exp_erfc(x: complex, z: complex) -> complex:
-    """exp(x) * erfc(z) with the exponents combined; safe whenever
-    Re(x) <= 0 and Re(x - z^2) <= 0, which the harvesting kernels satisfy."""
-    if z.real >= 0.0:
-        w = complex(_wofz(1j * z))
-        return cmath.exp(x - z * z + cmath.log(w))
-    return 2.0 * cmath.exp(x) - _exp_erfc(x, -z)
-
 
 def time_integral_closed(omega_a: float, omega_b: float, k: float,
                          t_a: float, t_b: float, T: float) -> complex:
@@ -441,7 +435,7 @@ def time_integral_closed(omega_a: float, omega_b: float, k: float,
     z1 = (2.0 * t_ba + 1j * T * T * (2.0 * k - d_om)) / (2.0 * math.sqrt(2.0) * T)
     z2 = (-2.0 * t_ba + 1j * T * T * (2.0 * k + d_om)) / (2.0 * math.sqrt(2.0) * T)
     x2 = x - k * (T * T * d_om + 2j * t_ba)
-    return 0.5 * math.pi * T * T * (_exp_erfc(x, z1) + _exp_erfc(x2, z2))
+    return 0.5 * math.pi * T * T * (exp_erfc(x, z1) + exp_erfc(x2, z2))
 
 
 # ----------------------------------------------------------------------------
@@ -453,63 +447,35 @@ def compute_terms(pair: DetectorPair, switching: SwitchingKind | None = None,
                   rtol: float = 1e-10) -> HarvestTerms:
     """Evaluate every density-matrix element for the pair.
 
-    Cropped switching evaluates the same closed forms and accounts for the
-    discarded Gaussian tails as an extra error bound: with the default 8
-    sigma crop the tail mass fraction is erfc(8/sqrt(2)) ~ 1.3e-15, below
-    the double-precision resolution of the integrals themselves.
+    L_AB is computed for identical atoms only; other pairs need
+    ``include_cross=False``.  Cropped switching evaluates the same closed
+    forms and accounts for the discarded Gaussian tails as an extra error
+    bound: with the default 8 sigma crop the tail mass fraction is
+    erfc(8/sqrt(2)) ~ 1.3e-15, below the double-precision resolution of the
+    integrals themselves.
     """
-    switching = switching or SwitchingKind()
-    a, b = pair.atom_a, pair.atom_b
-    c_l, c_m, _, q = _model_params(pair.model)
-    T = a.switching_width
-    e2 = pair.coupling ** 2
-    rel = pair.cos_relative_angle
-
-    quad_a = _local_quadrature(pair.model, a.a0, a.omega, T, atol, rtol)
-    pref_l = e2 * (c_l / math.pi) * a.a0 ** q * T * T
-
-    errors: dict[str, float] = {}
-    if pair.identical:
-        log_scale = -0.5 * (T * a.omega) ** 2
-        quad_b = quad_a
-        quad_m = _nonlocal_quadrature(pair, atol, rtol)
-        quad_x = _cross_quadrature(pair, atol, rtol) if include_cross else None
-        phase_m = cmath.exp(1j * a.omega * (a.switching_center + b.switching_center))
-        pref_m = e2 * (c_m / math.pi) * a.a0 ** q * T * T
-        l_aa_s = pref_l * quad_a.value.real
-        l_bb_s = l_aa_s
-        m_s = -pref_m * rel * phase_m * quad_m.value
-        errors["l_aa"] = pref_l * quad_a.abs_error_estimate
-        errors["l_bb"] = errors["l_aa"]
-        errors["m"] = pref_m * abs(rel) * quad_m.abs_error_estimate
-        if quad_x is not None:
-            phase_x = cmath.exp(-1j * a.omega * pair.t_ba)
-            l_ab_s = pref_l * rel * phase_x * quad_x.value
-            errors["l_ab"] = pref_l * abs(rel) * quad_x.abs_error_estimate
-        else:
-            l_ab_s = 0.0 + 0.0j
-        if switching.variant == "cropped_gaussian":
-            tail_fraction = 2.0 * math.erfc(switching.crop_sigmas / math.sqrt(2.0))
-            errors["crop_tail"] = tail_fraction * (
-                pref_l * quad_a.abs_integral + pref_m * quad_m.abs_integral)
-    else:
-        log_scale = 0.0
-        quad_b = _local_quadrature(pair.model, b.a0, b.omega,
-                                   b.switching_width, atol, rtol)
-        pref_lb = e2 * (c_l / math.pi) * b.a0 ** q * b.switching_width ** 2
-        quad_m = _nonlocal_general_quadrature(pair, atol, rtol)
-        pref_m = e2 * (2.0 * c_m / math.pi ** 2) * a.a0 ** q
-        l_aa_s = (pref_l * math.exp(-0.5 * (T * a.omega) ** 2)
-                  * quad_a.value.real)
-        l_bb_s = (pref_lb * math.exp(-0.5 * (b.switching_width * b.omega) ** 2)
-                  * quad_b.value.real)
-        m_s = -pref_m * rel * quad_m.value
-        l_ab_s = 0.0 + 0.0j  # printed reduction assumes identical atoms
-        errors["l_aa"] = pref_l * quad_a.abs_error_estimate
-        errors["l_bb"] = pref_lb * quad_b.abs_error_estimate
-        errors["m"] = pref_m * abs(rel) * quad_m.abs_error_estimate
+    if include_cross and not pair.identical:
+        raise ValueError("L_AB requires identical atoms; pass include_cross=False")
+    log_scale = _log_scale(pair)
+    terms = {"l_aa": _local(pair.model, pair.atom_a, pair.coupling),
+             "l_bb": _local(pair.model, pair.atom_b, pair.coupling),
+             "m": _nonlocal(pair, pair.identical)}
+    if include_cross:
+        terms["l_ab"] = _cross(pair)
+    res = {}
+    for name, term in terms.items():
+        res[name] = (res["l_aa"] if name == "l_bb" and pair.identical
+                     else _evaluate(term, log_scale, atol, rtol))
+    errors = {name: r.abs_error_estimate for name, r in res.items()}
+    if switching is not None and switching.variant == "cropped_gaussian":
+        tail_fraction = 2.0 * math.erfc(switching.crop_sigmas / math.sqrt(2.0))
+        errors["crop_tail"] = tail_fraction * (
+            0.5 * (res["l_aa"].abs_integral + res["l_bb"].abs_integral)
+            + res["m"].abs_integral)
 
     factor = math.exp(log_scale)
+    l_aa_s, l_bb_s, m_s = res["l_aa"].value.real, res["l_bb"].value.real, res["m"].value
+    l_ab_s = res["l_ab"].value if include_cross else 0.0 + 0.0j
     return HarvestTerms(
         l_aa=factor * l_aa_s, l_bb=factor * l_bb_s,
         l_ab=factor * l_ab_s, m=factor * m_s,

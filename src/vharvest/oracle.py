@@ -18,14 +18,15 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
+from scipy.special import wofz as _wofz
 
 from . import atoms, harvesting
 from .angular import (EulerAngles, euler_rotation_matrix, gaunt_integral,
                       polarization_completeness, rotate_harmonic, sph_harm_y)
-from .atoms import AtomSpec, smearing_scalar
+from .atoms import AtomSpec, SwitchingKind, radial_R, smearing_scalar
 from .harvesting import (DetectorPair, ModelKind, negativity_leading,
                          time_integral_closed)
-from .specfun import _adaptive_gk, faddeeva_w, spherical_bessel_j
+from .specfun import _adaptive_gk, exp_erfc, spherical_bessel_j
 
 __all__ = [
     "OracleReport",
@@ -37,6 +38,11 @@ __all__ = [
     "scalar_smearing_fourier_bruteforce",
     "run_all",
     "MUTABLE_CONSTANTS",
+    "faddeeva_w",
+    "erfc_complex",
+    "TransitionSpec",
+    "smearing_vector",
+    "switching",
 ]
 
 # closed-form constants the mutation self-check may perturb
@@ -64,14 +70,103 @@ class OracleReport:
     evaluations: int
 
 
-def _report(name: str, closed, brute, tol: float, evaluations: int,
-            scale: float | None = None) -> OracleReport:
-    denom = scale if scale is not None else max(abs(closed), abs(brute))
-    rel = abs(closed - brute) / denom if denom > 0 else abs(closed - brute)
-    return OracleReport(name=name, closed_form=float(abs(closed)),
-                        brute_force=float(abs(brute)), rel_err=float(rel),
-                        tol=tol, passed=bool(rel <= tol),
-                        evaluations=evaluations)
+# ----------------------------------------------------------------------------
+# Reference helpers the battery and the tests use; the engine does not
+# ----------------------------------------------------------------------------
+
+def faddeeva_w(z: complex) -> complex:
+    """Faddeeva function w(z) = exp(-z^2) erfc(-i z).
+
+    The upper half plane is numerically benign; the lower half plane goes
+    through the reflection w(-z) = 2 exp(-z^2) - w(z) and raises once
+    exp(-z^2) overflows.
+    """
+    z = complex(z)
+    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+        raise ValueError(f"faddeeva_w requires finite z, got {z}")
+    if z.imag >= 0.0:
+        return complex(_wofz(z))
+    mz2 = -z * z
+    if mz2.real > 709.0:  # ln(DBL_MAX), rounded down
+        raise OverflowError(f"exp(-z^2) overflows for z={z}")
+    return 2.0 * cmath.exp(mz2) - complex(_wofz(-z))
+
+
+def erfc_complex(z: complex) -> complex:
+    """Complementary error function for complex argument: exp_erfc(0, z),
+    which raises OverflowError where the value exceeds double range."""
+    z = complex(z)
+    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+        raise ValueError(f"erfc_complex requires finite z, got {z}")
+    return exp_erfc(0.0, z)
+
+
+@dataclass(frozen=True)
+class TransitionSpec:
+    """Ground/excited level pair as (n, l, m) triples."""
+
+    ground: tuple[int, int, int] = (1, 0, 0)
+    excited: tuple[int, int, int] = (2, 1, 0)
+
+    def __post_init__(self):
+        if self.ground != (1, 0, 0):
+            raise ValueError("only the 1s ground state is supported")
+        if self.excited not in ((2, 1, 0), (2, 0, 0)):
+            raise ValueError("excited state must be 2p_z or 2s")
+
+    @classmethod
+    def em_dipole(cls) -> "TransitionSpec":
+        return cls(excited=(2, 1, 0))
+
+    @classmethod
+    def scalar(cls) -> "TransitionSpec":
+        return cls(excited=(2, 0, 0))
+
+    @property
+    def is_dipole_allowed(self) -> bool:
+        return abs(self.excited[1] - self.ground[1]) == 1
+
+
+def smearing_vector(atom: AtomSpec, x,
+                    transition: TransitionSpec | None = None) -> np.ndarray:
+    """Spatial smearing vector F(x) = psi_e*(x) x psi_g(x) of the dipole
+    coupling, with the atom's 2p_z orbital expressed in the base frame via
+    its Euler orientation.
+
+    For the identity orientation this is the closed form
+    cos(th)/(4 pi a0^4 sqrt(2)) e^{-3r/2a0} r^2 (sin th cos ph, sin th sin ph, cos th).
+    """
+    transition = transition or TransitionSpec.em_dipole()
+    if not transition.is_dipole_allowed:
+        raise ValueError("smearing_vector requires the dipole-allowed 1s->2p transition")
+    x = np.asarray(x, dtype=float)
+    if x.shape != (3,):
+        raise ValueError("x must be a 3-vector")
+    r = float(np.linalg.norm(x))
+    if r == 0.0:
+        return np.zeros(3, dtype=complex)
+    theta, phi = math.atan2(math.hypot(x[0], x[1]), x[2]), math.atan2(x[1], x[0])
+    n_e, l_e, m_e = atom.orientation, 1, 0
+    if n_e.is_identity:
+        y_e = sph_harm_y(l_e, m_e, theta, phi)
+    else:
+        y_e = rotate_harmonic(l_e, m_e, atom.orientation, theta, phi)
+    radial = radial_R(2, 1, r, atom.a0) * radial_R(1, 0, r, atom.a0)
+    return np.conj(y_e) * radial / math.sqrt(4.0 * math.pi) * x.astype(complex)
+
+
+def switching(kind: SwitchingKind, t, atom: AtomSpec):
+    """Gaussian switching chi(t) = exp(-(t - t0)^2/T^2); the cropped variant
+    is identically zero beyond crop_sigmas * T/sqrt(2) from the center."""
+    tt = np.asarray(t, dtype=float)
+    arg = (tt - atom.switching_center) / atom.switching_width
+    out = np.exp(-arg * arg)
+    if kind.variant == "cropped_gaussian":
+        cut = kind.crop_sigmas * atom.sigma
+        out = np.where(np.abs(tt - atom.switching_center) > cut, 0.0, out)
+    if np.isscalar(t) or np.asarray(t).ndim == 0:
+        return float(out)
+    return out
 
 
 # ----------------------------------------------------------------------------
@@ -526,12 +621,12 @@ def _run_all_inner(seed: int) -> list[OracleReport]:
                  orientation=EulerAngles(0.4, 0.9, -0.2))
     pair = DetectorPair(a, b, ModelKind.EM_DIPOLE)
     m_fused = harvesting.nonlocal_term(pair)
-    quad = harvesting._nonlocal_general_quadrature(pair, 1e-16, 1e-10)
-    m_general = (-pair.coupling ** 2 * 2.0 * harvesting.EM_NONLOCAL_COEFF
-                 / math.pi ** 2 * pair.cos_relative_angle * a.a0 ** 2 * quad.value)
+    general = harvesting._evaluate(harvesting._nonlocal(pair, False),
+                                   0.0, 1e-16, 1e-10)
+    m_general = general.value
     rel = abs(m_fused - m_general) / abs(m_fused)
     reports.append(OracleReport("nonlocal_fused_vs_general", abs(m_fused),
                                 abs(m_general), rel, 1e-8, rel <= 1e-8,
-                                quad.evaluations))
+                                general.evaluations))
 
     return reports

@@ -28,16 +28,15 @@ __all__ = [
     "QuadratureConvergenceError",
     "QuadratureResult",
     "DampedKernelSpec",
-    "faddeeva_w",
-    "erfc_complex",
     "scaled_time_kernel",
     "spherical_bessel_j",
     "spherical_bessel_j0_plus_j2",
     "integrate_damped",
 ]
+# exp_erfc is public too; it stays out of __all__, which outside-in tracers
+# wrap, because time_integral_closed calls it twice per momentum node
 
 _SQRT2 = math.sqrt(2.0)
-_LOG_HUGE = 709.0          # ln(DBL_MAX), rounded down
 _GAUSS_DEAD = 750.0        # exp(-750) < 1e-300: Gaussian tail treated as dead
 
 
@@ -103,44 +102,16 @@ class DampedKernelSpec:
 # Error functions
 # ----------------------------------------------------------------------------
 
-def faddeeva_w(z: complex) -> complex:
-    """Faddeeva function w(z) = exp(-z^2) erfc(-i z).
-
-    The upper half plane is numerically benign; the lower half plane goes
-    through the reflection w(-z) = 2 exp(-z^2) - w(z) and raises once
-    exp(-z^2) overflows (callers that need those arguments must use the
-    fused kernels instead).
-    """
-    z = complex(z)
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise ValueError(f"faddeeva_w requires finite z, got {z}")
-    if z.imag >= 0.0:
-        return complex(_wofz(z))
-    mz2 = -z * z
-    if mz2.real > _LOG_HUGE:
-        raise OverflowError(
-            f"exp(-z^2) overflows for z={z}; evaluate through the scaled kernel"
-        )
-    return 2.0 * cmath.exp(mz2) - complex(_wofz(-z))
-
-
-def erfc_complex(z: complex) -> complex:
-    """Complementary error function for complex argument.
-
-    Routed through the Faddeeva function with the exponents combined before
-    exponentiation, so arguments with large imaginary part do not overflow
-    intermediately as long as the result itself is representable.
-    """
-    z = complex(z)
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise ValueError(f"erfc_complex requires finite z, got {z}")
+def exp_erfc(x: complex, z: complex) -> complex:
+    """exp(x) * erfc(z) with the exponents combined: erfc(z) = exp(-z^2)
+    w(iz) through the Faddeeva function in its stable half plane, and
+    erfc(z) = 2 - erfc(-z) for Re(z) < 0.  Finite whenever Re(x) <= 0 and
+    Re(x - z^2) <= 0, which the harvesting time kernels satisfy; raises
+    OverflowError where the value exceeds double range."""
     if z.real >= 0.0:
-        w = complex(_wofz(1j * z))  # Im(iz) = Re(z) >= 0: stable region
-        expo = -z * z + cmath.log(w)
-        if expo.real > _LOG_HUGE:
-            raise OverflowError(f"erfc({z}) exceeds double range")
-        return cmath.exp(expo)
-    return 2.0 - erfc_complex(-z)
+        w = complex(_wofz(1j * z))
+        return cmath.exp(x - z * z + cmath.log(w))
+    return 2.0 * cmath.exp(x) - exp_erfc(x, -z)
 
 
 def scaled_time_kernel(k, t_ba: float, T: float, omega: float):

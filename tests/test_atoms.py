@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from vharvest.angular import EulerAngles
-from vharvest.atoms import (AtomSpec, SwitchingKind, TransitionSpec, radial_R,
-                            radial_overlap, smearing_scalar, smearing_vector,
-                            switching, wavefunction_overlap_log10)
-from vharvest.oracle import radial_bruteforce, sphere_quadrature
+from vharvest.atoms import (AtomSpec, SwitchingKind, radial_R, radial_overlap,
+                            smearing_scalar, wavefunction_overlap_log10)
+from vharvest.oracle import (TransitionSpec, radial_bruteforce, smearing_vector,
+                             sphere_quadrature, switching)
 from vharvest.specfun import _adaptive_gk
 
 A0 = 0.37

@@ -7,7 +7,7 @@ from numpy.polynomial.legendre import leggauss
 
 from vharvest import harvesting
 from vharvest.angular import EulerAngles
-from vharvest.atoms import AtomSpec
+from vharvest.atoms import AtomSpec, SwitchingKind
 from vharvest.harvesting import (DetectorPair, HarvestTerms, ModelKind,
                                  assemble_state, compute_terms,
                                  cross_noise_term, em_decomposition_identity,
@@ -404,6 +404,94 @@ def test_scaled_path_survives_underflow():
     assert terms.l_aa == 0.0  # underflowed as an absolute number
     assert terms.l_aa_scaled > 0.0
     assert math.isfinite(terms.negativity2_scaled)
+
+
+# ----------------------------------------------------------------------------
+# one engine: views, cropped switching, rejected pairs
+# ----------------------------------------------------------------------------
+
+def _view_pairs(rng, unequal: bool):
+    for model in ModelKind:
+        for _ in range(4):
+            omega = float(rng.uniform(0.5, 15.0))
+            a0 = 10.0 ** float(rng.uniform(-4.0, -2.0)) / omega
+            a = AtomSpec(a0=a0, omega=omega)
+            b = AtomSpec(a0=a0, omega=omega * (float(rng.uniform(0.8, 1.25)) if unequal else 1.0),
+                         position=(0.0, 0.0, float(rng.uniform(0.5, 25.0))),
+                         switching_center=float(rng.uniform(0.5, 25.0)),
+                         orientation=EulerAngles(*rng.uniform(0.0, math.pi, 3)))
+            yield DetectorPair(a, b, model)
+
+
+def test_views_equal_compute_terms_bitwise_identical_atoms(rng):
+    for pair in _view_pairs(rng, unequal=False):
+        terms = compute_terms(pair)
+        assert local_term(pair) == terms.l_aa
+        assert local_term(pair, "B") == terms.l_bb
+        assert nonlocal_term(pair) == terms.m
+        assert cross_noise_term(pair) == terms.l_ab
+
+
+def test_views_equal_compute_terms_bitwise_unequal_gaps(rng):
+    for pair in _view_pairs(rng, unequal=True):
+        terms = compute_terms(pair, include_cross=False)
+        assert local_term(pair) == terms.l_aa
+        assert local_term(pair, "B") == terms.l_bb
+        assert nonlocal_term(pair) == terms.m
+
+
+def test_cropped_switching_error_for_every_pair():
+    cropped = SwitchingKind("cropped_gaussian")
+    a = AtomSpec(a0=1e-3, omega=2.0)
+    for omega_b in (2.0, 2.6):
+        b = AtomSpec(a0=1e-3, omega=omega_b, position=(0.0, 0.0, 3.0),
+                     switching_center=1.5)
+        pair = DetectorPair(a, b, ModelKind.UDW_SCALAR)
+        terms = compute_terms(pair, switching=cropped, include_cross=False)
+        assert terms.quadrature_errors["crop_tail"] > 0.0
+        plain = compute_terms(pair, include_cross=False)
+        assert "crop_tail" not in plain.quadrature_errors
+        assert (terms.negativity2_error_scaled()
+                > plain.negativity2_error_scaled())
+
+
+def test_rejects_em_pair_off_the_z_axis():
+    a = AtomSpec(a0=1e-3, omega=2.0)
+    for position in ((1.5, 0.0, 0.0), (0.0, 0.3, 1.5)):
+        b = AtomSpec(a0=1e-3, omega=2.0, position=position)
+        with pytest.raises(ValueError, match="z axis"):
+            DetectorPair(a, b, ModelKind.EM_DIPOLE)
+    # the scalar kernels are isotropic: the direction of B - A is free
+    on_axis = AtomSpec(a0=1e-3, omega=2.0, position=(0.0, 0.0, 1.5))
+    off_axis = AtomSpec(a0=1e-3, omega=2.0, position=(1.5, 0.0, 0.0))
+    assert (nonlocal_term(DetectorPair(a, off_axis, ModelKind.UDW_SCALAR))
+            == nonlocal_term(DetectorPair(a, on_axis, ModelKind.UDW_SCALAR)))
+
+
+def test_rejects_unequal_a0():
+    a = AtomSpec(a0=1e-3, omega=2.0)
+    b = AtomSpec(a0=2e-3, omega=2.0, position=(0.0, 0.0, 1.5))
+    with pytest.raises(ValueError, match="a0"):
+        DetectorPair(a, b, ModelKind.UDW_SCALAR)
+
+
+def test_rejects_unequal_switching_widths():
+    a = AtomSpec(a0=1e-3, omega=2.0, switching_width=1.0)
+    b = AtomSpec(a0=1e-3, omega=2.0, position=(0.0, 0.0, 1.5),
+                 switching_width=1.5)
+    with pytest.raises(ValueError, match="switching widths"):
+        DetectorPair(a, b, ModelKind.UDW_SCALAR)
+
+
+def test_compute_terms_rejects_cross_term_of_unequal_gaps():
+    a = AtomSpec(a0=1e-3, omega=1.0)
+    b = AtomSpec(a0=1e-3, omega=1.3, position=(0.0, 0.0, 1.5))
+    pair = DetectorPair(a, b, ModelKind.UDW_SCALAR)
+    with pytest.raises(ValueError, match="identical"):
+        compute_terms(pair, include_cross=True)
+    with pytest.raises(ValueError, match="identical"):
+        compute_terms(pair)  # include_cross defaults to True
+    assert compute_terms(pair, include_cross=False).l_ab == 0.0
 
 
 def test_detector_pair_validation():

@@ -8,11 +8,11 @@ from hypothesis import strategies as st
 
 from scipy.special import wofz
 
+from vharvest.oracle import erfc_complex, faddeeva_w
 from vharvest.specfun import (DampedKernelSpec, QuadratureConvergenceError,
                               QuadratureResult, _adaptive_gk, _wynn_epsilon,
-                              erfc_complex, faddeeva_w, integrate_damped,
-                              scaled_time_kernel, spherical_bessel_j,
-                              spherical_bessel_j0_plus_j2)
+                              exp_erfc, integrate_damped, scaled_time_kernel,
+                              spherical_bessel_j, spherical_bessel_j0_plus_j2)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -111,6 +111,17 @@ def test_erfc_reflection_random(rng):
             continue
         scale = max(1.0, abs(erfc_complex(z)))
         assert abs(s - 2.0) <= 1e-13 * scale
+
+
+def test_exp_erfc_keeps_exponents_combined():
+    # exp(800) overflows and erfc(29) underflows; their product is finite
+    x, z = 800.0 + 0.5j, 29.0 + 0.3j
+    want = cmath.exp(x - z * z) * faddeeva_cf(1j * z)
+    assert exp_erfc(x, z) == pytest.approx(want, rel=1e-13)
+    # the left half plane goes through erfc(z) = 2 - erfc(-z)
+    z = -0.4 + 0.2j
+    assert exp_erfc(-1.0 + 0.3j, z) == pytest.approx(
+        cmath.exp(-1.0 + 0.3j) * erfc_series(z), rel=1e-13)
 
 
 @settings(max_examples=200, deadline=None)
