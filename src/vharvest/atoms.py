@@ -1,6 +1,5 @@
-"""Hydrogenlike orbital data: the atom and switching specifications, radial
-wavefunctions, the scalar smearing function and closed-form radial overlap
-integrals.
+"""Hydrogenlike orbital data: the atom and switching specifications, the
+scalar smearing function and closed-form radial overlap integrals.
 
 Natural units with c = 1 throughout; a0 is the generalized Bohr radius and
 the energy gap Omega is an inverse length.  Only the levels that enter the
@@ -15,12 +14,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .angular import EulerAngles
-from .specfun import spherical_bessel_j
 
 __all__ = [
     "AtomSpec",
     "SwitchingKind",
-    "radial_R",
     "smearing_scalar",
     "radial_overlap",
     "wavefunction_overlap_log10",
@@ -34,17 +31,32 @@ __all__ = [
 RADIAL_OVERLAP_L0_COEFF = 384.0 * math.sqrt(6.0)
 RADIAL_OVERLAP_L2_COEFF = 3072.0 * math.sqrt(6.0)
 
+# light contact is possible within |d - |t_BA|| < 8 sigma
+LIGHTCONE_SIGMAS = 8.0
+
 
 @dataclass(frozen=True)
 class SwitchingKind:
+    """Gaussian switching, cropped at crop_sigmas for "cropped_gaussian".
+    "auto" crops only pairs outside the lightcone band, where the Gaussian
+    tails would otherwise be suspected of carrying the signal."""
+
     variant: str = "gaussian"
     crop_sigmas: float = 8.0
 
     def __post_init__(self):
-        if self.variant not in ("gaussian", "cropped_gaussian"):
+        if self.variant not in ("gaussian", "cropped_gaussian", "auto"):
             raise ValueError(f"unknown switching variant {self.variant!r}")
         if not (self.crop_sigmas > 0):
             raise ValueError("crop_sigmas must be positive")
+
+    def resolve(self, d: float, t_ba: float, sigma: float) -> "SwitchingKind":
+        """The concrete switching of a pair at separation d and delay t_ba."""
+        if self.variant != "auto":
+            return self
+        if abs(d - abs(t_ba)) >= LIGHTCONE_SIGMAS * sigma:
+            return SwitchingKind("cropped_gaussian", self.crop_sigmas)
+        return SwitchingKind()
 
 
 @dataclass(frozen=True)
@@ -71,26 +83,6 @@ class AtomSpec:
         return self.switching_width / math.sqrt(2.0)
 
 
-def radial_R(n: int, l: int, r, a0: float):
-    """Hydrogenlike radial wavefunction R_nl(r) for (1,0), (2,0), (2,1)."""
-    if not (a0 > 0):
-        raise ValueError("a0 must be positive")
-    rr = np.asarray(r, dtype=float)
-    rho = rr / a0
-    scale = a0 ** -1.5
-    if (n, l) == (1, 0):
-        out = 2.0 * scale * np.exp(-rho)
-    elif (n, l) == (2, 0):
-        out = scale / (2.0 * math.sqrt(2.0)) * (2.0 - rho) * np.exp(-0.5 * rho)
-    elif (n, l) == (2, 1):
-        out = scale / math.sqrt(24.0) * rho * np.exp(-0.5 * rho)
-    else:
-        raise ValueError(f"unsupported radial level (n={n}, l={l})")
-    if np.isscalar(r) or np.asarray(r).ndim == 0:
-        return float(out)
-    return out
-
-
 def smearing_scalar(atom: AtomSpec, x) -> float:
     """Scalar smearing F(x) = psi_2s(x) psi_1s(x) for the monopole couplings:
     (4 pi a0^3 sqrt(2))^-1 e^{-3|x|/2a0} (2 - |x|/a0)."""
@@ -100,32 +92,11 @@ def smearing_scalar(atom: AtomSpec, x) -> float:
     return math.exp(-1.5 * r / a0) * (2.0 - r / a0) / (4.0 * math.pi * a0 ** 3 * math.sqrt(2.0))
 
 
-def _radial_overlap_quadrature(l: int, k: float, a0: float) -> float:
-    # direct quadrature of r^3 R21 R10 j_l(kr) on [0, 60 a0]
-    from .specfun import _adaptive_gk
-
-    def f(r):
-        return r ** 3 * radial_R(2, 1, r, a0) * radial_R(1, 0, r, a0) \
-            * spherical_bessel_j(l, k * r)
-
-    hi = 60.0 * a0
-    pts = {0.0, hi}
-    pts.update(np.linspace(0.0, hi, 61))
-    if k > 0:
-        half = math.pi / k
-        n = int(hi / half)
-        if n > 1:
-            pts.update(np.arange(1, n + 1) * half)
-    val, err, _, _ = _adaptive_gk(f, np.array(sorted(p for p in pts if p <= hi)),
-                                  1e-15, 1e-12)
-    return float(val)
-
-
 def radial_overlap(l: int, k: float, a0: float) -> float:
     """integral_0^inf r^3 R21(r) R10(r) j_l(kr) dr.
 
-    Rational closed forms in u = (a0 k)^2 for l = 0 and 2 (the two values the
-    2p_z harvesting kernels need); other l <= 4 fall back to quadrature.
+    Rational closed forms in u = (a0 k)^2 for l = 0 and 2, the two values the
+    2p_z harvesting kernels need.
     """
     if not (a0 > 0):
         raise ValueError("a0 must be positive")
@@ -137,9 +108,7 @@ def radial_overlap(l: int, k: float, a0: float) -> float:
         return RADIAL_OVERLAP_L0_COEFF * a0 * (9.0 - 4.0 * u) / den
     if l == 2:
         return RADIAL_OVERLAP_L2_COEFF * a0 * u / den
-    if 0 <= l <= 4:
-        return _radial_overlap_quadrature(l, k, a0)
-    raise ValueError("radial_overlap supports l = 0..4")
+    raise ValueError("radial_overlap supports l = 0 and 2")
 
 
 def wavefunction_overlap_log10(d: float, a0: float) -> float:

@@ -7,6 +7,12 @@ the built-in defaults of the corresponding flags (e.g. VH_TOL_REL,
 VH_FORMAT); explicit flags win over the environment.  --threads (and
 VH_THREADS) is accepted and has no effect.
 
+--switching auto (the default) crops the switching at --crop-sigmas for
+pairs outside the lightcone band, |d - |t_BA|| >= 8 sigma, and leaves it
+Gaussian inside; compute, scan and every figure apply that one rule.  The
+figures honour --coupling, --switching and the tolerances; fig5b, the
+window outside light contact, is always cropped.
+
 CSV output is locale-independent: '#'-prefixed header lines, then
 comma-separated columns with 17-significant-digit floats, reproducible
 byte-for-byte for identical configurations.
@@ -15,6 +21,7 @@ byte-for-byte for identical configurations.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -32,6 +39,9 @@ from .survey import (Axis, ScanGrid, harvestability_map, model_comparison,
                      spacetime_map)
 
 _FLOAT_FMT = "{:.17g}"
+
+# the fields of a scan row after its axis coordinates, in CSV and JSON alike
+_ROW_FIELDS = ("l_aa", "l_bb", "abs_m", "n2", "n", "harvestable", "converged")
 
 
 def _env(name: str, fallback):
@@ -72,12 +82,32 @@ def _add_common(p: argparse.ArgumentParser):
                    choices=["csv", "json"], help="output format")
 
 
-def _switching_kind(args) -> SwitchingKind | None:
-    if args.switching == "gaussian":
-        return SwitchingKind()
-    if args.switching == "cropped":
-        return SwitchingKind("cropped_gaussian", args.crop_sigmas)
-    return None  # auto
+def _add_geometry(p: argparse.ArgumentParser, require_d: bool):
+    p.add_argument("--d", type=float, required=require_d, default=0.0,
+                   help="separation d/T")
+    p.add_argument("--tba", type=float, default=0.0, help="switching delay t_BA/T")
+    p.add_argument("--psi", type=float, default=0.0)
+    p.add_argument("--theta", type=float, default=0.0,
+                   help="relative orientation of the 2p_z axes")
+    p.add_argument("--phi", type=float, default=0.0)
+
+
+def _params(args) -> dict:
+    """The seven dimensionless groups of compute and scan."""
+    return {"a0_omega": args.a0_omega, "omega_T": args.omega_T,
+            "d_over_T": args.d, "tba_over_T": args.tba,
+            "psi": args.psi, "theta": args.theta, "phi": args.phi}
+
+
+def _switching_kind(args) -> SwitchingKind:
+    variant = "cropped_gaussian" if args.switching == "cropped" else args.switching
+    return SwitchingKind(variant, args.crop_sigmas)
+
+
+def _sweep_kw(args) -> dict:
+    """The keywords every sweep takes from the common flags."""
+    return {"threads": args.threads, "switching": _switching_kind(args),
+            "coupling": args.coupling, "rtol": args.tol_rel, "atol": args.tol_abs}
 
 
 def _fmt(x) -> str:
@@ -88,11 +118,16 @@ def _fmt(x) -> str:
     return _FLOAT_FMT.format(float(x))
 
 
-def _write_lines(path, lines):
-    if path in (None, "-"):
-        sys.stdout.write("\n".join(lines) + "\n")
-    else:
-        Path(path).write_text("\n".join(lines) + "\n")
+def _table(meta: dict, columns, rows) -> str:
+    """The CSV layout: the version line, one '# key: value' line per meta
+    entry, the columns line, then the rows; a row is a tuple of cells or a
+    ready-made '#' line."""
+    lines = [f"# vharvest {__version__}"]
+    lines += [f"# {key}: {val}" for key, val in meta.items()]
+    lines.append("# columns: " + ",".join(columns))
+    lines += [row if isinstance(row, str) else ",".join(map(_fmt, row))
+              for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 # ----------------------------------------------------------------------------
@@ -101,29 +136,15 @@ def _write_lines(path, lines):
 
 def cmd_compute(args) -> int:
     model = ModelKind.from_name(args.model)
-    params = {"a0_omega": args.a0_omega, "omega_T": args.omega_T,
-              "d_over_T": args.d, "tba_over_T": args.tba,
-              "psi": args.psi, "theta": args.theta, "phi": args.phi}
-    try:
-        pair = pair_from_params(params, model, coupling=args.coupling)
-        terms = compute_terms(pair, switching=_switching_kind(args),
-                              include_cross=True,
-                              atol=args.tol_abs, rtol=args.tol_rel)
-    except QuadratureConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    params = _params(args)
+    pair = pair_from_params(params, model, coupling=args.coupling)
+    terms = compute_terms(pair, switching=_switching_kind(args), include_cross=True,
+                          atol=args.tol_abs, rtol=args.tol_rel)
     state = assemble_state(terms)
     pos = positivity_report(terms, coupling=args.coupling)
     record = {
         "model": model.value,
-        "a0_omega": args.a0_omega,
-        "omega_T": args.omega_T,
-        "d_over_T": args.d,
-        "tba_over_T": args.tba,
-        "psi": args.psi, "theta": args.theta, "phi": args.phi,
+        **params,
         "l_aa": terms.l_aa,
         "l_bb": terms.l_bb,
         "abs_l_ab": abs(terms.l_ab),
@@ -135,11 +156,8 @@ def cmd_compute(args) -> int:
         "log_scale": terms.log_scale,
         "harvestable": terms.harvestable(),
         # quadrature errors share the exp(log_scale) factoring of *_scaled
-        "err_l_aa_scaled": terms.quadrature_errors.get("l_aa", 0.0),
-        "err_l_bb_scaled": terms.quadrature_errors.get("l_bb", 0.0),
-        "err_l_ab_scaled": terms.quadrature_errors.get("l_ab", 0.0),
-        "err_m_scaled": terms.quadrature_errors.get("m", 0.0),
-        "err_crop_tail_scaled": terms.quadrature_errors.get("crop_tail", 0.0),
+        **{f"err_{name}_scaled": terms.quadrature_errors.get(name, 0.0)
+           for name in ("l_aa", "l_bb", "l_ab", "m", "crop_tail")},
         "positivity_ok": pos.passed,
     }
     if args.format == "json":
@@ -164,203 +182,128 @@ def _parse_axis(text: str) -> Axis:
     return Axis(name, lo, hi, count, spacing)
 
 
-def _scan_lines(result, command: str, extra_meta=None) -> list[str]:
-    meta = dict(result.metadata)
-    meta.update(extra_meta or {})
-    lines = [f"# vharvest {__version__}", f"# command: {command}"]
-    for key in sorted(meta):
-        lines.append(f"# {key}: {meta[key]}")
-    names = [a.name for a in result.grid.axes]
-    lines.append("# columns: " + ",".join(
-        names + ["l_aa", "l_bb", "abs_m", "n2", "n", "harvestable", "converged"]))
-    for row in result.rows:
-        cells = [_fmt(c) for c in row.coords]
-        cells += [_fmt(row.l_aa), _fmt(row.l_bb), _fmt(row.abs_m),
-                  _fmt(row.n2), _fmt(row.n), _fmt(row.harvestable),
-                  _fmt(row.converged)]
-        lines.append(",".join(cells))
-    return lines
-
-
-def _scan_json(result, command: str, extra_meta=None) -> str:
-    meta = dict(result.metadata)
-    meta.update(extra_meta or {})
-    names = [a.name for a in result.grid.axes]
-    rows = []
-    for row in result.rows:
-        rows.append(dict(zip(names, row.coords))
-                    | {"l_aa": row.l_aa, "l_bb": row.l_bb, "abs_m": row.abs_m,
-                       "n2": row.n2, "n": row.n, "harvestable": row.harvestable,
-                       "converged": row.converged})
-    return json.dumps({"command": command, "metadata": meta, "rows": rows},
-                      indent=2, default=float)
-
-
 def cmd_scan(args) -> int:
-    model = ModelKind.from_name(args.model)
-    fixed = {"a0_omega": args.a0_omega, "omega_T": args.omega_T,
-             "d_over_T": args.d, "tba_over_T": args.tba,
-             "psi": args.psi, "theta": args.theta, "phi": args.phi}
     axes = tuple(args.axis)
-    for ax in axes:
-        fixed.pop(ax.name, None)
-    try:
-        grid = ScanGrid(axes=axes, fixed=fixed, model=model)
-        result = run_grid(grid, threads=args.threads,
-                          switching=_switching_kind(args),
-                          coupling=args.coupling,
-                          rtol=args.tol_rel, atol=args.tol_abs)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if args.strict and not all(r.converged for r in result.rows):
-        bad = sum(1 for r in result.rows if not r.converged)
+    names = [a.name for a in axes]
+    fixed = {k: v for k, v in _params(args).items() if k not in names}
+    grid = ScanGrid(axes=axes, fixed=fixed, model=ModelKind.from_name(args.model))
+    result = run_grid(grid, **_sweep_kw(args))
+    bad = sum(not r.converged for r in result.rows)
+    if args.strict and bad:
         print(f"error: {bad} rows failed to converge", file=sys.stderr)
         return 3
     command = "scan " + " ".join(f"{a.name}:{a.lo}:{a.hi}:{a.count}:{a.spacing}"
                                  for a in axes)
+    columns = names + list(_ROW_FIELDS)
+    rows = [(*r.coords, *(getattr(r, f) for f in _ROW_FIELDS)) for r in result.rows]
     if args.format == "json":
-        text = _scan_json(result, command)
-        if args.output in (None, "-"):
-            print(text)
-        else:
-            Path(args.output).write_text(text + "\n")
+        text = json.dumps({"command": command, "metadata": result.metadata,
+                           "rows": [dict(zip(columns, row)) for row in rows]},
+                          indent=2, default=float) + "\n"
     else:
-        _write_lines(args.output, _scan_lines(result, command))
+        meta = {"command": command, **dict(sorted(result.metadata.items()))}
+        text = _table(meta, columns, rows)
+    if args.output in (None, "-"):
+        sys.stdout.write(text)
+    else:
+        Path(args.output).write_text(text)
     return 0
 
 
 # ----------------------------------------------------------------------------
-# figures
+# figures: each dataset runs its sweep and returns (meta, rows)
 # ----------------------------------------------------------------------------
 
-def _plot_script(name: str, csv: str, xlabel: str, ylabel: str,
-                 logy: bool, style: str) -> str:
-    lines = [
-        f'set datafile separator ","',
-        f'set output "{name}.png"',
-        "set terminal pngcairo size 900,640",
-        f'set xlabel "{xlabel}"',
-        f'set ylabel "{ylabel}"',
-    ]
-    if logy:
-        lines.append("set logscale y")
-    lines.append(style.format(csv=csv))
-    return "\n".join(lines) + "\n"
-
-
-def _figure_fig3(args, outdir: Path):
-    lines = [f"# vharvest {__version__}", "# figure: fig3",
-             "# model: em", f"# a0_omega: {_fmt(args.a0_omega)}",
-             "# omega_T: 1", "# light contact: tba_over_T = d_over_T per block",
-             "# columns: theta,n2,n"]
+def _fig3(args, kw):
+    rows = []
     for d in (1.0, 1.15, 1.25):
         res = orientation_scan(
             {"a0_omega": args.a0_omega, "omega_T": 1.0,
              "d_over_T": d, "tba_over_T": d},
-            Axis("theta", 0.0, 2.0 * math.pi, args.points),
-            threads=args.threads, rtol=args.tol_rel, atol=args.tol_abs)
-        lines.append(f"# block: d_over_T={_fmt(d)}")
-        for row in res.rows:
-            lines.append(",".join([_fmt(row.coords[0]), _fmt(row.n2), _fmt(row.n)]))
-    (outdir / "fig3.csv").write_text("\n".join(lines) + "\n")
-    style = ('plot "{csv}" every :::0::0 using 1:3 with lines title "d/T=1", \\\n'
-             '     "{csv}" every :::1::1 using 1:3 with lines title "d/T=1.15", \\\n'
-             '     "{csv}" every :::2::2 using 1:3 with lines title "d/T=1.25"')
-    (outdir / "fig3.plt").write_text(_plot_script(
-        "fig3", "fig3.csv", "relative orientation theta", "negativity", True, style))
+            Axis("theta", 0.0, 2.0 * math.pi, args.points), **kw)
+        rows.append(f"# block: d_over_T={_fmt(d)}")
+        rows += [(r.coords[0], r.n2, r.n) for r in res.rows]
+    meta = {"model": "em", "a0_omega": _fmt(args.a0_omega), "omega_T": 1,
+            "light contact": "tba_over_T = d_over_T per block"}
+    return meta, rows
 
 
-def _figure_fig4(args, outdir: Path):
+def _fig4(args, kw):
     res = harvestability_map(
         Axis("omega_T", 0.5, 40.0, args.ny), Axis("d_over_T", 0.5, 40.0, args.nx),
         tba_over_T=10.0, a0_omega=args.a0_omega,
-        model=ModelKind.from_name(args.model), threads=args.threads,
-        rtol=args.tol_rel, atol=args.tol_abs)
-    lines = [f"# vharvest {__version__}", "# figure: fig4",
-             f"# model: {args.model}", f"# a0_omega: {_fmt(args.a0_omega)}",
-             "# tba_over_T: 10",
-             f"# lightcone_d: {res.metadata['lightcone_d']}",
-             "# columns: omega_T,d_over_T,n,harvestable"]
-    for row in res.rows:
-        lines.append(",".join([_fmt(row.coords[0]), _fmt(row.coords[1]),
-                               _fmt(row.n), _fmt(row.harvestable)]))
-    (outdir / "fig4.csv").write_text("\n".join(lines) + "\n")
-    style = 'plot "{csv}" using 2:1:4 with image title "harvestable"'
-    (outdir / "fig4.plt").write_text(_plot_script(
-        "fig4", "fig4.csv", "d/T", "Omega T", False, style))
+        model=ModelKind.from_name(args.model), **kw)
+    meta = {"model": args.model, "a0_omega": _fmt(args.a0_omega), "tba_over_T": 10,
+            "lightcone_d": res.metadata["lightcone_d"]}
+    return meta, [(*r.coords, r.n, r.harvestable) for r in res.rows]
 
 
-def _figure_fig5(args, outdir: Path, zoom: bool):
-    name = "fig5b" if zoom else "fig5a"
-    if zoom:
+def _fig5(args, kw, zoom: bool):
+    if zoom:  # fig5b: the window outside light contact, always cropped
         delay = Axis("tba_over_T", 0.0, 8.0, args.ny)
         dist = Axis("d_over_T", 4.0, 14.0, args.nx)
-        switching = SwitchingKind("cropped_gaussian", args.crop_sigmas)
+        kw = {**kw, "switching": SwitchingKind("cropped_gaussian", args.crop_sigmas)}
     else:
         delay = Axis("tba_over_T", 0.0, 24.0, args.ny)
         dist = Axis("d_over_T", 0.0, 24.0, args.nx)
-        switching = _switching_kind(args)
     res = spacetime_map(dist, delay, omega_T=12.0, a0_omega=args.a0_omega,
-                        model=ModelKind.from_name(args.model),
-                        threads=args.threads, switching=switching,
-                        rtol=args.tol_rel, atol=args.tol_abs)
+                        model=ModelKind.from_name(args.model), **kw)
     sigma = res.metadata["sigma_over_T"]
-    lines = [f"# vharvest {__version__}", f"# figure: {name}",
-             f"# model: {args.model}", f"# a0_omega: {_fmt(args.a0_omega)}",
-             "# omega_T: 12",
-             f"# switching: {'cropped_gaussian' if zoom else 'auto'}",
-             f"# lightcone: d = tba +- {_fmt(8.0 * sigma)}",
-             "# columns: tba_over_T,d_over_T,n2,n,sigmas_outside_lightcone"]
-    for row in res.rows:
-        tba, d = row.coords
-        lines.append(",".join([_fmt(tba), _fmt(d), _fmt(row.n2), _fmt(row.n),
-                               _fmt((d - tba) / sigma)]))
-    (outdir / f"{name}.csv").write_text("\n".join(lines) + "\n")
-    style = 'plot "{csv}" using 2:1:4 with image title "negativity"'
-    (outdir / f"{name}.plt").write_text(_plot_script(
-        name, f"{name}.csv", "d/T", "t_BA/T", zoom, style))
+    meta = {"model": args.model, "a0_omega": _fmt(args.a0_omega), "omega_T": 12,
+            "switching": res.metadata["switching"],
+            "lightcone": f"d = tba +- {_fmt(8.0 * sigma)}"}
+    return meta, [(*r.coords, r.n2, r.n, (r.coords[1] - r.coords[0]) / sigma)
+                  for r in res.rows]
 
 
-def _figure_fig7(args, outdir: Path):
+def _fig7(args, kw):
     res = model_comparison(Axis("d_over_T", 0.5, 28.0, args.points),
                            omega_T=13.0, tba_over_T=10.0,
-                           a0_omega=args.a0_omega, threads=args.threads,
-                           rtol=args.tol_rel, atol=args.tol_abs)
-    lines = [f"# vharvest {__version__}", "# figure: fig7",
-             f"# a0_omega: {_fmt(args.a0_omega)}",
-             "# omega_T: 13", "# tba_over_T: 10", "# theta: 0 (parallel orbitals)",
-             "# columns: d_over_T,n_em,n_udw,n_derivative"]
-    for d, em, udw, dv in res.rows:
-        lines.append(",".join([_fmt(d), _fmt(em.n), _fmt(udw.n), _fmt(dv.n)]))
-    (outdir / "fig7.csv").write_text("\n".join(lines) + "\n")
-    style = ('plot "{csv}" using 1:2 with lines title "EM dipole", \\\n'
+                           a0_omega=args.a0_omega, **kw)
+    meta = {"a0_omega": _fmt(args.a0_omega), "omega_T": 13, "tba_over_T": 10,
+            "theta": "0 (parallel orbitals)"}
+    return meta, [(d, em.n, udw.n, dv.n) for d, em, udw, dv in res.rows]
+
+
+_FIG5_COLUMNS = ("tba_over_T", "d_over_T", "n2", "n", "sigmas_outside_lightcone")
+_FIG5_PLOT = 'plot "{csv}" using 2:1:4 with image title "negativity"'
+
+# name: (dataset, columns, xlabel, ylabel, log y, gnuplot plot line)
+_FIGURES = {
+    "fig3": (_fig3, ("theta", "n2", "n"), "relative orientation theta",
+             "negativity", True,
+             'plot "{csv}" every :::0::0 using 1:3 with lines title "d/T=1", \\\n'
+             '     "{csv}" every :::1::1 using 1:3 with lines title "d/T=1.15", \\\n'
+             '     "{csv}" every :::2::2 using 1:3 with lines title "d/T=1.25"'),
+    "fig4": (_fig4, ("omega_T", "d_over_T", "n", "harvestable"), "d/T", "Omega T",
+             False, 'plot "{csv}" using 2:1:4 with image title "harvestable"'),
+    "fig5a": (functools.partial(_fig5, zoom=False), _FIG5_COLUMNS, "d/T", "t_BA/T",
+              False, _FIG5_PLOT),
+    "fig5b": (functools.partial(_fig5, zoom=True), _FIG5_COLUMNS, "d/T", "t_BA/T",
+              True, _FIG5_PLOT),
+    "fig7": (_fig7, ("d_over_T", "n_em", "n_udw", "n_derivative"), "d/T",
+             "negativity", True,
+             'plot "{csv}" using 1:2 with lines title "EM dipole", \\\n'
              '     "{csv}" using 1:3 with lines title "UdW scalar", \\\n'
-             '     "{csv}" using 1:4 with lines title "derivative"')
-    (outdir / "fig7.plt").write_text(_plot_script(
-        "fig7", "fig7.csv", "d/T", "negativity", True, style))
-
-
-_FIGURES = {"fig3": _figure_fig3, "fig4": _figure_fig4,
-             "fig5a": lambda a, o: _figure_fig5(a, o, False),
-             "fig5b": lambda a, o: _figure_fig5(a, o, True),
-             "fig7": _figure_fig7}
+             '     "{csv}" using 1:4 with lines title "derivative"'),
+}
 
 
 def cmd_figure(args) -> int:
     if args.name not in _FIGURES:
-        print(f"error: unknown figure {args.name!r}; choose from "
-              f"{sorted(_FIGURES)}", file=sys.stderr)
-        return 2
+        raise ValueError(f"unknown figure {args.name!r}; choose from {sorted(_FIGURES)}")
+    dataset, columns, xlabel, ylabel, logy, plot = _FIGURES[args.name]
     outdir = Path(args.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
-    try:
-        _FIGURES[args.name](args, outdir)
-    except QuadratureConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    print(f"wrote {outdir / (args.name + '.csv')} and "
-          f"{outdir / (args.name + '.plt')}")
+    meta, rows = dataset(args, _sweep_kw(args))
+    csv, plt = outdir / f"{args.name}.csv", outdir / f"{args.name}.plt"
+    csv.write_text(_table({"figure": args.name, **meta}, columns, rows))
+    script = ['set datafile separator ","', f'set output "{args.name}.png"',
+              "set terminal pngcairo size 900,640",
+              f'set xlabel "{xlabel}"', f'set ylabel "{ylabel}"']
+    script += ["set logscale y"] * logy + [plot.format(csv=csv.name)]
+    plt.write_text("\n".join(script) + "\n")
+    print(f"wrote {csv} and {plt}")
     return 0
 
 
@@ -395,23 +338,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compute", help="evaluate one configuration")
     _add_common(p)
-    p.add_argument("--d", type=float, required=True, help="separation d/T")
-    p.add_argument("--tba", type=float, default=0.0, help="switching delay t_BA/T")
-    p.add_argument("--psi", type=float, default=0.0)
-    p.add_argument("--theta", type=float, default=0.0,
-                   help="relative orientation of the 2p_z axes")
-    p.add_argument("--phi", type=float, default=0.0)
+    _add_geometry(p, require_d=True)
     p.set_defaults(func=cmd_compute)
 
     p = sub.add_parser("scan", help="sweep one or two parameters")
     _add_common(p)
     p.add_argument("--axis", type=_parse_axis, action="append", required=True,
                    help="axis spec name:lo:hi:count[:log|linear]; repeatable")
-    p.add_argument("--d", type=float, default=0.0)
-    p.add_argument("--tba", type=float, default=0.0)
-    p.add_argument("--psi", type=float, default=0.0)
-    p.add_argument("--theta", type=float, default=0.0)
-    p.add_argument("--phi", type=float, default=0.0)
+    _add_geometry(p, require_d=False)
     p.add_argument("--output", default=_env("OUTPUT", "-"),
                    help="output path; '-' for stdout")
     p.add_argument("--strict", action="store_true",
@@ -441,9 +375,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args)
+    args = build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except QuadratureConvergenceError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -193,7 +193,7 @@ class HarvestTerms:
                 + e.get("crop_tail", 0.0))
 
     def harvestable(self, error_factor: float = 10.0) -> bool:
-        return self.negativity2_scaled > error_factor * self.negativity2_error_scaled()
+        return bool(self.negativity2_scaled > error_factor * self.negativity2_error_scaled())
 
 
 @dataclass(frozen=True)
@@ -452,7 +452,8 @@ def compute_terms(pair: DetectorPair, switching: SwitchingKind | None = None,
     forms and accounts for the discarded Gaussian tails as an extra error
     bound: with the default 8 sigma crop the tail mass fraction is
     erfc(8/sqrt(2)) ~ 1.3e-15, below the double-precision resolution of the
-    integrals themselves.
+    integrals themselves.  "auto" switching is resolved from the pair's
+    separation and delay (``SwitchingKind.resolve``); None is uncropped.
     """
     if include_cross and not pair.identical:
         raise ValueError("L_AB requires identical atoms; pass include_cross=False")
@@ -467,11 +468,13 @@ def compute_terms(pair: DetectorPair, switching: SwitchingKind | None = None,
         res[name] = (res["l_aa"] if name == "l_bb" and pair.identical
                      else _evaluate(term, log_scale, atol, rtol))
     errors = {name: r.abs_error_estimate for name, r in res.items()}
-    if switching is not None and switching.variant == "cropped_gaussian":
-        tail_fraction = 2.0 * math.erfc(switching.crop_sigmas / math.sqrt(2.0))
-        errors["crop_tail"] = tail_fraction * (
-            0.5 * (res["l_aa"].abs_integral + res["l_bb"].abs_integral)
-            + res["m"].abs_integral)
+    if switching is not None:
+        switching = switching.resolve(pair.separation, pair.t_ba, pair.atom_a.sigma)
+        if switching.variant == "cropped_gaussian":
+            tail_fraction = 2.0 * math.erfc(switching.crop_sigmas / math.sqrt(2.0))
+            errors["crop_tail"] = tail_fraction * (
+                0.5 * (res["l_aa"].abs_integral + res["l_bb"].abs_integral)
+                + res["m"].abs_integral)
 
     factor = math.exp(log_scale)
     l_aa_s, l_bb_s, m_s = res["l_aa"].value.real, res["l_bb"].value.real, res["m"].value
@@ -534,8 +537,8 @@ def positivity_report(terms: HarvestTerms, coupling: float = 1.0,
     cross_tol = error_factor * (e.get("l_aa", 0.0) * l_bb + e.get("l_bb", 0.0) * l_aa
                                 + 2.0 * e.get("l_ab", 0.0) * l_ab
                                 + e.get("crop_tail", 0.0) * (l_aa + l_bb + l_ab))
-    passed = (l_aa >= -tol and l_bb >= -tol and e3 >= -tol and e4 >= -tol
-              and cross >= -cross_tol)
+    passed = bool(l_aa >= -tol and l_bb >= -tol and e3 >= -tol and e4 >= -tol
+                  and cross >= -cross_tol)
     return PositivityReport(
         e1=e1, e2_fourth_order=-(coupling ** 2 * abs(terms.m)) ** 2,
         e3=e3, e4=e4, cross_inequality=cross,

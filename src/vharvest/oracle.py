@@ -23,7 +23,7 @@ from scipy.special import wofz as _wofz
 from . import atoms, harvesting
 from .angular import (EulerAngles, euler_rotation_matrix, gaunt_integral,
                       polarization_completeness, rotate_harmonic, sph_harm_y)
-from .atoms import AtomSpec, SwitchingKind, radial_R, smearing_scalar
+from .atoms import AtomSpec, SwitchingKind, smearing_scalar
 from .harvesting import (DetectorPair, ModelKind, negativity_leading,
                          time_integral_closed)
 from .specfun import _adaptive_gk, exp_erfc, spherical_bessel_j
@@ -43,6 +43,7 @@ __all__ = [
     "TransitionSpec",
     "smearing_vector",
     "switching",
+    "radial_R",
 ]
 
 # closed-form constants the mutation self-check may perturb
@@ -99,6 +100,27 @@ def erfc_complex(z: complex) -> complex:
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise ValueError(f"erfc_complex requires finite z, got {z}")
     return exp_erfc(0.0, z)
+
+
+def radial_R(n: int, l: int, r, a0: float):
+    """Hydrogenlike radial wavefunction R_nl(r) for (1,0), (2,0), (2,1)."""
+    if not (a0 > 0):
+        raise ValueError("a0 must be positive")
+    rr = np.asarray(r, dtype=float)
+    rho = rr / a0
+    scale = a0 ** -1.5
+    if (n, l) == (1, 0):
+        out = 2.0 * scale * np.exp(-rho)
+    elif (n, l) == (2, 0):
+        out = scale / (2.0 * math.sqrt(2.0)) * (2.0 - rho) * np.exp(-0.5 * rho)
+    elif (n, l) == (2, 1):
+        out = scale / math.sqrt(24.0) * rho * np.exp(-0.5 * rho)
+    else:
+        raise ValueError(f"unsupported radial level (n={n}, l={l})")
+    if np.isscalar(r) or np.asarray(r).ndim == 0:
+        return float(out)
+    return out
+
 
 
 @dataclass(frozen=True)

@@ -79,8 +79,7 @@ class DampedKernelSpec:
         algebraically; when nothing oscillates, integrate those out to this k
         instead of stopping at the Gaussian truncation point.
     tail_oscillation_length: period that survives past the Gaussian
-        truncation point (the spatial kernel's 2*pi/d); defaults to the
-        fastest oscillation.
+        truncation point (the spatial kernel's 2*pi/d).
     """
 
     damping_width: float
@@ -450,27 +449,22 @@ def integrate_damped(spec: DampedKernelSpec, atol: float = 1e-16,
     value, err, absint, evals = _adaptive_gk(f, breakpoints, 0.5 * atol, 0.5 * rtol,
                                              max_panels=max_panels)
 
-    # Tail policy: an explicitly declared surviving oscillation is summed by
+    # Tail policy: a declared surviving oscillation is summed by
     # extrapolation; otherwise a declared algebraic cutoff gets smooth
-    # geometric panels; otherwise fall back on the fastest head oscillation.
-    tail_period = spec.tail_oscillation_length
-    if tail_period is None and spec.algebraic_cutoff is None and spec.oscillation_lengths:
-        tail_period = min(spec.oscillation_lengths)
-    if tail_period is not None:
-        h = min(tail_period / 2.0, k_hi)  # keep tail panels comparable to the head
-        tail, tail_err, tail_abs, tail_evals = _oscillatory_tail(
-            f, k_hi, h, 0.5 * atol, 0.5 * rtol)
-        value += tail
-        err += tail_err
-        absint += tail_abs
-        evals += tail_evals
+    # geometric panels; otherwise nothing survives past k_hi.
+    tail = None
+    if spec.tail_oscillation_length is not None:
+        # keep tail panels comparable to the head
+        h = min(spec.tail_oscillation_length / 2.0, k_hi)
+        tail = _oscillatory_tail(f, k_hi, h, 0.5 * atol, 0.5 * rtol)
     elif spec.algebraic_cutoff is not None and spec.algebraic_cutoff > k_hi:
-        tail, tail_err, tail_abs, tail_evals = _smooth_tail(
-            f, k_hi, spec.algebraic_cutoff, 0.5 * atol, 0.5 * rtol)
-        value += tail
-        err += tail_err
-        absint += tail_abs
-        evals += tail_evals
+        tail = _smooth_tail(f, k_hi, spec.algebraic_cutoff, 0.5 * atol, 0.5 * rtol)
+    if tail is not None:
+        t_value, t_err, t_abs, t_evals = tail
+        value += t_value
+        err += t_err
+        absint += t_abs
+        evals += t_evals
 
     result = QuadratureResult(value=value, abs_error_estimate=float(err),
                               evaluations=int(evals), abs_integral=float(absint))

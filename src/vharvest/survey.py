@@ -2,20 +2,21 @@
 t_BA/T, Euler angles) and the optimal-orientation catalogue.
 
 All sweeps work at T = 1 internally; rows are evaluated one after another
-in canonical grid order.  The ``threads`` keyword of every sweep is accepted
-and has no effect: the work is GIL-bound, and a thread pool ran a grid at
-about 0.9x the speed of one thread.
+in canonical grid order.  Every sweep forwards its keywords to ``run_grid``,
+whose ``threads`` is accepted and has no effect: the work is GIL-bound, and
+a thread pool ran a grid at about 0.9x the speed of one thread.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .angular import EulerAngles, euler_rotation_matrix
-from .atoms import AtomSpec, SwitchingKind
+from .atoms import LIGHTCONE_SIGMAS, AtomSpec, SwitchingKind
 from .harvesting import DetectorPair, ModelKind, compute_terms
 from .specfun import QuadratureConvergenceError
 
@@ -35,7 +36,7 @@ __all__ = [
 ]
 
 # light contact is possible within |d - t_BA| < 8 sigma = 8/sqrt(2) T
-LIGHTCONE_HALF_WIDTH = 8.0 / math.sqrt(2.0)
+LIGHTCONE_HALF_WIDTH = LIGHTCONE_SIGMAS / math.sqrt(2.0)
 
 _PARAM_NAMES = ("a0_omega", "omega_T", "d_over_T", "tba_over_T",
                 "psi", "theta", "phi")
@@ -85,15 +86,9 @@ class ScanGrid:
 
     def points(self):
         """Yield parameter dicts in canonical raster order (last axis fastest)."""
-        grids = [a.values() for a in self.axes]
-        if len(grids) == 1:
-            for v in grids[0]:
-                yield {self.axes[0].name: float(v), **self.fixed}
-        else:
-            for v0 in grids[0]:
-                for v1 in grids[1]:
-                    yield {self.axes[0].name: float(v0),
-                           self.axes[1].name: float(v1), **self.fixed}
+        names = [a.name for a in self.axes]
+        for values in itertools.product(*(a.values() for a in self.axes)):
+            yield {**dict(zip(names, map(float, values))), **self.fixed}
 
 
 @dataclass(frozen=True, slots=True)
@@ -137,29 +132,19 @@ def pair_from_params(params: dict, model: ModelKind,
     return DetectorPair(atom_a, atom_b, model, coupling=coupling)
 
 
-def _auto_switching(params: dict, crop_sigmas: float = 8.0) -> SwitchingKind:
-    # cropped by default outside the lightcone band, where the Gaussian tails
-    # would otherwise be suspected of carrying the signal
-    d = params.get("d_over_T", 0.0)
-    tba = params.get("tba_over_T", 0.0)
-    if abs(d - abs(tba)) >= LIGHTCONE_HALF_WIDTH:
-        return SwitchingKind("cropped_gaussian", crop_sigmas)
-    return SwitchingKind()
-
-
-def _eval_point(params: dict, model: ModelKind, switching, coupling: float,
-                error_factor: float, rtol: float, atol: float) -> ScanRow:
-    coords = tuple(params[a] for a in params.get("_axis_names", ()))
-    sw = switching if switching is not None else _auto_switching(params)
+def _eval_point(params: dict, axis_names: tuple, model: ModelKind,
+                switching: SwitchingKind, coupling: float, error_factor: float,
+                rtol: float, atol: float) -> ScanRow:
+    coords = tuple(params[a] for a in axis_names)
     pair = pair_from_params(params, model, coupling)
     converged = True
     try:
-        terms = compute_terms(pair, switching=sw, include_cross=False,
+        terms = compute_terms(pair, switching=switching, include_cross=False,
                               atol=atol, rtol=rtol)
     except QuadratureConvergenceError:
         converged = False
         try:
-            terms = compute_terms(pair, switching=sw, include_cross=False,
+            terms = compute_terms(pair, switching=switching, include_cross=False,
                                   atol=atol * 1e3, rtol=rtol * 1e3)
         except QuadratureConvergenceError:
             return ScanRow(coords, math.nan, math.nan, math.nan, math.nan,
@@ -182,10 +167,13 @@ def run_grid(grid: ScanGrid, threads: int = 1, switching: SwitchingKind | None =
              coupling: float = 1.0, error_factor: float = 10.0,
              rtol: float = 1e-10, atol: float = 1e-16) -> ScanResult:
     """Evaluate the negativity over the grid; rows in canonical raster order.
-    ``threads`` is accepted and has no effect."""
+    ``switching=None`` means ``SwitchingKind("auto")``.  ``threads`` is
+    accepted and has no effect."""
+    if switching is None:
+        switching = SwitchingKind("auto")
     axis_names = tuple(a.name for a in grid.axes)
-    rows = [_eval_point({**p, "_axis_names": axis_names}, grid.model, switching,
-                        coupling, error_factor, rtol, atol)
+    rows = [_eval_point(p, axis_names, grid.model, switching, coupling,
+                        error_factor, rtol, atol)
             for p in grid.points()]
     meta = {
         "model": grid.model.value,
@@ -194,7 +182,7 @@ def run_grid(grid: ScanGrid, threads: int = 1, switching: SwitchingKind | None =
         "rtol": rtol,
         "atol": atol,
         "error_factor": error_factor,
-        "switching": "auto" if switching is None else switching.variant,
+        "switching": switching.variant,
     }
     return ScanResult(grid=grid, rows=rows, metadata=meta)
 
@@ -204,23 +192,23 @@ def run_grid(grid: ScanGrid, threads: int = 1, switching: SwitchingKind | None =
 # ----------------------------------------------------------------------------
 
 def orientation_scan(fixed: dict, theta_axis: Axis | None = None,
-                     threads: int = 1, **kw) -> ScanResult:
+                     **kw) -> ScanResult:
     """Negativity versus the relative orientation angle (EM model)."""
     theta_axis = theta_axis or Axis("theta", 0.0, 2.0 * math.pi, 200)
     grid = ScanGrid(axes=(theta_axis,), fixed=dict(fixed),
                     model=ModelKind.EM_DIPOLE)
-    return run_grid(grid, threads=threads, **kw)
+    return run_grid(grid, **kw)
 
 
 def harvestability_map(omega_axis: Axis, distance_axis: Axis,
                        tba_over_T: float, a0_omega: float = 1e-3,
                        model: ModelKind = ModelKind.EM_DIPOLE,
-                       threads: int = 1, **kw) -> ScanResult:
+                       **kw) -> ScanResult:
     """Binary harvestability channel over (Omega T, d/T) at fixed delay."""
     grid = ScanGrid(axes=(omega_axis, distance_axis),
                     fixed={"tba_over_T": tba_over_T, "a0_omega": a0_omega},
                     model=model)
-    res = run_grid(grid, threads=threads, **kw)
+    res = run_grid(grid, **kw)
     res.metadata["lightcone_d"] = (tba_over_T - LIGHTCONE_HALF_WIDTH,
                                    tba_over_T + LIGHTCONE_HALF_WIDTH)
     return res
@@ -229,19 +217,18 @@ def harvestability_map(omega_axis: Axis, distance_axis: Axis,
 def spacetime_map(distance_axis: Axis, delay_axis: Axis, omega_T: float,
                   a0_omega: float = 1e-3,
                   model: ModelKind = ModelKind.EM_DIPOLE,
-                  threads: int = 1, **kw) -> ScanResult:
+                  **kw) -> ScanResult:
     """Negativity over (t_BA/T, d/T) at fixed gap."""
     grid = ScanGrid(axes=(delay_axis, distance_axis),
                     fixed={"omega_T": omega_T, "a0_omega": a0_omega},
                     model=model)
-    res = run_grid(grid, threads=threads, **kw)
+    res = run_grid(grid, **kw)
     res.metadata["sigma_over_T"] = 1.0 / math.sqrt(2.0)
     return res
 
 
 def model_comparison(distance_axis: Axis, omega_T: float, tba_over_T: float,
-                     a0_omega: float = 1e-3, threads: int = 1,
-                     **kw) -> ScanResult:
+                     a0_omega: float = 1e-3, **kw) -> ScanResult:
     """One negativity column per coupling model over distance (parallel
     2p_z orbitals for the EM column)."""
     fixed = {"omega_T": omega_T, "tba_over_T": tba_over_T,
@@ -249,7 +236,7 @@ def model_comparison(distance_axis: Axis, omega_T: float, tba_over_T: float,
     per_model = {}
     for model in ModelKind:
         grid = ScanGrid(axes=(distance_axis,), fixed=dict(fixed), model=model)
-        per_model[model.value] = run_grid(grid, threads=threads, **kw)
+        per_model[model.value] = run_grid(grid, **kw)
     rows = []
     for i, d in enumerate(distance_axis.values()):
         rows.append((float(d),) + tuple(per_model[m.value].rows[i] for m in ModelKind))

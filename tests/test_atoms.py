@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from vharvest.angular import EulerAngles
-from vharvest.atoms import (AtomSpec, SwitchingKind, radial_R, radial_overlap,
+from vharvest.atoms import (AtomSpec, SwitchingKind, radial_overlap,
                             smearing_scalar, wavefunction_overlap_log10)
-from vharvest.oracle import (TransitionSpec, radial_bruteforce, smearing_vector,
-                             sphere_quadrature, switching)
+from vharvest.oracle import (TransitionSpec, radial_bruteforce, radial_R,
+                             smearing_vector, sphere_quadrature, switching)
 from vharvest.specfun import _adaptive_gk
 
 A0 = 0.37
@@ -161,6 +161,16 @@ def test_switching_crop():
     assert switching(cropped, inside, atom) == switching(SwitchingKind(), inside, atom)
 
 
+def test_auto_switching_resolves_from_the_lightcone_band():
+    auto = SwitchingKind("auto", 3.0)
+    sigma = 1.0 / math.sqrt(2.0)
+    assert auto.resolve(20.0, 1.0, sigma) == SwitchingKind("cropped_gaussian", 3.0)
+    assert auto.resolve(1.0, -20.0, sigma) == SwitchingKind("cropped_gaussian", 3.0)
+    assert auto.resolve(11.0, -10.0, sigma) == SwitchingKind()
+    assert auto.resolve(10.0 + 7.99 * sigma, 10.0, sigma) == SwitchingKind()
+    assert SwitchingKind().resolve(20.0, 1.0, sigma) == SwitchingKind()
+
+
 def test_switching_kind_validation():
     with pytest.raises(ValueError):
         SwitchingKind("boxcar")
@@ -188,10 +198,10 @@ def test_radial_overlap_closed_vs_quadrature():
 
 
 def test_radial_overlap_general_l_path():
-    # l=1 goes through quadrature; sanity against the brute-force oracle
-    got = radial_overlap(1, 2.0 / A0, A0)
-    ref, err, _ = radial_bruteforce(1, 2.0 / A0, A0)
-    assert got == pytest.approx(ref, rel=1e-9)
+    # only the l = 0, 2 closed forms exist; other l is radial_bruteforce's job
+    for l in (1, 3, 4):
+        with pytest.raises(ValueError):
+            radial_overlap(l, 2.0 / A0, A0)
 
 
 def test_radial_overlap_validation():

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from vharvest import cli
 from vharvest.cli import main
 
 
@@ -184,3 +185,79 @@ def test_compute_nonconvergence_exit_code(monkeypatch, capsys):
     code, _, err = run_cli(["compute", "--model", "em", "--d", "1"], capsys)
     assert code == 3
     assert "stalled" in err
+
+
+# an out-of-band point: |d - |t_BA|| = 19 >= 8 sigma, so 'auto' crops it
+OUT_OF_BAND = ["--omega-T", "12", "--tba", "1"]
+
+
+def compute_n2_error(capsys, *extra):
+    code, out, _ = run_cli(["compute", *OUT_OF_BAND, "--d", "20",
+                            "--format", "json", *extra], capsys)
+    assert code == 0
+    rec = json.loads(out)
+    err = (rec["err_m_scaled"] + 0.5 * (rec["err_l_aa_scaled"] + rec["err_l_bb_scaled"])
+           + rec["err_crop_tail_scaled"])
+    return rec["err_crop_tail_scaled"], math.exp(rec["log_scale"]) * err
+
+
+def scan_n2_error(monkeypatch, capsys, *extra):
+    results, run_grid = [], cli.run_grid
+
+    def spy(*args, **kwargs):
+        results.append(run_grid(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(cli, "run_grid", spy)
+    code, _, _ = run_cli(["scan", *OUT_OF_BAND, "--axis", "d_over_T:20:21:2", *extra],
+                         capsys)
+    assert code == 0
+    return results[0].rows[0].quad_error
+
+
+def test_auto_switching_same_crop_for_compute_and_scan(monkeypatch, capsys):
+    crop, compute_err = compute_n2_error(capsys)
+    assert crop > 0.0
+    assert scan_n2_error(monkeypatch, capsys) == pytest.approx(compute_err, rel=1e-14)
+
+
+def test_auto_switching_honours_crop_sigmas(monkeypatch, capsys):
+    crop8, err8 = compute_n2_error(capsys)
+    crop3, err3 = compute_n2_error(capsys, "--crop-sigmas", "3")
+    assert crop3 > 1e6 * crop8
+    assert scan_n2_error(monkeypatch, capsys, "--crop-sigmas", "3") == pytest.approx(
+        err3, rel=1e-14)
+    assert err3 > err8
+
+
+def test_figure_header_records_the_switching_used(tmp_path, capsys):
+    assert main(["figure", "fig5a", "--nx", "2", "--ny", "2", "--switching",
+                 "gaussian", "--output-dir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert "# switching: gaussian" in (tmp_path / "fig5a.csv").read_text().splitlines()
+
+
+def test_figure_fig4_honours_coupling(tmp_path, capsys):
+    def n_column(*extra):
+        outdir = tmp_path / "_".join(("run",) + extra)
+        assert main(["figure", "fig4", "--nx", "4", "--ny", "4",
+                     "--output-dir", str(outdir), *extra]) == 0
+        lines = (outdir / "fig4.csv").read_text().splitlines()
+        return [float(l.split(",")[2]) for l in lines if not l.startswith("#")]
+
+    plain, doubled = n_column(), n_column("--coupling", "2")
+    capsys.readouterr()
+    assert any(n > 0.0 for n in plain)
+    assert doubled == pytest.approx([4.0 * n for n in plain], rel=1e-12, abs=0.0)
+
+
+def test_json_booleans(capsys):
+    code, out, _ = run_cli(["compute", "--d", "1", "--format", "json"], capsys)
+    assert code == 0
+    rec = json.loads(out)
+    assert rec["harvestable"] is True
+    assert rec["positivity_ok"] is True
+    code, out, _ = run_cli(["scan", "--axis", "theta:0:3:2", "--d", "1", "--tba", "1",
+                            "--format", "json"], capsys)
+    assert code == 0
+    assert all(isinstance(r["harvestable"], bool) for r in json.loads(out)["rows"])

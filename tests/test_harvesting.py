@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
 
-from vharvest import harvesting
+from vharvest import harvesting, specfun
 from vharvest.angular import EulerAngles
 from vharvest.atoms import AtomSpec, SwitchingKind
 from vharvest.harvesting import (DetectorPair, HarvestTerms, ModelKind,
@@ -453,6 +453,25 @@ def test_cropped_switching_error_for_every_pair():
         assert "crop_tail" not in plain.quadrature_errors
         assert (terms.negativity2_error_scaled()
                 > plain.negativity2_error_scaled())
+
+
+def test_auto_switching_crops_only_outside_the_lightcone_band():
+    inside, outside = make_pair(d=3.0, tba=1.5), make_pair(d=20.0, tba=1.0)
+    auto = SwitchingKind("auto")
+    assert "crop_tail" not in compute_terms(inside, switching=auto).quadrature_errors
+    assert (compute_terms(outside, switching=auto).quadrature_errors
+            == compute_terms(outside, switching=SwitchingKind("cropped_gaussian"))
+            .quadrature_errors)
+
+
+def test_cross_term_sums_no_tail(monkeypatch):
+    # the Gaussian of L_AB is exactly 0.0 past the head's cutoff k_hi
+    def no_tail(*args, **kwargs):
+        raise AssertionError("L_AB summed a tail past k_hi")
+
+    monkeypatch.setattr(specfun, "_oscillatory_tail", no_tail)
+    for d, tba in ((3.0, 1.5), (3.0, 0.0), (0.0, 1.5)):
+        assert math.isfinite(abs(cross_noise_term(make_pair(d=d, tba=tba))))
 
 
 def test_rejects_em_pair_off_the_z_axis():
