@@ -10,8 +10,10 @@ VH_THREADS) is accepted and has no effect.
 --switching auto (the default) crops the switching at --crop-sigmas for
 pairs outside the lightcone band, |d - |t_BA|| >= 8 sigma, and leaves it
 Gaussian inside; compute, scan and every figure apply that one rule.  The
-figures honour --coupling, --switching and the tolerances; fig5b, the
-window outside light contact, is always cropped.
+figures honour --coupling, --switching and the tolerances, and their
+headers record coupling, tol_rel, tol_abs and crop_sigmas; fig5b, the
+window outside light contact, is always cropped.  fig3 (EM) and fig7 (all
+three models) fix their own models and reject a --model other than em.
 
 CSV output is locale-independent: '#'-prefixed header lines, then
 comma-separated columns with 17-significant-digit floats, reproducible
@@ -289,15 +291,23 @@ _FIGURES = {
 }
 
 
+# figures that fix their own models, so --model must keep its default "em"
+_OWN_MODELS = {"fig3": "the EM dipole model", "fig7": "all three models"}
+
+
 def cmd_figure(args) -> int:
     if args.name not in _FIGURES:
         raise ValueError(f"unknown figure {args.name!r}; choose from {sorted(_FIGURES)}")
+    if args.name in _OWN_MODELS and args.model != "em":
+        raise ValueError(f"figure {args.name} fixes its own models "
+                         f"({_OWN_MODELS[args.name]}); --model {args.model} does not apply")
     dataset, columns, xlabel, ylabel, logy, plot = _FIGURES[args.name]
     outdir = Path(args.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     meta, rows = dataset(args, _sweep_kw(args))
+    run = {key: getattr(args, key) for key in ("coupling", "tol_rel", "tol_abs", "crop_sigmas")}
     csv, plt = outdir / f"{args.name}.csv", outdir / f"{args.name}.plt"
-    csv.write_text(_table({"figure": args.name, **meta}, columns, rows))
+    csv.write_text(_table({"figure": args.name, **meta, **run}, columns, rows))
     script = ['set datafile separator ","', f'set output "{args.name}.png"',
               "set terminal pngcairo size 900,640",
               f'set xlabel "{xlabel}"', f'set ylabel "{ylabel}"']

@@ -20,12 +20,14 @@ with S = exp(-T^2 Omega^2/2), G(k) = exp(-T^2 (k^2/2 + Omega k)), kern = 1
 for L, and K(k, t) = exp(-T^2 k^2/2) [E(k,t) + E(k,-t)] the fused kernel
 ``scaled_time_kernel``.  For unequal gaps M takes ``time_integral_closed``
 (which carries its own pi T^2/2, S and phase) as its time factor, with
-prefactor -e^2 (2 C_M/pi^2) rel a0^q.  The erfc wings of both M time factors
-decay only algebraically in k: M integrates them to the rational cutoff or
-sums them over the spatial period.  The derivative coupling differs from the
-scalar one by exactly k^2 in every integrand.  S stays out of the integrals
-as a log scale, so the sign of |M| - L (the harvesting criterion) is
-available even where the values underflow (Omega T > ~38).
+prefactor -e^2 (2 C_M/pi^2) rel a0^q; like every time factor it is
+evaluated once per batch of quadrature nodes.  The erfc wings of both M
+time factors decay only algebraically in k: M integrates them to the
+rational cutoff or sums them over the spatial period.  The derivative
+coupling differs from the scalar one by exactly k^2 in every integrand.  S
+stays out of the integrals as a log scale, so the sign of |M| - L (the
+harvesting criterion) is available even where the values underflow
+(Omega T > ~38).
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from typing import Callable
 import numpy as np
 
 from .atoms import AtomSpec, SwitchingKind
-from .specfun import (DampedKernelSpec, QuadratureResult, exp_erfc,
+from .specfun import (DampedKernelSpec, QuadratureResult, _cpack, exp_erfc,
                       integrate_damped, scaled_time_kernel, spherical_bessel_j,
                       spherical_bessel_j0_plus_j2)
 
@@ -336,7 +338,7 @@ def _local(model: ModelKind, atom: AtomSpec, coupling: float = 1.0) -> _Term:
 
 def _nonlocal(pair: DetectorPair, fused: bool) -> _Term:
     # fused: the scaled kernel of equal gaps; else the closed double time
-    # integral, one call per node
+    # integral, one call on the whole node array
     a, b = pair.atom_a, pair.atom_b
     _, c_m, p, q, kernel = _model_params(pair.model)
     T, t_ba, e2 = a.switching_width, pair.t_ba, pair.coupling ** 2
@@ -348,9 +350,8 @@ def _nonlocal(pair: DetectorPair, fused: bool) -> _Term:
         prefactor = (-e2 * (c_m / math.pi), q, T, rel, phase, -0.5 * (T * a.omega) ** 2)
     else:
         def time(k):
-            return (np.array([time_integral_closed(a.omega, b.omega, kk, a.switching_center,
-                                                   b.switching_center, T)
-                              for kk in np.atleast_1d(np.asarray(k, dtype=float))]),)
+            return (time_integral_closed(a.omega, b.omega, k, a.switching_center,
+                                         b.switching_center, T),)
         prefactor = (-e2 * (2.0 * c_m / math.pi ** 2), q, 1.0, rel, 1.0, 0.0)
     return _Term(p, kernel, time, True, prefactor, a.a0, T, pair.separation, t_ba)
 
@@ -415,27 +416,39 @@ def cross_noise_term(pair: DetectorPair, atol: float = 1e-16,
 # Closed-form Gaussian time integral (general gaps)
 # ----------------------------------------------------------------------------
 
-def time_integral_closed(omega_a: float, omega_b: float, k: float,
-                         t_a: float, t_b: float, T: float) -> complex:
+def time_integral_closed(omega_a: float, omega_b: float, k, t_a: float,
+                         t_b: float, T: float):
     """Ordered double time integral of the two switching orderings against
     exp(i(Omega_a t1 + Omega_b t2)) exp(-i k (t1 - t2)), Gaussian switchings
-    of common width T centered at t_a and t_b.
+    of common width T centered at t_a and t_b:
 
-    Exponents are combined before exponentiation; every branch has
-    non-positive real exponent, so the result is finite for any T k.
+        pi T^2/2 [exp_erfc(x, z1) + exp_erfc(x - k c, z2)],  c = T^2 dO + 2i t_BA
+        x = (-2 (kT)^2 + 2k c - (T Oa)^2 - (T Ob)^2)/4 + i (t_b (Oa + Ob) - t_BA Oa)
+        z1,2 = (+-2 t_BA + i T^2 (2k -+ dO)) / (2 sqrt(2) T)
+
+    with dO = Oa - Ob.  Exponents are combined before exponentiation; every
+    branch has non-positive real exponent, so the result is finite for any
+    T k.  A scalar k gives a complex, an array of k one value per node.  The
+    complex arithmetic is spelt out in real and imaginary parts in the order
+    Python's scalar complex arithmetic rounds it (and (kT)^2 is libm's pow,
+    as Python's float ** is), so both give the same bits.
     """
     if T <= 0:
         raise ValueError("switching width T must be positive")
+    kk = np.asarray(k, dtype=float)
     t_ba = t_b - t_a
     d_om = omega_a - omega_b
-    x = 0.25 * (-2.0 * (k * T) ** 2
-                + 2.0 * k * (T * T * d_om + 2j * t_ba)
-                - (T * omega_a) ** 2 - (T * omega_b) ** 2) \
-        + 1j * (t_b * (omega_a + omega_b) - t_ba * omega_a)
-    z1 = (2.0 * t_ba + 1j * T * T * (2.0 * k - d_om)) / (2.0 * math.sqrt(2.0) * T)
-    z2 = (-2.0 * t_ba + 1j * T * T * (2.0 * k + d_om)) / (2.0 * math.sqrt(2.0) * T)
-    x2 = x - k * (T * T * d_om + 2j * t_ba)
-    return 0.5 * math.pi * T * T * (exp_erfc(x, z1) + exp_erfc(x2, z2))
+    c_re, c_im = T * T * d_om, 2.0 * t_ba
+    two_k = 2.0 * kk
+    x_re = 0.25 * (-2.0 * np.float_power(kk * T, 2.0) + two_k * c_re
+                   - (T * omega_a) ** 2 - (T * omega_b) ** 2)
+    x_im = 0.25 * (two_k * c_im) + (t_b * (omega_a + omega_b) - t_ba * omega_a)
+    den = 2.0 * math.sqrt(2.0) * T
+    z1 = _cpack(c_im / den, T * T * (two_k - d_om) / den)
+    z2 = _cpack(-c_im / den, T * T * (two_k + d_om) / den)
+    out = 0.5 * math.pi * T * T * (exp_erfc(_cpack(x_re, x_im), z1)
+                                   + exp_erfc(_cpack(x_re - kk * c_re, x_im - kk * c_im), z2))
+    return complex(out) if kk.ndim == 0 else out
 
 
 # ----------------------------------------------------------------------------

@@ -10,7 +10,8 @@ functions whose naive evaluation overflows once T*k > ~38; everything here
 keeps exponents combined analytically so only non-positive real parts are
 ever exponentiated.
 
-All functions are pure and accept numpy arrays where it matters.
+All functions are pure and accept numpy arrays where it matters;
+``exp_erfc`` gives on an array the same bits as on each element alone.
 """
 
 from __future__ import annotations
@@ -28,13 +29,12 @@ __all__ = [
     "QuadratureConvergenceError",
     "QuadratureResult",
     "DampedKernelSpec",
+    "exp_erfc",
     "scaled_time_kernel",
     "spherical_bessel_j",
     "spherical_bessel_j0_plus_j2",
     "integrate_damped",
 ]
-# exp_erfc is public too; it stays out of __all__, which outside-in tracers
-# wrap, because time_integral_closed calls it twice per momentum node
 
 _SQRT2 = math.sqrt(2.0)
 _GAUSS_DEAD = 750.0        # exp(-750) < 1e-300: Gaussian tail treated as dead
@@ -101,16 +101,62 @@ class DampedKernelSpec:
 # Error functions
 # ----------------------------------------------------------------------------
 
-def exp_erfc(x: complex, z: complex) -> complex:
+_CEXP_SAFE = 700.0         # below ~708 np.exp and cmath.exp agree bit for bit
+
+
+def _each(f, a: np.ndarray) -> np.ndarray:
+    """The complex scalar function f applied to every element of a."""
+    return np.fromiter(map(f, a.ravel().tolist()), complex, a.size).reshape(a.shape)
+
+
+def _cexp(e: np.ndarray) -> np.ndarray:
+    """cmath.exp elementwise.  np.exp on complex gives the same bits while
+    every Re(e) <= 700; beyond ~708 cmath rescales (and raises
+    OverflowError past double range), so such arrays, and non-finite ones,
+    are exponentiated by cmath.exp one element at a time."""
+    if np.isfinite(e).all() and (e.real <= _CEXP_SAFE).all():
+        return np.asarray(np.exp(e))
+    return _each(cmath.exp, e)
+
+
+def _cpack(re, im) -> np.ndarray:
+    """The complex array re + i im, assembled without arithmetic."""
+    out = np.empty(np.broadcast(re, im).shape, dtype=complex)
+    out.real, out.imag = re, im
+    return out
+
+
+def exp_erfc(x, z):
     """exp(x) * erfc(z) with the exponents combined: erfc(z) = exp(-z^2)
     w(iz) through the Faddeeva function in its stable half plane, and
     erfc(z) = 2 - erfc(-z) for Re(z) < 0.  Finite whenever Re(x) <= 0 and
     Re(x - z^2) <= 0, which the harvesting time kernels satisfy; raises
-    OverflowError where the value exceeds double range."""
-    if z.real >= 0.0:
-        w = complex(_wofz(1j * z))
-        return cmath.exp(x - z * z + cmath.log(w))
-    return 2.0 * cmath.exp(x) - exp_erfc(x, -z)
+    OverflowError where the value exceeds double range.
+
+    Scalars give a complex; arrays broadcast and work elementwise, with the
+    same bits as the scalar call on each element.  That takes care, because
+    the quadrature error does not count the integrand's rounding: z^2 is
+    formed part by part as Python's complex product does (numpy's complex
+    multiply rounds differently), the log is cmath.log per element (numpy's
+    log rounds differently) and the exponential goes through ``_cexp``.
+    """
+    xa, za = np.broadcast_arrays(np.asarray(x, dtype=complex),
+                                 np.asarray(z, dtype=complex))
+    zr, zi = za.real, za.imag
+    flip = zr < 0.0
+    # u = -z where Re(z) < 0, else z (u^2 = z^2); i u as Python's 1j * u
+    ur, ui = np.where(flip, -zr, zr), np.where(flip, -zi, zi)
+    w = _wofz(_cpack(0.0 * ur - ui, 0.0 * ui + ur))
+    log_w = _each(cmath.log, w)
+    out = _cexp(_cpack(xa.real - (zr * zr - zi * zi) + log_w.real,
+                       xa.imag - (zr * zi + zi * zr) + log_w.imag))
+    if flip.any():
+        # 2 exp(x) as Python's complex product 2.0 * exp(x) forms it, down
+        # to the sign of an underflowed zero
+        ex = _cexp(xa[flip])
+        er, ei = ex.real, ex.imag
+        out[flip] = _cpack(2.0 * er - 0.0 * ei, 2.0 * ei + 0.0 * er) - out[flip]
+    return complex(out) if out.ndim == 0 else out
 
 
 def scaled_time_kernel(k, t_ba: float, T: float, omega: float):

@@ -261,3 +261,29 @@ def test_json_booleans(capsys):
                             "--format", "json"], capsys)
     assert code == 0
     assert all(isinstance(r["harvestable"], bool) for r in json.loads(out)["rows"])
+
+
+@pytest.mark.parametrize("name,model", [("fig3", "udw"), ("fig7", "derivative")])
+def test_figure_with_fixed_models_rejects_model(tmp_path, capsys, name, model):
+    code, _, err = run_cli(["figure", name, "--points", "3", "--model", model,
+                            "--output-dir", str(tmp_path)], capsys)
+    assert code == 2
+    assert f"figure {name} fixes its own models" in err
+    assert not (tmp_path / f"{name}.csv").exists()
+
+
+def test_figure_header_records_coupling_tolerances_and_crop(tmp_path, capsys):
+    def header(*extra):
+        outdir = tmp_path / "_".join(("run",) + extra)
+        assert main(["figure", "fig4", "--nx", "2", "--ny", "2",
+                     "--output-dir", str(outdir), *extra]) == 0
+        return [l for l in (outdir / "fig4.csv").read_text().splitlines()
+                if l.startswith("#")]
+
+    plain, doubled = header(), header("--coupling", "2")
+    capsys.readouterr()
+    for line in ("# coupling: 1.0", "# tol_rel: 1e-10", "# tol_abs: 1e-16",
+                 "# crop_sigmas: 8.0"):
+        assert line in plain
+    assert "# coupling: 2.0" in doubled
+    assert plain != doubled

@@ -186,6 +186,63 @@ def test_time_integral_vs_bruteforce_sample():
         assert abs(closed - brute) <= 1e-8 * abs(brute)
 
 
+def _time_integral_scalar(omega_a, omega_b, k, t_a, t_b, T):
+    # the closed time integral for one node k in plain Python arithmetic,
+    # with the scalar exp_erfc (pinned to plain Python in test_specfun)
+    exp_erfc = specfun.exp_erfc
+    t_ba = t_b - t_a
+    d_om = omega_a - omega_b
+    x = 0.25 * (-2.0 * (k * T) ** 2
+                + 2.0 * k * (T * T * d_om + 2j * t_ba)
+                - (T * omega_a) ** 2 - (T * omega_b) ** 2) \
+        + 1j * (t_b * (omega_a + omega_b) - t_ba * omega_a)
+    z1 = (2.0 * t_ba + 1j * T * T * (2.0 * k - d_om)) / (2.0 * math.sqrt(2.0) * T)
+    z2 = (-2.0 * t_ba + 1j * T * T * (2.0 * k + d_om)) / (2.0 * math.sqrt(2.0) * T)
+    x2 = x - k * (T * T * d_om + 2j * t_ba)
+    return 0.5 * math.pi * T * T * (exp_erfc(x, z1) + exp_erfc(x2, z2))
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    return bool(np.array_equal(a.view(np.uint64), b.view(np.uint64)))
+
+
+def test_time_integral_array_equals_scalar_per_node(rng):
+    # one array call gives the bits of one scalar call per node: k = 0, the
+    # Gaussian head, the algebraic wings past k_hi out to the cutoff of
+    # the p = 3 rational kernel, both signs of t_BA (Re z1 or Re z2 < 0),
+    # t_BA = 0 and t_a != 0
+    T, a0 = 0.8, 0.02
+    k_hi = math.sqrt(750.0 / (0.5 * T * T))
+    k_wing = harvesting._WING_CUTOFF[3] / (2.0 * a0)
+    k = np.concatenate(([0.0], rng.uniform(0.0, k_hi, 200),
+                        np.geomspace(k_hi, k_wing, 200)))
+    for oa, ob, t_a, t_b in ((1.0, 1.25, 0.0, 7.5), (3.0, 2.4, 1.3, -4.0),
+                             (12.0, 14.0, 2.0, 2.0), (0.7, 0.7, -3.0, 9.0)):
+        got = time_integral_closed(oa, ob, k, t_a, t_b, T)
+        want = [_time_integral_scalar(oa, ob, kk, t_a, t_b, T) for kk in k]
+        assert got.shape == k.shape and _same_bits(got, want)
+        one = time_integral_closed(oa, ob, float(k[7]), t_a, t_b, T)
+        assert type(one) is complex and one == want[7]
+
+
+def test_unequal_gap_integrand_array_equals_node_by_node(rng):
+    # the M integrand of unequal gaps on a node array, against the same
+    # integrand with its time factor taken one scalar call per node
+    a0 = 1e-3
+    a = AtomSpec(a0=a0, omega=2.0, switching_width=1.0)
+    b = AtomSpec(a0=a0, omega=2.3, position=(0, 0, 4.0), switching_center=6.0,
+                 switching_width=1.0)
+    for model in ModelKind:
+        pair = DetectorPair(a, b, model)
+        term = harvesting._nonlocal(pair, False)
+        k = np.concatenate((rng.uniform(0.0, 40.0, 150), rng.uniform(40.0, 5e3, 60)))
+        time = np.array([_time_integral_scalar(a.omega, b.omega, kk, 0.0, 6.0, 1.0)
+                         for kk in k])
+        want = k ** term.p * term.kernel(k * 4.0) * time / (4.0 * (a0 * k) ** 2 + 9.0) ** 6
+        assert _same_bits(harvesting._spec(term).integrand(k), want)
+
+
 # ----------------------------------------------------------------------------
 # nonlocal term
 # ----------------------------------------------------------------------------

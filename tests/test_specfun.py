@@ -21,6 +21,13 @@ SQRT2 = math.sqrt(2.0)
 # independent references (series / continued fraction / asymptotics)
 # ----------------------------------------------------------------------------
 
+def exp_erfc_python(x: complex, z: complex) -> complex:
+    # exp(x) erfc(z) in plain Python complex arithmetic, one point at a time
+    if z.real >= 0.0:
+        return cmath.exp(x - z * z + cmath.log(complex(wofz(1j * z))))
+    return 2.0 * cmath.exp(x) - exp_erfc_python(x, -z)
+
+
 def erfc_series(z: complex) -> complex:
     # Maclaurin series of erf; good to ~1e-15 for |z| <= 2.5
     term = z
@@ -122,6 +129,35 @@ def test_exp_erfc_keeps_exponents_combined():
     z = -0.4 + 0.2j
     assert exp_erfc(-1.0 + 0.3j, z) == pytest.approx(
         cmath.exp(-1.0 + 0.3j) * erfc_series(z), rel=1e-13)
+
+
+def test_exp_erfc_array_equals_scalar(rng):
+    # elementwise on arrays with the bits of the scalar call: both half
+    # planes, |w| near 1 (where cmath.log takes log1p), underflowed zeros
+    # (Re x < -745) and where cmath.exp rescales (Re exponent above ~708)
+    x = rng.uniform(-800.0, 0.0, 400) + 1j * rng.uniform(-50.0, 50.0, 400)
+    z = np.concatenate((rng.uniform(-30.0, 30.0, 200) + 1j * rng.uniform(-30.0, 30.0, 200),
+                        rng.uniform(-1.0, 1.0, 200) + 1j * rng.uniform(-1.0, 1.0, 200)))
+    x[:4] = 708.5 + 1j, 0.0, -0.0, 1.5
+    z[:4] = 0.01 + 0.2j, 2.0, -0.5, complex(0.0, -0.0)
+    pairs = [(complex(a), complex(b)) for a, b in zip(x, z)]
+    want = np.array([exp_erfc_python(a, b) for a, b in pairs])
+    for got in (exp_erfc(x, z), np.array([exp_erfc(a, b) for a, b in pairs])):
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert type(exp_erfc(*pairs[5])) is complex
+
+
+def test_exp_erfc_array_raises_overflow_where_scalar_does():
+    finite = [(-1.0 + 0.5j, 0.5 + 0.1j), (-2.0, -0.4 + 0.2j)]
+    # exp(x - z^2) and 2 exp(x) beyond double range, in each half plane
+    for bad in ((800.0 + 0.0j, 0.5 + 0.0j), (720.0 + 1.0j, -0.5 + 0.3j)):
+        with pytest.raises(OverflowError):
+            exp_erfc(*bad)
+        x, z = zip(*finite, bad)
+        with pytest.raises(OverflowError):
+            exp_erfc(np.array(x), np.array(z))
+    x, z = zip(*finite)
+    assert list(exp_erfc(np.array(x), np.array(z))) == [exp_erfc(*p) for p in finite]
 
 
 @settings(max_examples=200, deadline=None)
