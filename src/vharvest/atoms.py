@@ -1,5 +1,5 @@
-"""Hydrogenlike orbital data: the atom and switching specifications, the
-scalar smearing function and closed-form radial overlap integrals.
+"""Hydrogenlike orbital data: the atom and switching specifications and the
+closed-form radial overlap integrals.
 
 Natural units with c = 1 throughout; a0 is the generalized Bohr radius and
 the energy gap Omega is an inverse length.  Only the levels that enter the
@@ -11,14 +11,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .angular import EulerAngles
 
 __all__ = [
     "AtomSpec",
     "SwitchingKind",
-    "smearing_scalar",
     "radial_overlap",
     "wavefunction_overlap_log10",
     "RADIAL_OVERLAP_L0_COEFF",
@@ -81,15 +78,6 @@ class AtomSpec:
     @property
     def sigma(self) -> float:
         return self.switching_width / math.sqrt(2.0)
-
-
-def smearing_scalar(atom: AtomSpec, x) -> float:
-    """Scalar smearing F(x) = psi_2s(x) psi_1s(x) for the monopole couplings:
-    (4 pi a0^3 sqrt(2))^-1 e^{-3|x|/2a0} (2 - |x|/a0)."""
-    x = np.asarray(x, dtype=float)
-    r = float(np.linalg.norm(x)) if x.shape == (3,) else float(abs(x))
-    a0 = atom.a0
-    return math.exp(-1.5 * r / a0) * (2.0 - r / a0) / (4.0 * math.pi * a0 ** 3 * math.sqrt(2.0))
 
 
 def radial_overlap(l: int, k: float, a0: float) -> float:

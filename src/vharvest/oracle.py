@@ -13,6 +13,7 @@ coefficients a mutation run may perturb to prove the battery has teeth.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -23,7 +24,7 @@ from scipy.special import wofz as _wofz
 from . import atoms, harvesting
 from .angular import (EulerAngles, euler_rotation_matrix, gaunt_integral,
                       polarization_completeness, rotate_harmonic, sph_harm_y)
-from .atoms import AtomSpec, SwitchingKind, smearing_scalar
+from .atoms import AtomSpec, SwitchingKind
 from .harvesting import (DetectorPair, ModelKind, negativity_leading,
                          time_integral_closed)
 from .specfun import _adaptive_gk, exp_erfc, spherical_bessel_j
@@ -41,6 +42,7 @@ __all__ = [
     "faddeeva_w",
     "erfc_complex",
     "TransitionSpec",
+    "smearing_scalar",
     "smearing_vector",
     "switching",
     "radial_R",
@@ -149,6 +151,22 @@ class TransitionSpec:
         return abs(self.excited[1] - self.ground[1]) == 1
 
 
+def smearing_scalar(atom: AtomSpec, x):
+    """Scalar smearing F(x) = psi_2s(x) psi_1s(x) of the monopole couplings:
+    (4 pi a0^3 sqrt(2))^-1 e^{-3|x|/2a0} (2 - |x|/a0).
+
+    x holds positions along its last axis, shape (..., 3); one position
+    gives a float, several give an array of shape x.shape[:-1].
+    """
+    x = np.asarray(x, dtype=float)
+    if x.shape[-1:] != (3,):
+        raise ValueError("x must have shape (..., 3)")
+    r = np.sqrt((x * x).sum(axis=-1))
+    a0 = atom.a0
+    out = np.exp(-1.5 * r / a0) * (2.0 - r / a0) / (4.0 * math.pi * a0 ** 3 * math.sqrt(2.0))
+    return float(out) if out.ndim == 0 else out
+
+
 def smearing_vector(atom: AtomSpec, x,
                     transition: TransitionSpec | None = None) -> np.ndarray:
     """Spatial smearing vector F(x) = psi_e*(x) x psi_g(x) of the dipole
@@ -192,7 +210,7 @@ def switching(kind: SwitchingKind, t, atom: AtomSpec):
 
 
 # ----------------------------------------------------------------------------
-# Ordered double time integral,直接 by nested quadrature
+# Ordered double time integral, by nested quadrature
 # ----------------------------------------------------------------------------
 
 _GL12_X, _GL12_W = leggauss(12)
@@ -270,13 +288,23 @@ def time_integral_bruteforce(omega_a: float, omega_b: float, k: float,
 # Sphere quadrature of harmonic products
 # ----------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=8)
+def _polar_rule(n_theta: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes in cos theta as polar angles, and their weights
+    (read-only: every caller shares them)."""
+    xg, wg = leggauss(n_theta)
+    theta = np.arccos(xg)
+    theta.setflags(write=False)
+    wg.setflags(write=False)
+    return theta, wg
+
+
 def sphere_quadrature(indices, n_theta: int = 64, n_phi: int = 128) -> complex:
     """Product Gauss-Legendre (cos theta) x trapezoid (phi) integration of a
     product of up to five spherical harmonics (with conjugation flags)."""
     if not 1 <= len(indices) <= 5:
         raise ValueError("sphere_quadrature takes 1 to 5 harmonics")
-    xg, wg = leggauss(n_theta)
-    theta = np.arccos(xg)
+    theta, wg = _polar_rule(n_theta)
     phi = np.linspace(0.0, 2.0 * math.pi, n_phi, endpoint=False)
     th, ph = np.meshgrid(theta, phi, indexing="ij")
     prod = np.ones_like(th, dtype=complex)
@@ -363,8 +391,10 @@ def scalar_smearing_fourier_bruteforce(k: float, a0: float) -> float:
 
     def f(r):
         rr = np.atleast_1d(np.asarray(r, dtype=float))
-        prof = np.array([smearing_scalar(atom, np.array([0.0, 0.0, x])) for x in rr])
-        return 4.0 * math.pi * rr * rr * prof * spherical_bessel_j(0, k * rr)
+        on_axis = np.zeros(rr.shape + (3,))
+        on_axis[..., 2] = rr
+        return 4.0 * math.pi * rr * rr * smearing_scalar(atom, on_axis) \
+            * spherical_bessel_j(0, k * rr)
 
     hi = 60.0 * a0
     pts = set(np.linspace(0.0, hi, 49))

@@ -339,6 +339,10 @@ _WG = np.array([
 ])
 
 
+# the roundoff floor of one GK15 panel, per unit of its integral of |f|
+_ROUNDOFF = 50.0 * np.finfo(float).eps
+
+
 def _gk15_panels(f, lo: np.ndarray, hi: np.ndarray):
     """Vectorized GK15 on a batch of panels.
 
@@ -360,7 +364,7 @@ def _gk15_panels(f, lo: np.ndarray, hi: np.ndarray):
     scaled[nonzero] = np.minimum(1.0, (200.0 * err[nonzero] / resasc[nonzero]) ** 1.5)
     err = np.where(nonzero, resasc * scaled, err)
     # roundoff floor
-    err = np.maximum(err, 50.0 * np.finfo(float).eps * resabs)
+    err = np.maximum(err, _ROUNDOFF * resabs)
     return resk, err, resabs, fv.size
 
 
@@ -371,13 +375,26 @@ def _adaptive_gk(f, breakpoints: np.ndarray, atol: float, rtol: float,
     Panels live in parallel arrays (QUADPACK-style bookkeeping); each pass
     splits the n // 8 worst panels (at least 1, at most 16), chosen by a
     stable sort on the error estimate, and appends their halves.
+
+    It stops when the summed error meets tol = max(atol, rtol |value|), at
+    max_panels, or at the roundoff floor: every panel's error is at least
+    50 eps times its integral of |f|, so once that floor, summed over the
+    panels, reaches tol, no split can meet tol.  The driver then stops as
+    soon as the error above the floor is within tol, as QUADPACK reports
+    roundoff (ier = 2), instead of splitting on to max_panels.  The returned
+    error still includes the floor, so a caller sees that tol was missed.
     """
     lo = np.asarray(breakpoints[:-1], dtype=float)
     hi = np.asarray(breakpoints[1:], dtype=float)
     val, err, absl, evals = _gk15_panels(f, lo, hi)
     while True:
         total = val.sum()
-        if err.sum() <= max(atol, rtol * abs(total)):
+        tol = max(atol, rtol * abs(total))
+        err_sum = err.sum()
+        if err_sum <= tol:
+            break
+        floor = _ROUNDOFF * absl.sum()
+        if floor >= tol and err_sum - floor <= tol:
             break
         if lo.size >= max_panels:
             break

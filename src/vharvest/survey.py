@@ -183,6 +183,8 @@ def run_grid(grid: ScanGrid, threads: int = 1, switching: SwitchingKind | None =
         "atol": atol,
         "error_factor": error_factor,
         "switching": switching.variant,
+        "crop_sigmas": switching.crop_sigmas,
+        "coupling": coupling,
     }
     return ScanResult(grid=grid, rows=rows, metadata=meta)
 

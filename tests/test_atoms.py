@@ -5,9 +5,10 @@ import pytest
 
 from vharvest.angular import EulerAngles
 from vharvest.atoms import (AtomSpec, SwitchingKind, radial_overlap,
-                            smearing_scalar, wavefunction_overlap_log10)
+                            wavefunction_overlap_log10)
 from vharvest.oracle import (TransitionSpec, radial_bruteforce, radial_R,
-                             smearing_vector, sphere_quadrature, switching)
+                             smearing_scalar, smearing_vector, sphere_quadrature,
+                             switching)
 from vharvest.specfun import _adaptive_gk
 
 A0 = 0.37
@@ -131,14 +132,29 @@ def test_smearing_scalar_node_and_origin():
     assert smearing_scalar(atom, np.zeros(3)) == pytest.approx(want, rel=1e-14)
 
 
+def test_smearing_scalar_array_equals_per_point_calls(rng):
+    atom = AtomSpec(a0=A0, omega=1.0)
+    x = rng.normal(scale=3.0 * A0, size=(4, 25, 3))
+    x[0, 0] = 0.0
+    x[0, 1] = (0.0, 0.0, 2.0 * A0)
+    got = smearing_scalar(atom, x)
+    assert got.shape == (4, 25)
+    want = np.array([[smearing_scalar(atom, p) for p in row] for row in x])
+    assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want))
+    assert isinstance(smearing_scalar(atom, x[1, 2]), float)
+    with pytest.raises(ValueError):
+        smearing_scalar(atom, np.zeros(2))
+
+
 def test_smearing_scalar_integrates_to_zero():
     # <2s|1s> = 0: the full-space integral of the smearing vanishes
     atom = AtomSpec(a0=A0, omega=1.0)
 
     def f(r):
         rr = np.atleast_1d(r)
-        vals = np.array([smearing_scalar(atom, np.array([0.0, 0.0, x])) for x in rr])
-        return 4.0 * math.pi * rr * rr * vals
+        on_axis = np.zeros(rr.shape + (3,))
+        on_axis[..., 2] = rr
+        return 4.0 * math.pi * rr * rr * smearing_scalar(atom, on_axis)
 
     val, _, _, _ = _adaptive_gk(f, np.linspace(0.0, 80 * A0, 41), 1e-14, 1e-10)
     assert abs(val.real) <= 1e-12

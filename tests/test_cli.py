@@ -287,3 +287,18 @@ def test_figure_header_records_coupling_tolerances_and_crop(tmp_path, capsys):
         assert line in plain
     assert "# coupling: 2.0" in doubled
     assert plain != doubled
+
+
+def test_scan_header_records_coupling_and_crop(tmp_path, capsys):
+    def header(*extra):
+        out = tmp_path / ("_".join(("scan",) + extra) + ".csv")
+        assert main(["scan", "--model", "udw", "--axis", "d_over_T:1:2:2",
+                     "--output", str(out), *extra]) == 0
+        return [l for l in out.read_text().splitlines() if l.startswith("#")]
+
+    plain = header()
+    capsys.readouterr()
+    assert "# coupling: 1.0" in plain and "# crop_sigmas: 8.0" in plain
+    assert "# coupling: 2.0" in header("--coupling", "2")
+    assert "# crop_sigmas: 3.0" in header("--crop-sigmas", "3")
+    capsys.readouterr()

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from scipy.special import wofz
 
-from vharvest.oracle import erfc_complex, faddeeva_w
+from vharvest.atoms import radial_overlap
+from vharvest.oracle import erfc_complex, faddeeva_w, radial_bruteforce
 from vharvest.specfun import (DampedKernelSpec, QuadratureConvergenceError,
                               QuadratureResult, _adaptive_gk, _wynn_epsilon,
                               exp_erfc, integrate_damped, scaled_time_kernel,
@@ -557,8 +558,11 @@ def _counting(f):
     return g, calls
 
 
-def adaptive_gk_reference(f, breakpoints, atol, rtol, max_panels=4000):
-    # the list-of-tuples version the panel arrays replaced
+def adaptive_gk_reference(f, breakpoints, atol, rtol, max_panels=4000,
+                          roundoff_exit=True):
+    # the list-of-tuples version the panel arrays replaced; without the
+    # roundoff exit it is the rule that split on to max_panels.  The panels
+    # stay in the array version's order, so numpy sums of them give its bits.
     from vharvest.specfun import _gk15_panels
     lo = np.asarray(breakpoints[:-1], dtype=float)
     hi = np.asarray(breakpoints[1:], dtype=float)
@@ -568,7 +572,11 @@ def adaptive_gk_reference(f, breakpoints, atol, rtol, max_panels=4000):
     while True:
         total = sum(p[2] for p in panels)
         toterr = sum(p[3] for p in panels)
-        if toterr <= max(atol, rtol * abs(total)):
+        tol = max(atol, rtol * abs(total))
+        if toterr <= tol:
+            break
+        floor = 50.0 * np.finfo(float).eps * sum(p[4] for p in panels)
+        if roundoff_exit and floor >= tol and toterr - floor <= tol:
             break
         if len(panels) >= max_panels:
             break
@@ -584,8 +592,8 @@ def adaptive_gk_reference(f, breakpoints, atol, rtol, max_panels=4000):
         vals, errs, absl, n = _gk15_panels(f, np.array(los), np.array(his))
         evals += n
         panels.extend(zip(los, his, vals, errs, absl))
-    return (sum(p[2] for p in panels), float(sum(p[3] for p in panels)),
-            float(sum(p[4] for p in panels)), evals)
+    val, err, absint = (np.array([p[i] for p in panels]).sum() for i in (2, 3, 4))
+    return val, float(err), float(absint), evals
 
 
 @pytest.mark.parametrize("f, breakpoints, max_panels", [
@@ -622,3 +630,45 @@ def test_adaptive_gk_honours_max_panels():
         # each split evaluates two halves and adds one panel net
         final = initial + (evaluated - initial) // 2
         assert max_panels <= final < max_panels + 16
+
+
+def test_adaptive_gk_roundoff_exit_below_the_floor():
+    # |value| is 1.6e-3 of the integral of |f|, so rtol 1e-12 of it (3e-15)
+    # lies under the floor 50 eps x integral of |f| (2.2e-14), which no
+    # split can lower
+    f = lambda k: k ** 3 * np.exp(-0.5 * k * k) * np.exp(7.0j * k)
+    breakpoints = np.linspace(0.0, 12.0, 4)
+    val, err, absint, evals = _adaptive_gk(f, breakpoints, 1e-300, 1e-12)
+    full = adaptive_gk_reference(f, breakpoints, 1e-300, 1e-12, roundoff_exit=False)
+    # each split evaluates two halves and adds one panel net
+    panels = 3 + (evals // 15 - 3) // 2
+    assert panels < 4000 <= 3 + (full[3] // 15 - 3) // 2
+    assert err >= 50.0 * np.finfo(float).eps * absint > 1e-12 * abs(val)
+    assert abs(val - full[0]) <= err
+
+
+@pytest.mark.parametrize("f, breakpoints", [
+    (lambda k: np.exp(-k) * np.cos(3.0 * k), np.linspace(0.0, 40.0, 5)),
+    (lambda k: 1.0 / np.sqrt(k + 1e-9), np.geomspace(1e-6, 1.0, 6)),
+    (lambda k: k * k * np.exp(-k * k) * np.exp(1.5j * k), np.linspace(0.0, 8.0, 3)),
+])
+def test_adaptive_gk_above_the_floor_keeps_the_old_rule(f, breakpoints):
+    val, err, absint, evals = _adaptive_gk(f, breakpoints, 1e-300, 1e-12)
+    old = adaptive_gk_reference(f, breakpoints, 1e-300, 1e-12, roundoff_exit=False)
+    assert err <= 1e-12 * abs(val)
+    assert (val, err, absint, evals) == old
+
+
+@pytest.mark.parametrize("l, a0, ak", [
+    (0, 0.7, 2.0), (0, 0.7, 9.0), (2, 0.7, 9.0), (0, 0.7, 19.0), (2, 0.7, 19.0),
+    (0, 0.4, 3.0), (0, 0.4, 11.0), (2, 0.4, 11.0),
+])
+def test_radial_bruteforce_stops_at_its_roundoff_floor(l, a0, ak):
+    # the points whose value cancels below the floor used to split on to
+    # 4000 panels (114k-119k evaluations)
+    k = ak / a0
+    brute, err, evals = radial_bruteforce(l, k, a0)
+    closed = radial_overlap(l, k, a0)
+    assert evals < 20_000
+    assert abs(closed - brute) <= max(1e-10 * abs(closed), 10.0 * err)
+    assert abs(closed - brute) <= 1e-10 * radial_overlap(0, 0.0, a0)
