@@ -42,7 +42,7 @@ from typing import Callable
 import numpy as np
 
 from .atoms import AtomSpec, SwitchingKind
-from .specfun import (DampedKernelSpec, QuadratureResult, _cpack, exp_erfc,
+from .specfun import (DampedKernelSpec, QuadratureResult, exp_erfc,
                       integrate_damped, scaled_time_kernel, spherical_bessel_j,
                       spherical_bessel_j0_plus_j2)
 
@@ -92,7 +92,10 @@ class ModelKind(Enum):
 
 
 def _j0(x):
-    return spherical_bessel_j(0, x)
+    # j_0 and its magnitude: below x = 5 the sizes of its Maclaurin terms add
+    # up to sinh x / x; above it sin x / x cancels nothing
+    j0, s = spherical_bessel_j(0, x), np.clip(x, 1e-300, 5.0)
+    return j0, np.where(x < 5.0, np.sinh(s) / s, np.abs(j0))
 
 
 def _model_params(model: ModelKind):
@@ -249,7 +252,7 @@ class _Term:
 
     p: int
     kernel: Callable | None    # spatial kernel of k d: None (L), j0 or j0+j2
-    time: Callable             # k -> time factors, multiplied in this order
+    time: Callable             # k -> (value, magnitude) time factors, in product order
     wings: bool                # erfc wings decaying algebraically (M)
     # (coeff, q, width, rel, phase, log_scale): coeff a0^q width^2 rel phase
     # exp(log_scale), coeff with e^2 and sign, width 1 where time() carries
@@ -263,17 +266,19 @@ class _Term:
 
 
 def _spec(term: _Term) -> DampedKernelSpec:
-    """The integrand and quadrature spec of a term."""
+    """The integrand and quadrature spec of a term.  The kernel and time
+    factors are (value, magnitude) pairs; their product's magnitude is
+    propagated to first order."""
     p, kernel, time, a0, d = term.p, term.kernel, term.time, term.a0, term.d
+    spatial = (2.0 * math.pi / d,) if kernel is not None and d > 0 else ()
 
     def f(k):
-        u = (a0 * k) ** 2
-        out = k ** p * (kernel(k * d) if kernel is not None and d > 0 else 1.0)
-        for factor in time(k):
-            out = out * factor
-        return out / (4.0 * u + 9.0) ** 6
+        (value, mag), *rest = ((kernel(k * d),) if spatial else ()) + time(k)
+        for v, m in rest:
+            value, mag = value * v, mag * np.abs(v) + np.abs(value) * m
+        scale = k ** p / (4.0 * (a0 * k) ** 2 + 9.0) ** 6
+        return scale * value, scale * mag
 
-    spatial = (2.0 * math.pi / d,) if kernel is not None and d > 0 else ()
     temporal = (2.0 * math.pi / abs(term.t_ba),) if term.t_ba != 0.0 else ()
     return DampedKernelSpec(
         damping_width=0.5 * term.T * term.T,
@@ -296,7 +301,7 @@ def _local_quadrature(model: ModelKind, a0: float, omega: float, T: float,
 
 def _evaluate(term: _Term, log_scale: float, atol: float,
               rtol: float) -> QuadratureResult:
-    """A term's value, error and integral of |.| relative to exp(log_scale):
+    """A term's value, error and integral of the magnitude relative to exp(log_scale):
     the one place a prefactor is applied."""
     quad = (_local_quadrature(*term.memo, atol, rtol) if term.memo
             else integrate_damped(_spec(term), atol=atol, rtol=rtol))
@@ -321,7 +326,10 @@ def _absolute(pair: DetectorPair, term: _Term, atol: float, rtol: float):
 
 
 def _gaussian(k, T: float, omega: float):
-    return np.exp(-0.5 * T * T * k * k - T * T * omega * k)
+    # exp(-e), e = T^2 (k^2/2 + Omega k), with magnitude exp(-e) (1 + e)
+    e = 0.5 * T * T * k * k + T * T * omega * k
+    g = np.exp(-e)
+    return g, g * (1.0 + e)
 
 
 def _local(model: ModelKind, atom: AtomSpec, coupling: float = 1.0) -> _Term:
@@ -364,7 +372,7 @@ def _cross(pair: DetectorPair) -> _Term:
     def time(k):
         if t_ba == 0.0:
             return (_gaussian(k, T, omega),)
-        return np.exp(-1j * k * t_ba), _gaussian(k, T, omega)
+        return (np.exp(-1j * k * t_ba), 1.0 + k * abs(t_ba)), _gaussian(k, T, omega)
 
     prefactor = (pair.coupling ** 2 * (c_l / math.pi), q, T, pair.cos_relative_angle,
                  cmath.exp(-1j * omega * t_ba), -0.5 * (T * omega) ** 2)
@@ -376,15 +384,17 @@ def _cross(pair: DetectorPair) -> _Term:
 # ----------------------------------------------------------------------------
 
 def local_integrand(model: ModelKind, a0: float, omega: float, T: float):
-    """Scaled local-term integrand (the closed kernel with exp(T^2 omega^2/2)
-    factored out); exposed so tests can compare models pointwise."""
-    return _spec(_local(model, AtomSpec(a0=a0, omega=omega, switching_width=T))).integrand
+    """Scaled local-term integrand's value (the closed kernel with exp(T^2
+    omega^2/2) factored out); exposed so tests can compare models pointwise."""
+    f = _spec(_local(model, AtomSpec(a0=a0, omega=omega, switching_width=T))).integrand
+    return lambda k: f(k)[0]
 
 
 def nonlocal_integrand(pair: DetectorPair):
-    """Scaled nonlocal-term integrand (fused time kernel, zero-gap scaling);
-    the derivative and scalar models differ by exactly k^2 here."""
-    return _spec(_nonlocal(pair, True)).integrand
+    """Scaled nonlocal-term integrand's value (fused time kernel, zero-gap
+    scaling); the derivative and scalar models differ by exactly k^2 here."""
+    f = _spec(_nonlocal(pair, True)).integrand
+    return lambda k: f(k)[0]
 
 
 def local_term(pair: DetectorPair, which: str = "A",
@@ -428,27 +438,23 @@ def time_integral_closed(omega_a: float, omega_b: float, k, t_a: float,
 
     with dO = Oa - Ob.  Exponents are combined before exponentiation; every
     branch has non-positive real exponent, so the result is finite for any
-    T k.  A scalar k gives a complex, an array of k one value per node.  The
-    complex arithmetic is spelt out in real and imaginary parts in the order
-    Python's scalar complex arithmetic rounds it (and (kT)^2 is libm's pow,
-    as Python's float ** is), so both give the same bits.
+    T k.  Returns (value, magnitude), the sum of the two ``exp_erfc``
+    magnitudes: a scalar k gives (complex, float), an array of k one pair of
+    arrays over the nodes.
     """
     if T <= 0:
         raise ValueError("switching width T must be positive")
-    kk = np.asarray(k, dtype=float)
+    k = np.asarray(k, dtype=float)
     t_ba = t_b - t_a
     d_om = omega_a - omega_b
-    c_re, c_im = T * T * d_om, 2.0 * t_ba
-    two_k = 2.0 * kk
-    x_re = 0.25 * (-2.0 * np.float_power(kk * T, 2.0) + two_k * c_re
-                   - (T * omega_a) ** 2 - (T * omega_b) ** 2)
-    x_im = 0.25 * (two_k * c_im) + (t_b * (omega_a + omega_b) - t_ba * omega_a)
+    c = T * T * d_om + 2j * t_ba
+    x = (0.25 * (-2.0 * (k * T) ** 2 + 2.0 * k * c - (T * omega_a) ** 2 - (T * omega_b) ** 2)
+         + 1j * (t_b * (omega_a + omega_b) - t_ba * omega_a))
     den = 2.0 * math.sqrt(2.0) * T
-    z1 = _cpack(c_im / den, T * T * (two_k - d_om) / den)
-    z2 = _cpack(-c_im / den, T * T * (two_k + d_om) / den)
-    out = 0.5 * math.pi * T * T * (exp_erfc(_cpack(x_re, x_im), z1)
-                                   + exp_erfc(_cpack(x_re - kk * c_re, x_im - kk * c_im), z2))
-    return complex(out) if kk.ndim == 0 else out
+    v1, m1 = exp_erfc(x, (2.0 * t_ba + 1j * T * T * (2.0 * k - d_om)) / den)
+    v2, m2 = exp_erfc(x - k * c, (-2.0 * t_ba + 1j * T * T * (2.0 * k + d_om)) / den)
+    scale = 0.5 * math.pi * T * T
+    return scale * (v1 + v2), scale * (m1 + m2)
 
 
 # ----------------------------------------------------------------------------

@@ -101,7 +101,7 @@ def erfc_complex(z: complex) -> complex:
     z = complex(z)
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise ValueError(f"erfc_complex requires finite z, got {z}")
-    return exp_erfc(0.0, z)
+    return exp_erfc(0.0, z)[0]
 
 
 def radial_R(n: int, l: int, r, a0: float):
@@ -353,7 +353,8 @@ def radial_bruteforce(l: int, k: float, a0: float) -> tuple[float, float, int]:
         hi = 60.0 * a0
 
         def f(r):
-            return norm * r ** 4 * np.exp(-b * r) * spherical_bessel_j(l, k * r)
+            v = norm * r ** 4 * np.exp(-b * r) * spherical_bessel_j(l, k * r)
+            return v, np.abs(v)
 
         pts = set(np.linspace(0.0, hi, 49))
         if k > 0:
@@ -377,7 +378,8 @@ def radial_bruteforce(l: int, k: float, a0: float) -> tuple[float, float, int]:
 
     def g(s):
         z = s * phase
-        return norm * z ** 4 * np.exp(-b * z) * _hankel1_poly(l, k * z) * phase
+        v = norm * z ** 4 * np.exp(-b * z) * _hankel1_poly(l, k * z) * phase
+        return v, np.abs(v)
 
     pts = np.concatenate([[0.0], np.geomspace(s_max * 1e-8, s_max, 129)])
     val, err, absl, ev = _adaptive_gk(g, pts, 1e-300, 1e-13)
@@ -393,8 +395,9 @@ def scalar_smearing_fourier_bruteforce(k: float, a0: float) -> float:
         rr = np.atleast_1d(np.asarray(r, dtype=float))
         on_axis = np.zeros(rr.shape + (3,))
         on_axis[..., 2] = rr
-        return 4.0 * math.pi * rr * rr * smearing_scalar(atom, on_axis) \
+        v = 4.0 * math.pi * rr * rr * smearing_scalar(atom, on_axis) \
             * spherical_bessel_j(0, k * rr)
+        return v, np.abs(v)
 
     hi = 60.0 * a0
     pts = set(np.linspace(0.0, hi, 49))
@@ -505,11 +508,11 @@ def _run_all_inner(seed: int) -> list[OracleReport]:
     T = 1.0
     for tk in (0.4, 2.0, 7.0):
         for tba in (0.0, 1.7, 6.0):
-            closed = time_integral_closed(1.5, 1.5, tk / T, 0.0, tba, T)
+            closed, _ = time_integral_closed(1.5, 1.5, tk / T, 0.0, tba, T)
             brute, _, ev = time_integral_bruteforce(1.5, 1.5, tk / T, 0.0, tba, T)
             worst = max(worst, abs(closed - brute) / abs(brute))
             evals += ev
-    closed = time_integral_closed(1.2, 2.1, 3.0, 0.0, 2.5, T)
+    closed, _ = time_integral_closed(1.2, 2.1, 3.0, 0.0, 2.5, T)
     brute, _, ev = time_integral_bruteforce(1.2, 2.1, 3.0, 0.0, 2.5, T)
     worst = max(worst, abs(closed - brute) / abs(brute))
     reports.append(OracleReport("time_kernel_closed_vs_2d", 0.0, 0.0,

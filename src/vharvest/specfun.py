@@ -8,15 +8,21 @@ The momentum integrals of the harvesting terms all look like
 with w = T^2/2.  The time kernel contains complex complementary error
 functions whose naive evaluation overflows once T*k > ~38; everything here
 keeps exponents combined analytically so only non-positive real parts are
-ever exponentiated.
+ever exponentiated.  All functions are pure and accept numpy arrays where
+it matters.
 
-All functions are pure and accept numpy arrays where it matters;
-``exp_erfc`` gives on an array the same bits as on each element alone.
+Rounding model: an integrand returns (value, magnitude) per node, with
+magnitude >= |value| such that 50 eps x magnitude bounds the node's rounding
+for its arguments.  It adds the parts that cancel in the value, each weighted
+by 1 + the size of its exponent's parts (an exponent of size s is rounded
+to ~eps s), plus the Faddeeva routine's own error; products propagate as
+m(ab) = m(a)|b| + |a|m(b).  GK15's roundoff floor, 50 eps times the
+integral of the magnitude (QUADPACK; Piessens et al., 1983), is the one
+place that rounding enters the error estimates.
 """
 
 from __future__ import annotations
 
-import cmath
 import itertools
 import math
 from dataclasses import dataclass
@@ -56,7 +62,7 @@ class QuadratureResult:
     value: complex
     abs_error_estimate: float
     evaluations: int
-    abs_integral: float = 0.0  # integral of |f|; the conditioning scale of the result
+    abs_integral: float = 0.0  # integral of the magnitude (>= |f|): the scale of its rounding
 
     def __post_init__(self):
         if not (self.abs_error_estimate >= 0.0):
@@ -74,7 +80,8 @@ class DampedKernelSpec:
     oscillation_lengths: periods in k of every oscillatory factor (2*pi/d for
         the spatial kernel, 2*pi/t_ba for the time phase).  Empty if the
         integrand does not oscillate.
-    integrand: vectorized callable on arrays of k >= 0.
+    integrand: vectorized callable on arrays of k >= 0, returning the arrays
+        (value, magnitude) of the module's rounding model.
     algebraic_cutoff: the erfc wings of the time kernel decay only
         algebraically; when nothing oscillates, integrate those out to this k
         instead of stopping at the Gaussian truncation point.
@@ -101,66 +108,40 @@ class DampedKernelSpec:
 # Error functions
 # ----------------------------------------------------------------------------
 
-_CEXP_SAFE = 700.0         # below ~708 np.exp and cmath.exp agree bit for bit
-
-
-def _each(f, a: np.ndarray) -> np.ndarray:
-    """The complex scalar function f applied to every element of a."""
-    return np.fromiter(map(f, a.ravel().tolist()), complex, a.size).reshape(a.shape)
-
-
-def _cexp(e: np.ndarray) -> np.ndarray:
-    """cmath.exp elementwise.  np.exp on complex gives the same bits while
-    every Re(e) <= 700; beyond ~708 cmath rescales (and raises
-    OverflowError past double range), so such arrays, and non-finite ones,
-    are exponentiated by cmath.exp one element at a time."""
-    if np.isfinite(e).all() and (e.real <= _CEXP_SAFE).all():
-        return np.asarray(np.exp(e))
-    return _each(cmath.exp, e)
-
-
-def _cpack(re, im) -> np.ndarray:
-    """The complex array re + i im, assembled without arithmetic."""
-    out = np.empty(np.broadcast(re, im).shape, dtype=complex)
-    out.real, out.imag = re, im
-    return out
-
-
 def exp_erfc(x, z):
-    """exp(x) * erfc(z) with the exponents combined: erfc(z) = exp(-z^2)
-    w(iz) through the Faddeeva function in its stable half plane, and
-    erfc(z) = 2 - erfc(-z) for Re(z) < 0.  Finite whenever Re(x) <= 0 and
-    Re(x - z^2) <= 0, which the harvesting time kernels satisfy; raises
-    OverflowError where the value exceeds double range.
+    """exp(x) * erfc(z) with the exponents combined, and its magnitude.
 
-    Scalars give a complex; arrays broadcast and work elementwise, with the
-    same bits as the scalar call on each element.  That takes care, because
-    the quadrature error does not count the integrand's rounding: z^2 is
-    formed part by part as Python's complex product does (numpy's complex
-    multiply rounds differently), the log is cmath.log per element (numpy's
-    log rounds differently) and the exponential goes through ``_cexp``.
+    erfc(z) = exp(-z^2) w(iz) through the Faddeeva function in its stable
+    half plane, and erfc(z) = 2 - erfc(-z) for Re(z) < 0.  Finite whenever
+    Re(x) <= 0 and Re(x - z^2) <= 0, which the harvesting time kernels
+    satisfy; raises OverflowError where the value exceeds double range.
+
+    Returns (value, magnitude), elementwise on broadcast arrays; scalars give
+    (complex, float).  exp(x - z^2 + log w) weighs 2 + |x| + |z|^2 + |log w|
+    in the magnitude (one for the Faddeeva routine), 2 exp(x) 1 + |x|.
     """
-    xa, za = np.broadcast_arrays(np.asarray(x, dtype=complex),
-                                 np.asarray(z, dtype=complex))
-    zr, zi = za.real, za.imag
-    flip = zr < 0.0
-    # u = -z where Re(z) < 0, else z (u^2 = z^2); i u as Python's 1j * u
-    ur, ui = np.where(flip, -zr, zr), np.where(flip, -zi, zi)
-    w = _wofz(_cpack(0.0 * ur - ui, 0.0 * ui + ur))
-    log_w = _each(cmath.log, w)
-    out = _cexp(_cpack(xa.real - (zr * zr - zi * zi) + log_w.real,
-                       xa.imag - (zr * zi + zi * zr) + log_w.imag))
-    if flip.any():
-        # 2 exp(x) as Python's complex product 2.0 * exp(x) forms it, down
-        # to the sign of an underflowed zero
-        ex = _cexp(xa[flip])
-        er, ei = ex.real, ex.imag
-        out[flip] = _cpack(2.0 * er - 0.0 * ei, 2.0 * ei + 0.0 * er) - out[flip]
-    return complex(out) if out.ndim == 0 else out
+    x, z = np.broadcast_arrays(np.asarray(x, dtype=complex),
+                               np.asarray(z, dtype=complex))
+    scalar = x.ndim == 0
+    x, z = np.atleast_1d(x, z)
+    flip = z.real < 0.0
+    u = np.where(flip, -z, z)  # u^2 = z^2, Re(u) >= 0
+    log_w = np.log(_wofz(1j * u))
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = np.exp(x - u * u + log_w)
+        mag = np.abs(out) * (2.0 + np.abs(x) + np.abs(u) ** 2 + np.abs(log_w))
+        if flip.any():
+            two_ex = 2.0 * np.exp(x[flip])
+            out[flip] = two_ex - out[flip]
+            mag[flip] += np.abs(two_ex) * (1.0 + np.abs(x[flip]))
+    if (np.isfinite(x) & np.isfinite(z) & ~np.isfinite(out)).any():
+        raise OverflowError("exp_erfc exceeds double range")
+    return (complex(out[0]), float(mag[0])) if scalar else (out, mag)
 
 
 def scaled_time_kernel(k, t_ba: float, T: float, omega: float):
-    """exp(-T^2(omega^2+k^2)/2) * [E(k,t_ba) + E(k,-t_ba)] without overflow.
+    """exp(-T^2(omega^2+k^2)/2) * [E(k,t_ba) + E(k,-t_ba)] without overflow,
+    and its magnitude.
 
     E(k,t) = exp(i k t) erfc((i T^2 k + t)/(sqrt(2) T)) is the one-sided
     Gaussian time integral; multiplied by the Gaussian damping the product
@@ -174,7 +155,10 @@ def scaled_time_kernel(k, t_ba: float, T: float, omega: float):
     times exp(-T^2 omega^2 / 2).  The bracket is even in t_ba.  The
     reflection w(-conj z) = conj w(z) (A&S 7.1.12) turns the wing difference
     into -2i Im w(b + ia), one Faddeeva call per node; the result is
-    bit-identical to the two-call form.  Accepts a scalar or array k >= 0.
+    bit-identical to the two-call form.  Accepts a scalar or array k >= 0
+    and returns (value, magnitude) of its shape; as in ``exp_erfc``, the
+    wings (2 e^{-a^2} |w| in size) weigh 2 + their exponent's parts, the
+    Gaussian 1 + its exponent's parts.
     """
     if T <= 0.0:
         raise ValueError("switching width T must be positive")
@@ -182,12 +166,12 @@ def scaled_time_kernel(k, t_ba: float, T: float, omega: float):
     a = abs(t_ba) / (_SQRT2 * T)
     b = T * k_arr / _SQRT2
     damp = -0.5 * (T * omega) ** 2
-    wings = np.exp(damp - a * a) * (-2j * _wofz(b + 1j * a).imag)
-    gauss = 2.0 * np.exp(damp - b * b - 2j * a * b)
-    out = wings + gauss
-    if np.isscalar(k) or k_arr.ndim == 0:
-        return complex(out)
-    return out
+    w, e_a, bb = _wofz(b + 1j * a), np.exp(damp - a * a), b * b
+    gauss = 2.0 * np.exp(damp - bb - 2j * a * b)
+    out = e_a * (-2j * w.imag) + gauss
+    mag = (2.0 * e_a * (2.0 - damp + a * a) * np.abs(w)
+           + np.abs(gauss) * (1.0 - damp + bb + 2.0 * a * b))
+    return (complex(out), float(mag)) if k_arr.ndim == 0 else (out, mag)
 
 
 # ----------------------------------------------------------------------------
@@ -255,38 +239,36 @@ _J0J2_SERIES = tuple(reversed(list(itertools.accumulate(
 
 
 def spherical_bessel_j0_plus_j2(x):
-    """j_0(x) + j_2(x) = 3 j_1(x) / x for x >= 0, the EM dipole spatial kernel.
+    """j_0(x) + j_2(x) = 3 j_1(x) / x for x >= 0, the EM dipole spatial
+    kernel, and its magnitude.
 
-    One pass in place of two ``spherical_bessel_j`` calls.  Below x = 5 the
-    recurrence j_{l-1} + j_{l+1} = (2l+1) j_l / x turns the two Maclaurin
-    series into one, that of 3 j_1(x)/x (Horner in x^2); it is within ~4e-16
-    absolute of the exact value, where the sum of the two series is off by up
-    to ~1e-15 just below the switch.  Above x = 5, j_0 and j_2 share one
-    sin/cos and keep their own closed forms, so the sum is bit-identical to
-    the two calls there.  The algebraically equal 3 (sin x / x - cos x) / x^2
-    rounds differently, and the quadrature error estimates do not count the
-    integrand's rounding: a last-bit change of the kernel can move a strongly
-    cancelling |M| by more than its reported error.
+    Below x = 5 the Maclaurin series of 3 j_1(x)/x, Horner in y = x^2,
+    within ~4e-16 absolute of the exact value; its terms alternate in sign,
+    so the same Horner loop at -y sums their sizes, the magnitude.  Above
+    x = 5 the closed form 3 (sin x / x - cos x) / x^2, with magnitude
+    3 (|sin x| / x + |cos x|) / x^2.  Returns (value, magnitude); scalars
+    give floats.
     """
     x_arr = np.asarray(x, dtype=float)
     if np.any(x_arr < 0.0):
         raise ValueError("spherical_bessel_j0_plus_j2 requires x >= 0")
     small = x_arr < 5.0
     out = np.empty_like(x_arr)
+    mag = np.empty_like(x_arr)
     if np.any(small):
         y = x_arr[small] ** 2
+        y = np.stack((y, -y))
         acc = np.full_like(y, _J0J2_SERIES[0])
         for coef in _J0J2_SERIES[1:]:
             acc *= y
             acc += coef
-        out[small] = acc
+        out[small], mag[small] = acc
     if not np.all(small):
         xl = x_arr[~small]
-        s, c, u = np.sin(xl), np.cos(xl), 1.0 / xl
-        out[~small] = _bessel_trig(0, s, c, u) + _bessel_trig(2, s, c, u)
-    if np.isscalar(x) or np.asarray(x).ndim == 0:
-        return float(out)
-    return out
+        s, c = np.sin(xl), np.cos(xl)
+        out[~small] = 3.0 * (s / xl - c) / (xl * xl)
+        mag[~small] = 3.0 * (np.abs(s) / xl + np.abs(c)) / (xl * xl)
+    return (float(out), float(mag)) if x_arr.ndim == 0 else (out, mag)
 
 
 # ----------------------------------------------------------------------------
@@ -339,23 +321,25 @@ _WG = np.array([
 ])
 
 
-# the roundoff floor of one GK15 panel, per unit of its integral of |f|
+# the roundoff floor of one GK15 panel, per unit of its integral of the magnitude
 _ROUNDOFF = 50.0 * np.finfo(float).eps
 
 
 def _gk15_panels(f, lo: np.ndarray, hi: np.ndarray):
-    """Vectorized GK15 on a batch of panels.
+    """Vectorized GK15 on a batch of panels of f -> (value, magnitude).
 
     Returns (integral, error_estimate, abs_integral, n_evals) per panel, with
-    the QUADPACK error heuristic.
+    the QUADPACK error heuristic; abs_integral integrates the magnitude, so
+    the roundoff floor counts the integrand's rounding.
     """
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
     nodes = mid[:, None] + half[:, None] * _XGK[None, :]
-    fv = np.asarray(f(nodes.ravel())).reshape(nodes.shape)
+    fv, fm = f(nodes.ravel())
+    fv = np.asarray(fv).reshape(nodes.shape)
     resk = (fv * _WGK[None, :]).sum(axis=1) * half
     resg = (fv[:, 1::2] * _WG[None, :]).sum(axis=1) * half
-    resabs = (np.abs(fv) * _WGK[None, :]).sum(axis=1) * np.abs(half)
+    resabs = (np.reshape(fm, nodes.shape) * _WGK[None, :]).sum(axis=1) * np.abs(half)
     fmean = resk / (2.0 * half)
     resasc = (np.abs(fv - fmean[:, None]) * _WGK[None, :]).sum(axis=1) * np.abs(half)
     err = np.abs(resk - resg)
@@ -378,11 +362,12 @@ def _adaptive_gk(f, breakpoints: np.ndarray, atol: float, rtol: float,
 
     It stops when the summed error meets tol = max(atol, rtol |value|), at
     max_panels, or at the roundoff floor: every panel's error is at least
-    50 eps times its integral of |f|, so once that floor, summed over the
-    panels, reaches tol, no split can meet tol.  The driver then stops as
-    soon as the error above the floor is within tol, as QUADPACK reports
-    roundoff (ier = 2), instead of splitting on to max_panels.  The returned
-    error still includes the floor, so a caller sees that tol was missed.
+    50 eps times its integral of the integrand's magnitude, so once that
+    floor, summed over the panels, reaches tol, no split can meet tol.  The
+    driver then stops as soon as the error above the floor is within tol, as
+    QUADPACK reports roundoff (ier = 2), instead of splitting on to
+    max_panels.  The returned error still includes the floor, so a caller
+    sees that tol was missed.
     """
     lo = np.asarray(breakpoints[:-1], dtype=float)
     hi = np.asarray(breakpoints[1:], dtype=float)
@@ -459,14 +444,19 @@ def _wynn_epsilon(partial_sums: Sequence[complex]):
 
 def _oscillatory_tail(f, start: float, step: float, atol: float, rtol: float,
                       max_panels: int = 80):
-    """Sum f over [start, inf) where f oscillates with half-period ~step."""
+    """Sum f over [start, inf) where f oscillates with half-period ~step.
+
+    The error is the extrapolation's plus the panels' own: each partial sum
+    carries the errors of its panels, their roundoff floors included, which
+    the Wynn estimate cannot see.
+    """
     lo = start + step * np.arange(max_panels)
     hi = lo + step
-    vals, _, absl, evals = _gk15_panels(f, lo, hi)
+    vals, errs, absl, evals = _gk15_panels(f, lo, hi)
     sums = np.cumsum(vals)
     # extrapolate once the partial sums start alternating around the limit
     limit, err = _wynn_epsilon(sums[4:])
-    return limit, err, float(absl.sum()), evals
+    return limit, err + float(errs.sum()), float(absl.sum()), evals
 
 
 def _smooth_tail(f, start: float, cutoff: float, atol: float, rtol: float):
@@ -475,9 +465,7 @@ def _smooth_tail(f, start: float, cutoff: float, atol: float, rtol: float):
     if cutoff <= start:
         return 0.0 + 0.0j, 0.0, 0.0, 0
     n_dec = max(1, int(math.ceil(math.log10(cutoff / start))))
-    pts = np.geomspace(start, cutoff, 8 * n_dec + 1)
-    val, err, absl, evals = _adaptive_gk(f, pts, atol, rtol)
-    return val, err, absl, evals
+    return _adaptive_gk(f, np.geomspace(start, cutoff, 8 * n_dec + 1), atol, rtol)
 
 
 def integrate_damped(spec: DampedKernelSpec, atol: float = 1e-16,

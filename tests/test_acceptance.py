@@ -70,7 +70,7 @@ def test_criterion_02_time_kernel_oracle():
     resolvable = 0
     for tk in np.linspace(0.0, 20.0, 10):
         for tba in np.linspace(0.0, 12.0, 10):
-            closed = time_integral_closed(omega, omega, tk / T, 0.0, tba, T)
+            closed, _ = time_integral_closed(omega, omega, tk / T, 0.0, tba, T)
             brute, _, _ = time_integral_bruteforce(omega, omega, tk / T, 0.0, tba, T)
             diff = abs(closed - brute)
             assert diff <= max(1e-8 * abs(brute), floor)
@@ -78,7 +78,7 @@ def test_criterion_02_time_kernel_oracle():
                 worst_rel = max(worst_rel, diff / abs(brute))
                 resolvable += 1
             worst_abs = max(worst_abs, diff / scale)
-    closed = time_integral_closed(1.2, 2.1, 3.0, 0.0, 2.5, T)
+    closed, _ = time_integral_closed(1.2, 2.1, 3.0, 0.0, 2.5, T)
     brute, _, _ = time_integral_bruteforce(1.2, 2.1, 3.0, 0.0, 2.5, T)
     worst_rel = max(worst_rel, abs(closed - brute) / abs(brute))
     assert worst_rel <= 1e-8

@@ -14,6 +14,14 @@ from vharvest.specfun import _adaptive_gk
 A0 = 0.37
 
 
+def adaptive_gk(f, breakpoints, atol, rtol):
+    # _adaptive_gk of a plain integrand, whose magnitude is |f|
+    def g(r):
+        v = f(r)
+        return v, np.abs(v)
+    return _adaptive_gk(g, breakpoints, atol, rtol)
+
+
 def quad(f, lo, hi, n=4001):
     xs = np.linspace(lo, hi, n)
     return np.trapezoid(f(xs), xs)
@@ -25,8 +33,8 @@ def quad(f, lo, hi, n=4001):
 
 @pytest.mark.parametrize("n,l", [(1, 0), (2, 0), (2, 1)])
 def test_radial_normalization(n, l):
-    val, _, _, _ = _adaptive_gk(lambda r: radial_R(n, l, r, A0) ** 2 * r * r,
-                                np.linspace(0.0, 80 * A0, 41), 1e-14, 1e-12)
+    val, _, _, _ = adaptive_gk(lambda r: radial_R(n, l, r, A0) ** 2 * r * r,
+                               np.linspace(0.0, 80 * A0, 41), 1e-14, 1e-12)
     assert val.real == pytest.approx(1.0, rel=1e-10)
 
 
@@ -40,7 +48,7 @@ def test_radial_unsupported_level():
 
 
 def test_radial_dipole_overlap_value():
-    val, _, _, _ = _adaptive_gk(
+    val, _, _, _ = adaptive_gk(
         lambda r: radial_R(2, 1, r, A0) * radial_R(1, 0, r, A0) * r ** 3,
         np.linspace(0.0, 80 * A0, 41), 1e-14, 1e-12)
     assert val.real == pytest.approx(128.0 * math.sqrt(6.0) / 243.0 * A0, rel=1e-11)
@@ -115,7 +123,7 @@ def test_em_1s2s_smearing_vanishes_integrated():
     # integral cos(theta) |Y00|^2 dOmega vanishes, the radial part is finite
     angular = sphere_quadrature([(0, 0, True), (1, 0), (0, 0)]).real \
         * math.sqrt(4.0 * math.pi / 3.0)
-    radial, _, _, _ = _adaptive_gk(
+    radial, _, _, _ = adaptive_gk(
         lambda r: radial_R(2, 0, r, A0) * radial_R(1, 0, r, A0) * r ** 3,
         np.linspace(0.0, 80 * A0, 41), 1e-14, 1e-12)
     assert abs(angular) * abs(radial.real) <= 1e-12 * A0
@@ -156,7 +164,7 @@ def test_smearing_scalar_integrates_to_zero():
         on_axis[..., 2] = rr
         return 4.0 * math.pi * rr * rr * smearing_scalar(atom, on_axis)
 
-    val, _, _, _ = _adaptive_gk(f, np.linspace(0.0, 80 * A0, 41), 1e-14, 1e-10)
+    val, _, _, _ = adaptive_gk(f, np.linspace(0.0, 80 * A0, 41), 1e-14, 1e-10)
     assert abs(val.real) <= 1e-12
 
 
@@ -262,7 +270,7 @@ def test_overlap_log10_matches_3d_quadrature():
             * np.exp(-r / A0) * angular(r)
 
     pts = np.unique(np.concatenate([np.linspace(1e-9, 40 * A0, 41), [d]]))
-    val, _, _, _ = _adaptive_gk(f, pts, 1e-15, 1e-12)
+    val, _, _, _ = adaptive_gk(f, pts, 1e-15, 1e-12)
     assert math.log10(val.real) == pytest.approx(
         wavefunction_overlap_log10(d, A0), abs=1e-9)
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from scipy.special import wofz
 
+from vharvest import specfun
 from vharvest.atoms import radial_overlap
 from vharvest.oracle import erfc_complex, faddeeva_w, radial_bruteforce
 from vharvest.specfun import (DampedKernelSpec, QuadratureConvergenceError,
@@ -16,6 +17,14 @@ from vharvest.specfun import (DampedKernelSpec, QuadratureConvergenceError,
                               spherical_bessel_j, spherical_bessel_j0_plus_j2)
 
 SQRT2 = math.sqrt(2.0)
+
+
+def with_abs(f):
+    # a plain integrand in the quadrature's (value, magnitude) form
+    def g(k):
+        v = f(k)
+        return v, np.abs(v)
+    return g
 
 
 # ----------------------------------------------------------------------------
@@ -125,17 +134,18 @@ def test_exp_erfc_keeps_exponents_combined():
     # exp(800) overflows and erfc(29) underflows; their product is finite
     x, z = 800.0 + 0.5j, 29.0 + 0.3j
     want = cmath.exp(x - z * z) * faddeeva_cf(1j * z)
-    assert exp_erfc(x, z) == pytest.approx(want, rel=1e-13)
+    assert exp_erfc(x, z)[0] == pytest.approx(want, rel=1e-13)
     # the left half plane goes through erfc(z) = 2 - erfc(-z)
     z = -0.4 + 0.2j
-    assert exp_erfc(-1.0 + 0.3j, z) == pytest.approx(
+    assert exp_erfc(-1.0 + 0.3j, z)[0] == pytest.approx(
         cmath.exp(-1.0 + 0.3j) * erfc_series(z), rel=1e-13)
 
 
 def test_exp_erfc_array_equals_scalar(rng):
-    # elementwise on arrays with the bits of the scalar call: both half
-    # planes, |w| near 1 (where cmath.log takes log1p), underflowed zeros
-    # (Re x < -745) and where cmath.exp rescales (Re exponent above ~708)
+    # elementwise on arrays, and per scalar call, within the rounding bound
+    # 50 eps x magnitude of plain Python: both half planes, |w| near 1
+    # (where cmath.log takes log1p), underflowed zeros (Re x < -745) and
+    # where cmath.exp rescales (Re exponent above ~708)
     x = rng.uniform(-800.0, 0.0, 400) + 1j * rng.uniform(-50.0, 50.0, 400)
     z = np.concatenate((rng.uniform(-30.0, 30.0, 200) + 1j * rng.uniform(-30.0, 30.0, 200),
                         rng.uniform(-1.0, 1.0, 200) + 1j * rng.uniform(-1.0, 1.0, 200)))
@@ -143,9 +153,12 @@ def test_exp_erfc_array_equals_scalar(rng):
     z[:4] = 0.01 + 0.2j, 2.0, -0.5, complex(0.0, -0.0)
     pairs = [(complex(a), complex(b)) for a, b in zip(x, z)]
     want = np.array([exp_erfc_python(a, b) for a, b in pairs])
-    for got in (exp_erfc(x, z), np.array([exp_erfc(a, b) for a, b in pairs])):
-        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
-    assert type(exp_erfc(*pairs[5])) is complex
+    got, mag = exp_erfc(x, z)
+    assert np.all(np.abs(got - want) <= specfun._ROUNDOFF * mag)
+    one = np.array([exp_erfc(a, b) for a, b in pairs])
+    assert np.all(np.abs(one[:, 0] - want) <= specfun._ROUNDOFF * one[:, 1].real)
+    value, magnitude = exp_erfc(*pairs[5])
+    assert type(value) is complex and type(magnitude) is float
 
 
 def test_exp_erfc_array_raises_overflow_where_scalar_does():
@@ -158,7 +171,7 @@ def test_exp_erfc_array_raises_overflow_where_scalar_does():
         with pytest.raises(OverflowError):
             exp_erfc(np.array(x), np.array(z))
     x, z = zip(*finite)
-    assert list(exp_erfc(np.array(x), np.array(z))) == [exp_erfc(*p) for p in finite]
+    assert list(exp_erfc(np.array(x), np.array(z))[0]) == [exp_erfc(*p)[0] for p in finite]
 
 
 @settings(max_examples=200, deadline=None)
@@ -183,7 +196,7 @@ def test_kernel_tba_zero_real_part():
     # erfc of a purely imaginary argument has real part 1, so before damping
     # Re[E+E] = 2 independent of k
     for k in (0.3, 1.0, 4.0):
-        val = scaled_time_kernel(k, 0.0, 1.0, 0.0)
+        val, _ = scaled_time_kernel(k, 0.0, 1.0, 0.0)
         assert val.real == pytest.approx(2.0 * math.exp(-0.5 * k * k), rel=1e-13)
         bare = val * math.exp(0.5 * k * k)
         assert bare.real == pytest.approx(2.0, rel=1e-12)
@@ -191,7 +204,7 @@ def test_kernel_tba_zero_real_part():
 
 def test_kernel_matches_naive_path():
     # Tk = 5, t_ba/T = 3: still representable directly
-    got = scaled_time_kernel(5.0, 3.0, 1.0, 0.7)
+    got, _ = scaled_time_kernel(5.0, 3.0, 1.0, 0.7)
     ref = naive_bracket(5.0, 3.0, 1.0, 0.7)
     assert got == pytest.approx(ref, rel=1e-11)
 
@@ -200,7 +213,7 @@ def test_kernel_finite_where_naive_overflows():
     # naive erfc((i T^2 k + t)/(sqrt2 T)) overflows past Tk ~ 38
     with pytest.raises(OverflowError):
         naive_bracket(200.0, 10.0, 1.0, 0.0)
-    val = scaled_time_kernel(200.0, 10.0, 1.0, 0.0)
+    val, _ = scaled_time_kernel(200.0, 10.0, 1.0, 0.0)
     assert np.isfinite(val.real) and np.isfinite(val.imag)
     assert abs(val) < 1.0
 
@@ -210,8 +223,8 @@ def test_kernel_even_in_tba(rng):
         k = rng.uniform(0, 30)
         t = rng.uniform(0, 12)
         T = rng.uniform(0.5, 2.0)
-        a = scaled_time_kernel(k, t, T, 0.3)
-        b = scaled_time_kernel(k, -t, T, 0.3)
+        a, _ = scaled_time_kernel(k, t, T, 0.3)
+        b, _ = scaled_time_kernel(k, -t, T, 0.3)
         assert a == pytest.approx(b, rel=1e-14)
 
 
@@ -222,7 +235,7 @@ def test_kernel_fused_equals_unfused_where_representable(rng):
         T = rng.uniform(0.5, 1.5)
         if T * k > 36:
             continue
-        got = scaled_time_kernel(k, t, T, 1.0)
+        got, _ = scaled_time_kernel(k, t, T, 1.0)
         ref = naive_bracket(k, t, T, 1.0)
         if ref != 0:
             assert abs(got - ref) <= 1e-10 * abs(ref)
@@ -249,10 +262,10 @@ def test_kernel_bitwise_equal_to_two_wofz_form(t_ba, T, omega):
     # k out to T k = 200, well past the T k > 38 overflow of the bare erfc
     k = np.concatenate([np.linspace(0.0, 200.0 / T, 15001), [38.5 / T, 60.0 / T]])
     assert np.any(T * k > 38.0)
-    new = scaled_time_kernel(k, t_ba, T, omega)
+    new, _ = scaled_time_kernel(k, t_ba, T, omega)
     assert np.array_equal(new, two_wofz_kernel(k, t_ba, T, omega))
     for kk in (0.0, 1.3, 45.0 / T):
-        assert scaled_time_kernel(kk, t_ba, T, omega) == complex(
+        assert scaled_time_kernel(kk, t_ba, T, omega)[0] == complex(
             two_wofz_kernel(kk, t_ba, T, omega))
 
 
@@ -332,16 +345,19 @@ def test_j0_plus_j2_matches_the_two_calls():
     x = np.concatenate([np.linspace(0.0, 500.0, 500001),
                         np.linspace(4.9, 5.1, 20001),
                         [0.0, np.nextafter(5.0, 0.0), 5.0, np.nextafter(5.0, 6.0)]])
-    fused = spherical_bessel_j0_plus_j2(x)
-    pair = spherical_bessel_j(0, x) + spherical_bessel_j(2, x)
-    # above the switch both share the closed forms: bit-identical
-    assert np.array_equal(fused[x >= 5.0], pair[x >= 5.0])
+    fused, mag = spherical_bessel_j0_plus_j2(x)
+    j0, j2 = spherical_bessel_j(0, x), spherical_bessel_j(2, x)
+    pair = j0 + j2
+    # within the two rounding bounds on both sides of the switch; the two
+    # calls' sum cancels |j0| + |j2| ~ 2/x down to 3 j1(x)/x ~ 3/x^2
+    assert np.all(np.abs(fused - pair)
+                  <= specfun._ROUNDOFF * (mag + np.abs(j0) + np.abs(j2)))
     # below it the two-call sum itself is off by up to ~1.1e-15 just below
     # x = 5 (its j0 series cancels from terms ~5), hence 1.5e-15, not 1e-15
     assert np.max(np.abs(fused - pair)) <= 1.5e-15
-    assert spherical_bessel_j0_plus_j2(0.0) == 1.0
-    assert isinstance(spherical_bessel_j0_plus_j2(5.0), float)
-    assert spherical_bessel_j0_plus_j2(5.0) == pytest.approx(
+    assert spherical_bessel_j0_plus_j2(0.0) == (1.0, 1.0)
+    assert all(isinstance(v, float) for v in spherical_bessel_j0_plus_j2(5.0))
+    assert spherical_bessel_j0_plus_j2(5.0)[0] == pytest.approx(
         spherical_bessel_j(0, 5.0) + spherical_bessel_j(2, 5.0), abs=1e-15)
     with pytest.raises(ValueError):
         spherical_bessel_j0_plus_j2(-1e-3)
@@ -353,7 +369,7 @@ def test_j0_plus_j2_against_high_precision():
     xs = np.concatenate([np.linspace(0.01, 12.0, 1200), [4.99, 5.0, 5.01, 250.0]])
     ref = np.array([float(3 * mp.sqrt(mp.pi / (2 * mp.mpf(v))) * mp.besselj(1.5, mp.mpf(v))
                           / mp.mpf(v)) for v in xs])
-    assert np.max(np.abs(spherical_bessel_j0_plus_j2(xs) - ref)) <= 5e-16
+    assert np.max(np.abs(spherical_bessel_j0_plus_j2(xs)[0] - ref)) <= 5e-16
 
 
 def test_bessel_domain_errors():
@@ -368,7 +384,7 @@ def test_bessel_domain_errors():
 # ----------------------------------------------------------------------------
 
 def test_integrate_gaussian_moment():
-    spec = DampedKernelSpec(1.0, (), lambda k: np.exp(-k * k))
+    spec = DampedKernelSpec(1.0, (), with_abs(lambda k: np.exp(-k * k)))
     res = integrate_damped(spec)
     assert abs(res.value - math.sqrt(math.pi) / 2.0) <= 1e-12
     assert res.abs_error_estimate >= 0
@@ -376,7 +392,7 @@ def test_integrate_gaussian_moment():
 
 
 def test_integrate_k3_gaussian():
-    spec = DampedKernelSpec(1.0, (), lambda k: k ** 3 * np.exp(-k * k))
+    spec = DampedKernelSpec(1.0, (), with_abs(lambda k: k ** 3 * np.exp(-k * k)))
     res = integrate_damped(spec)
     assert res.value == pytest.approx(0.5, abs=1e-13)
 
@@ -405,7 +421,7 @@ def romberg_reference(f, a, b, n_levels=20):
 
 def test_integrate_oscillatory_vs_romberg():
     f = lambda k: np.exp(-k * k) * spherical_bessel_j(0, 10.0 * k)
-    spec = DampedKernelSpec(1.0, (2 * math.pi / 10.0,), f)
+    spec = DampedKernelSpec(1.0, (2 * math.pi / 10.0,), with_abs(f))
     res = integrate_damped(spec)
     ref = romberg_reference(f, 0.0, 30.0)
     assert abs(res.value - ref) <= 1e-10
@@ -414,7 +430,7 @@ def test_integrate_oscillatory_vs_romberg():
 def test_integrate_linearity():
     f1 = lambda k: np.exp(-0.8 * k * k)
     f2 = lambda k: k ** 2 * np.exp(-0.8 * k * k) * np.cos(4.0 * k)
-    mk = lambda f: DampedKernelSpec(0.8, (2 * math.pi / 4.0,), f)
+    mk = lambda f: DampedKernelSpec(0.8, (2 * math.pi / 4.0,), with_abs(f))
     a, b = 1.7, -2.4
     lhs = integrate_damped(mk(lambda k: a * f1(k) + b * f2(k))).value
     rhs = a * integrate_damped(mk(f1)).value + b * integrate_damped(mk(f2)).value
@@ -438,7 +454,7 @@ def test_kernel_spec_validation():
 def test_nonconvergence_carries_best_estimate():
     # a discontinuous comb the panel scheme cannot resolve to 1e-10
     rough = lambda k: np.exp(-k * k) * np.sign(np.sin(1000.0 * k) + 0.1)
-    spec = DampedKernelSpec(1.0, (), rough)
+    spec = DampedKernelSpec(1.0, (), with_abs(rough))
     with pytest.raises(QuadratureConvergenceError) as err:
         integrate_damped(spec, rtol=1e-12, atol=1e-300, max_panels=64)
     assert isinstance(err.value.result, QuadratureResult)
@@ -554,7 +570,8 @@ def _counting(f):
 
     def g(k):
         calls.append(np.size(k))
-        return f(k)
+        v = f(k)
+        return v, np.abs(v)
     return g, calls
 
 
@@ -564,6 +581,7 @@ def adaptive_gk_reference(f, breakpoints, atol, rtol, max_panels=4000,
     # roundoff exit it is the rule that split on to max_panels.  The panels
     # stay in the array version's order, so numpy sums of them give its bits.
     from vharvest.specfun import _gk15_panels
+    f = with_abs(f)
     lo = np.asarray(breakpoints[:-1], dtype=float)
     hi = np.asarray(breakpoints[1:], dtype=float)
     vals, errs, absl, n = _gk15_panels(f, lo, hi)
@@ -638,7 +656,7 @@ def test_adaptive_gk_roundoff_exit_below_the_floor():
     # split can lower
     f = lambda k: k ** 3 * np.exp(-0.5 * k * k) * np.exp(7.0j * k)
     breakpoints = np.linspace(0.0, 12.0, 4)
-    val, err, absint, evals = _adaptive_gk(f, breakpoints, 1e-300, 1e-12)
+    val, err, absint, evals = _adaptive_gk(with_abs(f), breakpoints, 1e-300, 1e-12)
     full = adaptive_gk_reference(f, breakpoints, 1e-300, 1e-12, roundoff_exit=False)
     # each split evaluates two halves and adds one panel net
     panels = 3 + (evals // 15 - 3) // 2
@@ -653,7 +671,7 @@ def test_adaptive_gk_roundoff_exit_below_the_floor():
     (lambda k: k * k * np.exp(-k * k) * np.exp(1.5j * k), np.linspace(0.0, 8.0, 3)),
 ])
 def test_adaptive_gk_above_the_floor_keeps_the_old_rule(f, breakpoints):
-    val, err, absint, evals = _adaptive_gk(f, breakpoints, 1e-300, 1e-12)
+    val, err, absint, evals = _adaptive_gk(with_abs(f), breakpoints, 1e-300, 1e-12)
     old = adaptive_gk_reference(f, breakpoints, 1e-300, 1e-12, roundoff_exit=False)
     assert err <= 1e-12 * abs(val)
     assert (val, err, absint, evals) == old
