@@ -17,17 +17,16 @@ from its description (p, kern, time, wings, prefactor):
     derivative:  32768  16384  7  4  j0     1
 
 with S = exp(-T^2 Omega^2/2), G(k) = exp(-T^2 (k^2/2 + Omega k)), kern = 1
-for L, and K(k, t) = exp(-T^2 k^2/2) [E(k,t) + E(k,-t)] the fused kernel
-``scaled_time_kernel``.  For unequal gaps M takes ``time_integral_closed``
-(which carries its own pi T^2/2, S and phase) as its time factor, with
-prefactor -e^2 (2 C_M/pi^2) rel a0^q; like every time factor it is
-evaluated once per batch of quadrature nodes.  The erfc wings of both M
-time factors decay only algebraically in k: M integrates them to the
-rational cutoff or sums them over the spatial period.  The derivative
-coupling differs from the scalar one by exactly k^2 in every integrand.  S
-stays out of the integrals as a log scale, so the sign of |M| - L (the
-harvesting criterion) is available even where the values underflow
-(Omega T > ~38).
+for L, and K(k, t_BA) the time kernel ``scaled_time_kernel`` at d_omega =
+Omega_A - Omega_B.  In M, Omega is the mean gap (Omega_A + Omega_B)/2, so one
+row serves every gap: pi T^2/2 S e^{i Omega (t_A+t_B)} K is the ordered
+double time integral ``time_integral_closed``.  Like every time factor K is
+evaluated once per batch of quadrature nodes; its erfc wings decay only
+algebraically in k, so M integrates them to the rational cutoff or sums them
+over the spatial period.  The derivative coupling differs from the scalar
+one by exactly k^2 in every integrand.  S stays out of the integrals as a
+log scale, so the sign of |M| - L (the harvesting criterion) is available
+even where the values underflow (Omega T > ~38).
 """
 
 from __future__ import annotations
@@ -42,8 +41,8 @@ from typing import Callable
 import numpy as np
 
 from .atoms import AtomSpec, SwitchingKind
-from .specfun import (DampedKernelSpec, QuadratureResult, exp_erfc,
-                      integrate_damped, scaled_time_kernel, spherical_bessel_j,
+from .specfun import (DampedKernelSpec, QuadratureResult, integrate_damped,
+                      scaled_time_kernel, spherical_bessel_j,
                       spherical_bessel_j0_plus_j2)
 
 __all__ = [
@@ -254,9 +253,9 @@ class _Term:
     kernel: Callable | None    # spatial kernel of k d: None (L), j0 or j0+j2
     time: Callable             # k -> (value, magnitude) time factors, in product order
     wings: bool                # erfc wings decaying algebraically (M)
-    # (coeff, q, width, rel, phase, log_scale): coeff a0^q width^2 rel phase
-    # exp(log_scale), coeff with e^2 and sign, width 1 where time() carries
-    # its own T^2, log_scale the Gaussian kept out of the integral
+    # (coeff, q, rel, phase, log_scale): coeff a0^q T^2 rel phase
+    # exp(log_scale), coeff with e^2 and sign, log_scale the Gaussian kept
+    # out of the integral
     prefactor: tuple
     a0: float
     T: float                   # damping exp(-T^2 k^2 / 2)
@@ -305,8 +304,8 @@ def _evaluate(term: _Term, log_scale: float, atol: float,
     the one place a prefactor is applied."""
     quad = (_local_quadrature(*term.memo, atol, rtol) if term.memo
             else integrate_damped(_spec(term), atol=atol, rtol=rtol))
-    coeff, q, width, rel, phase, term_scale = term.prefactor
-    pref = coeff * term.a0 ** q * width * width * math.exp(term_scale - log_scale)
+    coeff, q, rel, phase, term_scale = term.prefactor
+    pref = coeff * term.a0 ** q * term.T * term.T * math.exp(term_scale - log_scale)
     return QuadratureResult(value=pref * rel * phase * quad.value,
                             abs_error_estimate=abs(pref) * abs(rel) * quad.abs_error_estimate,
                             evaluations=quad.evaluations,
@@ -339,28 +338,26 @@ def _local(model: ModelKind, atom: AtomSpec, coupling: float = 1.0) -> _Term:
     def time(k):
         return (_gaussian(k, T, omega),)
 
-    return _Term(p, None, time, False, (coupling ** 2 * (c_l / math.pi), q, T,
+    return _Term(p, None, time, False, (coupling ** 2 * (c_l / math.pi), q,
                                         1.0, 1.0, -0.5 * (T * omega) ** 2),
                  atom.a0, T, memo=(model, atom.a0, omega, T))
 
 
-def _nonlocal(pair: DetectorPair, fused: bool) -> _Term:
-    # fused: the scaled kernel of equal gaps; else the closed double time
-    # integral, one call on the whole node array
+def _nonlocal(pair: DetectorPair) -> _Term:
+    # the time kernel at every gap; the k-independent rest of the double time
+    # integral, exp(-T^2 Omega^2/2 + i Omega (t_A + t_B)) at the mean gap
+    # Omega, goes into the prefactor
     a, b = pair.atom_a, pair.atom_b
     _, c_m, p, q, kernel = _model_params(pair.model)
     T, t_ba, e2 = a.switching_width, pair.t_ba, pair.coupling ** 2
-    rel = pair.cos_relative_angle
-    if fused:
-        def time(k):
-            return (scaled_time_kernel(k, t_ba, T, 0.0),)
-        phase = cmath.exp(1j * a.omega * (a.switching_center + b.switching_center))
-        prefactor = (-e2 * (c_m / math.pi), q, T, rel, phase, -0.5 * (T * a.omega) ** 2)
-    else:
-        def time(k):
-            return (time_integral_closed(a.omega, b.omega, k, a.switching_center,
-                                         b.switching_center, T),)
-        prefactor = (-e2 * (2.0 * c_m / math.pi ** 2), q, 1.0, rel, 1.0, 0.0)
+    d_omega, mean = a.omega - b.omega, 0.5 * (a.omega + b.omega)
+
+    def time(k):
+        return (scaled_time_kernel(k, t_ba, T, d_omega=d_omega),)
+
+    phase = cmath.exp(1j * mean * (a.switching_center + b.switching_center))
+    prefactor = (-e2 * (c_m / math.pi), q, pair.cos_relative_angle, phase,
+                 -0.5 * (T * mean) ** 2)
     return _Term(p, kernel, time, True, prefactor, a.a0, T, pair.separation, t_ba)
 
 
@@ -374,7 +371,7 @@ def _cross(pair: DetectorPair) -> _Term:
             return (_gaussian(k, T, omega),)
         return (np.exp(-1j * k * t_ba), 1.0 + k * abs(t_ba)), _gaussian(k, T, omega)
 
-    prefactor = (pair.coupling ** 2 * (c_l / math.pi), q, T, pair.cos_relative_angle,
+    prefactor = (pair.coupling ** 2 * (c_l / math.pi), q, pair.cos_relative_angle,
                  cmath.exp(-1j * omega * t_ba), -0.5 * (T * omega) ** 2)
     return _Term(p, kernel, time, False, prefactor, a.a0, T, pair.separation, t_ba)
 
@@ -391,9 +388,10 @@ def local_integrand(model: ModelKind, a0: float, omega: float, T: float):
 
 
 def nonlocal_integrand(pair: DetectorPair):
-    """Scaled nonlocal-term integrand's value (fused time kernel, zero-gap
-    scaling); the derivative and scalar models differ by exactly k^2 here."""
-    f = _spec(_nonlocal(pair, True)).integrand
+    """Scaled nonlocal-term integrand's value (the time kernel, with
+    exp(T^2 Omega^2/2) at the mean gap Omega factored out); the derivative
+    and scalar models differ by exactly k^2 here."""
+    f = _spec(_nonlocal(pair)).integrand
     return lambda k: f(k)[0]
 
 
@@ -408,9 +406,8 @@ def local_term(pair: DetectorPair, which: str = "A",
 def nonlocal_term(pair: DetectorPair, atol: float = 1e-16,
                   rtol: float = 1e-10) -> complex:
     """Nonlocal correlation term M (phase retained; |M| feeds the
-    negativity).  Identical atoms use the fused scaled kernel; unequal gaps
-    route through the general closed time integral."""
-    return _absolute(pair, _nonlocal(pair, pair.identical), atol, rtol)
+    negativity).  One time kernel serves every gap."""
+    return _absolute(pair, _nonlocal(pair), atol, rtol)
 
 
 def cross_noise_term(pair: DetectorPair, atol: float = 1e-16,
@@ -432,29 +429,19 @@ def time_integral_closed(omega_a: float, omega_b: float, k, t_a: float,
     exp(i(Omega_a t1 + Omega_b t2)) exp(-i k (t1 - t2)), Gaussian switchings
     of common width T centered at t_a and t_b:
 
-        pi T^2/2 [exp_erfc(x, z1) + exp_erfc(x - k c, z2)],  c = T^2 dO + 2i t_BA
-        x = (-2 (kT)^2 + 2k c - (T Oa)^2 - (T Ob)^2)/4 + i (t_b (Oa + Ob) - t_BA Oa)
-        z1,2 = (+-2 t_BA + i T^2 (2k -+ dO)) / (2 sqrt(2) T)
+        pi T^2/2 exp(-T^2 Omega^2/2 + i Omega (t_a + t_b)) kernel(k)
 
-    with dO = Oa - Ob.  Exponents are combined before exponentiation; every
-    branch has non-positive real exponent, so the result is finite for any
-    T k.  Returns (value, magnitude), the sum of the two ``exp_erfc``
-    magnitudes: a scalar k gives (complex, float), an array of k one pair of
-    arrays over the nodes.
+    with Omega = (Omega_a + Omega_b)/2 and kernel the overflow-safe
+    ``scaled_time_kernel`` at t_BA = t_b - t_a, d_omega = Omega_a - Omega_b,
+    so the result is finite for any T k.  Returns (value, magnitude): a
+    scalar k gives (complex, float), an array of k one pair of arrays over
+    the nodes.
     """
-    if T <= 0:
-        raise ValueError("switching width T must be positive")
-    k = np.asarray(k, dtype=float)
-    t_ba = t_b - t_a
-    d_om = omega_a - omega_b
-    c = T * T * d_om + 2j * t_ba
-    x = (0.25 * (-2.0 * (k * T) ** 2 + 2.0 * k * c - (T * omega_a) ** 2 - (T * omega_b) ** 2)
-         + 1j * (t_b * (omega_a + omega_b) - t_ba * omega_a))
-    den = 2.0 * math.sqrt(2.0) * T
-    v1, m1 = exp_erfc(x, (2.0 * t_ba + 1j * T * T * (2.0 * k - d_om)) / den)
-    v2, m2 = exp_erfc(x - k * c, (-2.0 * t_ba + 1j * T * T * (2.0 * k + d_om)) / den)
-    scale = 0.5 * math.pi * T * T
-    return scale * (v1 + v2), scale * (m1 + m2)
+    kernel, mag = scaled_time_kernel(k, t_b - t_a, T, d_omega=omega_a - omega_b)
+    mean = 0.5 * (omega_a + omega_b)
+    scale = 0.5 * math.pi * T * T * cmath.exp(-0.5 * (T * mean) ** 2
+                                              + 1j * mean * (t_a + t_b))
+    return scale * kernel, abs(scale) * mag
 
 
 # ----------------------------------------------------------------------------
@@ -479,7 +466,7 @@ def compute_terms(pair: DetectorPair, switching: SwitchingKind | None = None,
     log_scale = _log_scale(pair)
     terms = {"l_aa": _local(pair.model, pair.atom_a, pair.coupling),
              "l_bb": _local(pair.model, pair.atom_b, pair.coupling),
-             "m": _nonlocal(pair, pair.identical)}
+             "m": _nonlocal(pair)}
     if include_cross:
         terms["l_ab"] = _cross(pair)
     res = {}

@@ -35,7 +35,6 @@ __all__ = [
     "QuadratureConvergenceError",
     "QuadratureResult",
     "DampedKernelSpec",
-    "exp_erfc",
     "scaled_time_kernel",
     "spherical_bessel_j",
     "spherical_bessel_j0_plus_j2",
@@ -105,72 +104,53 @@ class DampedKernelSpec:
 
 
 # ----------------------------------------------------------------------------
-# Error functions
+# The time kernel
 # ----------------------------------------------------------------------------
 
-def exp_erfc(x, z):
-    """exp(x) * erfc(z) with the exponents combined, and its magnitude.
+def scaled_time_kernel(k, t_ba: float, T: float, *, d_omega: float):
+    """The ordered double time integral of two Gaussian switchings of width
+    T without overflow, and its magnitude: the time factor of M.
 
-    erfc(z) = exp(-z^2) w(iz) through the Faddeeva function in its stable
-    half plane, and erfc(z) = 2 - erfc(-z) for Re(z) < 0.  Finite whenever
-    Re(x) <= 0 and Re(x - z^2) <= 0, which the harvesting time kernels
-    satisfy; raises OverflowError where the value exceeds double range.
+    With a = |t_ba| / (sqrt(2) T), b = T k / sqrt(2) and
+    c = sign(t_ba) T d_omega / (2 sqrt(2)), sign(0) = +1,
 
-    Returns (value, magnitude), elementwise on broadcast arrays; scalars give
-    (complex, float).  exp(x - z^2 + log w) weighs 2 + |x| + |z|^2 + |log w|
-    in the magnitude (one for the Faddeeva routine), 2 exp(x) 1 + |x|.
-    """
-    x, z = np.broadcast_arrays(np.asarray(x, dtype=complex),
-                               np.asarray(z, dtype=complex))
-    scalar = x.ndim == 0
-    x, z = np.atleast_1d(x, z)
-    flip = z.real < 0.0
-    u = np.where(flip, -z, z)  # u^2 = z^2, Re(u) >= 0
-    log_w = np.log(_wofz(1j * u))
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = np.exp(x - u * u + log_w)
-        mag = np.abs(out) * (2.0 + np.abs(x) + np.abs(u) ** 2 + np.abs(log_w))
-        if flip.any():
-            two_ex = 2.0 * np.exp(x[flip])
-            out[flip] = two_ex - out[flip]
-            mag[flip] += np.abs(two_ex) * (1.0 + np.abs(x[flip]))
-    if (np.isfinite(x) & np.isfinite(z) & ~np.isfinite(out)).any():
-        raise OverflowError("exp_erfc exceeds double range")
-    return (complex(out[0]), float(mag[0])) if scalar else (out, mag)
+        kernel = e^{-a^2} [conj w(b - c + ia) - w(b + c + ia)]
+                 + 2 e^{-(b+c)^2 - 2ia(b+c)}
 
-
-def scaled_time_kernel(k, t_ba: float, T: float, omega: float):
-    """exp(-T^2(omega^2+k^2)/2) * [E(k,t_ba) + E(k,-t_ba)] without overflow,
-    and its magnitude.
-
-    E(k,t) = exp(i k t) erfc((i T^2 k + t)/(sqrt(2) T)) is the one-sided
-    Gaussian time integral; multiplied by the Gaussian damping the product
-    stays bounded, but the bare erfc blows up once T*k > ~38.  Writing
-    erfc through the Faddeeva function and combining exponents symbolically
-    leaves only non-positive real exponents:
-
-        a = |t_ba| / (sqrt(2) T),  b = T k / sqrt(2)
-        kernel = e^{-a^2} [w(-b + ia) - w(b + ia)] + 2 e^{-b^2} e^{-2iab}
-
-    times exp(-T^2 omega^2 / 2).  The bracket is even in t_ba.  The
-    reflection w(-conj z) = conj w(z) (A&S 7.1.12) turns the wing difference
-    into -2i Im w(b + ia), one Faddeeva call per node; the result is
-    bit-identical to the two-call form.  Accepts a scalar or array k >= 0
-    and returns (value, magnitude) of its shape; as in ``exp_erfc``, the
-    wings (2 e^{-a^2} |w| in size) weigh 2 + their exponent's parts, the
-    Gaussian 1 + its exponent's parts.
+    through the Faddeeva function w in its upper half plane, so only
+    non-positive real exponents are exponentiated.  The integral of both
+    orderings against exp(i(Omega_A t_1 + Omega_B t_2 - k (t_1 - t_2))),
+    with t_ba = t_B - t_A and d_omega = Omega_A - Omega_B, is pi T^2/2
+    exp(-T^2 Omega^2/2 + i Omega (t_A + t_B)) times the kernel, Omega the
+    mean gap (``harvesting.time_integral_closed``).  At c = 0 the kernel is
+    exp(-T^2 k^2/2) [E(k,t_ba) + E(k,-t_ba)], E(k,t) = exp(i k t)
+    erfc((i T^2 k + t)/(sqrt(2) T)), even in t_ba, and the reflection
+    w(-conj z) = conj w(z) (A&S 7.1.12) turns its wings into
+    -2i Im w(b + ia), one Faddeeva call per node.  Accepts a scalar or
+    array k >= 0 and returns (value, magnitude) of its shape: the wings
+    weigh 2 + a^2 (one for the Faddeeva routine), the Gaussian 1 + its
+    exponent's parts.
     """
     if T <= 0.0:
         raise ValueError("switching width T must be positive")
     k_arr = np.asarray(k, dtype=float)
     a = abs(t_ba) / (_SQRT2 * T)
     b = T * k_arr / _SQRT2
-    damp = -0.5 * (T * omega) ** 2
-    w, e_a, bb = _wofz(b + 1j * a), np.exp(damp - a * a), b * b
-    gauss = 2.0 * np.exp(damp - bb - 2j * a * b)
-    out = e_a * (-2j * w.imag) + gauss
-    mag = (2.0 * e_a * (2.0 - damp + a * a) * np.abs(w)
-           + np.abs(gauss) * (1.0 - damp + bb + 2.0 * a * b))
+    c = T * d_omega / (2.0 * _SQRT2)
+    if t_ba < 0.0:
+        c = -c
+    e_a = np.exp(-a * a)
+    if c == 0.0:
+        w = _wofz(b + 1j * a)
+        wings, wings_mag = e_a * (-2j * w.imag), 2.0 * e_a * (2.0 + a * a) * np.abs(w)
+    else:
+        w_lo, w_hi = _wofz(b - c + 1j * a), _wofz(b + c + 1j * a)
+        wings = e_a * (w_lo.conj() - w_hi)
+        wings_mag = e_a * (2.0 + a * a) * (np.abs(w_lo) + np.abs(w_hi))
+    bc = b + c
+    gauss = 2.0 * np.exp(-bc * bc - 2j * a * bc)
+    out = wings + gauss
+    mag = wings_mag + np.abs(gauss) * (1.0 + bc * bc + 2.0 * a * np.abs(bc))
     return (complex(out), float(mag)) if k_arr.ndim == 0 else (out, mag)
 
 

@@ -19,7 +19,9 @@ from vharvest.specfun import scaled_time_kernel, spherical_bessel_j0_plus_j2
 
 # (model, Omega_A T, a0 Omega_A, d/T, t_BA/T, Omega_B/Omega_A) of benchmark
 # pool pairs whose errors the quadrature alone used to understate: unequal
-# gaps pairs 700 and 138, identical atoms pair 1675
+# gaps pairs 700 and 138, identical atoms pair 1675; and unequal gaps pairs
+# 434 and 971, harvestable only if the time kernel cancels nothing of size
+# (k T)^2/2 per node
 POOL_PAIRS = {
     "unequal_gaps_700": (ModelKind.UDW_DERIVATIVE, 5.246313666685258,
                          0.00028216506471527027, 1.0651635785834017,
@@ -30,6 +32,12 @@ POOL_PAIRS = {
     "scatter_terms_1675": (ModelKind.UDW_DERIVATIVE, 14.394312299716416,
                            0.003006901787056098, 9.908130998697057,
                            1.9059613193995233, 1.0),
+    "unequal_gaps_434": (ModelKind.UDW_SCALAR, 9.501372550581607,
+                         0.004609812932891083, 8.277566709915678,
+                         2.7283510177060353, 0.8628791332454149),
+    "unequal_gaps_971": (ModelKind.UDW_SCALAR, 2.960472511161287,
+                         0.003184339839375557, 1.1412331709632388,
+                         0.6396507138900727, 0.8259846887798095),
 }
 
 
@@ -63,7 +71,7 @@ def test_time_kernel_within_its_bound(T, t_ba):
     # the wofz region b ~ 5.9, a ~ 0.5, where scipy's wofz is off by up to
     # ~48 eps, joins the nodes at t_BA = T/sqrt(2)
     k = np.concatenate([k_nodes(T), math.sqrt(2.0) / T * np.linspace(5.0, 7.0, 21)])
-    value, mag = scaled_time_kernel(k, t_ba, T, 0.0)
+    value, mag = scaled_time_kernel(k, t_ba, T, d_omega=0.0)
 
     def exact(kk):
         kk, t, TT = mp.mpf(kk), mp.mpf(t_ba), mp.mpf(T)
@@ -145,9 +153,17 @@ def test_tighter_rerun_lands_inside_the_error(params, monkeypatch):
         assert abs(tight.l_ab_scaled - terms.l_ab_scaled) < errors["l_ab"]
 
 
+@pytest.mark.parametrize("name", ["unequal_gaps_700", "unequal_gaps_434", "unequal_gaps_971"])
+def test_unequal_gap_pairs_are_harvestable(name):
+    # n2 stands above ten times its error only if the time kernel's rounding
+    # is not ~eps (k T)^2 per node
+    pair = make_pair(*POOL_PAIRS[name])
+    assert compute_terms(pair, include_cross=False).harvestable()
+
+
 def test_tail_error_counts_its_panels_rounding(monkeypatch):
-    # unequal gaps pair 700: 80 tail panels with an integral of |f| ~ 27
-    # against a tail of ~4e-5, which the head cancels down to ~4e-11
+    # unequal gaps pair 700: 80 tail panels with an integral of |f| ~ 1.4e7
+    # against a tail of ~22, which the head cancels down to ~2e-5
     tails = []
 
     def spy(*args, **kwargs):
@@ -157,7 +173,7 @@ def test_tail_error_counts_its_panels_rounding(monkeypatch):
     tail_sum = specfun._oscillatory_tail
     monkeypatch.setattr(specfun, "_oscillatory_tail", spy)
     pair = make_pair(*POOL_PAIRS["unequal_gaps_700"])
-    m = specfun.integrate_damped(harvesting._spec(harvesting._nonlocal(pair, False)))
+    m = specfun.integrate_damped(harvesting._spec(harvesting._nonlocal(pair)))
     (_, tail_err, tail_abs, _), = tails
     assert tail_abs > 1e5 * abs(m.value)
     assert tail_err >= specfun._ROUNDOFF * tail_abs

@@ -4,7 +4,6 @@ import math
 import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
-from scipy.special import wofz
 
 from vharvest import harvesting, specfun
 from vharvest.angular import EulerAngles
@@ -146,7 +145,8 @@ def test_time_integral_equal_gap_reduction(rng):
         T = rng.uniform(0.5, 2.0)
         t_a, t_b = rng.uniform(-5, 5, 2)
         closed, _ = time_integral_closed(omega, omega, k, t_a, t_b, T)
-        kernel, _ = scaled_time_kernel(k, t_b - t_a, T, omega)
+        kernel = scaled_time_kernel(k, t_b - t_a, T, d_omega=0.0)[0] \
+            * math.exp(-0.5 * (T * omega) ** 2)
         bracket = 0.5 * math.pi * T * T \
             * cmath.exp(1j * omega * (t_a + t_b)) * kernel
         scale = max(abs(closed), abs(bracket))
@@ -187,32 +187,27 @@ def test_time_integral_vs_bruteforce_sample():
         assert abs(closed - brute) <= 1e-8 * abs(brute)
 
 
-def _exp_erfc_python(x: complex, z: complex) -> complex:
-    # exp(x) erfc(z) in plain Python complex arithmetic, one point at a time
-    if z.real >= 0.0:
-        return cmath.exp(x - z * z + cmath.log(complex(wofz(1j * z))))
-    return 2.0 * cmath.exp(x) - _exp_erfc_python(x, -z)
-
-
-def _time_integral_scalar(omega_a, omega_b, k, t_a, t_b, T):
-    # the closed time integral for one node k in plain Python arithmetic
-    t_ba = t_b - t_a
-    d_om = omega_a - omega_b
-    x = 0.25 * (-2.0 * (k * T) ** 2
-                + 2.0 * k * (T * T * d_om + 2j * t_ba)
-                - (T * omega_a) ** 2 - (T * omega_b) ** 2) \
-        + 1j * (t_b * (omega_a + omega_b) - t_ba * omega_a)
-    z1 = (2.0 * t_ba + 1j * T * T * (2.0 * k - d_om)) / (2.0 * math.sqrt(2.0) * T)
-    z2 = (-2.0 * t_ba + 1j * T * T * (2.0 * k + d_om)) / (2.0 * math.sqrt(2.0) * T)
-    x2 = x - k * (T * T * d_om + 2j * t_ba)
-    return 0.5 * math.pi * T * T * (_exp_erfc_python(x, z1) + _exp_erfc_python(x2, z2))
+def _time_integral_mp(mp, omega_a, omega_b, k, t_a, t_b, T):
+    # the closed time integral for one node k in the erfc form, at mpmath's
+    # working precision: pi T^2/2 [exp(x) erfc(z1) + exp(x - k c) erfc(z2)]
+    Oa, Ob, k, t_a, t_b, T = map(mp.mpf, (omega_a, omega_b, k, t_a, t_b, T))
+    t_ba, d_om = t_b - t_a, Oa - Ob
+    c = T * T * d_om + 2j * t_ba
+    x = ((-2 * (k * T) ** 2 + 2 * k * c - (T * Oa) ** 2 - (T * Ob) ** 2) / 4
+         + 1j * (t_b * (Oa + Ob) - t_ba * Oa))
+    den = 2 * mp.sqrt(2) * T
+    z1 = (2 * t_ba + 1j * T * T * (2 * k - d_om)) / den
+    z2 = (-2 * t_ba + 1j * T * T * (2 * k + d_om)) / den
+    return mp.pi * T * T / 2 * (mp.exp(x) * mp.erfc(z1) + mp.exp(x - k * c) * mp.erfc(z2))
 
 
 def test_time_integral_array_equals_scalar_per_node(rng):
-    # one array call agrees with plain Python per node within the rounding
-    # bound 50 eps x magnitude: k = 0, the Gaussian head, the algebraic
-    # wings past k_hi out to the cutoff of the p = 3 rational kernel, both
-    # signs of t_BA (Re z1 or Re z2 < 0), t_BA = 0 and t_a != 0
+    # one array call agrees with 40-digit mpmath per node within the
+    # rounding bound 50 eps x magnitude: k = 0, the Gaussian head, the
+    # algebraic wings past k_hi out to the cutoff of the p = 3 rational
+    # kernel, both signs of t_BA, t_BA = 0 and t_a != 0
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 40
     T, a0 = 0.8, 0.02
     k_hi = math.sqrt(750.0 / (0.5 * T * T))
     k_wing = harvesting._WING_CUTOFF[3] / (2.0 * a0)
@@ -221,7 +216,8 @@ def test_time_integral_array_equals_scalar_per_node(rng):
     for oa, ob, t_a, t_b in ((1.0, 1.25, 0.0, 7.5), (3.0, 2.4, 1.3, -4.0),
                              (12.0, 14.0, 2.0, 2.0), (0.7, 0.7, -3.0, 9.0)):
         got, mag = time_integral_closed(oa, ob, k, t_a, t_b, T)
-        want = np.array([_time_integral_scalar(oa, ob, kk, t_a, t_b, T) for kk in k])
+        want = np.array([complex(_time_integral_mp(mp, oa, ob, kk, t_a, t_b, T))
+                         for kk in k])
         assert got.shape == mag.shape == k.shape
         assert np.all(np.abs(got - want) <= specfun._ROUNDOFF * mag)
         one, one_mag = time_integral_closed(oa, ob, float(k[7]), t_a, t_b, T)
@@ -231,18 +227,24 @@ def test_time_integral_array_equals_scalar_per_node(rng):
 
 def test_unequal_gap_integrand_array_equals_node_by_node(rng):
     # the M integrand of unequal gaps on a node array, against the same
-    # integrand with its time factor taken in plain Python per node, within
-    # the rounding bound of its magnitude
+    # integrand with its time factor, the closed time integral over
+    # pi T^2/2 exp(-T^2 Omega^2/2 + i Omega (t_A + t_B)) at the mean gap
+    # Omega, taken in 40-digit mpmath per node, within the rounding bound of
+    # its magnitude
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 40
     a0 = 1e-3
     a = AtomSpec(a0=a0, omega=2.0, switching_width=1.0)
     b = AtomSpec(a0=a0, omega=2.3, position=(0, 0, 4.0), switching_center=6.0,
                  switching_width=1.0)
+    mean = (mp.mpf(a.omega) + mp.mpf(b.omega)) / 2
+    scale = mp.pi / 2 * mp.exp(-mean ** 2 / 2 + 6j * mean)
     for model in ModelKind:
         pair = DetectorPair(a, b, model)
-        term = harvesting._nonlocal(pair, False)
+        term = harvesting._nonlocal(pair)
         k = np.concatenate((rng.uniform(0.0, 40.0, 150), rng.uniform(40.0, 5e3, 60)))
-        time = np.array([_time_integral_scalar(a.omega, b.omega, kk, 0.0, 6.0, 1.0)
-                         for kk in k])
+        time = np.array([complex(_time_integral_mp(mp, a.omega, b.omega, kk, 0.0, 6.0, 1.0)
+                                 / scale) for kk in k])
         want = k ** term.p * term.kernel(k * 4.0)[0] * time / (4.0 * (a0 * k) ** 2 + 9.0) ** 6
         got, mag = harvesting._spec(term).integrand(k)
         assert np.all(np.abs(got - want) <= specfun._ROUNDOFF * mag)

@@ -13,7 +13,7 @@ from vharvest.atoms import radial_overlap
 from vharvest.oracle import erfc_complex, faddeeva_w, radial_bruteforce
 from vharvest.specfun import (DampedKernelSpec, QuadratureConvergenceError,
                               QuadratureResult, _adaptive_gk, _wynn_epsilon,
-                              exp_erfc, integrate_damped, scaled_time_kernel,
+                              integrate_damped, scaled_time_kernel,
                               spherical_bessel_j, spherical_bessel_j0_plus_j2)
 
 SQRT2 = math.sqrt(2.0)
@@ -30,13 +30,6 @@ def with_abs(f):
 # ----------------------------------------------------------------------------
 # independent references (series / continued fraction / asymptotics)
 # ----------------------------------------------------------------------------
-
-def exp_erfc_python(x: complex, z: complex) -> complex:
-    # exp(x) erfc(z) in plain Python complex arithmetic, one point at a time
-    if z.real >= 0.0:
-        return cmath.exp(x - z * z + cmath.log(complex(wofz(1j * z))))
-    return 2.0 * cmath.exp(x) - exp_erfc_python(x, -z)
-
 
 def erfc_series(z: complex) -> complex:
     # Maclaurin series of erf; good to ~1e-15 for |z| <= 2.5
@@ -130,50 +123,6 @@ def test_erfc_reflection_random(rng):
         assert abs(s - 2.0) <= 1e-13 * scale
 
 
-def test_exp_erfc_keeps_exponents_combined():
-    # exp(800) overflows and erfc(29) underflows; their product is finite
-    x, z = 800.0 + 0.5j, 29.0 + 0.3j
-    want = cmath.exp(x - z * z) * faddeeva_cf(1j * z)
-    assert exp_erfc(x, z)[0] == pytest.approx(want, rel=1e-13)
-    # the left half plane goes through erfc(z) = 2 - erfc(-z)
-    z = -0.4 + 0.2j
-    assert exp_erfc(-1.0 + 0.3j, z)[0] == pytest.approx(
-        cmath.exp(-1.0 + 0.3j) * erfc_series(z), rel=1e-13)
-
-
-def test_exp_erfc_array_equals_scalar(rng):
-    # elementwise on arrays, and per scalar call, within the rounding bound
-    # 50 eps x magnitude of plain Python: both half planes, |w| near 1
-    # (where cmath.log takes log1p), underflowed zeros (Re x < -745) and
-    # where cmath.exp rescales (Re exponent above ~708)
-    x = rng.uniform(-800.0, 0.0, 400) + 1j * rng.uniform(-50.0, 50.0, 400)
-    z = np.concatenate((rng.uniform(-30.0, 30.0, 200) + 1j * rng.uniform(-30.0, 30.0, 200),
-                        rng.uniform(-1.0, 1.0, 200) + 1j * rng.uniform(-1.0, 1.0, 200)))
-    x[:4] = 708.5 + 1j, 0.0, -0.0, 1.5
-    z[:4] = 0.01 + 0.2j, 2.0, -0.5, complex(0.0, -0.0)
-    pairs = [(complex(a), complex(b)) for a, b in zip(x, z)]
-    want = np.array([exp_erfc_python(a, b) for a, b in pairs])
-    got, mag = exp_erfc(x, z)
-    assert np.all(np.abs(got - want) <= specfun._ROUNDOFF * mag)
-    one = np.array([exp_erfc(a, b) for a, b in pairs])
-    assert np.all(np.abs(one[:, 0] - want) <= specfun._ROUNDOFF * one[:, 1].real)
-    value, magnitude = exp_erfc(*pairs[5])
-    assert type(value) is complex and type(magnitude) is float
-
-
-def test_exp_erfc_array_raises_overflow_where_scalar_does():
-    finite = [(-1.0 + 0.5j, 0.5 + 0.1j), (-2.0, -0.4 + 0.2j)]
-    # exp(x - z^2) and 2 exp(x) beyond double range, in each half plane
-    for bad in ((800.0 + 0.0j, 0.5 + 0.0j), (720.0 + 1.0j, -0.5 + 0.3j)):
-        with pytest.raises(OverflowError):
-            exp_erfc(*bad)
-        x, z = zip(*finite, bad)
-        with pytest.raises(OverflowError):
-            exp_erfc(np.array(x), np.array(z))
-    x, z = zip(*finite)
-    assert list(exp_erfc(np.array(x), np.array(z))[0]) == [exp_erfc(*p)[0] for p in finite]
-
-
 @settings(max_examples=200, deadline=None)
 @given(st.complex_numbers(max_magnitude=8.0, allow_nan=False, allow_infinity=False))
 def test_erfc_conjugation(z):
@@ -182,7 +131,7 @@ def test_erfc_conjugation(z):
 
 
 # ----------------------------------------------------------------------------
-# fused time kernel
+# time kernel
 # ----------------------------------------------------------------------------
 
 def naive_bracket(k, t_ba, T, omega):
@@ -192,11 +141,16 @@ def naive_bracket(k, t_ba, T, omega):
     return math.exp(-0.5 * T * T * (omega * omega + k * k)) * (E(t_ba) + E(-t_ba))
 
 
+def damped_kernel(k, t_ba, T, omega):
+    # the kernel of equal gaps times exp(-T^2 omega^2/2), naive_bracket's scale
+    return scaled_time_kernel(k, t_ba, T, d_omega=0.0)[0] * math.exp(-0.5 * (T * omega) ** 2)
+
+
 def test_kernel_tba_zero_real_part():
     # erfc of a purely imaginary argument has real part 1, so before damping
     # Re[E+E] = 2 independent of k
     for k in (0.3, 1.0, 4.0):
-        val, _ = scaled_time_kernel(k, 0.0, 1.0, 0.0)
+        val, _ = scaled_time_kernel(k, 0.0, 1.0, d_omega=0.0)
         assert val.real == pytest.approx(2.0 * math.exp(-0.5 * k * k), rel=1e-13)
         bare = val * math.exp(0.5 * k * k)
         assert bare.real == pytest.approx(2.0, rel=1e-12)
@@ -204,7 +158,7 @@ def test_kernel_tba_zero_real_part():
 
 def test_kernel_matches_naive_path():
     # Tk = 5, t_ba/T = 3: still representable directly
-    got, _ = scaled_time_kernel(5.0, 3.0, 1.0, 0.7)
+    got = damped_kernel(5.0, 3.0, 1.0, 0.7)
     ref = naive_bracket(5.0, 3.0, 1.0, 0.7)
     assert got == pytest.approx(ref, rel=1e-11)
 
@@ -213,19 +167,24 @@ def test_kernel_finite_where_naive_overflows():
     # naive erfc((i T^2 k + t)/(sqrt2 T)) overflows past Tk ~ 38
     with pytest.raises(OverflowError):
         naive_bracket(200.0, 10.0, 1.0, 0.0)
-    val, _ = scaled_time_kernel(200.0, 10.0, 1.0, 0.0)
+    val, _ = scaled_time_kernel(200.0, 10.0, 1.0, d_omega=0.0)
     assert np.isfinite(val.real) and np.isfinite(val.imag)
     assert abs(val) < 1.0
 
 
 def test_kernel_even_in_tba(rng):
+    # even in t_ba at equal gaps; at unequal gaps t_ba -> -t_ba with
+    # d_omega -> -d_omega relabels A <-> B
     for _ in range(50):
         k = rng.uniform(0, 30)
         t = rng.uniform(0, 12)
         T = rng.uniform(0.5, 2.0)
-        a, _ = scaled_time_kernel(k, t, T, 0.3)
-        b, _ = scaled_time_kernel(k, -t, T, 0.3)
+        a = damped_kernel(k, t, T, 0.3)
+        b = damped_kernel(k, -t, T, 0.3)
         assert a == pytest.approx(b, rel=1e-14)
+        d_om = rng.uniform(-2.0, 2.0)
+        assert (scaled_time_kernel(k, t, T, d_omega=d_om)
+                == scaled_time_kernel(k, -t, T, d_omega=-d_om))
 
 
 def test_kernel_fused_equals_unfused_where_representable(rng):
@@ -235,43 +194,54 @@ def test_kernel_fused_equals_unfused_where_representable(rng):
         T = rng.uniform(0.5, 1.5)
         if T * k > 36:
             continue
-        got, _ = scaled_time_kernel(k, t, T, 1.0)
+        got = damped_kernel(k, t, T, 1.0)
         ref = naive_bracket(k, t, T, 1.0)
         if ref != 0:
             assert abs(got - ref) <= 1e-10 * abs(ref)
 
 
-def two_wofz_kernel(k, t_ba, T, omega):
-    # the wings as the difference of two Faddeeva calls, before the
-    # reflection w(-conj z) = conj w(z) folded them into one
+def two_wofz_kernel(k, t_ba, T, d_omega):
+    # the wings as the difference of two Faddeeva calls, w(c - b + ia) for
+    # conj w(b - c + ia), before the reflection w(-conj z) = conj w(z)
+    # folded them into one at c = 0
     k = np.asarray(k, dtype=float)
     a = abs(t_ba) / (SQRT2 * T)
     b = T * k / SQRT2
-    damp = -0.5 * (T * omega) ** 2
-    wings = np.exp(damp - a * a) * (wofz(-b + 1j * a) - wofz(b + 1j * a))
-    return wings + 2.0 * np.exp(damp - b * b - 2j * a * b)
+    c = (-1.0 if t_ba < 0.0 else 1.0) * T * d_omega / (2.0 * SQRT2)
+    wings = np.exp(-a * a) * (wofz(c - b + 1j * a) - wofz(b + c + 1j * a))
+    return wings + 2.0 * np.exp(-(b + c) ** 2 - 2j * a * (b + c))
 
 
-@pytest.mark.parametrize("t_ba, T, omega", [
+@pytest.mark.parametrize("t_ba, T, d_omega", [
     (0.0, 1.0, 0.0),      # t_ba = 0: the wings reduce to -2i Im w(b)
     (10.0, 1.0, 0.0),
-    (-3.5, 0.7, 2.0),     # omega != 0, negative delay
+    (-3.5, 0.7, 0.0),     # negative delay
+    (24.0, 2.0, 0.0),
+    (-3.5, 0.7, 2.0),     # unequal gaps: two Faddeeva calls
+    (0.0, 1.0, -1.5),
     (24.0, 2.0, 12.0),
 ])
-def test_kernel_bitwise_equal_to_two_wofz_form(t_ba, T, omega):
+def test_kernel_bitwise_equal_to_two_wofz_form(t_ba, T, d_omega):
     # k out to T k = 200, well past the T k > 38 overflow of the bare erfc
     k = np.concatenate([np.linspace(0.0, 200.0 / T, 15001), [38.5 / T, 60.0 / T]])
     assert np.any(T * k > 38.0)
-    new, _ = scaled_time_kernel(k, t_ba, T, omega)
-    assert np.array_equal(new, two_wofz_kernel(k, t_ba, T, omega))
+    new, _ = scaled_time_kernel(k, t_ba, T, d_omega=d_omega)
+    assert np.array_equal(new, two_wofz_kernel(k, t_ba, T, d_omega))
     for kk in (0.0, 1.3, 45.0 / T):
-        assert scaled_time_kernel(kk, t_ba, T, omega)[0] == complex(
-            two_wofz_kernel(kk, t_ba, T, omega))
+        assert scaled_time_kernel(kk, t_ba, T, d_omega=d_omega)[0] == complex(
+            two_wofz_kernel(kk, t_ba, T, d_omega))
 
 
 def test_kernel_rejects_bad_width():
     with pytest.raises(ValueError):
-        scaled_time_kernel(1.0, 0.0, -1.0, 0.0)
+        scaled_time_kernel(1.0, 0.0, -1.0, d_omega=0.0)
+
+
+def test_kernel_gap_difference_is_keyword_only():
+    # a fourth positional argument is refused, so a call written for the
+    # kernel's former damping gap cannot be read as a gap difference
+    with pytest.raises(TypeError):
+        scaled_time_kernel(1.0, 2.0, 1.0, 0.3)
 
 
 # ----------------------------------------------------------------------------
