@@ -27,9 +27,7 @@ from typing import Sequence
 import numpy as np
 
 __all__ = [
-    "ThreeJ",
     "EulerAngles",
-    "HarmonicIndex",
     "wigner_3j",
     "wigner_d_small",
     "wigner_D",
@@ -38,29 +36,7 @@ __all__ = [
     "gaunt_integral",
     "polarization_completeness",
     "euler_rotation_matrix",
-    "euler_angles_from_matrix",
 ]
-
-
-@dataclass(frozen=True)
-class ThreeJ:
-    l1: int
-    l2: int
-    l3: int
-    m1: int
-    m2: int
-    m3: int
-
-    def __post_init__(self):
-        for l, m in ((self.l1, self.m1), (self.l2, self.m2), (self.l3, self.m3)):
-            if l < 0:
-                raise ValueError("l must be nonnegative")
-            if abs(m) > l:
-                raise ValueError(f"|m| <= l violated: (l={l}, m={m})")
-
-    @property
-    def value(self) -> float:
-        return wigner_3j(self.l1, self.l2, self.l3, self.m1, self.m2, self.m3)
 
 
 @dataclass(frozen=True)
@@ -77,17 +53,6 @@ class EulerAngles:
     @property
     def is_identity(self) -> bool:
         return self.psi == 0.0 and self.theta == 0.0 and self.phi == 0.0
-
-
-@dataclass(frozen=True)
-class HarmonicIndex:
-    l: int
-    m: int
-    conjugated: bool = False
-
-    def __post_init__(self):
-        if self.l < 0 or abs(self.m) > self.l:
-            raise ValueError(f"invalid harmonic index (l={self.l}, m={self.m})")
 
 
 # ----------------------------------------------------------------------------
@@ -184,23 +149,6 @@ def euler_rotation_matrix(angles: EulerAngles) -> np.ndarray:
     return rz(angles.phi) @ ry(angles.theta) @ rz(angles.psi)
 
 
-def euler_angles_from_matrix(rot: np.ndarray) -> EulerAngles:
-    """Inverse of euler_rotation_matrix (theta taken in [0, pi])."""
-    rot = np.asarray(rot, dtype=float)
-    st = math.hypot(rot[0, 2], rot[1, 2])
-    theta = math.atan2(st, rot[2, 2])
-    if st > 1e-12:
-        phi = math.atan2(rot[1, 2], rot[0, 2])
-        psi = math.atan2(rot[2, 1], -rot[2, 0])
-    else:
-        psi = 0.0
-        if rot[2, 2] > 0:
-            phi = math.atan2(rot[1, 0], rot[0, 0])
-        else:
-            phi = -math.atan2(rot[1, 0], -rot[0, 0])
-    return EulerAngles(psi, theta, phi)
-
-
 # ----------------------------------------------------------------------------
 # Spherical harmonics
 # ----------------------------------------------------------------------------
@@ -265,16 +213,14 @@ def rotate_harmonic(l: int, m: int, angles: EulerAngles, theta, phi):
 # ----------------------------------------------------------------------------
 
 def _as_plain_indices(indices: Sequence) -> tuple[list[tuple[int, int]], int]:
-    """Resolve conjugation flags via Y*_lm = (-1)^m Y_{l,-m}; returns the
-    plain (l, m) list and the accumulated sign."""
+    """Resolve the conjugation flags of (l, m[, conjugated]) tuples via
+    Y*_lm = (-1)^m Y_{l,-m}; returns the plain (l, m) list and the
+    accumulated sign."""
     plain: list[tuple[int, int]] = []
     sign = 1
     for idx in indices:
-        if isinstance(idx, HarmonicIndex):
-            l, m, conj = idx.l, idx.m, idx.conjugated
-        else:
-            l, m = idx[0], idx[1]
-            conj = bool(idx[2]) if len(idx) > 2 else False
+        l, m = idx[0], idx[1]
+        conj = bool(idx[2]) if len(idx) > 2 else False
         if abs(m) > l:
             raise ValueError(f"invalid harmonic index (l={l}, m={m})")
         if conj:
@@ -304,20 +250,18 @@ def _product_coeffs(l1, m1, l2, m2):
             yield lam, c
 
 
-def gaunt_integral(indices: Sequence, terms: bool = False):
+def gaunt_integral(indices: Sequence) -> float:
     """Integral over the sphere of a product of 3, 4 or 5 spherical harmonics.
 
-    ``indices`` is a sequence of HarmonicIndex (or (l, m[, conjugated])
-    tuples).  The product is linearized pairwise with 3j coefficients, so the
-    result is the finite lambda sum of the textbook identities.  With
-    ``terms=True`` the per-lambda contributions of the first linearization
-    are returned alongside the value.
+    ``indices`` is a sequence of (l, m[, conjugated]) tuples.  The product
+    is linearized pairwise with 3j coefficients, so the result is the finite
+    lambda sum of the textbook identities.
     """
     plain, sign = _as_plain_indices(indices)
     if not 3 <= len(plain) <= 5:
         raise ValueError("gaunt_integral takes 3 to 5 harmonics")
     if sum(m for _, m in plain) != 0:
-        return (0.0, {}) if terms else 0.0
+        return 0.0
 
     def reduce_tail(pairs) -> float:
         if len(pairs) == 3:
@@ -329,19 +273,7 @@ def gaunt_integral(indices: Sequence, terms: bool = False):
             acc += c * reduce_tail([(lam, m1 + m2)] + pairs[2:])
         return acc
 
-    if len(plain) == 3:
-        val = sign * reduce_tail(plain)
-        return (val, {}) if terms else val
-
-    table = {}
-    acc = 0.0
-    (l1, m1), (l2, m2) = plain[0], plain[1]
-    for lam, c in _product_coeffs(l1, m1, l2, m2):
-        contrib = sign * c * reduce_tail([(lam, m1 + m2)] + plain[2:])
-        if contrib != 0.0:
-            table[lam] = table.get(lam, 0.0) + contrib
-            acc += contrib
-    return (acc, table) if terms else acc
+    return sign * reduce_tail(plain)
 
 
 # ----------------------------------------------------------------------------

@@ -24,9 +24,11 @@ double time integral ``time_integral_closed``.  Like every time factor K is
 evaluated once per batch of quadrature nodes; its erfc wings decay only
 algebraically in k, so M integrates them to the rational cutoff or sums them
 over the spatial period.  The derivative coupling differs from the scalar
-one by exactly k^2 in every integrand.  S stays out of the integrals as a
-log scale, so the sign of |M| - L (the harvesting criterion) is available
-even where the values underflow (Omega T > ~38).
+one by exactly k^2 in every integrand.  S at the mean gap stays out of the
+integrals as a log scale, so the sign of |M| - L (the harvesting criterion)
+is available even where the values underflow (Omega T > ~38); a pair whose
+terms relative to it leave double range (very unequal gaps) raises
+ValueError.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
@@ -146,9 +149,8 @@ class DetectorPair:
 
     @property
     def identical(self) -> bool:
-        return (self.atom_a.omega == self.atom_b.omega
-                and self.atom_a.a0 == self.atom_b.a0
-                and self.atom_a.switching_width == self.atom_b.switching_width)
+        # a0 and T are equal for every pair (__post_init__)
+        return self.atom_a.omega == self.atom_b.omega
 
 
 @dataclass(frozen=True)
@@ -240,6 +242,9 @@ class EmDecomposition:
 # The term engine
 # ----------------------------------------------------------------------------
 
+# natural logs of the smallest normal and the largest double
+_LOG_TINY, _LOG_HUGE = math.log(sys.float_info.min), math.log(sys.float_info.max)
+
 # where k^p / (4 a0^2 k^2 + 9)^6 has rolled off by ~1e-13 of its peak, in
 # units of 1/(2 a0): the cutoff of the algebraic erfc wings
 _WING_CUTOFF = {3: 120.0, 5: 400.0, 7: 4000.0}
@@ -301,22 +306,38 @@ def _local_quadrature(model: ModelKind, a0: float, omega: float, T: float,
 def _evaluate(term: _Term, log_scale: float, atol: float,
               rtol: float) -> QuadratureResult:
     """A term's value, error and integral of the magnitude relative to exp(log_scale):
-    the one place a prefactor is applied."""
+    the one place a prefactor is applied.  Raises ValueError where that
+    value leaves the range of normal doubles."""
     quad = (_local_quadrature(*term.memo, atol, rtol) if term.memo
             else integrate_damped(_spec(term), atol=atol, rtol=rtol))
     coeff, q, rel, phase, term_scale = term.prefactor
-    pref = coeff * term.a0 ** q * term.T * term.T * math.exp(term_scale - log_scale)
+    shift = term_scale - log_scale
+    pref = coeff * term.a0 ** q * term.T * term.T
+    log_size = shift + math.log(abs(pref * quad.value))
+    if not (_LOG_TINY < log_size < _LOG_HUGE and shift < _LOG_HUGE):
+        raise ValueError(f"a term is exp({log_size:.6g}) times exp(log_scale) "
+                         f"= exp({log_scale:.6g}): outside double range")
+    pref *= math.exp(shift)
     return QuadratureResult(value=pref * rel * phase * quad.value,
                             abs_error_estimate=abs(pref) * abs(rel) * quad.abs_error_estimate,
                             evaluations=quad.evaluations,
                             abs_integral=abs(pref) * quad.abs_integral)
 
 
+def _mean_gap_factor(omega_a: float, omega_b: float, t_a: float, t_b: float,
+                     T: float) -> tuple[float, complex]:
+    """M's k-independent time factor exp(-T^2 Omega^2/2 + i Omega (t_A + t_B))
+    at the mean gap Omega = (Omega_A + Omega_B)/2, as (log modulus, phase)."""
+    mean = 0.5 * (omega_a + omega_b)
+    return -0.5 * (T * mean) ** 2, cmath.exp(1j * mean * (t_a + t_b))
+
+
 def _log_scale(pair: DetectorPair) -> float:
-    # S of identical atoms, shared by all their terms; unequal gaps share
-    # none, so their values are absolute
-    a = pair.atom_a
-    return -0.5 * (a.switching_width * a.omega) ** 2 if pair.identical else 0.0
+    # S at the mean gap Omega, shared by all terms of the pair: M carries it
+    # exactly, L_mumu as exp(T^2 (Omega^2 - Omega_mu^2)/2) times it
+    a, b = pair.atom_a, pair.atom_b
+    return _mean_gap_factor(a.omega, b.omega, a.switching_center,
+                            b.switching_center, a.switching_width)[0]
 
 
 def _absolute(pair: DetectorPair, term: _Term, atol: float, rtol: float):
@@ -345,19 +366,19 @@ def _local(model: ModelKind, atom: AtomSpec, coupling: float = 1.0) -> _Term:
 
 def _nonlocal(pair: DetectorPair) -> _Term:
     # the time kernel at every gap; the k-independent rest of the double time
-    # integral, exp(-T^2 Omega^2/2 + i Omega (t_A + t_B)) at the mean gap
-    # Omega, goes into the prefactor
+    # integral, _mean_gap_factor, goes into the prefactor
     a, b = pair.atom_a, pair.atom_b
     _, c_m, p, q, kernel = _model_params(pair.model)
     T, t_ba, e2 = a.switching_width, pair.t_ba, pair.coupling ** 2
-    d_omega, mean = a.omega - b.omega, 0.5 * (a.omega + b.omega)
+    d_omega = a.omega - b.omega
 
     def time(k):
         return (scaled_time_kernel(k, t_ba, T, d_omega=d_omega),)
 
-    phase = cmath.exp(1j * mean * (a.switching_center + b.switching_center))
+    term_scale, phase = _mean_gap_factor(a.omega, b.omega, a.switching_center,
+                                         b.switching_center, T)
     prefactor = (-e2 * (c_m / math.pi), q, pair.cos_relative_angle, phase,
-                 -0.5 * (T * mean) ** 2)
+                 term_scale)
     return _Term(p, kernel, time, True, prefactor, a.a0, T, pair.separation, t_ba)
 
 
@@ -438,9 +459,8 @@ def time_integral_closed(omega_a: float, omega_b: float, k, t_a: float,
     the nodes.
     """
     kernel, mag = scaled_time_kernel(k, t_b - t_a, T, d_omega=omega_a - omega_b)
-    mean = 0.5 * (omega_a + omega_b)
-    scale = 0.5 * math.pi * T * T * cmath.exp(-0.5 * (T * mean) ** 2
-                                              + 1j * mean * (t_a + t_b))
+    log_modulus, phase = _mean_gap_factor(omega_a, omega_b, t_a, t_b, T)
+    scale = 0.5 * math.pi * T * T * (math.exp(log_modulus) * phase)
     return scale * kernel, abs(scale) * mag
 
 
@@ -460,6 +480,8 @@ def compute_terms(pair: DetectorPair, switching: SwitchingKind | None = None,
     erfc(8/sqrt(2)) ~ 1.3e-15, below the double-precision resolution of the
     integrals themselves.  "auto" switching is resolved from the pair's
     separation and delay (``SwitchingKind.resolve``); None is uncropped.
+    Raises ValueError where a term relative to exp(log_scale) leaves double
+    range.
     """
     if include_cross and not pair.identical:
         raise ValueError("L_AB requires identical atoms; pass include_cross=False")
@@ -469,10 +491,8 @@ def compute_terms(pair: DetectorPair, switching: SwitchingKind | None = None,
              "m": _nonlocal(pair)}
     if include_cross:
         terms["l_ab"] = _cross(pair)
-    res = {}
-    for name, term in terms.items():
-        res[name] = (res["l_aa"] if name == "l_bb" and pair.identical
-                     else _evaluate(term, log_scale, atol, rtol))
+    res = {name: _evaluate(term, log_scale, atol, rtol)
+           for name, term in terms.items()}
     errors = {name: r.abs_error_estimate for name, r in res.items()}
     if switching is not None:
         switching = switching.resolve(pair.separation, pair.t_ba, pair.atom_a.sigma)

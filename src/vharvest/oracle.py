@@ -24,7 +24,7 @@ from scipy.special import wofz as _wofz
 from . import atoms, harvesting
 from .angular import (EulerAngles, euler_rotation_matrix, gaunt_integral,
                       polarization_completeness, rotate_harmonic, sph_harm_y)
-from .atoms import AtomSpec, SwitchingKind
+from .atoms import AtomSpec
 from .harvesting import (DetectorPair, ModelKind, negativity_leading,
                          time_integral_closed)
 from .specfun import _adaptive_gk, spherical_bessel_j
@@ -41,10 +41,8 @@ __all__ = [
     "MUTABLE_CONSTANTS",
     "faddeeva_w",
     "erfc_complex",
-    "TransitionSpec",
     "smearing_scalar",
     "smearing_vector",
-    "switching",
     "radial_R",
 ]
 
@@ -128,33 +126,6 @@ def radial_R(n: int, l: int, r, a0: float):
     return out
 
 
-
-@dataclass(frozen=True)
-class TransitionSpec:
-    """Ground/excited level pair as (n, l, m) triples."""
-
-    ground: tuple[int, int, int] = (1, 0, 0)
-    excited: tuple[int, int, int] = (2, 1, 0)
-
-    def __post_init__(self):
-        if self.ground != (1, 0, 0):
-            raise ValueError("only the 1s ground state is supported")
-        if self.excited not in ((2, 1, 0), (2, 0, 0)):
-            raise ValueError("excited state must be 2p_z or 2s")
-
-    @classmethod
-    def em_dipole(cls) -> "TransitionSpec":
-        return cls(excited=(2, 1, 0))
-
-    @classmethod
-    def scalar(cls) -> "TransitionSpec":
-        return cls(excited=(2, 0, 0))
-
-    @property
-    def is_dipole_allowed(self) -> bool:
-        return abs(self.excited[1] - self.ground[1]) == 1
-
-
 def smearing_scalar(atom: AtomSpec, x):
     """Scalar smearing F(x) = psi_2s(x) psi_1s(x) of the monopole couplings:
     (4 pi a0^3 sqrt(2))^-1 e^{-3|x|/2a0} (2 - |x|/a0).
@@ -171,18 +142,14 @@ def smearing_scalar(atom: AtomSpec, x):
     return float(out) if out.ndim == 0 else out
 
 
-def smearing_vector(atom: AtomSpec, x,
-                    transition: TransitionSpec | None = None) -> np.ndarray:
+def smearing_vector(atom: AtomSpec, x) -> np.ndarray:
     """Spatial smearing vector F(x) = psi_e*(x) x psi_g(x) of the dipole
-    coupling, with the atom's 2p_z orbital expressed in the base frame via
-    its Euler orientation.
+    coupling for the 1s -> 2p_z transition, with the atom's 2p_z orbital
+    expressed in the base frame via its Euler orientation.
 
     For the identity orientation this is the closed form
     cos(th)/(4 pi a0^4 sqrt(2)) e^{-3r/2a0} r^2 (sin th cos ph, sin th sin ph, cos th).
     """
-    transition = transition or TransitionSpec.em_dipole()
-    if not transition.is_dipole_allowed:
-        raise ValueError("smearing_vector requires the dipole-allowed 1s->2p transition")
     x = np.asarray(x, dtype=float)
     if x.shape != (3,):
         raise ValueError("x must be a 3-vector")
@@ -197,20 +164,6 @@ def smearing_vector(atom: AtomSpec, x,
         y_e = rotate_harmonic(l_e, m_e, atom.orientation, theta, phi)
     radial = radial_R(2, 1, r, atom.a0) * radial_R(1, 0, r, atom.a0)
     return np.conj(y_e) * radial / math.sqrt(4.0 * math.pi) * x.astype(complex)
-
-
-def switching(kind: SwitchingKind, t, atom: AtomSpec):
-    """Gaussian switching chi(t) = exp(-(t - t0)^2/T^2); the cropped variant
-    is identically zero beyond crop_sigmas * T/sqrt(2) from the center."""
-    tt = np.asarray(t, dtype=float)
-    arg = (tt - atom.switching_center) / atom.switching_width
-    out = np.exp(-arg * arg)
-    if kind.variant == "cropped_gaussian":
-        cut = kind.crop_sigmas * atom.sigma
-        out = np.where(np.abs(tt - atom.switching_center) > cut, 0.0, out)
-    if np.isscalar(t) or np.asarray(t).ndim == 0:
-        return float(out)
-    return out
 
 
 # ----------------------------------------------------------------------------
@@ -313,11 +266,8 @@ def sphere_quadrature(indices, n_theta: int = 64, n_phi: int = 128) -> complex:
     th, ph = np.meshgrid(theta, phi, indexing="ij")
     prod = np.ones_like(th, dtype=complex)
     for idx in indices:
-        try:
-            l, m, conj = idx.l, idx.m, idx.conjugated
-        except AttributeError:
-            l, m = idx[0], idx[1]
-            conj = bool(idx[2]) if len(idx) > 2 else False
+        l, m = idx[0], idx[1]
+        conj = bool(idx[2]) if len(idx) > 2 else False
         y = sph_harm_y(l, m, th, ph)
         prod *= np.conj(y) if conj else y
     return complex((prod * wg[:, None]).sum() * (2.0 * math.pi / n_phi))

@@ -6,8 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vharvest.angular import (EulerAngles, HarmonicIndex, ThreeJ,
-                              euler_angles_from_matrix, euler_rotation_matrix,
+from vharvest.angular import (EulerAngles, euler_rotation_matrix,
                               gaunt_integral, polarization_completeness,
                               rotate_harmonic, sph_harm_y, wigner_3j,
                               wigner_D, wigner_d_small)
@@ -62,13 +61,6 @@ def test_3j_orthogonality():
                     assert abs(s - want) <= 1e-13
 
 
-def test_threej_dataclass():
-    t = ThreeJ(1, 1, 0, 0, 0, 0)
-    assert t.value == wigner_3j(1, 1, 0, 0, 0, 0)
-    with pytest.raises(ValueError):
-        ThreeJ(1, 1, 0, 2, 0, 0)
-
-
 # ----------------------------------------------------------------------------
 # Wigner D
 # ----------------------------------------------------------------------------
@@ -113,13 +105,21 @@ def test_d_small_special_angles():
                     want_pi, abs=1e-15)
 
 
+def _euler_angles(rot):
+    # inverse of euler_rotation_matrix, theta in [0, pi]; the random
+    # compositions below stay away from the theta = 0, pi gimbal lock
+    theta = math.atan2(math.hypot(rot[0, 2], rot[1, 2]), rot[2, 2])
+    return EulerAngles(math.atan2(rot[2, 1], -rot[2, 0]), theta,
+                       math.atan2(rot[1, 2], rot[0, 2]))
+
+
 def test_D_composition_via_rotation_matrices(rng):
     # right action: D(a1) @ D(a2) represents R(a2) @ R(a1)
     for _ in range(100):
         a1 = EulerAngles(*rng.uniform(-3, 3, 3))
         a2 = EulerAngles(*rng.uniform(-3, 3, 3))
         rot = euler_rotation_matrix(a2) @ euler_rotation_matrix(a1)
-        a12 = euler_angles_from_matrix(rot)
+        a12 = _euler_angles(rot)
         d1 = np.array([[wigner_D(1, mu, m, a1) for m in (-1, 0, 1)]
                        for mu in (-1, 0, 1)])
         d2 = np.array([[wigner_D(1, mu, m, a2) for m in (-1, 0, 1)]
@@ -127,14 +127,6 @@ def test_D_composition_via_rotation_matrices(rng):
         d12 = np.array([[wigner_D(1, mu, m, a12) for m in (-1, 0, 1)]
                         for mu in (-1, 0, 1)])
         assert np.max(np.abs(d1 @ d2 - d12)) <= 1e-12
-
-
-def test_euler_matrix_roundtrip(rng):
-    for _ in range(50):
-        ang = EulerAngles(*rng.uniform(-3, 3, 3))
-        rot = euler_rotation_matrix(ang)
-        back = euler_rotation_matrix(euler_angles_from_matrix(rot))
-        assert np.max(np.abs(rot - back)) <= 1e-13
 
 
 # ----------------------------------------------------------------------------
@@ -217,15 +209,8 @@ def test_gaunt_azimuthal_selection():
 
 def test_gaunt_conjugation_flags():
     # Y*_21 Y_21 integrates to 1 with a pure pair
-    got = gaunt_integral([HarmonicIndex(2, 1, True), HarmonicIndex(2, 1),
-                          HarmonicIndex(0, 0)])
+    got = gaunt_integral([(2, 1, True), (2, 1), (0, 0)])
     assert got == pytest.approx(1.0 / math.sqrt(4.0 * math.pi), rel=1e-13)
-
-
-def test_gaunt_terms_table():
-    val, table = gaunt_integral([(1, 0), (1, 0), (2, 0), (2, 0)], terms=True)
-    assert val == pytest.approx(sum(table.values()), rel=1e-13)
-    assert all(isinstance(lam, int) for lam in table)
 
 
 def test_gaunt_against_sphere_quadrature(rng):

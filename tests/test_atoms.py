@@ -6,9 +6,8 @@ import pytest
 from vharvest.angular import EulerAngles
 from vharvest.atoms import (AtomSpec, SwitchingKind, radial_overlap,
                             wavefunction_overlap_log10)
-from vharvest.oracle import (TransitionSpec, radial_bruteforce, radial_R,
-                             smearing_scalar, smearing_vector, sphere_quadrature,
-                             switching)
+from vharvest.oracle import (radial_bruteforce, radial_R, smearing_scalar,
+                             smearing_vector, sphere_quadrature)
 from vharvest.specfun import _adaptive_gk
 
 A0 = 0.37
@@ -112,12 +111,6 @@ def test_smearing_vector_orientation_continuity(rng):
         assert np.max(np.abs(got - want)) <= 2.0 * theta * np.max(np.abs(want)) + 1e-15
 
 
-def test_smearing_vector_rejects_scalar_transition():
-    atom = AtomSpec(a0=A0, omega=1.0)
-    with pytest.raises(ValueError):
-        smearing_vector(atom, np.array([0, 0, A0]), TransitionSpec.scalar())
-
-
 def test_em_1s2s_smearing_vanishes_integrated():
     # z component of psi_2s* x psi_1s integrates to zero: the angular factor
     # integral cos(theta) |Y00|^2 dOmega vanishes, the radial part is finite
@@ -166,23 +159,6 @@ def test_smearing_scalar_integrates_to_zero():
 
     val, _, _, _ = adaptive_gk(f, np.linspace(0.0, 80 * A0, 41), 1e-14, 1e-10)
     assert abs(val.real) <= 1e-12
-
-
-def test_switching_peak_and_width():
-    atom = AtomSpec(a0=A0, omega=1.0, switching_center=2.0, switching_width=1.5)
-    gauss = SwitchingKind()
-    assert switching(gauss, 2.0, atom) == 1.0
-    assert switching(gauss, 3.5, atom) == pytest.approx(math.exp(-1.0), rel=1e-15)
-
-
-def test_switching_crop():
-    atom = AtomSpec(a0=A0, omega=1.0, switching_center=2.0, switching_width=1.5)
-    cropped = SwitchingKind("cropped_gaussian", 8.0)
-    sigma = 1.5 / math.sqrt(2.0)
-    assert switching(cropped, 2.0 + 8.01 * sigma, atom) == 0.0
-    assert switching(cropped, 2.0 - 8.01 * sigma, atom) == 0.0
-    inside = 2.0 + 7.99 * sigma
-    assert switching(cropped, inside, atom) == switching(SwitchingKind(), inside, atom)
 
 
 def test_auto_switching_resolves_from_the_lightcone_band():
@@ -282,10 +258,3 @@ def test_atomspec_validation():
         AtomSpec(a0=1.0, omega=0.0)
     with pytest.raises(ValueError):
         AtomSpec(a0=1.0, omega=1.0, switching_width=0.0)
-
-
-def test_transition_spec_rules():
-    assert TransitionSpec.em_dipole().is_dipole_allowed
-    assert not TransitionSpec.scalar().is_dipole_allowed
-    with pytest.raises(ValueError):
-        TransitionSpec(excited=(3, 2, 0))

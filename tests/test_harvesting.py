@@ -1,5 +1,6 @@
 import cmath
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -97,10 +98,12 @@ def test_local_memo_hit_on_repeated_terms():
     memo.cache_clear()
     pair = make_pair(omega=12.0, d=11.0, tba=10.0)
     first = compute_terms(pair, include_cross=False)
-    assert memo.cache_info().misses == 1 and memo.cache_info().hits == 0
+    # L_BB of identical atoms is L_AA's entry
+    assert memo.cache_info().misses == 1 and memo.cache_info().hits == 1
+    assert first.l_bb == first.l_aa
     # another point of the same grid (new d and t_BA) shares L
     again = compute_terms(make_pair(omega=12.0, d=3.0, tba=0.5), include_cross=False)
-    assert memo.cache_info().misses == 1 and memo.cache_info().hits == 1
+    assert memo.cache_info().misses == 1 and memo.cache_info().hits == 3
     assert again.l_aa == first.l_aa
     assert again.quadrature_errors["l_aa"] == first.quadrature_errors["l_aa"]
 
@@ -114,7 +117,7 @@ def test_local_memo_loosened_retry_is_a_separate_key():
     compute_terms(pair, include_cross=False, atol=1e-16, rtol=1e-10)
     compute_terms(pair, include_cross=False, atol=1e-13, rtol=1e-7)
     info = memo.cache_info()
-    assert info.misses == 2 and info.hits == 0 and info.currsize == 2
+    assert info.misses == 2 and info.hits == 2 and info.currsize == 2
     assert info.maxsize is not None  # bounded
 
 
@@ -127,7 +130,7 @@ def test_local_memo_cannot_mask_a_mutated_coefficient(monkeypatch):
     monkeypatch.setattr(harvesting, "EM_LOCAL_COEFF",
                         harvesting.EM_LOCAL_COEFF * (1.0 + 1e-6))
     mutated = compute_terms(pair, include_cross=False)
-    assert memo.cache_info().hits == hits + 1  # served from the memo
+    assert memo.cache_info().hits == hits + 2  # L_AA and L_BB from the memo
     assert mutated.l_aa / base.l_aa - 1.0 == pytest.approx(1e-6, rel=1e-8)
     assert local_term(pair) / base.l_aa - 1.0 == pytest.approx(1e-6, rel=1e-8)
     assert mutated.m == base.m
@@ -468,6 +471,30 @@ def test_scaled_path_survives_underflow():
     assert terms.l_aa == 0.0  # underflowed as an absolute number
     assert terms.l_aa_scaled > 0.0
     assert math.isfinite(terms.negativity2_scaled)
+
+
+def _unequal_gap_pair(omega_b_over_a):
+    # Omega_A T = 40, d/T = 11, t_BA/T = 10, a0 Omega_A = 1e-3
+    a = AtomSpec(a0=1e-3 / 40.0, omega=40.0)
+    b = replace(a, omega=40.0 * omega_b_over_a, position=(0.0, 0.0, 11.0),
+                switching_center=10.0)
+    return DetectorPair(a, b, ModelKind.EM_DIPOLE)
+
+
+def test_scaled_path_survives_underflow_at_unequal_gaps():
+    terms = compute_terms(_unequal_gap_pair(1.02), include_cross=False)
+    assert terms.log_scale == -0.5 * (0.5 * (40.0 + 40.8)) ** 2
+    for value in (terms.l_aa_scaled, terms.l_bb_scaled, abs(terms.m_scaled)):
+        assert 0.0 < value < math.inf
+    assert terms.harvestable()
+
+
+def test_unequal_gaps_out_of_double_range_raise():
+    pair = _unequal_gap_pair(2.0)
+    with pytest.raises(ValueError, match="double range"):
+        compute_terms(pair, include_cross=False)
+    with pytest.raises(ValueError, match="double range"):
+        local_term(pair)
 
 
 # ----------------------------------------------------------------------------
