@@ -29,6 +29,13 @@ integrals as a log scale, so the sign of |M| - L (the harvesting criterion)
 is available even where the values underflow (Omega T > ~38); a pair whose
 terms relative to it leave double range (very unequal gaps) raises
 ValueError.
+
+``compute_terms_many`` evaluates a batch of pairs and shares the work: L
+comes from a memo, and the M (and L_AB) terms that share time(k) and the
+scale k^p / (4u+9)^6, which is every pair with the same model, a0, T, t_BA
+and gap difference, integrate on one head panel set, each distinct d once
+and each to its own tolerance, with its own tail.  ``compute_terms`` is its
+one-pair case.
 """
 
 from __future__ import annotations
@@ -44,7 +51,8 @@ from typing import Callable
 import numpy as np
 
 from .atoms import AtomSpec, SwitchingKind
-from .specfun import (DampedKernelSpec, QuadratureResult, integrate_damped,
+from .specfun import (DampedKernelSpec, DampedMember, QuadratureConvergenceError,
+                      QuadratureResult, integrate_damped, integrate_damped_group,
                       scaled_time_kernel, spherical_bessel_j,
                       spherical_bessel_j0_plus_j2)
 
@@ -60,6 +68,7 @@ __all__ = [
     "cross_noise_term",
     "time_integral_closed",
     "compute_terms",
+    "compute_terms_many",
     "assemble_state",
     "negativity_leading",
     "positivity_report",
@@ -267,30 +276,49 @@ class _Term:
     d: float = 0.0
     t_ba: float = 0.0          # time factors oscillate with period 2 pi/|t_ba|
     memo: tuple | None = None  # _local_quadrature key (L)
+    # terms with equal keys have the same p, kernel, time, wings, a0 and T
+    # and differ only in d and prefactor: they integrate on one panel set
+    share: tuple | None = None
 
 
-def _spec(term: _Term) -> DampedKernelSpec:
-    """The integrand and quadrature spec of a term.  The kernel and time
-    factors are (value, magnitude) pairs; their product's magnitude is
-    propagated to first order."""
-    p, kernel, time, a0, d = term.p, term.kernel, term.time, term.a0, term.d
-    spatial = (2.0 * math.pi / d,) if kernel is not None and d > 0 else ()
+def _spec(term: _Term, ds=None) -> DampedKernelSpec:
+    """The quadrature spec of a term, or of the group of terms that share
+    its key: one member per separation in ds (default: the term's own d).
+    The shared factor is time(k) with the scale k^p / (4u+9)^6; a member
+    multiplies its kernel(k d) by the time factors, then by the scale.  The
+    kernel and time factors are (value, magnitude) pairs; their product's
+    magnitude is propagated to first order."""
+    p, kernel, time, a0 = term.p, term.kernel, term.time, term.a0
 
-    def f(k):
-        (value, mag), *rest = ((kernel(k * d),) if spatial else ()) + time(k)
-        for v, m in rest:
-            value, mag = value * v, mag * np.abs(v) + np.abs(value) * m
-        scale = k ** p / (4.0 * (a0 * k) ** 2 + 9.0) ** 6
-        return scale * value, scale * mag
+    def shared(k):
+        return time(k), k ** p / (4.0 * (a0 * k) ** 2 + 9.0) ** 6
 
-    temporal = (2.0 * math.pi / abs(term.t_ba),) if term.t_ba != 0.0 else ()
+    def member(d):
+        spatial = kernel is not None and d > 0
+
+        def factor(k, s):
+            times, scale = s
+            (value, mag), *rest = ((kernel(k * d),) if spatial else ()) + times
+            for v, m in rest:
+                value, mag = value * v, mag * np.abs(v) + np.abs(value) * m
+            return scale * value, scale * mag
+
+        return DampedMember(factor, 2.0 * math.pi / d if spatial else None)
+
     return DampedKernelSpec(
         damping_width=0.5 * term.T * term.T,
-        oscillation_lengths=spatial + temporal,
-        integrand=f,
+        oscillation_lengths=(2.0 * math.pi / abs(term.t_ba),) if term.t_ba != 0.0 else (),
+        integrand=shared,
         algebraic_cutoff=_WING_CUTOFF[p] / (2.0 * a0) if term.wings else None,
-        tail_oscillation_length=spatial[0] if term.wings and spatial else None,
+        members=tuple(map(member, (term.d,) if ds is None else ds)),
     )
+
+
+def _integrand(term: _Term):
+    # k -> (value, magnitude) of the term's whole integrand
+    spec = _spec(term)
+    factor = spec.members[0].factor
+    return lambda k: factor(k, spec.integrand(k))
 
 
 @functools.lru_cache(maxsize=256)
@@ -303,13 +331,36 @@ def _local_quadrature(model: ModelKind, a0: float, omega: float, T: float,
     return integrate_damped(_spec(_local(model, atom)), atol=atol, rtol=rtol)
 
 
-def _evaluate(term: _Term, log_scale: float, atol: float,
-              rtol: float) -> QuadratureResult:
-    """A term's value, error and integral of the magnitude relative to exp(log_scale):
-    the one place a prefactor is applied.  Raises ValueError where that
-    value leaves the range of normal doubles."""
-    quad = (_local_quadrature(*term.memo, atol, rtol) if term.memo
-            else integrate_damped(_spec(term), atol=atol, rtol=rtol))
+def _quadratures(terms: list, atol: float, rtol: float) -> list:
+    """The bare integral of each term.  L comes from its memo; the other
+    terms are grouped by key, and each group is one integrate_damped_group
+    call with one member per distinct d, so terms that differ only in the
+    prefactor share one integral.  An entry is a QuadratureResult, or the
+    QuadratureConvergenceError of a term that missed the tolerance."""
+    out = [None] * len(terms)
+    groups = {}
+    for i, term in enumerate(terms):
+        if term.memo:
+            try:
+                out[i] = _local_quadrature(*term.memo, atol, rtol)
+            except QuadratureConvergenceError as exc:
+                out[i] = exc
+        else:
+            groups.setdefault(term.share, []).append(i)
+    for members in groups.values():
+        ds = list(dict.fromkeys(terms[i].d for i in members))
+        spec = _spec(terms[members[0]], ds)
+        by_d = dict(zip(ds, integrate_damped_group(spec, atol=atol, rtol=rtol)))
+        for i in members:
+            out[i] = by_d[terms[i].d]
+    return out
+
+
+def _evaluate(term: _Term, quad: QuadratureResult, log_scale: float) -> QuadratureResult:
+    """A term's value, error and integral of the magnitude relative to
+    exp(log_scale) from its bare integral: the one place a prefactor is
+    applied.  Raises ValueError where that value leaves the range of normal
+    doubles."""
     coeff, q, rel, phase, term_scale = term.prefactor
     shift = term_scale - log_scale
     pref = coeff * term.a0 ** q * term.T * term.T
@@ -342,7 +393,10 @@ def _log_scale(pair: DetectorPair) -> float:
 
 def _absolute(pair: DetectorPair, term: _Term, atol: float, rtol: float):
     log_scale = _log_scale(pair)
-    return math.exp(log_scale) * _evaluate(term, log_scale, atol, rtol).value
+    (quad,) = _quadratures([term], atol, rtol)
+    if isinstance(quad, QuadratureConvergenceError):
+        raise quad
+    return math.exp(log_scale) * _evaluate(term, quad, log_scale).value
 
 
 def _gaussian(k, T: float, omega: float):
@@ -379,7 +433,8 @@ def _nonlocal(pair: DetectorPair) -> _Term:
                                          b.switching_center, T)
     prefactor = (-e2 * (c_m / math.pi), q, pair.cos_relative_angle, phase,
                  term_scale)
-    return _Term(p, kernel, time, True, prefactor, a.a0, T, pair.separation, t_ba)
+    return _Term(p, kernel, time, True, prefactor, a.a0, T, pair.separation, t_ba,
+                 share=("M", p, a.a0, T, t_ba, d_omega))
 
 
 def _cross(pair: DetectorPair) -> _Term:
@@ -394,7 +449,8 @@ def _cross(pair: DetectorPair) -> _Term:
 
     prefactor = (pair.coupling ** 2 * (c_l / math.pi), q, pair.cos_relative_angle,
                  cmath.exp(-1j * omega * t_ba), -0.5 * (T * omega) ** 2)
-    return _Term(p, kernel, time, False, prefactor, a.a0, T, pair.separation, t_ba)
+    return _Term(p, kernel, time, False, prefactor, a.a0, T, pair.separation, t_ba,
+                 share=("L_AB", p, a.a0, T, t_ba, omega))
 
 
 # ----------------------------------------------------------------------------
@@ -404,7 +460,7 @@ def _cross(pair: DetectorPair) -> _Term:
 def local_integrand(model: ModelKind, a0: float, omega: float, T: float):
     """Scaled local-term integrand's value (the closed kernel with exp(T^2
     omega^2/2) factored out); exposed so tests can compare models pointwise."""
-    f = _spec(_local(model, AtomSpec(a0=a0, omega=omega, switching_width=T))).integrand
+    f = _integrand(_local(model, AtomSpec(a0=a0, omega=omega, switching_width=T)))
     return lambda k: f(k)[0]
 
 
@@ -412,7 +468,7 @@ def nonlocal_integrand(pair: DetectorPair):
     """Scaled nonlocal-term integrand's value (the time kernel, with
     exp(T^2 Omega^2/2) at the mean gap Omega factored out); the derivative
     and scalar models differ by exactly k^2 here."""
-    f = _spec(_nonlocal(pair)).integrand
+    f = _integrand(_nonlocal(pair))
     return lambda k: f(k)[0]
 
 
@@ -471,7 +527,8 @@ def time_integral_closed(omega_a: float, omega_b: float, k, t_a: float,
 def compute_terms(pair: DetectorPair, switching: SwitchingKind | None = None,
                   include_cross: bool = True, atol: float = 1e-16,
                   rtol: float = 1e-10) -> HarvestTerms:
-    """Evaluate every density-matrix element for the pair.
+    """Evaluate every density-matrix element for the pair: the one-pair case
+    of ``compute_terms_many``.
 
     L_AB is computed for identical atoms only; other pairs need
     ``include_cross=False``.  Cropped switching evaluates the same closed
@@ -480,19 +537,58 @@ def compute_terms(pair: DetectorPair, switching: SwitchingKind | None = None,
     erfc(8/sqrt(2)) ~ 1.3e-15, below the double-precision resolution of the
     integrals themselves.  "auto" switching is resolved from the pair's
     separation and delay (``SwitchingKind.resolve``); None is uncropped.
-    Raises ValueError where a term relative to exp(log_scale) leaves double
-    range.
+    Raises QuadratureConvergenceError where a term misses the tolerance, and
+    ValueError where a term relative to exp(log_scale) leaves double range.
     """
-    if include_cross and not pair.identical:
+    (terms,) = compute_terms_many([pair], switching, include_cross, atol, rtol)
+    if isinstance(terms, QuadratureConvergenceError):
+        raise terms
+    return terms
+
+
+def compute_terms_many(pairs, switching: SwitchingKind | None = None,
+                       include_cross: bool = True, atol: float = 1e-16,
+                       rtol: float = 1e-10) -> list:
+    """``compute_terms`` of every pair, sharing the momentum integrals.
+
+    L comes from its memo.  The M terms of pairs that agree on the model,
+    a0, T, t_BA and Omega_A - Omega_B share their time kernel and differ
+    only in d and in the prefactor (cos theta, phase, scale): they are
+    integrated on one head panel set (``specfun.integrate_damped_group``),
+    each distinct d once; L_AB likewise.  A pair alone gives the same bits
+    as in a group of one; in a larger group its values may differ from that
+    by less than the reported errors.
+
+    Returns one entry per pair: its HarvestTerms, or the
+    QuadratureConvergenceError of its first term that missed the tolerance,
+    which leaves the other pairs as they are.  Raises ValueError as
+    ``compute_terms`` does.
+    """
+    pairs = list(pairs)
+    if include_cross and not all(pair.identical for pair in pairs):
         raise ValueError("L_AB requires identical atoms; pass include_cross=False")
+    per_pair = []
+    for pair in pairs:
+        terms = {"l_aa": _local(pair.model, pair.atom_a, pair.coupling),
+                 "l_bb": _local(pair.model, pair.atom_b, pair.coupling),
+                 "m": _nonlocal(pair)}
+        if include_cross:
+            terms["l_ab"] = _cross(pair)
+        per_pair.append(terms)
+    quads = iter(_quadratures([t for terms in per_pair for t in terms.values()],
+                              atol, rtol))
+    out = []
+    for pair, terms in zip(pairs, per_pair):
+        quad = {name: next(quads) for name in terms}
+        failed = [q for q in quad.values() if isinstance(q, QuadratureConvergenceError)]
+        out.append(failed[0] if failed else _harvest_terms(pair, terms, quad, switching))
+    return out
+
+
+def _harvest_terms(pair: DetectorPair, terms: dict, quad: dict,
+                   switching: SwitchingKind | None) -> HarvestTerms:
     log_scale = _log_scale(pair)
-    terms = {"l_aa": _local(pair.model, pair.atom_a, pair.coupling),
-             "l_bb": _local(pair.model, pair.atom_b, pair.coupling),
-             "m": _nonlocal(pair)}
-    if include_cross:
-        terms["l_ab"] = _cross(pair)
-    res = {name: _evaluate(term, log_scale, atol, rtol)
-           for name, term in terms.items()}
+    res = {name: _evaluate(term, quad[name], log_scale) for name, term in terms.items()}
     errors = {name: r.abs_error_estimate for name, r in res.items()}
     if switching is not None:
         switching = switching.resolve(pair.separation, pair.t_ba, pair.atom_a.sigma)
@@ -504,7 +600,7 @@ def compute_terms(pair: DetectorPair, switching: SwitchingKind | None = None,
 
     factor = math.exp(log_scale)
     l_aa_s, l_bb_s, m_s = res["l_aa"].value.real, res["l_bb"].value.real, res["m"].value
-    l_ab_s = res["l_ab"].value if include_cross else 0.0 + 0.0j
+    l_ab_s = res["l_ab"].value if "l_ab" in res else 0.0 + 0.0j
     return HarvestTerms(
         l_aa=factor * l_aa_s, l_bb=factor * l_bb_s,
         l_ab=factor * l_ab_s, m=factor * m_s,

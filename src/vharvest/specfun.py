@@ -9,7 +9,10 @@ with w = T^2/2.  The time kernel contains complex complementary error
 functions whose naive evaluation overflows once T*k > ~38; everything here
 keeps exponents combined analytically so only non-positive real parts are
 ever exponentiated.  All functions are pure and accept numpy arrays where
-it matters.
+it matters.  Integrands that share a factor (a grid's time kernel) are
+integrated as the members of one group on one head panel set
+(``integrate_damped_group``), so the shared factor is evaluated once per
+pass for all of them.
 
 Rounding model: an integrand returns (value, magnitude) per node, with
 magnitude >= |value| such that 50 eps x magnitude bounds the node's rounding
@@ -23,6 +26,7 @@ place that rounding enters the error estimates.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -35,10 +39,12 @@ __all__ = [
     "QuadratureConvergenceError",
     "QuadratureResult",
     "DampedKernelSpec",
+    "DampedMember",
     "scaled_time_kernel",
     "spherical_bessel_j",
     "spherical_bessel_j0_plus_j2",
     "integrate_damped",
+    "integrate_damped_group",
 ]
 
 _SQRT2 = math.sqrt(2.0)
@@ -71,36 +77,58 @@ class QuadratureResult:
 
 
 @dataclass(frozen=True)
+class DampedMember:
+    """One member of a group integrand shared(k) x member(k).
+
+    factor: callable (k, shared) -> (value, magnitude) of the member's whole
+        integrand, given the array k of nodes and the spec's integrand at
+        them; None: the spec's integrand is the member's whole integrand.
+    oscillation_length: period in k of the member's own oscillatory factor
+        (the spatial kernel's 2*pi/d), None if it has none.  Past the
+        Gaussian truncation point it is the period of the member's tail.
+    """
+
+    factor: Callable | None = None
+    oscillation_length: float | None = None
+
+    def __post_init__(self):
+        if self.oscillation_length is not None and not (self.oscillation_length > 0.0):
+            raise ValueError("oscillation_length must be positive")
+
+
+@dataclass(frozen=True)
 class DampedKernelSpec:
-    """Semi-infinite integrand with a known Gaussian envelope.
+    """Semi-infinite integrands with a known Gaussian envelope: one per
+    member, all sharing the factor ``integrand``.
 
     damping_width: w such that the Gaussian part of the integrand is bounded
         by exp(-w k^2); for the harvesting kernels w = T^2/2.
-    oscillation_lengths: periods in k of every oscillatory factor (2*pi/d for
-        the spatial kernel, 2*pi/t_ba for the time phase).  Empty if the
-        integrand does not oscillate.
-    integrand: vectorized callable on arrays of k >= 0, returning the arrays
-        (value, magnitude) of the module's rounding model.
+    oscillation_lengths: periods in k of the shared oscillatory factors (the
+        time phase's 2*pi/t_ba); the members add their own.
+    integrand: vectorized callable on arrays of k >= 0.  Without member
+        factors it returns the arrays (value, magnitude) of the module's
+        rounding model; otherwise whatever the member factors take.
     algebraic_cutoff: the erfc wings of the time kernel decay only
-        algebraically; when nothing oscillates, integrate those out to this k
-        instead of stopping at the Gaussian truncation point.
-    tail_oscillation_length: period that survives past the Gaussian
-        truncation point (the spatial kernel's 2*pi/d).
+        algebraically: past the Gaussian truncation point a member with an
+        oscillation sums them by extrapolation over its half periods, one
+        without integrates them out to this k.  None: nothing survives.
+    members: the integrands of the group, each integrated to its own
+        tolerance on one shared head panel set.
     """
 
     damping_width: float
     oscillation_lengths: tuple[float, ...]
-    integrand: Callable[[np.ndarray], np.ndarray]
+    integrand: Callable[[np.ndarray], object]
     algebraic_cutoff: float | None = None
-    tail_oscillation_length: float | None = None
+    members: tuple[DampedMember, ...] = (DampedMember(),)
 
     def __post_init__(self):
         if not (self.damping_width > 0.0):
             raise ValueError("damping_width must be positive")
         if any(not (ell > 0.0) for ell in self.oscillation_lengths):
             raise ValueError("oscillation_lengths must all be positive")
-        if self.tail_oscillation_length is not None and not (self.tail_oscillation_length > 0.0):
-            raise ValueError("tail_oscillation_length must be positive")
+        if not self.members:
+            raise ValueError("a spec needs at least one member")
 
 
 # ----------------------------------------------------------------------------
@@ -305,21 +333,13 @@ _WG = np.array([
 _ROUNDOFF = 50.0 * np.finfo(float).eps
 
 
-def _gk15_panels(f, lo: np.ndarray, hi: np.ndarray):
-    """Vectorized GK15 on a batch of panels of f -> (value, magnitude).
-
-    Returns (integral, error_estimate, abs_integral, n_evals) per panel, with
-    the QUADPACK error heuristic; abs_integral integrates the magnitude, so
-    the roundoff floor counts the integrand's rounding.
-    """
-    half = 0.5 * (hi - lo)
-    mid = 0.5 * (hi + lo)
-    nodes = mid[:, None] + half[:, None] * _XGK[None, :]
-    fv, fm = f(nodes.ravel())
-    fv = np.asarray(fv).reshape(nodes.shape)
+def _gk15_reduce(fv, fm, half: np.ndarray):
+    # GK15 sums of node values fv and magnitudes fm, 15 nodes per panel
+    shape = (half.size, _XGK.size)
+    fv = np.asarray(fv).reshape(shape)
     resk = (fv * _WGK[None, :]).sum(axis=1) * half
     resg = (fv[:, 1::2] * _WG[None, :]).sum(axis=1) * half
-    resabs = (np.reshape(fm, nodes.shape) * _WGK[None, :]).sum(axis=1) * np.abs(half)
+    resabs = (np.reshape(fm, shape) * _WGK[None, :]).sum(axis=1) * np.abs(half)
     fmean = resk / (2.0 * half)
     resasc = (np.abs(fv - fmean[:, None]) * _WGK[None, :]).sum(axis=1) * np.abs(half)
     err = np.abs(resk - resg)
@@ -329,11 +349,33 @@ def _gk15_panels(f, lo: np.ndarray, hi: np.ndarray):
     err = np.where(nonzero, resasc * scaled, err)
     # roundoff floor
     err = np.maximum(err, _ROUNDOFF * resabs)
-    return resk, err, resabs, fv.size
+    return resk, err, resabs
+
+
+def _gk15_panels(f, lo: np.ndarray, hi: np.ndarray, factors=None):
+    """Vectorized GK15 on a batch of panels of f -> (value, magnitude).
+
+    Returns (integral, error_estimate, abs_integral, n_evals) per panel, with
+    the QUADPACK error heuristic; abs_integral integrates the magnitude, so
+    the roundoff floor counts the integrand's rounding.  With factors, f is
+    a shared factor evaluated once on the nodes, each factor (k, f(k)) ->
+    (value, magnitude) is one integrand (None: f itself), reduced one at a
+    time, and the first three entries are lists with one array per factor.
+    """
+    half = 0.5 * (hi - lo)
+    mid = 0.5 * (hi + lo)
+    k = (mid[:, None] + half[:, None] * _XGK[None, :]).ravel()
+    if factors is None:
+        return (*_gk15_reduce(*f(k), half), k.size)
+    shared = f(k)
+    parts = [_gk15_reduce(*(shared if factor is None else factor(k, shared)), half)
+             for factor in factors]
+    vals, errs, absl = map(list, zip(*parts))
+    return vals, errs, absl, k.size
 
 
 def _adaptive_gk(f, breakpoints: np.ndarray, atol: float, rtol: float,
-                 max_panels: int = 4000):
+                 max_panels: int = 4000, factors=None):
     """Adaptive GK15 over the panel decomposition given by breakpoints.
 
     Panels live in parallel arrays (QUADPACK-style bookkeeping); each pass
@@ -348,36 +390,60 @@ def _adaptive_gk(f, breakpoints: np.ndarray, atol: float, rtol: float,
     QUADPACK reports roundoff (ier = 2), instead of splitting on to
     max_panels.  The returned error still includes the floor, so a caller
     sees that tol was missed.
+
+    With factors, f is the factor that the integrands (k, f(k)) -> (value,
+    magnitude) of ``_gk15_panels`` share, and the members integrate on one
+    panel set, so f is evaluated once per pass for all of them.  Each member
+    keeps its own error, tol and stopping tests, and its result is frozen
+    when it stops: its factor is no longer evaluated.  A pass splits the
+    panels with the worst err_i / tol_i over the members still running (the
+    worst err_i for one).  Returns one (value, error, abs_integral, evals)
+    per factor, or without factors the one of f.
     """
+    members = [None] if factors is None else list(factors)
     lo = np.asarray(breakpoints[:-1], dtype=float)
     hi = np.asarray(breakpoints[1:], dtype=float)
-    val, err, absl, evals = _gk15_panels(f, lo, hi)
+    val, err, absl, evals = _gk15_panels(f, lo, hi, members)
+    active = list(range(len(members)))
+    out = [None] * len(members)
     while True:
-        total = val.sum()
-        tol = max(atol, rtol * abs(total))
-        err_sum = err.sum()
-        if err_sum <= tol:
+        tols, running = [], []
+        for j, i in enumerate(active):
+            total = val[j].sum()
+            tol = max(atol, rtol * abs(total))
+            err_sum = err[j].sum()
+            abs_sum = absl[j].sum()
+            floor = _ROUNDOFF * abs_sum
+            if (err_sum <= tol or (floor >= tol and err_sum - floor <= tol)
+                    or lo.size >= max_panels):
+                out[i] = (total, float(err_sum), float(abs_sum), evals)
+            else:
+                tols.append(tol)
+                running.append(j)
+        if not running:
             break
-        floor = _ROUNDOFF * absl.sum()
-        if floor >= tol and err_sum - floor <= tol:
-            break
-        if lo.size >= max_panels:
-            break
-        order = np.argsort(err, kind="stable")
+        active = [active[j] for j in running]
+        val = [val[j] for j in running]
+        err = [err[j] for j in running]
+        absl = [absl[j] for j in running]
+        score = (err[0] if len(active) == 1 else
+                 functools.reduce(np.maximum, (e / t for e, t in zip(err, tols))))
+        order = np.argsort(score, kind="stable")
         n_split = min(16, max(1, lo.size // 8))
         keep, worst = order[:-n_split], order[-n_split:]
         a, b = lo[worst], hi[worst]
         m = 0.5 * (a + b)
         new_lo = np.column_stack((a, m)).ravel()
         new_hi = np.column_stack((m, b)).ravel()
-        new_val, new_err, new_abs, n = _gk15_panels(f, new_lo, new_hi)
+        new_val, new_err, new_abs, n = _gk15_panels(f, new_lo, new_hi,
+                                                    [members[i] for i in active])
         evals += n
         lo = np.concatenate((lo[keep], new_lo))
         hi = np.concatenate((hi[keep], new_hi))
-        val = np.concatenate((val[keep], new_val))
-        err = np.concatenate((err[keep], new_err))
-        absl = np.concatenate((absl[keep], new_abs))
-    return val.sum(), float(err.sum()), float(absl.sum()), evals
+        val = [np.concatenate((x[keep], y)) for x, y in zip(val, new_val)]
+        err = [np.concatenate((x[keep], y)) for x, y in zip(err, new_err)]
+        absl = [np.concatenate((x[keep], y)) for x, y in zip(absl, new_abs)]
+    return out if factors is not None else out[0]
 
 
 def _wynn_epsilon(partial_sums: Sequence[complex]):
@@ -448,28 +514,34 @@ def _smooth_tail(f, start: float, cutoff: float, atol: float, rtol: float):
     return _adaptive_gk(f, np.geomspace(start, cutoff, 8 * n_dec + 1), atol, rtol)
 
 
-def integrate_damped(spec: DampedKernelSpec, atol: float = 1e-16,
-                     rtol: float = 1e-10, max_panels: int = 4000) -> QuadratureResult:
-    """Integrate spec.integrand over [0, inf).
+def integrate_damped_group(spec: DampedKernelSpec, atol: float = 1e-16,
+                           rtol: float = 1e-10, max_panels: int = 4000) -> list:
+    """Integrate every member of spec over [0, inf) on one head panel set.
 
     The Gaussian envelope is dead (< 1e-300) beyond k_hi = sqrt(750/w); the
     finite part [0, k_hi] is integrated adaptively with panels seeded at half
-    periods of the fastest oscillation.  Whatever survives past k_hi (the
-    algebraically decaying erfc wings) is summed either by Wynn-epsilon
-    extrapolation over half-period panels (oscillatory case) or by geometric
-    panels out to the rational-kernel cutoff (smooth case).
+    periods of the fastest oscillation across the shared factor and the
+    members.  The shared factor is evaluated once per pass for every member
+    still running, and each member stops on its own tolerance
+    (``_adaptive_gk``).  Whatever survives past k_hi (the algebraically
+    decaying erfc wings) is each member's own: summed by Wynn-epsilon
+    extrapolation over its half-period panels if it oscillates, else by
+    geometric panels out to the rational-kernel cutoff.
 
-    Raises QuadratureConvergenceError (carrying the best estimate) if the
-    requested tolerance is unreachable.
+    Returns one entry per member: its QuadratureResult, or, where its
+    requested tolerance is unreachable, a QuadratureConvergenceError
+    carrying its best estimate.  One member's failure leaves the others'
+    results as they are.
     """
-    f = spec.integrand
     k_hi = math.sqrt(_GAUSS_DEAD / spec.damping_width)
 
     pts = {0.0, k_hi}
     # resolve the low-k structure of the k^p * rational prefactor
     pts.update(np.geomspace(k_hi * 1e-4, k_hi, 17))
-    if spec.oscillation_lengths:
-        h = min(spec.oscillation_lengths) / 2.0
+    lengths = spec.oscillation_lengths + tuple(
+        m.oscillation_length for m in spec.members if m.oscillation_length is not None)
+    if lengths:
+        h = min(lengths) / 2.0
         n_osc = int(k_hi / h)
         if n_osc > 1:
             max_seed = 600
@@ -477,29 +549,48 @@ def integrate_damped(spec: DampedKernelSpec, atol: float = 1e-16,
             pts.update(np.arange(1, n_osc + 1)[::stride] * h)
     breakpoints = np.array(sorted(pts))
 
-    value, err, absint, evals = _adaptive_gk(f, breakpoints, 0.5 * atol, 0.5 * rtol,
-                                             max_panels=max_panels)
+    heads = _adaptive_gk(spec.integrand, breakpoints, 0.5 * atol, 0.5 * rtol,
+                         max_panels=max_panels,
+                         factors=[m.factor for m in spec.members])
+    out = []
+    for member, (value, err, absint, evals) in zip(spec.members, heads):
+        factor = member.factor
+        f = spec.integrand if factor is None else lambda k: factor(k, spec.integrand(k))
+        tail = None
+        if spec.algebraic_cutoff is not None:
+            if member.oscillation_length is not None:
+                # keep tail panels comparable to the head
+                h = min(member.oscillation_length / 2.0, k_hi)
+                tail = _oscillatory_tail(f, k_hi, h, 0.5 * atol, 0.5 * rtol)
+            elif spec.algebraic_cutoff > k_hi:
+                tail = _smooth_tail(f, k_hi, spec.algebraic_cutoff, 0.5 * atol, 0.5 * rtol)
+        if tail is not None:
+            t_value, t_err, t_abs, t_evals = tail
+            value += t_value
+            err += t_err
+            absint += t_abs
+            evals += t_evals
 
-    # Tail policy: a declared surviving oscillation is summed by
-    # extrapolation; otherwise a declared algebraic cutoff gets smooth
-    # geometric panels; otherwise nothing survives past k_hi.
-    tail = None
-    if spec.tail_oscillation_length is not None:
-        # keep tail panels comparable to the head
-        h = min(spec.tail_oscillation_length / 2.0, k_hi)
-        tail = _oscillatory_tail(f, k_hi, h, 0.5 * atol, 0.5 * rtol)
-    elif spec.algebraic_cutoff is not None and spec.algebraic_cutoff > k_hi:
-        tail = _smooth_tail(f, k_hi, spec.algebraic_cutoff, 0.5 * atol, 0.5 * rtol)
-    if tail is not None:
-        t_value, t_err, t_abs, t_evals = tail
-        value += t_value
-        err += t_err
-        absint += t_abs
-        evals += t_evals
+        result = QuadratureResult(value=value, abs_error_estimate=float(err),
+                                  evaluations=int(evals), abs_integral=float(absint))
+        if err > max(atol, rtol * abs(value)) and err > 1e3 * np.finfo(float).eps * absint:
+            result = QuadratureConvergenceError(
+                f"quadrature stalled at abs error {err:.3e} for value {value:.6e}", result)
+        out.append(result)
+    return out
 
-    result = QuadratureResult(value=value, abs_error_estimate=float(err),
-                              evaluations=int(evals), abs_integral=float(absint))
-    if err > max(atol, rtol * abs(value)) and err > 1e3 * np.finfo(float).eps * absint:
-        raise QuadratureConvergenceError(
-            f"quadrature stalled at abs error {err:.3e} for value {value:.6e}", result)
+
+def integrate_damped(spec: DampedKernelSpec, atol: float = 1e-16,
+                     rtol: float = 1e-10, max_panels: int = 4000) -> QuadratureResult:
+    """``integrate_damped_group`` of a spec with one member.
+
+    Raises QuadratureConvergenceError (carrying the best estimate) if the
+    requested tolerance is unreachable.
+    """
+    if len(spec.members) != 1:
+        raise ValueError("integrate_damped takes a spec with one member; "
+                         "use integrate_damped_group")
+    (result,) = integrate_damped_group(spec, atol=atol, rtol=rtol, max_panels=max_panels)
+    if isinstance(result, QuadratureConvergenceError):
+        raise result
     return result

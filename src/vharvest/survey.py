@@ -1,8 +1,12 @@
 """Parameter sweeps over the dimensionless groups (a0*Omega, Omega*T, d/T,
 t_BA/T, Euler angles) and the optimal-orientation catalogue.
 
-All sweeps work at T = 1 internally; rows are evaluated one after another
-in canonical grid order.  Every sweep forwards its keywords to ``run_grid``,
+All sweeps work at T = 1 internally.  A sweep hands all its points to
+``harvesting.compute_terms_many`` at once, which integrates M once per
+shared time kernel: the points of a row at one t_BA (fig5a/b), one Omega
+(fig4) or one model (fig7) share one head panel set, and points that differ
+only in orientation (fig3) share one integral.  Rows come back in canonical
+grid order.  Every sweep forwards its keywords to ``run_grid``,
 whose ``threads`` is accepted and has no effect: the work is GIL-bound, and
 a thread pool ran a grid at about 0.9x the speed of one thread.
 """
@@ -17,7 +21,7 @@ import numpy as np
 
 from .angular import EulerAngles, euler_rotation_matrix
 from .atoms import LIGHTCONE_SIGMAS, AtomSpec, SwitchingKind
-from .harvesting import DetectorPair, ModelKind, compute_terms
+from .harvesting import DetectorPair, ModelKind, compute_terms_many
 from .specfun import QuadratureConvergenceError
 
 __all__ = [
@@ -85,10 +89,12 @@ class ScanGrid:
                 raise ValueError(f"{name!r} is both an axis and fixed")
 
     def points(self):
-        """Yield parameter dicts in canonical raster order (last axis fastest)."""
+        """Yield parameter dicts in canonical raster order (last axis fastest).
+        The points share one float object per axis value, and so do the
+        coordinates of the rows a scan keeps."""
         names = [a.name for a in self.axes]
-        for values in itertools.product(*(a.values() for a in self.axes)):
-            yield {**dict(zip(names, map(float, values))), **self.fixed}
+        for values in itertools.product(*(a.values().tolist() for a in self.axes)):
+            yield {**dict(zip(names, values)), **self.fixed}
 
 
 @dataclass(frozen=True, slots=True)
@@ -132,29 +138,17 @@ def pair_from_params(params: dict, model: ModelKind,
     return DetectorPair(atom_a, atom_b, model, coupling=coupling)
 
 
-def _eval_point(params: dict, axis_names: tuple, model: ModelKind,
-                switching: SwitchingKind, coupling: float, error_factor: float,
-                rtol: float, atol: float) -> ScanRow:
-    coords = tuple(params[a] for a in axis_names)
-    pair = pair_from_params(params, model, coupling)
-    converged = True
-    try:
-        terms = compute_terms(pair, switching=switching, include_cross=False,
-                              atol=atol, rtol=rtol)
-    except QuadratureConvergenceError:
-        converged = False
-        try:
-            terms = compute_terms(pair, switching=switching, include_cross=False,
-                                  atol=atol * 1e3, rtol=rtol * 1e3)
-        except QuadratureConvergenceError:
-            return ScanRow(coords, math.nan, math.nan, math.nan, math.nan,
-                           math.nan, False, False, math.inf)
-    n2 = terms.negativity2
+def _row(coords: tuple, terms, converged: bool, error_factor: float) -> ScanRow:
+    if isinstance(terms, QuadratureConvergenceError):
+        return ScanRow(coords, math.nan, math.nan, math.nan, math.nan,
+                       math.nan, False, False, math.inf)
+    # plain floats, smaller than numpy scalars: a scan keeps every row
+    n2 = float(terms.negativity2)
     return ScanRow(
         coords=coords,
-        l_aa=terms.l_aa,
-        l_bb=terms.l_bb,
-        abs_m=abs(terms.m),
+        l_aa=float(terms.l_aa),
+        l_bb=float(terms.l_bb),
+        abs_m=float(abs(terms.m)),
         n2=n2,
         n=max(0.0, n2),
         harvestable=terms.harvestable(error_factor),
@@ -167,14 +161,29 @@ def run_grid(grid: ScanGrid, threads: int = 1, switching: SwitchingKind | None =
              coupling: float = 1.0, error_factor: float = 10.0,
              rtol: float = 1e-10, atol: float = 1e-16) -> ScanResult:
     """Evaluate the negativity over the grid; rows in canonical raster order.
-    ``switching=None`` means ``SwitchingKind("auto")``.  ``threads`` is
-    accepted and has no effect."""
+
+    All points go to ``compute_terms_many`` in one call, so points that
+    differ only in d and orientation share their M integrals.  A point whose
+    terms miss the tolerance is retried, with the other such points, at
+    atol and rtol x 1e3 and marked ``converged=False``; one that misses
+    that too is a row of NaN.  ``switching=None`` means
+    ``SwitchingKind("auto")``.  ``threads`` is accepted and has no effect."""
     if switching is None:
         switching = SwitchingKind("auto")
     axis_names = tuple(a.name for a in grid.axes)
-    rows = [_eval_point(p, axis_names, grid.model, switching, coupling,
-                        error_factor, rtol, atol)
-            for p in grid.points()]
+    coords = []
+    pairs = []
+    for p in grid.points():
+        coords.append(tuple(p[a] for a in axis_names))
+        pairs.append(pair_from_params(p, grid.model, coupling))
+    results = compute_terms_many(pairs, switching=switching, include_cross=False,
+                                 atol=atol, rtol=rtol)
+    missed = [i for i, r in enumerate(results) if isinstance(r, QuadratureConvergenceError)]
+    retried = compute_terms_many([pairs[i] for i in missed], switching=switching,
+                                 include_cross=False, atol=atol * 1e3, rtol=rtol * 1e3)
+    rows = [_row(c, r, True, error_factor) for c, r in zip(coords, results)]
+    for i, r in zip(missed, retried):
+        rows[i] = _row(coords[i], r, False, error_factor)
     meta = {
         "model": grid.model.value,
         "fixed": dict(grid.fixed),

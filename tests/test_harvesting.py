@@ -249,7 +249,7 @@ def test_unequal_gap_integrand_array_equals_node_by_node(rng):
         time = np.array([complex(_time_integral_mp(mp, a.omega, b.omega, kk, 0.0, 6.0, 1.0)
                                  / scale) for kk in k])
         want = k ** term.p * term.kernel(k * 4.0)[0] * time / (4.0 * (a0 * k) ** 2 + 9.0) ** 6
-        got, mag = harvesting._spec(term).integrand(k)
+        got, mag = harvesting._integrand(term)(k)
         assert np.all(np.abs(got - want) <= specfun._ROUNDOFF * mag)
 
 

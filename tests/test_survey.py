@@ -1,11 +1,14 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from vharvest import harvesting, specfun
 from vharvest.angular import EulerAngles
-from vharvest.harvesting import ModelKind
-from vharvest.survey import (Axis, ScanGrid, harvestability_map,
+from vharvest.atoms import SwitchingKind
+from vharvest.harvesting import ModelKind, compute_terms
+from vharvest.survey import (Axis, ScanGrid, ScanResult, harvestability_map,
                              model_comparison, optimal_orientations,
                              orientation_scan, orientation_score,
                              pair_from_params, run_grid, spacetime_map)
@@ -141,3 +144,128 @@ def test_optimal_orientations_beat_identity():
 def test_pair_from_params_validation():
     with pytest.raises(ValueError):
         pair_from_params({"a0_omega": -1.0}, ModelKind.EM_DIPOLE)
+
+
+# ----------------------------------------------------------------------------
+# shared time kernels: grid rows against their points alone
+# ----------------------------------------------------------------------------
+
+def _assert_rows_match_points_alone(res, model, fixed):
+    auto = SwitchingKind("auto")
+    names = [a.name for a in res.grid.axes]
+    for row in res.rows:
+        assert row.converged
+        pair = pair_from_params({**fixed, **dict(zip(names, row.coords))}, model)
+        alone = compute_terms(pair, switching=auto, include_cross=False)
+        scale = math.exp(alone.log_scale)
+        err = alone.quadrature_errors
+        for got, want, want_err in ((row.l_aa, alone.l_aa, err["l_aa"]),
+                                    (row.abs_m, abs(alone.m), err["m"]),
+                                    (row.n2, alone.negativity2,
+                                     alone.negativity2_error_scaled())):
+            assert abs(got - want) <= row.quad_error + scale * want_err
+        assert row.harvestable == alone.harvestable()
+
+
+def test_grid_rows_match_compute_terms_alone():
+    fig5a = spacetime_map(Axis("d_over_T", 0.0, 24.0, 6),
+                          Axis("tba_over_T", 0.0, 24.0, 6), omega_T=12.0)
+    _assert_rows_match_points_alone(fig5a, ModelKind.EM_DIPOLE,
+                                    {"omega_T": 12.0, "a0_omega": 1e-3})
+    # a0 = a0_omega / omega_T: a0 varies by row
+    fig4 = harvestability_map(Axis("omega_T", 0.5, 40.0, 4),
+                              Axis("d_over_T", 0.5, 40.0, 6), tba_over_T=10.0)
+    _assert_rows_match_points_alone(fig4, ModelKind.EM_DIPOLE,
+                                    {"tba_over_T": 10.0, "a0_omega": 1e-3})
+    fig7 = model_comparison(Axis("d_over_T", 0.5, 28.0, 8), omega_T=13.0,
+                            tba_over_T=10.0)
+    fixed = dict(fig7.metadata["fixed"])
+    for i, model in enumerate(ModelKind):
+        column = ScanResult(grid=fig7.grid, rows=[r[1 + i] for r in fig7.rows])
+        _assert_rows_match_points_alone(column, model, fixed)
+
+
+def _spy(monkeypatch, module, name, sizes, arg=0):
+    real = getattr(module, name)
+
+    def spy(*args, **kwargs):
+        sizes.append(np.asarray(args[arg]))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, spy)
+
+
+def test_orientation_scan_integrates_one_m(monkeypatch):
+    # 50 orientations share d and t_BA: one M integral, the calls of one pair
+    fixed = {"a0_omega": 1e-3, "omega_T": 1.0, "d_over_T": 1.15, "tba_over_T": 1.15}
+    pair = pair_from_params(fixed, ModelKind.EM_DIPOLE)
+    alone, scan = [], []
+    _spy(monkeypatch, harvesting, "scaled_time_kernel", alone)
+    compute_terms(pair, include_cross=False)
+    monkeypatch.undo()
+    _spy(monkeypatch, harvesting, "scaled_time_kernel", scan)
+    res = orientation_scan(fixed, Axis("theta", 0.0, 2.0 * math.pi, 50))
+    assert len(res.rows) == 50
+    assert [k.size for k in scan] == [k.size for k in alone]
+
+
+def test_distance_row_evaluates_the_head_kernel_once_per_pass(monkeypatch):
+    k_hi = math.sqrt(750.0 / 0.5)   # the Gaussian's dead point at T = 1
+    fixed = {"omega_T": 12.0, "a0_omega": 1e-3, "tba_over_T": 8.0}
+    grid = ScanGrid(axes=(Axis("d_over_T", 0.0, 24.0, 10),), fixed=fixed,
+                    model=ModelKind.EM_DIPOLE)
+    run_grid(grid)  # L is memoised from here on: every panel below is M's
+
+    def head_passes(run):
+        kernel, panels = [], []
+        _spy(monkeypatch, harvesting, "scaled_time_kernel", kernel)
+        _spy(monkeypatch, specfun, "_gk15_panels", panels, arg=2)
+        run()
+        monkeypatch.undo()
+        head = [k.size for k in kernel if k.max() < k_hi]
+        assert head == [15 * hi.size for hi in panels if hi.max() <= k_hi]
+        return len(head)
+
+    row = head_passes(lambda: run_grid(grid))
+    alone = sum(head_passes(lambda: compute_terms(pair_from_params(
+        {**fixed, "d_over_T": d}, ModelKind.EM_DIPOLE), include_cross=False))
+        for d in grid.axes[0].values())
+    assert row < alone / 3
+
+
+def test_a_member_that_misses_its_tolerance_is_retried_alone(monkeypatch):
+    fixed = {"omega_T": 2.0, "a0_omega": 1e-3, "tba_over_T": 3.0}
+    grid = ScanGrid(axes=(Axis("d_over_T", 1.0, 5.0, 5),), fixed=fixed,
+                    model=ModelKind.UDW_SCALAR)
+    clean = run_grid(grid)
+    assert all(r.converged for r in clean.rows)
+    target = 3.0
+    k_hi = math.sqrt(750.0 / 0.5)
+    spec_of = harvesting._spec
+    rng = np.random.default_rng(7)
+
+    def noisy(factor):
+        def f(k, shared):
+            value, mag = factor(k, shared)
+            noise = np.where(k < k_hi, 3e-9 * rng.standard_normal(k.shape), 0.0)
+            return value * (1.0 + noise), mag
+        return f
+
+    def spec(term, ds=None):
+        s = spec_of(term, ds)
+        ds = (term.d,) if ds is None else ds
+        return replace(s, members=tuple(
+            replace(m, factor=noisy(m.factor)) if d == target and term.wings else m
+            for d, m in zip(ds, s.members)))
+
+    monkeypatch.setattr(harvesting, "_spec", spec)
+    res = run_grid(grid)
+    for row, ref in zip(res.rows, clean.rows):
+        if row.coords[0] == target:
+            # noise of 3e-9 misses rtol 1e-10 but not the retry's 1e-7
+            assert not row.converged
+            assert abs(row.n2 - ref.n2) <= row.quad_error + ref.quad_error
+        else:
+            # its neighbours stop on the seed panels, before the noisy
+            # member drives any split
+            assert row == ref
