@@ -51,7 +51,7 @@ from typing import Callable
 import numpy as np
 
 from .atoms import AtomSpec, SwitchingKind
-from .specfun import (DampedKernelSpec, DampedMember, QuadratureConvergenceError,
+from .specfun import (DampedKernelSpec, QuadratureConvergenceError,
                       QuadratureResult, integrate_damped, integrate_damped_group,
                       scaled_time_kernel, spherical_bessel_j,
                       spherical_bessel_j0_plus_j2)
@@ -284,41 +284,39 @@ class _Term:
 def _spec(term: _Term, ds=None) -> DampedKernelSpec:
     """The quadrature spec of a term, or of the group of terms that share
     its key: one member per separation in ds (default: the term's own d).
-    The shared factor is time(k) with the scale k^p / (4u+9)^6; a member
-    multiplies its kernel(k d) by the time factors, then by the scale.  The
-    kernel and time factors are (value, magnitude) pairs; their product's
-    magnitude is propagated to first order."""
+    The shared factor is time(k) with the scale k^p / (4u+9)^6; the factor
+    at d multiplies kernel(k d) by the time factors, then by the scale, for
+    one d or for a column of them.  The kernel and time factors are (value,
+    magnitude) pairs; their product's magnitude is propagated to first
+    order."""
     p, kernel, time, a0 = term.p, term.kernel, term.time, term.a0
 
     def shared(k):
         return time(k), k ** p / (4.0 * (a0 * k) ** 2 + 9.0) ** 6
 
-    def member(d):
-        spatial = kernel is not None and d > 0
-
-        def factor(k, s):
-            times, scale = s
-            (value, mag), *rest = ((kernel(k * d),) if spatial else ()) + times
-            for v, m in rest:
-                value, mag = value * v, mag * np.abs(v) + np.abs(value) * m
-            return scale * value, scale * mag
-
-        return DampedMember(factor, 2.0 * math.pi / d if spatial else None)
+    def factor(k, s, d):
+        times, scale = s
+        spatial = (kernel(k * d),) if kernel is not None and np.all(d > 0) else ()
+        (value, mag), *rest = spatial + times
+        for v, m in rest:
+            value, mag = value * v, mag * np.abs(v) + np.abs(value) * m
+        return scale * value, scale * mag
 
     return DampedKernelSpec(
         damping_width=0.5 * term.T * term.T,
         oscillation_lengths=(2.0 * math.pi / abs(term.t_ba),) if term.t_ba != 0.0 else (),
         integrand=shared,
         algebraic_cutoff=_WING_CUTOFF[p] / (2.0 * a0) if term.wings else None,
-        members=tuple(map(member, (term.d,) if ds is None else ds)),
+        factor=factor,
+        members=(term.d,) if ds is None else tuple(ds),
+        spatial=kernel is not None,
     )
 
 
 def _integrand(term: _Term):
     # k -> (value, magnitude) of the term's whole integrand
     spec = _spec(term)
-    factor = spec.members[0].factor
-    return lambda k: factor(k, spec.integrand(k))
+    return lambda k: spec.factor(k, spec.integrand(k), term.d)
 
 
 @functools.lru_cache(maxsize=256)

@@ -10,9 +10,9 @@ functions whose naive evaluation overflows once T*k > ~38; everything here
 keeps exponents combined analytically so only non-positive real parts are
 ever exponentiated.  All functions are pure and accept numpy arrays where
 it matters.  Integrands that share a factor (a grid's time kernel) are
-integrated as the members of one group on one head panel set
-(``integrate_damped_group``), so the shared factor is evaluated once per
-pass for all of them.
+integrated as the members of one group (``integrate_damped_group``): on one
+head panel set, so the shared factor is evaluated once per pass for all of
+them, and past it with the member as the leading array axis of the tails.
 
 Rounding model: an integrand returns (value, magnitude) per node, with
 magnitude >= |value| such that 50 eps x magnitude bounds the node's rounding
@@ -26,11 +26,10 @@ place that rounding enters the error estimates.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 from scipy.special import wofz as _wofz
@@ -39,7 +38,6 @@ __all__ = [
     "QuadratureConvergenceError",
     "QuadratureResult",
     "DampedKernelSpec",
-    "DampedMember",
     "scaled_time_kernel",
     "spherical_bessel_j",
     "spherical_bessel_j0_plus_j2",
@@ -77,26 +75,6 @@ class QuadratureResult:
 
 
 @dataclass(frozen=True)
-class DampedMember:
-    """One member of a group integrand shared(k) x member(k).
-
-    factor: callable (k, shared) -> (value, magnitude) of the member's whole
-        integrand, given the array k of nodes and the spec's integrand at
-        them; None: the spec's integrand is the member's whole integrand.
-    oscillation_length: period in k of the member's own oscillatory factor
-        (the spatial kernel's 2*pi/d), None if it has none.  Past the
-        Gaussian truncation point it is the period of the member's tail.
-    """
-
-    factor: Callable | None = None
-    oscillation_length: float | None = None
-
-    def __post_init__(self):
-        if self.oscillation_length is not None and not (self.oscillation_length > 0.0):
-            raise ValueError("oscillation_length must be positive")
-
-
-@dataclass(frozen=True)
 class DampedKernelSpec:
     """Semi-infinite integrands with a known Gaussian envelope: one per
     member, all sharing the factor ``integrand``.
@@ -104,31 +82,41 @@ class DampedKernelSpec:
     damping_width: w such that the Gaussian part of the integrand is bounded
         by exp(-w k^2); for the harvesting kernels w = T^2/2.
     oscillation_lengths: periods in k of the shared oscillatory factors (the
-        time phase's 2*pi/t_ba); the members add their own.
-    integrand: vectorized callable on arrays of k >= 0.  Without member
-        factors it returns the arrays (value, magnitude) of the module's
-        rounding model; otherwise whatever the member factors take.
+        time phase's 2*pi/t_ba); spatial members add their own.
+    integrand: vectorized callable on arrays of k >= 0.  Without a factor
+        it returns the arrays (value, magnitude) of the module's rounding
+        model; otherwise whatever the factor takes.
     algebraic_cutoff: the erfc wings of the time kernel decay only
         algebraically: past the Gaussian truncation point a member with an
         oscillation sums them by extrapolation over its half periods, one
         without integrates them out to this k.  None: nothing survives.
-    members: the integrands of the group, each integrated to its own
-        tolerance on one shared head panel set.
+    factor: callable (k, shared, d) -> (value, magnitude) of a member's
+        whole integrand, given the nodes k, the integrand at them and the
+        member's d: a float, or a column of them against the rows of k (one
+        row of nodes per member).  None: the integrand is every member's
+        whole integrand.
+    members: the d of each member, each integrated to its own tolerance on
+        one shared head panel set.
+    spatial: the factor at d > 0 oscillates in k with period 2 pi/d (a
+        spatial kernel of k d), which past the Gaussian truncation point is
+        the period of the member's tail.
     """
 
     damping_width: float
     oscillation_lengths: tuple[float, ...]
     integrand: Callable[[np.ndarray], object]
     algebraic_cutoff: float | None = None
-    members: tuple[DampedMember, ...] = (DampedMember(),)
+    factor: Callable | None = None
+    members: tuple[float, ...] = (0.0,)
+    spatial: bool = False
 
     def __post_init__(self):
         if not (self.damping_width > 0.0):
             raise ValueError("damping_width must be positive")
         if any(not (ell > 0.0) for ell in self.oscillation_lengths):
             raise ValueError("oscillation_lengths must all be positive")
-        if not self.members:
-            raise ValueError("a spec needs at least one member")
+        if not self.members or any(not (d >= 0.0) for d in self.members):
+            raise ValueError("a spec needs members, each with d >= 0")
 
 
 # ----------------------------------------------------------------------------
@@ -224,19 +212,16 @@ def spherical_bessel_j(l: int, x):
     """
     if l not in (0, 1, 2, 3, 4):
         raise ValueError(f"spherical_bessel_j supports l = 0..4, got {l}")
-    x_arr = np.asarray(x, dtype=float)
+    x_arr = np.atleast_1d(np.asarray(x, dtype=float))
     if np.any(x_arr < 0.0):
         raise ValueError("spherical_bessel_j requires x >= 0")
+    # the closed form everywhere (at x >= 5 only: the series overwrites below)
     small = x_arr < 5.0
-    out = np.empty_like(x_arr)
+    xl = np.maximum(x_arr, 5.0)
+    out = _bessel_trig(l, np.sin(xl), np.cos(xl), 1.0 / xl)
     if np.any(small):
         out[small] = _bessel_series(l, x_arr[small])
-    if np.any(~small):
-        xl = x_arr[~small]
-        out[~small] = _bessel_trig(l, np.sin(xl), np.cos(xl), 1.0 / xl)
-    if np.isscalar(x) or np.asarray(x).ndim == 0:
-        return float(out)
-    return out
+    return float(out[0]) if np.ndim(x) == 0 else out
 
 
 # Maclaurin coefficients of 3 j_1(x)/x in y = x^2, highest power first (Horner
@@ -257,12 +242,15 @@ def spherical_bessel_j0_plus_j2(x):
     3 (|sin x| / x + |cos x|) / x^2.  Returns (value, magnitude); scalars
     give floats.
     """
-    x_arr = np.asarray(x, dtype=float)
+    x_arr = np.atleast_1d(np.asarray(x, dtype=float))
     if np.any(x_arr < 0.0):
         raise ValueError("spherical_bessel_j0_plus_j2 requires x >= 0")
+    # the closed form everywhere (at x >= 5 only: the series overwrites below)
     small = x_arr < 5.0
-    out = np.empty_like(x_arr)
-    mag = np.empty_like(x_arr)
+    xl = np.maximum(x_arr, 5.0)
+    s, c = np.sin(xl), np.cos(xl)
+    out = 3.0 * (s / xl - c) / (xl * xl)
+    mag = 3.0 * (np.abs(s) / xl + np.abs(c)) / (xl * xl)
     if np.any(small):
         y = x_arr[small] ** 2
         y = np.stack((y, -y))
@@ -271,12 +259,7 @@ def spherical_bessel_j0_plus_j2(x):
             acc *= y
             acc += coef
         out[small], mag[small] = acc
-    if not np.all(small):
-        xl = x_arr[~small]
-        s, c = np.sin(xl), np.cos(xl)
-        out[~small] = 3.0 * (s / xl - c) / (xl * xl)
-        mag[~small] = 3.0 * (np.abs(s) / xl + np.abs(c)) / (xl * xl)
-    return (float(out), float(mag)) if x_arr.ndim == 0 else (out, mag)
+    return (float(out[0]), float(mag[0])) if np.ndim(x) == 0 else (out, mag)
 
 
 # ----------------------------------------------------------------------------
@@ -334,48 +317,54 @@ _ROUNDOFF = 50.0 * np.finfo(float).eps
 
 
 def _gk15_reduce(fv, fm, half: np.ndarray):
-    # GK15 sums of node values fv and magnitudes fm, 15 nodes per panel
-    shape = (half.size, _XGK.size)
-    fv = np.asarray(fv).reshape(shape)
-    resk = (fv * _WGK[None, :]).sum(axis=1) * half
-    resg = (fv[:, 1::2] * _WG[None, :]).sum(axis=1) * half
-    resabs = (np.reshape(fm, shape) * _WGK[None, :]).sum(axis=1) * np.abs(half)
-    fmean = resk / (2.0 * half)
-    resasc = (np.abs(fv - fmean[:, None]) * _WGK[None, :]).sum(axis=1) * np.abs(half)
+    # GK15 sums of node values fv and magnitudes fm, 15 nodes per panel of
+    # half, as matrix products on (..., panels, 15) arrays
+    shape = np.shape(fv)[:-1] + (half.shape[-1], _XGK.size)
+    fv = np.reshape(fv, shape)
+    habs = np.abs(half)
+    sumk = fv @ _WGK
+    resk = sumk * half
+    resg = (fv[..., 1::2] @ _WG) * half
+    resabs = (np.reshape(fm, shape) @ _WGK) * habs
+    resasc = (np.abs(fv - 0.5 * sumk[..., None]) @ _WGK) * habs
     err = np.abs(resk - resg)
     nonzero = resasc > 0.0
-    scaled = np.ones_like(err)
-    scaled[nonzero] = np.minimum(1.0, (200.0 * err[nonzero] / resasc[nonzero]) ** 1.5)
-    err = np.where(nonzero, resasc * scaled, err)
-    # roundoff floor
-    err = np.maximum(err, _ROUNDOFF * resabs)
-    return resk, err, resabs
+    ratio = np.divide(200.0 * err, resasc, out=np.zeros_like(err), where=nonzero)
+    err = np.where(nonzero, resasc * np.minimum(1.0, ratio ** 1.5), err)
+    return resk, np.maximum(err, _ROUNDOFF * resabs), resabs  # with the roundoff floor
 
 
-def _gk15_panels(f, lo: np.ndarray, hi: np.ndarray, factors=None):
+def _gk15_panels(f, lo: np.ndarray, hi: np.ndarray, factor=None, ds=None):
     """Vectorized GK15 on a batch of panels of f -> (value, magnitude).
 
     Returns (integral, error_estimate, abs_integral, n_evals) per panel, with
     the QUADPACK error heuristic; abs_integral integrates the magnitude, so
-    the roundoff floor counts the integrand's rounding.  With factors, f is
-    a shared factor evaluated once on the nodes, each factor (k, f(k)) ->
-    (value, magnitude) is one integrand (None: f itself), reduced one at a
-    time, and the first three entries are lists with one array per factor.
+    the roundoff floor counts the integrand's rounding.  With factor, f is
+    evaluated once on the nodes and the integrands are factor(k, f(k), d),
+    one per d in ds, and the first three entries are (members, panels)
+    arrays.  lo and hi are one row of panels that the members share, each
+    member's factor evaluated and reduced in turn, or one row per member,
+    all evaluated in one call on the column of ds.
     """
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
-    k = (mid[:, None] + half[:, None] * _XGK[None, :]).ravel()
-    if factors is None:
-        return (*_gk15_reduce(*f(k), half), k.size)
+    k = (mid[..., None] + half[..., None] * _XGK).reshape(lo.shape[:-1] + (-1,))
     shared = f(k)
-    parts = [_gk15_reduce(*(shared if factor is None else factor(k, shared)), half)
-             for factor in factors]
-    vals, errs, absl = map(list, zip(*parts))
-    return vals, errs, absl, k.size
+    if factor is None:
+        parts = _gk15_reduce(*shared, half)
+    elif lo.ndim > 1:
+        parts = _gk15_reduce(*factor(k, shared, np.asarray(ds)[:, None]), half)
+    else:
+        parts = map(np.array, zip(*(_gk15_reduce(*factor(k, shared, d), half) for d in ds)))
+    return (*parts, k.size)
+
+
+def _whole(k, shared, d):  # the factor of an integrand that is all shared
+    return shared
 
 
 def _adaptive_gk(f, breakpoints: np.ndarray, atol: float, rtol: float,
-                 max_panels: int = 4000, factors=None):
+                 max_panels: int = 4000, factor=None, ds=None):
     """Adaptive GK15 over the panel decomposition given by breakpoints.
 
     Panels live in parallel arrays (QUADPACK-style bookkeeping); each pass
@@ -385,49 +374,38 @@ def _adaptive_gk(f, breakpoints: np.ndarray, atol: float, rtol: float,
     It stops when the summed error meets tol = max(atol, rtol |value|), at
     max_panels, or at the roundoff floor: every panel's error is at least
     50 eps times its integral of the integrand's magnitude, so once that
-    floor, summed over the panels, reaches tol, no split can meet tol.  The
-    driver then stops as soon as the error above the floor is within tol, as
-    QUADPACK reports roundoff (ier = 2), instead of splitting on to
-    max_panels.  The returned error still includes the floor, so a caller
-    sees that tol was missed.
+    floor, summed over the panels, reaches tol, no split can meet tol, and
+    the driver stops as soon as the error above the floor is within tol
+    (QUADPACK's ier = 2).  The returned error still includes the floor.
 
-    With factors, f is the factor that the integrands (k, f(k)) -> (value,
-    magnitude) of ``_gk15_panels`` share, and the members integrate on one
-    panel set, so f is evaluated once per pass for all of them.  Each member
-    keeps its own error, tol and stopping tests, and its result is frozen
-    when it stops: its factor is no longer evaluated.  A pass splits the
-    panels with the worst err_i / tol_i over the members still running (the
-    worst err_i for one).  Returns one (value, error, abs_integral, evals)
-    per factor, or without factors the one of f.
+    With factor, the integrands factor(k, f(k), d), one per d in ds, are
+    rows of one panel set, so f is evaluated once per pass for all of them.
+    Each row keeps its own error, tol and stopping tests and is dropped when
+    it stops; a pass splits the panels with the worst err_i / tol_i over the
+    rows left.  Returns one (value, error, abs_integral, evals) per d, or
+    without factor the one of f.
     """
-    members = [None] if factors is None else list(factors)
     lo = np.asarray(breakpoints[:-1], dtype=float)
     hi = np.asarray(breakpoints[1:], dtype=float)
-    val, err, absl, evals = _gk15_panels(f, lo, hi, members)
-    active = list(range(len(members)))
-    out = [None] * len(members)
+    ds = np.asarray((0.0,) if factor is None else ds, dtype=float)
+    whole = factor or _whole
+    val, err, absl, evals = _gk15_panels(f, lo, hi, whole, ds)
+    running, out = np.arange(ds.size), [None] * ds.size
     while True:
-        tols, running = [], []
-        for j, i in enumerate(active):
-            total = val[j].sum()
-            tol = max(atol, rtol * abs(total))
-            err_sum = err[j].sum()
-            abs_sum = absl[j].sum()
-            floor = _ROUNDOFF * abs_sum
-            if (err_sum <= tol or (floor >= tol and err_sum - floor <= tol)
-                    or lo.size >= max_panels):
-                out[i] = (total, float(err_sum), float(abs_sum), evals)
-            else:
-                tols.append(tol)
-                running.append(j)
-        if not running:
+        total, err_sum, abs_sum = val.sum(axis=1), err.sum(axis=1), absl.sum(axis=1)
+        tol = np.maximum(atol, rtol * np.abs(total))
+        floor = _ROUNDOFF * abs_sum
+        done = ((err_sum <= tol) | ((floor >= tol) & (err_sum - floor <= tol))
+                | (lo.size >= max_panels))
+        stopped = np.flatnonzero(done)
+        for j in stopped:
+            out[running[j]] = (total[j], float(err_sum[j]), float(abs_sum[j]), evals)
+        if stopped.size == done.size:
             break
-        active = [active[j] for j in running]
-        val = [val[j] for j in running]
-        err = [err[j] for j in running]
-        absl = [absl[j] for j in running]
-        score = (err[0] if len(active) == 1 else
-                 functools.reduce(np.maximum, (e / t for e, t in zip(err, tols))))
+        if stopped.size:
+            left = ~done
+            running, val, err, absl, tol = (x[left] for x in (running, val, err, absl, tol))
+        score = err[0] if running.size == 1 else (err / tol[:, None]).max(axis=0)
         order = np.argsort(score, kind="stable")
         n_split = min(16, max(1, lo.size // 8))
         keep, worst = order[:-n_split], order[-n_split:]
@@ -435,83 +413,107 @@ def _adaptive_gk(f, breakpoints: np.ndarray, atol: float, rtol: float,
         m = 0.5 * (a + b)
         new_lo = np.column_stack((a, m)).ravel()
         new_hi = np.column_stack((m, b)).ravel()
-        new_val, new_err, new_abs, n = _gk15_panels(f, new_lo, new_hi,
-                                                    [members[i] for i in active])
+        *new, n = _gk15_panels(f, new_lo, new_hi, whole, ds[running])
         evals += n
         lo = np.concatenate((lo[keep], new_lo))
         hi = np.concatenate((hi[keep], new_hi))
-        val = [np.concatenate((x[keep], y)) for x, y in zip(val, new_val)]
-        err = [np.concatenate((x[keep], y)) for x, y in zip(err, new_err)]
-        absl = [np.concatenate((x[keep], y)) for x, y in zip(absl, new_abs)]
-    return out if factors is not None else out[0]
+        val, err, absl = (np.concatenate((x[:, keep], y), axis=1)
+                          for x, y in zip((val, err, absl), new))
+    return out if factor is not None else out[0]
 
 
-def _wynn_epsilon(partial_sums: Sequence[complex]):
-    """Wynn epsilon extrapolation of a sequence of partial sums.
+def _wynn_epsilon(partial_sums):
+    """Wynn epsilon extrapolation of a sequence of partial sums, or of each
+    row of a (members, sums) table of them: (limit, error_estimate), scalars
+    for a sequence, arrays for a table, each row as if alone.
 
-    Returns (limit, error_estimate).  Even table columns approximate the
-    limit; odd columns are auxiliary reciprocals.  Differences below the
-    roundoff floor of the sequence terminate the table, otherwise 1/diff
-    amplifies noise into garbage.  Each column is one array operation; the
-    stop rules look at its differences in order, as a scan would.
+    Even table columns approximate the limit; odd columns are auxiliary
+    reciprocals.  Differences below a row's roundoff floor stop its table,
+    otherwise 1/diff amplifies noise into garbage.  Each column is one array
+    operation; the stop rules scan a row's differences in order.
     """
     s = np.asarray(partial_sums, dtype=complex)
-    if s.size < 3:
-        return complex(s[-1]), float(abs(s[-1] - s[0]))
-    scale = float(np.abs(s).max())
-    if scale == 0.0:
-        return 0.0 + 0.0j, 0.0
-    floor = 4.0 * np.finfo(float).eps * scale
-    prev = np.zeros(s.size + 1, dtype=complex)
-    curr = s
-    best = complex(s[-1])
-    best_err = abs(best - complex(s[-2]))
-    col = 0
-    while curr.size >= 2:
-        diff = curr[1:] - curr[:-1]
+    curr = np.atleast_2d(s)
+    rows = np.arange(curr.shape[0])
+    best = curr[:, -1].copy()
+    if curr.shape[1] < 3:
+        best_err, floor, alive = np.abs(best - curr[:, 0]), np.zeros(rows.size), rows < 0
+    else:
+        best_err = np.abs(best - curr[:, -2])
+        floor = 4.0 * np.finfo(float).eps * np.abs(curr).max(axis=1)
+        alive = floor > 0.0
+        best[~alive], best_err[~alive] = 0.0, 0.0
+    prev = np.zeros((rows.size, curr.shape[1] + 1), dtype=complex)
+    # count_nonzero: the any/all methods cost more than the small table's arithmetic
+    floor_col, col, running = floor[:, None], 0, np.count_nonzero(alive)
+    while running and curr.shape[1] >= 2:
+        diff = curr[:, 1:] - curr[:, :-1]
         if col % 2 == 0:
             adiff = np.abs(diff)
-            hit = np.flatnonzero(adiff <= floor)
-            if hit.size:
-                j = hit[0]
-                if adiff[j] <= best_err:
-                    best, best_err = complex(curr[j + 1]), max(float(adiff[j]), floor)
-                break
-        elif not diff.all():
-            break
-        prev, curr = curr, prev[1:curr.size] + 1.0 / diff
+            low = adiff <= floor_col
+            if np.count_nonzero(low):
+                first = low.argmax(axis=1)
+                at = adiff[rows, first]
+                hit = alive & (at <= floor)
+                take = hit & (at <= best_err)
+                best[take], best_err[take] = curr[take, first[take] + 1], floor[take]
+                alive &= ~hit
+                running = np.count_nonzero(alive)
+        elif np.count_nonzero(diff) < diff.size:
+            alive &= diff.all(axis=1)
+            running = np.count_nonzero(alive)
+        if running < rows.size:
+            # the reciprocals of a row that stopped are never read: keep them finite
+            diff[~alive] = 1.0
+        prev, curr = curr, prev[:, 1:curr.shape[1]] + 1.0 / diff
         col += 1
-        if col % 2 == 0 and curr.size >= 2:
-            cand_err = abs(complex(curr[-1]) - complex(curr[-2]))
-            if cand_err < best_err:
-                best, best_err = complex(curr[-1]), cand_err
-    return best, max(best_err, floor)
+        if col % 2 == 0 and curr.shape[1] >= 2:
+            cand_err = np.abs(curr[:, -1] - curr[:, -2])
+            take = cand_err < best_err
+            if np.count_nonzero(take):
+                take &= alive
+                best[take], best_err[take] = curr[take, -1], cand_err[take]
+    err = np.maximum(best_err, floor)
+    return (complex(best[0]), float(err[0])) if s.ndim == 1 else (best, err)
 
 
-def _oscillatory_tail(f, start: float, step: float, atol: float, rtol: float,
-                      max_panels: int = 80):
-    """Sum f over [start, inf) where f oscillates with half-period ~step.
+def _oscillatory_tails(f, factor, ds, start: float, steps: np.ndarray,
+                       heads: np.ndarray, atol: float, rtol: float,
+                       max_panels: int = 80):
+    """Sum member i's integrand factor(k, f(k), ds[i]) over [start, inf),
+    where it oscillates with half-period ~steps[i], as QUADPACK's QAWF does
+    (Piessens et al., 1983): Wynn epsilon (MTAC 10, 1956) on its partial
+    sums over half-period panels, from the fifth on.
 
-    The error is the extrapolation's plus the panels' own: each partial sum
-    carries the errors of its panels, their roundoff floors included, which
-    the Wynn estimate cannot see.
+    The member is the leading array axis: each chunk of panels is one
+    ``_gk15_panels`` call and each extrapolation one Wynn table for all
+    members.  An estimate's error is Wynn's, the difference of its last two
+    successive estimates, plus its panels' own, roundoff floors included.
+    A member stops after the first chunk of 24 panels if that error is
+    within its tol = max(atol, rtol |heads[i] + estimate|).  The others sum
+    the rest of max_panels in one more chunk and keep that estimate: a tail
+    that has not settled by 24 panels is held up by its floors, which only
+    grow.  Returns (value, error, abs_integral, evals) arrays.
     """
-    lo = start + step * np.arange(max_panels)
-    hi = lo + step
-    vals, errs, absl, evals = _gk15_panels(f, lo, hi)
-    sums = np.cumsum(vals)
-    # extrapolate once the partial sums start alternating around the limit
-    limit, err = _wynn_epsilon(sums[4:])
-    return limit, err + float(errs.sum()), float(absl.sum()), evals
-
-
-def _smooth_tail(f, start: float, cutoff: float, atol: float, rtol: float):
-    """Integrate a smooth non-oscillatory tail on [start, cutoff], panels
-    geometric in k."""
-    if cutoff <= start:
-        return 0.0 + 0.0j, 0.0, 0.0, 0
-    n_dec = max(1, int(math.ceil(math.log10(cutoff / start))))
-    return _adaptive_gk(f, np.geomspace(start, cutoff, 8 * n_dec + 1), atol, rtol)
+    ds, n = np.asarray(ds, dtype=float), len(ds)
+    vals = np.zeros((n, max_panels), dtype=complex)
+    errs, absl = np.zeros((2, n, max_panels))
+    value, error, absint = np.zeros(n, dtype=complex), np.zeros(n), np.zeros(n)
+    evals, run, have = np.zeros(n, dtype=int), np.arange(n), 0
+    for p in (24, max_panels):
+        lo = start + steps[run, None] * np.arange(have, p)
+        *chunk, nodes = _gk15_panels(f, lo, lo + steps[run, None], factor, ds[run])
+        for table, part in zip((vals, errs, absl), chunk):
+            table[run, have:p] = part
+        evals[run] += nodes // run.size
+        have = p
+        est, est_err = _wynn_epsilon(np.cumsum(vals[run, :p], axis=1)[:, 4:])
+        est_err += errs[run, :p].sum(axis=1)
+        value[run], error[run], absint[run] = est, est_err, absl[run, :p].sum(axis=1)
+        run = run[est_err > np.maximum(atol, rtol * np.abs(heads[run] + est))]
+        if not run.size:
+            break
+    return value, error, absint, evals
 
 
 def integrate_damped_group(spec: DampedKernelSpec, atol: float = 1e-16,
@@ -524,8 +526,9 @@ def integrate_damped_group(spec: DampedKernelSpec, atol: float = 1e-16,
     members.  The shared factor is evaluated once per pass for every member
     still running, and each member stops on its own tolerance
     (``_adaptive_gk``).  Whatever survives past k_hi (the algebraically
-    decaying erfc wings) is each member's own: summed by Wynn-epsilon
-    extrapolation over its half-period panels if it oscillates, else by
+    decaying erfc wings) is each member's own: the members that oscillate
+    sum theirs together by Wynn epsilon over half-period panels, each until
+    it settles (``_oscillatory_tails``); the others integrate theirs on
     geometric panels out to the rational-kernel cutoff.
 
     Returns one entry per member: its QuadratureResult, or, where its
@@ -535,11 +538,12 @@ def integrate_damped_group(spec: DampedKernelSpec, atol: float = 1e-16,
     """
     k_hi = math.sqrt(_GAUSS_DEAD / spec.damping_width)
 
+    ds = spec.members
+    osc = [i for i, d in enumerate(ds) if spec.spatial and d > 0.0]
     pts = {0.0, k_hi}
     # resolve the low-k structure of the k^p * rational prefactor
     pts.update(np.geomspace(k_hi * 1e-4, k_hi, 17))
-    lengths = spec.oscillation_lengths + tuple(
-        m.oscillation_length for m in spec.members if m.oscillation_length is not None)
+    lengths = spec.oscillation_lengths + tuple(2.0 * math.pi / ds[i] for i in osc)
     if lengths:
         h = min(lengths) / 2.0
         n_osc = int(k_hi / h)
@@ -549,28 +553,29 @@ def integrate_damped_group(spec: DampedKernelSpec, atol: float = 1e-16,
             pts.update(np.arange(1, n_osc + 1)[::stride] * h)
     breakpoints = np.array(sorted(pts))
 
+    factor = spec.factor or _whole
     heads = _adaptive_gk(spec.integrand, breakpoints, 0.5 * atol, 0.5 * rtol,
-                         max_panels=max_panels,
-                         factors=[m.factor for m in spec.members])
+                         max_panels=max_panels, factor=factor, ds=ds)
+    tails, cutoff = {}, spec.algebraic_cutoff
+    if cutoff is not None:
+        if osc:
+            # keep tail panels comparable to the head
+            steps = np.array([min(math.pi / ds[i], k_hi) for i in osc])
+            summed = _oscillatory_tails(spec.integrand, factor, [ds[i] for i in osc], k_hi,
+                                        steps, np.array([heads[i][0] for i in osc]),
+                                        0.5 * atol, 0.5 * rtol)
+            tails.update(zip(osc, zip(*summed)))
+        rest = [i for i in range(len(ds)) if i not in tails]
+        if rest and cutoff > k_hi:
+            # geometric panels in k out to the cutoff
+            n_dec = max(1, int(math.ceil(math.log10(cutoff / k_hi))))
+            tails.update(zip(rest, _adaptive_gk(
+                spec.integrand, np.geomspace(k_hi, cutoff, 8 * n_dec + 1), 0.5 * atol,
+                0.5 * rtol, factor=factor, ds=[ds[i] for i in rest])))
     out = []
-    for member, (value, err, absint, evals) in zip(spec.members, heads):
-        factor = member.factor
-        f = spec.integrand if factor is None else lambda k: factor(k, spec.integrand(k))
-        tail = None
-        if spec.algebraic_cutoff is not None:
-            if member.oscillation_length is not None:
-                # keep tail panels comparable to the head
-                h = min(member.oscillation_length / 2.0, k_hi)
-                tail = _oscillatory_tail(f, k_hi, h, 0.5 * atol, 0.5 * rtol)
-            elif spec.algebraic_cutoff > k_hi:
-                tail = _smooth_tail(f, k_hi, spec.algebraic_cutoff, 0.5 * atol, 0.5 * rtol)
-        if tail is not None:
-            t_value, t_err, t_abs, t_evals = tail
-            value += t_value
-            err += t_err
-            absint += t_abs
-            evals += t_evals
-
+    for i, head in enumerate(heads):
+        value, err, absint, evals = head if i not in tails else (
+            h + t for h, t in zip(head, tails[i]))
         result = QuadratureResult(value=value, abs_error_estimate=float(err),
                                   evaluations=int(evals), abs_integral=float(absint))
         if err > max(atol, rtol * abs(value)) and err > 1e3 * np.finfo(float).eps * absint:

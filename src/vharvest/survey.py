@@ -105,10 +105,13 @@ class ScanRow:
     l_bb: float
     abs_m: float
     n2: float
-    n: float
     harvestable: bool
     converged: bool
     quad_error: float
+
+    @property
+    def n(self) -> float:
+        return self.n2 if math.isnan(self.n2) else max(0.0, self.n2)
 
 
 @dataclass(frozen=True)
@@ -138,23 +141,16 @@ def pair_from_params(params: dict, model: ModelKind,
     return DetectorPair(atom_a, atom_b, model, coupling=coupling)
 
 
-def _row(coords: tuple, terms, converged: bool, error_factor: float) -> ScanRow:
+def _row(coords: tuple, terms, converged: bool, error_factor: float, floats: dict) -> ScanRow:
     if isinstance(terms, QuadratureConvergenceError):
         return ScanRow(coords, math.nan, math.nan, math.nan, math.nan,
-                       math.nan, False, False, math.inf)
-    # plain floats, smaller than numpy scalars: a scan keeps every row
-    n2 = float(terms.negativity2)
-    return ScanRow(
-        coords=coords,
-        l_aa=float(terms.l_aa),
-        l_bb=float(terms.l_bb),
-        abs_m=float(abs(terms.m)),
-        n2=n2,
-        n=max(0.0, n2),
-        harvestable=terms.harvestable(error_factor),
-        converged=converged,
-        quad_error=math.exp(terms.log_scale) * terms.negativity2_error_scaled(),
-    )
+                       False, False, math.inf)
+    # plain floats, smaller than numpy scalars, and one object per distinct
+    # L value (floats): a scan keeps every row
+    l_aa, l_bb = (floats.setdefault(v, v) for v in (float(terms.l_aa), float(terms.l_bb)))
+    return ScanRow(coords, l_aa, l_bb, float(abs(terms.m)), float(terms.negativity2),
+                   terms.harvestable(error_factor), converged,
+                   math.exp(terms.log_scale) * terms.negativity2_error_scaled())
 
 
 def run_grid(grid: ScanGrid, threads: int = 1, switching: SwitchingKind | None = None,
@@ -181,9 +177,10 @@ def run_grid(grid: ScanGrid, threads: int = 1, switching: SwitchingKind | None =
     missed = [i for i, r in enumerate(results) if isinstance(r, QuadratureConvergenceError)]
     retried = compute_terms_many([pairs[i] for i in missed], switching=switching,
                                  include_cross=False, atol=atol * 1e3, rtol=rtol * 1e3)
-    rows = [_row(c, r, True, error_factor) for c, r in zip(coords, results)]
+    floats = {}
+    rows = [_row(c, r, True, error_factor, floats) for c, r in zip(coords, results)]
     for i, r in zip(missed, retried):
-        rows[i] = _row(coords[i], r, False, error_factor)
+        rows[i] = _row(coords[i], r, False, error_factor, floats)
     meta = {
         "model": grid.model.value,
         "fixed": dict(grid.fixed),

@@ -1,8 +1,9 @@
 """Calibration of the reported errors.
 
 Per node, every integrand factor lies within its rounding bound, 50 eps x
-magnitude, of a 40-digit value.  Per integral, a rerun at rtol x 1e-2 with
-twice the tail panels moves each result by less than its reported error.
+magnitude, of a 40-digit value.  Per integral, a rerun at rtol x 1e-2, with
+tails allowed twice the panels, moves each result by less than its reported
+error.
 """
 
 import functools
@@ -141,8 +142,8 @@ def rerun_pairs():
 def test_tighter_rerun_lands_inside_the_error(params, monkeypatch):
     pair = make_pair(*params)
     terms = compute_terms(pair, include_cross=pair.identical)
-    monkeypatch.setattr(specfun, "_oscillatory_tail",
-                        functools.partial(specfun._oscillatory_tail, max_panels=160))
+    monkeypatch.setattr(specfun, "_oscillatory_tails",
+                        functools.partial(specfun._oscillatory_tails, max_panels=160))
     tight = compute_terms(pair, include_cross=pair.identical, rtol=1e-12)
     errors = terms.quadrature_errors
     assert (abs(tight.negativity2_scaled - terms.negativity2_scaled)
@@ -170,8 +171,8 @@ def test_tail_error_counts_its_panels_rounding(monkeypatch):
         tails.append(tail_sum(*args, **kwargs))
         return tails[-1]
 
-    tail_sum = specfun._oscillatory_tail
-    monkeypatch.setattr(specfun, "_oscillatory_tail", spy)
+    tail_sum = specfun._oscillatory_tails
+    monkeypatch.setattr(specfun, "_oscillatory_tails", spy)
     pair = make_pair(*POOL_PAIRS["unequal_gaps_700"])
     m = specfun.integrate_damped(harvesting._spec(harvesting._nonlocal(pair)))
     (_, tail_err, tail_abs, _), = tails

@@ -560,7 +560,7 @@ def test_cross_term_sums_no_tail(monkeypatch):
     def no_tail(*args, **kwargs):
         raise AssertionError("L_AB summed a tail past k_hi")
 
-    monkeypatch.setattr(specfun, "_oscillatory_tail", no_tail)
+    monkeypatch.setattr(specfun, "_oscillatory_tails", no_tail)
     for d, tba in ((3.0, 1.5), (3.0, 0.0), (0.0, 1.5)):
         assert math.isfinite(abs(cross_noise_term(make_pair(d=d, tba=tba))))
 

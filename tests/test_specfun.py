@@ -528,6 +528,20 @@ def test_wynn_all_zero_sequence():
     assert wynn_reference([0.0] * 9) == (0.0 + 0.0j, 0.0)
 
 
+def test_wynn_table_equals_each_row_alone():
+    # a (members, sums) table: every row stops on its own rule, as alone
+    n = np.arange(1, 41)
+    rows = [np.cumsum((-1.0) ** n * np.exp(0.3j * n) / n ** 1.5),
+            np.cumsum((-1.0) ** (n + 1) / n),
+            np.full(40, 0.25 + 0.5j),
+            np.zeros(40),
+            np.r_[1.0, 2.0, 3.0, 3.0 + np.cumsum((-1.0) ** n[:37] / n[:37])],
+            np.cumsum(np.random.default_rng(3).standard_normal(40))]
+    for width in (1, 2, 3, 12, 40):
+        vals, errs = _wynn_epsilon(np.array([r[:width] for r in rows]))
+        assert [(v, e) for v, e in zip(vals, errs)] == [_wynn_epsilon(r[:width]) for r in rows]
+
+
 def test_wynn_short_sequences():
     for seq in ([1.5], [1.0, 0.5 + 0.25j]):
         val, err = _wynn_epsilon(seq)
