@@ -290,6 +290,7 @@ def _spec(term: _Term, ds=None) -> DampedKernelSpec:
     magnitude) pairs; their product's magnitude is propagated to first
     order."""
     p, kernel, time, a0 = term.p, term.kernel, term.time, term.a0
+    ds = (term.d,) if ds is None else tuple(ds)
 
     def shared(k):
         return time(k), k ** p / (4.0 * (a0 * k) ** 2 + 9.0) ** 6
@@ -308,8 +309,10 @@ def _spec(term: _Term, ds=None) -> DampedKernelSpec:
         integrand=shared,
         algebraic_cutoff=_WING_CUTOFF[p] / (2.0 * a0) if term.wings else None,
         factor=factor,
-        members=(term.d,) if ds is None else tuple(ds),
-        spatial=kernel is not None,
+        members=ds,
+        # kernel(k d) oscillates with period 2 pi/d
+        member_lengths=tuple(2.0 * math.pi / d if kernel is not None and d > 0.0 else None
+                             for d in ds),
     )
 
 

@@ -82,7 +82,7 @@ class DampedKernelSpec:
     damping_width: w such that the Gaussian part of the integrand is bounded
         by exp(-w k^2); for the harvesting kernels w = T^2/2.
     oscillation_lengths: periods in k of the shared oscillatory factors (the
-        time phase's 2*pi/t_ba); spatial members add their own.
+        time phase's 2*pi/t_ba).
     integrand: vectorized callable on arrays of k >= 0.  Without a factor
         it returns the arrays (value, magnitude) of the module's rounding
         model; otherwise whatever the factor takes.
@@ -97,9 +97,9 @@ class DampedKernelSpec:
         whole integrand.
     members: the d of each member, each integrated to its own tolerance on
         one shared head panel set.
-    spatial: the factor at d > 0 oscillates in k with period 2 pi/d (a
-        spatial kernel of k d), which past the Gaussian truncation point is
-        the period of the member's tail.
+    member_lengths: per member, the period in k of its own oscillation in
+        factor, or None; past the Gaussian truncation point it is the period
+        of the member's tail.  Empty: no member has one.
     """
 
     damping_width: float
@@ -108,7 +108,7 @@ class DampedKernelSpec:
     algebraic_cutoff: float | None = None
     factor: Callable | None = None
     members: tuple[float, ...] = (0.0,)
-    spatial: bool = False
+    member_lengths: tuple = ()
 
     def __post_init__(self):
         if not (self.damping_width > 0.0):
@@ -117,6 +117,8 @@ class DampedKernelSpec:
             raise ValueError("oscillation_lengths must all be positive")
         if not self.members or any(not (d >= 0.0) for d in self.members):
             raise ValueError("a spec needs members, each with d >= 0")
+        if self.member_lengths and len(self.member_lengths) != len(self.members):
+            raise ValueError("member_lengths needs one entry per member")
 
 
 # ----------------------------------------------------------------------------
@@ -334,33 +336,28 @@ def _gk15_reduce(fv, fm, half: np.ndarray):
     return resk, np.maximum(err, _ROUNDOFF * resabs), resabs  # with the roundoff floor
 
 
-def _gk15_panels(f, lo: np.ndarray, hi: np.ndarray, factor=None, ds=None):
+def _gk15_panels(f, lo: np.ndarray, hi: np.ndarray, factor=None, ds=(0.0,)):
     """Vectorized GK15 on a batch of panels of f -> (value, magnitude).
 
     Returns (integral, error_estimate, abs_integral, n_evals) per panel, with
     the QUADPACK error heuristic; abs_integral integrates the magnitude, so
-    the roundoff floor counts the integrand's rounding.  With factor, f is
-    evaluated once on the nodes and the integrands are factor(k, f(k), d),
-    one per d in ds, and the first three entries are (members, panels)
-    arrays.  lo and hi are one row of panels that the members share, each
-    member's factor evaluated and reduced in turn, or one row per member,
-    all evaluated in one call on the column of ds.
+    the roundoff floor counts the integrand's rounding.  f is evaluated
+    once on the nodes and the integrands are factor(k, f(k), d), one per d
+    in ds (without factor, f itself), so the first three entries are
+    (members, panels) arrays.  lo and hi are one row of panels that the
+    members share, each member's factor evaluated and reduced in turn, or
+    one row per member, all evaluated in one call on the column of ds.
     """
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
     k = (mid[..., None] + half[..., None] * _XGK).reshape(lo.shape[:-1] + (-1,))
     shared = f(k)
-    if factor is None:
-        parts = _gk15_reduce(*shared, half)
-    elif lo.ndim > 1:
+    if lo.ndim > 1:
         parts = _gk15_reduce(*factor(k, shared, np.asarray(ds)[:, None]), half)
     else:
-        parts = map(np.array, zip(*(_gk15_reduce(*factor(k, shared, d), half) for d in ds)))
+        parts = map(np.array, zip(*(_gk15_reduce(*(factor(k, shared, d) if factor else shared),
+                                                 half) for d in ds)))
     return (*parts, k.size)
-
-
-def _whole(k, shared, d):  # the factor of an integrand that is all shared
-    return shared
 
 
 def _adaptive_gk(f, breakpoints: np.ndarray, atol: float, rtol: float,
@@ -378,18 +375,18 @@ def _adaptive_gk(f, breakpoints: np.ndarray, atol: float, rtol: float,
     the driver stops as soon as the error above the floor is within tol
     (QUADPACK's ier = 2).  The returned error still includes the floor.
 
-    With factor, the integrands factor(k, f(k), d), one per d in ds, are
-    rows of one panel set, so f is evaluated once per pass for all of them.
-    Each row keeps its own error, tol and stopping tests and is dropped when
-    it stops; a pass splits the panels with the worst err_i / tol_i over the
-    rows left.  Returns one (value, error, abs_integral, evals) per d, or
-    without factor the one of f.
+    With ds, the integrands factor(k, f(k), d), one per d in ds (without
+    factor, f itself), are rows of one panel set, so f is evaluated once
+    per pass for all of them.  Each row keeps its own error, tol and
+    stopping tests and is dropped when it stops; a pass splits the panels
+    with the worst err_i / tol_i over the rows left.  Returns one (value,
+    error, abs_integral, evals) per d, or without ds the one of f.
     """
     lo = np.asarray(breakpoints[:-1], dtype=float)
     hi = np.asarray(breakpoints[1:], dtype=float)
-    ds = np.asarray((0.0,) if factor is None else ds, dtype=float)
-    whole = factor or _whole
-    val, err, absl, evals = _gk15_panels(f, lo, hi, whole, ds)
+    one = ds is None
+    ds = np.asarray((0.0,) if one else ds, dtype=float)
+    val, err, absl, evals = _gk15_panels(f, lo, hi, factor, ds)
     running, out = np.arange(ds.size), [None] * ds.size
     while True:
         total, err_sum, abs_sum = val.sum(axis=1), err.sum(axis=1), absl.sum(axis=1)
@@ -413,13 +410,13 @@ def _adaptive_gk(f, breakpoints: np.ndarray, atol: float, rtol: float,
         m = 0.5 * (a + b)
         new_lo = np.column_stack((a, m)).ravel()
         new_hi = np.column_stack((m, b)).ravel()
-        *new, n = _gk15_panels(f, new_lo, new_hi, whole, ds[running])
+        *new, n = _gk15_panels(f, new_lo, new_hi, factor, ds[running])
         evals += n
         lo = np.concatenate((lo[keep], new_lo))
         hi = np.concatenate((hi[keep], new_hi))
         val, err, absl = (np.concatenate((x[:, keep], y), axis=1)
                           for x, y in zip((val, err, absl), new))
-    return out if factor is not None else out[0]
+    return out[0] if one else out
 
 
 def _wynn_epsilon(partial_sums):
@@ -538,12 +535,12 @@ def integrate_damped_group(spec: DampedKernelSpec, atol: float = 1e-16,
     """
     k_hi = math.sqrt(_GAUSS_DEAD / spec.damping_width)
 
-    ds = spec.members
-    osc = [i for i, d in enumerate(ds) if spec.spatial and d > 0.0]
+    ds, own = spec.members, spec.member_lengths
+    osc = [i for i, ell in enumerate(own) if ell]
     pts = {0.0, k_hi}
     # resolve the low-k structure of the k^p * rational prefactor
     pts.update(np.geomspace(k_hi * 1e-4, k_hi, 17))
-    lengths = spec.oscillation_lengths + tuple(2.0 * math.pi / ds[i] for i in osc)
+    lengths = spec.oscillation_lengths + tuple(own[i] for i in osc)
     if lengths:
         h = min(lengths) / 2.0
         n_osc = int(k_hi / h)
@@ -553,14 +550,14 @@ def integrate_damped_group(spec: DampedKernelSpec, atol: float = 1e-16,
             pts.update(np.arange(1, n_osc + 1)[::stride] * h)
     breakpoints = np.array(sorted(pts))
 
-    factor = spec.factor or _whole
+    factor = spec.factor
     heads = _adaptive_gk(spec.integrand, breakpoints, 0.5 * atol, 0.5 * rtol,
                          max_panels=max_panels, factor=factor, ds=ds)
     tails, cutoff = {}, spec.algebraic_cutoff
     if cutoff is not None:
         if osc:
             # keep tail panels comparable to the head
-            steps = np.array([min(math.pi / ds[i], k_hi) for i in osc])
+            steps = np.array([min(0.5 * own[i], k_hi) for i in osc])
             summed = _oscillatory_tails(spec.integrand, factor, [ds[i] for i in osc], k_hi,
                                         steps, np.array([heads[i][0] for i in osc]),
                                         0.5 * atol, 0.5 * rtol)

@@ -569,7 +569,7 @@ def adaptive_gk_reference(f, breakpoints, atol, rtol, max_panels=4000,
     lo = np.asarray(breakpoints[:-1], dtype=float)
     hi = np.asarray(breakpoints[1:], dtype=float)
     vals, errs, absl, n = _gk15_panels(f, lo, hi)
-    panels = list(zip(lo, hi, vals, errs, absl))
+    panels = list(zip(lo, hi, vals[0], errs[0], absl[0]))
     evals = n
     while True:
         total = sum(p[2] for p in panels)
@@ -593,7 +593,7 @@ def adaptive_gk_reference(f, breakpoints, atol, rtol, max_panels=4000,
             his += [m, b]
         vals, errs, absl, n = _gk15_panels(f, np.array(los), np.array(his))
         evals += n
-        panels.extend(zip(los, his, vals, errs, absl))
+        panels.extend(zip(los, his, vals[0], errs[0], absl[0]))
     val, err, absint = (np.array([p[i] for p in panels]).sum() for i in (2, 3, 4))
     return val, float(err), float(absint), evals
 
