@@ -68,12 +68,17 @@ class AtomSpec:
     orientation: EulerAngles = field(default_factory=EulerAngles)
 
     def __post_init__(self):
+        for name in ("a0", "omega", "switching_width", "switching_center"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if not (self.a0 > 0):
             raise ValueError("a0 must be positive")
         if not (self.omega > 0):
             raise ValueError("omega must be positive")
         if not (self.switching_width > 0):
             raise ValueError("switching_width must be positive")
+        if len(self.position) != 3 or not all(map(math.isfinite, self.position)):
+            raise ValueError("position must be three finite numbers")
 
     @property
     def sigma(self) -> float:

@@ -4,8 +4,7 @@ reproduction and the oracle self-check.
 Exit codes: 0 success, 1 self-check failure, 2 invalid configuration,
 3 quadrature non-convergence.  Environment variables prefixed VH_ override
 the built-in defaults of the corresponding flags (e.g. VH_TOL_REL,
-VH_FORMAT); explicit flags win over the environment.  --threads (and
-VH_THREADS) is accepted and has no effect.
+VH_FORMAT); explicit flags win over the environment.
 
 --switching auto (the default) crops the switching at --crop-sigmas for
 pairs outside the lightcone band, |d - |t_BA|| >= 8 sigma, and leaves it
@@ -78,8 +77,6 @@ def _add_common(p: argparse.ArgumentParser):
                    help="switching window; 'auto' crops outside the lightcone band")
     p.add_argument("--crop-sigmas", type=float, default=_env("CROP_SIGMAS", 8.0),
                    dest="crop_sigmas", help="crop distance in units of sigma = T/sqrt(2)")
-    p.add_argument("--threads", type=int, default=_env("THREADS", 1),
-                   help="accepted for compatibility; has no effect")
     p.add_argument("--format", default=_env("FORMAT", "csv"),
                    choices=["csv", "json"], help="output format")
 
@@ -108,8 +105,8 @@ def _switching_kind(args) -> SwitchingKind:
 
 def _sweep_kw(args) -> dict:
     """The keywords every sweep takes from the common flags."""
-    return {"threads": args.threads, "switching": _switching_kind(args),
-            "coupling": args.coupling, "rtol": args.tol_rel, "atol": args.tol_abs}
+    return {"switching": _switching_kind(args), "coupling": args.coupling,
+            "rtol": args.tol_rel, "atol": args.tol_abs}
 
 
 def _fmt(x) -> str:

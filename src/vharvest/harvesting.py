@@ -30,18 +30,17 @@ is available even where the values underflow (Omega T > ~38); a pair whose
 terms relative to it leave double range (very unequal gaps) raises
 ValueError.
 
-``compute_terms_many`` evaluates a batch of pairs and shares the work: L
-comes from a memo, and the M (and L_AB) terms that share time(k) and the
-scale k^p / (4u+9)^6, which is every pair with the same model, a0, T, t_BA
-and gap difference, integrate on one head panel set, each distinct d once
-and each to its own tolerance, with its own tail.  ``compute_terms`` is its
-one-pair case.
+``compute_terms_many`` evaluates a batch of pairs and shares the work: the
+terms that share time(k) and the scale k^p / (4u+9)^6, which for M (and
+L_AB) is every pair with the same model, a0, T, t_BA and gap difference and
+for L every atom with the same model, a0, T and gap, integrate on one head
+panel set, each distinct d once and each to its own tolerance, with its own
+tail.  ``compute_terms`` is its one-pair case.
 """
 
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -52,7 +51,7 @@ import numpy as np
 
 from .atoms import AtomSpec, SwitchingKind
 from .specfun import (DampedKernelSpec, QuadratureConvergenceError,
-                      QuadratureResult, integrate_damped, integrate_damped_group,
+                      QuadratureResult, integrate_damped_group,
                       scaled_time_kernel, spherical_bessel_j,
                       spherical_bessel_j0_plus_j2)
 
@@ -130,8 +129,8 @@ class DetectorPair:
         if not a.orientation.is_identity:
             raise ValueError("atom A defines the reference frame; its "
                              "orientation must be the identity")
-        if not (self.coupling > 0):
-            raise ValueError("coupling must be positive")
+        if not (0 < self.coupling < math.inf):
+            raise ValueError("coupling must be positive and finite")
         # not computed correctly yet, so rejected: M uses atom A's a0 and T
         # for both atoms, and the EM kernel assumes B on A's 2p_z axis
         if a.a0 != b.a0 or a.switching_width != b.switching_width:
@@ -273,12 +272,11 @@ class _Term:
     prefactor: tuple
     a0: float
     T: float                   # damping exp(-T^2 k^2 / 2)
-    d: float = 0.0
-    t_ba: float = 0.0          # time factors oscillate with period 2 pi/|t_ba|
-    memo: tuple | None = None  # _local_quadrature key (L)
     # terms with equal keys have the same p, kernel, time, wings, a0 and T
     # and differ only in d and prefactor: they integrate on one panel set
-    share: tuple | None = None
+    share: tuple
+    d: float = 0.0
+    t_ba: float = 0.0          # time factors oscillate with period 2 pi/|t_ba|
 
 
 def _spec(term: _Term, ds=None) -> DampedKernelSpec:
@@ -322,32 +320,16 @@ def _integrand(term: _Term):
     return lambda k: spec.factor(k, spec.integrand(k), term.d)
 
 
-@functools.lru_cache(maxsize=256)
-def _local_quadrature(model: ModelKind, a0: float, omega: float, T: float,
-                      atol: float, rtol: float) -> QuadratureResult:
-    # Memoised: a grid at fixed gap and radius shares one L.  Only the bare
-    # integral is cached; the prefactor (the mutable coefficients included)
-    # is applied outside.
-    atom = AtomSpec(a0=a0, omega=omega, switching_width=T)
-    return integrate_damped(_spec(_local(model, atom)), atol=atol, rtol=rtol)
-
-
 def _quadratures(terms: list, atol: float, rtol: float) -> list:
-    """The bare integral of each term.  L comes from its memo; the other
-    terms are grouped by key, and each group is one integrate_damped_group
-    call with one member per distinct d, so terms that differ only in the
-    prefactor share one integral.  An entry is a QuadratureResult, or the
+    """The bare integral of each term.  The terms are grouped by key, and
+    each group is one integrate_damped_group call with one member per
+    distinct d, so terms that differ only in the prefactor share one
+    integral.  An entry is a QuadratureResult, or the
     QuadratureConvergenceError of a term that missed the tolerance."""
     out = [None] * len(terms)
     groups = {}
     for i, term in enumerate(terms):
-        if term.memo:
-            try:
-                out[i] = _local_quadrature(*term.memo, atol, rtol)
-            except QuadratureConvergenceError as exc:
-                out[i] = exc
-        else:
-            groups.setdefault(term.share, []).append(i)
+        groups.setdefault(term.share, []).append(i)
     for members in groups.values():
         ds = list(dict.fromkeys(terms[i].d for i in members))
         spec = _spec(terms[members[0]], ds)
@@ -416,7 +398,7 @@ def _local(model: ModelKind, atom: AtomSpec, coupling: float = 1.0) -> _Term:
 
     return _Term(p, None, time, False, (coupling ** 2 * (c_l / math.pi), q,
                                         1.0, 1.0, -0.5 * (T * omega) ** 2),
-                 atom.a0, T, memo=(model, atom.a0, omega, T))
+                 atom.a0, T, ("L", p, atom.a0, T, omega))
 
 
 def _nonlocal(pair: DetectorPair) -> _Term:
@@ -434,8 +416,8 @@ def _nonlocal(pair: DetectorPair) -> _Term:
                                          b.switching_center, T)
     prefactor = (-e2 * (c_m / math.pi), q, pair.cos_relative_angle, phase,
                  term_scale)
-    return _Term(p, kernel, time, True, prefactor, a.a0, T, pair.separation, t_ba,
-                 share=("M", p, a.a0, T, t_ba, d_omega))
+    return _Term(p, kernel, time, True, prefactor, a.a0, T,
+                 ("M", p, a.a0, T, t_ba, d_omega), pair.separation, t_ba)
 
 
 def _cross(pair: DetectorPair) -> _Term:
@@ -450,8 +432,8 @@ def _cross(pair: DetectorPair) -> _Term:
 
     prefactor = (pair.coupling ** 2 * (c_l / math.pi), q, pair.cos_relative_angle,
                  cmath.exp(-1j * omega * t_ba), -0.5 * (T * omega) ** 2)
-    return _Term(p, kernel, time, False, prefactor, a.a0, T, pair.separation, t_ba,
-                 share=("L_AB", p, a.a0, T, t_ba, omega))
+    return _Term(p, kernel, time, False, prefactor, a.a0, T,
+                 ("L_AB", p, a.a0, T, t_ba, omega), pair.separation, t_ba)
 
 
 # ----------------------------------------------------------------------------
@@ -477,7 +459,10 @@ def local_term(pair: DetectorPair, which: str = "A",
                atol: float = 1e-16, rtol: float = 1e-10) -> float:
     """Local vacuum-noise term L_mumu for one atom (orientation and
     separation independent); equal to the matching ``compute_terms`` field."""
-    atom = pair.atom_a if which.upper() == "A" else pair.atom_b
+    which = str(which).upper()
+    if which not in ("A", "B"):
+        raise ValueError(f"which must be 'A' or 'B', not {which!r}")
+    atom = pair.atom_a if which == "A" else pair.atom_b
     return _absolute(pair, _local(pair.model, atom, pair.coupling), atol, rtol).real
 
 
@@ -552,11 +537,12 @@ def compute_terms_many(pairs, switching: SwitchingKind | None = None,
                        rtol: float = 1e-10) -> list:
     """``compute_terms`` of every pair, sharing the momentum integrals.
 
-    L comes from its memo.  The M terms of pairs that agree on the model,
-    a0, T, t_BA and Omega_A - Omega_B share their time kernel and differ
-    only in d and in the prefactor (cos theta, phase, scale): they are
-    integrated on one head panel set (``specfun.integrate_damped_group``),
-    each distinct d once; L_AB likewise.  A pair alone gives the same bits
+    The M terms of pairs that agree on the model, a0, T, t_BA and
+    Omega_A - Omega_B share their time kernel and differ only in d and in
+    the prefactor (cos theta, phase, scale): they are integrated on one head
+    panel set (``specfun.integrate_damped_group``), each distinct d once;
+    L_AB likewise, and the L of every atom with the same model, a0, T and
+    Omega is one integral.  A pair alone gives the same bits
     as in a group of one; in a larger group its values may differ from that
     by less than the reported errors.
 

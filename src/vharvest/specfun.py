@@ -41,7 +41,6 @@ __all__ = [
     "scaled_time_kernel",
     "spherical_bessel_j",
     "spherical_bessel_j0_plus_j2",
-    "integrate_damped",
     "integrate_damped_group",
 ]
 
@@ -581,18 +580,3 @@ def integrate_damped_group(spec: DampedKernelSpec, atol: float = 1e-16,
         out.append(result)
     return out
 
-
-def integrate_damped(spec: DampedKernelSpec, atol: float = 1e-16,
-                     rtol: float = 1e-10, max_panels: int = 4000) -> QuadratureResult:
-    """``integrate_damped_group`` of a spec with one member.
-
-    Raises QuadratureConvergenceError (carrying the best estimate) if the
-    requested tolerance is unreachable.
-    """
-    if len(spec.members) != 1:
-        raise ValueError("integrate_damped takes a spec with one member; "
-                         "use integrate_damped_group")
-    (result,) = integrate_damped_group(spec, atol=atol, rtol=rtol, max_panels=max_panels)
-    if isinstance(result, QuadratureConvergenceError):
-        raise result
-    return result

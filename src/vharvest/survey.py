@@ -269,8 +269,11 @@ PSI_2 = math.atan(2.0)            # ~1.1071
 
 
 def optimal_orientations() -> list[EulerAngles]:
-    """The 96 maximal-harvesting orientations (four printed families over
-    n, m = 0..3 and l = 1..8), deduplicated as parameter triples."""
+    """The 96 orientations that maximise ``orientation_score`` (four
+    printed families over n, m = 0..3 and l = 1..8), deduplicated as
+    parameter triples.  For end-on EM pairs, the only EM geometry the
+    package computes, each gives |M| at 1/3 or 2/3 of the identity
+    orientation's, not more."""
     out = []
     for n in range(4):
         for m in range(4):

@@ -258,3 +258,17 @@ def test_atomspec_validation():
         AtomSpec(a0=1.0, omega=0.0)
     with pytest.raises(ValueError):
         AtomSpec(a0=1.0, omega=1.0, switching_width=0.0)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("field", ["a0", "omega", "switching_width",
+                                   "switching_center", "position"])
+def test_atomspec_rejects_non_finite_inputs_by_name(field, bad):
+    value = (0.0, 0.0, bad) if field == "position" else bad
+    with pytest.raises(ValueError, match=field):
+        AtomSpec(**{"a0": 1.0, "omega": 1.0, field: value})
+
+
+def test_atomspec_position_needs_three_numbers():
+    with pytest.raises(ValueError, match="position"):
+        AtomSpec(a0=1.0, omega=1.0, position=(0.0, 1.0))

@@ -93,47 +93,54 @@ def test_derivative_vs_scalar_integrand_ratio(rng):
     assert np.max(np.abs(g_dv(ks) / g_sc(ks) - ks * ks) / (ks * ks)) <= 1e-12
 
 
-def test_local_memo_hit_on_repeated_terms():
-    memo = harvesting._local_quadrature
-    memo.cache_clear()
+def test_grid_integrates_one_l(monkeypatch):
+    # every point of a grid at one gap shares L: one integral, one member
+    specs = []
+    real = harvesting._spec
+
+    def spy(term, ds=None):
+        specs.append((term.share[0], ds))
+        return real(term, ds)
+
+    monkeypatch.setattr(harvesting, "_spec", spy)
+    pairs = [make_pair(omega=12.0, d=d, tba=tba) for d in (3.0, 11.0) for tba in (0.5, 10.0)]
+    terms = harvesting.compute_terms_many(pairs, include_cross=False)
+    assert [s for s in specs if s[0] == "L"] == [("L", [0.0])]
+    assert len({t.l_aa for t in terms} | {t.l_bb for t in terms}) == 1
+
+
+def test_local_terms_are_the_same_bits_in_and_across_calls():
     pair = make_pair(omega=12.0, d=11.0, tba=10.0)
     first = compute_terms(pair, include_cross=False)
-    # L_BB of identical atoms is L_AA's entry
-    assert memo.cache_info().misses == 1 and memo.cache_info().hits == 1
+    # L_BB of identical atoms is L_AA's integral
     assert first.l_bb == first.l_aa
-    # another point of the same grid (new d and t_BA) shares L
-    again = compute_terms(make_pair(omega=12.0, d=3.0, tba=0.5), include_cross=False)
-    assert memo.cache_info().misses == 1 and memo.cache_info().hits == 3
-    assert again.l_aa == first.l_aa
-    assert again.quadrature_errors["l_aa"] == first.quadrature_errors["l_aa"]
+    assert first.quadrature_errors["l_bb"] == first.quadrature_errors["l_aa"]
+    # a second call, and another point of the same grid, give the same L
+    for again in (compute_terms(pair, include_cross=False),
+                  compute_terms(make_pair(omega=12.0, d=3.0, tba=0.5), include_cross=False)):
+        assert again.l_aa == first.l_aa and again.l_bb == first.l_bb
+        assert again.quadrature_errors["l_aa"] == first.quadrature_errors["l_aa"]
+    assert local_term(pair) == first.l_aa
 
 
-def test_local_memo_loosened_retry_is_a_separate_key():
-    # survey._eval_point retries at atol and rtol x 1e3; that must not reuse
-    # the tight-tolerance entry or vice versa
-    memo = harvesting._local_quadrature
-    memo.cache_clear()
-    pair = make_pair(omega=5.0)
-    compute_terms(pair, include_cross=False, atol=1e-16, rtol=1e-10)
-    compute_terms(pair, include_cross=False, atol=1e-13, rtol=1e-7)
-    info = memo.cache_info()
-    assert info.misses == 2 and info.hits == 2 and info.currsize == 2
-    assert info.maxsize is not None  # bounded
-
-
-def test_local_memo_cannot_mask_a_mutated_coefficient(monkeypatch):
-    memo = harvesting._local_quadrature
+def test_mutated_local_coefficient_moves_l(monkeypatch):
     pair = make_pair(omega=12.0)
-    compute_terms(pair, include_cross=False)
     base = compute_terms(pair, include_cross=False)
-    hits = memo.cache_info().hits
     monkeypatch.setattr(harvesting, "EM_LOCAL_COEFF",
                         harvesting.EM_LOCAL_COEFF * (1.0 + 1e-6))
     mutated = compute_terms(pair, include_cross=False)
-    assert memo.cache_info().hits == hits + 2  # L_AA and L_BB from the memo
     assert mutated.l_aa / base.l_aa - 1.0 == pytest.approx(1e-6, rel=1e-8)
     assert local_term(pair) / base.l_aa - 1.0 == pytest.approx(1e-6, rel=1e-8)
     assert mutated.m == base.m
+
+
+def test_local_term_takes_only_a_or_b():
+    pair = make_pair(omega=12.0)
+    assert local_term(pair, "a") == local_term(pair, "A")
+    assert local_term(pair, "b") == local_term(pair, "B")
+    for which in ("zzz", "", "AB"):
+        with pytest.raises(ValueError, match="which"):
+            local_term(pair, which)
 
 
 # ----------------------------------------------------------------------------
@@ -576,6 +583,12 @@ def test_rejects_em_pair_off_the_z_axis():
     off_axis = AtomSpec(a0=1e-3, omega=2.0, position=(1.5, 0.0, 0.0))
     assert (nonlocal_term(DetectorPair(a, off_axis, ModelKind.UDW_SCALAR))
             == nonlocal_term(DetectorPair(a, on_axis, ModelKind.UDW_SCALAR)))
+
+
+@pytest.mark.parametrize("coupling", [math.inf, math.nan, 0.0, -1.0])
+def test_rejects_a_coupling_that_is_not_positive_and_finite(coupling):
+    with pytest.raises(ValueError, match="coupling"):
+        make_pair(coupling=coupling)
 
 
 def test_rejects_unequal_a0():

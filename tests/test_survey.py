@@ -7,7 +7,7 @@ import pytest
 from vharvest import harvesting, specfun
 from vharvest.angular import EulerAngles
 from vharvest.atoms import SwitchingKind
-from vharvest.harvesting import ModelKind, compute_terms
+from vharvest.harvesting import ModelKind, compute_terms, compute_terms_many
 from vharvest.survey import (Axis, ScanGrid, ScanResult, harvestability_map,
                              model_comparison, optimal_orientations,
                              orientation_scan, orientation_score,
@@ -141,6 +141,17 @@ def test_optimal_orientations_beat_identity():
         assert orientation_score(angles) == pytest.approx(5.0, abs=1e-12)
 
 
+def test_optimal_orientations_reduce_end_on_em_harvesting():
+    # end-on EM pairs: M scales with cos(theta) = +-1/3 or -2/3, so every
+    # one of the 96 harvests less than the identity orientation
+    pairs = [pair_from_params({**FIXED, "psi": a.psi, "theta": a.theta, "phi": a.phi},
+                              ModelKind.EM_DIPOLE)
+             for a in [EulerAngles()] + optimal_orientations()]
+    identity, *rest = compute_terms_many(pairs, include_cross=False)
+    ratios = sorted(abs(t.m) / abs(identity.m) for t in rest)
+    assert ratios == pytest.approx([1.0 / 3.0] * 32 + [2.0 / 3.0] * 64, abs=1e-15)
+
+
 def test_pair_from_params_validation():
     with pytest.raises(ValueError):
         pair_from_params({"a0_omega": -1.0}, ModelKind.EM_DIPOLE)
@@ -214,16 +225,30 @@ def test_distance_row_evaluates_the_head_kernel_once_per_pass(monkeypatch):
     fixed = {"omega_T": 12.0, "a0_omega": 1e-3, "tba_over_T": 8.0}
     grid = ScanGrid(axes=(Axis("d_over_T", 0.0, 24.0, 10),), fixed=fixed,
                     model=ModelKind.EM_DIPOLE)
-    run_grid(grid)  # L is memoised from here on: every panel below is M's
+    real_spec, real_panels = harvesting._spec, specfun._gk15_panels
 
     def head_passes(run):
-        kernel, panels = [], []
+        kernel, panels, m_shared = [], [], []
+
+        def spec(term, ds=None):
+            out = real_spec(term, ds)
+            if term.share[0] == "M":
+                m_shared.append(out.integrand)
+            return out
+
+        def gk15_panels(f, lo, hi, *args, **kwargs):
+            panels.append((f, hi))
+            return real_panels(f, lo, hi, *args, **kwargs)
+
         _spy(monkeypatch, harvesting, "scaled_time_kernel", kernel)
-        _spy(monkeypatch, specfun, "_gk15_panels", panels, arg=2)
+        monkeypatch.setattr(harvesting, "_spec", spec)
+        monkeypatch.setattr(specfun, "_gk15_panels", gk15_panels)
         run()
         monkeypatch.undo()
+        # M's head passes: L's panels evaluate no time kernel
         head = [k.size for k in kernel if k.max() < k_hi]
-        assert head == [15 * hi.size for hi in panels if hi.max() <= k_hi]
+        assert head == [15 * hi.size for f, hi in panels
+                        if f in m_shared and hi.max() <= k_hi]
         return len(head)
 
     row = head_passes(lambda: run_grid(grid))
@@ -237,7 +262,6 @@ def test_distance_row_sums_its_tails_in_one_kernel_call_per_chunk(monkeypatch):
     fixed = {"omega_T": 12.0, "a0_omega": 1e-3, "tba_over_T": 8.0}
     grid = ScanGrid(axes=(Axis("d_over_T", 0.0, 24.0, 10),), fixed=fixed,
                     model=ModelKind.EM_DIPOLE)
-    run_grid(grid)  # L is memoised from here on
     kernel, chunks = [], []
     _spy(monkeypatch, harvesting, "scaled_time_kernel", kernel)
     _spy(monkeypatch, specfun, "_gk15_panels", chunks, arg=1)
