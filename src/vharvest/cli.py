@@ -2,9 +2,7 @@
 reproduction and the oracle self-check.
 
 Exit codes: 0 success, 1 self-check failure, 2 invalid configuration,
-3 quadrature non-convergence.  Environment variables prefixed VH_ override
-the built-in defaults of the corresponding flags (e.g. VH_TOL_REL,
-VH_FORMAT); explicit flags win over the environment.
+3 quadrature non-convergence.
 
 --switching auto (the default) crops the switching at --crop-sigmas for
 pairs outside the lightcone band, |d - |t_BA|| >= 8 sigma, and leaves it
@@ -25,7 +23,6 @@ import argparse
 import functools
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -35,9 +32,9 @@ from .harvesting import (ModelKind, assemble_state, compute_terms,
                          positivity_report)
 from .oracle import MUTABLE_CONSTANTS, run_all
 from .specfun import QuadratureConvergenceError
-from .survey import (Axis, ScanGrid, harvestability_map, model_comparison,
-                     orientation_scan, pair_from_params, run_grid,
-                     spacetime_map)
+from .survey import (LIGHTCONE_HALF_WIDTH, Axis, ScanGrid, harvestability_map,
+                     model_comparison, orientation_scan, pair_from_params,
+                     run_grid, spacetime_map)
 
 _FLOAT_FMT = "{:.17g}"
 
@@ -45,40 +42,26 @@ _FLOAT_FMT = "{:.17g}"
 _ROW_FIELDS = ("l_aa", "l_bb", "abs_m", "n2", "n", "harvestable", "converged")
 
 
-def _env(name: str, fallback):
-    raw = os.environ.get(f"VH_{name}")
-    if raw is None:
-        return fallback
-    if isinstance(fallback, bool):
-        return raw.lower() in ("1", "true", "yes", "on")
-    if isinstance(fallback, int):
-        return int(raw)
-    if isinstance(fallback, float):
-        return float(raw)
-    return raw
-
-
 def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--model", default=_env("MODEL", "em"),
-                   choices=[m.value for m in ModelKind],
+    p.add_argument("--model", default="em", choices=[m.value for m in ModelKind],
                    help="coupling model")
-    p.add_argument("--a0-omega", type=float, default=_env("A0_OMEGA", 1e-3),
+    p.add_argument("--a0-omega", type=float, default=1e-3,
                    dest="a0_omega", help="a0 * Omega (atomic radius in gap units)")
-    p.add_argument("--omega-T", type=float, default=_env("OMEGA_T", 1.0),
+    p.add_argument("--omega-T", type=float, default=1.0,
                    dest="omega_T", help="Omega * T (gap in switching-width units)")
-    p.add_argument("--coupling", type=float, default=_env("COUPLING", 1.0),
+    p.add_argument("--coupling", type=float, default=1.0,
                    help="coupling constant e (results scale as e^2)")
-    p.add_argument("--tol-rel", type=float, default=_env("TOL_REL", 1e-10),
+    p.add_argument("--tol-rel", type=float, default=1e-10,
                    dest="tol_rel", help="relative quadrature tolerance")
-    p.add_argument("--tol-abs", type=float, default=_env("TOL_ABS", 1e-16),
+    p.add_argument("--tol-abs", type=float, default=1e-16,
                    dest="tol_abs", help="absolute quadrature tolerance")
-    p.add_argument("--switching", default=_env("SWITCHING", "auto"),
+    p.add_argument("--switching", default="auto",
                    choices=["gaussian", "cropped", "auto"],
                    help="switching window; 'auto' crops outside the lightcone band")
-    p.add_argument("--crop-sigmas", type=float, default=_env("CROP_SIGMAS", 8.0),
+    p.add_argument("--crop-sigmas", type=float, default=8.0,
                    dest="crop_sigmas", help="crop distance in units of sigma = T/sqrt(2)")
-    p.add_argument("--format", default=_env("FORMAT", "csv"),
-                   choices=["csv", "json"], help="output format")
+    p.add_argument("--format", default="csv", choices=["csv", "json"],
+                   help="output format")
 
 
 def _add_geometry(p: argparse.ArgumentParser, require_d: bool):
@@ -139,8 +122,8 @@ def cmd_compute(args) -> int:
     pair = pair_from_params(params, model, coupling=args.coupling)
     terms = compute_terms(pair, switching=_switching_kind(args), include_cross=True,
                           atol=args.tol_abs, rtol=args.tol_rel)
-    state = assemble_state(terms)
-    pos = positivity_report(terms, coupling=args.coupling)
+    assemble_state(terms)  # rejects L_AA + L_BB > 1, where leading order fails
+    pos = positivity_report(terms)
     record = {
         "model": model.value,
         **params,
@@ -148,9 +131,9 @@ def cmd_compute(args) -> int:
         "l_bb": terms.l_bb,
         "abs_l_ab": abs(terms.l_ab),
         "abs_m": abs(terms.m),
-        "n2": state.negativity2,
-        "n": state.negativity,
-        "concurrence": state.concurrence,
+        "n2": terms.negativity2,
+        "n": terms.negativity,
+        "concurrence": terms.concurrence,
         "n2_scaled": terms.negativity2_scaled,
         "log_scale": terms.log_scale,
         "harvestable": terms.harvestable(),
@@ -176,9 +159,11 @@ def _parse_axis(text: str) -> Axis:
     if len(parts) not in (4, 5):
         raise argparse.ArgumentTypeError(
             "axis must be name:lo:hi:count[:log|linear]")
-    name, lo, hi, count = parts[0], float(parts[1]), float(parts[2]), int(parts[3])
     spacing = parts[4] if len(parts) == 5 else "linear"
-    return Axis(name, lo, hi, count, spacing)
+    try:
+        return Axis(parts[0], float(parts[1]), float(parts[2]), int(parts[3]), spacing)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
 def cmd_scan(args) -> int:
@@ -250,7 +235,7 @@ def _fig5(args, kw, zoom: bool):
     sigma = res.metadata["sigma_over_T"]
     meta = {"model": args.model, "a0_omega": _fmt(args.a0_omega), "omega_T": 12,
             "switching": res.metadata["switching"],
-            "lightcone": f"d = tba +- {_fmt(8.0 * sigma)}"}
+            "lightcone": f"d = tba +- {_fmt(LIGHTCONE_HALF_WIDTH)}"}
     return meta, [(*r.coords, r.n2, r.n, (r.coords[1] - r.coords[0]) / sigma)
                   for r in res.rows]
 
@@ -353,8 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--axis", type=_parse_axis, action="append", required=True,
                    help="axis spec name:lo:hi:count[:log|linear]; repeatable")
     _add_geometry(p, require_d=False)
-    p.add_argument("--output", default=_env("OUTPUT", "-"),
-                   help="output path; '-' for stdout")
+    p.add_argument("--output", default="-", help="output path; '-' for stdout")
     p.add_argument("--strict", action="store_true",
                    help="exit 3 if any row fails to converge")
     p.set_defaults(func=cmd_scan)
@@ -362,14 +346,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("figure", help="reproduce a figure dataset")
     _add_common(p)
     p.add_argument("name", help="fig3, fig4, fig5a, fig5b or fig7")
-    p.add_argument("--points", type=int, default=_env("POINTS", 200),
-                   help="points for 1D figures")
-    p.add_argument("--nx", type=int, default=_env("NX", 40),
-                   help="x resolution for map figures")
-    p.add_argument("--ny", type=int, default=_env("NY", 40),
-                   help="y resolution for map figures")
-    p.add_argument("--output-dir", default=_env("OUTPUT_DIR", "."),
-                   dest="output_dir")
+    p.add_argument("--points", type=int, default=200, help="points for 1D figures")
+    p.add_argument("--nx", type=int, default=40, help="x resolution for map figures")
+    p.add_argument("--ny", type=int, default=40, help="y resolution for map figures")
+    p.add_argument("--output-dir", default=".", dest="output_dir")
     p.set_defaults(func=cmd_figure)
 
     p = sub.add_parser("selfcheck", help="run every brute-force oracle")

@@ -86,6 +86,11 @@ EM_DECOMP_IDENTITY_COEFF = 663552.0
 EM_DECOMP_DYADIC_COEFF = 24576.0
 EM_DECOMP_M_J2_COEFF = 2359296.0
 
+# a pair is harvestable where the scaled N^(2) exceeds ERROR_FACTOR times
+# its quadrature error, and positivity holds to ERROR_FACTOR times the
+# error of the local and cross terms
+ERROR_FACTOR = 10.0
+
 
 class ModelKind(Enum):
     EM_DIPOLE = "em"
@@ -206,16 +211,13 @@ class HarvestTerms:
         return (e.get("m", 0.0) + 0.5 * (e.get("l_aa", 0.0) + e.get("l_bb", 0.0))
                 + e.get("crop_tail", 0.0))
 
-    def harvestable(self, error_factor: float = 10.0) -> bool:
-        return bool(self.negativity2_scaled > error_factor * self.negativity2_error_scaled())
+    def harvestable(self) -> bool:
+        return bool(self.negativity2_scaled > ERROR_FACTOR * self.negativity2_error_scaled())
 
 
 @dataclass(frozen=True)
 class TwoQubitState:
     rho: np.ndarray
-    negativity2: float
-    negativity: float
-    concurrence: float
 
 
 @dataclass(frozen=True)
@@ -325,7 +327,11 @@ def _quadratures(terms: list, atol: float, rtol: float) -> list:
     each group is one integrate_damped_group call with one member per
     distinct d, so terms that differ only in the prefactor share one
     integral.  An entry is a QuadratureResult, or the
-    QuadratureConvergenceError of a term that missed the tolerance."""
+    QuadratureConvergenceError of a term that missed the tolerance.  Raises
+    ValueError unless atol and rtol are finite and >= 0."""
+    for name, tol in (("atol", atol), ("rtol", rtol)):
+        if not 0.0 <= tol < math.inf:
+            raise ValueError(f"{name} must be finite and >= 0, not {tol!r}")
     out = [None] * len(terms)
     groups = {}
     for i, term in enumerate(terms):
@@ -605,7 +611,8 @@ def negativity_leading(l_aa: float, l_bb: float, abs_m: float) -> float:
 
 def assemble_state(terms: HarvestTerms) -> TwoQubitState:
     """Build the leading-order two-qubit density matrix in the basis
-    {gg, eg, ge, ee} and its entanglement measures."""
+    {gg, eg, ge, ee}; its negativity and concurrence are those of
+    ``terms``."""
     l_aa, l_bb = terms.l_aa, terms.l_bb
     if not (math.isfinite(l_aa) and math.isfinite(l_bb)):
         raise ValueError("non-finite local terms")
@@ -621,35 +628,32 @@ def assemble_state(terms: HarvestTerms) -> TwoQubitState:
     rho[2, 1] = np.conj(terms.l_ab)
     rho[3, 0] = terms.m
     rho[0, 3] = np.conj(terms.m)
-    n2 = negativity_leading(l_aa, l_bb, abs(terms.m))
-    neg = max(0.0, n2)
-    return TwoQubitState(rho=rho, negativity2=n2, negativity=neg,
-                         concurrence=2.0 * neg)
+    return TwoQubitState(rho=rho)
 
 
-def positivity_report(terms: HarvestTerms, coupling: float = 1.0,
-                      error_factor: float = 10.0) -> PositivityReport:
+def positivity_report(terms: HarvestTerms) -> PositivityReport:
     """Leading-order eigenvalues of the X state and the cross-noise
-    inequality L_AA L_BB >= |L_AB|^2.  E2 vanishes at this order (its -|M|^2
-    piece is fourth order in the coupling) and is reported informationally.
+    inequality L_AA L_BB >= |L_AB|^2, each to ERROR_FACTOR times the
+    quadrature error.  E2 vanishes at this order; its -|M|^2 piece, fourth
+    order in the coupling (M carries e^2), is reported informationally.
     Scaled values are used so the checks remain meaningful at large gaps."""
     l_aa, l_bb = terms.l_aa_scaled, terms.l_bb_scaled
     l_ab = abs(terms.l_ab_scaled)
     root = math.sqrt((l_aa - l_bb) ** 2 + 4.0 * l_ab ** 2)
     e = terms.quadrature_errors
-    tol = error_factor * (e.get("l_aa", 0.0) + e.get("l_bb", 0.0)
+    tol = ERROR_FACTOR * (e.get("l_aa", 0.0) + e.get("l_bb", 0.0)
                           + 2.0 * e.get("l_ab", 0.0) + e.get("crop_tail", 0.0))
     e1 = 1.0 - math.exp(terms.log_scale) * (l_aa + l_bb)
     e3 = 0.5 * (l_aa + l_bb + root)
     e4 = 0.5 * (l_aa + l_bb - root)
     cross = l_aa * l_bb - l_ab ** 2
-    cross_tol = error_factor * (e.get("l_aa", 0.0) * l_bb + e.get("l_bb", 0.0) * l_aa
+    cross_tol = ERROR_FACTOR * (e.get("l_aa", 0.0) * l_bb + e.get("l_bb", 0.0) * l_aa
                                 + 2.0 * e.get("l_ab", 0.0) * l_ab
                                 + e.get("crop_tail", 0.0) * (l_aa + l_bb + l_ab))
     passed = bool(l_aa >= -tol and l_bb >= -tol and e3 >= -tol and e4 >= -tol
                   and cross >= -cross_tol)
     return PositivityReport(
-        e1=e1, e2_fourth_order=-(coupling ** 2 * abs(terms.m)) ** 2,
+        e1=e1, e2_fourth_order=-abs(terms.m) ** 2,
         e3=e3, e4=e4, cross_inequality=cross,
         tolerance=max(tol, cross_tol), passed=passed)
 

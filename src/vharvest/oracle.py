@@ -41,7 +41,6 @@ __all__ = [
     "run_all",
     "MUTABLE_CONSTANTS",
     "faddeeva_w",
-    "erfc_complex",
     "smearing_scalar",
     "smearing_vector",
     "radial_R",
@@ -92,19 +91,6 @@ def faddeeva_w(z: complex) -> complex:
     if mz2.real > 709.0:  # ln(DBL_MAX), rounded down
         raise OverflowError(f"exp(-z^2) overflows for z={z}")
     return 2.0 * cmath.exp(mz2) - complex(_wofz(-z))
-
-
-def erfc_complex(z: complex) -> complex:
-    """Complementary error function for complex argument:
-    erfc(z) = exp(-z^2 + log w(iz)) for Re z >= 0 and the reflection
-    erfc(z) = 2 - erfc(-z) otherwise.  Raises OverflowError where the value
-    exceeds double range."""
-    z = complex(z)
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise ValueError(f"erfc_complex requires finite z, got {z}")
-    if z.real < 0.0:
-        return 2.0 - erfc_complex(-z)
-    return cmath.exp(-z * z + cmath.log(complex(_wofz(1j * z))))
 
 
 def radial_R(n: int, l: int, r, a0: float):
@@ -429,13 +415,12 @@ def _erfc_reference(z: complex) -> complex:
     return cmath.exp(-z * z) / math.sqrt(math.pi) / (z + cf)
 
 
-def run_all(seed: int = 1234, mutate: str | None = None,
-            mutation_size: float = 1e-6) -> list[OracleReport]:
+def run_all(seed: int = 1234, mutate: str | None = None) -> list[OracleReport]:
     """Run every oracle family at fixed seeds/grids.
 
     ``mutate`` perturbs one registered closed-form constant by a relative
-    ``mutation_size`` for the duration of the run; a healthy battery must
-    then report at least one failure.
+    1e-6 for the duration of the run; a healthy battery must then report at
+    least one failure.
     """
     saved = None
     if mutate is not None:
@@ -444,7 +429,7 @@ def run_all(seed: int = 1234, mutate: str | None = None,
                              f"choose from {sorted(MUTABLE_CONSTANTS)}")
         module, attr = MUTABLE_CONSTANTS[mutate]
         saved = getattr(module, attr)
-        setattr(module, attr, saved * (1.0 + mutation_size))
+        setattr(module, attr, saved * (1.0 + 1e-6))
     try:
         return _run_all_inner(seed)
     finally:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .angular import EulerAngles, euler_rotation_matrix
 from .atoms import LIGHTCONE_SIGMAS, AtomSpec, SwitchingKind
-from .harvesting import DetectorPair, ModelKind, compute_terms_many
+from .harvesting import ERROR_FACTOR, DetectorPair, ModelKind, compute_terms_many
 from .specfun import QuadratureConvergenceError
 
 __all__ = [
@@ -57,6 +57,9 @@ class Axis:
     def __post_init__(self):
         if self.name not in _PARAM_NAMES:
             raise ValueError(f"unknown axis {self.name!r}; choose from {_PARAM_NAMES}")
+        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
+            raise ValueError(f"axis bounds lo and hi must be finite, not "
+                             f"{self.lo!r} and {self.hi!r}")
         if self.count < 2:
             raise ValueError("axis needs at least 2 points")
         if self.spacing not in ("linear", "log"):
@@ -141,7 +144,7 @@ def pair_from_params(params: dict, model: ModelKind,
     return DetectorPair(atom_a, atom_b, model, coupling=coupling)
 
 
-def _row(coords: tuple, terms, converged: bool, error_factor: float, floats: dict) -> ScanRow:
+def _row(coords: tuple, terms, converged: bool, floats: dict) -> ScanRow:
     if isinstance(terms, QuadratureConvergenceError):
         return ScanRow(coords, math.nan, math.nan, math.nan, math.nan,
                        False, False, math.inf)
@@ -149,13 +152,13 @@ def _row(coords: tuple, terms, converged: bool, error_factor: float, floats: dic
     # L value (floats): a scan keeps every row
     l_aa, l_bb = (floats.setdefault(v, v) for v in (float(terms.l_aa), float(terms.l_bb)))
     return ScanRow(coords, l_aa, l_bb, float(abs(terms.m)), float(terms.negativity2),
-                   terms.harvestable(error_factor), converged,
+                   terms.harvestable(), converged,
                    math.exp(terms.log_scale) * terms.negativity2_error_scaled())
 
 
 def run_grid(grid: ScanGrid, threads: int = 1, switching: SwitchingKind | None = None,
-             coupling: float = 1.0, error_factor: float = 10.0,
-             rtol: float = 1e-10, atol: float = 1e-16) -> ScanResult:
+             coupling: float = 1.0, rtol: float = 1e-10,
+             atol: float = 1e-16) -> ScanResult:
     """Evaluate the negativity over the grid; rows in canonical raster order.
 
     All points go to ``compute_terms_many`` in one call, so points that
@@ -178,16 +181,16 @@ def run_grid(grid: ScanGrid, threads: int = 1, switching: SwitchingKind | None =
     retried = compute_terms_many([pairs[i] for i in missed], switching=switching,
                                  include_cross=False, atol=atol * 1e3, rtol=rtol * 1e3)
     floats = {}
-    rows = [_row(c, r, True, error_factor, floats) for c, r in zip(coords, results)]
+    rows = [_row(c, r, True, floats) for c, r in zip(coords, results)]
     for i, r in zip(missed, retried):
-        rows[i] = _row(coords[i], r, False, error_factor, floats)
+        rows[i] = _row(coords[i], r, False, floats)
     meta = {
         "model": grid.model.value,
         "fixed": dict(grid.fixed),
         "axes": [(a.name, a.lo, a.hi, a.count, a.spacing) for a in grid.axes],
         "rtol": rtol,
         "atol": atol,
-        "error_factor": error_factor,
+        "error_factor": ERROR_FACTOR,
         "switching": switching.variant,
         "crop_sigmas": switching.crop_sigmas,
         "coupling": coupling,

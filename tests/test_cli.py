@@ -4,7 +4,10 @@ import math
 import pytest
 
 from vharvest import cli
+from vharvest.atoms import SwitchingKind
 from vharvest.cli import main
+from vharvest.harvesting import ModelKind, compute_terms
+from vharvest.survey import pair_from_params
 
 
 def run_cli(args, capsys):
@@ -66,6 +69,30 @@ def test_compute_rejects_non_finite_inputs_by_name(capsys, flag, value, field):
     assert field in err
 
 
+@pytest.mark.parametrize("flag,value,name", [
+    ("--tol-rel", "nan", "rtol"), ("--tol-rel", "-1", "rtol"),
+    ("--tol-abs", "-1", "atol"), ("--tol-abs", "inf", "atol")])
+def test_compute_rejects_invalid_tolerances_by_name(capsys, flag, value, name):
+    code, out, err = run_cli(["compute", "--d", "1", flag, value], capsys)
+    assert code == 2
+    assert f"{name} must be finite and >= 0" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("axis,reason", [
+    ("d_over_T:0:inf:3", "lo and hi must be finite"),
+    ("d_over_T:nan:1:3", "lo and hi must be finite"),
+    ("foo:0:1:3", "unknown axis 'foo'"),
+    ("d_over_T:0:x:3", "could not convert string to float: 'x'")])
+def test_scan_rejects_invalid_axis_with_its_reason(capsys, axis, reason):
+    with pytest.raises(SystemExit) as exc:
+        main(["scan", "--axis", axis])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert reason in err
+    assert "invalid _parse_axis value" not in err
+
+
 def test_compute_json_format(capsys):
     code, out, _ = run_cli(["compute", "--model", "udw", "--d", "2",
                             "--tba", "1", "--omega-T", "2",
@@ -74,6 +101,18 @@ def test_compute_json_format(capsys):
     rec = json.loads(out)
     assert rec["model"] == "udw"
     assert rec["n"] >= 0.0
+
+
+def test_compute_prints_the_negativity_of_its_terms(capsys):
+    # at this point N^(2) from the unscaled terms differs in its last bits
+    code, out, _ = run_cli(["compute", "--d", "2", "--tba", "2",
+                            "--format", "json"], capsys)
+    assert code == 0
+    rec = json.loads(out)
+    pair = pair_from_params({"d_over_T": 2.0, "tba_over_T": 2.0}, ModelKind.EM_DIPOLE)
+    terms = compute_terms(pair, switching=SwitchingKind("auto"))
+    assert (rec["n2"], rec["n"], rec["concurrence"]) == (
+        terms.negativity2, terms.negativity, terms.concurrence)
 
 
 def test_scan_structure_and_determinism(tmp_path, capsys):
@@ -165,13 +204,6 @@ def test_selfcheck_mutated_fails(capsys):
                             "harvesting.EM_NONLOCAL_COEFF"], capsys)
     assert code == 1
     assert "FAIL" in out
-
-
-def test_env_override(monkeypatch, capsys):
-    monkeypatch.setenv("VH_OMEGA_T", "2.5")
-    code, out, _ = run_cli(["compute", "--model", "em", "--d", "1"], capsys)
-    assert code == 0
-    assert parse_record(out)["omega_T"] == "2.5"
 
 
 def test_compute_nonconvergence_exit_code(monkeypatch, capsys):

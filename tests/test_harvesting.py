@@ -365,17 +365,17 @@ def _terms(l_aa, l_bb, m, l_ab=0.0 + 0.0j):
 
 
 def test_negativity_symmetric_case():
-    state = assemble_state(_terms(0.3, 0.3, 0.5 + 0.0j))
-    assert state.negativity2 == pytest.approx(0.2, abs=1e-15)
-    assert state.negativity == pytest.approx(0.2, abs=1e-15)
-    assert state.concurrence == pytest.approx(0.4, abs=1e-15)
+    terms = _terms(0.3, 0.3, 0.5 + 0.0j)
+    assert terms.negativity2 == pytest.approx(0.2, abs=1e-15)
+    assert terms.negativity == pytest.approx(0.2, abs=1e-15)
+    assert terms.concurrence == pytest.approx(0.4, abs=1e-15)
 
 
 def test_negativity_clamped():
-    state = assemble_state(_terms(0.5, 0.5, 0.1 + 0.0j))
-    assert state.negativity2 == pytest.approx(-0.4, abs=1e-15)
-    assert state.negativity == 0.0
-    assert state.concurrence == 0.0
+    terms = _terms(0.5, 0.5, 0.1 + 0.0j)
+    assert terms.negativity2 == pytest.approx(-0.4, abs=1e-15)
+    assert terms.negativity == 0.0
+    assert terms.concurrence == 0.0
 
 
 def test_negativity_asymmetric_vs_eigensolver():
@@ -431,6 +431,17 @@ def test_positivity_synthetic_violation():
     rep = positivity_report(terms)
     assert not rep.passed
     assert rep.cross_inequality < 0
+
+
+def test_positivity_e2_is_fourth_order_in_the_coupling():
+    # M carries e^2, so E2 = -|M|^2 is O(e^4): half the coupling gives 1/16
+    reps = {}
+    for e in (1.0, 0.5):
+        terms = compute_terms(make_pair(coupling=e), include_cross=True)
+        reps[e] = positivity_report(terms)
+        assert reps[e].e2_fourth_order == -abs(terms.m) ** 2
+    assert reps[0.5].e2_fourth_order == pytest.approx(
+        reps[1.0].e2_fourth_order / 16.0, rel=1e-13)
 
 
 def test_positivity_degenerate_e4():
@@ -589,6 +600,18 @@ def test_rejects_em_pair_off_the_z_axis():
 def test_rejects_a_coupling_that_is_not_positive_and_finite(coupling):
     with pytest.raises(ValueError, match="coupling"):
         make_pair(coupling=coupling)
+
+
+@pytest.mark.parametrize("name,value", [
+    ("atol", math.nan), ("atol", -1e-16), ("atol", math.inf),
+    ("rtol", math.nan), ("rtol", -1e-10), ("rtol", math.inf)])
+def test_term_functions_reject_invalid_tolerances_by_name(name, value):
+    pair = make_pair()
+    calls = (compute_terms, local_term, nonlocal_term, cross_noise_term,
+             lambda pair, **tol: harvesting.compute_terms_many([pair], **tol))
+    for call in calls:
+        with pytest.raises(ValueError, match=f"{name} must be finite and >= 0"):
+            call(pair, **{name: value})
 
 
 def test_rejects_unequal_a0():

@@ -3,14 +3,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-
 from scipy.special import wofz
 
 from vharvest import specfun
 from vharvest.atoms import radial_overlap
-from vharvest.oracle import erfc_complex, faddeeva_w, radial_bruteforce
+from vharvest.oracle import faddeeva_w, radial_bruteforce
 from vharvest.specfun import (DampedKernelSpec, QuadratureConvergenceError,
                               QuadratureResult, _adaptive_gk, _wynn_epsilon,
                               integrate_damped_group, scaled_time_kernel,
@@ -40,14 +37,6 @@ def erfc_series(z: complex) -> complex:
         term *= -zz / n
         acc += term / (2 * n + 1)
     return 1.0 - 2.0 / math.sqrt(math.pi) * acc
-
-
-def erfc_cf(z: complex) -> complex:
-    # Laplace continued fraction, Re z > 0
-    cf = 0.0 + 0.0j
-    for n in range(90, 0, -1):
-        cf = (0.5 * n) / (z + cf)
-    return cmath.exp(-z * z) / math.sqrt(math.pi) / (z + cf)
 
 
 def test_faddeeva_at_zero():
@@ -92,51 +81,21 @@ def test_faddeeva_lower_half_overflow_raises():
         faddeeva_w(0.0 - 40.0j)  # exp(-z^2) = exp(1600)
 
 
-def test_erfc_trivial_and_series():
-    assert erfc_complex(0.0) == pytest.approx(1.0, abs=1e-15)
-    ref = erfc_series(1.0 + 0j).real
-    assert ref == pytest.approx(0.15729920705, abs=1e-11)
-    assert erfc_complex(1.0) == pytest.approx(ref, rel=1e-12)
-
-
-def test_erfc_reflection_spot():
-    z = 0.3 + 0.7j
-    assert erfc_complex(-z) == pytest.approx(2.0 - erfc_complex(z), rel=1e-13)
-
-
-def test_erfc_against_continued_fraction():
-    for z in (2.8 + 0.4j, 4.0 - 3.0j, 6.0 + 5.0j):
-        assert erfc_complex(z) == pytest.approx(erfc_cf(z), rel=1e-12)
-
-
-def test_erfc_reflection_random(rng):
-    # invariant: erfc(z) + erfc(-z) = 2, 1000 samples in |z| <= 20
-    for _ in range(1000):
-        z = complex(*rng.uniform(-1, 1, 2)) * rng.uniform(0, 20)
-        if abs(z.imag) > abs(z.real) and abs(z) > 24:
-            continue  # value not representable in doubles
-        try:
-            s = erfc_complex(z) + erfc_complex(-z)
-        except OverflowError:
-            continue
-        scale = max(1.0, abs(erfc_complex(z)))
-        assert abs(s - 2.0) <= 1e-13 * scale
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.complex_numbers(max_magnitude=8.0, allow_nan=False, allow_infinity=False))
-def test_erfc_conjugation(z):
-    assert erfc_complex(z.conjugate()) == pytest.approx(
-        erfc_complex(z).conjugate(), rel=1e-13, abs=1e-300)
-
-
 # ----------------------------------------------------------------------------
 # time kernel
 # ----------------------------------------------------------------------------
 
+def naive_erfc(z: complex) -> complex:
+    # erfc(z) = exp(-z^2) w(iz), with the reflection erfc(z) = 2 - erfc(-z)
+    # for Re z < 0; raises OverflowError where the value leaves double range
+    if z.real < 0.0:
+        return 2.0 - naive_erfc(-z)
+    return cmath.exp(-z * z + cmath.log(complex(wofz(1j * z))))
+
+
 def naive_bracket(k, t_ba, T, omega):
     def E(t):
-        return cmath.exp(1j * k * t) * erfc_complex(
+        return cmath.exp(1j * k * t) * naive_erfc(
             complex(t, T * T * k) / (SQRT2 * T))
     return math.exp(-0.5 * T * T * (omega * omega + k * k)) * (E(t_ba) + E(-t_ba))
 

@@ -27,6 +27,13 @@ def test_axis_values_and_validation():
         Axis("d_over_T", 0.0, 1.0, 5, "log")
 
 
+@pytest.mark.parametrize("lo,hi", [(0.0, math.inf), (-math.inf, 1.0),
+                                   (math.nan, 1.0), (1.0, math.nan)])
+def test_axis_rejects_non_finite_bounds_by_name(lo, hi):
+    with pytest.raises(ValueError, match="lo and hi must be finite"):
+        Axis("d_over_T", lo, hi, 3)
+
+
 def test_grid_validation():
     with pytest.raises(ValueError):
         ScanGrid(axes=(Axis("theta", 0, 1, 3), Axis("theta", 0, 1, 3)),
