@@ -19,6 +19,8 @@ against a direct 3x3 rotation oracle.
 
 from __future__ import annotations
 
+import cmath
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -102,20 +104,28 @@ def wigner_3j(l1: int, l2: int, l3: int, m1: int, m2: int, m3: int) -> float:
 # Wigner d and D
 # ----------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=128)
+def _wigner_d_terms(l: int, mu: int, m: int) -> tuple[float, tuple]:
+    """The integer parts of d^l_{mu,m}: the square-rooted factorial prefactor
+    and, per Racah term, (negative, cos power, sin power, denominator)."""
+    pref = math.sqrt(_fact(l + mu) * _fact(l - mu) * _fact(l + m) * _fact(l - m))
+    terms = tuple(((mu - m + t) % 2 == 1, 2 * l + m - mu - 2 * t, mu - m + 2 * t,
+                   _fact(l + m - t) * _fact(t) * _fact(mu - m + t) * _fact(l - mu - t))
+                  for t in range(max(0, m - mu), min(l + m, l - mu) + 1))
+    return pref, terms
+
+
 def wigner_d_small(l: int, mu: int, m: int, beta: float) -> float:
     """Standard little Wigner d^l_{mu,m}(beta) (z-y-z, Condon-Shortley)."""
     if abs(mu) > l or abs(m) > l:
         raise ValueError(f"|mu|,|m| <= l violated: l={l}, mu={mu}, m={m}")
-    pref = math.sqrt(_fact(l + mu) * _fact(l - mu) * _fact(l + m) * _fact(l - m))
+    pref, terms = _wigner_d_terms(l, mu, m)
     c = math.cos(0.5 * beta)
     s = math.sin(0.5 * beta)
-    lo = max(0, m - mu)
-    hi = min(l + m, l - mu)
     acc = 0.0
-    for t in range(lo, hi + 1):
-        den = _fact(l + m - t) * _fact(t) * _fact(mu - m + t) * _fact(l - mu - t)
-        term = (c ** (2 * l + m - mu - 2 * t)) * (s ** (mu - m + 2 * t)) / den
-        acc += -term if (mu - m + t) % 2 else term
+    for negative, pc, ps, den in terms:
+        term = (c ** pc) * (s ** ps) / den
+        acc += -term if negative else term
     return pref * acc
 
 
@@ -153,10 +163,13 @@ def euler_rotation_matrix(angles: EulerAngles) -> np.ndarray:
 # Spherical harmonics
 # ----------------------------------------------------------------------------
 
-def _assoc_legendre(l: int, m: int, x: np.ndarray) -> np.ndarray:
-    # P_l^m with Condon-Shortley phase, m >= 0, by upward recurrence in l
-    somx2 = np.sqrt(np.maximum(0.0, (1.0 - x) * (1.0 + x)))
-    pmm = np.ones_like(x)
+def _assoc_legendre(l: int, m: int, x):
+    # P_l^m with Condon-Shortley phase, m >= 0, by upward recurrence in l;
+    # x is a float or an array, and a float runs without numpy
+    if isinstance(x, float):
+        somx2, pmm = math.sqrt(max(0.0, (1.0 - x) * (1.0 + x))), 1.0
+    else:
+        somx2, pmm = np.sqrt(np.maximum(0.0, (1.0 - x) * (1.0 + x))), np.ones_like(x)
     if m > 0:
         fact = 1.0
         for _ in range(m):
@@ -174,21 +187,24 @@ def _assoc_legendre(l: int, m: int, x: np.ndarray) -> np.ndarray:
 
 
 def sph_harm_y(l: int, m: int, theta, phi):
-    """Orthonormal spherical harmonic Y_lm(theta, phi), vectorized."""
+    """Orthonormal spherical harmonic Y_lm(theta, phi), vectorized: array
+    angles broadcast against each other, two scalars give a complex."""
     if abs(m) > l:
         raise ValueError(f"|m| <= l violated: l={l}, m={m}")
-    th = np.asarray(theta, dtype=float)
-    ph = np.asarray(phi, dtype=float)
     mm = abs(m)
     norm = math.sqrt((2 * l + 1) / (4.0 * math.pi) * _fact(l - mm) / _fact(l + mm))
-    y = norm * _assoc_legendre(l, mm, np.cos(th)) * np.exp(1j * mm * ph)
+    scalar = np.isscalar(theta) and np.isscalar(phi)
+    if scalar:  # Python floats: the same bits as numpy without its per-call cost
+        x, phase = math.cos(theta), cmath.exp(1j * mm * float(phi))
+    else:
+        x = np.cos(np.asarray(theta, dtype=float))
+        phase = np.exp(1j * mm * np.asarray(phi, dtype=float))
+    y = norm * _assoc_legendre(l, mm, x) * phase
     if m < 0:
-        y = np.conj(y)
+        y = y.conjugate()
         if mm % 2:
             y = -y
-    if np.isscalar(theta) and np.isscalar(phi):
-        return complex(y)
-    return y
+    return complex(y) if scalar else y
 
 
 def rotate_harmonic(l: int, m: int, angles: EulerAngles, theta, phi):
@@ -280,6 +296,12 @@ def gaunt_integral(indices: Sequence) -> float:
 # Polarization completeness
 # ----------------------------------------------------------------------------
 
+def _cross(a, b) -> np.ndarray:
+    # a x b of two 3-sequences of floats, in np.cross's expression order
+    return np.array([a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2],
+                     a[0] * b[1] - a[1] * b[0]])
+
+
 def polarization_completeness(k) -> np.ndarray:
     """Sum of the two transverse polarization dyadics for momentum k.
 
@@ -289,14 +311,14 @@ def polarization_completeness(k) -> np.ndarray:
     k = np.asarray(k, dtype=float)
     if k.shape != (3,):
         raise ValueError("k must be a 3-vector")
+    if not np.isfinite(k).all():
+        raise ValueError(f"k must be finite, got {k.tolist()}")
     norm = np.linalg.norm(k)
     if norm == 0.0:
         raise ValueError("polarization vectors are undefined for k = 0")
-    khat = k / norm
-    aux = np.array([1.0, 0.0, 0.0])
-    if abs(khat[0]) > 0.9:
-        aux = np.array([0.0, 1.0, 0.0])
-    e1 = np.cross(khat, aux)
+    khat = (k / norm).tolist()
+    aux = (0.0, 1.0, 0.0) if abs(khat[0]) > 0.9 else (1.0, 0.0, 0.0)
+    e1 = _cross(khat, aux)
     e1 /= np.linalg.norm(e1)
-    e2 = np.cross(khat, e1)
+    e2 = _cross(khat, e1.tolist())
     return np.outer(e1, e1) + np.outer(e2, e2)

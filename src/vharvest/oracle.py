@@ -181,11 +181,15 @@ def _ordered_integral(freq_out: float, freq_in: float, chi_out, chi_in,
     cumulative = np.concatenate([[0.0 + 0.0j], np.cumsum(inner_panel)])[:-1]
 
     outer_nodes = inner_nodes  # same grid
-    # partial inner integral from the left panel edge to each outer node
-    left = edges[:-1][:, None]
-    span = outer_nodes - left
-    part_nodes = left[:, :, None] + 0.5 * span[:, :, None] * (_GL8_X[None, None, :] + 1.0)
-    partial = (inn(part_nodes) * _GL8_W[None, None, :]).sum(axis=2) * 0.5 * span
+    # partial inner integral from the left panel edge to each outer node;
+    # every panel has the same offsets, so e^{i f t} factors into one phase
+    # per edge and one per offset
+    left = edges[:-1]
+    span = 0.5 * h * (_GL12_X + 1.0)
+    offsets = 0.5 * span[:, None] * (_GL8_X[None, :] + 1.0)
+    phase = np.exp(1j * freq_in * left)[:, None, None] * np.exp(1j * freq_in * offsets)
+    part_in = chi_in(left[:, None, None] + offsets) * phase
+    partial = (part_in * _GL8_W).sum(axis=2) * 0.5 * span
     g = cumulative[:, None] + partial
     return complex(((out(outer_nodes) * g) * _GL12_W[None, :]).sum() * 0.5 * h)
 
@@ -245,17 +249,20 @@ def _polar_rule(n_theta: int) -> tuple[np.ndarray, np.ndarray]:
 
 def sphere_quadrature(indices, n_theta: int = 64, n_phi: int = 128) -> complex:
     """Product Gauss-Legendre (cos theta) x trapezoid (phi) integration of a
-    product of up to five spherical harmonics (with conjugation flags)."""
+    product of up to five spherical harmonics (with conjugation flags).
+
+    Y_lm = N P_l^m(cos theta) e^{i m phi} separates, so each harmonic is
+    evaluated on the theta and phi axes and broadcast to the grid: per node
+    the same float-by-complex product as on a full meshgrid."""
     if not 1 <= len(indices) <= 5:
         raise ValueError("sphere_quadrature takes 1 to 5 harmonics")
     theta, wg = _polar_rule(n_theta)
     phi = np.linspace(0.0, 2.0 * math.pi, n_phi, endpoint=False)
-    th, ph = np.meshgrid(theta, phi, indexing="ij")
-    prod = np.ones_like(th, dtype=complex)
+    prod = np.ones((n_theta, n_phi), dtype=complex)
     for idx in indices:
         l, m = idx[0], idx[1]
         conj = bool(idx[2]) if len(idx) > 2 else False
-        y = sph_harm_y(l, m, th, ph)
+        y = sph_harm_y(l, m, theta[:, None], phi[None, :])
         prod *= np.conj(y) if conj else y
     return complex((prod * wg[:, None]).sum() * (2.0 * math.pi / n_phi))
 

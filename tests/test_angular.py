@@ -105,6 +105,28 @@ def test_d_small_special_angles():
                     want_pi, abs=1e-15)
 
 
+
+def _racah_d(l, mu, m, beta):
+    # the direct Racah sum, factorials recomputed per term
+    f = math.factorial
+    pref = math.sqrt(f(l + mu) * f(l - mu) * f(l + m) * f(l - m))
+    c, s = math.cos(0.5 * beta), math.sin(0.5 * beta)
+    acc = 0.0
+    for t in range(max(0, m - mu), min(l + m, l - mu) + 1):
+        den = f(l + m - t) * f(t) * f(mu - m + t) * f(l - mu - t)
+        term = (c ** (2 * l + m - mu - 2 * t)) * (s ** (mu - m + 2 * t)) / den
+        acc += -term if (mu - m + t) % 2 else term
+    return pref * acc
+
+
+def test_d_small_equals_direct_racah_sum(rng):
+    betas = [0.0, math.pi, -2.0 * math.pi] + list(rng.uniform(-7.0, 7.0, 20))
+    for l in range(4):
+        for mu in range(-l, l + 1):
+            for m in range(-l, l + 1):
+                for beta in betas:
+                    assert wigner_d_small(l, mu, m, beta) == _racah_d(l, mu, m, beta)
+
 def _euler_angles(rot):
     # inverse of euler_rotation_matrix, theta in [0, pi]; the random
     # compositions below stay away from the theta = 0, pi gimbal lock
@@ -259,6 +281,39 @@ def test_polarization_random(rng):
         assert np.max(np.abs(polarization_completeness(k) - want)) <= 1e-14
 
 
+
+def _polarization_with_np_cross(k):
+    k = np.asarray(k, dtype=float)
+    khat = k / np.linalg.norm(k)
+    aux = np.array([0.0, 1.0, 0.0] if abs(khat[0]) > 0.9 else [1.0, 0.0, 0.0])
+    e1 = np.cross(khat, aux)
+    e1 /= np.linalg.norm(e1)
+    e2 = np.cross(khat, e1)
+    return np.outer(e1, e1) + np.outer(e2, e2)
+
+
+@pytest.mark.parametrize("near_x", [True, False])
+def test_polarization_cross_products_match_np_cross(rng, near_x):
+    # |khat_x| > 0.9 takes the y auxiliary vector, otherwise the x one
+    for _ in range(200):
+        k = rng.normal(size=3)
+        if near_x:
+            k[0] = math.copysign(5.0 * np.linalg.norm(k[1:]) + 1e-3, k[0])
+        elif abs(k[0]) > 0.9 * np.linalg.norm(k):
+            k[0] *= 0.1
+        assert (abs(k[0]) > 0.9 * np.linalg.norm(k)) == near_x
+        got = polarization_completeness(k)
+        assert np.array_equal(got, _polarization_with_np_cross(k))
+        khat = k / np.linalg.norm(k)
+        assert np.max(np.abs(got - (np.eye(3) - np.outer(khat, khat)))) <= 1e-14
+
+
+@pytest.mark.parametrize("k", [[math.nan, 1.0, 0.0], [math.inf, 0.0, 0.0],
+                               [0.0, -math.inf, 2.0]])
+def test_polarization_rejects_non_finite_k(k):
+    with pytest.raises(ValueError, match="k must be finite"):
+        polarization_completeness(k)
+
 def test_polarization_zero_vector():
     with pytest.raises(ValueError):
         polarization_completeness([0.0, 0.0, 0.0])
@@ -272,3 +327,14 @@ def test_sph_harm_conjugation_property(l, dm, theta, phi):
     lhs = sph_harm_y(l, -m, theta, phi)
     rhs = (-1.0) ** m * np.conj(sph_harm_y(l, m, theta, phi))
     assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-15)
+
+
+def test_sph_harm_scalar_equals_array_element(rng):
+    theta = np.concatenate([[0.0, math.pi, 0.5 * math.pi], rng.uniform(0.0, math.pi, 30)])
+    phi = np.concatenate([[0.0, -math.pi, 2.0 * math.pi], rng.uniform(-4.0, 7.0, 30)])
+    for l in range(4):
+        for m in range(-l, l + 1):
+            grid = sph_harm_y(l, m, theta, phi)
+            for i, (th, ph) in enumerate(zip(theta.tolist(), phi.tolist())):
+                y = sph_harm_y(l, m, th, ph)
+                assert type(y) is complex and y == grid[i]

@@ -3,8 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
 
-from vharvest.angular import EulerAngles
+from vharvest.angular import EulerAngles, sph_harm_y
 from vharvest.atoms import radial_overlap
 from vharvest.oracle import (negativity_bruteforce, radial_bruteforce,
                              rotation_bruteforce, run_all, sphere_quadrature,
@@ -75,6 +76,26 @@ def test_sphere_quadrature_normalization():
 def test_sphere_quadrature_selection_rule():
     assert abs(sphere_quadrature([(1, 1), (2, 0), (3, 0)])) <= 1e-14
 
+
+
+def test_sphere_quadrature_equals_meshgrid_evaluation():
+    # the harmonics broadcast from the grid's axes give the bits of a full
+    # meshgrid evaluation
+    xg, wg = leggauss(64)
+    phi = np.linspace(0.0, 2.0 * math.pi, 128, endpoint=False)
+    th, ph = np.meshgrid(np.arccos(xg), phi, indexing="ij")
+    rng = np.random.default_rng(7)
+    for _ in range(12):
+        idx = []
+        for _ in range(int(rng.integers(3, 6))):
+            l = int(rng.integers(0, 4))
+            idx.append((l, int(rng.integers(-l, l + 1)), bool(rng.integers(0, 2))))
+        prod = np.ones_like(th, dtype=complex)
+        for l, m, conj in idx:
+            y = sph_harm_y(l, m, th, ph)
+            prod *= np.conj(y) if conj else y
+        want = complex((prod * wg[:, None]).sum() * (2.0 * math.pi / 128))
+        assert sphere_quadrature(idx) == want, idx
 
 def test_radial_bruteforce_k0():
     val, err, _ = radial_bruteforce(0, 0.0, 0.7)
