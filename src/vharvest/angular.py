@@ -313,6 +313,8 @@ def polarization_completeness(k) -> np.ndarray:
         raise ValueError("k must be a 3-vector")
     if not np.isfinite(k).all():
         raise ValueError(f"k must be finite, got {k.tolist()}")
+    # a power of two keeps k/|k| and the norm's squares within double range
+    k = np.ldexp(k, -math.frexp(max(map(abs, k.tolist())))[1])
     norm = np.linalg.norm(k)
     if norm == 0.0:
         raise ValueError("polarization vectors are undefined for k = 0")

@@ -31,11 +31,11 @@ terms relative to it leave double range (very unequal gaps) raises
 ValueError.
 
 ``compute_terms_many`` evaluates a batch of pairs and shares the work: the
-terms that share time(k) and the scale k^p / (4u+9)^6, which for M (and
-L_AB) is every pair with the same model, a0, T, t_BA and gap difference and
-for L every atom with the same model, a0, T and gap, integrate on one head
-panel set, each distinct d once and each to its own tolerance, with its own
-tail.  ``compute_terms`` is its one-pair case.
+terms with the same scale k^p / (4u+9)^6 and kern (for L_AB also t_BA and
+Omega, for L Omega) integrate on one head panel set, each distinct (time,
+d) once, to its own tolerance and with its own tail, and each pass
+evaluates each distinct time(k) and kern(kd) once.  ``compute_terms`` is
+its one-pair case.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ import numpy as np
 
 from .atoms import AtomSpec, SwitchingKind
 from .specfun import (DampedKernelSpec, QuadratureConvergenceError,
-                      QuadratureResult, integrate_damped_group,
+                      QuadratureResult, _integrands, integrate_damped_group,
                       scaled_time_kernel, spherical_bessel_j,
                       spherical_bessel_j0_plus_j2)
 
@@ -274,59 +274,45 @@ class _Term:
     prefactor: tuple
     a0: float
     T: float                   # damping exp(-T^2 k^2 / 2)
-    # terms with equal keys have the same p, kernel, time, wings, a0 and T
-    # and differ only in d and prefactor: they integrate on one panel set
+    # terms with equal keys have the same p, kernel, wings, a0 and T and
+    # integrate on one panel set, one member per distinct (clock, d); M's
+    # key is (kind, p, a0, T), and its clock (t_BA, Omega_A - Omega_B)
     share: tuple
     d: float = 0.0
     t_ba: float = 0.0          # time factors oscillate with period 2 pi/|t_ba|
+    clock: tuple = ()          # terms of one key and clock have the same time factors
 
 
-def _spec(term: _Term, ds=None) -> DampedKernelSpec:
+def _spec(term: _Term, members=None) -> DampedKernelSpec:
     """The quadrature spec of a term, or of the group of terms that share
-    its key: one member per separation in ds (default: the term's own d).
-    The shared factor is time(k) with the scale k^p / (4u+9)^6; the factor
-    at d multiplies kernel(k d) by the time factors, then by the scale, for
-    one d or for a column of them.  The kernel and time factors are (value,
-    magnitude) pairs; their product's magnitude is propagated to first
-    order."""
-    p, kernel, time, a0 = term.p, term.kernel, term.time, term.a0
-    ds = (term.d,) if ds is None else tuple(ds)
-
-    def shared(k):
-        return time(k), k ** p / (4.0 * (a0 * k) ** 2 + 9.0) ** 6
-
-    def factor(k, s, d):
-        times, scale = s
-        spatial = (kernel(k * d),) if kernel is not None and np.all(d > 0) else ()
-        (value, mag), *rest = spatial + times
-        for v, m in rest:
-            value, mag = value * v, mag * np.abs(v) + np.abs(value) * m
-        return scale * value, scale * mag
-
+    its key: one member (time, d) per term in members (default: the term),
+    with one time object per clock.  Its integrand is the scale
+    k^p / (4u+9)^6, the last factor of every member."""
+    p, a0 = term.p, term.a0
+    members = (term,) if members is None else members
+    clocks = {t.clock: t for t in reversed(members)}  # the first term of each
     return DampedKernelSpec(
         damping_width=0.5 * term.T * term.T,
-        oscillation_lengths=(2.0 * math.pi / abs(term.t_ba),) if term.t_ba != 0.0 else (),
-        integrand=shared,
+        oscillation_lengths=tuple(2.0 * math.pi / abs(t.t_ba)
+                                  for t in clocks.values() if t.t_ba != 0.0),
+        integrand=lambda k: k ** p / (4.0 * (a0 * k) ** 2 + 9.0) ** 6,
         algebraic_cutoff=_WING_CUTOFF[p] / (2.0 * a0) if term.wings else None,
-        factor=factor,
-        members=ds,
-        # kernel(k d) oscillates with period 2 pi/d
-        member_lengths=tuple(2.0 * math.pi / d if kernel is not None and d > 0.0 else None
-                             for d in ds),
+        kernel=term.kernel,
+        members=tuple((clocks[t.clock].time, t.d) for t in members),
     )
 
 
 def _integrand(term: _Term):
     # k -> (value, magnitude) of the term's whole integrand
     spec = _spec(term)
-    return lambda k: spec.factor(k, spec.integrand(k), term.d)
+    return lambda k: next(_integrands(spec.integrand, k, spec.kernel, spec.members))[1]
 
 
 def _quadratures(terms: list, atol: float, rtol: float) -> list:
     """The bare integral of each term.  The terms are grouped by key, and
     each group is one integrate_damped_group call with one member per
-    distinct d, so terms that differ only in the prefactor share one
-    integral.  An entry is a QuadratureResult, or the
+    distinct (clock, d), so terms that differ only in the prefactor share
+    one integral.  An entry is a QuadratureResult, or the
     QuadratureConvergenceError of a term that missed the tolerance.  Raises
     ValueError unless atol and rtol are finite and >= 0."""
     for name, tol in (("atol", atol), ("rtol", rtol)):
@@ -335,13 +321,13 @@ def _quadratures(terms: list, atol: float, rtol: float) -> list:
     out = [None] * len(terms)
     groups = {}
     for i, term in enumerate(terms):
-        groups.setdefault(term.share, []).append(i)
+        groups.setdefault(term.share, {}).setdefault((term.clock, term.d), []).append(i)
     for members in groups.values():
-        ds = list(dict.fromkeys(terms[i].d for i in members))
-        spec = _spec(terms[members[0]], ds)
-        by_d = dict(zip(ds, integrate_damped_group(spec, atol=atol, rtol=rtol)))
-        for i in members:
-            out[i] = by_d[terms[i].d]
+        firsts = [terms[idx[0]] for idx in members.values()]
+        spec = _spec(firsts[0], firsts)
+        for idx, quad in zip(members.values(), integrate_damped_group(spec, atol=atol, rtol=rtol)):
+            for i in idx:
+                out[i] = quad
     return out
 
 
@@ -422,8 +408,8 @@ def _nonlocal(pair: DetectorPair) -> _Term:
                                          b.switching_center, T)
     prefactor = (-e2 * (c_m / math.pi), q, pair.cos_relative_angle, phase,
                  term_scale)
-    return _Term(p, kernel, time, True, prefactor, a.a0, T,
-                 ("M", p, a.a0, T, t_ba, d_omega), pair.separation, t_ba)
+    return _Term(p, kernel, time, True, prefactor, a.a0, T, ("M", p, a.a0, T),
+                 pair.separation, t_ba, (t_ba, d_omega))
 
 
 def _cross(pair: DetectorPair) -> _Term:
@@ -543,14 +529,15 @@ def compute_terms_many(pairs, switching: SwitchingKind | None = None,
                        rtol: float = 1e-10) -> list:
     """``compute_terms`` of every pair, sharing the momentum integrals.
 
-    The M terms of pairs that agree on the model, a0, T, t_BA and
-    Omega_A - Omega_B share their time kernel and differ only in d and in
-    the prefactor (cos theta, phase, scale): they are integrated on one head
-    panel set (``specfun.integrate_damped_group``), each distinct d once;
-    L_AB likewise, and the L of every atom with the same model, a0, T and
-    Omega is one integral.  A pair alone gives the same bits
-    as in a group of one; in a larger group its values may differ from that
-    by less than the reported errors.
+    The M terms of pairs with the same model, a0 and T are integrated on
+    one head panel set (``specfun.integrate_damped_group``), each distinct
+    (t_BA, Omega_A - Omega_B, d) once: a pass evaluates the time kernel
+    once per (t_BA, Omega_A - Omega_B) and the spatial kernel once per d,
+    so a spacetime map (fig5a, fig5b) is one group.  L_AB likewise per t_BA
+    and Omega, and the L of every atom with the same model, a0, T and Omega
+    is one integral.  A pair alone gives the same bits as in a group of
+    one; in a larger group its values may differ from that by less than the
+    reported errors.
 
     Returns one entry per pair: its HarvestTerms, or the
     QuadratureConvergenceError of its first term that missed the tolerance,

@@ -9,10 +9,11 @@ with w = T^2/2.  The time kernel contains complex complementary error
 functions whose naive evaluation overflows once T*k > ~38; everything here
 keeps exponents combined analytically so only non-positive real parts are
 ever exponentiated.  All functions are pure and accept numpy arrays where
-it matters.  Integrands that share a factor (a grid's time kernel) are
-integrated as the members of one group (``integrate_damped_group``): on one
-head panel set, so the shared factor is evaluated once per pass for all of
-them, and past it with the member as the leading array axis of the tails.
+it matters.  Integrands that differ in their time factor and separation (a
+grid's t_BA and d) are integrated as the members of one group
+(``integrate_damped_group``): on one head panel set, so each pass evaluates
+each distinct time factor and spatial kernel once for all of them, and past
+it with the member as the leading array axis of the tails.
 
 Rounding model: an integrand returns (value, magnitude) per node, with
 magnitude >= |value| such that 50 eps x magnitude bounds the node's rounding
@@ -75,49 +76,42 @@ class QuadratureResult:
 
 @dataclass(frozen=True)
 class DampedKernelSpec:
-    """Semi-infinite integrands with a known Gaussian envelope: one per
-    member, all sharing the factor ``integrand``.
+    """Semi-infinite integrands with a known Gaussian envelope, one per
+    member, integrated on one head panel set.
 
     damping_width: w such that the Gaussian part of the integrand is bounded
         by exp(-w k^2); for the harvesting kernels w = T^2/2.
-    oscillation_lengths: periods in k of the shared oscillatory factors (the
+    oscillation_lengths: periods in k of the members' time factors (the
         time phase's 2*pi/t_ba).
-    integrand: vectorized callable on arrays of k >= 0.  Without a factor
-        it returns the arrays (value, magnitude) of the module's rounding
-        model; otherwise whatever the factor takes.
+    integrand: vectorized callable on arrays of k >= 0: the scale by which
+        every member's product is multiplied last, or, for a member without
+        time factors, its arrays (value, magnitude) of the rounding model.
     algebraic_cutoff: the erfc wings of the time kernel decay only
         algebraically: past the Gaussian truncation point a member with an
         oscillation sums them by extrapolation over its half periods, one
         without integrates them out to this k.  None: nothing survives.
-    factor: callable (k, shared, d) -> (value, magnitude) of a member's
-        whole integrand, given the nodes k, the integrand at them and the
-        member's d: a float, or a column of them against the rows of k (one
-        row of nodes per member).  None: the integrand is every member's
-        whole integrand.
-    members: the d of each member, each integrated to its own tolerance on
-        one shared head panel set.
-    member_lengths: per member, the period in k of its own oscillation in
-        factor, or None; past the Gaussian truncation point it is the period
-        of the member's tail.  Empty: no member has one.
+    kernel: callable x -> (value, magnitude), the spatial factor at x = k d
+        for d > 0; it oscillates with period 2*pi/d in k, which also sets
+        the panels of the member's tail.  None: no spatial factor.
+    members: (time, d) per member, each integrated to its own tolerance,
+        time None or a callable k -> tuple of (value, magnitude) factors:
+        kernel(k d) times the time factors in order, then times the scale.
     """
 
     damping_width: float
     oscillation_lengths: tuple[float, ...]
     integrand: Callable[[np.ndarray], object]
     algebraic_cutoff: float | None = None
-    factor: Callable | None = None
-    members: tuple[float, ...] = (0.0,)
-    member_lengths: tuple = ()
+    kernel: Callable | None = None
+    members: tuple = ((None, 0.0),)
 
     def __post_init__(self):
         if not (self.damping_width > 0.0):
             raise ValueError("damping_width must be positive")
         if any(not (ell > 0.0) for ell in self.oscillation_lengths):
             raise ValueError("oscillation_lengths must all be positive")
-        if not self.members or any(not (d >= 0.0) for d in self.members):
+        if not self.members or any(not (d >= 0.0) for _, d in self.members):
             raise ValueError("a spec needs members, each with d >= 0")
-        if self.member_lengths and len(self.member_lengths) != len(self.members):
-            raise ValueError("member_lengths needs one entry per member")
 
 
 # ----------------------------------------------------------------------------
@@ -165,6 +159,7 @@ def scaled_time_kernel(k, t_ba: float, T: float, *, d_omega: float):
         wings = e_a * (w_lo.conj() - w_hi)
         wings_mag = e_a * (2.0 + a * a) * (np.abs(w_lo) + np.abs(w_hi))
     bc = b + c
+    w = w_lo = w_hi = b = None  # freed before the Gaussian, where a head pass peaks
     gauss = 2.0 * np.exp(-bc * bc - 2j * a * bc)
     out = wings + gauss
     mag = wings_mag + np.abs(gauss) * (1.0 + bc * bc + 2.0 * a * np.abs(bc))
@@ -335,32 +330,63 @@ def _gk15_reduce(fv, fm, half: np.ndarray):
     return resk, np.maximum(err, _ROUNDOFF * resabs), resabs  # with the roundoff floor
 
 
-def _gk15_panels(f, lo: np.ndarray, hi: np.ndarray, factor=None, ds=(0.0,)):
-    """Vectorized GK15 on a batch of panels of f -> (value, magnitude).
+def _product(factors, scale):
+    # the factors' (value, magnitude) product in order, then times the scale
+    (value, mag), *rest = factors
+    for v, m in rest:
+        value, mag = value * v, mag * np.abs(v) + np.abs(value) * m
+    return scale * value, scale * mag
+
+
+def _integrands(f, k, kernel, members):
+    """Yield (i, (value, magnitude)) of member i's integrand at the nodes k,
+    time by time: f once, each distinct time once and the kernel once per
+    distinct d > 0, kept across times where more than one runs (one axis's
+    values held).  Under one time, d may be a column against k's rows."""
+    scale, by_time = f(k), {}
+    for i, (time, d) in enumerate(members):
+        by_time.setdefault(time, []).append((i, d))
+    held = {} if len(by_time) > 1 else None
+    for time, group in by_time.items():
+        factors = None  # the previous time's go before the next is evaluated
+        factors = None if time is None else time(k)
+        for i, d in group:
+            if factors is not None and kernel is not None and np.all(d > 0):
+                spatial = held[d] if held is not None and d in held else kernel(k * d)
+                if held is not None:
+                    held[d] = spatial
+                yield i, _product((spatial, *factors), scale)
+            else:
+                yield i, scale if factors is None else _product(factors, scale)
+
+
+def _gk15_panels(f, lo, hi, kernel=None, members=((None, 0.0),), take=None):
+    """Vectorized GK15 on a batch of panels, for each member of a spec.
 
     Returns (integral, error_estimate, abs_integral, n_evals) per panel, with
     the QUADPACK error heuristic; abs_integral integrates the magnitude, so
-    the roundoff floor counts the integrand's rounding.  f is evaluated
-    once on the nodes and the integrands are factor(k, f(k), d), one per d
-    in ds (without factor, f itself), so the first three entries are
-    (members, panels) arrays.  lo and hi are one row of panels that the
-    members share, each member's factor evaluated and reduced in turn, or
-    one row per member, all evaluated in one call on the column of ds.
+    the roundoff floor counts the integrand's rounding.  Each member's
+    integrand comes from ``_integrands`` (f the spec's integrand), so the
+    first three entries are (members, panels) arrays.  lo and hi are one row of
+    panels that the members share, each member reduced in turn, or one row
+    per member, all of one time, in one call on the column of their d.
+    With take, each member's row of the three goes to take(i, row) instead.
     """
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
     k = (mid[..., None] + half[..., None] * _XGK).reshape(lo.shape[:-1] + (-1,))
-    shared = f(k)
     if lo.ndim > 1:
-        parts = _gk15_reduce(*factor(k, shared, np.asarray(ds)[:, None]), half)
-    else:
-        parts = map(np.array, zip(*(_gk15_reduce(*(factor(k, shared, d) if factor else shared),
-                                                 half) for d in ds)))
+        members = [(members[0][0], np.array([d for _, d in members])[:, None])]
+    rows = {}
+    for i, fk in _integrands(f, k, kernel, members):
+        (take or rows.__setitem__)(i, _gk15_reduce(*fk, half))
+    parts = ((None,) * 3 if take else rows[0] if lo.ndim > 1
+             else map(np.array, zip(*rows.values())))
     return (*parts, k.size)
 
 
 def _adaptive_gk(f, breakpoints: np.ndarray, atol: float, rtol: float,
-                 max_panels: int = 4000, factor=None, ds=None):
+                 max_panels: int = 4000, kernel=None, members=None):
     """Adaptive GK15 over the panel decomposition given by breakpoints.
 
     Panels live in parallel arrays (QUADPACK-style bookkeeping); each pass
@@ -374,34 +400,43 @@ def _adaptive_gk(f, breakpoints: np.ndarray, atol: float, rtol: float,
     the driver stops as soon as the error above the floor is within tol
     (QUADPACK's ier = 2).  The returned error still includes the floor.
 
-    With ds, the integrands factor(k, f(k), d), one per d in ds (without
-    factor, f itself), are rows of one panel set, so f is evaluated once
-    per pass for all of them.  Each row keeps its own error, tol and
-    stopping tests and is dropped when it stops; a pass splits the panels
-    with the worst err_i / tol_i over the rows left.  Returns one (value,
-    error, abs_integral, evals) per d, or without ds the one of f.
+    With members, a spec's members (f its integrand) are rows of one panel
+    set, each pass evaluating each time and kernel(k d) once for the rows
+    still running.  Each row keeps its own error, tol and stopping tests
+    and is dropped, its panels too, as soon as it stops; a pass splits the
+    panels with the worst err_i / tol_i over the rows left.  Returns one
+    (value, error, abs_integral, evals) per member, or the one of f.
     """
     lo = np.asarray(breakpoints[:-1], dtype=float)
     hi = np.asarray(breakpoints[1:], dtype=float)
-    one = ds is None
-    ds = np.asarray((0.0,) if one else ds, dtype=float)
-    val, err, absl, evals = _gk15_panels(f, lo, hi, factor, ds)
-    running, out = np.arange(ds.size), [None] * ds.size
-    while True:
-        total, err_sum, abs_sum = val.sum(axis=1), err.sum(axis=1), absl.sum(axis=1)
+    one = members is None
+    members = ((None, 0.0),) if one else tuple(members)
+    out, rows, evals = [None] * len(members), {}, 0
+    running, keep, new_lo, new_hi = list(range(len(members))), slice(0), lo, hi
+
+    def take(j, new):
+        # member running[j]: its kept panels and the new ones; it stops or runs on
+        i = running[j]
+        old = rows.pop(i, None)
+        val, err, absl = new if old is None else (
+            np.concatenate((x[keep], y)) for x, y in zip(old, new))
+        total, err_sum, abs_sum = val.sum(), err.sum(), absl.sum()
         tol = np.maximum(atol, rtol * np.abs(total))
         floor = _ROUNDOFF * abs_sum
-        done = ((err_sum <= tol) | ((floor >= tol) & (err_sum - floor <= tol))
-                | (lo.size >= max_panels))
-        stopped = np.flatnonzero(done)
-        for j in stopped:
-            out[running[j]] = (total[j], float(err_sum[j]), float(abs_sum[j]), evals)
-        if stopped.size == done.size:
+        if (err_sum <= tol or (floor >= tol and err_sum - floor <= tol)
+                or lo.size >= max_panels):
+            out[i] = (total, float(err_sum), float(abs_sum), evals)
+        else:
+            rows[i] = (val, err, absl, tol)
+
+    while True:
+        evals += 15 * new_lo.size
+        _gk15_panels(f, new_lo, new_hi, kernel, [members[i] for i in running], take)
+        if not rows:
             break
-        if stopped.size:
-            left = ~done
-            running, val, err, absl, tol = (x[left] for x in (running, val, err, absl, tol))
-        score = err[0] if running.size == 1 else (err / tol[:, None]).max(axis=0)
+        running = list(rows)
+        score = rows[running[0]][1] if len(running) == 1 else np.max(
+            [rows[i][1] / rows[i][3] for i in running], axis=0)
         order = np.argsort(score, kind="stable")
         n_split = min(16, max(1, lo.size // 8))
         keep, worst = order[:-n_split], order[-n_split:]
@@ -409,12 +444,8 @@ def _adaptive_gk(f, breakpoints: np.ndarray, atol: float, rtol: float,
         m = 0.5 * (a + b)
         new_lo = np.column_stack((a, m)).ravel()
         new_hi = np.column_stack((m, b)).ravel()
-        *new, n = _gk15_panels(f, new_lo, new_hi, factor, ds[running])
-        evals += n
         lo = np.concatenate((lo[keep], new_lo))
         hi = np.concatenate((hi[keep], new_hi))
-        val, err, absl = (np.concatenate((x[:, keep], y), axis=1)
-                          for x, y in zip((val, err, absl), new))
     return out[0] if one else out
 
 
@@ -473,10 +504,10 @@ def _wynn_epsilon(partial_sums):
     return (complex(best[0]), float(err[0])) if s.ndim == 1 else (best, err)
 
 
-def _oscillatory_tails(f, factor, ds, start: float, steps: np.ndarray,
+def _oscillatory_tails(f, kernel, members, start: float, steps: np.ndarray,
                        heads: np.ndarray, atol: float, rtol: float,
                        max_panels: int = 80):
-    """Sum member i's integrand factor(k, f(k), ds[i]) over [start, inf),
+    """Sum the integrand of members[i], all of one time, over [start, inf),
     where it oscillates with half-period ~steps[i], as QUADPACK's QAWF does
     (Piessens et al., 1983): Wynn epsilon (MTAC 10, 1956) on its partial
     sums over half-period panels, from the fifth on.
@@ -491,14 +522,15 @@ def _oscillatory_tails(f, factor, ds, start: float, steps: np.ndarray,
     that has not settled by 24 panels is held up by its floors, which only
     grow.  Returns (value, error, abs_integral, evals) arrays.
     """
-    ds, n = np.asarray(ds, dtype=float), len(ds)
+    n = len(members)
     vals = np.zeros((n, max_panels), dtype=complex)
     errs, absl = np.zeros((2, n, max_panels))
     value, error, absint = np.zeros(n, dtype=complex), np.zeros(n), np.zeros(n)
     evals, run, have = np.zeros(n, dtype=int), np.arange(n), 0
     for p in (24, max_panels):
         lo = start + steps[run, None] * np.arange(have, p)
-        *chunk, nodes = _gk15_panels(f, lo, lo + steps[run, None], factor, ds[run])
+        *chunk, nodes = _gk15_panels(f, lo, lo + steps[run, None], kernel,
+                                     [members[i] for i in run])
         for table, part in zip((vals, errs, absl), chunk):
             table[run, have:p] = part
         evals[run] += nodes // run.size
@@ -518,14 +550,14 @@ def integrate_damped_group(spec: DampedKernelSpec, atol: float = 1e-16,
 
     The Gaussian envelope is dead (< 1e-300) beyond k_hi = sqrt(750/w); the
     finite part [0, k_hi] is integrated adaptively with panels seeded at half
-    periods of the fastest oscillation across the shared factor and the
-    members.  The shared factor is evaluated once per pass for every member
-    still running, and each member stops on its own tolerance
-    (``_adaptive_gk``).  Whatever survives past k_hi (the algebraically
-    decaying erfc wings) is each member's own: the members that oscillate
-    sum theirs together by Wynn epsilon over half-period panels, each until
-    it settles (``_oscillatory_tails``); the others integrate theirs on
-    geometric panels out to the rational-kernel cutoff.
+    periods of the fastest oscillation across the members.  Each pass
+    evaluates each time and kernel(k d) once for the members still running,
+    and each member stops on its own tolerance (``_adaptive_gk``).
+    Whatever survives past k_hi (the algebraically decaying erfc wings) is
+    each member's own, and the members of one time sum theirs together:
+    those that oscillate by Wynn epsilon over half-period panels, each
+    until it settles (``_oscillatory_tails``), the others on geometric
+    panels out to the rational-kernel cutoff.
 
     Returns one entry per member: its QuadratureResult, or, where its
     requested tolerance is unreachable, a QuadratureConvergenceError
@@ -534,12 +566,12 @@ def integrate_damped_group(spec: DampedKernelSpec, atol: float = 1e-16,
     """
     k_hi = math.sqrt(_GAUSS_DEAD / spec.damping_width)
 
-    ds, own = spec.members, spec.member_lengths
-    osc = [i for i, ell in enumerate(own) if ell]
+    members, kernel = spec.members, spec.kernel
+    own = [2.0 * math.pi / d if kernel is not None and d > 0.0 else None for _, d in members]
     pts = {0.0, k_hi}
     # resolve the low-k structure of the k^p * rational prefactor
     pts.update(np.geomspace(k_hi * 1e-4, k_hi, 17))
-    lengths = spec.oscillation_lengths + tuple(own[i] for i in osc)
+    lengths = spec.oscillation_lengths + tuple(ell for ell in own if ell)
     if lengths:
         h = min(lengths) / 2.0
         n_osc = int(k_hi / h)
@@ -549,25 +581,27 @@ def integrate_damped_group(spec: DampedKernelSpec, atol: float = 1e-16,
             pts.update(np.arange(1, n_osc + 1)[::stride] * h)
     breakpoints = np.array(sorted(pts))
 
-    factor = spec.factor
     heads = _adaptive_gk(spec.integrand, breakpoints, 0.5 * atol, 0.5 * rtol,
-                         max_panels=max_panels, factor=factor, ds=ds)
-    tails, cutoff = {}, spec.algebraic_cutoff
-    if cutoff is not None:
+                         max_panels=max_panels, kernel=kernel, members=members)
+    tails, cutoff, by_time = {}, spec.algebraic_cutoff, {}
+    for i, (time, _) in enumerate(members if cutoff is not None else ()):
+        by_time.setdefault(time, []).append(i)
+    for group in by_time.values():
+        osc = [i for i in group if own[i]]
         if osc:
             # keep tail panels comparable to the head
             steps = np.array([min(0.5 * own[i], k_hi) for i in osc])
-            summed = _oscillatory_tails(spec.integrand, factor, [ds[i] for i in osc], k_hi,
+            summed = _oscillatory_tails(spec.integrand, kernel, [members[i] for i in osc], k_hi,
                                         steps, np.array([heads[i][0] for i in osc]),
                                         0.5 * atol, 0.5 * rtol)
             tails.update(zip(osc, zip(*summed)))
-        rest = [i for i in range(len(ds)) if i not in tails]
+        rest = [i for i in group if not own[i]]
         if rest and cutoff > k_hi:
             # geometric panels in k out to the cutoff
             n_dec = max(1, int(math.ceil(math.log10(cutoff / k_hi))))
             tails.update(zip(rest, _adaptive_gk(
                 spec.integrand, np.geomspace(k_hi, cutoff, 8 * n_dec + 1), 0.5 * atol,
-                0.5 * rtol, factor=factor, ds=[ds[i] for i in rest])))
+                0.5 * rtol, kernel=kernel, members=[members[i] for i in rest])))
     out = []
     for i, head in enumerate(heads):
         value, err, absint, evals = head if i not in tails else (

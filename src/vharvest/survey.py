@@ -3,12 +3,13 @@ t_BA/T, Euler angles) and the optimal-orientation catalogue.
 
 All sweeps work at T = 1 internally.  A sweep hands all its points to
 ``harvesting.compute_terms_many`` at once, which integrates M once per
-shared time kernel: the points of a row at one t_BA (fig5a/b), one Omega
-(fig4) or one model (fig7) share one head panel set, and points that differ
-only in orientation (fig3) share one integral.  Rows come back in canonical
-grid order.  Every sweep forwards its keywords to ``run_grid``,
-whose ``threads`` is accepted and has no effect: the work is GIL-bound, and
-a thread pool ran a grid at about 0.9x the speed of one thread.
+model, a0 and T: a whole spacetime map (fig5a/b, every t_BA and d), the
+points at one Omega (fig4) or of one model (fig7) share one head panel set,
+and points that differ only in orientation (fig3) share one integral.
+Rows come back in canonical grid order.  Every sweep forwards its keywords
+to ``run_grid``, whose ``threads`` is accepted and has no effect: the work
+is GIL-bound, and a thread pool ran a grid at about 0.9x the speed of one
+thread.
 """
 
 from __future__ import annotations

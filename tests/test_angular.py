@@ -314,6 +314,15 @@ def test_polarization_rejects_non_finite_k(k):
     with pytest.raises(ValueError, match="k must be finite"):
         polarization_completeness(k)
 
+
+@pytest.mark.parametrize("scale", [1e200, 1e-170, 2.0 ** -1070])
+def test_polarization_at_extreme_scales(scale):
+    # |k|^2 overflows or underflows unless k is scaled first
+    khat = np.array([1.0, 1.0, 0.0]) / math.sqrt(2.0)
+    want = np.eye(3) - np.outer(khat, khat)
+    assert np.max(np.abs(polarization_completeness(scale * khat) - want)) <= 1e-15
+
+
 def test_polarization_zero_vector():
     with pytest.raises(ValueError):
         polarization_completeness([0.0, 0.0, 0.0])

@@ -98,9 +98,9 @@ def test_grid_integrates_one_l(monkeypatch):
     specs = []
     real = harvesting._spec
 
-    def spy(term, ds=None):
-        specs.append((term.share[0], ds))
-        return real(term, ds)
+    def spy(term, members=None):
+        specs.append((term.share[0], [t.d for t in members]))
+        return real(term, members)
 
     monkeypatch.setattr(harvesting, "_spec", spy)
     pairs = [make_pair(omega=12.0, d=d, tba=tba) for d in (3.0, 11.0) for tba in (0.5, 10.0)]

@@ -201,6 +201,12 @@ def test_grid_rows_match_compute_terms_alone():
     for i, model in enumerate(ModelKind):
         column = ScanResult(grid=fig7.grid, rows=[r[1 + i] for r in fig7.rows])
         _assert_rows_match_points_alone(column, model, fixed)
+    # one M group whose rows alone would seed on different panels: at
+    # pi/t_BA where t_BA > d_max = 4, and at pi/d_max where not
+    for model in (ModelKind.EM_DIPOLE, ModelKind.UDW_SCALAR):
+        window = spacetime_map(Axis("d_over_T", 0.5, 4.0, 4),
+                               Axis("tba_over_T", 0.0, 16.0, 4), omega_T=1.0, model=model)
+        _assert_rows_match_points_alone(window, model, {"omega_T": 1.0, "a0_omega": 1e-3})
 
 
 def _spy(monkeypatch, module, name, sizes, arg=0):
@@ -265,6 +271,40 @@ def test_distance_row_evaluates_the_head_kernel_once_per_pass(monkeypatch):
     assert row < alone / 3
 
 
+def test_spacetime_map_evaluates_each_kernel_once_per_head_pass(monkeypatch):
+    # 4 delays x 5 separations are one M group: each head pass evaluates the
+    # spatial kernel once per distinct d > 0 and the time kernel once per
+    # distinct t_BA among its members, not once per (t_BA, d)
+    k_hi = math.sqrt(750.0 / 0.5)
+    calls, passes = {"space": 0, "time": 0}, []
+    real_panels = specfun._gk15_panels
+
+    def counted(name, real):
+        def spy(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return spy
+
+    def gk15_panels(f, lo, hi, kernel=None, members=((None, 0.0),), take=None):
+        before = dict(calls)
+        out = real_panels(f, lo, hi, kernel, members, take)
+        if kernel is not None and lo.ndim == 1 and hi.max() <= k_hi:
+            passes.append(({d for _, d in members if d > 0}, {t for t, _ in members},
+                           calls["space"] - before["space"], calls["time"] - before["time"]))
+        return out
+
+    monkeypatch.setattr(harvesting, "spherical_bessel_j0_plus_j2",
+                        counted("space", harvesting.spherical_bessel_j0_plus_j2))
+    monkeypatch.setattr(harvesting, "scaled_time_kernel",
+                        counted("time", harvesting.scaled_time_kernel))
+    monkeypatch.setattr(specfun, "_gk15_panels", gk15_panels)
+    spacetime_map(Axis("d_over_T", 0.0, 24.0, 5), Axis("tba_over_T", 0.0, 24.0, 4),
+                  omega_T=12.0)
+    assert [(len(d), len(t)) for d, t, _, _ in passes[:1]] == [(4, 4)]
+    for ds, times, space, time in passes:
+        assert (space, time) == (len(ds), len(times))
+
+
 def test_distance_row_sums_its_tails_in_one_kernel_call_per_chunk(monkeypatch):
     fixed = {"omega_T": 12.0, "a0_omega": 1e-3, "tba_over_T": 8.0}
     grid = ScanGrid(axes=(Axis("d_over_T", 0.0, 24.0, 10),), fixed=fixed,
@@ -302,17 +342,18 @@ def test_a_member_that_misses_its_tolerance_is_retried_alone(monkeypatch):
     spec_of = harvesting._spec
     rng = np.random.default_rng(7)
 
-    def noisy(factor):
-        def f(k, shared, d):
-            value, mag = factor(k, shared, d)
-            hit = (k < k_hi) & (d == target)
-            noise = np.where(hit, 3e-9 * rng.standard_normal(hit.shape), 0.0)
-            return value * (1.0 + noise), mag
+    def noisy(time):
+        # the target's own time object: noise on its head nodes alone
+        def f(k):
+            (value, mag), *rest = time(k)
+            noise = np.where(k < k_hi, 3e-9 * rng.standard_normal(np.shape(k)), 0.0)
+            return (value * (1.0 + noise), mag), *rest
         return f
 
-    def spec(term, ds=None):
-        s = spec_of(term, ds)
-        return replace(s, factor=noisy(s.factor)) if term.wings else s
+    def spec(term, members=None):
+        s = spec_of(term, members)
+        return replace(s, members=tuple((noisy(time) if d == target else time, d)
+                                        for time, d in s.members)) if term.wings else s
 
     monkeypatch.setattr(harvesting, "_spec", spec)
     res = run_grid(grid)
