@@ -31,11 +31,11 @@ terms relative to it leave double range (very unequal gaps) raises
 ValueError.
 
 ``compute_terms_many`` evaluates a batch of pairs and shares the work: the
-terms with the same scale k^p / (4u+9)^6 and kern (for L_AB also t_BA and
-Omega, for L Omega) integrate on one head panel set, each distinct (time,
-d) once, to its own tolerance and with its own tail, and each pass
-evaluates each distinct time(k) and kern(kd) once.  ``compute_terms`` is
-its one-pair case.
+M and L_AB terms with the same scale k^p / (4u+9)^6 and kern (and the L
+terms with the same scale and Omega) integrate on one head panel set, each
+distinct (time, d) once, to its own tolerance and with its own tail (none
+for L and L_AB), and each pass evaluates each distinct time(k) and kern(kd)
+once.  ``compute_terms`` is its one-pair case.
 """
 
 from __future__ import annotations
@@ -108,9 +108,13 @@ class ModelKind(Enum):
 
 def _j0(x):
     # j_0 and its magnitude: below x = 5 the sizes of its Maclaurin terms add
-    # up to sinh x / x; above it sin x / x cancels nothing
-    j0, s = spherical_bessel_j(0, x), np.clip(x, 1e-300, 5.0)
-    return j0, np.where(x < 5.0, np.sinh(s) / s, np.abs(j0))
+    # up to sinh x / x (evaluated there alone); above it sin x / x cancels nothing
+    j0 = spherical_bessel_j(0, x)
+    mag, small = np.abs(j0), x < 5.0
+    if small.any():
+        s = np.maximum(x[small], 1e-300)
+        mag[small] = np.sinh(s) / s
+    return j0, mag
 
 
 def _model_params(model: ModelKind):
@@ -267,16 +271,16 @@ class _Term:
     p: int
     kernel: Callable | None    # spatial kernel of k d: None (L), j0 or j0+j2
     time: Callable             # k -> (value, magnitude) time factors, in product order
-    wings: bool                # erfc wings decaying algebraically (M)
+    wings: bool                # erfc wings decaying algebraically (M), past the Gaussian
     # (coeff, q, rel, phase, log_scale): coeff a0^q T^2 rel phase
     # exp(log_scale), coeff with e^2 and sign, log_scale the Gaussian kept
     # out of the integral
     prefactor: tuple
     a0: float
     T: float                   # damping exp(-T^2 k^2 / 2)
-    # terms with equal keys have the same p, kernel, wings, a0 and T and
-    # integrate on one panel set, one member per distinct (clock, d); M's
-    # key is (kind, p, a0, T), and its clock (t_BA, Omega_A - Omega_B)
+    # terms with equal keys have the same p, kernel, a0 and T and integrate
+    # on one panel set, one member per distinct (clock, d); M and L_AB share
+    # ("M", p, a0, T), clocks (t_BA, Omega_A - Omega_B) and ("L_AB", t_BA, Omega)
     share: tuple
     d: float = 0.0
     t_ba: float = 0.0          # time factors oscillate with period 2 pi/|t_ba|
@@ -285,9 +289,10 @@ class _Term:
 
 def _spec(term: _Term, members=None) -> DampedKernelSpec:
     """The quadrature spec of a term, or of the group of terms that share
-    its key: one member (time, d) per term in members (default: the term),
-    with one time object per clock.  Its integrand is the scale
-    k^p / (4u+9)^6, the last factor of every member."""
+    its key (p, a0, T and with p the kernel): one member (time, d, cutoff)
+    per term in members (default: the term), with one time object per clock
+    and the wing cutoff for a term with wings.
+    Its integrand is the scale k^p / (4u+9)^6, the last factor of every one."""
     p, a0 = term.p, term.a0
     members = (term,) if members is None else members
     clocks = {t.clock: t for t in reversed(members)}  # the first term of each
@@ -296,16 +301,16 @@ def _spec(term: _Term, members=None) -> DampedKernelSpec:
         oscillation_lengths=tuple(2.0 * math.pi / abs(t.t_ba)
                                   for t in clocks.values() if t.t_ba != 0.0),
         integrand=lambda k: k ** p / (4.0 * (a0 * k) ** 2 + 9.0) ** 6,
-        algebraic_cutoff=_WING_CUTOFF[p] / (2.0 * a0) if term.wings else None,
         kernel=term.kernel,
-        members=tuple((clocks[t.clock].time, t.d) for t in members),
+        members=tuple((clocks[t.clock].time, t.d,
+                       _WING_CUTOFF[p] / (2.0 * a0) if t.wings else None) for t in members),
     )
 
 
 def _integrand(term: _Term):
     # k -> (value, magnitude) of the term's whole integrand
     spec = _spec(term)
-    return lambda k: next(_integrands(spec.integrand, k, spec.kernel, spec.members))[1]
+    return lambda k: next(_integrands(spec.integrand, k, spec.kernel, [(term.time, term.d)]))[1]
 
 
 def _quadratures(terms: list, atol: float, rtol: float) -> list:
@@ -366,12 +371,13 @@ def _log_scale(pair: DetectorPair) -> float:
                             b.switching_center, a.switching_width)[0]
 
 
-def _absolute(pair: DetectorPair, term: _Term, atol: float, rtol: float):
+def _absolute(pair: DetectorPair, terms: list, which: int, atol: float, rtol: float):
+    # terms[which], integrated with the others as compute_terms does
     log_scale = _log_scale(pair)
-    (quad,) = _quadratures([term], atol, rtol)
+    quad = _quadratures(terms, atol, rtol)[which]
     if isinstance(quad, QuadratureConvergenceError):
         raise quad
-    return math.exp(log_scale) * _evaluate(term, quad, log_scale).value
+    return math.exp(log_scale) * _evaluate(terms[which], quad, log_scale).value
 
 
 def _gaussian(k, T: float, omega: float):
@@ -424,8 +430,8 @@ def _cross(pair: DetectorPair) -> _Term:
 
     prefactor = (pair.coupling ** 2 * (c_l / math.pi), q, pair.cos_relative_angle,
                  cmath.exp(-1j * omega * t_ba), -0.5 * (T * omega) ** 2)
-    return _Term(p, kernel, time, False, prefactor, a.a0, T,
-                 ("L_AB", p, a.a0, T, t_ba, omega), pair.separation, t_ba)
+    return _Term(p, kernel, time, False, prefactor, a.a0, T, ("M", p, a.a0, T),
+                 pair.separation, t_ba, ("L_AB", t_ba, omega))
 
 
 # ----------------------------------------------------------------------------
@@ -455,23 +461,27 @@ def local_term(pair: DetectorPair, which: str = "A",
     if which not in ("A", "B"):
         raise ValueError(f"which must be 'A' or 'B', not {which!r}")
     atom = pair.atom_a if which == "A" else pair.atom_b
-    return _absolute(pair, _local(pair.model, atom, pair.coupling), atol, rtol).real
+    return _absolute(pair, [_local(pair.model, atom, pair.coupling)], 0, atol, rtol).real
 
 
 def nonlocal_term(pair: DetectorPair, atol: float = 1e-16,
                   rtol: float = 1e-10) -> complex:
     """Nonlocal correlation term M (phase retained; |M| feeds the
-    negativity).  One time kernel serves every gap."""
-    return _absolute(pair, _nonlocal(pair), atol, rtol)
+    negativity).  One time kernel serves every gap.  Identical atoms
+    integrate it with L_AB, so it equals ``compute_terms(pair).m``; other
+    pairs alone, as ``compute_terms(pair, include_cross=False)`` does."""
+    return _absolute(pair, [_nonlocal(pair)] + ([_cross(pair)] if pair.identical else []),
+                     0, atol, rtol)
 
 
 def cross_noise_term(pair: DetectorPair, atol: float = 1e-16,
                      rtol: float = 1e-10) -> complex:
     """Cross noise term L_AB: same spatial kernel as M, full-plane Gaussian
-    time factor with phase exp(i (Omega+k) t_AB).  Identical atoms only."""
+    time factor with phase exp(i (Omega+k) t_AB).  Identical atoms only;
+    integrated with M, so it equals ``compute_terms(pair).l_ab``."""
     if not pair.identical:
         raise ValueError("cross_noise_term requires identical atoms")
-    return _absolute(pair, _cross(pair), atol, rtol)
+    return _absolute(pair, [_nonlocal(pair), _cross(pair)], 1, atol, rtol)
 
 
 # ----------------------------------------------------------------------------
@@ -509,9 +519,11 @@ def compute_terms(pair: DetectorPair, switching: SwitchingKind | None = None,
     of ``compute_terms_many``.
 
     L_AB is computed for identical atoms only; other pairs need
-    ``include_cross=False``.  Cropped switching evaluates the same closed
-    forms and accounts for the discarded Gaussian tails as an extra error
-    bound: with the default 8 sigma crop the tail mass fraction is
+    ``include_cross=False``.  L_AB is integrated with M, so for identical
+    atoms ``include_cross=False`` may give an M that differs from the
+    default's by less than the reported error.  Cropped switching evaluates
+    the same closed forms and accounts for the discarded Gaussian tails as
+    an extra error bound: with the default 8 sigma crop the tail mass fraction is
     erfc(8/sqrt(2)) ~ 1.3e-15, below the double-precision resolution of the
     integrals themselves.  "auto" switching is resolved from the pair's
     separation and delay (``SwitchingKind.resolve``); None is uncropped.
@@ -533,11 +545,12 @@ def compute_terms_many(pairs, switching: SwitchingKind | None = None,
     one head panel set (``specfun.integrate_damped_group``), each distinct
     (t_BA, Omega_A - Omega_B, d) once: a pass evaluates the time kernel
     once per (t_BA, Omega_A - Omega_B) and the spatial kernel once per d,
-    so a spacetime map (fig5a, fig5b) is one group.  L_AB likewise per t_BA
-    and Omega, and the L of every atom with the same model, a0, T and Omega
-    is one integral.  A pair alone gives the same bits as in a group of
-    one; in a larger group its values may differ from that by less than the
-    reported errors.
+    so a spacetime map (fig5a, fig5b) is one group.  Each L_AB joins that
+    group as one more member per distinct (t_BA, Omega, d), which shares
+    the spatial kernel with M's member at its d.  The L of every atom with
+    the same model, a0, T and Omega is one integral.  A pair alone gives
+    the same bits as in a group of one; in a larger group its values may
+    differ from that by less than the reported errors.
 
     Returns one entry per pair: its HarvestTerms, or the
     QuadratureConvergenceError of its first term that missed the tolerance,

@@ -27,6 +27,7 @@ place that rounding enters the error estimates.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -86,31 +87,30 @@ class DampedKernelSpec:
     integrand: vectorized callable on arrays of k >= 0: the scale by which
         every member's product is multiplied last, or, for a member without
         time factors, its arrays (value, magnitude) of the rounding model.
-    algebraic_cutoff: the erfc wings of the time kernel decay only
-        algebraically: past the Gaussian truncation point a member with an
-        oscillation sums them by extrapolation over its half periods, one
-        without integrates them out to this k.  None: nothing survives.
     kernel: callable x -> (value, magnitude), the spatial factor at x = k d
         for d > 0; it oscillates with period 2*pi/d in k, which also sets
         the panels of the member's tail.  None: no spatial factor.
-    members: (time, d) per member, each integrated to its own tolerance,
-        time None or a callable k -> tuple of (value, magnitude) factors:
-        kernel(k d) times the time factors in order, then times the scale.
+    members: (time, d, cutoff) per member, each integrated to its own
+        tolerance, time None or a callable k -> tuple of (value, magnitude)
+        factors: kernel(k d) times the time factors in order, then times the
+        scale.  cutoff: the member's erfc wings decay only algebraically:
+        past the Gaussian truncation point a member that oscillates sums
+        them by extrapolation over its half periods, one that does not
+        integrates them out to this k.  None: nothing survives.
     """
 
     damping_width: float
     oscillation_lengths: tuple[float, ...]
     integrand: Callable[[np.ndarray], object]
-    algebraic_cutoff: float | None = None
     kernel: Callable | None = None
-    members: tuple = ((None, 0.0),)
+    members: tuple = ((None, 0.0, None),)
 
     def __post_init__(self):
         if not (self.damping_width > 0.0):
             raise ValueError("damping_width must be positive")
         if any(not (ell > 0.0) for ell in self.oscillation_lengths):
             raise ValueError("oscillation_lengths must all be positive")
-        if not self.members or any(not (d >= 0.0) for _, d in self.members):
+        if not self.members or any(not (d >= 0.0) for _, d, _ in self.members):
             raise ValueError("a spec needs members, each with d >= 0")
 
 
@@ -182,13 +182,14 @@ def _bessel_series(l: int, x: np.ndarray) -> np.ndarray:
     for m in range(1, 40):
         term = term * (-0.5 * x2) / (m * (2 * l + 2 * m + 1))
         acc = acc + term
-        if np.all(np.abs(term) <= 1e-18 * np.abs(acc)):
+        # every 4th term: the terms past the first pass are < half an ulp
+        if m % 4 == 0 and np.all(np.abs(term) <= 1e-18 * np.abs(acc)):
             break
     return np.where(x > 0, x, 0.0) ** l / _DOUBLE_FACT[l] * acc if l else acc
 
 
 def _bessel_trig(l: int, s: np.ndarray, c: np.ndarray, u: np.ndarray) -> np.ndarray:
-    # closed forms in s = sin x, c = cos x and u = 1/x
+    # closed forms in s = sin x, c = cos x (unread at l = 0) and u = 1/x
     if l == 0:
         return s * u
     if l == 1:
@@ -214,7 +215,7 @@ def spherical_bessel_j(l: int, x):
     # the closed form everywhere (at x >= 5 only: the series overwrites below)
     small = x_arr < 5.0
     xl = np.maximum(x_arr, 5.0)
-    out = _bessel_trig(l, np.sin(xl), np.cos(xl), 1.0 / xl)
+    out = _bessel_trig(l, np.sin(xl), np.cos(xl) if l else None, 1.0 / xl)
     if np.any(small):
         out[small] = _bessel_series(l, x_arr[small])
     return float(out[0]) if np.ndim(x) == 0 else out
@@ -544,6 +545,12 @@ def _oscillatory_tails(f, kernel, members, start: float, steps: np.ndarray,
     return value, error, absint, evals
 
 
+@functools.lru_cache(maxsize=16)
+def _seeds(k_hi: float) -> tuple:
+    # 0, k_hi and 17 geometric points for the low-k structure of k^p * rational
+    return (0.0, k_hi, *np.geomspace(k_hi * 1e-4, k_hi, 17))
+
+
 def integrate_damped_group(spec: DampedKernelSpec, atol: float = 1e-16,
                            rtol: float = 1e-10, max_panels: int = 4000) -> list:
     """Integrate every member of spec over [0, inf) on one head panel set.
@@ -553,11 +560,11 @@ def integrate_damped_group(spec: DampedKernelSpec, atol: float = 1e-16,
     periods of the fastest oscillation across the members.  Each pass
     evaluates each time and kernel(k d) once for the members still running,
     and each member stops on its own tolerance (``_adaptive_gk``).
-    Whatever survives past k_hi (the algebraically decaying erfc wings) is
-    each member's own, and the members of one time sum theirs together:
-    those that oscillate by Wynn epsilon over half-period panels, each
-    until it settles (``_oscillatory_tails``), the others on geometric
-    panels out to the rational-kernel cutoff.
+    Whatever survives past k_hi (the algebraically decaying erfc wings of
+    a member with a cutoff) is each member's own, and the members of one
+    time sum theirs together: those that oscillate by Wynn epsilon over
+    half-period panels, each until it settles (``_oscillatory_tails``), the
+    others on geometric panels out to the rational-kernel cutoff.
 
     Returns one entry per member: its QuadratureResult, or, where its
     requested tolerance is unreachable, a QuadratureConvergenceError
@@ -566,11 +573,9 @@ def integrate_damped_group(spec: DampedKernelSpec, atol: float = 1e-16,
     """
     k_hi = math.sqrt(_GAUSS_DEAD / spec.damping_width)
 
-    members, kernel = spec.members, spec.kernel
+    members, kernel = [(time, d) for time, d, _ in spec.members], spec.kernel
     own = [2.0 * math.pi / d if kernel is not None and d > 0.0 else None for _, d in members]
-    pts = {0.0, k_hi}
-    # resolve the low-k structure of the k^p * rational prefactor
-    pts.update(np.geomspace(k_hi * 1e-4, k_hi, 17))
+    pts = [_seeds(k_hi)]
     lengths = spec.oscillation_lengths + tuple(ell for ell in own if ell)
     if lengths:
         h = min(lengths) / 2.0
@@ -578,15 +583,16 @@ def integrate_damped_group(spec: DampedKernelSpec, atol: float = 1e-16,
         if n_osc > 1:
             max_seed = 600
             stride = max(1, int(math.ceil(n_osc / max_seed)))
-            pts.update(np.arange(1, n_osc + 1)[::stride] * h)
-    breakpoints = np.array(sorted(pts))
+            pts.append(np.arange(1, n_osc + 1)[::stride] * h)
+    breakpoints = np.unique(np.concatenate(pts))
 
     heads = _adaptive_gk(spec.integrand, breakpoints, 0.5 * atol, 0.5 * rtol,
                          max_panels=max_panels, kernel=kernel, members=members)
-    tails, cutoff, by_time = {}, spec.algebraic_cutoff, {}
-    for i, (time, _) in enumerate(members if cutoff is not None else ()):
-        by_time.setdefault(time, []).append(i)
-    for group in by_time.values():
+    tails, by_time = {}, {}
+    for i, (time, _, cutoff) in enumerate(spec.members):
+        if cutoff is not None:
+            by_time.setdefault((time, cutoff), []).append(i)
+    for (_, cutoff), group in by_time.items():
         osc = [i for i in group if own[i]]
         if osc:
             # keep tail panels comparable to the head

@@ -530,6 +530,20 @@ def _view_pairs(rng, unequal: bool):
                          switching_center=float(rng.uniform(0.5, 25.0)),
                          orientation=EulerAngles(*rng.uniform(0.0, math.pi, 3)))
             yield DetectorPair(a, b, model)
+    if not unequal:
+        yield _group_moves_m()
+
+
+def _group_moves_m():
+    # scatter pool pair 6929: here M integrated with L_AB differs from M
+    # alone, so the views must integrate the same group as compute_terms
+    omega, a0_omega = 0.9772209545528232, 2.2892084907842638e-4
+    a = AtomSpec(a0=a0_omega / omega, omega=omega)
+    b = AtomSpec(a0=a0_omega / omega, omega=omega, position=(0.0, 0.0, 7.520280534645576),
+                 switching_center=8.842379027735705,
+                 orientation=EulerAngles(2.5311635427311696, 1.3220921230840306,
+                                         4.9505661429926215))
+    return DetectorPair(a, b, ModelKind.UDW_DERIVATIVE)
 
 
 def test_views_equal_compute_terms_bitwise_identical_atoms(rng):
@@ -573,10 +587,72 @@ def test_auto_switching_crops_only_outside_the_lightcone_band():
             .quadrature_errors)
 
 
+def test_m_without_l_ab_within_the_reported_error():
+    # at this pair M integrated alone differs from M integrated with L_AB
+    pair = _group_moves_m()
+    terms = compute_terms(pair)
+    alone = compute_terms(pair, include_cross=False)
+    assert alone.m != terms.m
+    assert abs(alone.m_scaled - terms.m_scaled) <= (alone.quadrature_errors["m"]
+                                                    + terms.quadrature_errors["m"])
+
+
+def test_identical_pair_integrates_m_and_l_ab_on_one_panel_set(monkeypatch):
+    # two group calls (L; M with L_AB), and each head pass of the second
+    # evaluates the spatial kernel once for both members
+    k_hi = math.sqrt(750.0 / 0.5)
+    groups, passes, space = [], [], []
+    real_group, real_panels, real_j0 = (harvesting.integrate_damped_group,
+                                        specfun._gk15_panels, harvesting._j0)
+
+    def group(spec, *args, **kwargs):
+        groups.append(len(spec.members))
+        return real_group(spec, *args, **kwargs)
+
+    def j0(x):
+        space.append(np.size(x))
+        return real_j0(x)
+
+    def gk15_panels(f, lo, hi, kernel=None, members=((None, 0.0),), take=None):
+        before = len(space)
+        out = real_panels(f, lo, hi, kernel, members, take)
+        if kernel is not None and lo.ndim == 1 and hi.max() <= k_hi:
+            passes.append(({t for t, _ in members}, space[before:], 15 * lo.size))
+        return out
+
+    monkeypatch.setattr(harvesting, "integrate_damped_group", group)
+    monkeypatch.setattr(harvesting, "_j0", j0)
+    monkeypatch.setattr(specfun, "_gk15_panels", gk15_panels)
+    compute_terms(make_pair(model=ModelKind.UDW_SCALAR, d=3.0, tba=1.5))
+    assert groups == [1, 2]
+    assert len(passes[0][0]) == 2
+    assert all(nodes == [n] for _, nodes, n in passes)
+
+
+def test_j0_keeps_the_bits_of_its_formulas():
+    # j0 without the cos, and sinh s / s on the nodes below 5 alone
+    x = np.concatenate([np.linspace(0.0, 30.0, 30001),
+                        [0.0, np.nextafter(5.0, 0.0), 5.0, 1e-300, 5e-324]])
+    j0, mag = harvesting._j0(x)
+    ref = spherical_bessel_j(0, x)
+    s = np.clip(x, 1e-300, 5.0)
+    assert np.array_equal(j0, ref)
+    assert np.array_equal(mag, np.where(x < 5.0, np.sinh(s) / s, np.abs(ref)))
+    # the tails' (members, nodes) arrays
+    j0_2d, mag_2d = harvesting._j0(x[:30000].reshape(3, -1))
+    assert np.array_equal(j0_2d.ravel(), j0[:30000])
+    assert np.array_equal(mag_2d.ravel(), mag[:30000])
+
+
 def test_cross_term_sums_no_tail(monkeypatch):
-    # the Gaussian of L_AB is exactly 0.0 past the head's cutoff k_hi
-    def no_tail(*args, **kwargs):
-        raise AssertionError("L_AB summed a tail past k_hi")
+    # the Gaussian of L_AB is exactly 0.0 past the head's cutoff k_hi: the
+    # tails of its group are M's alone
+    tails = specfun._oscillatory_tails
+
+    def no_tail(f, kernel, members, *args, **kwargs):
+        if any("_cross" in time.__qualname__ for time, _ in members):
+            raise AssertionError("L_AB summed a tail past k_hi")
+        return tails(f, kernel, members, *args, **kwargs)
 
     monkeypatch.setattr(specfun, "_oscillatory_tails", no_tail)
     for d, tba in ((3.0, 1.5), (3.0, 0.0), (0.0, 1.5)):

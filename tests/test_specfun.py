@@ -220,6 +220,29 @@ def bessel_series_ref(l, x, terms=60):
     return x ** l / dfact * acc
 
 
+def _bessel_series_every_term(l, x):
+    # the series loop with its stopping test on every term
+    x2 = x * x
+    term = np.ones_like(x)
+    acc = np.ones_like(x)
+    for m in range(1, 40):
+        term = term * (-0.5 * x2) / (m * (2 * l + 2 * m + 1))
+        acc = acc + term
+        if np.all(np.abs(term) <= 1e-18 * np.abs(acc)):
+            break
+    return np.where(x > 0, x, 0.0) ** l / specfun._DOUBLE_FACT[l] * acc if l else acc
+
+
+def test_bessel_series_stopping_every_4th_term_keeps_every_bit(rng):
+    # the terms summed past the first that passes are below half an ulp
+    grids = [np.linspace(0.0, 5.0, 2001), np.nextafter(5.0, 0.0) * np.ones(3),
+             np.array([0.0]), np.array([math.pi]), rng.uniform(0.0, 5.0, 500)]
+    grids += [np.array([x]) for x in rng.uniform(0.0, 5.0, 200)]
+    for l in range(5):
+        for x in grids:
+            assert np.array_equal(specfun._bessel_series(l, x), _bessel_series_every_term(l, x))
+
+
 def test_bessel_limits():
     assert spherical_bessel_j(0, 0.0) == 1.0
     assert spherical_bessel_j(2, 0.0) == 0.0
@@ -311,6 +334,37 @@ def test_bessel_domain_errors():
 # ----------------------------------------------------------------------------
 # quadrature
 # ----------------------------------------------------------------------------
+
+def _seed_breakpoints(w, lengths):
+    # the head's seed panels as a set of Python floats, sorted
+    k_hi = math.sqrt(750.0 / w)
+    pts = {0.0, k_hi}
+    pts.update(np.geomspace(k_hi * 1e-4, k_hi, 17))
+    if lengths:
+        h = min(lengths) / 2.0
+        n_osc = int(k_hi / h)
+        if n_osc > 1:
+            stride = max(1, int(math.ceil(n_osc / 600)))
+            pts.update(np.arange(1, n_osc + 1)[::stride] * h)
+    return np.array(sorted(pts))
+
+
+def test_seed_breakpoints_keep_every_bit(monkeypatch):
+    seen = []
+    real = specfun._adaptive_gk
+
+    def spy(f, breakpoints, *args, **kwargs):
+        seen.append(breakpoints)
+        return real(f, breakpoints, *args, **kwargs)
+
+    monkeypatch.setattr(specfun, "_adaptive_gk", spy)
+    f = with_abs(lambda k: np.exp(-k * k))
+    for w in (0.5, 0.5, 1.0, 0.08, 3.7):
+        for lengths in ((), (2 * math.pi / 4.0,), (2 * math.pi / 25.0, 1.3), (1e-3,)):
+            seen.clear()
+            integrate_damped_group(DampedKernelSpec(w, lengths, f))
+            assert np.array_equal(seen[0], _seed_breakpoints(w, lengths))
+
 
 def test_integrate_gaussian_moment():
     spec = DampedKernelSpec(1.0, (), with_abs(lambda k: np.exp(-k * k)))

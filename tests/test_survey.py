@@ -352,8 +352,8 @@ def test_a_member_that_misses_its_tolerance_is_retried_alone(monkeypatch):
 
     def spec(term, members=None):
         s = spec_of(term, members)
-        return replace(s, members=tuple((noisy(time) if d == target else time, d)
-                                        for time, d in s.members)) if term.wings else s
+        return replace(s, members=tuple((noisy(time) if d == target else time, d, cutoff)
+                                        for time, d, cutoff in s.members)) if term.wings else s
 
     monkeypatch.setattr(harvesting, "_spec", spec)
     res = run_grid(grid)
