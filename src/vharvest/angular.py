@@ -212,16 +212,19 @@ def rotate_harmonic(l: int, m: int, angles: EulerAngles, theta, phi):
     Y^B_lm(theta, phi) = sum_mu Y_lmu(theta, phi) D^l_{mu,m}(angles)."""
     if abs(m) > l:
         raise ValueError(f"|m| <= l violated: l={l}, m={m}")
+    return _rotated(l, m, angles, [sph_harm_y(l, mu, theta, phi) for mu in range(-l, l + 1)])
+
+
+def _rotated(l: int, m: int, angles: EulerAngles, harmonics):
+    # rotate_harmonic from the Y_lmu(theta, phi), mu = -l..l, in order
     acc = None
     for mu in range(-l, l + 1):
         d = wigner_D(l, mu, m, angles)
         if d == 0:
             continue
-        term = sph_harm_y(l, mu, theta, phi) * d
+        term = harmonics[mu + l] * d
         acc = term if acc is None else acc + term
-    if acc is None:
-        acc = sph_harm_y(l, m, theta, phi) * 0.0
-    return acc
+    return harmonics[m + l] * 0.0 if acc is None else acc
 
 
 # ----------------------------------------------------------------------------

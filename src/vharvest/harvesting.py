@@ -23,7 +23,12 @@ row serves every gap: pi T^2/2 S e^{i Omega (t_A+t_B)} K is the ordered
 double time integral ``time_integral_closed``.  Like every time factor K is
 evaluated once per batch of quadrature nodes; its erfc wings decay only
 algebraically in k, so M integrates them to the rational cutoff or sums them
-over the spatial period.  The derivative coupling differs from the scalar
+over the spatial period.  A term stops instead at the live edge, where its
+Gaussian part is e^-60 below its peak, if a rigorous bound B on the rest of
+its integral of |f| (``_live_edge``) is at most 1e-3 of its roundoff floor:
+the wings carry e^{-t_BA^2/(2 T^2)}, so M does at large |t_BA|, and L and
+L_AB, which have no wings, almost always do.  B is then part of its
+reported error.  The derivative coupling differs from the scalar
 one by exactly k^2 in every integrand.  S at the mean gap stays out of the
 integrals as a log scale, so the sign of |M| - L (the harvesting criterion)
 is available even where the values underflow (Omega T > ~38); a pair whose
@@ -50,7 +55,7 @@ from typing import Callable
 import numpy as np
 
 from .atoms import AtomSpec, SwitchingKind
-from .specfun import (DampedKernelSpec, QuadratureConvergenceError,
+from .specfun import (_ROUNDOFF, DampedKernelSpec, QuadratureConvergenceError,
                       QuadratureResult, _integrands, integrate_damped_group,
                       scaled_time_kernel, spherical_bessel_j,
                       spherical_bessel_j0_plus_j2)
@@ -263,6 +268,10 @@ _LOG_TINY, _LOG_HUGE = math.log(sys.float_info.min), math.log(sys.float_info.max
 # units of 1/(2 a0): the cutoff of the algebraic erfc wings
 _WING_CUTOFF = {3: 120.0, 5: 400.0, 7: 4000.0}
 
+# past the live edge every member's Gaussian part is e^-_LIVE_EXPONENT below its peak
+_LIVE_EXPONENT = 60.0
+_SQRT2 = math.sqrt(2.0)
+
 
 @dataclass(frozen=True)
 class _Term:
@@ -287,15 +296,72 @@ class _Term:
     clock: tuple = ()          # terms of one key and clock have the same time factors
 
 
+def _log_upper_gamma(n: int, x: float) -> float:
+    # log Gamma(n, x) = log((n-1)! e^-x sum_{j<n} x^j/j!) for integer n and x >= 1
+    return (math.lgamma(n) - x + (n - 1) * math.log(x)
+            + math.log(sum(x ** (j - n + 1) / math.factorial(j) for j in range(n))))
+
+
+def _live_edge(members) -> tuple[float, tuple]:
+    """The live edge k_live of a group of terms of one key, past which every
+    member's Gaussian part, times k^p, is e^-_LIVE_EXPONENT below its peak,
+    and per member a rigorous bound B on its integral of |f| over
+    [k_live, inf), in the units of its bare integral (a member whose B is
+    far below its roundoff floor stops at k_live).  With b = T k/sqrt2 and
+    c = T (Omega_A - Omega_B)/(2 sqrt2), M's Gaussian part is 2 e^{-(b+c)^2},
+    so k_live = (sqrt(_LIVE_EXPONENT) + max|c|) sqrt2/T.  B bounds |kern| by
+    1 and the rational by 9^-6 times:
+    - the Gaussian part: with y = b - |c| >= y0 past the edge,
+      (y + |c|)^p <= (y y_live/y0)^p, and the integral of y^p e^{-y^2} is
+      the upper incomplete gamma Gamma((p+1)/2, y0^2)/2; L and L_AB, whose
+      G(k) <= e^{-b^2} since Omega > 0, have this part alone, of weight 1;
+    - M's wings: |w(z)| <= min(1, 1/(sqrt(pi) Im z)) at Im z = a (A&S
+      7.1.3), |kern| <= 1 and the whole rational integral,
+      int_0^inf k^p (4 a0^2 k^2 + 9)^-6 dk
+      = (3/(2 a0))^{p+1} 9^-6 B((p+1)/2, 6 - (p+1)/2)/2.
+    All in logs: where B leaves double range it is inf, and the member
+    runs on.  p is odd, so (p+1)/2 is an integer.  Where every B exceeds
+    50 eps 9^-6 k_live^{p+1}/(p+1), 1e3x the floor of a member whose time
+    and spatial factors had magnitude 1, no member would stop: the group
+    gets no edge, (inf, ()), and its first pass takes all the seeds."""
+    first = members[0]
+    p, a0, T = first.p, first.a0, first.T
+    n = (p + 1) // 2
+    cs = [abs(T * t.clock[1]) / (2.0 * _SQRT2) if t.wings else 0.0 for t in members]
+    root, c_max = math.sqrt(_LIVE_EXPONENT), max(cs)
+    y_live = root + c_max
+    log_sqrt_w = math.log(T) - 0.5 * math.log(2.0)
+    log_9_6 = 6.0 * math.log(9.0)
+    log_rational = ((p + 1) * (math.log(1.5) - math.log(a0)) - log_9_6 - math.log(2.0)
+                    + math.lgamma(n) + math.lgamma(6 - n) - math.lgamma(6))
+    k_live, log_bounds = y_live * _SQRT2 / T, []
+    for t, c in zip(members, cs):
+        y0 = root + (c_max - c)
+        log_b = (math.log(2.0 if t.wings else 1.0) - log_9_6 + p * math.log(y_live / y0)
+                 + _log_upper_gamma(n, y0 * y0) - math.log(2.0) - (p + 1) * log_sqrt_w)
+        if t.wings:
+            a = abs(t.t_ba) / (_SQRT2 * T)
+            log_w = min(0.0, -math.log(math.sqrt(math.pi) * a)) if a > 0.0 else 0.0
+            wings = math.log(2.0) - a * a + log_w + log_rational
+            log_b = max(log_b, wings) + math.log1p(math.exp(-abs(log_b - wings)))
+        log_bounds.append(log_b)
+    screen = math.log(_ROUNDOFF) - log_9_6 + (p + 1) * math.log(k_live) - math.log(p + 1)
+    if not any(b <= screen for b in log_bounds):
+        return math.inf, ()
+    return k_live, tuple(math.exp(b) if b < _LOG_HUGE else math.inf for b in log_bounds)
+
+
 def _spec(term: _Term, members=None) -> DampedKernelSpec:
     """The quadrature spec of a term, or of the group of terms that share
     its key (p, a0, T and with p the kernel): one member (time, d, cutoff)
     per term in members (default: the term), with one time object per clock
-    and the wing cutoff for a term with wings.
+    and the wing cutoff for a term with wings, and the group's live edge
+    with each member's bound past it (``_live_edge``).
     Its integrand is the scale k^p / (4u+9)^6, the last factor of every one."""
     p, a0 = term.p, term.a0
     members = (term,) if members is None else members
     clocks = {t.clock: t for t in reversed(members)}  # the first term of each
+    k_live, bounds = _live_edge(members)
     return DampedKernelSpec(
         damping_width=0.5 * term.T * term.T,
         oscillation_lengths=tuple(2.0 * math.pi / abs(t.t_ba)
@@ -304,6 +370,8 @@ def _spec(term: _Term, members=None) -> DampedKernelSpec:
         kernel=term.kernel,
         members=tuple((clocks[t.clock].time, t.d,
                        _WING_CUTOFF[p] / (2.0 * a0) if t.wings else None) for t in members),
+        live_edge=k_live,
+        edge_bounds=bounds,
     )
 
 

@@ -22,7 +22,7 @@ from numpy.polynomial.legendre import leggauss
 from scipy.special import wofz as _wofz
 
 from . import atoms, harvesting
-from .angular import (EulerAngles, euler_rotation_matrix, gaunt_integral,
+from .angular import (EulerAngles, _rotated, euler_rotation_matrix, gaunt_integral,
                       polarization_completeness, rotate_harmonic, sph_harm_y)
 from .atoms import AtomSpec
 from .harvesting import (DetectorPair, ModelKind, negativity_leading,
@@ -363,17 +363,20 @@ def scalar_smearing_fourier_bruteforce(k: float, a0: float) -> float:
 # Rotation and negativity oracles
 # ----------------------------------------------------------------------------
 
-def rotation_bruteforce(l: int, m: int, angles: EulerAngles,
-                        theta: float, phi: float) -> complex:
-    """Evaluate Y_lm at the explicitly rotated direction; the reference for
-    rotate_harmonic."""
+def _rotated_direction(angles: EulerAngles, theta: float, phi: float) -> tuple:
+    # (theta, phi) of the direction (theta, phi) under the explicit 3x3 rotation
     n = np.array([math.sin(theta) * math.cos(phi),
                   math.sin(theta) * math.sin(phi),
                   math.cos(theta)])
     v = euler_rotation_matrix(angles) @ n
-    th = math.atan2(math.hypot(v[0], v[1]), v[2])
-    ph = math.atan2(v[1], v[0])
-    return sph_harm_y(l, m, th, ph)
+    return math.atan2(math.hypot(v[0], v[1]), v[2]), math.atan2(v[1], v[0])
+
+
+def rotation_bruteforce(l: int, m: int, angles: EulerAngles,
+                        theta: float, phi: float) -> complex:
+    """Evaluate Y_lm at the explicitly rotated direction; the reference for
+    rotate_harmonic."""
+    return sph_harm_y(l, m, *_rotated_direction(angles, theta, phi))
 
 
 def negativity_bruteforce(l_aa: float, l_bb: float, l_ab: complex,
@@ -516,16 +519,20 @@ def _run_all_inner(seed: int) -> list[OracleReport]:
     reports.append(OracleReport("gaunt_vs_sphere_quadrature", 0.0, 0.0,
                                 worst, 1e-10, worst <= 1e-10, cases * 64 * 128))
 
-    # 5. harmonic rotation vs direct 3x3 rotation
+    # 5. harmonic rotation (rotate_harmonic) vs direct 3x3 rotation
+    # (rotation_bruteforce), with the rotation and each distinct harmonic
+    # evaluated once per angle
     worst = 0.0
     for _ in range(100):
         ang = EulerAngles(*rng.uniform(-math.pi, math.pi, 3))
         th = float(rng.uniform(0.05, math.pi - 0.05))
         ph = float(rng.uniform(-math.pi, math.pi))
+        rotated = _rotated_direction(ang, th, ph)
         for l in (1, 2):
+            ys = [sph_harm_y(l, mu, th, ph) for mu in range(-l, l + 1)]
             for m in range(-l, l + 1):
-                lhs = rotate_harmonic(l, m, ang, th, ph)
-                rhs = rotation_bruteforce(l, m, ang, th, ph)
+                lhs = _rotated(l, m, ang, ys)
+                rhs = sph_harm_y(l, m, *rotated)
                 worst = max(worst, abs(lhs - rhs))
     reports.append(OracleReport("wigner_rotation_vs_matrix", 0.0, 0.0,
                                 worst, 1e-12, worst <= 1e-12, 800))

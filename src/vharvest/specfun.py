@@ -13,7 +13,10 @@ it matters.  Integrands that differ in their time factor and separation (a
 grid's t_BA and d) are integrated as the members of one group
 (``integrate_damped_group``): on one head panel set, so each pass evaluates
 each distinct time factor and spatial kernel once for all of them, and past
-it with the member as the leading array axis of the tails.
+it with the member as the leading array axis of the tails.  The head stops
+at the group's live edge, where the Gaussian part is e^-60 below its peak,
+for every member whose rigorous bound on the rest (the caller's) is far
+below its roundoff floor; that bound joins its error.
 
 Rounding model: an integrand returns (value, magnitude) per node, with
 magnitude >= |value| such that 50 eps x magnitude bounds the node's rounding
@@ -48,6 +51,7 @@ __all__ = [
 
 _SQRT2 = math.sqrt(2.0)
 _GAUSS_DEAD = 750.0        # exp(-750) < 1e-300: Gaussian tail treated as dead
+_EDGE_SHARE = 1e-3         # a member stops at the live edge below this share of its floor
 
 
 class QuadratureConvergenceError(RuntimeError):
@@ -97,6 +101,12 @@ class DampedKernelSpec:
         past the Gaussian truncation point a member that oscillates sums
         them by extrapolation over its half periods, one that does not
         integrates them out to this k.  None: nothing survives.
+    live_edge: k past which every member's Gaussian part is e^-60 below its
+        peak; inf: no edge.
+    edge_bounds: per member, a rigorous bound on the integral of |f| over
+        [live_edge, inf), or () for none: a member whose bound is at most
+        1e-3 of its head's roundoff floor stops at the edge, the bound added
+        to its error.
     """
 
     damping_width: float
@@ -104,6 +114,8 @@ class DampedKernelSpec:
     integrand: Callable[[np.ndarray], object]
     kernel: Callable | None = None
     members: tuple = ((None, 0.0, None),)
+    live_edge: float = math.inf
+    edge_bounds: tuple = ()
 
     def __post_init__(self):
         if not (self.damping_width > 0.0):
@@ -112,6 +124,9 @@ class DampedKernelSpec:
             raise ValueError("oscillation_lengths must all be positive")
         if not self.members or any(not (d >= 0.0) for _, d, _ in self.members):
             raise ValueError("a spec needs members, each with d >= 0")
+        if not (self.live_edge > 0.0) or (
+                self.edge_bounds and len(self.edge_bounds) != len(self.members)):
+            raise ValueError("live_edge must be positive, with one bound per member")
 
 
 # ----------------------------------------------------------------------------
@@ -387,7 +402,7 @@ def _gk15_panels(f, lo, hi, kernel=None, members=((None, 0.0),), take=None):
 
 
 def _adaptive_gk(f, breakpoints: np.ndarray, atol: float, rtol: float,
-                 max_panels: int = 4000, kernel=None, members=None):
+                 max_panels: int = 4000, kernel=None, members=None, prior=None):
     """Adaptive GK15 over the panel decomposition given by breakpoints.
 
     Panels live in parallel arrays (QUADPACK-style bookkeeping); each pass
@@ -407,6 +422,11 @@ def _adaptive_gk(f, breakpoints: np.ndarray, atol: float, rtol: float,
     and is dropped, its panels too, as soon as it stops; a pass splits the
     panels with the worst err_i / tol_i over the rows left.  Returns one
     (value, error, abs_integral, evals) per member, or the one of f.
+
+    prior: (lo, hi, rows), panels already evaluated, with each member's
+    (values, errors, abs_integrals) on them: the first pass adds the panels
+    of breakpoints (if any) and tests the members on all of them, as if
+    this run had evaluated them.  evals counts only this run's nodes.
     """
     lo = np.asarray(breakpoints[:-1], dtype=float)
     hi = np.asarray(breakpoints[1:], dtype=float)
@@ -414,12 +434,15 @@ def _adaptive_gk(f, breakpoints: np.ndarray, atol: float, rtol: float,
     members = ((None, 0.0),) if one else tuple(members)
     out, rows, evals = [None] * len(members), {}, 0
     running, keep, new_lo, new_hi = list(range(len(members))), slice(0), lo, hi
+    if prior is not None:
+        rows, keep = dict(enumerate(prior[2])), slice(None)
+        lo, hi = np.concatenate((prior[0], lo)), np.concatenate((prior[1], hi))
 
     def take(j, new):
         # member running[j]: its kept panels and the new ones; it stops or runs on
         i = running[j]
         old = rows.pop(i, None)
-        val, err, absl = new if old is None else (
+        val, err, absl = new if old is None else old[:3] if new is None else (
             np.concatenate((x[keep], y)) for x, y in zip(old, new))
         total, err_sum, abs_sum = val.sum(), err.sum(), absl.sum()
         tol = np.maximum(atol, rtol * np.abs(total))
@@ -431,8 +454,12 @@ def _adaptive_gk(f, breakpoints: np.ndarray, atol: float, rtol: float,
             rows[i] = (val, err, absl, tol)
 
     while True:
-        evals += 15 * new_lo.size
-        _gk15_panels(f, new_lo, new_hi, kernel, [members[i] for i in running], take)
+        if new_lo.size:
+            evals += 15 * new_lo.size
+            _gk15_panels(f, new_lo, new_hi, kernel, [members[i] for i in running], take)
+        else:
+            for j in range(len(running)):
+                take(j, None)
         if not rows:
             break
         running = list(rows)
@@ -555,16 +582,24 @@ def integrate_damped_group(spec: DampedKernelSpec, atol: float = 1e-16,
                            rtol: float = 1e-10, max_panels: int = 4000) -> list:
     """Integrate every member of spec over [0, inf) on one head panel set.
 
-    The Gaussian envelope is dead (< 1e-300) beyond k_hi = sqrt(750/w); the
-    finite part [0, k_hi] is integrated adaptively with panels seeded at half
-    periods of the fastest oscillation across the members.  Each pass
-    evaluates each time and kernel(k d) once for the members still running,
-    and each member stops on its own tolerance (``_adaptive_gk``).
+    The Gaussian envelope is dead (< 1e-300) beyond k_hi = sqrt(750/w).  The
+    head's seed panels are geometric below k_hi and at half periods of the
+    fastest oscillation across the members, cut at the spec's live edge
+    k_live (past which every member's Gaussian part is e^-60 below its
+    peak), plus k_live itself.  Its first pass evaluates every member on
+    them.  A member whose bound past the edge (``edge_bounds``) is at most
+    _EDGE_SHARE of its roundoff floor on those panels stops at the edge:
+    it is refined on [0, k_live] and its error gains the bound.  The others
+    run on to k_hi on the seeds there, refined as one run with their panels
+    below, so each is judged on its whole value, as without an edge.  Each
+    pass evaluates each time and kernel(k d) once for the members still
+    running, and each member stops on its own tolerance (``_adaptive_gk``).
     Whatever survives past k_hi (the algebraically decaying erfc wings of
-    a member with a cutoff) is each member's own, and the members of one
-    time sum theirs together: those that oscillate by Wynn epsilon over
-    half-period panels, each until it settles (``_oscillatory_tails``), the
-    others on geometric panels out to the rational-kernel cutoff.
+    a member with a cutoff that ran on) is each member's own, and the
+    members of one time sum theirs together: those that oscillate by Wynn
+    epsilon over half-period panels, each until it settles
+    (``_oscillatory_tails``), the others on geometric panels out to the
+    rational-kernel cutoff.
 
     Returns one entry per member: its QuadratureResult, or, where its
     requested tolerance is unreachable, a QuadratureConvergenceError
@@ -585,11 +620,32 @@ def integrate_damped_group(spec: DampedKernelSpec, atol: float = 1e-16,
             stride = max(1, int(math.ceil(n_osc / max_seed)))
             pts.append(np.arange(1, n_osc + 1)[::stride] * h)
     breakpoints = np.unique(np.concatenate(pts))
+    k_live = min(spec.live_edge, k_hi)
+    edge = np.append(breakpoints[breakpoints < k_live], k_live)
+    bounds = spec.edge_bounds if k_live < k_hi else ()
 
-    heads = _adaptive_gk(spec.integrand, breakpoints, 0.5 * atol, 0.5 * rtol,
-                         max_panels=max_panels, kernel=kernel, members=members)
+    # every member's row of the seed panels below the edge; a member whose
+    # bound past the edge is below _EDGE_SHARE of its floor on them stops at
+    # the edge, the others run on to k_hi on the seeds there
+    lo, hi, first = edge[:-1], edge[1:], {}
+    nodes = _gk15_panels(spec.integrand, lo, hi, kernel, members, first.__setitem__)[3]
+    stop = {i for i in first
+            if bounds and bounds[i] <= _EDGE_SHARE * _ROUNDOFF * first[i][2].sum()}
+    go_on = [i for i in range(len(members)) if i not in stop]
+    past = np.append(k_live, breakpoints[breakpoints > k_live])
+    heads = [None] * len(members)
+    # each refines as one run with its row of the seed panels
+    for group, new in ((sorted(stop), ()), (go_on, past)):
+        if group:
+            runs = _adaptive_gk(spec.integrand, new, 0.5 * atol, 0.5 * rtol, max_panels,
+                                kernel, [members[i] for i in group],
+                                (lo, hi, [first[i] for i in group]))
+            for i, (value, err, absint, evals) in zip(group, runs):
+                heads[i] = (value, err + (bounds[i] if i in stop else 0.0), absint,
+                            evals + nodes)
     tails, by_time = {}, {}
-    for i, (time, _, cutoff) in enumerate(spec.members):
+    for i in go_on:
+        time, _, cutoff = spec.members[i]
         if cutoff is not None:
             by_time.setdefault((time, cutoff), []).append(i)
     for (_, cutoff), group in by_time.items():

@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -535,14 +536,16 @@ def _view_pairs(rng, unequal: bool):
 
 
 def _group_moves_m():
-    # scatter pool pair 6929: here M integrated with L_AB differs from M
-    # alone, so the views must integrate the same group as compute_terms
-    omega, a0_omega = 0.9772209545528232, 2.2892084907842638e-4
+    # near scatter pool pair 4226 (each parameter within 10 %): here M and
+    # L_AB both stop at the live edge and split panels there together, so M
+    # integrated with L_AB differs from M alone, and the views must
+    # integrate the same group as compute_terms
+    omega, a0_omega = 0.607473638360221, 0.0024294886767909003
     a = AtomSpec(a0=a0_omega / omega, omega=omega)
-    b = AtomSpec(a0=a0_omega / omega, omega=omega, position=(0.0, 0.0, 7.520280534645576),
-                 switching_center=8.842379027735705,
-                 orientation=EulerAngles(2.5311635427311696, 1.3220921230840306,
-                                         4.9505661429926215))
+    b = AtomSpec(a0=a0_omega / omega, omega=omega, position=(0.0, 0.0, 16.255138927132),
+                 switching_center=16.90654684022171,
+                 orientation=EulerAngles(6.1644003086754795, 2.3372023674070217,
+                                         5.80899114090197))
     return DetectorPair(a, b, ModelKind.UDW_DERIVATIVE)
 
 
@@ -657,6 +660,165 @@ def test_cross_term_sums_no_tail(monkeypatch):
     monkeypatch.setattr(specfun, "_oscillatory_tails", no_tail)
     for d, tba in ((3.0, 1.5), (3.0, 0.0), (0.0, 1.5)):
         assert math.isfinite(abs(cross_noise_term(make_pair(d=d, tba=tba))))
+
+
+# ----------------------------------------------------------------------------
+# the live edge: members that stop where their Gaussian is dead
+# ----------------------------------------------------------------------------
+
+def _edge_groups(rng):
+    # M of a random pair (unequal gaps in half the draws) with the L_AB of its
+    # identical twin, so the two members' c differ; and its atom's L
+    model = ModelKind(rng.choice([m.value for m in ModelKind]))
+    T = rng.uniform(0.5, 2.0)
+    omega = rng.uniform(0.5, 15.0) / T
+    a0 = 10.0 ** rng.uniform(-4.0, -2.0) / omega
+    ratio = rng.choice([1.0, rng.uniform(0.8, 1.25)])
+    d, tba = T * rng.uniform(0.0, 25.0), T * rng.uniform(5.0, 25.0)
+    a = AtomSpec(a0=a0, omega=omega, switching_width=T)
+    b = AtomSpec(a0=a0, omega=omega * ratio, position=(0.0, 0.0, d),
+                 switching_center=tba, switching_width=T)
+    twin = DetectorPair(a, replace(b, omega=omega), model)
+    return ([harvesting._nonlocal(DetectorPair(a, b, model)), harvesting._cross(twin)],
+            [harvesting._local(model, a)])
+
+
+def _abs_integral(term, lo, hi, panels):
+    # composite 16-point Gauss-Legendre of |f| on geometric panels
+    x, w = leggauss(16)
+    edges = np.geomspace(lo, hi, panels + 1)
+    half, mid = 0.5 * np.diff(edges), 0.5 * (edges[1:] + edges[:-1])
+    k = (mid[:, None] + half[:, None] * x).ravel()
+    value, _ = harvesting._integrand(term)(k)
+    return float(np.sum((np.abs(value).reshape(panels, -1) @ w) * half))
+
+
+def test_edge_bound_holds(rng):
+    # B bounds the integral of |f| from the live edge into the wings, brute force
+    for _ in range(30):
+        for group in _edge_groups(rng):
+            k_live, bounds = harvesting._live_edge(group)
+            for term, bound in zip(group, bounds):
+                sqrt_w = term.T / math.sqrt(2.0)
+                near = k_live + 12.0 / sqrt_w   # past it b - |c| > 19: the Gaussian is dead
+                far = 3.0 * harvesting._WING_CUTOFF[term.p] / (2.0 * term.a0)
+                brute = (_abs_integral(term, k_live, near, 200)
+                         + _abs_integral(term, near, far, 1500))
+                assert 0.0 < brute <= bound
+
+
+def test_a_member_that_stops_lies_within_its_error_of_the_full_range(monkeypatch):
+    pairs = [make_pair(model=model, omega=omega, d=d, tba=tba)
+             for model in ModelKind for omega in (1.0, 2.0)
+             for d, tba in ((3.0, 20.0), (0.0, 16.0), (18.0, 16.0))]
+    tails = []
+    real_tails = specfun._oscillatory_tails
+
+    def spy(*args, **kwargs):
+        tails.append(len(args[2]))
+        return real_tails(*args, **kwargs)
+
+    monkeypatch.setattr(specfun, "_oscillatory_tails", spy)
+    stopped = harvesting.compute_terms_many(pairs)
+    assert not tails
+    real_edge = harvesting._live_edge
+    monkeypatch.setattr(harvesting, "_live_edge",
+                        lambda members: (real_edge(members)[0], (math.inf,) * len(members)))
+    full = harvesting.compute_terms_many(pairs)
+    assert tails
+    for s, f in zip(stopped, full):
+        for name in ("m", "l_aa", "l_ab"):
+            assert (abs(getattr(s, name + "_scaled") - getattr(f, name + "_scaled"))
+                    <= s.quadrature_errors[name])
+
+
+def test_a_late_pair_evaluates_its_time_kernel_only_below_the_live_edge(monkeypatch):
+    # at t_BA = 20 T the wings are e^-200 down: M stops at the live edge
+    # (sqrt(60) sqrt(2)/T for equal gaps), with no tail
+    k_live = math.sqrt(120.0)
+    nodes, tails = [], []
+    real_kernel, real_tails = harvesting.scaled_time_kernel, specfun._oscillatory_tails
+
+    def kernel(k, *args, **kwargs):
+        nodes.append(np.max(k))
+        return real_kernel(k, *args, **kwargs)
+
+    def no_tail(*args, **kwargs):
+        tails.append(args)
+        return real_tails(*args, **kwargs)
+
+    monkeypatch.setattr(harvesting, "scaled_time_kernel", kernel)
+    monkeypatch.setattr(specfun, "_oscillatory_tails", no_tail)
+    for model in ModelKind:
+        terms = compute_terms(make_pair(model=model, d=3.0, tba=20.0))
+        assert math.isfinite(abs(terms.m_scaled)) and terms.m_scaled != 0.0
+    assert nodes and max(nodes) < k_live
+    assert not tails
+
+
+def test_a_group_where_no_member_could_stop_has_no_edge(monkeypatch):
+    # at t_BA = 1.5 T the bound of M's wings is far above any floor it could
+    # have: M alone gets no edge and takes all its seeds in its first pass,
+    # while with L_AB, which stops, the group keeps its edge
+    pair = make_pair(model=ModelKind.UDW_SCALAR, d=3.0, tba=1.5)
+    m, l_ab = harvesting._nonlocal(pair), harvesting._cross(pair)
+    assert harvesting._live_edge([m]) == (math.inf, ())
+    k_live, bounds = harvesting._live_edge([m, l_ab])
+    assert k_live < math.sqrt(1500.0) and bounds[0] > 1e-10 > bounds[1]
+    passes = []
+    real_panels = specfun._gk15_panels
+
+    def panels(f, lo, hi, *args, **kwargs):
+        passes.append(hi.max())
+        return real_panels(f, lo, hi, *args, **kwargs)
+
+    monkeypatch.setattr(specfun, "_gk15_panels", panels)
+    specfun.integrate_damped_group(harvesting._spec(m))
+    assert passes[0] == math.sqrt(1500.0)
+
+
+@pytest.mark.parametrize("a0,T,tba", [
+    (1e-200, 1.0, 20.0), (1e-200, 1.0, 0.0), (1e200, 1.0, 20.0), (1e-3, 1e-150, 2e-149),
+    (1e-3, 1e150, 1e151), (1e-3, 1.0, 1e200), (1e-3, 1.0, 1e-200)])
+def test_edge_bound_is_overflow_safe(a0, T, tba):
+    # the bound is formed in logs: where it leaves double range it is inf,
+    # and the member runs on, with no exception and no RuntimeWarning
+    a = AtomSpec(a0=a0, omega=2.0 / T, switching_width=T)
+    b = AtomSpec(a0=a0, omega=2.6 / T, position=(0.0, 0.0, 3.0 * T),
+                 switching_center=tba, switching_width=T)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for model in ModelKind:
+            pair = DetectorPair(a, b, model)
+            twin = DetectorPair(a, replace(b, omega=a.omega), model)
+            group = [harvesting._nonlocal(pair), harvesting._cross(twin)]
+            k_live, bounds = harvesting._live_edge(group)
+            assert k_live > 0.0 and all(bound >= 0.0 for bound in bounds)
+            if a0 == 1e-200:
+                assert bounds[0] == math.inf
+
+
+def test_a_member_whose_bound_overflows_runs_on(monkeypatch):
+    # at a0 = 1e-200 the wings' (1.5/a0)^(p+1) leaves double range: M runs
+    # on past the edge of its group with L_AB into its tail, without a
+    # RuntimeWarning
+    tails = []
+    real_tails = specfun._oscillatory_tails
+
+    def spy(*args, **kwargs):
+        tails.append(args)
+        return real_tails(*args, **kwargs)
+
+    monkeypatch.setattr(specfun, "_oscillatory_tails", spy)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pair = make_pair(model=ModelKind.UDW_DERIVATIVE, a0_omega=2e-200, tba=20.0)
+        m = harvesting._nonlocal(pair)
+        spec = harvesting._spec(m, [m, harvesting._cross(pair)])
+        quads = specfun.integrate_damped_group(spec)
+    assert spec.live_edge < math.sqrt(1500.0) and spec.edge_bounds[0] == math.inf
+    assert all(isinstance(q, specfun.QuadratureResult) for q in quads)
+    assert [len(args[2]) for args in tails] == [1]
 
 
 def test_rejects_em_pair_off_the_z_axis():

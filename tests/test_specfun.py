@@ -350,14 +350,15 @@ def _seed_breakpoints(w, lengths):
 
 
 def test_seed_breakpoints_keep_every_bit(monkeypatch):
+    # the first pass of the head evaluates the seed panels
     seen = []
-    real = specfun._adaptive_gk
+    real = specfun._gk15_panels
 
-    def spy(f, breakpoints, *args, **kwargs):
-        seen.append(breakpoints)
-        return real(f, breakpoints, *args, **kwargs)
+    def spy(f, lo, hi, *args, **kwargs):
+        seen.append(np.append(lo, hi[-1]))
+        return real(f, lo, hi, *args, **kwargs)
 
-    monkeypatch.setattr(specfun, "_adaptive_gk", spy)
+    monkeypatch.setattr(specfun, "_gk15_panels", spy)
     f = with_abs(lambda k: np.exp(-k * k))
     for w in (0.5, 0.5, 1.0, 0.08, 3.7):
         for lengths in ((), (2 * math.pi / 4.0,), (2 * math.pi / 25.0, 1.3), (1e-3,)):
