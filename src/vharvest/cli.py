@@ -47,8 +47,6 @@ def _add_common(p: argparse.ArgumentParser):
                    help="coupling model")
     p.add_argument("--a0-omega", type=float, default=1e-3,
                    dest="a0_omega", help="a0 * Omega (atomic radius in gap units)")
-    p.add_argument("--omega-T", type=float, default=1.0,
-                   dest="omega_T", help="Omega * T (gap in switching-width units)")
     p.add_argument("--coupling", type=float, default=1.0,
                    help="coupling constant e (results scale as e^2)")
     p.add_argument("--tol-rel", type=float, default=1e-10,
@@ -60,11 +58,15 @@ def _add_common(p: argparse.ArgumentParser):
                    help="switching window; 'auto' crops outside the lightcone band")
     p.add_argument("--crop-sigmas", type=float, default=8.0,
                    dest="crop_sigmas", help="crop distance in units of sigma = T/sqrt(2)")
+
+
+def _add_point(p: argparse.ArgumentParser, require_d: bool):
+    # the flags of compute and scan alone: the pair's gap and geometry, and
+    # the output format (every figure fixes its own gaps and writes CSV)
+    p.add_argument("--omega-T", type=float, default=1.0,
+                   dest="omega_T", help="Omega * T (gap in switching-width units)")
     p.add_argument("--format", default="csv", choices=["csv", "json"],
                    help="output format")
-
-
-def _add_geometry(p: argparse.ArgumentParser, require_d: bool):
     p.add_argument("--d", type=float, required=require_d, default=0.0,
                    help="separation d/T")
     p.add_argument("--tba", type=float, default=0.0, help="switching delay t_BA/T")
@@ -330,14 +332,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compute", help="evaluate one configuration")
     _add_common(p)
-    _add_geometry(p, require_d=True)
+    _add_point(p, require_d=True)
     p.set_defaults(func=cmd_compute)
 
     p = sub.add_parser("scan", help="sweep one or two parameters")
     _add_common(p)
     p.add_argument("--axis", type=_parse_axis, action="append", required=True,
                    help="axis spec name:lo:hi:count[:log|linear]; repeatable")
-    _add_geometry(p, require_d=False)
+    _add_point(p, require_d=False)
     p.add_argument("--output", default="-", help="output path; '-' for stdout")
     p.add_argument("--strict", action="store_true",
                    help="exit 3 if any row fails to converge")

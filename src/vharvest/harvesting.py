@@ -55,9 +55,9 @@ from typing import Callable
 import numpy as np
 
 from .atoms import AtomSpec, SwitchingKind
-from .specfun import (_ROUNDOFF, DampedKernelSpec, QuadratureConvergenceError,
-                      QuadratureResult, _integrands, integrate_damped_group,
-                      scaled_time_kernel, spherical_bessel_j,
+from .specfun import (_GAUSS_DEAD, _ROUNDOFF, _SEED_DEPTH, DampedKernelSpec,
+                      QuadratureConvergenceError, QuadratureResult, _integrands,
+                      integrate_damped_group, scaled_time_kernel, spherical_bessel_j,
                       spherical_bessel_j0_plus_j2)
 
 __all__ = [
@@ -411,12 +411,12 @@ def _evaluate(term: _Term, quad: QuadratureResult, log_scale: float) -> Quadratu
     doubles."""
     coeff, q, rel, phase, term_scale = term.prefactor
     shift = term_scale - log_scale
-    pref = coeff * term.a0 ** q * term.T * term.T
-    log_size = shift + math.log(abs(pref * quad.value))
+    log_size = shift + q * math.log(term.a0) + 2.0 * math.log(term.T) + sum(
+        math.log(abs(x)) if x else -math.inf for x in (coeff, quad.value))
     if not (_LOG_TINY < log_size < _LOG_HUGE and shift < _LOG_HUGE):
         raise ValueError(f"a term is exp({log_size:.6g}) times exp(log_scale) "
                          f"= exp({log_scale:.6g}): outside double range")
-    pref *= math.exp(shift)
+    pref = coeff * term.a0 ** q * term.T * term.T * math.exp(shift)
     return QuadratureResult(value=pref * rel * phase * quad.value,
                             abs_error_estimate=abs(pref) * abs(rel) * quad.abs_error_estimate,
                             evaluations=quad.evaluations,
@@ -429,23 +429,6 @@ def _mean_gap_factor(omega_a: float, omega_b: float, t_a: float, t_b: float,
     at the mean gap Omega = (Omega_A + Omega_B)/2, as (log modulus, phase)."""
     mean = 0.5 * (omega_a + omega_b)
     return -0.5 * (T * mean) ** 2, cmath.exp(1j * mean * (t_a + t_b))
-
-
-def _log_scale(pair: DetectorPair) -> float:
-    # S at the mean gap Omega, shared by all terms of the pair: M carries it
-    # exactly, L_mumu as exp(T^2 (Omega^2 - Omega_mu^2)/2) times it
-    a, b = pair.atom_a, pair.atom_b
-    return _mean_gap_factor(a.omega, b.omega, a.switching_center,
-                            b.switching_center, a.switching_width)[0]
-
-
-def _absolute(pair: DetectorPair, terms: list, which: int, atol: float, rtol: float):
-    # terms[which], integrated with the others as compute_terms does
-    log_scale = _log_scale(pair)
-    quad = _quadratures(terms, atol, rtol)[which]
-    if isinstance(quad, QuadratureConvergenceError):
-        raise quad
-    return math.exp(log_scale) * _evaluate(terms[which], quad, log_scale).value
 
 
 def _gaussian(k, T: float, omega: float):
@@ -502,6 +485,43 @@ def _cross(pair: DetectorPair) -> _Term:
                  pair.separation, t_ba, ("L_AB", t_ba, omega))
 
 
+def _table(pair: DetectorPair, include_cross: bool) -> dict:
+    """The pair's terms by field.  M's prefactor carries S at the mean gap,
+    the log scale of them all (L_mumu as exp(T^2 (Omega^2 - Omega_mu^2)/2)
+    times it).  Raises ValueError for an a0 whose scale k^p / (4u+9)^6 the
+    quadrature cannot follow: its knee at k = 3/(2 a0) must lie above the
+    head's lowest seed, and k^p finite out to the last node of a term, the
+    wing cutoff or the Gaussian's dead point k_hi."""
+    a0, T, p = pair.atom_a.a0, pair.atom_a.switching_width, _model_params(pair.model)[2]
+    k_hi = math.sqrt(2.0 * _GAUSS_DEAD) / T
+    a0_min = 0.5 * _WING_CUTOFF[p] * math.exp(-_LOG_HUGE / p)
+    a0_max = 1.5 / (_SEED_DEPTH * k_hi)
+    if not (a0_min < a0 <= a0_max and p * math.log(k_hi) < _LOG_HUGE):
+        raise ValueError(f"a0 = {a0:.6g} at T = {T:.6g} is outside the range of the "
+                         f"momentum integrals, {a0_min:.3g} < a0 <= {a0_max:.6g}")
+    terms = {"l_aa": _local(pair.model, pair.atom_a, pair.coupling),
+             "l_bb": _local(pair.model, pair.atom_b, pair.coupling),
+             "m": _nonlocal(pair)}
+    if include_cross:
+        terms["l_ab"] = _cross(pair)
+    return terms
+
+
+def _field(pair: DetectorPair, name: str, atol: float = 1e-16,
+           rtol: float = 1e-10) -> tuple[complex, QuadratureResult]:
+    """A field of ``compute_terms(pair)`` and its result relative to
+    exp(log_scale): the term integrated with exactly those of the pair's
+    terms that share its key (L alone, M with L_AB for identical atoms)."""
+    table = _table(pair, pair.identical)
+    names = [n for n, t in table.items() if t.share == table[name].share]
+    quad = _quadratures([table[n] for n in names], atol, rtol)[names.index(name)]
+    if isinstance(quad, QuadratureConvergenceError):
+        raise quad
+    log_scale = table["m"].prefactor[4]
+    res = _evaluate(table[name], quad, log_scale)
+    return math.exp(log_scale) * res.value, res
+
+
 # ----------------------------------------------------------------------------
 # Public views of the engine
 # ----------------------------------------------------------------------------
@@ -528,8 +548,7 @@ def local_term(pair: DetectorPair, which: str = "A",
     which = str(which).upper()
     if which not in ("A", "B"):
         raise ValueError(f"which must be 'A' or 'B', not {which!r}")
-    atom = pair.atom_a if which == "A" else pair.atom_b
-    return _absolute(pair, [_local(pair.model, atom, pair.coupling)], 0, atol, rtol).real
+    return _field(pair, "l_aa" if which == "A" else "l_bb", atol, rtol)[0].real
 
 
 def nonlocal_term(pair: DetectorPair, atol: float = 1e-16,
@@ -538,8 +557,7 @@ def nonlocal_term(pair: DetectorPair, atol: float = 1e-16,
     negativity).  One time kernel serves every gap.  Identical atoms
     integrate it with L_AB, so it equals ``compute_terms(pair).m``; other
     pairs alone, as ``compute_terms(pair, include_cross=False)`` does."""
-    return _absolute(pair, [_nonlocal(pair)] + ([_cross(pair)] if pair.identical else []),
-                     0, atol, rtol)
+    return _field(pair, "m", atol, rtol)[0]
 
 
 def cross_noise_term(pair: DetectorPair, atol: float = 1e-16,
@@ -549,7 +567,7 @@ def cross_noise_term(pair: DetectorPair, atol: float = 1e-16,
     integrated with M, so it equals ``compute_terms(pair).l_ab``."""
     if not pair.identical:
         raise ValueError("cross_noise_term requires identical atoms")
-    return _absolute(pair, [_nonlocal(pair), _cross(pair)], 1, atol, rtol)
+    return _field(pair, "l_ab", atol, rtol)[0]
 
 
 # ----------------------------------------------------------------------------
@@ -596,7 +614,8 @@ def compute_terms(pair: DetectorPair, switching: SwitchingKind | None = None,
     integrals themselves.  "auto" switching is resolved from the pair's
     separation and delay (``SwitchingKind.resolve``); None is uncropped.
     Raises QuadratureConvergenceError where a term misses the tolerance, and
-    ValueError where a term relative to exp(log_scale) leaves double range.
+    ValueError where a term relative to exp(log_scale) leaves double range
+    or a0 leaves the range the momentum integrals follow (``_table``).
     """
     (terms,) = compute_terms_many([pair], switching, include_cross, atol, rtol)
     if isinstance(terms, QuadratureConvergenceError):
@@ -628,14 +647,7 @@ def compute_terms_many(pairs, switching: SwitchingKind | None = None,
     pairs = list(pairs)
     if include_cross and not all(pair.identical for pair in pairs):
         raise ValueError("L_AB requires identical atoms; pass include_cross=False")
-    per_pair = []
-    for pair in pairs:
-        terms = {"l_aa": _local(pair.model, pair.atom_a, pair.coupling),
-                 "l_bb": _local(pair.model, pair.atom_b, pair.coupling),
-                 "m": _nonlocal(pair)}
-        if include_cross:
-            terms["l_ab"] = _cross(pair)
-        per_pair.append(terms)
+    per_pair = [_table(pair, include_cross) for pair in pairs]
     quads = iter(_quadratures([t for terms in per_pair for t in terms.values()],
                               atol, rtol))
     out = []
@@ -648,7 +660,7 @@ def compute_terms_many(pairs, switching: SwitchingKind | None = None,
 
 def _harvest_terms(pair: DetectorPair, terms: dict, quad: dict,
                    switching: SwitchingKind | None) -> HarvestTerms:
-    log_scale = _log_scale(pair)
+    log_scale = terms["m"].prefactor[4]
     res = {name: _evaluate(term, quad[name], log_scale) for name, term in terms.items()}
     errors = {name: r.abs_error_estimate for name, r in res.items()}
     if switching is not None:

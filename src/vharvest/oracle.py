@@ -27,8 +27,7 @@ from .angular import (EulerAngles, _rotated, euler_rotation_matrix, gaunt_integr
 from .atoms import AtomSpec
 from .harvesting import (DetectorPair, ModelKind, negativity_leading,
                          time_integral_closed)
-from .specfun import (QuadratureConvergenceError, _adaptive_gk,
-                      integrate_damped_group, spherical_bessel_j)
+from .specfun import _adaptive_gk, spherical_bessel_j
 
 __all__ = [
     "OracleReport",
@@ -632,14 +631,10 @@ def _run_all_inner(seed: int) -> list[OracleReport]:
     pair = DetectorPair(a, b, ModelKind.EM_DIPOLE)
     near = replace(pair, atom_b=replace(b, omega=b.omega * (1.0 + 1e-12)))
     m_equal = harvesting.nonlocal_term(pair)
-    term = harvesting._nonlocal(near)
-    (quad,) = integrate_damped_group(harvesting._spec(term))
-    if isinstance(quad, QuadratureConvergenceError):
-        raise quad
-    unequal = harvesting._evaluate(term, quad, 0.0)
-    rel = abs(m_equal - unequal.value) / abs(m_equal)
+    unequal, quad = harvesting._field(near, "m")
+    rel = abs(m_equal - unequal) / abs(m_equal)
     reports.append(OracleReport("nonlocal_fused_vs_general", abs(m_equal),
-                                abs(unequal.value), rel, 1e-8, rel <= 1e-8,
-                                unequal.evaluations))
+                                abs(unequal), rel, 1e-8, rel <= 1e-8,
+                                quad.evaluations))
 
     return reports

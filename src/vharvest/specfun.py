@@ -52,6 +52,9 @@ __all__ = [
 _SQRT2 = math.sqrt(2.0)
 _GAUSS_DEAD = 750.0        # exp(-750) < 1e-300: Gaussian tail treated as dead
 _EDGE_SHARE = 1e-3         # a member stops at the live edge below this share of its floor
+_MAX_HALF_PERIODS = 2.0 ** 53  # seed counts up to here are exact doubles and int64s
+_SEED_DEPTH = 1e-4         # the geometric head seeds reach down to this share of k_hi
+_TAIL_PANELS = 80          # half-period panels an oscillatory tail sums at most
 
 
 class QuadratureConvergenceError(RuntimeError):
@@ -98,9 +101,10 @@ class DampedKernelSpec:
         tolerance, time None or a callable k -> tuple of (value, magnitude)
         factors: kernel(k d) times the time factors in order, then times the
         scale.  cutoff: the member's erfc wings decay only algebraically:
-        past the Gaussian truncation point a member that oscillates sums
-        them by extrapolation over its half periods, one that does not
-        integrates them out to this k.  None: nothing survives.
+        past the Gaussian truncation point a member that oscillates over
+        more than 80 half periods before this k sums them by extrapolation
+        over its half periods, any other integrates them out to this k.
+        None: nothing survives.
     live_edge: k past which every member's Gaussian part is e^-60 below its
         peak; inf: no edge.
     edge_bounds: per member, a rigorous bound on the integral of |f| over
@@ -534,7 +538,7 @@ def _wynn_epsilon(partial_sums):
 
 def _oscillatory_tails(f, kernel, members, start: float, steps: np.ndarray,
                        heads: np.ndarray, atol: float, rtol: float,
-                       max_panels: int = 80):
+                       max_panels: int = _TAIL_PANELS):
     """Sum the integrand of members[i], all of one time, over [start, inf),
     where it oscillates with half-period ~steps[i], as QUADPACK's QAWF does
     (Piessens et al., 1983): Wynn epsilon (MTAC 10, 1956) on its partial
@@ -575,7 +579,7 @@ def _oscillatory_tails(f, kernel, members, start: float, steps: np.ndarray,
 @functools.lru_cache(maxsize=16)
 def _seeds(k_hi: float) -> tuple:
     # 0, k_hi and 17 geometric points for the low-k structure of k^p * rational
-    return (0.0, k_hi, *np.geomspace(k_hi * 1e-4, k_hi, 17))
+    return (0.0, k_hi, *np.geomspace(k_hi * _SEED_DEPTH, k_hi, 17))
 
 
 def integrate_damped_group(spec: DampedKernelSpec, atol: float = 1e-16,
@@ -596,10 +600,12 @@ def integrate_damped_group(spec: DampedKernelSpec, atol: float = 1e-16,
     running, and each member stops on its own tolerance (``_adaptive_gk``).
     Whatever survives past k_hi (the algebraically decaying erfc wings of
     a member with a cutoff that ran on) is each member's own, and the
-    members of one time sum theirs together: those that oscillate by Wynn
-    epsilon over half-period panels, each until it settles
+    members of one time sum theirs together: those that oscillate over more
+    than _TAIL_PANELS half periods before the rational-kernel cutoff by Wynn
+    epsilon over their half-period panels, each until it settles
     (``_oscillatory_tails``), the others on geometric panels out to the
-    rational-kernel cutoff.
+    cutoff.  Raises ValueError where the head's half periods below k_hi
+    outnumber 2^53, which its seed arithmetic cannot represent.
 
     Returns one entry per member: its QuadratureResult, or, where its
     requested tolerance is unreachable, a QuadratureConvergenceError
@@ -614,11 +620,15 @@ def integrate_damped_group(spec: DampedKernelSpec, atol: float = 1e-16,
     lengths = spec.oscillation_lengths + tuple(ell for ell in own if ell)
     if lengths:
         h = min(lengths) / 2.0
+        if not k_hi / h < _MAX_HALF_PERIODS:
+            what = "delay |t_BA|" if 2.0 * h in spec.oscillation_lengths else "separation d"
+            raise ValueError(f"a {what} of {math.pi / h:.6g} oscillates {k_hi / h:.3g} "
+                             f"half periods below k = {k_hi:.6g}: beyond the seed panels")
         n_osc = int(k_hi / h)
         if n_osc > 1:
             max_seed = 600
             stride = max(1, int(math.ceil(n_osc / max_seed)))
-            pts.append(np.arange(1, n_osc + 1)[::stride] * h)
+            pts.append(np.arange(1, n_osc + 1, stride) * h)
     breakpoints = np.unique(np.concatenate(pts))
     k_live = min(spec.live_edge, k_hi)
     edge = np.append(breakpoints[breakpoints < k_live], k_live)
@@ -649,15 +659,15 @@ def integrate_damped_group(spec: DampedKernelSpec, atol: float = 1e-16,
         if cutoff is not None:
             by_time.setdefault((time, cutoff), []).append(i)
     for (_, cutoff), group in by_time.items():
-        osc = [i for i in group if own[i]]
+        # a wing of more half periods than a tail sums is summed over them
+        osc = [i for i in group if own[i] and cutoff - k_hi > _TAIL_PANELS * 0.5 * own[i]]
         if osc:
-            # keep tail panels comparable to the head
-            steps = np.array([min(0.5 * own[i], k_hi) for i in osc])
+            steps = np.array([0.5 * own[i] for i in osc])
             summed = _oscillatory_tails(spec.integrand, kernel, [members[i] for i in osc], k_hi,
                                         steps, np.array([heads[i][0] for i in osc]),
                                         0.5 * atol, 0.5 * rtol)
             tails.update(zip(osc, zip(*summed)))
-        rest = [i for i in group if not own[i]]
+        rest = [i for i in group if i not in osc]
         if rest and cutoff > k_hi:
             # geometric panels in k out to the cutoff
             n_dec = max(1, int(math.ceil(math.log10(cutoff / k_hi))))

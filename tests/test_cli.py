@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import pytest
 
@@ -58,6 +59,15 @@ def test_compute_invalid_value(capsys):
                             "--a0-omega", "-0.5"], capsys)
     assert code == 2
     assert "error" in err
+
+
+@pytest.mark.parametrize("a0_omega", ["1e30", "1e200", "1e-200"])
+def test_compute_rejects_an_a0_out_of_range_by_name(capsys, a0_omega):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, _, err = run_cli(["compute", "--d", "1", "--a0-omega", a0_omega], capsys)
+    assert code == 2
+    assert "a0" in err
 
 
 @pytest.mark.parametrize("flag,value,field", [
@@ -184,6 +194,15 @@ def test_figure_fig7_columns(tmp_path, capsys):
     lines = (tmp_path / "fig7.csv").read_text().splitlines()
     assert any("d_over_T,n_em,n_udw,n_derivative" in l for l in lines)
     assert len([l for l in lines if not l.startswith("#")]) == 6
+
+
+@pytest.mark.parametrize("name,flag,value", [("fig4", "--omega-T", "3"),
+                                              ("fig3", "--format", "json")])
+def test_figure_takes_no_flag_it_would_ignore(tmp_path, name, flag, value):
+    # every figure fixes its own gaps and writes CSV
+    with pytest.raises(SystemExit) as exc:
+        main(["figure", name, flag, value, "--output-dir", str(tmp_path)])
+    assert exc.value.code == 2
 
 
 def test_figure_unknown_name(capsys):

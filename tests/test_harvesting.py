@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -819,6 +820,56 @@ def test_a_member_whose_bound_overflows_runs_on(monkeypatch):
     assert spec.live_edge < math.sqrt(1500.0) and spec.edge_bounds[0] == math.inf
     assert all(isinstance(q, specfun.QuadratureResult) for q in quads)
     assert [len(args[2]) for args in tails] == [1]
+
+
+def test_head_seeds_do_not_grow_with_the_delay():
+    # the strided seeds are built strided: at t_BA = 1e6 T the head stalls
+    # (its seeds alias the time phase), but without an array of its 1.2e7
+    # half periods
+    pair = make_pair(omega=1.0, d=3.0, tba=1e6)
+    tracemalloc.start()
+    try:
+        with pytest.raises(specfun.QuadratureConvergenceError):
+            compute_terms(pair)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2 ** 20
+
+
+def test_a_delay_beyond_the_seed_arithmetic_is_rejected_by_name():
+    with pytest.raises(ValueError, match="delay"):
+        compute_terms(make_pair(omega=1.0, d=3.0, tba=1e200))
+
+
+def _brute_m_scaled(pair):
+    # composite 16-point Gauss-Legendre of M's integrand out to 3x its wing
+    # cutoff, on geometric panels and on panels of a quarter spatial period
+    term = harvesting._nonlocal(pair)
+    far = 3.0 * harvesting._WING_CUTOFF[term.p] / (2.0 * term.a0)
+    edges = np.unique(np.concatenate((np.geomspace(1e-8, far, 4000),
+                                      np.arange(0.0, far, 0.5 * math.pi / pair.separation))))
+    x, w = leggauss(16)
+    half, mid = 0.5 * np.diff(edges), 0.5 * (edges[1:] + edges[:-1])
+    value, _ = harvesting._integrand(term)((mid[:, None] + half[:, None] * x).ravel())
+    bare = np.sum((value.reshape(-1, 16) @ w) * half)
+    quad = specfun.QuadratureResult(value=bare, abs_error_estimate=0.0, evaluations=1)
+    return harvesting._evaluate(term, quad, term.prefactor[4]).value
+
+
+@pytest.mark.parametrize("omega", [1.0, 12.0])
+@pytest.mark.parametrize("d", [1e-4, 1e-3, 3e-3])
+def test_small_separations_match_a_brute_panel_sum(omega, d):
+    # below d ~ 0.03 T a wing [k_hi, cutoff] of at most 80 half periods is
+    # integrated to the cutoff, and a longer one summed over its own half
+    # periods, which alternate
+    pair = make_pair(omega=omega, d=d, tba=0.0)
+    terms = compute_terms(pair)
+    brute = _brute_m_scaled(pair)
+    if omega == 1.0:
+        expected = {1e-4: 3.40182, 1e-3: 3.10092, 3e-3: 1.67765}[d]
+        assert brute.imag == pytest.approx(expected, abs=5e-6)
+    assert abs(terms.m_scaled - brute) <= terms.quadrature_errors["m"]
 
 
 def test_rejects_em_pair_off_the_z_axis():
