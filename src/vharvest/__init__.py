@@ -11,7 +11,7 @@ __version__ = "0.1.0"
 
 from .angular import EulerAngles
 from .atoms import AtomSpec, SwitchingKind
-from .harvesting import (DetectorPair, HarvestTerms, ModelKind, TwoQubitState,
+from .harvesting import (DetectorPair, HarvestTerms, ModelKind,
                          assemble_state, compute_terms, cross_noise_term,
                          local_term, nonlocal_term)
 from .survey import Axis, ScanGrid, optimal_orientations, run_grid
@@ -24,7 +24,6 @@ __all__ = [
     "DetectorPair",
     "HarvestTerms",
     "ModelKind",
-    "TwoQubitState",
     "assemble_state",
     "compute_terms",
     "cross_noise_term",

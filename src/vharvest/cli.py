@@ -97,8 +97,6 @@ def _sweep_kw(args) -> dict:
 def _fmt(x) -> str:
     if isinstance(x, bool):
         return "1" if x else "0"
-    if isinstance(x, (int,)):
-        return str(x)
     return _FLOAT_FMT.format(float(x))
 
 
@@ -124,7 +122,7 @@ def cmd_compute(args) -> int:
     pair = pair_from_params(params, model, coupling=args.coupling)
     terms = compute_terms(pair, switching=_switching_kind(args), include_cross=True,
                           atol=args.tol_abs, rtol=args.tol_rel)
-    assemble_state(terms)  # rejects L_AA + L_BB > 1, where leading order fails
+    assemble_state(terms)  # rejects terms no state has: L_AA + L_BB > 1 or |M| > 1/2
     pos = positivity_report(terms)
     record = {
         "model": model.value,

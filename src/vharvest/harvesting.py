@@ -64,7 +64,6 @@ __all__ = [
     "ModelKind",
     "DetectorPair",
     "HarvestTerms",
-    "TwoQubitState",
     "PositivityReport",
     "EmDecomposition",
     "local_term",
@@ -222,11 +221,6 @@ class HarvestTerms:
 
     def harvestable(self) -> bool:
         return bool(self.negativity2_scaled > ERROR_FACTOR * self.negativity2_error_scaled())
-
-
-@dataclass(frozen=True)
-class TwoQubitState:
-    rho: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -598,7 +592,7 @@ def time_integral_closed(omega_a: float, omega_b: float, k, t_a: float,
 # Terms, state assembly and diagnostics
 # ----------------------------------------------------------------------------
 
-def compute_terms(pair: DetectorPair, switching: SwitchingKind | None = None,
+def compute_terms(pair: DetectorPair, switching: SwitchingKind = SwitchingKind(),
                   include_cross: bool = True, atol: float = 1e-16,
                   rtol: float = 1e-10) -> HarvestTerms:
     """Evaluate every density-matrix element for the pair: the one-pair case
@@ -612,7 +606,8 @@ def compute_terms(pair: DetectorPair, switching: SwitchingKind | None = None,
     an extra error bound: with the default 8 sigma crop the tail mass fraction is
     erfc(8/sqrt(2)) ~ 1.3e-15, below the double-precision resolution of the
     integrals themselves.  "auto" switching is resolved from the pair's
-    separation and delay (``SwitchingKind.resolve``); None is uncropped.
+    separation and delay (``SwitchingKind.resolve``); the default is the
+    uncropped Gaussian.
     Raises QuadratureConvergenceError where a term misses the tolerance, and
     ValueError where a term relative to exp(log_scale) leaves double range
     or a0 leaves the range the momentum integrals follow (``_table``).
@@ -623,7 +618,7 @@ def compute_terms(pair: DetectorPair, switching: SwitchingKind | None = None,
     return terms
 
 
-def compute_terms_many(pairs, switching: SwitchingKind | None = None,
+def compute_terms_many(pairs, switching: SwitchingKind = SwitchingKind(),
                        include_cross: bool = True, atol: float = 1e-16,
                        rtol: float = 1e-10) -> list:
     """``compute_terms`` of every pair, sharing the momentum integrals.
@@ -659,17 +654,16 @@ def compute_terms_many(pairs, switching: SwitchingKind | None = None,
 
 
 def _harvest_terms(pair: DetectorPair, terms: dict, quad: dict,
-                   switching: SwitchingKind | None) -> HarvestTerms:
+                   switching: SwitchingKind) -> HarvestTerms:
     log_scale = terms["m"].prefactor[4]
     res = {name: _evaluate(term, quad[name], log_scale) for name, term in terms.items()}
     errors = {name: r.abs_error_estimate for name, r in res.items()}
-    if switching is not None:
-        switching = switching.resolve(pair.separation, pair.t_ba, pair.atom_a.sigma)
-        if switching.variant == "cropped_gaussian":
-            tail_fraction = 2.0 * math.erfc(switching.crop_sigmas / math.sqrt(2.0))
-            errors["crop_tail"] = tail_fraction * (
-                0.5 * (res["l_aa"].abs_integral + res["l_bb"].abs_integral)
-                + res["m"].abs_integral)
+    switching = switching.resolve(pair.separation, pair.t_ba, pair.atom_a.sigma)
+    if switching.variant == "cropped_gaussian":
+        tail_fraction = 2.0 * math.erfc(switching.crop_sigmas / math.sqrt(2.0))
+        errors["crop_tail"] = tail_fraction * (
+            0.5 * (res["l_aa"].abs_integral + res["l_bb"].abs_integral)
+            + res["m"].abs_integral)
 
     factor = math.exp(log_scale)
     l_aa_s, l_bb_s, m_s = res["l_aa"].value.real, res["l_bb"].value.real, res["m"].value
@@ -689,17 +683,23 @@ def negativity_leading(l_aa: float, l_bb: float, abs_m: float) -> float:
                    - math.sqrt((l_aa - l_bb) ** 2 + 4.0 * abs_m ** 2))
 
 
-def assemble_state(terms: HarvestTerms) -> TwoQubitState:
-    """Build the leading-order two-qubit density matrix in the basis
+def assemble_state(terms: HarvestTerms) -> np.ndarray:
+    """The leading-order two-qubit density matrix in the basis
     {gg, eg, ge, ee}; its negativity and concurrence are those of
-    ``terms``."""
-    l_aa, l_bb = terms.l_aa, terms.l_bb
+    ``terms``.  Raises ValueError where no density matrix has these terms:
+    L_AA + L_BB > 1, or |M| > 1/2 (|rho_ij| <= sqrt(rho_ii rho_jj) <= 1/2
+    off the diagonal)."""
+    l_aa, l_bb, abs_m = terms.l_aa, terms.l_bb, abs(terms.m)
     if not (math.isfinite(l_aa) and math.isfinite(l_bb)):
         raise ValueError("non-finite local terms")
     if l_aa + l_bb > 1.0:
         raise ValueError(
             f"L_AA + L_BB = {l_aa + l_bb:.3g} > 1: leading-order perturbation "
             "theory is invalid at this coupling")
+    if not abs_m <= 0.5:
+        raise ValueError(
+            f"|M| = {abs_m:.3g} > 1/2: leading-order perturbation theory is "
+            "invalid at this coupling")
     rho = np.zeros((4, 4), dtype=complex)
     rho[0, 0] = 1.0 - l_aa - l_bb
     rho[1, 1] = l_aa
@@ -708,7 +708,7 @@ def assemble_state(terms: HarvestTerms) -> TwoQubitState:
     rho[2, 1] = np.conj(terms.l_ab)
     rho[3, 0] = terms.m
     rho[0, 3] = np.conj(terms.m)
-    return TwoQubitState(rho=rho)
+    return rho
 
 
 def positivity_report(terms: HarvestTerms) -> PositivityReport:

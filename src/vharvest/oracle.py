@@ -62,12 +62,13 @@ MUTABLE_CONSTANTS = {
 @dataclass(frozen=True)
 class OracleReport:
     name: str
-    closed_form: float
-    brute_force: float
     rel_err: float
     tol: float
-    passed: bool
     evaluations: int
+
+    @property
+    def passed(self) -> bool:
+        return bool(self.rel_err <= self.tol)  # False for NaN
 
 
 # ----------------------------------------------------------------------------
@@ -464,8 +465,7 @@ def _run_all_inner(seed: int) -> list[OracleReport]:
     closed, _ = time_integral_closed(1.2, 2.1, 3.0, 0.0, 2.5, T)
     brute, _, ev = time_integral_bruteforce(1.2, 2.1, 3.0, 0.0, 2.5, T)
     worst = max(worst, abs(closed - brute) / abs(brute))
-    reports.append(OracleReport("time_kernel_closed_vs_2d", 0.0, 0.0,
-                                worst, 1e-8, worst <= 1e-8, evals + ev))
+    reports.append(OracleReport("time_kernel_closed_vs_2d", worst, 1e-8, evals + ev))
 
     # 2. EM identity/dyadic decomposition reproduces the final kernels
     a0 = 0.003
@@ -480,8 +480,7 @@ def _run_all_inner(seed: int) -> list[OracleReport]:
         target_m = harvesting.EM_LOCAL_COEFF * (4.0 * u + 9.0) ** 2 * kern
         scale = target_l  # j0+j2 passes through zero; compare on the kernel scale
         worst = max(worst, abs(dec.m_total - target_m) / scale)
-    reports.append(OracleReport("em_decomposition_identity", 0.0, 0.0,
-                                worst, 1e-12, worst <= 1e-12, 2 * len(us)))
+    reports.append(OracleReport("em_decomposition_identity", worst, 1e-12, 2 * len(us)))
 
     # 3. closed radial overlaps vs quadrature (real axis and rotated ray)
     worst = 0.0
@@ -498,8 +497,7 @@ def _run_all_inner(seed: int) -> list[OracleReport]:
             denom = max(abs(closed), 10.0 * berr, 1e-14 * scale0)
             worst = max(worst, abs(closed - brute) / denom)
             evals += ev
-    reports.append(OracleReport("radial_overlap_closed_vs_quad", 0.0, 0.0,
-                                worst, 1e-10, worst <= 1e-10, evals))
+    reports.append(OracleReport("radial_overlap_closed_vs_quad", worst, 1e-10, evals))
 
     # 4. Gaunt integrals vs sphere quadrature
     worst = 0.0
@@ -515,8 +513,8 @@ def _run_all_inner(seed: int) -> list[OracleReport]:
             brute = sphere_quadrature(idx)
             worst = max(worst, abs(closed - brute))
             cases += 1
-    reports.append(OracleReport("gaunt_vs_sphere_quadrature", 0.0, 0.0,
-                                worst, 1e-10, worst <= 1e-10, cases * 64 * 128))
+    reports.append(OracleReport("gaunt_vs_sphere_quadrature", worst, 1e-10,
+                                cases * 64 * 128))
 
     # 5. harmonic rotation (rotate_harmonic) vs direct 3x3 rotation
     # (rotation_bruteforce), with the rotation and each distinct harmonic
@@ -533,8 +531,7 @@ def _run_all_inner(seed: int) -> list[OracleReport]:
                 lhs = _rotated(l, m, ang, ys)
                 rhs = sph_harm_y(l, m, *rotated)
                 worst = max(worst, abs(lhs - rhs))
-    reports.append(OracleReport("wigner_rotation_vs_matrix", 0.0, 0.0,
-                                worst, 1e-12, worst <= 1e-12, 800))
+    reports.append(OracleReport("wigner_rotation_vs_matrix", worst, 1e-12, 800))
 
     # 6. polarization completeness
     worst = 0.0
@@ -544,8 +541,7 @@ def _run_all_inner(seed: int) -> list[OracleReport]:
         target = np.eye(3) - np.outer(khat, khat)
         worst = max(worst, float(np.max(np.abs(
             polarization_completeness(k) - target))))
-    reports.append(OracleReport("polarization_completeness", 0.0, 0.0,
-                                worst, 1e-14, worst <= 1e-14, 1000))
+    reports.append(OracleReport("polarization_completeness", worst, 1e-14, 1000))
 
     # 7. Bessel recurrence j_{l-1} + j_{l+1} = (2l+1)/x j_l
     worst = 0.0
@@ -556,8 +552,7 @@ def _run_all_inner(seed: int) -> list[OracleReport]:
         scale = np.maximum(np.abs(lhs), np.abs(rhs))
         scale = np.maximum(scale, np.abs(spherical_bessel_j(l, xs)))
         worst = max(worst, float(np.max(np.abs(lhs - rhs) / scale)))
-    reports.append(OracleReport("bessel_recurrence", 0.0, 0.0,
-                                worst, 1e-11, worst <= 1e-11, 5 * 400))
+    reports.append(OracleReport("bessel_recurrence", worst, 1e-11, 5 * 400))
 
     # 8. Faddeeva/erfc vs series + continued fraction
     worst = 0.0
@@ -567,8 +562,7 @@ def _run_all_inner(seed: int) -> list[OracleReport]:
         # w(z) = e^{-z^2} erfc(-iz)
         ref = cmath.exp(-z * z) * _erfc_reference(-1j * z)
         worst = max(worst, abs(faddeeva_w(z) - ref) / abs(ref))
-    reports.append(OracleReport("faddeeva_vs_series_cf", 0.0, 0.0,
-                                worst, 1e-12, worst <= 1e-12, len(pts)))
+    reports.append(OracleReport("faddeeva_vs_series_cf", worst, 1e-12, len(pts)))
 
     # 9. negativity formula vs dense partial-transpose eigensolver
     worst = 0.0
@@ -579,8 +573,7 @@ def _run_all_inner(seed: int) -> list[OracleReport]:
         n2 = negativity_leading(l_aa, l_bb, am)
         brute = negativity_bruteforce(l_aa, l_bb, 0.0, am * cmath.exp(1j * phm))
         worst = max(worst, abs(max(0.0, n2) - brute))
-    reports.append(OracleReport("negativity_vs_eigensolver", 0.0, 0.0,
-                                worst, 1e-12, worst <= 1e-12, 200))
+    reports.append(OracleReport("negativity_vs_eigensolver", worst, 1e-12, 200))
 
     # 10. engine momentum kernels vs the radial-overlap reduction
     worst = 0.0
@@ -619,8 +612,7 @@ def _run_all_inner(seed: int) -> list[OracleReport]:
         worst = max(worst, abs(harvesting.SCALAR_NONLOCAL_COEFF
                                - 0.5 * harvesting.SCALAR_LOCAL_COEFF)
                     / harvesting.SCALAR_NONLOCAL_COEFF)
-    reports.append(OracleReport("momentum_kernels_vs_reduction", 0.0, 0.0,
-                                worst, 1e-9, worst <= 1e-9, evals))
+    reports.append(OracleReport("momentum_kernels_vs_reduction", worst, 1e-9, evals))
 
     # 11. M of equal gaps (one Faddeeva call per node) vs M at a gap
     # 1e-12 apart (two calls, conj w(b - c + ia) - w(b + c + ia))
@@ -633,8 +625,6 @@ def _run_all_inner(seed: int) -> list[OracleReport]:
     m_equal = harvesting.nonlocal_term(pair)
     unequal, quad = harvesting._field(near, "m")
     rel = abs(m_equal - unequal) / abs(m_equal)
-    reports.append(OracleReport("nonlocal_fused_vs_general", abs(m_equal),
-                                abs(unequal), rel, 1e-8, rel <= 1e-8,
-                                quad.evaluations))
+    reports.append(OracleReport("nonlocal_fused_vs_general", rel, 1e-8, quad.evaluations))
 
     return reports

@@ -152,14 +152,11 @@ def scaled_time_kernel(k, t_ba: float, T: float, *, d_omega: float):
     orderings against exp(i(Omega_A t_1 + Omega_B t_2 - k (t_1 - t_2))),
     with t_ba = t_B - t_A and d_omega = Omega_A - Omega_B, is pi T^2/2
     exp(-T^2 Omega^2/2 + i Omega (t_A + t_B)) times the kernel, Omega the
-    mean gap (``harvesting.time_integral_closed``).  At c = 0 the kernel is
-    exp(-T^2 k^2/2) [E(k,t_ba) + E(k,-t_ba)], E(k,t) = exp(i k t)
-    erfc((i T^2 k + t)/(sqrt(2) T)), even in t_ba, and the reflection
-    w(-conj z) = conj w(z) (A&S 7.1.12) turns its wings into
-    -2i Im w(b + ia), one Faddeeva call per node.  Accepts a scalar or
-    array k >= 0 and returns (value, magnitude) of its shape: the wings
-    weigh 2 + a^2 (one for the Faddeeva routine), the Gaussian 1 + its
-    exponent's parts.
+    mean gap (``harvesting.time_integral_closed``).  At c = 0 the two
+    Faddeeva arguments coincide, so equal gaps take one Faddeeva call per
+    node.  Accepts a scalar or array k >= 0 and returns (value, magnitude)
+    of its shape: the wings weigh 2 + a^2 (one for the Faddeeva routine),
+    the Gaussian 1 + its exponent's parts.
     """
     if T <= 0.0:
         raise ValueError("switching width T must be positive")
@@ -170,15 +167,12 @@ def scaled_time_kernel(k, t_ba: float, T: float, *, d_omega: float):
     if t_ba < 0.0:
         c = -c
     e_a = np.exp(-a * a)
-    if c == 0.0:
-        w = _wofz(b + 1j * a)
-        wings, wings_mag = e_a * (-2j * w.imag), 2.0 * e_a * (2.0 + a * a) * np.abs(w)
-    else:
-        w_lo, w_hi = _wofz(b - c + 1j * a), _wofz(b + c + 1j * a)
-        wings = e_a * (w_lo.conj() - w_hi)
-        wings_mag = e_a * (2.0 + a * a) * (np.abs(w_lo) + np.abs(w_hi))
+    w_lo = _wofz(b - c + 1j * a)
+    w_hi = w_lo if c == 0.0 else _wofz(b + c + 1j * a)
+    wings = e_a * (w_lo.conj() - w_hi)
+    wings_mag = e_a * (2.0 + a * a) * (np.abs(w_lo) + np.abs(w_hi))
     bc = b + c
-    w = w_lo = w_hi = b = None  # freed before the Gaussian, where a head pass peaks
+    w_lo = w_hi = b = None  # freed before the Gaussian, where a head pass peaks
     gauss = 2.0 * np.exp(-bc * bc - 2j * a * bc)
     out = wings + gauss
     mag = wings_mag + np.abs(gauss) * (1.0 + bc * bc + 2.0 * a * np.abs(bc))
@@ -397,11 +391,11 @@ def _gk15_panels(f, lo, hi, kernel=None, members=((None, 0.0),), take=None):
     k = (mid[..., None] + half[..., None] * _XGK).reshape(lo.shape[:-1] + (-1,))
     if lo.ndim > 1:
         members = [(members[0][0], np.array([d for _, d in members])[:, None])]
-    rows = {}
+    rows = [None] * len(members)  # in member order; _integrands goes time by time
     for i, fk in _integrands(f, k, kernel, members):
         (take or rows.__setitem__)(i, _gk15_reduce(*fk, half))
     parts = ((None,) * 3 if take else rows[0] if lo.ndim > 1
-             else map(np.array, zip(*rows.values())))
+             else map(np.array, zip(*rows)))
     return (*parts, k.size)
 
 

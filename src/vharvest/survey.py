@@ -157,7 +157,8 @@ def _row(coords: tuple, terms, converged: bool, floats: dict) -> ScanRow:
                    math.exp(terms.log_scale) * terms.negativity2_error_scaled())
 
 
-def run_grid(grid: ScanGrid, threads: int = 1, switching: SwitchingKind | None = None,
+def run_grid(grid: ScanGrid, threads: int = 1,
+             switching: SwitchingKind = SwitchingKind("auto"),
              coupling: float = 1.0, rtol: float = 1e-10,
              atol: float = 1e-16) -> ScanResult:
     """Evaluate the negativity over the grid; rows in canonical raster order.
@@ -166,10 +167,9 @@ def run_grid(grid: ScanGrid, threads: int = 1, switching: SwitchingKind | None =
     differ only in d and orientation share their M integrals.  A point whose
     terms miss the tolerance is retried, with the other such points, at
     atol and rtol x 1e3 and marked ``converged=False``; one that misses
-    that too is a row of NaN.  ``switching=None`` means
-    ``SwitchingKind("auto")``.  ``threads`` is accepted and has no effect."""
-    if switching is None:
-        switching = SwitchingKind("auto")
+    that too is a row of NaN.  The default switching is "auto", which crops
+    pairs outside the lightcone band (``SwitchingKind.resolve``).
+    ``threads`` is accepted and has no effect."""
     axis_names = tuple(a.name for a in grid.axes)
     coords = []
     pairs = []
@@ -203,10 +203,8 @@ def run_grid(grid: ScanGrid, threads: int = 1, switching: SwitchingKind | None =
 # The figure-level sweeps
 # ----------------------------------------------------------------------------
 
-def orientation_scan(fixed: dict, theta_axis: Axis | None = None,
-                     **kw) -> ScanResult:
+def orientation_scan(fixed: dict, theta_axis: Axis, **kw) -> ScanResult:
     """Negativity versus the relative orientation angle (EM model)."""
-    theta_axis = theta_axis or Axis("theta", 0.0, 2.0 * math.pi, 200)
     grid = ScanGrid(axes=(theta_axis,), fixed=dict(fixed),
                     model=ModelKind.EM_DIPOLE)
     return run_grid(grid, **kw)

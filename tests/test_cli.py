@@ -70,6 +70,23 @@ def test_compute_rejects_an_a0_out_of_range_by_name(capsys, a0_omega):
     assert "a0" in err
 
 
+@pytest.mark.parametrize("extra", [[], ["--a0-omega", "1e-90"]])
+def test_compute_rejects_an_m_no_state_has(capsys, extra):
+    # at d = 0 the default coupling gives |M| ~ 2, beyond the 1/2 that any
+    # density matrix allows off its diagonal
+    code, out, err = run_cli(["compute", "--d", "0", *extra], capsys)
+    assert code == 2
+    assert "|M| = " in err and "coupling" in err
+    assert out == ""
+
+
+def test_compute_accepts_small_separations_at_a_small_coupling(capsys):
+    code, out, _ = run_cli(["compute", "--d", "0.001", "--coupling", "0.3",
+                            "--format", "json"], capsys)
+    assert code == 0
+    assert 0.1 < json.loads(out)["abs_m"] < 0.5
+
+
 @pytest.mark.parametrize("flag,value,field", [
     ("--d", "inf", "position"), ("--tba", "nan", "switching_center"),
     ("--omega-T", "inf", "omega"), ("--coupling", "inf", "coupling")])

@@ -391,8 +391,7 @@ def test_negativity_asymmetric_vs_eigensolver():
 
 def test_state_shape_and_trace():
     terms = _terms(0.1, 0.2, 0.05 + 0.02j, l_ab=0.01 - 0.03j)
-    state = assemble_state(terms)
-    rho = state.rho
+    rho = assemble_state(terms)
     assert abs(np.trace(rho) - 1.0) <= 1e-15
     assert np.max(np.abs(rho - rho.conj().T)) <= 1e-15
     # X shape: the eight structural zeros of the leading-order state
@@ -405,6 +404,14 @@ def test_state_shape_and_trace():
 def test_state_rejects_invalid_perturbation():
     with pytest.raises(ValueError):
         assemble_state(_terms(0.7, 0.6, 0.1 + 0.0j))
+
+
+@pytest.mark.parametrize("m", [0.6 + 0.0j, 0.3 - 0.42j, complex(math.nan, 0.0)])
+def test_state_rejects_an_m_no_density_matrix_has(m):
+    # |rho_ij| <= sqrt(rho_ii rho_jj) <= 1/2 off the diagonal
+    with pytest.raises(ValueError, match=r"\|M\| = .* > 1/2.*coupling"):
+        assemble_state(_terms(0.1, 0.1, m))
+    assemble_state(_terms(0.1, 0.1, 0.5 + 0.0j))
 
 
 def test_coupling_rescales_quadratically():

@@ -7,7 +7,7 @@ from numpy.polynomial.legendre import leggauss
 
 from vharvest.angular import EulerAngles, sph_harm_y
 from vharvest.atoms import radial_overlap
-from vharvest.oracle import (negativity_bruteforce, radial_bruteforce,
+from vharvest.oracle import (OracleReport, negativity_bruteforce, radial_bruteforce,
                              rotation_bruteforce, run_all, sphere_quadrature,
                              time_integral_bruteforce)
 
@@ -19,6 +19,12 @@ def test_run_all_passes():
     for r in reports:
         assert r.passed == (r.rel_err <= r.tol)
         assert r.evaluations > 0
+
+
+@pytest.mark.parametrize("rel_err, passed", [
+    (0.0, True), (1e-8, True), (2e-8, False), (math.inf, False), (math.nan, False)])
+def test_report_passes_within_its_tolerance(rel_err, passed):
+    assert OracleReport("any", rel_err, 1e-8, 1).passed is passed
 
 
 def test_mutation_is_detected():

@@ -191,6 +191,54 @@ def test_kernel_bitwise_equal_to_two_wofz_form(t_ba, T, d_omega):
             two_wofz_kernel(kk, t_ba, T, d_omega))
 
 
+def one_wofz_kernel(k, t_ba, T):
+    # equal gaps as one Faddeeva call per node: the reflection
+    # w(-conj z) = conj w(z) folds the wings into -2i Im w(b + ia)
+    a = abs(t_ba) / (SQRT2 * T)
+    b = T * k / SQRT2
+    e_a = np.exp(-a * a)
+    w = wofz(b + 1j * a)
+    gauss = 2.0 * np.exp(-b * b - 2j * a * b)
+    value = e_a * (-2j * w.imag) + gauss
+    mag = (2.0 * e_a * (2.0 + a * a) * np.abs(w)
+           + np.abs(gauss) * (1.0 + b * b + 2.0 * a * b))
+    return value, mag
+
+
+def same_bits(x, y):
+    # equal to the last bit, signed zeros and NaN payloads included
+    x, y = np.asarray(x), np.asarray(y)
+    return x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+@pytest.mark.parametrize("T", [1e-3, 0.3, 1.0, 7.0, 1e3])
+def test_kernel_equal_gaps_bitwise_equal_to_one_wofz_form(T):
+    k = np.concatenate([np.geomspace(1e-8 / T, 1e5 / T, 4000),
+                        np.linspace(0.0, 60.0 / T, 4000)])
+    for t_ba in (0.0, 1e-9, 0.5, 3.0, 24.0, -7.0, 1e3):
+        value, mag = scaled_time_kernel(k, t_ba, T, d_omega=0.0)
+        ref_value, ref_mag = one_wofz_kernel(k, t_ba, T)
+        assert same_bits(value, ref_value), t_ba
+        assert same_bits(mag, ref_mag), t_ba
+
+
+@pytest.mark.parametrize("d_omega, calls", [(0.0, 1), (-0.0, 1), (0.3, 2), (-1.5, 2)])
+def test_kernel_calls_wofz_once_at_equal_gaps(monkeypatch, d_omega, calls):
+    seen = []
+    real = specfun._wofz
+
+    def spy(z):
+        seen.append(np.shape(z))
+        return real(z)
+
+    monkeypatch.setattr(specfun, "_wofz", spy)
+    k = np.linspace(0.0, 40.0, 301)
+    for t_ba in (0.0, -2.5):
+        seen.clear()
+        scaled_time_kernel(k, t_ba, 1.0, d_omega=d_omega)
+        assert seen == [k.shape] * calls
+
+
 def test_kernel_rejects_bad_width():
     with pytest.raises(ValueError):
         scaled_time_kernel(1.0, 0.0, -1.0, d_omega=0.0)
@@ -365,6 +413,27 @@ def test_seed_breakpoints_keep_every_bit(monkeypatch):
             seen.clear()
             integrate_damped_group(DampedKernelSpec(w, lengths, f))
             assert np.array_equal(seen[0], _seed_breakpoints(w, lengths))
+
+
+def test_gk15_panels_rows_in_member_order():
+    # _integrands visits the members time by time, (t1, t1, t2); the rows
+    # come back in member order, with take and without
+    def constant(c):
+        return lambda k: ((np.full_like(k, c), np.zeros_like(k)),)
+
+    t1, t2 = constant(1.0), constant(2.0)
+    members = ((t1, 0.0), (t2, 0.0), (t1, 0.0))
+    f = np.ones_like  # the positive scale the time factors multiply
+    lo, hi = np.array([0.0, 1.0]), np.array([1.0, 3.0])
+    value, err, absl, n = specfun._gk15_panels(f, lo, hi, members=members)
+    assert value.shape == err.shape == absl.shape == (3, 2)
+    assert np.allclose(value, [[1.0, 2.0], [2.0, 4.0], [1.0, 2.0]], rtol=1e-15)
+    taken = {}
+    specfun._gk15_panels(f, lo, hi, members=members, take=taken.__setitem__)
+    assert sorted(taken) == [0, 1, 2]
+    for i, row in taken.items():
+        assert np.array_equal(row[0], value[i])
+    assert n == 2 * 15
 
 
 def test_integrate_gaussian_moment():
