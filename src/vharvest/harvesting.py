@@ -37,10 +37,10 @@ ValueError.
 
 ``compute_terms_many`` evaluates a batch of pairs and shares the work: the
 M and L_AB terms with the same scale k^p / (4u+9)^6 and kern (and the L
-terms with the same scale and Omega) integrate on one head panel set, each
-distinct (time, d) once, to its own tolerance and with its own tail (none
-for L and L_AB), and each pass evaluates each distinct time(k) and kern(kd)
-once.  ``compute_terms`` is its one-pair case.
+terms with the same scale) integrate on one head panel set, each distinct
+(time, d) once, to its own tolerance and with its own tail (none for L and
+L_AB), and each pass evaluates each distinct time(k) and kern(kd) once.
+``compute_terms`` is its one-pair case.
 """
 
 from __future__ import annotations
@@ -111,8 +111,8 @@ class ModelKind(Enum):
 
 
 def _j0(x):
-    # j_0 and its magnitude: below x = 5 the sizes of its Maclaurin terms add
-    # up to sinh x / x (evaluated there alone); above it sin x / x cancels nothing
+    # j_0 = sin x / x and its magnitude: below x = 5 the sizes of its
+    # Maclaurin terms, sinh x / x (evaluated there alone); above it |j_0|
     j0 = spherical_bessel_j(0, x)
     mag, small = np.abs(j0), x < 5.0
     if small.any():
@@ -283,7 +283,8 @@ class _Term:
     T: float                   # damping exp(-T^2 k^2 / 2)
     # terms with equal keys have the same p, kernel, a0 and T and integrate
     # on one panel set, one member per distinct (clock, d); M and L_AB share
-    # ("M", p, a0, T), clocks (t_BA, Omega_A - Omega_B) and ("L_AB", t_BA, Omega)
+    # ("M", p, a0, T), clocks (t_BA, Omega_A - Omega_B) and ("L_AB", t_BA, Omega),
+    # L has ("L", p, a0, T), clock ("L", Omega)
     share: tuple
     d: float = 0.0
     t_ba: float = 0.0          # time factors oscillate with period 2 pi/|t_ba|
@@ -441,7 +442,7 @@ def _local(model: ModelKind, atom: AtomSpec, coupling: float = 1.0) -> _Term:
 
     return _Term(p, None, time, False, (coupling ** 2 * (c_l / math.pi), q,
                                         1.0, 1.0, -0.5 * (T * omega) ** 2),
-                 atom.a0, T, ("L", p, atom.a0, T, omega))
+                 atom.a0, T, ("L", p, atom.a0, T), clock=("L", omega))
 
 
 def _nonlocal(pair: DetectorPair) -> _Term:
@@ -505,7 +506,8 @@ def _field(pair: DetectorPair, name: str, atol: float = 1e-16,
            rtol: float = 1e-10) -> tuple[complex, QuadratureResult]:
     """A field of ``compute_terms(pair)`` and its result relative to
     exp(log_scale): the term integrated with exactly those of the pair's
-    terms that share its key (L alone, M with L_AB for identical atoms)."""
+    terms that share its key (L_AA with L_BB, M with L_AB for identical
+    atoms)."""
     table = _table(pair, pair.identical)
     names = [n for n, t in table.items() if t.share == table[name].share]
     quad = _quadratures([table[n] for n in names], atol, rtol)[names.index(name)]
@@ -630,9 +632,11 @@ def compute_terms_many(pairs, switching: SwitchingKind = SwitchingKind(),
     so a spacetime map (fig5a, fig5b) is one group.  Each L_AB joins that
     group as one more member per distinct (t_BA, Omega, d), which shares
     the spatial kernel with M's member at its d.  The L of every atom with
-    the same model, a0, T and Omega is one integral.  A pair alone gives
-    the same bits as in a group of one; in a larger group its values may
-    differ from that by less than the reported errors.
+    the same model, a0 and T is one more group, one member per distinct
+    Omega, so an unequal-gap pair makes two group calls, as an identical
+    one does.  A pair alone gives the same bits as in a group of one; in a
+    larger group its values may differ from that by less than the reported
+    errors.
 
     Returns one entry per pair: its HarvestTerms, or the
     QuadratureConvergenceError of its first term that missed the tolerance,

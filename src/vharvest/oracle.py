@@ -448,6 +448,12 @@ def run_all(seed: int = 1234, mutate: str | None = None) -> list[OracleReport]:
             setattr(module, attr, saved)
 
 
+def _worse(worst: float, err: float) -> float:
+    # the larger error, NaN where either is: max(worst, err) keeps worst
+    # when err is NaN, and so would pass an oracle whose closed form failed
+    return err if err != err or err > worst else worst
+
+
 def _run_all_inner(seed: int) -> list[OracleReport]:
     rng = np.random.default_rng(seed)
     reports: list[OracleReport] = []
@@ -460,11 +466,11 @@ def _run_all_inner(seed: int) -> list[OracleReport]:
         for tba in (0.0, 1.7, 6.0):
             closed, _ = time_integral_closed(1.5, 1.5, tk / T, 0.0, tba, T)
             brute, _, ev = time_integral_bruteforce(1.5, 1.5, tk / T, 0.0, tba, T)
-            worst = max(worst, abs(closed - brute) / abs(brute))
+            worst = _worse(worst, abs(closed - brute) / abs(brute))
             evals += ev
     closed, _ = time_integral_closed(1.2, 2.1, 3.0, 0.0, 2.5, T)
     brute, _, ev = time_integral_bruteforce(1.2, 2.1, 3.0, 0.0, 2.5, T)
-    worst = max(worst, abs(closed - brute) / abs(brute))
+    worst = _worse(worst, abs(closed - brute) / abs(brute))
     reports.append(OracleReport("time_kernel_closed_vs_2d", worst, 1e-8, evals + ev))
 
     # 2. EM identity/dyadic decomposition reproduces the final kernels
@@ -475,11 +481,11 @@ def _run_all_inner(seed: int) -> list[OracleReport]:
         k = math.sqrt(u) / a0
         dec = harvesting.em_decomposition_identity(k, a0, d=2.5)
         target_l = harvesting.EM_LOCAL_COEFF * (4.0 * u + 9.0) ** 2
-        worst = max(worst, abs(dec.l_total - target_l) / target_l)
+        worst = _worse(worst, abs(dec.l_total - target_l) / target_l)
         kern = spherical_bessel_j(0, 2.5 * k) + spherical_bessel_j(2, 2.5 * k)
         target_m = harvesting.EM_LOCAL_COEFF * (4.0 * u + 9.0) ** 2 * kern
         scale = target_l  # j0+j2 passes through zero; compare on the kernel scale
-        worst = max(worst, abs(dec.m_total - target_m) / scale)
+        worst = _worse(worst, abs(dec.m_total - target_m) / scale)
     reports.append(OracleReport("em_decomposition_identity", worst, 1e-12, 2 * len(us)))
 
     # 3. closed radial overlaps vs quadrature (real axis and rotated ray)
@@ -495,7 +501,7 @@ def _run_all_inner(seed: int) -> list[OracleReport]:
             # below the quadrature's own roundoff bound the comparison is
             # only meaningful in absolute terms
             denom = max(abs(closed), 10.0 * berr, 1e-14 * scale0)
-            worst = max(worst, abs(closed - brute) / denom)
+            worst = _worse(worst, abs(closed - brute) / denom)
             evals += ev
     reports.append(OracleReport("radial_overlap_closed_vs_quad", worst, 1e-10, evals))
 
@@ -511,7 +517,7 @@ def _run_all_inner(seed: int) -> list[OracleReport]:
                 idx.append((l, m, bool(rng.integers(0, 2))))
             closed = gaunt_integral(idx)
             brute = sphere_quadrature(idx)
-            worst = max(worst, abs(closed - brute))
+            worst = _worse(worst, abs(closed - brute))
             cases += 1
     reports.append(OracleReport("gaunt_vs_sphere_quadrature", worst, 1e-10,
                                 cases * 64 * 128))
@@ -530,7 +536,7 @@ def _run_all_inner(seed: int) -> list[OracleReport]:
             for m in range(-l, l + 1):
                 lhs = _rotated(l, m, ang, ys)
                 rhs = sph_harm_y(l, m, *rotated)
-                worst = max(worst, abs(lhs - rhs))
+                worst = _worse(worst, abs(lhs - rhs))
     reports.append(OracleReport("wigner_rotation_vs_matrix", worst, 1e-12, 800))
 
     # 6. polarization completeness
@@ -539,7 +545,7 @@ def _run_all_inner(seed: int) -> list[OracleReport]:
         k = rng.normal(size=3)
         khat = k / np.linalg.norm(k)
         target = np.eye(3) - np.outer(khat, khat)
-        worst = max(worst, float(np.max(np.abs(
+        worst = _worse(worst, float(np.max(np.abs(
             polarization_completeness(k) - target))))
     reports.append(OracleReport("polarization_completeness", worst, 1e-14, 1000))
 
@@ -551,7 +557,7 @@ def _run_all_inner(seed: int) -> list[OracleReport]:
         rhs = (2 * l + 1) / xs * spherical_bessel_j(l, xs)
         scale = np.maximum(np.abs(lhs), np.abs(rhs))
         scale = np.maximum(scale, np.abs(spherical_bessel_j(l, xs)))
-        worst = max(worst, float(np.max(np.abs(lhs - rhs) / scale)))
+        worst = _worse(worst, float(np.max(np.abs(lhs - rhs) / scale)))
     reports.append(OracleReport("bessel_recurrence", worst, 1e-11, 5 * 400))
 
     # 8. Faddeeva/erfc vs series + continued fraction
@@ -561,7 +567,7 @@ def _run_all_inner(seed: int) -> list[OracleReport]:
     for z in pts:
         # w(z) = e^{-z^2} erfc(-iz)
         ref = cmath.exp(-z * z) * _erfc_reference(-1j * z)
-        worst = max(worst, abs(faddeeva_w(z) - ref) / abs(ref))
+        worst = _worse(worst, abs(faddeeva_w(z) - ref) / abs(ref))
     reports.append(OracleReport("faddeeva_vs_series_cf", worst, 1e-12, len(pts)))
 
     # 9. negativity formula vs dense partial-transpose eigensolver
@@ -572,7 +578,7 @@ def _run_all_inner(seed: int) -> list[OracleReport]:
         phm = rng.uniform(0, 2 * math.pi)
         n2 = negativity_leading(l_aa, l_bb, am)
         brute = negativity_bruteforce(l_aa, l_bb, 0.0, am * cmath.exp(1j * phm))
-        worst = max(worst, abs(max(0.0, n2) - brute))
+        worst = _worse(worst, abs(max(0.0, n2) - brute))
     reports.append(OracleReport("negativity_vs_eigensolver", worst, 1e-12, 200))
 
     # 10. engine momentum kernels vs the radial-overlap reduction
@@ -590,7 +596,7 @@ def _run_all_inner(seed: int) -> list[OracleReport]:
         engine_l = harvesting.EM_LOCAL_COEFF / math.pi * a0 ** 2 / (4 * u + 9) ** 6
         reduction_l = (i0 * i0 + 2 * i2 * i2) / (12 * math.pi) \
             - (i0 - 2 * i2) ** 2 / (36 * math.pi)
-        worst = max(worst, abs(engine_l - reduction_l) / reduction_l)
+        worst = _worse(worst, abs(engine_l - reduction_l) / reduction_l)
         # nonlocal kernel with the Bessel factors
         j0 = spherical_bessel_j(0, k * d)
         j2 = spherical_bessel_j(2, k * d)
@@ -600,18 +606,18 @@ def _run_all_inner(seed: int) -> list[OracleReport]:
                        + 2 * j2 * (2 * i0 * i2 - i2 * i2)) / (12 * math.pi ** 2) \
             - (j0 - 2 * j2) * (i0 - 2 * i2) ** 2 / (36 * math.pi ** 2)
         scale_m = (i0 * i0 + 2 * i2 * i2) / (12 * math.pi ** 2)
-        worst = max(worst, abs(engine_m - reduction_m) / scale_m)
+        worst = _worse(worst, abs(engine_m - reduction_m) / scale_m)
         # scalar kernel against the smearing Fourier transform:
         # C_L a0^4 k^4 / (4u+9)^6 == F(k)^2 / 4
         ff = scalar_smearing_fourier_bruteforce(k, a0)
         engine_sc = harvesting.SCALAR_LOCAL_COEFF * a0 ** 4 * k ** 4 \
             / (4 * u + 9) ** 6
         reduction_sc = 0.25 * ff * ff
-        worst = max(worst, abs(engine_sc - reduction_sc) / reduction_sc)
+        worst = _worse(worst, abs(engine_sc - reduction_sc) / reduction_sc)
         # scalar nonlocal coefficient: the ordered time kernel halves C_L
-        worst = max(worst, abs(harvesting.SCALAR_NONLOCAL_COEFF
-                               - 0.5 * harvesting.SCALAR_LOCAL_COEFF)
-                    / harvesting.SCALAR_NONLOCAL_COEFF)
+        worst = _worse(worst, abs(harvesting.SCALAR_NONLOCAL_COEFF
+                                  - 0.5 * harvesting.SCALAR_LOCAL_COEFF)
+                       / harvesting.SCALAR_NONLOCAL_COEFF)
     reports.append(OracleReport("momentum_kernels_vs_reduction", worst, 1e-9, evals))
 
     # 11. M of equal gaps (one Faddeeva call per node) vs M at a gap

@@ -22,10 +22,12 @@ Rounding model: an integrand returns (value, magnitude) per node, with
 magnitude >= |value| such that 50 eps x magnitude bounds the node's rounding
 for its arguments.  It adds the parts that cancel in the value, each weighted
 by 1 + the size of its exponent's parts (an exponent of size s is rounded
-to ~eps s), plus the Faddeeva routine's own error; products propagate as
-m(ab) = m(a)|b| + |a|m(b).  GK15's roundoff floor, 50 eps times the
-integral of the magnitude (QUADPACK; Piessens et al., 1983), is the one
-place that rounding enters the error estimates.
+to ~eps s), plus the error of the Faddeeva function (scipy's ``wofz`` below
+|z| = 7, off by up to ~110 eps, and its asymptotic series from there, within
+2.4 eps); products propagate as m(ab) = m(a)|b| + |a|m(b).  GK15's
+roundoff floor, 50 eps times the integral of the magnitude (QUADPACK;
+Piessens et al., 1983), is the one place that rounding enters the error
+estimates.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable
 
@@ -137,6 +140,46 @@ class DampedKernelSpec:
 # The time kernel
 # ----------------------------------------------------------------------------
 
+# w(z) at |z| >= _W_FAR by its asymptotic series (DLMF 7.12.1 for
+# erfc(-iz)), (i/(sqrt(pi) z)) sum_{n<N} (2n-1)!!/(2z^2)^n: the coefficients
+# (2n-1)!! and, for N = 1..20, the radius from which the first omitted term
+# (2N-1)!!/(2r^2)^N is at most eps/4, so that N terms suffice there (20 at
+# |z| = 7, 12 at 10, 7 past 24, 3 past 1e4)
+_W_FAR = 7.0
+_W_COEFFS = tuple(itertools.accumulate(range(1, 39, 2), operator.mul, initial=1.0))
+_W_RADII = tuple(math.sqrt(0.5 * (c * (2 * n + 1) * 4.0 / np.finfo(float).eps) ** (1.0 / (n + 1)))
+                 for n, c in enumerate(_W_COEFFS))
+
+
+def _faddeeva(x, a: float):
+    """The Faddeeva function w(x + ia) for a real array x and a scalar
+    a >= 0.  Where |z| >= 7 its asymptotic series in Horner form, with the
+    terms the call's smallest such |z| needs (within 2.4 eps of 40-digit
+    mpmath, where ``wofz`` is off by up to ~110 eps), elsewhere scipy's
+    ``wofz``.  A call whose arguments all lie on one side takes no mask."""
+    r2 = x * x + a * a
+    far = r2 >= _W_FAR * _W_FAR
+    n_far = np.count_nonzero(far)
+    if n_far == 0:
+        return _wofz(x + 1j * a)
+    mixed = n_far < far.size
+    r_min = math.sqrt((r2[far] if mixed else r2).min())
+    n = max(2, 1 + sum(r > r_min for r in _W_RADII))  # Horner starts from two terms
+    u = 1.0 / ((x[far] if mixed else x) + 1j * a)
+    y = 0.5 * u * u
+    acc = _W_COEFFS[n - 1] * y + _W_COEFFS[n - 2]
+    for coef in reversed(_W_COEFFS[:n - 2]):
+        acc *= y
+        acc += coef
+    w = (1j / math.sqrt(math.pi)) * u * acc
+    if not mixed:
+        return w
+    out = np.empty(far.shape, dtype=complex)
+    out[far] = w
+    out[~far] = _wofz(x[~far] + 1j * a)
+    return out
+
+
 def scaled_time_kernel(k, t_ba: float, T: float, *, d_omega: float):
     """The ordered double time integral of two Gaussian switchings of width
     T without overflow, and its magnitude: the time factor of M.
@@ -153,10 +196,12 @@ def scaled_time_kernel(k, t_ba: float, T: float, *, d_omega: float):
     with t_ba = t_B - t_A and d_omega = Omega_A - Omega_B, is pi T^2/2
     exp(-T^2 Omega^2/2 + i Omega (t_A + t_B)) times the kernel, Omega the
     mean gap (``harvesting.time_integral_closed``).  At c = 0 the two
-    Faddeeva arguments coincide, so equal gaps take one Faddeeva call per
-    node.  Accepts a scalar or array k >= 0 and returns (value, magnitude)
-    of its shape: the wings weigh 2 + a^2 (one for the Faddeeva routine),
-    the Gaussian 1 + its exponent's parts.
+    Faddeeva arguments coincide, so equal gaps take one ``_faddeeva`` call
+    and unequal gaps two: wofz where |z| < 7, the asymptotic series from
+    there.  A call skips the Gaussian where (b+c)^2 >= 750 at every node
+    (the tails past k_hi), since its exp is 0.0 there.  Accepts a scalar or array k >= 0 and returns (value,
+    magnitude) of its shape: the wings weigh 2 + a^2 (one for the Faddeeva
+    function), the Gaussian 1 + its exponent's parts.
     """
     if T <= 0.0:
         raise ValueError("switching width T must be positive")
@@ -167,15 +212,17 @@ def scaled_time_kernel(k, t_ba: float, T: float, *, d_omega: float):
     if t_ba < 0.0:
         c = -c
     e_a = np.exp(-a * a)
-    w_lo = _wofz(b - c + 1j * a)
-    w_hi = w_lo if c == 0.0 else _wofz(b + c + 1j * a)
-    wings = e_a * (w_lo.conj() - w_hi)
-    wings_mag = e_a * (2.0 + a * a) * (np.abs(w_lo) + np.abs(w_hi))
+    w_lo = _faddeeva(b - c, a)
+    w_hi = w_lo if c == 0.0 else _faddeeva(b + c, a)
+    out = e_a * (w_lo.conj() - w_hi)
+    mag = e_a * (2.0 + a * a) * (np.abs(w_lo) + np.abs(w_hi))
     bc = b + c
     w_lo = w_hi = b = None  # freed before the Gaussian, where a head pass peaks
-    gauss = 2.0 * np.exp(-bc * bc - 2j * a * bc)
-    out = wings + gauss
-    mag = wings_mag + np.abs(gauss) * (1.0 + bc * bc + 2.0 * a * np.abs(bc))
+    # past (b+c)^2 = 750 the Gaussian's exp is 0.0: a call dead at every node skips it
+    if np.count_nonzero(bc * bc < _GAUSS_DEAD):
+        gauss = 2.0 * np.exp(-bc * bc - 2j * a * bc)
+        out = out + gauss
+        mag = mag + np.abs(gauss) * (1.0 + bc * bc + 2.0 * a * np.abs(bc))
     return (complex(out), float(mag)) if k_arr.ndim == 0 else (out, mag)
 
 
@@ -198,7 +245,7 @@ def _bessel_series(l: int, x: np.ndarray) -> np.ndarray:
         # every 4th term: the terms past the first pass are < half an ulp
         if m % 4 == 0 and np.all(np.abs(term) <= 1e-18 * np.abs(acc)):
             break
-    return np.where(x > 0, x, 0.0) ** l / _DOUBLE_FACT[l] * acc if l else acc
+    return np.where(x > 0, x, 0.0) ** l / _DOUBLE_FACT[l] * acc
 
 
 def _bessel_trig(l: int, s: np.ndarray, c: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -217,20 +264,22 @@ def _bessel_trig(l: int, s: np.ndarray, c: np.ndarray, u: np.ndarray) -> np.ndar
 def spherical_bessel_j(l: int, x):
     """Spherical Bessel function j_l(x) for l = 0..4, x >= 0.
 
-    Series below x = 5, closed trigonometric forms above; the switch point is
-    where both sides hold ~1e-14 relative accuracy for every supported l.
+    j_0 = sin x / x, which cancels nothing, at every x >= 1e-8 and 1 below.
+    For l >= 1 the series below x = 5, the closed trigonometric forms above;
+    the switch point is where both sides hold ~1e-14 relative accuracy.
     """
     if l not in (0, 1, 2, 3, 4):
         raise ValueError(f"spherical_bessel_j supports l = 0..4, got {l}")
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
     if np.any(x_arr < 0.0):
         raise ValueError("spherical_bessel_j requires x >= 0")
-    # the closed form everywhere (at x >= 5 only: the series overwrites below)
-    small = x_arr < 5.0
-    xl = np.maximum(x_arr, 5.0)
+    # the closed form everywhere (at x >= lo only: the series or 1 overwrites below)
+    lo = 5.0 if l else 1e-8
+    small = x_arr < lo
+    xl = np.maximum(x_arr, lo)
     out = _bessel_trig(l, np.sin(xl), np.cos(xl) if l else None, 1.0 / xl)
     if np.any(small):
-        out[small] = _bessel_series(l, x_arr[small])
+        out[small] = _bessel_series(l, x_arr[small]) if l else 1.0
     return float(out[0]) if np.ndim(x) == 0 else out
 
 

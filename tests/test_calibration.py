@@ -63,13 +63,17 @@ def k_nodes(T):
 
 
 @pytest.mark.parametrize("T", [0.5, 1.0])
-@pytest.mark.parametrize("t_ba", [0.0, 0.5 * math.sqrt(2.0), 2.087694158562566, 24.0])
+@pytest.mark.parametrize("t_ba", [0.0, 0.5 * math.sqrt(2.0), 2.087694158562566, 24.0,
+                                  1e-3 * math.sqrt(2.0), 0.05 * math.sqrt(2.0)])
 def test_time_kernel_within_its_bound(T, t_ba):
     mp = pytest.importorskip("mpmath")
     mp.mp.dps = 40
-    # the wofz region b ~ 5.9, a ~ 0.5, where scipy's wofz is off by up to
-    # ~48 eps, joins the nodes at t_BA = T/sqrt(2)
-    k = np.concatenate([k_nodes(T), math.sqrt(2.0) / T * np.linspace(5.0, 7.0, 21)])
+    # the wofz region b ~ 5.9, a ~ 0.5 joins the nodes at t_BA = T/sqrt(2),
+    # and b in [6.5, 8] at a = 0, 1e-3 and 0.05 (at T = 1) the edge |z| = 7
+    # where the asymptotic series takes over from wofz, which is off by up
+    # to ~110 eps just below it
+    k = np.concatenate([k_nodes(T), math.sqrt(2.0) / T * np.linspace(5.0, 7.0, 21),
+                        math.sqrt(2.0) / T * np.linspace(6.5, 8.0, 31)])
     value, mag = scaled_time_kernel(k, t_ba, T, d_omega=0.0)
 
     def exact(kk):

@@ -640,6 +640,29 @@ def test_identical_pair_integrates_m_and_l_ab_on_one_panel_set(monkeypatch):
     assert all(nodes == [n] for _, nodes, n in passes)
 
 
+def test_unequal_pair_integrates_l_aa_and_l_bb_as_one_group(monkeypatch):
+    # two group calls (L_AA with L_BB, two members; M), and the view of L_BB
+    # integrates the same group, so it has compute_terms' bits
+    groups = []
+    real_group = harvesting.integrate_damped_group
+
+    def group(spec, *args, **kwargs):
+        groups.append(len(spec.members))
+        return real_group(spec, *args, **kwargs)
+
+    monkeypatch.setattr(harvesting, "integrate_damped_group", group)
+    a = AtomSpec(a0=5e-4, omega=2.0)
+    b = AtomSpec(a0=5e-4, omega=2.3, position=(0.0, 0.0, 3.0), switching_center=1.5)
+    pair = DetectorPair(a, b, ModelKind.UDW_SCALAR)
+    terms = compute_terms(pair, include_cross=False)
+    assert groups == [2, 1]
+    assert terms.l_aa != terms.l_bb
+    groups.clear()
+    assert local_term(pair, "B") == terms.l_bb
+    assert local_term(pair, "A") == terms.l_aa
+    assert groups == [2, 2]
+
+
 def test_j0_keeps_the_bits_of_its_formulas():
     # j0 without the cos, and sinh s / s on the nodes below 5 alone
     x = np.concatenate([np.linspace(0.0, 30.0, 30001),

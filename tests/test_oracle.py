@@ -35,6 +35,21 @@ def test_mutation_is_detected():
     assert all(r.passed for r in run_all())
 
 
+def test_a_closed_form_that_returns_nan_fails_its_oracle(monkeypatch):
+    # NaN at one of the oracle's points must not be folded away by max()
+    from vharvest import atoms
+
+    real = atoms.radial_overlap
+
+    def nan_at_one_point(l, k, a0):
+        return math.nan if l == 2 and math.isclose(a0 * k, 2.0) else real(l, k, a0)
+
+    monkeypatch.setattr(atoms, "radial_overlap", nan_at_one_point)
+    report = {r.name: r for r in run_all()}["radial_overlap_closed_vs_quad"]
+    assert math.isnan(report.rel_err)
+    assert not report.passed
+
+
 def test_unknown_mutation_rejected():
     with pytest.raises(ValueError):
         run_all(mutate="not.a.constant")

@@ -159,14 +159,49 @@ def test_kernel_fused_equals_unfused_where_representable(rng):
             assert abs(got - ref) <= 1e-10 * abs(ref)
 
 
-def two_wofz_kernel(k, t_ba, T, d_omega):
-    # the wings as the difference of two Faddeeva calls, w(c - b + ia) for
-    # conj w(b - c + ia), before the reflection w(-conj z) = conj w(z)
-    # folded them into one at c = 0
+def kernel_args(k, t_ba, T, d_omega):
+    # a, b, c as the kernel forms them, and its nodes where every Faddeeva
+    # argument lies below |z| = 7, the near field that scipy's wofz serves
     k = np.asarray(k, dtype=float)
     a = abs(t_ba) / (SQRT2 * T)
     b = T * k / SQRT2
     c = (-1.0 if t_ba < 0.0 else 1.0) * T * d_omega / (2.0 * SQRT2)
+    near = ((b - c) ** 2 + a * a < 49.0) & ((b + c) ** 2 + a * a < 49.0)
+    return a, b, c, near
+
+
+def mp_time_kernel(k, t_ba, T, d_omega):
+    # the kernel's formula at 40 digits, with w(z) = e^{-z^2} erfc(-iz)
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 40
+    k, t_ba, T, d_omega = map(mp.mpf, (k, t_ba, T, d_omega))
+    a = abs(t_ba) / (mp.sqrt(2) * T)
+    b = T * k / mp.sqrt(2)
+    c = (-1 if t_ba < 0 else 1) * T * d_omega / (2 * mp.sqrt(2))
+    w = lambda z: mp.exp(-z * z) * mp.erfc(-1j * z)
+    value = (mp.exp(-a * a) * (mp.conj(w(b - c + 1j * a)) - w(b + c + 1j * a))
+             + 2 * mp.exp(-(b + c) ** 2 - 2j * a * (b + c)))
+    return complex(value)
+
+
+def assert_far_nodes_within_bound(k, t_ba, T, d_omega, value, mag, far, count=24):
+    # evenly spread far-field nodes within the kernel's own rounding bound
+    # of 40-digit mpmath; a value below the normal range rounds in units of
+    # 2^-1074, a few of which the relative bound cannot see
+    idx = np.flatnonzero(far)
+    assert idx.size
+    idx = np.unique(idx[np.linspace(0, idx.size - 1, count).astype(int)])
+    for i in idx:
+        ref = mp_time_kernel(k[i], t_ba, T, d_omega)
+        bound = specfun._ROUNDOFF * mag[i] + 8 * math.ulp(0.0)
+        assert abs(value[i] - ref) <= bound, (k[i], value[i], ref)
+
+
+def two_wofz_kernel(k, t_ba, T, d_omega):
+    # the wings as the difference of two Faddeeva calls, w(c - b + ia) for
+    # conj w(b - c + ia), before the reflection w(-conj z) = conj w(z)
+    # folded them into one at c = 0
+    a, b, c, _ = kernel_args(k, t_ba, T, d_omega)
     wings = np.exp(-a * a) * (wofz(c - b + 1j * a) - wofz(b + c + 1j * a))
     return wings + 2.0 * np.exp(-(b + c) ** 2 - 2j * a * (b + c))
 
@@ -181,14 +216,22 @@ def two_wofz_kernel(k, t_ba, T, d_omega):
     (24.0, 2.0, 12.0),
 ])
 def test_kernel_bitwise_equal_to_two_wofz_form(t_ba, T, d_omega):
-    # k out to T k = 200, well past the T k > 38 overflow of the bare erfc
+    # k out to T k = 200, well past the T k > 38 overflow of the bare erfc:
+    # bit for bit where both Faddeeva arguments lie below |z| = 7, and past
+    # it, where the asymptotic series replaces wofz, within the bound
     k = np.concatenate([np.linspace(0.0, 200.0 / T, 15001), [38.5 / T, 60.0 / T]])
     assert np.any(T * k > 38.0)
-    new, _ = scaled_time_kernel(k, t_ba, T, d_omega=d_omega)
-    assert np.array_equal(new, two_wofz_kernel(k, t_ba, T, d_omega))
+    new, mag = scaled_time_kernel(k, t_ba, T, d_omega=d_omega)
+    near = kernel_args(k, t_ba, T, d_omega)[3]
+    assert np.array_equal(new[near], two_wofz_kernel(k[near], t_ba, T, d_omega))
+    assert_far_nodes_within_bound(k, t_ba, T, d_omega, new, mag, ~near)
     for kk in (0.0, 1.3, 45.0 / T):
-        assert scaled_time_kernel(kk, t_ba, T, d_omega=d_omega)[0] == complex(
-            two_wofz_kernel(kk, t_ba, T, d_omega))
+        value, kk_mag = scaled_time_kernel(kk, t_ba, T, d_omega=d_omega)
+        if kernel_args(kk, t_ba, T, d_omega)[3]:
+            assert value == complex(two_wofz_kernel(kk, t_ba, T, d_omega))
+        else:
+            ref = mp_time_kernel(kk, t_ba, T, d_omega)
+            assert abs(value - ref) <= specfun._ROUNDOFF * kk_mag
 
 
 def one_wofz_kernel(k, t_ba, T):
@@ -213,30 +256,84 @@ def same_bits(x, y):
 
 @pytest.mark.parametrize("T", [1e-3, 0.3, 1.0, 7.0, 1e3])
 def test_kernel_equal_gaps_bitwise_equal_to_one_wofz_form(T):
+    # bit for bit below |z| = 7, within the bound past it
     k = np.concatenate([np.geomspace(1e-8 / T, 1e5 / T, 4000),
                         np.linspace(0.0, 60.0 / T, 4000)])
     for t_ba in (0.0, 1e-9, 0.5, 3.0, 24.0, -7.0, 1e3):
         value, mag = scaled_time_kernel(k, t_ba, T, d_omega=0.0)
-        ref_value, ref_mag = one_wofz_kernel(k, t_ba, T)
-        assert same_bits(value, ref_value), t_ba
-        assert same_bits(mag, ref_mag), t_ba
+        near = kernel_args(k, t_ba, T, 0.0)[3]
+        if near.any():
+            ref_value, ref_mag = one_wofz_kernel(k[near], t_ba, T)
+            assert same_bits(value[near], ref_value), t_ba
+            assert same_bits(mag[near], ref_mag), t_ba
+        assert_far_nodes_within_bound(k, t_ba, T, 0.0, value, mag, ~near, count=12)
 
 
 @pytest.mark.parametrize("d_omega, calls", [(0.0, 1), (-0.0, 1), (0.3, 2), (-1.5, 2)])
 def test_kernel_calls_wofz_once_at_equal_gaps(monkeypatch, d_omega, calls):
+    # wofz sees exactly the near-field arguments, b - c + ia and then (at
+    # unequal gaps) b + c + ia where |z| < 7, and nothing where all are far
     seen = []
     real = specfun._wofz
 
     def spy(z):
-        seen.append(np.shape(z))
+        seen.append(np.array(z))
         return real(z)
 
     monkeypatch.setattr(specfun, "_wofz", spy)
-    k = np.linspace(0.0, 40.0, 301)
-    for t_ba in (0.0, -2.5):
-        seen.clear()
-        scaled_time_kernel(k, t_ba, 1.0, d_omega=d_omega)
-        assert seen == [k.shape] * calls
+    for k in (np.linspace(0.0, 40.0, 301), np.linspace(0.0, 3.0, 31),
+              np.linspace(12.0, 40.0, 57)):
+        for t_ba in (0.0, -2.5):
+            seen.clear()
+            scaled_time_kernel(k, t_ba, 1.0, d_omega=d_omega)
+            a, b, c, _ = kernel_args(k, t_ba, 1.0, d_omega)
+            args = [x[x * x + a * a < 49.0] + 1j * a for x in (b - c, b + c)[:calls]]
+            expected = [z for z in args if z.size]
+            assert len(seen) == len(expected) == (calls if k[-1] < 12.0 else
+                                                   0 if k[0] >= 12.0 else calls)
+            assert all(same_bits(z, e) for z, e in zip(seen, expected))
+
+
+def mp_faddeeva(z):
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 40
+    z = mp.mpc(z.real, z.imag)
+    return complex(mp.exp(-z * z) * mp.erfc(-1j * z))
+
+
+def assert_faddeeva_within_4_eps(x, a):
+    got = specfun._faddeeva(np.asarray(x, dtype=float), a)
+    ref = np.array([mp_faddeeva(complex(v, a)) for v in np.ravel(x)])
+    err = np.abs(got.ravel() - ref) / np.abs(ref)
+    assert np.all(err <= 4.0 * np.finfo(float).eps), (np.max(err), a)
+
+
+def test_faddeeva_series_within_4_eps_of_mpmath():
+    # each radius from which the series takes one term fewer, and |z| = 7,
+    # where it takes over from wofz, at +-1 ulp, one argument per call so
+    # that its |z| sets the terms, on the real axis and off it
+    angles = (0.0, 1e-3, 0.3, math.pi / 2, 2.5, math.pi - 1e-3, math.pi)
+    for edge in (*specfun._W_RADII, specfun._W_FAR):
+        for r in (np.nextafter(edge, 0.0), edge, np.nextafter(edge, math.inf)):
+            for theta in angles:
+                x, a = r * math.cos(theta), max(0.0, r * math.sin(theta))
+                if x * x + a * a < 49.0:
+                    # below |z| = 7 the argument goes to wofz as it is
+                    assert same_bits(specfun._faddeeva(np.array([x]), a), wofz([x + 1j * a]))
+                else:
+                    assert_faddeeva_within_4_eps([x], a)
+    # the real axis and just above it, Re z < 0 too (b - c of unequal
+    # gaps), where scipy's wofz is off the most
+    x = np.concatenate([np.linspace(7.0, 12.0, 41), np.geomspace(12.0, 1e6, 20)])
+    for a in (0.0, 1e-6, 1e-3, 0.05):
+        assert_faddeeva_within_4_eps(x, a)
+        assert_faddeeva_within_4_eps(-x, a)
+    # |z| from 7 out to 1e6 on both sides of the imaginary axis, in calls of
+    # as many terms as |z| = 7 takes
+    sign = np.random.default_rng(5).choice([-1.0, 1.0], 80)
+    for a in (0.5, 3.0, 6.9, 40.0):
+        r = np.geomspace(max(7.001, a), 1e6, 80)
+        assert_faddeeva_within_4_eps(sign * np.sqrt(r * r - a * a), a)
 
 
 def test_kernel_rejects_bad_width():
