@@ -4,7 +4,8 @@ negativity and concurrence, and the positivity diagnostics.
 
 Every matrix element is one term, prefactor * int_0^inf dk k^p kern(kd)
 time(k) / (4u+9)^6 with u = (a0 k)^2, and one engine evaluates each term
-from its description (p, kern, time, wings, prefactor):
+from its share (p, a0 and T, which fix kern), its clock (time(k) with its
+t_BA and gaps), d and the prefactor:
 
     term  time(k)              wings      prefactor / (e^2 a0^q T^2 S)
     L     G(k)                 -           C_L/pi
@@ -46,6 +47,7 @@ L_AB), and each pass evaluates each distinct time(k) and kern(kd) once.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -139,6 +141,8 @@ class DetectorPair:
 
     def __post_init__(self):
         a, b = self.atom_a, self.atom_b
+        if not isinstance(self.model, ModelKind):
+            raise ValueError(f"model must be a ModelKind, not {self.model!r}")
         if not a.orientation.is_identity:
             raise ValueError("atom A defines the reference frame; its "
                              "orientation must be the identity")
@@ -271,24 +275,44 @@ _SQRT2 = math.sqrt(2.0)
 class _Term:
     """prefactor * int_0^inf k^p kern(k d) time(k) / (4 (a0 k)^2 + 9)^6 dk"""
 
-    p: int
-    kernel: Callable | None    # spatial kernel of k d: None (L), j0 or j0+j2
-    time: Callable             # k -> (value, magnitude) time factors, in product order
-    wings: bool                # erfc wings decaying algebraically (M), past the Gaussian
+    # ("L" or "M", p, a0, T), T that of the damping exp(-T^2 k^2 / 2): terms
+    # of one share (L; M with L_AB) have the same p, kernel, a0 and T and
+    # integrate on one panel set, one member per distinct (clock, d)
+    share: tuple
+    # (kind, t_BA, frequency): ("L", 0, Omega), ("M", t_BA, Omega_A - Omega_B)
+    # or ("L_AB", t_BA, Omega), which fixes time(k) (``_time``)
+    clock: tuple
+    d: float
     # (coeff, q, rel, phase, log_scale): coeff a0^q T^2 rel phase
     # exp(log_scale), coeff with e^2 and sign, log_scale the Gaussian kept
     # out of the integral
     prefactor: tuple
-    a0: float
-    T: float                   # damping exp(-T^2 k^2 / 2)
-    # terms with equal keys have the same p, kernel, a0 and T and integrate
-    # on one panel set, one member per distinct (clock, d); M and L_AB share
-    # ("M", p, a0, T), clocks (t_BA, Omega_A - Omega_B) and ("L_AB", t_BA, Omega),
-    # L has ("L", p, a0, T), clock ("L", Omega)
-    share: tuple
-    d: float = 0.0
-    t_ba: float = 0.0          # time factors oscillate with period 2 pi/|t_ba|
-    clock: tuple = ()          # terms of one key and clock have the same time factors
+    kernel: Callable | None = None  # spatial kernel of k d: None (L), j0 or j0+j2
+
+
+def _gaussian(k, T: float, omega: float):
+    # exp(-e), e = T^2 (k^2/2 + Omega k), with magnitude exp(-e) (1 + e)
+    e = 0.5 * T * T * k * k + T * T * omega * k
+    g = np.exp(-e)
+    return g, g * (1.0 + e)
+
+
+def _time(clock: tuple, T: float, k):
+    """The (value, magnitude) time factors of a clock at the nodes k, in
+    product order: the time kernel for M, whose erfc wings decay only
+    algebraically, and e^{-ik t_BA} G(k) for L_AB and L (t_BA = 0); each
+    oscillates with period 2 pi/|t_BA|."""
+    kind, t_ba, omega = clock
+    if kind == "M":
+        return (scaled_time_kernel(k, t_ba, T, d_omega=omega),)
+    if t_ba == 0.0:
+        return (_gaussian(k, T, omega),)
+    return (np.exp(-1j * k * t_ba), 1.0 + k * abs(t_ba)), _gaussian(k, T, omega)
+
+
+def _scale(p: int, a0: float):
+    # k -> k^p / (4u+9)^6, the last factor of every integrand
+    return lambda k: k ** p / (4.0 * (a0 * k) ** 2 + 9.0) ** 6
 
 
 def _log_upper_gamma(n: int, x: float) -> float:
@@ -319,10 +343,9 @@ def _live_edge(members) -> tuple[float, tuple]:
     50 eps 9^-6 k_live^{p+1}/(p+1), 1e3x the floor of a member whose time
     and spatial factors had magnitude 1, no member would stop: the group
     gets no edge, (inf, ()), and its first pass takes all the seeds."""
-    first = members[0]
-    p, a0, T = first.p, first.a0, first.T
+    _, p, a0, T = members[0].share
     n = (p + 1) // 2
-    cs = [abs(T * t.clock[1]) / (2.0 * _SQRT2) if t.wings else 0.0 for t in members]
+    cs = [abs(T * t.clock[2]) / (2.0 * _SQRT2) if t.clock[0] == "M" else 0.0 for t in members]
     root, c_max = math.sqrt(_LIVE_EXPONENT), max(cs)
     y_live = root + c_max
     log_sqrt_w = math.log(T) - 0.5 * math.log(2.0)
@@ -332,10 +355,11 @@ def _live_edge(members) -> tuple[float, tuple]:
     k_live, log_bounds = y_live * _SQRT2 / T, []
     for t, c in zip(members, cs):
         y0 = root + (c_max - c)
-        log_b = (math.log(2.0 if t.wings else 1.0) - log_9_6 + p * math.log(y_live / y0)
+        winged = t.clock[0] == "M"
+        log_b = (math.log(2.0 if winged else 1.0) - log_9_6 + p * math.log(y_live / y0)
                  + _log_upper_gamma(n, y0 * y0) - math.log(2.0) - (p + 1) * log_sqrt_w)
-        if t.wings:
-            a = abs(t.t_ba) / (_SQRT2 * T)
+        if winged:
+            a = abs(t.clock[1]) / (_SQRT2 * T)
             log_w = min(0.0, -math.log(math.sqrt(math.pi) * a)) if a > 0.0 else 0.0
             wings = math.log(2.0) - a * a + log_w + log_rational
             log_b = max(log_b, wings) + math.log1p(math.exp(-abs(log_b - wings)))
@@ -350,21 +374,21 @@ def _spec(term: _Term, members=None) -> DampedKernelSpec:
     """The quadrature spec of a term, or of the group of terms that share
     its key (p, a0, T and with p the kernel): one member (time, d, cutoff)
     per term in members (default: the term), with one time object per clock
-    and the wing cutoff for a term with wings, and the group's live edge
-    with each member's bound past it (``_live_edge``).
+    (``_time``) and the wing cutoff for M, and the group's live edge with
+    each member's bound past it (``_live_edge``).
     Its integrand is the scale k^p / (4u+9)^6, the last factor of every one."""
-    p, a0 = term.p, term.a0
+    _, p, a0, T = term.share
     members = (term,) if members is None else members
-    clocks = {t.clock: t for t in reversed(members)}  # the first term of each
+    times = {c: functools.partial(_time, c, T) for c in dict.fromkeys(t.clock for t in members)}
     k_live, bounds = _live_edge(members)
     return DampedKernelSpec(
-        damping_width=0.5 * term.T * term.T,
-        oscillation_lengths=tuple(2.0 * math.pi / abs(t.t_ba)
-                                  for t in clocks.values() if t.t_ba != 0.0),
-        integrand=lambda k: k ** p / (4.0 * (a0 * k) ** 2 + 9.0) ** 6,
+        damping_width=0.5 * T * T,
+        oscillation_lengths=tuple(2.0 * math.pi / abs(c[1]) for c in times if c[1] != 0.0),
+        integrand=_scale(p, a0),
         kernel=term.kernel,
-        members=tuple((clocks[t.clock].time, t.d,
-                       _WING_CUTOFF[p] / (2.0 * a0) if t.wings else None) for t in members),
+        members=tuple((times[t.clock], t.d,
+                       _WING_CUTOFF[p] / (2.0 * a0) if t.clock[0] == "M" else None)
+                      for t in members),
         live_edge=k_live,
         edge_bounds=bounds,
     )
@@ -372,8 +396,9 @@ def _spec(term: _Term, members=None) -> DampedKernelSpec:
 
 def _integrand(term: _Term):
     # k -> (value, magnitude) of the term's whole integrand
-    spec = _spec(term)
-    return lambda k: next(_integrands(spec.integrand, k, spec.kernel, [(term.time, term.d)]))[1]
+    _, p, a0, T = term.share
+    members = [(functools.partial(_time, term.clock, T), term.d)]
+    return lambda k: next(_integrands(_scale(p, a0), k, term.kernel, members))[1]
 
 
 def _quadratures(terms: list, atol: float, rtol: float) -> list:
@@ -405,13 +430,14 @@ def _evaluate(term: _Term, quad: QuadratureResult, log_scale: float) -> Quadratu
     applied.  Raises ValueError where that value leaves the range of normal
     doubles."""
     coeff, q, rel, phase, term_scale = term.prefactor
+    _, _, a0, T = term.share
     shift = term_scale - log_scale
-    log_size = shift + q * math.log(term.a0) + 2.0 * math.log(term.T) + sum(
+    log_size = shift + q * math.log(a0) + 2.0 * math.log(T) + sum(
         math.log(abs(x)) if x else -math.inf for x in (coeff, quad.value))
     if not (_LOG_TINY < log_size < _LOG_HUGE and shift < _LOG_HUGE):
         raise ValueError(f"a term is exp({log_size:.6g}) times exp(log_scale) "
                          f"= exp({log_scale:.6g}): outside double range")
-    pref = coeff * term.a0 ** q * term.T * term.T * math.exp(shift)
+    pref = coeff * a0 ** q * T * T * math.exp(shift)
     return QuadratureResult(value=pref * rel * phase * quad.value,
                             abs_error_estimate=abs(pref) * abs(rel) * quad.abs_error_estimate,
                             evaluations=quad.evaluations,
@@ -426,60 +452,6 @@ def _mean_gap_factor(omega_a: float, omega_b: float, t_a: float, t_b: float,
     return -0.5 * (T * mean) ** 2, cmath.exp(1j * mean * (t_a + t_b))
 
 
-def _gaussian(k, T: float, omega: float):
-    # exp(-e), e = T^2 (k^2/2 + Omega k), with magnitude exp(-e) (1 + e)
-    e = 0.5 * T * T * k * k + T * T * omega * k
-    g = np.exp(-e)
-    return g, g * (1.0 + e)
-
-
-def _local(model: ModelKind, atom: AtomSpec, coupling: float = 1.0) -> _Term:
-    c_l, _, p, q, _ = _model_params(model)
-    T, omega = atom.switching_width, atom.omega
-
-    def time(k):
-        return (_gaussian(k, T, omega),)
-
-    return _Term(p, None, time, False, (coupling ** 2 * (c_l / math.pi), q,
-                                        1.0, 1.0, -0.5 * (T * omega) ** 2),
-                 atom.a0, T, ("L", p, atom.a0, T), clock=("L", omega))
-
-
-def _nonlocal(pair: DetectorPair) -> _Term:
-    # the time kernel at every gap; the k-independent rest of the double time
-    # integral, _mean_gap_factor, goes into the prefactor
-    a, b = pair.atom_a, pair.atom_b
-    _, c_m, p, q, kernel = _model_params(pair.model)
-    T, t_ba, e2 = a.switching_width, pair.t_ba, pair.coupling ** 2
-    d_omega = a.omega - b.omega
-
-    def time(k):
-        return (scaled_time_kernel(k, t_ba, T, d_omega=d_omega),)
-
-    term_scale, phase = _mean_gap_factor(a.omega, b.omega, a.switching_center,
-                                         b.switching_center, T)
-    prefactor = (-e2 * (c_m / math.pi), q, pair.cos_relative_angle, phase,
-                 term_scale)
-    return _Term(p, kernel, time, True, prefactor, a.a0, T, ("M", p, a.a0, T),
-                 pair.separation, t_ba, (t_ba, d_omega))
-
-
-def _cross(pair: DetectorPair) -> _Term:
-    a = pair.atom_a
-    c_l, _, p, q, kernel = _model_params(pair.model)
-    T, t_ba, omega = a.switching_width, pair.t_ba, a.omega
-
-    def time(k):
-        if t_ba == 0.0:
-            return (_gaussian(k, T, omega),)
-        return (np.exp(-1j * k * t_ba), 1.0 + k * abs(t_ba)), _gaussian(k, T, omega)
-
-    prefactor = (pair.coupling ** 2 * (c_l / math.pi), q, pair.cos_relative_angle,
-                 cmath.exp(-1j * omega * t_ba), -0.5 * (T * omega) ** 2)
-    return _Term(p, kernel, time, False, prefactor, a.a0, T, ("M", p, a.a0, T),
-                 pair.separation, t_ba, ("L_AB", t_ba, omega))
-
-
 def _table(pair: DetectorPair, include_cross: bool) -> dict:
     """The pair's terms by field.  M's prefactor carries S at the mean gap,
     the log scale of them all (L_mumu as exp(T^2 (Omega^2 - Omega_mu^2)/2)
@@ -487,18 +459,29 @@ def _table(pair: DetectorPair, include_cross: bool) -> dict:
     quadrature cannot follow: its knee at k = 3/(2 a0) must lie above the
     head's lowest seed, and k^p finite out to the last node of a term, the
     wing cutoff or the Gaussian's dead point k_hi."""
-    a0, T, p = pair.atom_a.a0, pair.atom_a.switching_width, _model_params(pair.model)[2]
+    a, b = pair.atom_a, pair.atom_b
+    c_l, c_m, p, q, kernel = _model_params(pair.model)
+    a0, T, t_ba, e2 = a.a0, a.switching_width, pair.t_ba, pair.coupling ** 2
     k_hi = math.sqrt(2.0 * _GAUSS_DEAD) / T
     a0_min = 0.5 * _WING_CUTOFF[p] * math.exp(-_LOG_HUGE / p)
     a0_max = 1.5 / (_SEED_DEPTH * k_hi)
     if not (a0_min < a0 <= a0_max and p * math.log(k_hi) < _LOG_HUGE):
         raise ValueError(f"a0 = {a0:.6g} at T = {T:.6g} is outside the range of the "
                          f"momentum integrals, {a0_min:.3g} < a0 <= {a0_max:.6g}")
-    terms = {"l_aa": _local(pair.model, pair.atom_a, pair.coupling),
-             "l_bb": _local(pair.model, pair.atom_b, pair.coupling),
-             "m": _nonlocal(pair)}
+    local, rel = (e2 * (c_l / math.pi), q), pair.cos_relative_angle
+    terms = {name: _Term(("L", p, a0, T), ("L", 0.0, atom.omega), 0.0,
+                         (*local, 1.0, 1.0, -0.5 * (T * atom.omega) ** 2))
+             for name, atom in (("l_aa", a), ("l_bb", b))}
+    # M: the time kernel at every gap; the k-independent rest of the double
+    # time integral, _mean_gap_factor, goes into the prefactor
+    log_scale, phase = _mean_gap_factor(a.omega, b.omega, a.switching_center,
+                                        b.switching_center, T)
+    terms["m"] = _Term(("M", p, a0, T), ("M", t_ba, a.omega - b.omega), pair.separation,
+                       (-e2 * (c_m / math.pi), q, rel, phase, log_scale), kernel)
     if include_cross:
-        terms["l_ab"] = _cross(pair)
+        terms["l_ab"] = _Term(("M", p, a0, T), ("L_AB", t_ba, a.omega), pair.separation,
+                              (*local, rel, cmath.exp(-1j * a.omega * t_ba),
+                               -0.5 * (T * a.omega) ** 2), kernel)
     return terms
 
 
@@ -525,7 +508,8 @@ def _field(pair: DetectorPair, name: str, atol: float = 1e-16,
 def local_integrand(model: ModelKind, a0: float, omega: float, T: float):
     """Scaled local-term integrand's value (the closed kernel with exp(T^2
     omega^2/2) factored out); exposed so tests can compare models pointwise."""
-    f = _integrand(_local(model, AtomSpec(a0=a0, omega=omega, switching_width=T)))
+    atom = AtomSpec(a0=a0, omega=omega, switching_width=T)
+    f = _integrand(_table(DetectorPair(atom, atom, model), False)["l_aa"])
     return lambda k: f(k)[0]
 
 
@@ -533,7 +517,7 @@ def nonlocal_integrand(pair: DetectorPair):
     """Scaled nonlocal-term integrand's value (the time kernel, with
     exp(T^2 Omega^2/2) at the mean gap Omega factored out); the derivative
     and scalar models differ by exactly k^2 here."""
-    f = _integrand(_nonlocal(pair))
+    f = _integrand(_table(pair, False)["m"])
     return lambda k: f(k)[0]
 
 
@@ -603,11 +587,12 @@ def compute_terms(pair: DetectorPair, switching: SwitchingKind = SwitchingKind()
     L_AB is computed for identical atoms only; other pairs need
     ``include_cross=False``.  L_AB is integrated with M, so for identical
     atoms ``include_cross=False`` may give an M that differs from the
-    default's by less than the reported error.  Cropped switching evaluates
-    the same closed forms and accounts for the discarded Gaussian tails as
-    an extra error bound: with the default 8 sigma crop the tail mass fraction is
-    erfc(8/sqrt(2)) ~ 1.3e-15, below the double-precision resolution of the
-    integrals themselves.  "auto" switching is resolved from the pair's
+    default's by less than the reported error.  Cropped switching does not
+    integrate a cropped window: it evaluates the same Gaussian closed forms
+    and adds the error bound "crop_tail", 2 erfc(crop_sigmas/sqrt(2)) times
+    the terms' scaled integrals of |f|.  That bound is known to understate
+    what the crop leaks at large Omega T, by ~21 orders of magnitude for L
+    at fig5b's parameters.  "auto" switching is resolved from the pair's
     separation and delay (``SwitchingKind.resolve``); the default is the
     uncropped Gaussian.
     Raises QuadratureConvergenceError where a term misses the tolerance, and

@@ -24,7 +24,10 @@ for its arguments.  It adds the parts that cancel in the value, each weighted
 by 1 + the size of its exponent's parts (an exponent of size s is rounded
 to ~eps s), plus the error of the Faddeeva function (scipy's ``wofz`` below
 |z| = 7, off by up to ~110 eps, and its asymptotic series from there, within
-2.4 eps); products propagate as m(ab) = m(a)|b| + |a|m(b).  GK15's
+2.4 eps); products propagate as m(ab) = m(a)|b| + |a|m(b).  A subnormal
+value (the time kernel's Gaussian near (b+c)^2 ~ 730) rounds in absolute
+units of 2^-1074 instead: it may be a few of them off where 50 eps x
+magnitude is far below one, which is negligible in any integral.  GK15's
 roundoff floor, 50 eps times the integral of the magnitude (QUADPACK;
 Piessens et al., 1983), is the one place that rounding enters the error
 estimates.
@@ -199,9 +202,11 @@ def scaled_time_kernel(k, t_ba: float, T: float, *, d_omega: float):
     Faddeeva arguments coincide, so equal gaps take one ``_faddeeva`` call
     and unequal gaps two: wofz where |z| < 7, the asymptotic series from
     there.  A call skips the Gaussian where (b+c)^2 >= 750 at every node
-    (the tails past k_hi), since its exp is 0.0 there.  Accepts a scalar or array k >= 0 and returns (value,
-    magnitude) of its shape: the wings weigh 2 + a^2 (one for the Faddeeva
-    function), the Gaussian 1 + its exponent's parts.
+    (the tails past k_hi), since its exp is 0.0 there.  Accepts a scalar or
+    array k >= 0 and returns (value, magnitude) of its shape: the wings
+    weigh 2 + a^2 (one for the Faddeeva function), the Gaussian 1 + its
+    exponent's parts.  Where the value is subnormal (near (b+c)^2 ~ 730)
+    that bound fails: it is off by a few units of 2^-1074 in absolute terms.
     """
     if T <= 0.0:
         raise ValueError("switching width T must be positive")

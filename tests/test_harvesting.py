@@ -6,6 +6,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.polynomial.legendre import leggauss
 
 from vharvest import harvesting, specfun
@@ -253,11 +255,12 @@ def test_unequal_gap_integrand_array_equals_node_by_node(rng):
     scale = mp.pi / 2 * mp.exp(-mean ** 2 / 2 + 6j * mean)
     for model in ModelKind:
         pair = DetectorPair(a, b, model)
-        term = harvesting._nonlocal(pair)
+        term = harvesting._table(pair, False)["m"]
         k = np.concatenate((rng.uniform(0.0, 40.0, 150), rng.uniform(40.0, 5e3, 60)))
         time = np.array([complex(_time_integral_mp(mp, a.omega, b.omega, kk, 0.0, 6.0, 1.0)
                                  / scale) for kk in k])
-        want = k ** term.p * term.kernel(k * 4.0)[0] * time / (4.0 * (a0 * k) ** 2 + 9.0) ** 6
+        p = term.share[1]
+        want = k ** p * term.kernel(k * 4.0)[0] * time / (4.0 * (a0 * k) ** 2 + 9.0) ** 6
         got, mag = harvesting._integrand(term)(k)
         assert np.all(np.abs(got - want) <= specfun._ROUNDOFF * mag)
 
@@ -663,6 +666,66 @@ def test_unequal_pair_integrates_l_aa_and_l_bb_as_one_group(monkeypatch):
     assert groups == [2, 2]
 
 
+@pytest.mark.parametrize("model", list(ModelKind))
+@pytest.mark.parametrize("ratio", [1.0, 1.15])
+def test_integrands_equal_their_group_rows_bitwise(model, ratio):
+    # a term's integrand alone (_integrand, and the views local_integrand and
+    # nonlocal_integrand) has the bits of its member's row in the group spec
+    # that compute_terms integrates
+    T = 1.3
+    a = AtomSpec(a0=1e-3, omega=2.0, switching_width=T)
+    b = AtomSpec(a0=1e-3, omega=2.0 * ratio, position=(0.0, 0.0, 3.0),
+                 switching_center=-1.5, switching_width=T)
+    pair = DetectorPair(a, b, model)
+    table = harvesting._table(pair, pair.identical)
+    views = {"l_aa": local_integrand(model, a.a0, a.omega, T),
+             "l_bb": local_integrand(model, b.a0, b.omega, T), "m": nonlocal_integrand(pair)}
+    k = np.concatenate((np.linspace(0.0, 60.0, 601), np.geomspace(60.0, 1e6, 80)))
+    for share in ("L", "M"):
+        names = [n for n, t in table.items() if t.share[0] == share]
+        spec = harvesting._spec(table[names[0]], [table[n] for n in names])
+        rows = dict(specfun._integrands(spec.integrand, k, spec.kernel,
+                                        [(time, d) for time, d, _ in spec.members]))
+        for i, name in enumerate(names):
+            value, mag = harvesting._integrand(table[name])(k)
+            assert np.array_equal(value, rows[i][0]) and np.array_equal(mag, rows[i][1])
+            if name in views:
+                assert np.array_equal(views[name](k), rows[i][0])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(list(ModelKind)), st.floats(0.5, 2.0), st.floats(0.5, 12.0),
+       st.floats(-3.0, -2.0), st.one_of(st.just(1.0), st.floats(0.8, 1.25)),
+       st.floats(0.1, 20.0), st.floats(-20.0, 20.0))
+def test_relabelling_and_translating_the_pair_keeps_its_terms(
+        model, T, omega_T, log_a0_omega, ratio, d_over_T, tba_over_T):
+    # the same two atoms with A and B swapped and B moved to the origin and
+    # time 0 (A to -d and -t_BA): L_AA and L_BB swap, and |M|, |L_AB| and
+    # N^(2) agree within the summed reported errors
+    omega, d, tba = omega_T / T, d_over_T * T, tba_over_T * T
+    a = AtomSpec(a0=10.0 ** log_a0_omega / omega, omega=omega, switching_width=T)
+    b = replace(a, omega=omega * ratio, position=(0.0, 0.0, d), switching_center=tba)
+    pair = DetectorPair(a, b, model)
+    swapped = DetectorPair(replace(b, position=(0.0, 0.0, 0.0), switching_center=0.0),
+                           replace(a, position=(0.0, 0.0, -d), switching_center=-tba), model)
+    try:
+        one = compute_terms(pair, include_cross=pair.identical)
+    except specfun.QuadratureConvergenceError:
+        # the small-separation stall of the derivative coupling (at Omega T =
+        # 0.5, a0 Omega = 1e-2 and d <= 0.125 T): the relabelled pair stalls too
+        with pytest.raises(specfun.QuadratureConvergenceError):
+            compute_terms(swapped, include_cross=pair.identical)
+        return
+    two = compute_terms(swapped, include_cross=pair.identical)
+    assert (two.l_aa, two.l_bb, two.log_scale) == (one.l_bb, one.l_aa, one.log_scale)
+    e1, e2 = one.quadrature_errors, two.quadrature_errors
+    assert abs(abs(one.m_scaled) - abs(two.m_scaled)) <= e1["m"] + e2["m"]
+    assert (abs(abs(one.l_ab_scaled) - abs(two.l_ab_scaled))
+            <= e1.get("l_ab", 0.0) + e2.get("l_ab", 0.0))
+    assert (abs(one.negativity2_scaled - two.negativity2_scaled)
+            <= one.negativity2_error_scaled() + two.negativity2_error_scaled())
+
+
 def test_j0_keeps_the_bits_of_its_formulas():
     # j0 without the cos, and sinh s / s on the nodes below 5 alone
     x = np.concatenate([np.linspace(0.0, 30.0, 30001),
@@ -684,7 +747,7 @@ def test_cross_term_sums_no_tail(monkeypatch):
     tails = specfun._oscillatory_tails
 
     def no_tail(f, kernel, members, *args, **kwargs):
-        if any("_cross" in time.__qualname__ for time, _ in members):
+        if any(time.args[0][0] == "L_AB" for time, _ in members):
             raise AssertionError("L_AB summed a tail past k_hi")
         return tails(f, kernel, members, *args, **kwargs)
 
@@ -710,8 +773,8 @@ def _edge_groups(rng):
     b = AtomSpec(a0=a0, omega=omega * ratio, position=(0.0, 0.0, d),
                  switching_center=tba, switching_width=T)
     twin = DetectorPair(a, replace(b, omega=omega), model)
-    return ([harvesting._nonlocal(DetectorPair(a, b, model)), harvesting._cross(twin)],
-            [harvesting._local(model, a)])
+    return ([harvesting._table(DetectorPair(a, b, model), False)["m"],
+             harvesting._table(twin, True)["l_ab"]], [harvesting._table(twin, False)["l_aa"]])
 
 
 def _abs_integral(term, lo, hi, panels):
@@ -730,9 +793,10 @@ def test_edge_bound_holds(rng):
         for group in _edge_groups(rng):
             k_live, bounds = harvesting._live_edge(group)
             for term, bound in zip(group, bounds):
-                sqrt_w = term.T / math.sqrt(2.0)
+                _, p, a0, T = term.share
+                sqrt_w = T / math.sqrt(2.0)
                 near = k_live + 12.0 / sqrt_w   # past it b - |c| > 19: the Gaussian is dead
-                far = 3.0 * harvesting._WING_CUTOFF[term.p] / (2.0 * term.a0)
+                far = 3.0 * harvesting._WING_CUTOFF[p] / (2.0 * a0)
                 brute = (_abs_integral(term, k_live, near, 200)
                          + _abs_integral(term, near, far, 1500))
                 assert 0.0 < brute <= bound
@@ -792,7 +856,8 @@ def test_a_group_where_no_member_could_stop_has_no_edge(monkeypatch):
     # have: M alone gets no edge and takes all its seeds in its first pass,
     # while with L_AB, which stops, the group keeps its edge
     pair = make_pair(model=ModelKind.UDW_SCALAR, d=3.0, tba=1.5)
-    m, l_ab = harvesting._nonlocal(pair), harvesting._cross(pair)
+    table = harvesting._table(pair, True)
+    m, l_ab = table["m"], table["l_ab"]
     assert harvesting._live_edge([m]) == (math.inf, ())
     k_live, bounds = harvesting._live_edge([m, l_ab])
     assert k_live < math.sqrt(1500.0) and bounds[0] > 1e-10 > bounds[1]
@@ -820,9 +885,11 @@ def test_edge_bound_is_overflow_safe(a0, T, tba):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for model in ModelKind:
-            pair = DetectorPair(a, b, model)
-            twin = DetectorPair(a, replace(b, omega=a.omega), model)
-            group = [harvesting._nonlocal(pair), harvesting._cross(twin)]
+            # M of the pair and L_AB of its identical twin, built directly:
+            # most of these lie past the range _table accepts
+            share = ("M", harvesting._model_params(model)[2], a0, T)
+            group = [harvesting._Term(share, ("M", tba, a.omega - b.omega), 3.0 * T, ()),
+                     harvesting._Term(share, ("L_AB", tba, a.omega), 3.0 * T, ())]
             k_live, bounds = harvesting._live_edge(group)
             assert k_live > 0.0 and all(bound >= 0.0 for bound in bounds)
             if a0 == 1e-200:
@@ -844,8 +911,11 @@ def test_a_member_whose_bound_overflows_runs_on(monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         pair = make_pair(model=ModelKind.UDW_DERIVATIVE, a0_omega=2e-200, tba=20.0)
-        m = harvesting._nonlocal(pair)
-        spec = harvesting._spec(m, [m, harvesting._cross(pair)])
+        # past the range _table accepts: M and L_AB built directly
+        share, d = ("M", 7, pair.atom_a.a0, 1.0), pair.separation
+        m = harvesting._Term(share, ("M", 20.0, 0.0), d, (), harvesting._j0)
+        l_ab = harvesting._Term(share, ("L_AB", 20.0, pair.atom_a.omega), d, (), harvesting._j0)
+        spec = harvesting._spec(m, [m, l_ab])
         quads = specfun.integrate_damped_group(spec)
     assert spec.live_edge < math.sqrt(1500.0) and spec.edge_bounds[0] == math.inf
     assert all(isinstance(q, specfun.QuadratureResult) for q in quads)
@@ -875,8 +945,9 @@ def test_a_delay_beyond_the_seed_arithmetic_is_rejected_by_name():
 def _brute_m_scaled(pair):
     # composite 16-point Gauss-Legendre of M's integrand out to 3x its wing
     # cutoff, on geometric panels and on panels of a quarter spatial period
-    term = harvesting._nonlocal(pair)
-    far = 3.0 * harvesting._WING_CUTOFF[term.p] / (2.0 * term.a0)
+    term = harvesting._table(pair, False)["m"]
+    _, p, a0, _ = term.share
+    far = 3.0 * harvesting._WING_CUTOFF[p] / (2.0 * a0)
     edges = np.unique(np.concatenate((np.geomspace(1e-8, far, 4000),
                                       np.arange(0.0, far, 0.5 * math.pi / pair.separation))))
     x, w = leggauss(16)
@@ -966,3 +1037,13 @@ def test_detector_pair_validation():
         DetectorPair(a, b, ModelKind.EM_DIPOLE)
     with pytest.raises(ValueError):
         ModelKind.from_name("tensor")
+
+
+@pytest.mark.parametrize("model", ["em", "udw", "derivative", None])
+def test_rejects_a_model_that_is_not_a_model_kind(model):
+    # a name is not a ModelKind: it would fall through to the derivative
+    # coupling, and "em" would skip the z-axis check
+    a = AtomSpec(a0=1e-3, omega=1.0)
+    b = AtomSpec(a0=1e-3, omega=1.0, position=(1.0, 0.0, 0.0))
+    with pytest.raises(ValueError, match="ModelKind"):
+        DetectorPair(a, b, model)
