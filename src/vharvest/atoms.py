@@ -1,5 +1,5 @@
 """Hydrogenlike orbital data: the atom and switching specifications and the
-closed-form radial overlap integrals.
+coefficients of the closed-form radial overlap integrals.
 
 Natural units with c = 1 throughout; a0 is the generalized Bohr radius and
 the energy gap Omega is an inverse length.  Only the levels that enter the
@@ -16,13 +16,11 @@ from .angular import EulerAngles
 __all__ = [
     "AtomSpec",
     "SwitchingKind",
-    "radial_overlap",
-    "wavefunction_overlap_log10",
     "RADIAL_OVERLAP_L0_COEFF",
     "RADIAL_OVERLAP_L2_COEFF",
 ]
 
-# closed forms of integral_0^inf r^3 R21 R10 j_l(kr) dr, u = (a0 k)^2:
+# read by ``oracle.radial_overlap``: int_0^inf r^3 R21 R10 j_l(kr) dr, u = (a0 k)^2
 #   l=0: c0 * a0 * (9 - 4u) / (4u + 9)^4      c0 = 384 sqrt(6)
 #   l=2: c2 * a0 * u / (4u + 9)^4             c2 = 3072 sqrt(6)
 RADIAL_OVERLAP_L0_COEFF = 384.0 * math.sqrt(6.0)
@@ -84,36 +82,3 @@ class AtomSpec:
     def sigma(self) -> float:
         return self.switching_width / math.sqrt(2.0)
 
-
-def radial_overlap(l: int, k: float, a0: float) -> float:
-    """integral_0^inf r^3 R21(r) R10(r) j_l(kr) dr.
-
-    Rational closed forms in u = (a0 k)^2 for l = 0 and 2, the two values the
-    2p_z harvesting kernels need.
-    """
-    if not (a0 > 0):
-        raise ValueError("a0 must be positive")
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    u = (a0 * k) ** 2
-    den = (4.0 * u + 9.0) ** 4
-    if l == 0:
-        return RADIAL_OVERLAP_L0_COEFF * a0 * (9.0 - 4.0 * u) / den
-    if l == 2:
-        return RADIAL_OVERLAP_L2_COEFF * a0 * u / den
-    raise ValueError("radial_overlap supports l = 0 and 2")
-
-
-def wavefunction_overlap_log10(d: float, a0: float) -> float:
-    """log10 of the two-center 1s-1s overlap <1s(0)|1s(d)>, evaluated in the
-    log domain so separations of thousands of Bohr radii do not underflow.
-
-    The closed form is exp(-rho) (1 + rho + rho^2/3) with rho = d/a0;
-    normalized to 1 at zero displacement.
-    """
-    if d < 0:
-        raise ValueError("d must be >= 0")
-    if not (a0 > 0):
-        raise ValueError("a0 must be positive")
-    rho = d / a0
-    return (-rho + math.log1p(rho * (1.0 + rho / 3.0))) / math.log(10.0)

@@ -21,7 +21,7 @@ with S = exp(-T^2 Omega^2/2), G(k) = exp(-T^2 (k^2/2 + Omega k)), kern = 1
 for L, and K(k, t_BA) the time kernel ``scaled_time_kernel`` at d_omega =
 Omega_A - Omega_B.  In M, Omega is the mean gap (Omega_A + Omega_B)/2, so one
 row serves every gap: pi T^2/2 S e^{i Omega (t_A+t_B)} K is the ordered
-double time integral ``time_integral_closed``.  Like every time factor K is
+double time integral ``oracle.time_integral_closed``.  Like every time factor K is
 evaluated once per batch of quadrature nodes; its erfc wings decay only
 algebraically in k, so M integrates them to the rational cutoff or sums them
 over the spatial period.  A term stops instead at the live edge, where its
@@ -67,17 +67,14 @@ __all__ = [
     "DetectorPair",
     "HarvestTerms",
     "PositivityReport",
-    "EmDecomposition",
     "local_term",
     "nonlocal_term",
     "cross_noise_term",
-    "time_integral_closed",
     "compute_terms",
     "compute_terms_many",
     "assemble_state",
     "negativity_leading",
     "positivity_report",
-    "em_decomposition_identity",
     "local_integrand",
     "nonlocal_integrand",
 ]
@@ -88,6 +85,7 @@ EM_LOCAL_COEFF = 49152.0
 EM_NONLOCAL_COEFF = 24576.0
 SCALAR_LOCAL_COEFF = 32768.0
 SCALAR_NONLOCAL_COEFF = 16384.0
+# the split behind EM_LOCAL_COEFF, read by ``oracle.em_decomposition_identity``
 EM_DECOMP_IDENTITY_COEFF = 663552.0
 EM_DECOMP_DYADIC_COEFF = 24576.0
 EM_DECOMP_M_J2_COEFF = 2359296.0
@@ -236,23 +234,6 @@ class PositivityReport:
     cross_inequality: float  # L_AA L_BB - |L_AB|^2, must be >= -tolerance
     tolerance: float
     passed: bool
-
-
-@dataclass(frozen=True)
-class EmDecomposition:
-    """Appendix-level split of the EM kernels into identity and k(x)k parts.
-
-    The l_* fields are the numerator polynomials in u = (a0 k)^2 over the
-    common denominator (4u+9)^8; the m_* fields carry the spatial Bessel
-    kernels as well and reduce to 49152 (4u+9)^2 (j0+j2)(kd)."""
-
-    u: float
-    l_identity: float
-    l_dyadic: float
-    l_total: float
-    m_identity: float | None = None
-    m_dyadic: float | None = None
-    m_total: float | None = None
 
 
 # ----------------------------------------------------------------------------
@@ -551,30 +532,6 @@ def cross_noise_term(pair: DetectorPair, atol: float = 1e-16,
 
 
 # ----------------------------------------------------------------------------
-# Closed-form Gaussian time integral (general gaps)
-# ----------------------------------------------------------------------------
-
-def time_integral_closed(omega_a: float, omega_b: float, k, t_a: float,
-                         t_b: float, T: float):
-    """Ordered double time integral of the two switching orderings against
-    exp(i(Omega_a t1 + Omega_b t2)) exp(-i k (t1 - t2)), Gaussian switchings
-    of common width T centered at t_a and t_b:
-
-        pi T^2/2 exp(-T^2 Omega^2/2 + i Omega (t_a + t_b)) kernel(k)
-
-    with Omega = (Omega_a + Omega_b)/2 and kernel the overflow-safe
-    ``scaled_time_kernel`` at t_BA = t_b - t_a, d_omega = Omega_a - Omega_b,
-    so the result is finite for any T k.  Returns (value, magnitude): a
-    scalar k gives (complex, float), an array of k one pair of arrays over
-    the nodes.
-    """
-    kernel, mag = scaled_time_kernel(k, t_b - t_a, T, d_omega=omega_a - omega_b)
-    log_modulus, phase = _mean_gap_factor(omega_a, omega_b, t_a, t_b, T)
-    scale = 0.5 * math.pi * T * T * (math.exp(log_modulus) * phase)
-    return scale * kernel, abs(scale) * mag
-
-
-# ----------------------------------------------------------------------------
 # Terms, state assembly and diagnostics
 # ----------------------------------------------------------------------------
 
@@ -672,27 +629,32 @@ def negativity_leading(l_aa: float, l_bb: float, abs_m: float) -> float:
                    - math.sqrt((l_aa - l_bb) ** 2 + 4.0 * abs_m ** 2))
 
 
+def _state_fault(terms: HarvestTerms) -> str | None:
+    """Why no density matrix has these terms, or None: non-finite local terms,
+    L_AA + L_BB > 1, or |M| > 1/2 (off the diagonal |rho_ij| <= 1/2)."""
+    l_aa, l_bb, abs_m = terms.l_aa, terms.l_bb, abs(terms.m)
+    if not (math.isfinite(l_aa) and math.isfinite(l_bb)):
+        return "non-finite local terms"
+    if l_aa + l_bb > 1.0:
+        return (f"L_AA + L_BB = {l_aa + l_bb:.3g} > 1: leading-order perturbation "
+                "theory is invalid at this coupling")
+    if not abs_m <= 0.5:
+        return (f"|M| = {abs_m:.3g} > 1/2: leading-order perturbation theory is "
+                "invalid at this coupling")
+    return None
+
+
 def assemble_state(terms: HarvestTerms) -> np.ndarray:
     """The leading-order two-qubit density matrix in the basis
     {gg, eg, ge, ee}; its negativity and concurrence are those of
-    ``terms``.  Raises ValueError where no density matrix has these terms:
-    L_AA + L_BB > 1, or |M| > 1/2 (|rho_ij| <= sqrt(rho_ii rho_jj) <= 1/2
-    off the diagonal)."""
-    l_aa, l_bb, abs_m = terms.l_aa, terms.l_bb, abs(terms.m)
-    if not (math.isfinite(l_aa) and math.isfinite(l_bb)):
-        raise ValueError("non-finite local terms")
-    if l_aa + l_bb > 1.0:
-        raise ValueError(
-            f"L_AA + L_BB = {l_aa + l_bb:.3g} > 1: leading-order perturbation "
-            "theory is invalid at this coupling")
-    if not abs_m <= 0.5:
-        raise ValueError(
-            f"|M| = {abs_m:.3g} > 1/2: leading-order perturbation theory is "
-            "invalid at this coupling")
+    ``terms``.  Raises ValueError where no state has them (``_state_fault``)."""
+    fault = _state_fault(terms)
+    if fault:
+        raise ValueError(fault)
     rho = np.zeros((4, 4), dtype=complex)
-    rho[0, 0] = 1.0 - l_aa - l_bb
-    rho[1, 1] = l_aa
-    rho[2, 2] = l_bb
+    rho[0, 0] = 1.0 - terms.l_aa - terms.l_bb
+    rho[1, 1] = terms.l_aa
+    rho[2, 2] = terms.l_bb
     rho[1, 2] = terms.l_ab
     rho[2, 1] = np.conj(terms.l_ab)
     rho[3, 0] = terms.m
@@ -726,31 +688,3 @@ def positivity_report(terms: HarvestTerms) -> PositivityReport:
         e3=e3, e4=e4, cross_inequality=cross,
         tolerance=max(tol, cross_tol), passed=passed)
 
-
-def em_decomposition_identity(k: float, a0: float,
-                              d: float | None = None) -> EmDecomposition:
-    """Identity/dyadic decomposition of the EM kernels at one momentum.
-
-    The numerators over (4u+9)^8 satisfy
-
-        663552 (16u^2 - 8u + 9) - 24576 (20u - 9)^2 = 49152 (4u + 9)^2
-
-    and, with the spatial Bessel factors at separation d, the same
-    subtraction reproduces the 49152 (4u+9)^2 (j0 + j2)(kd) kernel of the
-    nonlocal term.
-    """
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    u = (a0 * k) ** 2
-    l_id = EM_DECOMP_IDENTITY_COEFF * (16.0 * u * u - 8.0 * u + 9.0)
-    l_dy = EM_DECOMP_DYADIC_COEFF * (20.0 * u - 9.0) ** 2
-    l_tot = l_id - l_dy
-    if d is None:
-        return EmDecomposition(u=u, l_identity=l_id, l_dyadic=l_dy, l_total=l_tot)
-    x = k * d
-    j0 = spherical_bessel_j(0, x)
-    j2 = spherical_bessel_j(2, x)
-    m_id = j0 * l_id - j2 * EM_DECOMP_M_J2_COEFF * u * (8.0 * u - 9.0)
-    m_dy = l_dy * (j0 - 2.0 * j2)
-    return EmDecomposition(u=u, l_identity=l_id, l_dyadic=l_dy, l_total=l_tot,
-                           m_identity=m_id, m_dyadic=m_dy, m_total=m_id - m_dy)

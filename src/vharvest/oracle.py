@@ -8,6 +8,8 @@ fractions for the error functions, and a dense eigensolver for the
 negativity.  ``run_all`` executes the whole battery and is what the CLI
 ``selfcheck`` command drives; ``MUTABLE_CONSTANTS`` lists the closed-form
 coefficients a mutation run may perturb to prove the battery has teeth.
+The closed forms only the battery and the tests call live here too; their
+coefficients stay in the engine modules, where a mutation run sets them.
 """
 
 from __future__ import annotations
@@ -19,15 +21,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import wofz as _wofz
 
 from . import atoms, harvesting
 from .angular import (EulerAngles, _rotated, euler_rotation_matrix, gaunt_integral,
                       polarization_completeness, rotate_harmonic, sph_harm_y)
 from .atoms import AtomSpec
-from .harvesting import (DetectorPair, ModelKind, negativity_leading,
-                         time_integral_closed)
-from .specfun import _adaptive_gk, spherical_bessel_j
+from .harvesting import DetectorPair, ModelKind, _mean_gap_factor, negativity_leading
+from .specfun import (_adaptive_gk, _faddeeva, scaled_time_kernel, spherical_bessel_j,
+                      spherical_bessel_j0_plus_j2)
 
 __all__ = [
     "OracleReport",
@@ -39,10 +40,14 @@ __all__ = [
     "scalar_smearing_fourier_bruteforce",
     "run_all",
     "MUTABLE_CONSTANTS",
-    "faddeeva_w",
     "smearing_scalar",
     "smearing_vector",
     "radial_R",
+    "EmDecomposition",
+    "em_decomposition_identity",
+    "time_integral_closed",
+    "radial_overlap",
+    "wavefunction_overlap_log10",
 ]
 
 # closed-form constants the mutation self-check may perturb
@@ -72,26 +77,112 @@ class OracleReport:
 
 
 # ----------------------------------------------------------------------------
-# Reference helpers the battery and the tests use; the engine does not
+# Closed forms the battery checks the engine against
 # ----------------------------------------------------------------------------
 
-def faddeeva_w(z: complex) -> complex:
-    """Faddeeva function w(z) = exp(-z^2) erfc(-i z).
+@dataclass(frozen=True)
+class EmDecomposition:
+    """Appendix-level split of the EM kernels into identity and k(x)k parts.
 
-    The upper half plane is numerically benign; the lower half plane goes
-    through the reflection w(-z) = 2 exp(-z^2) - w(z) and raises once
-    exp(-z^2) overflows.
+    The l_* fields are the numerator polynomials in u = (a0 k)^2 over the
+    common denominator (4u+9)^8; the m_* fields carry the spatial Bessel
+    kernels as well and reduce to 49152 (4u+9)^2 (j0+j2)(kd)."""
+
+    u: float
+    l_identity: float
+    l_dyadic: float
+    l_total: float
+    m_identity: float | None = None
+    m_dyadic: float | None = None
+    m_total: float | None = None
+
+
+def em_decomposition_identity(k: float, a0: float,
+                              d: float | None = None) -> EmDecomposition:
+    """Identity/dyadic decomposition of the EM kernels at one momentum.
+
+    The numerators over (4u+9)^8 satisfy
+
+        663552 (16u^2 - 8u + 9) - 24576 (20u - 9)^2 = 49152 (4u + 9)^2
+
+    and, with the spatial Bessel factors at separation d, the same
+    subtraction reproduces the 49152 (4u+9)^2 (j0 + j2)(kd) kernel of the
+    nonlocal term.
     """
-    z = complex(z)
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise ValueError(f"faddeeva_w requires finite z, got {z}")
-    if z.imag >= 0.0:
-        return complex(_wofz(z))
-    mz2 = -z * z
-    if mz2.real > 709.0:  # ln(DBL_MAX), rounded down
-        raise OverflowError(f"exp(-z^2) overflows for z={z}")
-    return 2.0 * cmath.exp(mz2) - complex(_wofz(-z))
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    u = (a0 * k) ** 2
+    l_id = harvesting.EM_DECOMP_IDENTITY_COEFF * (16.0 * u * u - 8.0 * u + 9.0)
+    l_dy = harvesting.EM_DECOMP_DYADIC_COEFF * (20.0 * u - 9.0) ** 2
+    l_tot = l_id - l_dy
+    if d is None:
+        return EmDecomposition(u=u, l_identity=l_id, l_dyadic=l_dy, l_total=l_tot)
+    x = k * d
+    j0 = spherical_bessel_j(0, x)
+    j2 = spherical_bessel_j(2, x)
+    m_id = j0 * l_id - j2 * harvesting.EM_DECOMP_M_J2_COEFF * u * (8.0 * u - 9.0)
+    m_dy = l_dy * (j0 - 2.0 * j2)
+    return EmDecomposition(u=u, l_identity=l_id, l_dyadic=l_dy, l_total=l_tot,
+                           m_identity=m_id, m_dyadic=m_dy, m_total=m_id - m_dy)
 
+
+def time_integral_closed(omega_a: float, omega_b: float, k, t_a: float,
+                         t_b: float, T: float):
+    """Ordered double time integral of the two switching orderings against
+    exp(i(Omega_a t1 + Omega_b t2)) exp(-i k (t1 - t2)), Gaussian switchings
+    of common width T centered at t_a and t_b:
+
+        pi T^2/2 exp(-T^2 Omega^2/2 + i Omega (t_a + t_b)) kernel(k)
+
+    with Omega = (Omega_a + Omega_b)/2 and kernel the overflow-safe
+    ``scaled_time_kernel`` at t_BA = t_b - t_a, d_omega = Omega_a - Omega_b,
+    so the result is finite for any T k.  Returns (value, magnitude): a
+    scalar k gives (complex, float), an array of k one pair of arrays over
+    the nodes.
+    """
+    kernel, mag = scaled_time_kernel(k, t_b - t_a, T, d_omega=omega_a - omega_b)
+    log_modulus, phase = _mean_gap_factor(omega_a, omega_b, t_a, t_b, T)
+    scale = 0.5 * math.pi * T * T * (math.exp(log_modulus) * phase)
+    return scale * kernel, abs(scale) * mag
+
+
+def radial_overlap(l: int, k: float, a0: float) -> float:
+    """integral_0^inf r^3 R21(r) R10(r) j_l(kr) dr.
+
+    Rational closed forms in u = (a0 k)^2 for l = 0 and 2, the two values the
+    2p_z harvesting kernels need.
+    """
+    if not (a0 > 0):
+        raise ValueError("a0 must be positive")
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    u = (a0 * k) ** 2
+    den = (4.0 * u + 9.0) ** 4
+    if l == 0:
+        return atoms.RADIAL_OVERLAP_L0_COEFF * a0 * (9.0 - 4.0 * u) / den
+    if l == 2:
+        return atoms.RADIAL_OVERLAP_L2_COEFF * a0 * u / den
+    raise ValueError("radial_overlap supports l = 0 and 2")
+
+
+def wavefunction_overlap_log10(d: float, a0: float) -> float:
+    """log10 of the two-center 1s-1s overlap <1s(0)|1s(d)>, evaluated in the
+    log domain so separations of thousands of Bohr radii do not underflow.
+
+    The closed form is exp(-rho) (1 + rho + rho^2/3) with rho = d/a0;
+    normalized to 1 at zero displacement.
+    """
+    if d < 0:
+        raise ValueError("d must be >= 0")
+    if not (a0 > 0):
+        raise ValueError("a0 must be positive")
+    rho = d / a0
+    return (-rho + math.log1p(rho * (1.0 + rho / 3.0))) / math.log(10.0)
+
+
+# ----------------------------------------------------------------------------
+# Reference helpers the battery and the tests use; the engine does not
+# ----------------------------------------------------------------------------
 
 def radial_R(n: int, l: int, r, a0: float):
     """Hydrogenlike radial wavefunction R_nl(r) for (1,0), (2,0), (2,1)."""
@@ -402,27 +493,24 @@ def negativity_bruteforce(l_aa: float, l_bb: float, l_ab: complex,
 # The whole battery
 # ----------------------------------------------------------------------------
 
-def _erfc_reference(z: complex) -> complex:
-    """erfc by Maclaurin series (|z| <= 3) or Laplace continued fraction,
-    sharing nothing with the Faddeeva package."""
-    z = complex(z)
-    if z.real < 0:
-        return 2.0 - _erfc_reference(-z)
-    if abs(z) <= 3.0:
-        term = z
-        acc = z
-        zz = z * z
+def _faddeeva_reference(z: complex) -> complex:
+    """w(z) = e^{s^2} erfc(s), s = -iz, for Im z >= 0 by the Maclaurin series
+    of erfc (|z| <= 3) or the Laplace continued fraction of w, sharing
+    nothing with wofz or the engine's asymptotic series."""
+    s = -1j * complex(z)
+    if abs(s) <= 3.0:
+        term = acc = s
         for n in range(1, 200):
-            term *= -zz / n
+            term *= -s * s / n
             acc += term / (2 * n + 1)
             if abs(term) < 1e-20 * abs(acc):
                 break
-        return 1.0 - 2.0 / math.sqrt(math.pi) * acc
-    # sqrt(pi) e^{z^2} erfc(z) = 1/(z + (1/2)/(z + 1/(z + (3/2)/(z + ...))))
+        return cmath.exp(s * s) * (1.0 - 2.0 / math.sqrt(math.pi) * acc)
+    # sqrt(pi) e^{s^2} erfc(s) = 1/(s + (1/2)/(s + 1/(s + (3/2)/(s + ...))))
     cf = 0.0 + 0.0j
     for n in range(80, 0, -1):
-        cf = (0.5 * n) / (z + cf)
-    return cmath.exp(-z * z) / math.sqrt(math.pi) / (z + cf)
+        cf = (0.5 * n) / (s + cf)
+    return 1.0 / math.sqrt(math.pi) / (s + cf)
 
 
 def run_all(seed: int = 1234, mutate: str | None = None) -> list[OracleReport]:
@@ -479,7 +567,7 @@ def _run_all_inner(seed: int) -> list[OracleReport]:
     us = np.geomspace(1e-6, 1e6, 40)
     for u in us:
         k = math.sqrt(u) / a0
-        dec = harvesting.em_decomposition_identity(k, a0, d=2.5)
+        dec = em_decomposition_identity(k, a0, d=2.5)
         target_l = harvesting.EM_LOCAL_COEFF * (4.0 * u + 9.0) ** 2
         worst = _worse(worst, abs(dec.l_total - target_l) / target_l)
         kern = spherical_bessel_j(0, 2.5 * k) + spherical_bessel_j(2, 2.5 * k)
@@ -492,11 +580,11 @@ def _run_all_inner(seed: int) -> list[OracleReport]:
     worst = 0.0
     evals = 0
     a0 = 0.7
-    scale0 = atoms.radial_overlap(0, 0.0, a0)
+    scale0 = radial_overlap(0, 0.0, a0)
     for ak in (0.0, 0.02, 0.4, 2.0, 9.0, 19.0, 60.0, 400.0):
         k = ak / a0
         for l in (0, 2):
-            closed = atoms.radial_overlap(l, k, a0)
+            closed = radial_overlap(l, k, a0)
             brute, berr, ev = radial_bruteforce(l, k, a0)
             # below the quadrature's own roundoff bound the comparison is
             # only meaningful in absolute terms
@@ -549,25 +637,28 @@ def _run_all_inner(seed: int) -> list[OracleReport]:
             polarization_completeness(k) - target))))
     reports.append(OracleReport("polarization_completeness", worst, 1e-14, 1000))
 
-    # 7. Bessel recurrence j_{l-1} + j_{l+1} = (2l+1)/x j_l
+    # 7. Bessel recurrence j_{l-1} + j_{l+1} = (2l+1)/x j_l; at l = 1 the
+    # left side is the EM spatial kernel j0 + j2
     worst = 0.0
     xs = np.geomspace(0.1, 100.0, 400)
     for l in (1, 2, 3):
-        lhs = spherical_bessel_j(l - 1, xs) + spherical_bessel_j(l + 1, xs)
+        lhs = (spherical_bessel_j0_plus_j2(xs)[0] if l == 1 else
+               spherical_bessel_j(l - 1, xs) + spherical_bessel_j(l + 1, xs))
         rhs = (2 * l + 1) / xs * spherical_bessel_j(l, xs)
         scale = np.maximum(np.abs(lhs), np.abs(rhs))
         scale = np.maximum(scale, np.abs(spherical_bessel_j(l, xs)))
         worst = _worse(worst, float(np.max(np.abs(lhs - rhs) / scale)))
     reports.append(OracleReport("bessel_recurrence", worst, 1e-11, 5 * 400))
 
-    # 8. Faddeeva/erfc vs series + continued fraction
+    # 8. the time kernel's Faddeeva function, wofz below |z| = 7 and the
+    # asymptotic series past it, vs series + continued fraction
     worst = 0.0
-    pts = [0.0 + 0.0j, 1.0 + 0.0j, 1j, 0.3 + 0.7j, 2.5 - 0.4j, -1.2 + 0.9j,
-           5.0 + 3.0j, 8.0 - 2.0j]
+    pts = [0.0 + 0.0j, 1.0 + 0.0j, 1j, 0.3 + 0.7j, -1.2 + 0.9j, 5.0 + 3.0j,
+           7.5 + 0.05j, 8.0 + 2.0j, -12.0 + 0.3j, 30.0 + 0.001j, 1e3 + 2.0j]
     for z in pts:
-        # w(z) = e^{-z^2} erfc(-iz)
-        ref = cmath.exp(-z * z) * _erfc_reference(-1j * z)
-        worst = _worse(worst, abs(faddeeva_w(z) - ref) / abs(ref))
+        w = complex(_faddeeva(np.array([z.real]), z.imag)[0])
+        ref = _faddeeva_reference(z)
+        worst = _worse(worst, abs(w - ref) / abs(ref))
     reports.append(OracleReport("faddeeva_vs_series_cf", worst, 1e-12, len(pts)))
 
     # 9. negativity formula vs dense partial-transpose eigensolver

@@ -198,7 +198,7 @@ def scaled_time_kernel(k, t_ba: float, T: float, *, d_omega: float):
     orderings against exp(i(Omega_A t_1 + Omega_B t_2 - k (t_1 - t_2))),
     with t_ba = t_B - t_A and d_omega = Omega_A - Omega_B, is pi T^2/2
     exp(-T^2 Omega^2/2 + i Omega (t_A + t_B)) times the kernel, Omega the
-    mean gap (``harvesting.time_integral_closed``).  At c = 0 the two
+    mean gap (``oracle.time_integral_closed``).  At c = 0 the two
     Faddeeva arguments coincide, so equal gaps take one ``_faddeeva`` call
     and unequal gaps two: wofz where |z| < 7, the asymptotic series from
     there.  A call skips the Gaussian where (b+c)^2 >= 750 at every node

@@ -22,7 +22,8 @@ import numpy as np
 
 from .angular import EulerAngles, euler_rotation_matrix
 from .atoms import LIGHTCONE_SIGMAS, AtomSpec, SwitchingKind
-from .harvesting import ERROR_FACTOR, DetectorPair, ModelKind, compute_terms_many
+from .harvesting import (ERROR_FACTOR, DetectorPair, ModelKind, _state_fault,
+                         compute_terms_many)
 from .specfun import QuadratureConvergenceError
 
 __all__ = [
@@ -145,10 +146,14 @@ def pair_from_params(params: dict, model: ModelKind,
     return DetectorPair(atom_a, atom_b, model, coupling=coupling)
 
 
-def _row(coords: tuple, terms, converged: bool, floats: dict) -> ScanRow:
+def _row(names: tuple, coords: tuple, terms, converged: bool, floats: dict) -> ScanRow:
     if isinstance(terms, QuadratureConvergenceError):
         return ScanRow(coords, math.nan, math.nan, math.nan, math.nan,
                        False, False, math.inf)
+    fault = _state_fault(terms)
+    if fault:
+        point = ", ".join(f"{name} = {v:g}" for name, v in zip(names, coords))
+        raise ValueError(f"at {point}: {fault}")
     # plain floats, smaller than numpy scalars, and one object per distinct
     # L value (floats): a scan keeps every row
     l_aa, l_bb = (floats.setdefault(v, v) for v in (float(terms.l_aa), float(terms.l_bb)))
@@ -169,7 +174,8 @@ def run_grid(grid: ScanGrid, threads: int = 1,
     atol and rtol x 1e3 and marked ``converged=False``; one that misses
     that too is a row of NaN.  The default switching is "auto", which crops
     pairs outside the lightcone band (``SwitchingKind.resolve``).
-    ``threads`` is accepted and has no effect."""
+    ``threads`` is accepted and has no effect.  Raises ValueError at the
+    first point whose terms no state has (``harvesting.assemble_state``)."""
     axis_names = tuple(a.name for a in grid.axes)
     coords = []
     pairs = []
@@ -179,12 +185,12 @@ def run_grid(grid: ScanGrid, threads: int = 1,
     results = compute_terms_many(pairs, switching=switching, include_cross=False,
                                  atol=atol, rtol=rtol)
     missed = [i for i, r in enumerate(results) if isinstance(r, QuadratureConvergenceError)]
-    retried = compute_terms_many([pairs[i] for i in missed], switching=switching,
-                                 include_cross=False, atol=atol * 1e3, rtol=rtol * 1e3)
+    retried = dict(zip(missed, compute_terms_many(
+        [pairs[i] for i in missed], switching=switching, include_cross=False,
+        atol=atol * 1e3, rtol=rtol * 1e3)))
     floats = {}
-    rows = [_row(c, r, True, floats) for c, r in zip(coords, results)]
-    for i, r in zip(missed, retried):
-        rows[i] = _row(coords[i], r, False, floats)
+    rows = [_row(axis_names, c, retried.get(i, r), i not in retried, floats)
+            for i, (c, r) in enumerate(zip(coords, results))]
     meta = {
         "model": grid.model.value,
         "fixed": dict(grid.fixed),

@@ -14,14 +14,13 @@ import pytest
 
 from vharvest.angular import EulerAngles, polarization_completeness, rotate_harmonic
 from vharvest.angular import gaunt_integral
-from vharvest.atoms import SwitchingKind, radial_overlap, wavefunction_overlap_log10
+from vharvest.atoms import SwitchingKind
 from vharvest.cli import main as cli_main
-from vharvest.harvesting import (ModelKind, compute_terms,
-                                 em_decomposition_identity, nonlocal_term,
-                                 positivity_report, time_integral_closed)
-from vharvest.oracle import (MUTABLE_CONSTANTS, radial_bruteforce,
-                             rotation_bruteforce, run_all, sphere_quadrature,
-                             time_integral_bruteforce)
+from vharvest.harvesting import ModelKind, compute_terms, nonlocal_term, positivity_report
+from vharvest.oracle import (MUTABLE_CONSTANTS, em_decomposition_identity,
+                             radial_bruteforce, radial_overlap, rotation_bruteforce,
+                             run_all, sphere_quadrature, time_integral_bruteforce,
+                             time_integral_closed, wavefunction_overlap_log10)
 from vharvest.specfun import spherical_bessel_j
 from vharvest.survey import (Axis, harvestability_map, model_comparison,
                              pair_from_params, spacetime_map)

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from vharvest.angular import EulerAngles
-from vharvest.atoms import (AtomSpec, SwitchingKind, radial_overlap,
-                            wavefunction_overlap_log10)
-from vharvest.oracle import (radial_bruteforce, radial_R, smearing_scalar,
-                             smearing_vector, sphere_quadrature)
+from vharvest.atoms import AtomSpec, SwitchingKind
+from vharvest.oracle import (radial_bruteforce, radial_overlap, radial_R, smearing_scalar,
+                             smearing_vector, sphere_quadrature,
+                             wavefunction_overlap_log10)
 from vharvest.specfun import _adaptive_gk
 
 A0 = 0.37

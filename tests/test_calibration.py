@@ -12,8 +12,8 @@ import pytest
 
 from vharvest import harvesting, specfun
 from vharvest.atoms import AtomSpec
-from vharvest.harvesting import (DetectorPair, ModelKind, compute_terms,
-                                 time_integral_closed)
+from vharvest.harvesting import DetectorPair, ModelKind, compute_terms
+from vharvest.oracle import time_integral_closed
 from vharvest.specfun import scaled_time_kernel, spherical_bessel_j0_plus_j2
 
 # (model, Omega_A T, a0 Omega_A, d/T, t_BA/T, Omega_B/Omega_A) of benchmark

@@ -87,6 +87,15 @@ def test_compute_accepts_small_separations_at_a_small_coupling(capsys):
     assert 0.1 < json.loads(out)["abs_m"] < 0.5
 
 
+def test_scan_rejects_the_states_compute_rejects(capsys):
+    # the rows at d = 0, 0.001 and 0.002 T have |M| of 2.07, 1.88 and 1.46:
+    # scan names the first and prints no rows, as compute --d 0 does
+    code, out, err = run_cli(["scan", "--axis", "d_over_T:0:0.002:3"], capsys)
+    assert code == 2
+    assert "at d_over_T = 0: |M| = 2.07 > 1/2" in err and "coupling" in err
+    assert out == ""
+
+
 @pytest.mark.parametrize("flag,value,field", [
     ("--d", "inf", "position"), ("--tba", "nan", "switching_center"),
     ("--omega-T", "inf", "omega"), ("--coupling", "inf", "coupling")])

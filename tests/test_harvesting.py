@@ -15,12 +15,11 @@ from vharvest.angular import EulerAngles
 from vharvest.atoms import AtomSpec, SwitchingKind
 from vharvest.harvesting import (DetectorPair, HarvestTerms, ModelKind,
                                  assemble_state, compute_terms,
-                                 cross_noise_term, em_decomposition_identity,
-                                 local_integrand, local_term,
+                                 cross_noise_term, local_integrand, local_term,
                                  negativity_leading, nonlocal_integrand,
-                                 nonlocal_term, positivity_report,
-                                 time_integral_closed)
-from vharvest.oracle import negativity_bruteforce, time_integral_bruteforce
+                                 nonlocal_term, positivity_report)
+from vharvest.oracle import (em_decomposition_identity, negativity_bruteforce,
+                             time_integral_bruteforce, time_integral_closed)
 from vharvest.specfun import scaled_time_kernel, spherical_bessel_j
 
 
@@ -721,6 +720,45 @@ def test_relabelling_and_translating_the_pair_keeps_its_terms(
     e1, e2 = one.quadrature_errors, two.quadrature_errors
     assert abs(abs(one.m_scaled) - abs(two.m_scaled)) <= e1["m"] + e2["m"]
     assert (abs(abs(one.l_ab_scaled) - abs(two.l_ab_scaled))
+            <= e1.get("l_ab", 0.0) + e2.get("l_ab", 0.0))
+    assert (abs(one.negativity2_scaled - two.negativity2_scaled)
+            <= one.negativity2_error_scaled() + two.negativity2_error_scaled())
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(list(ModelKind)), st.floats(0.5, 2.0), st.floats(0.5, 12.0),
+       st.floats(-3.0, -2.0), st.one_of(st.just(1.0), st.floats(0.8, 1.25)),
+       st.floats(0.1, 20.0), st.floats(-20.0, 20.0), st.floats(-1.0, 1.0),
+       st.floats(0.0, 2.0 * math.pi))
+def test_rotating_the_pair_keeps_its_terms(
+        model, T, omega_T, log_a0_omega, ratio, d_over_T, tba_over_T, cos_theta, phi):
+    # B moved from +z to -z keeps every term bit for bit; for the scalar
+    # couplings, whose smearing is spherical, B turned to any direction at
+    # the same d keeps L_AA and L_BB bit for bit and M, L_AB and N^(2)
+    # within the summed reported errors
+    omega, d, tba = omega_T / T, d_over_T * T, tba_over_T * T
+    a = AtomSpec(a0=10.0 ** log_a0_omega / omega, omega=omega, switching_width=T)
+    b = replace(a, omega=omega * ratio, position=(0.0, 0.0, d), switching_center=tba)
+    pair = DetectorPair(a, b, model)
+    mirrored = replace(pair, atom_b=replace(b, position=(0.0, 0.0, -d)))
+    try:
+        one = compute_terms(pair, include_cross=pair.identical)
+    except specfun.QuadratureConvergenceError:
+        # the small-separation stall of the derivative coupling
+        with pytest.raises(specfun.QuadratureConvergenceError):
+            compute_terms(mirrored, include_cross=pair.identical)
+        return
+    assert compute_terms(mirrored, include_cross=pair.identical) == one
+    if model is ModelKind.EM_DIPOLE:
+        return  # the EM kernel needs B on A's z axis
+    sin_theta = math.sqrt(1.0 - cos_theta * cos_theta)
+    direction = (sin_theta * math.cos(phi), sin_theta * math.sin(phi), cos_theta)
+    turned = replace(pair, atom_b=replace(b, position=tuple(d * x for x in direction)))
+    two = compute_terms(turned, include_cross=pair.identical)
+    assert (two.l_aa, two.l_bb, two.log_scale) == (one.l_aa, one.l_bb, one.log_scale)
+    e1, e2 = one.quadrature_errors, two.quadrature_errors
+    assert abs(one.m_scaled - two.m_scaled) <= e1["m"] + e2["m"]
+    assert (abs(one.l_ab_scaled - two.l_ab_scaled)
             <= e1.get("l_ab", 0.0) + e2.get("l_ab", 0.0))
     assert (abs(one.negativity2_scaled - two.negativity2_scaled)
             <= one.negativity2_error_scaled() + two.negativity2_error_scaled())

@@ -6,10 +6,9 @@ import pytest
 from numpy.polynomial.legendre import leggauss
 
 from vharvest.angular import EulerAngles, sph_harm_y
-from vharvest.atoms import radial_overlap
 from vharvest.oracle import (OracleReport, negativity_bruteforce, radial_bruteforce,
-                             rotation_bruteforce, run_all, sphere_quadrature,
-                             time_integral_bruteforce)
+                             radial_overlap, rotation_bruteforce, run_all,
+                             sphere_quadrature, time_integral_bruteforce)
 
 
 def test_run_all_passes():
@@ -37,14 +36,14 @@ def test_mutation_is_detected():
 
 def test_a_closed_form_that_returns_nan_fails_its_oracle(monkeypatch):
     # NaN at one of the oracle's points must not be folded away by max()
-    from vharvest import atoms
+    from vharvest import oracle
 
-    real = atoms.radial_overlap
+    real = oracle.radial_overlap
 
     def nan_at_one_point(l, k, a0):
         return math.nan if l == 2 and math.isclose(a0 * k, 2.0) else real(l, k, a0)
 
-    monkeypatch.setattr(atoms, "radial_overlap", nan_at_one_point)
+    monkeypatch.setattr(oracle, "radial_overlap", nan_at_one_point)
     report = {r.name: r for r in run_all()}["radial_overlap_closed_vs_quad"]
     assert math.isnan(report.rel_err)
     assert not report.passed

@@ -369,3 +369,15 @@ def test_a_member_that_misses_its_tolerance_is_retried_alone(monkeypatch):
             # its neighbours stop on the seed panels, before the noisy
             # member drives any split
             assert row == ref
+
+
+def test_grid_names_the_first_point_no_state_has():
+    # at the default coupling only d = 0 has |M| > 1/2; at 1e7 every point
+    # has L_AA + L_BB > 1.  d runs from 2 T down to 0
+    grid = ScanGrid(axes=(Axis("tba_over_T", 0.0, 1.0, 2), Axis("d_over_T", 2.0, 0.0, 3)),
+                    fixed={"a0_omega": 1e-3, "omega_T": 1.0}, model=ModelKind.UDW_SCALAR)
+    with pytest.raises(ValueError, match=r"^at tba_over_T = 0, d_over_T = 0: \|M\| = 1.33 > 1/2"):
+        run_grid(grid)
+    with pytest.raises(ValueError, match=r"^at tba_over_T = 0, d_over_T = 2: L_AA \+ L_BB = 2.27"):
+        run_grid(grid, coupling=1e7)
+    assert len(run_grid(grid, coupling=0.1).rows) == 6
