@@ -30,6 +30,11 @@ RADIAL_OVERLAP_L2_COEFF = 3072.0 * math.sqrt(6.0)
 LIGHTCONE_SIGMAS = 8.0
 
 
+def _outside_lightcone(d, t_ba, sigma):
+    # no light contact, |d - |t_BA|| >= 8 sigma: floats, or arrays term by term
+    return abs(d - abs(t_ba)) >= LIGHTCONE_SIGMAS * sigma
+
+
 @dataclass(frozen=True)
 class SwitchingKind:
     """Gaussian switching, cropped at crop_sigmas for "cropped_gaussian".
@@ -49,7 +54,7 @@ class SwitchingKind:
         """The concrete switching of a pair at separation d and delay t_ba."""
         if self.variant != "auto":
             return self
-        if abs(d - abs(t_ba)) >= LIGHTCONE_SIGMAS * sigma:
+        if _outside_lightcone(d, t_ba, sigma):
             return SwitchingKind("cropped_gaussian", self.crop_sigmas)
         return SwitchingKind()
 

@@ -41,22 +41,25 @@ M and L_AB terms with the same scale k^p / (4u+9)^6 and kern (and the L
 terms with the same scale) integrate on one head panel set, each distinct
 (time, d) once, to its own tolerance and with its own tail (none for L and
 L_AB), and each pass evaluates each distinct time(k) and kern(kd) once.
-``compute_terms`` is its one-pair case.
+The engine takes a batch as columns, one array per parameter (a survey
+grid's without a pair per point), and applies the prefactors and builds
+the results on arrays, in a float's order of operations, so that a point
+has the bits it has alone.  ``compute_terms`` is its one-pair case.
 """
 
 from __future__ import annotations
 
-import cmath
 import functools
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
+from itertools import repeat
 
 import numpy as np
 
-from .atoms import AtomSpec, SwitchingKind
+from .atoms import AtomSpec, SwitchingKind, _outside_lightcone
 from .specfun import (_GAUSS_DEAD, _ROUNDOFF, _SEED_DEPTH, DampedKernelSpec,
                       QuadratureConvergenceError, QuadratureResult, _integrands,
                       integrate_damped_group, scaled_time_kernel, spherical_bessel_j,
@@ -217,9 +220,7 @@ class HarvestTerms:
         return 2.0 * self.negativity
 
     def negativity2_error_scaled(self) -> float:
-        e = self.quadrature_errors
-        return (e.get("m", 0.0) + 0.5 * (e.get("l_aa", 0.0) + e.get("l_bb", 0.0))
-                + e.get("crop_tail", 0.0))
+        return _negativity2_error(self.quadrature_errors)
 
     def harvestable(self) -> bool:
         return bool(self.negativity2_scaled > ERROR_FACTOR * self.negativity2_error_scaled())
@@ -252,23 +253,16 @@ _LIVE_EXPONENT = 60.0
 _SQRT2 = math.sqrt(2.0)
 
 
-@dataclass(frozen=True)
-class _Term:
-    """prefactor * int_0^inf k^p kern(k d) time(k) / (4 (a0 k)^2 + 9)^6 dk"""
-
-    # ("L" or "M", p, a0, T), T that of the damping exp(-T^2 k^2 / 2): terms
-    # of one share (L; M with L_AB) have the same p, kernel, a0 and T and
-    # integrate on one panel set, one member per distinct (clock, d)
-    share: tuple
-    # (kind, t_BA, frequency): ("L", 0, Omega), ("M", t_BA, Omega_A - Omega_B)
-    # or ("L_AB", t_BA, Omega), which fixes time(k) (``_time``)
-    clock: tuple
-    d: float
-    # (coeff, q, rel, phase, log_scale): coeff a0^q T^2 rel phase
-    # exp(log_scale), coeff with e^2 and sign, log_scale the Gaussian kept
-    # out of the integral
-    prefactor: tuple
-    kernel: Callable | None = None  # spatial kernel of k d: None (L), j0 or j0+j2
+# A batch of pairs is columns over its points (``_columns``): "model", a list,
+# and a float per point for each of _COLUMNS (d the separation, rel the
+# orientation factor, e2 the squared coupling).  Per point a term is a member
+# (share, clock, d) and a prefactor (``_table``).  share = ("L" or "M", p, a0,
+# T, kern), T that of exp(-T^2 k^2/2), kern the spatial kernel (None for L):
+# terms of one share integrate on one panel set, one member per distinct
+# (clock, d).  clock = (kind, t_BA, frequency), ("L", 0, Omega), ("M", t_BA,
+# Omega_A - Omega_B) or ("L_AB", t_BA, Omega), fixes time(k) (``_time``).
+_COLUMNS = ("a0", "T", "omega_a", "omega_b", "t_a", "t_b", "d", "rel", "e2")
+_NAMES = ("l_aa", "l_bb", "m", "l_ab")
 
 
 def _gaussian(k, T: float, omega: float):
@@ -302,9 +296,10 @@ def _log_upper_gamma(n: int, x: float) -> float:
             + math.log(sum(x ** (j - n + 1) / math.factorial(j) for j in range(n))))
 
 
-def _live_edge(members) -> tuple[float, tuple]:
-    """The live edge k_live of a group of terms of one key, past which every
-    member's Gaussian part, times k^p, is e^-_LIVE_EXPONENT below its peak,
+def _live_edge(share: tuple, clocks) -> tuple[float, tuple]:
+    """The live edge k_live of a group of members of one share, by their
+    clocks, past which every member's Gaussian part, times k^p, is
+    e^-_LIVE_EXPONENT below its peak,
     and per member a rigorous bound B on its integral of |f| over
     [k_live, inf), in the units of its bare integral (a member whose B is
     far below its roundoff floor stops at k_live).  With b = T k/sqrt2 and
@@ -324,162 +319,255 @@ def _live_edge(members) -> tuple[float, tuple]:
     50 eps 9^-6 k_live^{p+1}/(p+1), 1e3x the floor of a member whose time
     and spatial factors had magnitude 1, no member would stop: the group
     gets no edge, (inf, ()), and its first pass takes all the seeds."""
-    _, p, a0, T = members[0].share
+    _, p, a0, T, _ = share
     n = (p + 1) // 2
-    cs = [abs(T * t.clock[2]) / (2.0 * _SQRT2) if t.clock[0] == "M" else 0.0 for t in members]
-    root, c_max = math.sqrt(_LIVE_EXPONENT), max(cs)
+    # members of one clock have one bound
+    cs = {c: abs(T * c[2]) / (2.0 * _SQRT2) if c[0] == "M" else 0.0 for c in dict.fromkeys(clocks)}
+    root, c_max = math.sqrt(_LIVE_EXPONENT), max(cs.values())
     y_live = root + c_max
     log_sqrt_w = math.log(T) - 0.5 * math.log(2.0)
     log_9_6 = 6.0 * math.log(9.0)
     log_rational = ((p + 1) * (math.log(1.5) - math.log(a0)) - log_9_6 - math.log(2.0)
                     + math.lgamma(n) + math.lgamma(6 - n) - math.lgamma(6))
-    k_live, log_bounds = y_live * _SQRT2 / T, []
-    for t, c in zip(members, cs):
+    k_live, log_bounds = y_live * _SQRT2 / T, {}
+    for clock, c in cs.items():
         y0 = root + (c_max - c)
-        winged = t.clock[0] == "M"
+        winged = clock[0] == "M"
         log_b = (math.log(2.0 if winged else 1.0) - log_9_6 + p * math.log(y_live / y0)
                  + _log_upper_gamma(n, y0 * y0) - math.log(2.0) - (p + 1) * log_sqrt_w)
         if winged:
-            a = abs(t.clock[1]) / (_SQRT2 * T)
+            a = abs(clock[1]) / (_SQRT2 * T)
             log_w = min(0.0, -math.log(math.sqrt(math.pi) * a)) if a > 0.0 else 0.0
             wings = math.log(2.0) - a * a + log_w + log_rational
             log_b = max(log_b, wings) + math.log1p(math.exp(-abs(log_b - wings)))
-        log_bounds.append(log_b)
+        log_bounds[clock] = log_b
     screen = math.log(_ROUNDOFF) - log_9_6 + (p + 1) * math.log(k_live) - math.log(p + 1)
-    if not any(b <= screen for b in log_bounds):
+    if not any(b <= screen for b in log_bounds.values()):
         return math.inf, ()
-    return k_live, tuple(math.exp(b) if b < _LOG_HUGE else math.inf for b in log_bounds)
+    bounds = {c: math.exp(b) if b < _LOG_HUGE else math.inf for c, b in log_bounds.items()}
+    return k_live, tuple(map(bounds.get, clocks))
 
 
-def _spec(term: _Term, members=None) -> DampedKernelSpec:
-    """The quadrature spec of a term, or of the group of terms that share
-    its key (p, a0, T and with p the kernel): one member (time, d, cutoff)
-    per term in members (default: the term), with one time object per clock
+def _spec(share: tuple, members) -> DampedKernelSpec:
+    """The quadrature spec of a group of members (clock, d) of one share:
+    one member (time, d, cutoff) per entry, with one time object per clock
     (``_time``) and the wing cutoff for M, and the group's live edge with
-    each member's bound past it (``_live_edge``).
-    Its integrand is the scale k^p / (4u+9)^6, the last factor of every one."""
-    _, p, a0, T = term.share
-    members = (term,) if members is None else members
-    times = {c: functools.partial(_time, c, T) for c in dict.fromkeys(t.clock for t in members)}
-    k_live, bounds = _live_edge(members)
+    each member's bound past it (``_live_edge``).  Its integrand is the
+    scale k^p / (4u+9)^6, the last factor of every one, and its kernel the
+    share's."""
+    _, p, a0, T, kernel = share
+    clocks, cutoff = [c for c, _ in members], _WING_CUTOFF[p] / (2.0 * a0)
+    times = {c: functools.partial(_time, c, T) for c in dict.fromkeys(clocks)}
+    k_live, bounds = _live_edge(share, clocks)
     return DampedKernelSpec(
         damping_width=0.5 * T * T,
         oscillation_lengths=tuple(2.0 * math.pi / abs(c[1]) for c in times if c[1] != 0.0),
         integrand=_scale(p, a0),
-        kernel=term.kernel,
-        members=tuple((times[t.clock], t.d,
-                       _WING_CUTOFF[p] / (2.0 * a0) if t.clock[0] == "M" else None)
-                      for t in members),
+        kernel=kernel,
+        members=tuple((times[c], d, cutoff if c[0] == "M" else None) for c, d in members),
         live_edge=k_live,
         edge_bounds=bounds,
     )
 
 
-def _integrand(term: _Term):
-    # k -> (value, magnitude) of the term's whole integrand
-    _, p, a0, T = term.share
-    members = [(functools.partial(_time, term.clock, T), term.d)]
-    return lambda k: next(_integrands(_scale(p, a0), k, term.kernel, members))[1]
+def _integrand(share: tuple, clock: tuple, d: float):
+    # k -> (value, magnitude) of one member's whole integrand, its row in a group
+    _, p, a0, T, kernel = share
+    members = [(functools.partial(_time, clock, T), d)]
+    return lambda k: next(_integrands(_scale(p, a0), k, kernel, members))[1]
 
 
-def _quadratures(terms: list, atol: float, rtol: float) -> list:
-    """The bare integral of each term.  The terms are grouped by key, and
-    each group is one integrate_damped_group call with one member per
-    distinct (clock, d), so terms that differ only in the prefactor share
-    one integral.  An entry is a QuadratureResult, or the
-    QuadratureConvergenceError of a term that missed the tolerance.  Raises
-    ValueError unless atol and rtol are finite and >= 0."""
+def _quadratures(members: list, atol: float, rtol: float) -> tuple[list, np.ndarray]:
+    """The bare integrals of the distinct members (share, clock, d), those of
+    one share in one integrate_damped_group call, and per member the index
+    of its own: a QuadratureResult, or the QuadratureConvergenceError of a
+    member that missed the tolerance.  Raises ValueError unless atol and
+    rtol are finite and >= 0."""
     for name, tol in (("atol", atol), ("rtol", rtol)):
         if not 0.0 <= tol < math.inf:
             raise ValueError(f"{name} must be finite and >= 0, not {tol!r}")
-    out = [None] * len(terms)
-    groups = {}
-    for i, term in enumerate(terms):
-        groups.setdefault(term.share, {}).setdefault((term.clock, term.d), []).append(i)
-    for members in groups.values():
-        firsts = [terms[idx[0]] for idx in members.values()]
-        spec = _spec(firsts[0], firsts)
-        for idx, quad in zip(members.values(), integrate_damped_group(spec, atol=atol, rtol=rtol)):
-            for i in idx:
-                out[i] = quad
+    index, groups = {member: j for j, member in enumerate(dict.fromkeys(members))}, {}
+    for (share, clock, d), j in index.items():
+        groups.setdefault(share, []).append((j, (clock, d)))
+    done = [None] * len(index)
+    for share, group in groups.items():
+        js, group = zip(*group)
+        for j, quad in zip(js, integrate_damped_group(_spec(share, group), atol=atol, rtol=rtol)):
+            done[j] = quad
+    return done, np.array(list(map(index.get, members)))
+
+
+def _bare(quads: list) -> list:
+    # (value, error, abs_integral) arrays of quadratures, of a failed one its estimate
+    get = operator.attrgetter("value", "abs_error_estimate", "abs_integral")
+    table = np.array([get(getattr(quad, "result", quad)) for quad in quads])
+    return [table[:, 0], table[:, 1].real, table[:, 2].real]
+
+
+# Term by term, floats and complex floats with the bits of Python's scalar
+# arithmetic, which numpy's vectorized power, exp and complex product miss
+# in the last bit (libm's pow and exp; multiply-adds unfused)
+
+def _power(x, n):
+    # x ** n of a float, or term by term of an array (n a scalar or per
+    # term); inf past double range, where a float's pow raises (n is even)
+    xs, ns = np.ravel(x).tolist(), np.ravel(n).tolist() if np.ndim(n) else [n] * np.size(x)
+    try:
+        out = list(map(pow, xs, ns))
+    except OverflowError:
+        out = [v ** e if not abs(v) >= 2.0 ** (1024 / e) else math.inf for v, e in zip(xs, ns)]
+    return out[0] if np.ndim(x) == 0 else np.array(out).reshape(x.shape)
+
+
+def _exp(x: np.ndarray) -> np.ndarray:
+    return np.array(list(map(math.exp, x.ravel().tolist()))).reshape(x.shape)
+
+
+def _cmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # a * b, a real x as x + 0j
+    real = a.real * b.real - a.imag * b.imag
+    out = np.empty(real.shape, dtype=complex)
+    out.real, out.imag = real, a.real * b.imag + a.imag * b.real
     return out
 
 
-def _evaluate(term: _Term, quad: QuadratureResult, log_scale: float) -> QuadratureResult:
-    """A term's value, error and integral of the magnitude relative to
-    exp(log_scale) from its bare integral: the one place a prefactor is
-    applied.  Raises ValueError where that value leaves the range of normal
-    doubles."""
-    coeff, q, rel, phase, term_scale = term.prefactor
-    _, _, a0, T = term.share
-    shift = term_scale - log_scale
-    log_size = shift + q * math.log(a0) + 2.0 * math.log(T) + sum(
-        math.log(abs(x)) if x else -math.inf for x in (coeff, quad.value))
-    if not (_LOG_TINY < log_size < _LOG_HUGE and shift < _LOG_HUGE):
-        raise ValueError(f"a term is exp({log_size:.6g}) times exp(log_scale) "
-                         f"= exp({log_scale:.6g}): outside double range")
-    pref = coeff * a0 ** q * T * T * math.exp(shift)
-    return QuadratureResult(value=pref * rel * phase * quad.value,
-                            abs_error_estimate=abs(pref) * abs(rel) * quad.abs_error_estimate,
-                            evaluations=quad.evaluations,
-                            abs_integral=abs(pref) * quad.abs_integral)
-
-
-def _mean_gap_factor(omega_a: float, omega_b: float, t_a: float, t_b: float,
-                     T: float) -> tuple[float, complex]:
+def _mean_gap_factor(omega_a, omega_b, t_a, t_b, T) -> tuple:
     """M's k-independent time factor exp(-T^2 Omega^2/2 + i Omega (t_A + t_B))
-    at the mean gap Omega = (Omega_A + Omega_B)/2, as (log modulus, phase)."""
+    at the mean gap Omega = (Omega_A + Omega_B)/2, as (log modulus, phase),
+    of floats or term by term of arrays."""
     mean = 0.5 * (omega_a + omega_b)
-    return -0.5 * (T * mean) ** 2, cmath.exp(1j * mean * (t_a + t_b))
+    phase = np.exp(1j * (mean * (t_a + t_b)))
+    return -0.5 * _power(T * mean, 2), phase if np.ndim(phase) else complex(phase)
 
 
-def _table(pair: DetectorPair, include_cross: bool) -> dict:
-    """The pair's terms by field.  M's prefactor carries S at the mean gap,
-    the log scale of them all (L_mumu as exp(T^2 (Omega^2 - Omega_mu^2)/2)
-    times it).  Raises ValueError for an a0 whose scale k^p / (4u+9)^6 the
-    quadrature cannot follow: its knee at k = 3/(2 a0) must lie above the
-    head's lowest seed, and k^p finite out to the last node of a term, the
-    wing cutoff or the Gaussian's dead point k_hi."""
-    a, b = pair.atom_a, pair.atom_b
-    c_l, c_m, p, q, kernel = _model_params(pair.model)
-    a0, T, t_ba, e2 = a.a0, a.switching_width, pair.t_ba, pair.coupling ** 2
-    k_hi = math.sqrt(2.0 * _GAUSS_DEAD) / T
-    a0_min = 0.5 * _WING_CUTOFF[p] * math.exp(-_LOG_HUGE / p)
+def _columns(pairs) -> dict:
+    # the columns of a batch of pairs, the engine's input
+    a, b = [pair.atom_a for pair in pairs], [pair.atom_b for pair in pairs]
+    return {"model": [pair.model for pair in pairs], "a0": [x.a0 for x in a],
+            "T": [x.switching_width for x in a], "omega_a": [x.omega for x in a],
+            "omega_b": [x.omega for x in b], "t_a": [x.switching_center for x in a],
+            "t_b": [x.switching_center for x in b], "d": [pair.separation for pair in pairs],
+            "rel": [pair.cos_relative_angle for pair in pairs],
+            "e2": [pair.coupling ** 2 for pair in pairs]}
+
+
+def _table(cols: dict, names) -> dict:
+    """The terms names (of _NAMES) of a batch given as columns: "members",
+    per term its points' (share, clock, d); its prefactor coeff a0^q T^2
+    rel phase exp(scale) as (names, points) arrays "coeff" (with e^2 and
+    sign), "rel", "phase" and "scale" (the Gaussian kept out); "log_scale",
+    S at the mean gap, M's scale and that of them all; and the columns "a0",
+    "T", "q", "a0q", "d" and "t_ba".  Raises ValueError at the first point
+    whose scale k^p / (4u+9)^6 the quadrature cannot follow: its knee at
+    k = 3/(2 a0) must lie above the head's lowest seed, and k^p finite out
+    to a term's last node, the wing cutoff or the Gaussian's dead point."""
+    a0, T, oa, ob, ta, tb, d, rel, e2 = np.array([cols[c] for c in _COLUMNS], dtype=float)
+    models = cols["model"]
+    c_l, c_m, ps, qs, kern = zip(*([_model_params(models[0])] * len(models)
+                                   if models.count(models[0]) == len(models)
+                                   else map(_model_params, models)))
+    p, q = np.array(ps), np.array(qs)
+    lowest = {x: 0.5 * _WING_CUTOFF[x] * math.exp(-_LOG_HUGE / x) for x in set(ps)}
+    a0_min, k_hi = np.array([lowest[x] for x in ps]), math.sqrt(2.0 * _GAUSS_DEAD) / T
     a0_max = 1.5 / (_SEED_DEPTH * k_hi)
-    if not (a0_min < a0 <= a0_max and p * math.log(k_hi) < _LOG_HUGE):
-        raise ValueError(f"a0 = {a0:.6g} at T = {T:.6g} is outside the range of the "
-                         f"momentum integrals, {a0_min:.3g} < a0 <= {a0_max:.6g}")
-    local, rel = (e2 * (c_l / math.pi), q), pair.cos_relative_angle
-    terms = {name: _Term(("L", p, a0, T), ("L", 0.0, atom.omega), 0.0,
-                         (*local, 1.0, 1.0, -0.5 * (T * atom.omega) ** 2))
-             for name, atom in (("l_aa", a), ("l_bb", b))}
-    # M: the time kernel at every gap; the k-independent rest of the double
-    # time integral, _mean_gap_factor, goes into the prefactor
-    log_scale, phase = _mean_gap_factor(a.omega, b.omega, a.switching_center,
-                                        b.switching_center, T)
-    terms["m"] = _Term(("M", p, a0, T), ("M", t_ba, a.omega - b.omega), pair.separation,
-                       (-e2 * (c_m / math.pi), q, rel, phase, log_scale), kernel)
-    if include_cross:
-        terms["l_ab"] = _Term(("M", p, a0, T), ("L_AB", t_ba, a.omega), pair.separation,
-                              (*local, rel, cmath.exp(-1j * a.omega * t_ba),
-                               -0.5 * (T * a.omega) ** 2), kernel)
-    return terms
+    bad = ~((a0_min < a0) & (a0 <= a0_max) & (p * np.log(k_hi) < _LOG_HUGE))
+    if bad.any():
+        i = int(bad.argmax())
+        raise ValueError(f"a0 = {a0[i]:.6g} at T = {T[i]:.6g} is outside the range of the "
+                         f"momentum integrals, {a0_min[i]:.3g} < a0 <= {a0_max[i]:.6g}")
+    t_ba, local, ones = tb - ta, e2 * (np.array(c_l) / math.pi), np.ones_like(a0)
+    log_scale, phase = _mean_gap_factor(oa, ob, ta, tb, T)
+    a0s, Ts, zeros = a0.tolist(), T.tolist(), [0.0] * len(ps)
+    L = list(zip(repeat("L"), ps, a0s, Ts, repeat(None)))
+    M = list(zip(repeat("M"), ps, a0s, Ts, kern))
+    scale_a, scale_b = -0.5 * _power(T * np.array((oa, ob)), 2)  # L_mumu's
+    rows = []  # per term: members, coeff, rel, phase, scale
+    for name in names:
+        if name in ("l_aa", "l_bb"):
+            omega, scale = (oa, scale_a) if name == "l_aa" else (ob, scale_b)
+            rows.append((zip(L, zip(repeat("L"), zeros, omega.tolist()), zeros), local, ones,
+                         ones, scale))
+        elif name == "m":
+            # the time kernel at every gap; the k-independent rest of the
+            # double time integral, _mean_gap_factor, goes into the prefactor
+            rows.append((zip(M, zip(repeat("M"), t_ba.tolist(), (oa - ob).tolist()), d.tolist()),
+                         -e2 * (np.array(c_m) / math.pi), rel, phase, log_scale))
+        else:
+            rows.append((zip(M, zip(repeat("L_AB"), t_ba.tolist(), oa.tolist()), d.tolist()),
+                         local, rel, np.exp(1j * (-oa * t_ba)), scale_a))
+    members, *prefactor = zip(*rows)
+    return {"members": list(map(list, members)), "log_scale": log_scale, "a0": a0, "T": T,
+            "q": q, "a0q": _power(a0, q), "d": d, "t_ba": t_ba,
+            **dict(zip(("coeff", "rel", "phase", "scale"), map(np.array, prefactor)))}
+
+
+def _evaluate(table: dict, bare: list) -> tuple:
+    """The terms' values, errors and integrals of the magnitude relative to
+    exp(log_scale) from their bare ones (``_bare``) as (names, points)
+    arrays, and the log of a value's size where it leaves the normal
+    doubles, else nan: the one place a prefactor is applied, in a float's
+    order of operations, so a point has the bits it has alone."""
+    value, error, absint = bare
+    shift = table["scale"] - table["log_scale"]
+    T, rel = table["T"], table["rel"]
+    size = shift + table["q"] * np.log(table["a0"]) + 2.0 * np.log(T) + (
+        np.log(np.abs(table["coeff"])) + np.log(np.abs(value)))
+    out = ~((_LOG_TINY < size) & (size < _LOG_HUGE) & (shift < _LOG_HUGE))
+    shift = np.where(out, 0.0, shift)
+    pref = table["coeff"] * table["a0q"] * T * T * (_exp(shift) if shift.any() else 1.0)
+    return (_cmul(_cmul(pref * rel, table["phase"]), value), np.abs(pref) * np.abs(rel) * error,
+            np.abs(pref) * absint, np.where(out, size, np.nan))
+
+
+def _range_error(size: float, log_scale: float) -> ValueError:
+    return ValueError(f"a term is exp({size:.6g}) times exp(log_scale) "
+                      f"= exp({log_scale:.6g}): outside double range")
+
+
+def _terms(cols: dict, names, atol: float, rtol: float) -> dict:
+    """The terms names of a batch given as columns, each integrated with the
+    batch's terms of its share: per name (value, error, abs_integral) over
+    the points (``_evaluate``; L's values real), the columns "log_scale",
+    "T", "d" and "t_ba", and "failed", per point the
+    QuadratureConvergenceError of its first term that missed, or None.
+    Raises ValueError as ``_table`` does, and at the first point without a
+    failed term where a term relative to exp(log_scale) leaves double range."""
+    with np.errstate(all="ignore"):  # as float arithmetic: no warnings
+        table = _table(cols, names)
+        quads, at = _quadratures([m for ms in table["members"] for m in ms], atol, rtol)
+        at = at.reshape(len(names), -1)
+        value, error, absint, size = _evaluate(table, [x[at] for x in _bare(quads)])
+    missed = np.array([isinstance(quad, QuadratureConvergenceError) for quad in quads])[at]
+    failed = missed.any(axis=0)
+    bad = ~np.isnan(size) & ~failed
+    if bad.any():
+        i = int(bad.any(axis=0).argmax())
+        raise _range_error(size[bad[:, i].argmax(), i], table["log_scale"][i])
+    out = {key: table[key] for key in ("log_scale", "T", "d", "t_ba")}
+    out["failed"] = [quads[at[missed[:, i].argmax(), i]] if f else None
+                     for i, f in enumerate(failed.tolist())]
+    out.update((name, (v if name in ("m", "l_ab") else v.real, e, a))
+               for name, v, e, a in zip(names, value, error, absint))
+    return out
 
 
 def _field(pair: DetectorPair, name: str, atol: float = 1e-16,
            rtol: float = 1e-10) -> tuple[complex, QuadratureResult]:
-    """A field of ``compute_terms(pair)`` and its result relative to
-    exp(log_scale): the term integrated with exactly those of the pair's
-    terms that share its key (L_AA with L_BB, M with L_AB for identical
-    atoms)."""
-    table = _table(pair, pair.identical)
-    names = [n for n, t in table.items() if t.share == table[name].share]
-    quad = _quadratures([table[n] for n in names], atol, rtol)[names.index(name)]
-    if isinstance(quad, QuadratureConvergenceError):
-        raise quad
-    log_scale = table["m"].prefactor[4]
-    res = _evaluate(table[name], quad, log_scale)
-    return math.exp(log_scale) * res.value, res
+    """A field of ``compute_terms(pair)`` and its bare integral: the term
+    integrated with exactly those of the pair's terms that share its key
+    (L_AA with L_BB, M with L_AB for identical atoms)."""
+    names = ("l_aa", "l_bb") if name in ("l_aa", "l_bb") else ("m", "l_ab")[:1 + pair.identical]
+    j = names.index(name)
+    with np.errstate(all="ignore"):
+        table = _table(_columns([pair]), names)
+        quads, at = _quadratures([ms[0] for ms in table["members"]], atol, rtol)
+        if isinstance(quads[at[j]], QuadratureConvergenceError):
+            raise quads[at[j]]
+        value, _, _, size = _evaluate(table, [x[at][:, None] for x in _bare(quads)])
+    if not np.isnan(size[j, 0]):
+        raise _range_error(size[j, 0], table["log_scale"][0])
+    value = value[j, 0] if name in ("m", "l_ab") else value[j, 0].real
+    return math.exp(table["log_scale"][0]) * value, quads[at[j]]
 
 
 # ----------------------------------------------------------------------------
@@ -490,7 +578,7 @@ def local_integrand(model: ModelKind, a0: float, omega: float, T: float):
     """Scaled local-term integrand's value (the closed kernel with exp(T^2
     omega^2/2) factored out); exposed so tests can compare models pointwise."""
     atom = AtomSpec(a0=a0, omega=omega, switching_width=T)
-    f = _integrand(_table(DetectorPair(atom, atom, model), False)["l_aa"])
+    f = _integrand(*_table(_columns([DetectorPair(atom, atom, model)]), ("l_aa",))["members"][0][0])
     return lambda k: f(k)[0]
 
 
@@ -498,7 +586,7 @@ def nonlocal_integrand(pair: DetectorPair):
     """Scaled nonlocal-term integrand's value (the time kernel, with
     exp(T^2 Omega^2/2) at the mean gap Omega factored out); the derivative
     and scalar models differ by exactly k^2 here."""
-    f = _integrand(_table(pair, False)["m"])
+    f = _integrand(*_table(_columns([pair]), ("m",))["members"][0][0])
     return lambda k: f(k)[0]
 
 
@@ -567,7 +655,8 @@ def compute_terms_many(pairs, switching: SwitchingKind = SwitchingKind(),
                        rtol: float = 1e-10) -> list:
     """``compute_terms`` of every pair, sharing the momentum integrals.
 
-    The M terms of pairs with the same model, a0 and T are integrated on
+    The pairs go to the engine as columns (``_harvest``).  The M terms of
+    pairs with the same model, a0 and T are integrated on
     one head panel set (``specfun.integrate_damped_group``), each distinct
     (t_BA, Omega_A - Omega_B, d) once: a pass evaluates the time kernel
     once per (t_BA, Omega_A - Omega_B) and the spatial kernel once per d,
@@ -588,69 +677,85 @@ def compute_terms_many(pairs, switching: SwitchingKind = SwitchingKind(),
     pairs = list(pairs)
     if include_cross and not all(pair.identical for pair in pairs):
         raise ValueError("L_AB requires identical atoms; pass include_cross=False")
-    per_pair = [_table(pair, include_cross) for pair in pairs]
-    quads = iter(_quadratures([t for terms in per_pair for t in terms.values()],
-                              atol, rtol))
+    if not pairs:
+        return []
+    names = _NAMES[:3 + include_cross]
+    h = _harvest(_columns(pairs), switching, include_cross, atol, rtol)
+    scaled = [h[name][0] for name in names]
+    # exp(log_scale) times each, as a float times a float or a complex
+    full = [h["factor"] * v if v.dtype.kind == "f" else _cmul(h["factor"], v) for v in scaled]
+    keys = (*names, "crop_tail")
+    errors = np.array([h["errors"][key] for key in keys]).T.tolist()
     out = []
-    for pair, terms in zip(pairs, per_pair):
-        quad = {name: next(quads) for name in terms}
-        failed = [q for q in quad.values() if isinstance(q, QuadratureConvergenceError)]
-        out.append(failed[0] if failed else _harvest_terms(pair, terms, quad, switching))
+    for i, (failed, e, cropped) in enumerate(zip(h["failed"], errors, h["cropped"].tolist())):
+        l_ab = (full[3][i], scaled[3][i]) if include_cross else (0j, 0j)
+        out.append(failed or HarvestTerms(
+            l_aa=full[0][i], l_bb=full[1][i], l_ab=l_ab[0], m=full[2][i],
+            quadrature_errors=dict(zip(keys[:len(names) + cropped], e)),
+            log_scale=float(h["log_scale"][i]), l_aa_scaled=scaled[0][i],
+            l_bb_scaled=scaled[1][i], l_ab_scaled=l_ab[1], m_scaled=scaled[2][i]))
     return out
 
 
-def _harvest_terms(pair: DetectorPair, terms: dict, quad: dict,
-                   switching: SwitchingKind) -> HarvestTerms:
-    log_scale = terms["m"].prefactor[4]
-    res = {name: _evaluate(term, quad[name], log_scale) for name, term in terms.items()}
-    errors = {name: r.abs_error_estimate for name, r in res.items()}
-    switching = switching.resolve(pair.separation, pair.t_ba, pair.atom_a.sigma)
-    if switching.variant == "cropped_gaussian":
+def _harvest(cols: dict, switching: SwitchingKind, include_cross: bool,
+             atol: float, rtol: float) -> dict:
+    """``compute_terms_many`` on a batch given as columns: ``_terms`` of L_AA,
+    L_BB, M and, with include_cross, L_AB; "cropped", where the switching,
+    resolved as ``SwitchingKind.resolve`` does, crops; "errors" by name and
+    "crop_tail", a cropped point's bound 2 erfc(crop_sigmas/sqrt(2)) times
+    the terms' scaled integrals of |f|, else 0; and "factor", exp(log_scale)."""
+    names = _NAMES[:3 + include_cross]
+    out = _terms(cols, names, atol, rtol)
+    cropped = (_outside_lightcone(out["d"], out["t_ba"], out["T"] / math.sqrt(2.0))
+               if switching.variant == "auto"
+               else np.full(out["d"].shape, switching.variant == "cropped_gaussian"))
+    crop = np.zeros(cropped.shape)
+    if cropped.any():
         tail_fraction = 2.0 * math.erfc(switching.crop_sigmas / math.sqrt(2.0))
-        errors["crop_tail"] = tail_fraction * (
-            0.5 * (res["l_aa"].abs_integral + res["l_bb"].abs_integral)
-            + res["m"].abs_integral)
-
-    factor = math.exp(log_scale)
-    l_aa_s, l_bb_s, m_s = res["l_aa"].value.real, res["l_bb"].value.real, res["m"].value
-    l_ab_s = res["l_ab"].value if "l_ab" in res else 0.0 + 0.0j
-    return HarvestTerms(
-        l_aa=factor * l_aa_s, l_bb=factor * l_bb_s,
-        l_ab=factor * l_ab_s, m=factor * m_s,
-        quadrature_errors=errors, log_scale=log_scale,
-        l_aa_scaled=l_aa_s, l_bb_scaled=l_bb_s,
-        l_ab_scaled=l_ab_s, m_scaled=m_s,
-    )
+        with np.errstate(all="ignore"):
+            crop = np.where(cropped, tail_fraction * (
+                0.5 * (out["l_aa"][2] + out["l_bb"][2]) + out["m"][2]), 0.0)
+    out["errors"] = {**{name: out[name][1] for name in names}, "crop_tail": crop}
+    out["cropped"], out["factor"] = cropped, _exp(out["log_scale"])
+    return out
 
 
-def negativity_leading(l_aa: float, l_bb: float, abs_m: float) -> float:
-    """Leading-order negativity N^(2) of the X state; N = max(0, N^(2))."""
-    return -0.5 * (l_aa + l_bb
-                   - math.sqrt((l_aa - l_bb) ** 2 + 4.0 * abs_m ** 2))
+def _negativity2_error(e: dict):
+    # the error of the scaled N^(2) from the terms' errors by name (floats or arrays)
+    return (e.get("m", 0.0) + 0.5 * (e.get("l_aa", 0.0) + e.get("l_bb", 0.0))
+            + e.get("crop_tail", 0.0))
 
 
-def _state_fault(terms: HarvestTerms) -> str | None:
-    """Why no density matrix has these terms, or None: non-finite local terms,
-    L_AA + L_BB > 1, or |M| > 1/2 (off the diagonal |rho_ij| <= 1/2)."""
-    l_aa, l_bb, abs_m = terms.l_aa, terms.l_bb, abs(terms.m)
-    if not (math.isfinite(l_aa) and math.isfinite(l_bb)):
-        return "non-finite local terms"
-    if l_aa + l_bb > 1.0:
-        return (f"L_AA + L_BB = {l_aa + l_bb:.3g} > 1: leading-order perturbation "
-                "theory is invalid at this coupling")
-    if not abs_m <= 0.5:
-        return (f"|M| = {abs_m:.3g} > 1/2: leading-order perturbation theory is "
-                "invalid at this coupling")
-    return None
+def negativity_leading(l_aa, l_bb, abs_m):
+    """Leading-order negativity N^(2) of the X state; N = max(0, N^(2)).
+    Of floats, or term by term of arrays with the same bits."""
+    root = np.sqrt(_power(l_aa - l_bb, 2) + 4.0 * _power(abs_m, 2))
+    return -0.5 * (l_aa + l_bb - root)
+
+
+def _state_fault(l_aa, l_bb, abs_m) -> tuple[int, str] | None:
+    """The first point whose terms no density matrix has, and why, or None:
+    non-finite local terms, L_AA + L_BB > 1, or |M| > 1/2 (off the diagonal
+    |rho_ij| <= 1/2).  Of floats (point 0) or arrays over points."""
+    l_aa, l_bb, abs_m = np.atleast_1d(l_aa, l_bb, abs_m)
+    with np.errstate(all="ignore"):
+        faults = (~(np.isfinite(l_aa) & np.isfinite(l_bb)), l_aa + l_bb > 1.0, ~(abs_m <= 0.5))
+    bad = faults[0] | faults[1] | faults[2]
+    if not bad.any():
+        return None
+    i, invalid = int(bad.argmax()), "leading-order perturbation theory is invalid at this coupling"
+    why = ("non-finite local terms", f"L_AA + L_BB = {l_aa[i] + l_bb[i]:.3g} > 1: {invalid}",
+           f"|M| = {abs_m[i]:.3g} > 1/2: {invalid}")
+    return i, next(w for f, w in zip(faults, why) if f[i])
 
 
 def assemble_state(terms: HarvestTerms) -> np.ndarray:
     """The leading-order two-qubit density matrix in the basis
     {gg, eg, ge, ee}; its negativity and concurrence are those of
     ``terms``.  Raises ValueError where no state has them (``_state_fault``)."""
-    fault = _state_fault(terms)
+    fault = _state_fault(terms.l_aa, terms.l_bb, abs(terms.m))
     if fault:
-        raise ValueError(fault)
+        raise ValueError(fault[1])
     rho = np.zeros((4, 4), dtype=complex)
     rho[0, 0] = 1.0 - terms.l_aa - terms.l_bb
     rho[1, 1] = terms.l_aa

@@ -12,8 +12,9 @@ ever exponentiated.  All functions are pure and accept numpy arrays where
 it matters.  Integrands that differ in their time factor and separation (a
 grid's t_BA and d) are integrated as the members of one group
 (``integrate_damped_group``): on one head panel set, so each pass evaluates
-each distinct time factor and spatial kernel once for all of them, and past
-it with the member as the leading array axis of the tails.  The head stops
+each distinct time factor and spatial kernel once for all of them, and
+reduces the members of one time as blocks of rows, and past it with the
+member as the leading array axis of the tails.  The head stops
 at the group's live edge, where the Gaussian part is e^-60 below its peak,
 for every member whose rigorous bound on the rest (the caller's) is far
 below its roundoff floor; that bound joins its error.
@@ -61,6 +62,7 @@ _EDGE_SHARE = 1e-3         # a member stops at the live edge below this share of
 _MAX_HALF_PERIODS = 2.0 ** 53  # seed counts up to here are exact doubles and int64s
 _SEED_DEPTH = 1e-4         # the geometric head seeds reach down to this share of k_hi
 _TAIL_PANELS = 80          # half-period panels an oscillatory tail sums at most
+_BLOCK_NODES = 16384       # nodes of one block of a head pass's members (a measured budget)
 
 
 class QuadratureConvergenceError(RuntimeError):
@@ -407,25 +409,39 @@ def _product(factors, scale):
 
 
 def _integrands(f, k, kernel, members):
-    """Yield (i, (value, magnitude)) of member i's integrand at the nodes k,
-    time by time: f once, each distinct time once and the kernel once per
-    distinct d > 0, kept across times where more than one runs (one axis's
-    values held).  Under one time, d may be a column against k's rows."""
-    scale, by_time = f(k), {}
+    """Yield (ids, (value, magnitude)) of the members' integrands at the nodes
+    k, time by time: f once and each distinct time once.  The distinct d > 0
+    under a time are in blocks of at most _BLOCK_NODES nodes, each one
+    kernel(k d) call held across the times; a time's members in a block of
+    more than one d are its rows, ids a list.  Any other member is a row
+    alone, ids its index (a spatial factor 1 would change its magnitude).
+    With k one row per member (the tails: one time, d > 0), one block."""
+    scale, by_time, place = f(k), {}, {}  # place: (block, row) of each d > 0 under a time
+    size = len(members) if k.ndim > 1 else max(1, _BLOCK_NODES // k.size)
     for i, (time, d) in enumerate(members):
-        by_time.setdefault(time, []).append((i, d))
-    held = {} if len(by_time) > 1 else None
-    for time, group in by_time.items():
+        by_time.setdefault(time, []).append(i)
+        if kernel is not None and time is not None and d > 0.0:
+            place.setdefault(d, divmod(len(place), size))
+    ds, held = list(place), {}
+    for time, ids in by_time.items():
         factors = None  # the previous time's go before the next is evaluated
         factors = None if time is None else time(k)
-        for i, d in group:
-            if factors is not None and kernel is not None and np.all(d > 0):
-                spatial = held[d] if held is not None and d in held else kernel(k * d)
-                if held is not None:
-                    held[d] = spatial
-                yield i, _product((spatial, *factors), scale)
+        blocks = {}
+        for i in ids:
+            if factors is not None and members[i][1] in place:
+                blocks.setdefault(place[members[i][1]][0], []).append(i)
             else:
                 yield i, scale if factors is None else _product(factors, scale)
+        for j, block in blocks.items():
+            col = ds[j * size:(j + 1) * size]
+            spatial = held.get(j)
+            if spatial is None:
+                spatial = kernel(k * (col[0] if len(col) == 1 else np.array(col)[:, None]))
+            held[j] = spatial if len(by_time) > 1 else None
+            rows = [place[members[i][1]][1] for i in block]
+            if len(col) > 1 and rows != list(range(len(col))):
+                spatial = tuple(x[rows] for x in spatial)
+            yield block if len(col) > 1 else block[0], _product((spatial, *factors), scale)
 
 
 def _gk15_panels(f, lo, hi, kernel=None, members=((None, 0.0),), take=None):
@@ -436,21 +452,27 @@ def _gk15_panels(f, lo, hi, kernel=None, members=((None, 0.0),), take=None):
     the roundoff floor counts the integrand's rounding.  Each member's
     integrand comes from ``_integrands`` (f the spec's integrand), so the
     first three entries are (members, panels) arrays.  lo and hi are one row of
-    panels that the members share, each member reduced in turn, or one row
-    per member, all of one time, in one call on the column of their d.
+    panels that the members share, each block of members reduced as one
+    (block, panels, 15) array, or one row per member, all of one time, in
+    one call on the column of their d.
     With take, each member's row of the three goes to take(i, row) instead.
     """
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
     k = (mid[..., None] + half[..., None] * _XGK).reshape(lo.shape[:-1] + (-1,))
     if lo.ndim > 1:
-        members = [(members[0][0], np.array([d for _, d in members])[:, None])]
+        ((_, fk),) = _integrands(f, k, kernel, members)
+        return (*_gk15_reduce(*fk, half), k.size)
     rows = [None] * len(members)  # in member order; _integrands goes time by time
-    for i, fk in _integrands(f, k, kernel, members):
-        (take or rows.__setitem__)(i, _gk15_reduce(*fk, half))
-    parts = ((None,) * 3 if take else rows[0] if lo.ndim > 1
-             else map(np.array, zip(*rows)))
-    return (*parts, k.size)
+    put = take or rows.__setitem__
+    for ids, fk in _integrands(f, k, kernel, members):
+        parts = _gk15_reduce(*fk, half)
+        if isinstance(ids, list):
+            for j, i in enumerate(ids):
+                put(i, tuple(x[j] for x in parts))
+        else:
+            put(ids, parts)
+    return (*((None,) * 3 if take else map(np.array, zip(*rows))), k.size)
 
 
 def _adaptive_gk(f, breakpoints: np.ndarray, atol: float, rtol: float,

@@ -2,11 +2,14 @@
 t_BA/T, Euler angles) and the optimal-orientation catalogue.
 
 All sweeps work at T = 1 internally.  A sweep hands all its points to
-``harvesting.compute_terms_many`` at once, which integrates M once per
-model, a0 and T: a whole spacetime map (fig5a/b, every t_BA and d), the
-points at one Omega (fig4) or of one model (fig7) share one head panel set,
-and points that differ only in orientation (fig3) share one integral.
-Rows come back in canonical grid order.  Every sweep forwards its keywords
+the engine at once as columns, one array per parameter, without a pair per
+point (``harvesting._harvest``, the work of ``compute_terms_many``), which
+integrates M once per model, a0 and T: a whole spacetime map (fig5a/b,
+every t_BA and d), the points at one Omega (fig4) or of one model (fig7)
+share one head panel set, each head pass reduces the members of one t_BA
+as blocks, and points that differ only in orientation (fig3) share one
+integral.  The rows are built from the engine's arrays, in canonical grid
+order.  Every sweep forwards its keywords
 to ``run_grid``, whose ``threads`` is accepted and has no effect: the work
 is GIL-bound, and a thread pool ran a grid at about 0.9x the speed of one
 thread.
@@ -14,6 +17,7 @@ thread.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -22,9 +26,8 @@ import numpy as np
 
 from .angular import EulerAngles, euler_rotation_matrix
 from .atoms import LIGHTCONE_SIGMAS, AtomSpec, SwitchingKind
-from .harvesting import (ERROR_FACTOR, DetectorPair, ModelKind, _state_fault,
-                         compute_terms_many)
-from .specfun import QuadratureConvergenceError
+from .harvesting import (ERROR_FACTOR, DetectorPair, ModelKind, _harvest,
+                         _negativity2_error, _state_fault, negativity_leading)
 
 __all__ = [
     "Axis",
@@ -41,11 +44,13 @@ __all__ = [
     "orientation_score",
 ]
 
-# light contact is possible within |d - t_BA| < 8 sigma = 8/sqrt(2) T
+# light contact is possible within |d - |t_BA|| < 8 sigma = 8/sqrt(2) T
 LIGHTCONE_HALF_WIDTH = LIGHTCONE_SIGMAS / math.sqrt(2.0)
 
-_PARAM_NAMES = ("a0_omega", "omega_T", "d_over_T", "tba_over_T",
-                "psi", "theta", "phi")
+# each parameter's value where a grid neither sweeps nor fixes it
+_DEFAULTS = {"a0_omega": 1e-3, "omega_T": 1.0, "d_over_T": 0.0, "tba_over_T": 0.0,
+             "psi": 0.0, "theta": 0.0, "phi": 0.0}
+_PARAM_NAMES = tuple(_DEFAULTS)
 
 
 @dataclass(frozen=True)
@@ -93,14 +98,6 @@ class ScanGrid:
             if name in seen:
                 raise ValueError(f"{name!r} is both an axis and fixed")
 
-    def points(self):
-        """Yield parameter dicts in canonical raster order (last axis fastest).
-        The points share one float object per axis value, and so do the
-        coordinates of the rows a scan keeps."""
-        names = [a.name for a in self.axes]
-        for values in itertools.product(*(a.values().tolist() for a in self.axes)):
-            yield {**dict(zip(names, values)), **self.fixed}
-
 
 @dataclass(frozen=True, slots=True)
 class ScanRow:
@@ -129,37 +126,69 @@ class ScanResult:
 def pair_from_params(params: dict, model: ModelKind,
                      coupling: float = 1.0) -> DetectorPair:
     """Build a detector pair from the dimensionless parameter groups, T = 1."""
-    a0_omega = params.get("a0_omega", 1e-3)
-    omega = params.get("omega_T", 1.0)
-    d = params.get("d_over_T", 0.0)
-    tba = params.get("tba_over_T", 0.0)
-    angles = EulerAngles(params.get("psi", 0.0), params.get("theta", 0.0),
-                         params.get("phi", 0.0))
+    p = {**_DEFAULTS, **params}
+    a0_omega, omega = p["a0_omega"], p["omega_T"]
+    angles = EulerAngles(p["psi"], p["theta"], p["phi"])
     if omega <= 0 or a0_omega <= 0:
         raise ValueError("omega_T and a0_omega must be positive")
     a0 = a0_omega / omega
     atom_a = AtomSpec(a0=a0, omega=omega, position=(0.0, 0.0, 0.0),
                       switching_center=0.0, switching_width=1.0)
-    atom_b = AtomSpec(a0=a0, omega=omega, position=(0.0, 0.0, d),
-                      switching_center=tba, switching_width=1.0,
+    atom_b = AtomSpec(a0=a0, omega=omega, position=(0.0, 0.0, p["d_over_T"]),
+                      switching_center=p["tba_over_T"], switching_width=1.0,
                       orientation=angles)
     return DetectorPair(atom_a, atom_b, model, coupling=coupling)
 
 
-def _row(names: tuple, coords: tuple, terms, converged: bool, floats: dict) -> ScanRow:
-    if isinstance(terms, QuadratureConvergenceError):
-        return ScanRow(coords, math.nan, math.nan, math.nan, math.nan,
-                       False, False, math.inf)
-    fault = _state_fault(terms)
-    if fault:
-        point = ", ".join(f"{name} = {v:g}" for name, v in zip(names, coords))
-        raise ValueError(f"at {point}: {fault}")
-    # plain floats, smaller than numpy scalars, and one object per distinct
-    # L value (floats): a scan keeps every row
-    l_aa, l_bb = (floats.setdefault(v, v) for v in (float(terms.l_aa), float(terms.l_bb)))
-    return ScanRow(coords, l_aa, l_bb, float(abs(terms.m)), float(terms.negativity2),
-                   terms.harvestable(), converged,
-                   math.exp(terms.log_scale) * terms.negativity2_error_scaled())
+@functools.lru_cache(maxsize=16)
+def _points(axes: tuple) -> tuple:
+    # a grid's points in raster order (last axis fastest): their coordinates,
+    # one float object per axis value, and each axis's values as a column,
+    # shared by the grids over the same axes and the rows they keep
+    values = [a.values() for a in axes]
+    columns = [v.ravel() for v in np.meshgrid(*values, indexing="ij")]
+    for column in columns:
+        column.flags.writeable = False
+    return (tuple(itertools.product(*(v.tolist() for v in values))),
+            dict(zip((a.name for a in axes), columns)))
+
+
+def _grid_columns(grid: ScanGrid, coupling: float) -> tuple[tuple, dict]:
+    """The grid's points (``_points``) and the engine's columns of their
+    pairs (``harvesting._columns``), the pairs ``pair_from_params`` builds.
+    Raises ValueError at the first point it rejects, with its message."""
+    coords, columns = _points(tuple(grid.axes))
+    n, names = len(coords), [a.name for a in grid.axes]
+    p = {**_DEFAULTS, **grid.fixed, **columns}
+    with np.errstate(all="ignore"):
+        # an axis is finite (Axis), a fixed value need not be
+        a0 = np.divide(p["a0_omega"], p["omega_T"])
+        valid = ((p["omega_T"] > 0) & (p["a0_omega"] > 0) & (a0 > 0) & np.isfinite(a0)
+                 & all(math.isfinite(v) for k, v in p.items() if k not in names)
+                 & isinstance(grid.model, ModelKind) & (0 < coupling < math.inf))
+        for i in np.flatnonzero(~np.broadcast_to(valid, n)):
+            pair_from_params({**grid.fixed, **dict(zip(names, coords[i]))}, grid.model, coupling)
+        omega, tba, d, theta = (np.full(n, float(v)) if np.ndim(v) == 0 else v for v in (
+            p["omega_T"], p["tba_over_T"], p["d_over_T"], p["theta"]))
+        return coords, {
+            "model": [grid.model] * n, "a0": np.broadcast_to(a0, n), "T": np.ones(n),
+            "omega_a": omega, "omega_b": omega, "t_a": np.zeros(n), "t_b": tba,
+            "d": np.sqrt(d * d),  # the norm of B's position (0, 0, d)
+            "rel": np.cos(theta) if grid.model is ModelKind.EM_DIPOLE else np.ones(n),
+            "e2": np.full(n, coupling ** 2)}
+
+
+def _row_columns(h: dict) -> dict:
+    # the fields of ScanRow over the points of a batch (harvesting._harvest),
+    # as HarvestTerms computes them
+    f, l_aa, l_bb, m = h["factor"], h["l_aa"][0], h["l_bb"][0], h["m"][0]
+    with np.errstate(all="ignore"):
+        n2 = negativity_leading(l_aa, l_bb, np.hypot(m.real, m.imag))
+        err = _negativity2_error(h["errors"])
+        # |f m| of a real f as a float times a complex: the imaginary 0 of f adds 0
+        return {"l_aa": f * l_aa, "l_bb": f * l_bb, "abs_m": np.hypot(f * m.real, f * m.imag),
+                "n2": f * n2, "harvestable": n2 > ERROR_FACTOR * err, "quad_error": f * err,
+                "failed": np.array([x is not None for x in h["failed"]])}
 
 
 def run_grid(grid: ScanGrid, threads: int = 1,
@@ -168,40 +197,43 @@ def run_grid(grid: ScanGrid, threads: int = 1,
              atol: float = 1e-16) -> ScanResult:
     """Evaluate the negativity over the grid; rows in canonical raster order.
 
-    All points go to ``compute_terms_many`` in one call, so points that
-    differ only in d and orientation share their M integrals.  A point whose
+    The grid's points go to the engine as columns, without a pair per
+    point (``harvesting._harvest``, ``compute_terms_many``'s work), so
+    points that differ only in d and orientation share their M integrals,
+    and the rows come from its arrays.  A point whose
     terms miss the tolerance is retried, with the other such points, at
     atol and rtol x 1e3 and marked ``converged=False``; one that misses
     that too is a row of NaN.  The default switching is "auto", which crops
     pairs outside the lightcone band (``SwitchingKind.resolve``).
     ``threads`` is accepted and has no effect.  Raises ValueError at the
-    first point whose terms no state has (``harvesting.assemble_state``)."""
-    axis_names = tuple(a.name for a in grid.axes)
-    coords = []
-    pairs = []
-    for p in grid.points():
-        coords.append(tuple(p[a] for a in axis_names))
-        pairs.append(pair_from_params(p, grid.model, coupling))
-    results = compute_terms_many(pairs, switching=switching, include_cross=False,
-                                 atol=atol, rtol=rtol)
-    missed = [i for i, r in enumerate(results) if isinstance(r, QuadratureConvergenceError)]
-    retried = dict(zip(missed, compute_terms_many(
-        [pairs[i] for i in missed], switching=switching, include_cross=False,
-        atol=atol * 1e3, rtol=rtol * 1e3)))
-    floats = {}
-    rows = [_row(axis_names, c, retried.get(i, r), i not in retried, floats)
-            for i, (c, r) in enumerate(zip(coords, results))]
-    meta = {
-        "model": grid.model.value,
-        "fixed": dict(grid.fixed),
-        "axes": [(a.name, a.lo, a.hi, a.count, a.spacing) for a in grid.axes],
-        "rtol": rtol,
-        "atol": atol,
-        "error_factor": ERROR_FACTOR,
-        "switching": switching.variant,
-        "crop_sigmas": switching.crop_sigmas,
-        "coupling": coupling,
-    }
+    first point ``pair_from_params`` rejects, and at the first point whose
+    terms no state has (``harvesting.assemble_state``)."""
+    coords, cols = _grid_columns(grid, coupling)
+    row = _row_columns(_harvest(cols, switching, False, atol, rtol))
+    missed = np.flatnonzero(row["failed"])
+    if missed.size:
+        cols = {k: [v[i] for i in missed] if k == "model" else v[missed] for k, v in cols.items()}
+        for key, col in _row_columns(_harvest(cols, switching, False, atol * 1e3,
+                                              rtol * 1e3)).items():
+            row[key][missed] = col
+    fault = _state_fault(*(np.where(row["failed"], 0.0, row[k]) for k in ("l_aa", "l_bb", "abs_m")))
+    if fault:
+        point = ", ".join(f"{a.name} = {v:g}" for a, v in zip(grid.axes, coords[fault[0]]))
+        raise ValueError(f"at {point}: {fault[1]}")
+    floats = {}  # plain floats, one object per distinct L value: a scan keeps every row
+    l_aa, l_bb = (list(map(floats.setdefault, v, v)) for v in (row["l_aa"].tolist(),
+                                                                row["l_bb"].tolist()))
+    converged = np.ones(len(coords), dtype=bool)
+    converged[missed] = False
+    rows = list(map(ScanRow, coords, l_aa, l_bb, *(row[k].tolist() for k in (
+        "abs_m", "n2", "harvestable")), converged.tolist(), row["quad_error"].tolist()))
+    for i in np.flatnonzero(row["failed"]).tolist():
+        rows[i] = ScanRow(coords[i], math.nan, math.nan, math.nan, math.nan, False, False, math.inf)
+    meta = {"model": grid.model.value, "fixed": dict(grid.fixed),
+            "axes": [(a.name, a.lo, a.hi, a.count, a.spacing) for a in grid.axes],
+            "rtol": rtol, "atol": atol, "error_factor": ERROR_FACTOR,
+            "switching": switching.variant, "crop_sigmas": switching.crop_sigmas,
+            "coupling": coupling}
     return ScanResult(grid=grid, rows=rows, metadata=meta)
 
 
@@ -225,8 +257,9 @@ def harvestability_map(omega_axis: Axis, distance_axis: Axis,
                     fixed={"tba_over_T": tba_over_T, "a0_omega": a0_omega},
                     model=model)
     res = run_grid(grid, **kw)
-    res.metadata["lightcone_d"] = (tba_over_T - LIGHTCONE_HALF_WIDTH,
-                                   tba_over_T + LIGHTCONE_HALF_WIDTH)
+    # the band SwitchingKind.resolve leaves uncropped, |d - |t_BA|| < 8 sigma
+    res.metadata["lightcone_d"] = (abs(tba_over_T) - LIGHTCONE_HALF_WIDTH,
+                                   abs(tba_over_T) + LIGHTCONE_HALF_WIDTH)
     return res
 
 

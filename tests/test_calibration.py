@@ -178,7 +178,8 @@ def test_tail_error_counts_its_panels_rounding(monkeypatch):
     tail_sum = specfun._oscillatory_tails
     monkeypatch.setattr(specfun, "_oscillatory_tails", spy)
     pair = make_pair(*POOL_PAIRS["unequal_gaps_700"])
-    (m,) = specfun.integrate_damped_group(harvesting._spec(harvesting._table(pair, False)["m"]))
+    share, clock, d = harvesting._table(harvesting._columns([pair]), ("m",))["members"][0][0]
+    (m,) = specfun.integrate_damped_group(harvesting._spec(share, [(clock, d)]))
     (_, tail_err, tail_abs, _), = tails
     assert tail_abs > 1e5 * abs(m.value)
     assert tail_err >= specfun._ROUNDOFF * tail_abs

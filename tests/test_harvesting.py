@@ -23,6 +23,11 @@ from vharvest.oracle import (em_decomposition_identity, negativity_bruteforce,
 from vharvest.specfun import scaled_time_kernel, spherical_bessel_j
 
 
+def _member(pair, name):
+    # a term's member (share, clock, d) in the engine's table of the pair alone
+    return harvesting._table(harvesting._columns([pair]), (name,))["members"][0][0]
+
+
 def make_pair(model=ModelKind.EM_DIPOLE, a0_omega=1e-3, omega=2.0, d=3.0,
               tba=1.5, theta=0.0, psi=0.0, phi=0.0, T=1.0, coupling=1.0):
     a0 = a0_omega / omega
@@ -101,9 +106,9 @@ def test_grid_integrates_one_l(monkeypatch):
     specs = []
     real = harvesting._spec
 
-    def spy(term, members=None):
-        specs.append((term.share[0], [t.d for t in members]))
-        return real(term, members)
+    def spy(share, members):
+        specs.append((share[0], [d for _, d in members]))
+        return real(share, members)
 
     monkeypatch.setattr(harvesting, "_spec", spy)
     pairs = [make_pair(omega=12.0, d=d, tba=tba) for d in (3.0, 11.0) for tba in (0.5, 10.0)]
@@ -254,13 +259,13 @@ def test_unequal_gap_integrand_array_equals_node_by_node(rng):
     scale = mp.pi / 2 * mp.exp(-mean ** 2 / 2 + 6j * mean)
     for model in ModelKind:
         pair = DetectorPair(a, b, model)
-        term = harvesting._table(pair, False)["m"]
+        share, clock, d = _member(pair, "m")
         k = np.concatenate((rng.uniform(0.0, 40.0, 150), rng.uniform(40.0, 5e3, 60)))
         time = np.array([complex(_time_integral_mp(mp, a.omega, b.omega, kk, 0.0, 6.0, 1.0)
                                  / scale) for kk in k])
-        p = term.share[1]
-        want = k ** p * term.kernel(k * 4.0)[0] * time / (4.0 * (a0 * k) ** 2 + 9.0) ** 6
-        got, mag = harvesting._integrand(term)(k)
+        p = share[1]
+        want = k ** p * share[4](k * 4.0)[0] * time / (4.0 * (a0 * k) ** 2 + 9.0) ** 6
+        got, mag = harvesting._integrand(share, clock, d)(k)
         assert np.all(np.abs(got - want) <= specfun._ROUNDOFF * mag)
 
 
@@ -676,17 +681,21 @@ def test_integrands_equal_their_group_rows_bitwise(model, ratio):
     b = AtomSpec(a0=1e-3, omega=2.0 * ratio, position=(0.0, 0.0, 3.0),
                  switching_center=-1.5, switching_width=T)
     pair = DetectorPair(a, b, model)
-    table = harvesting._table(pair, pair.identical)
+    names = harvesting._NAMES[:3 + pair.identical]
+    members = {name: _member(pair, name) for name in names}
     views = {"l_aa": local_integrand(model, a.a0, a.omega, T),
              "l_bb": local_integrand(model, b.a0, b.omega, T), "m": nonlocal_integrand(pair)}
     k = np.concatenate((np.linspace(0.0, 60.0, 601), np.geomspace(60.0, 1e6, 80)))
-    for share in ("L", "M"):
-        names = [n for n, t in table.items() if t.share[0] == share]
-        spec = harvesting._spec(table[names[0]], [table[n] for n in names])
-        rows = dict(specfun._integrands(spec.integrand, k, spec.kernel,
-                                        [(time, d) for time, d, _ in spec.members]))
-        for i, name in enumerate(names):
-            value, mag = harvesting._integrand(table[name])(k)
+    for kind in ("L", "M"):
+        group = [n for n in names if members[n][0][0] == kind]
+        spec = harvesting._spec(members[group[0]][0], [members[n][1:] for n in group])
+        rows = {}
+        for ids, (value, mag) in specfun._integrands(spec.integrand, k, spec.kernel,
+                                                     [(time, d) for time, d, _ in spec.members]):
+            for j, i in enumerate(ids if isinstance(ids, list) else [ids]):
+                rows[i] = (value[j], mag[j]) if isinstance(ids, list) else (value, mag)
+        for i, name in enumerate(group):
+            value, mag = harvesting._integrand(*members[name])(k)
             assert np.array_equal(value, rows[i][0]) and np.array_equal(mag, rows[i][1])
             if name in views:
                 assert np.array_equal(views[name](k), rows[i][0])
@@ -811,8 +820,8 @@ def _edge_groups(rng):
     b = AtomSpec(a0=a0, omega=omega * ratio, position=(0.0, 0.0, d),
                  switching_center=tba, switching_width=T)
     twin = DetectorPair(a, replace(b, omega=omega), model)
-    return ([harvesting._table(DetectorPair(a, b, model), False)["m"],
-             harvesting._table(twin, True)["l_ab"]], [harvesting._table(twin, False)["l_aa"]])
+    return ([_member(DetectorPair(a, b, model), "m"), _member(twin, "l_ab")],
+            [_member(twin, "l_aa")])
 
 
 def _abs_integral(term, lo, hi, panels):
@@ -821,7 +830,7 @@ def _abs_integral(term, lo, hi, panels):
     edges = np.geomspace(lo, hi, panels + 1)
     half, mid = 0.5 * np.diff(edges), 0.5 * (edges[1:] + edges[:-1])
     k = (mid[:, None] + half[:, None] * x).ravel()
-    value, _ = harvesting._integrand(term)(k)
+    value, _ = harvesting._integrand(*term)(k)
     return float(np.sum((np.abs(value).reshape(panels, -1) @ w) * half))
 
 
@@ -829,9 +838,9 @@ def test_edge_bound_holds(rng):
     # B bounds the integral of |f| from the live edge into the wings, brute force
     for _ in range(30):
         for group in _edge_groups(rng):
-            k_live, bounds = harvesting._live_edge(group)
+            k_live, bounds = harvesting._live_edge(group[0][0], [c for _, c, _ in group])
             for term, bound in zip(group, bounds):
-                _, p, a0, T = term.share
+                _, p, a0, T, _ = term[0]
                 sqrt_w = T / math.sqrt(2.0)
                 near = k_live + 12.0 / sqrt_w   # past it b - |c| > 19: the Gaussian is dead
                 far = 3.0 * harvesting._WING_CUTOFF[p] / (2.0 * a0)
@@ -856,7 +865,8 @@ def test_a_member_that_stops_lies_within_its_error_of_the_full_range(monkeypatch
     assert not tails
     real_edge = harvesting._live_edge
     monkeypatch.setattr(harvesting, "_live_edge",
-                        lambda members: (real_edge(members)[0], (math.inf,) * len(members)))
+                        lambda share, clocks: (real_edge(share, clocks)[0],
+                                               (math.inf,) * len(clocks)))
     full = harvesting.compute_terms_many(pairs)
     assert tails
     for s, f in zip(stopped, full):
@@ -894,10 +904,9 @@ def test_a_group_where_no_member_could_stop_has_no_edge(monkeypatch):
     # have: M alone gets no edge and takes all its seeds in its first pass,
     # while with L_AB, which stops, the group keeps its edge
     pair = make_pair(model=ModelKind.UDW_SCALAR, d=3.0, tba=1.5)
-    table = harvesting._table(pair, True)
-    m, l_ab = table["m"], table["l_ab"]
-    assert harvesting._live_edge([m]) == (math.inf, ())
-    k_live, bounds = harvesting._live_edge([m, l_ab])
+    (share, m, d), (_, l_ab, _) = _member(pair, "m"), _member(pair, "l_ab")
+    assert harvesting._live_edge(share, [m]) == (math.inf, ())
+    k_live, bounds = harvesting._live_edge(share, [m, l_ab])
     assert k_live < math.sqrt(1500.0) and bounds[0] > 1e-10 > bounds[1]
     passes = []
     real_panels = specfun._gk15_panels
@@ -907,7 +916,7 @@ def test_a_group_where_no_member_could_stop_has_no_edge(monkeypatch):
         return real_panels(f, lo, hi, *args, **kwargs)
 
     monkeypatch.setattr(specfun, "_gk15_panels", panels)
-    specfun.integrate_damped_group(harvesting._spec(m))
+    specfun.integrate_damped_group(harvesting._spec(share, [(m, d)]))
     assert passes[0] == math.sqrt(1500.0)
 
 
@@ -925,10 +934,9 @@ def test_edge_bound_is_overflow_safe(a0, T, tba):
         for model in ModelKind:
             # M of the pair and L_AB of its identical twin, built directly:
             # most of these lie past the range _table accepts
-            share = ("M", harvesting._model_params(model)[2], a0, T)
-            group = [harvesting._Term(share, ("M", tba, a.omega - b.omega), 3.0 * T, ()),
-                     harvesting._Term(share, ("L_AB", tba, a.omega), 3.0 * T, ())]
-            k_live, bounds = harvesting._live_edge(group)
+            _, _, p, _, kernel = harvesting._model_params(model)
+            k_live, bounds = harvesting._live_edge(
+                ("M", p, a0, T, kernel), [("M", tba, a.omega - b.omega), ("L_AB", tba, a.omega)])
             assert k_live > 0.0 and all(bound >= 0.0 for bound in bounds)
             if a0 == 1e-200:
                 assert bounds[0] == math.inf
@@ -950,10 +958,9 @@ def test_a_member_whose_bound_overflows_runs_on(monkeypatch):
         warnings.simplefilter("error")
         pair = make_pair(model=ModelKind.UDW_DERIVATIVE, a0_omega=2e-200, tba=20.0)
         # past the range _table accepts: M and L_AB built directly
-        share, d = ("M", 7, pair.atom_a.a0, 1.0), pair.separation
-        m = harvesting._Term(share, ("M", 20.0, 0.0), d, (), harvesting._j0)
-        l_ab = harvesting._Term(share, ("L_AB", 20.0, pair.atom_a.omega), d, (), harvesting._j0)
-        spec = harvesting._spec(m, [m, l_ab])
+        share, d = ("M", 7, pair.atom_a.a0, 1.0, harvesting._j0), pair.separation
+        spec = harvesting._spec(share, [(("M", 20.0, 0.0), d),
+                                        (("L_AB", 20.0, pair.atom_a.omega), d)])
         quads = specfun.integrate_damped_group(spec)
     assert spec.live_edge < math.sqrt(1500.0) and spec.edge_bounds[0] == math.inf
     assert all(isinstance(q, specfun.QuadratureResult) for q in quads)
@@ -983,17 +990,18 @@ def test_a_delay_beyond_the_seed_arithmetic_is_rejected_by_name():
 def _brute_m_scaled(pair):
     # composite 16-point Gauss-Legendre of M's integrand out to 3x its wing
     # cutoff, on geometric panels and on panels of a quarter spatial period
-    term = harvesting._table(pair, False)["m"]
-    _, p, a0, _ = term.share
+    table = harvesting._table(harvesting._columns([pair]), ("m",))
+    share, clock, d = table["members"][0][0]
+    _, p, a0, _, _ = share
     far = 3.0 * harvesting._WING_CUTOFF[p] / (2.0 * a0)
     edges = np.unique(np.concatenate((np.geomspace(1e-8, far, 4000),
                                       np.arange(0.0, far, 0.5 * math.pi / pair.separation))))
     x, w = leggauss(16)
     half, mid = 0.5 * np.diff(edges), 0.5 * (edges[1:] + edges[:-1])
-    value, _ = harvesting._integrand(term)((mid[:, None] + half[:, None] * x).ravel())
+    value, _ = harvesting._integrand(share, clock, d)((mid[:, None] + half[:, None] * x).ravel())
     bare = np.sum((value.reshape(-1, 16) @ w) * half)
     quad = specfun.QuadratureResult(value=bare, abs_error_estimate=0.0, evaluations=1)
-    return harvesting._evaluate(term, quad, term.prefactor[4]).value
+    return harvesting._evaluate(table, [x[:, None] for x in harvesting._bare([quad])])[0][0, 0]
 
 
 @pytest.mark.parametrize("omega", [1.0, 12.0])

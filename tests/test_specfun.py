@@ -526,6 +526,42 @@ def test_gk15_panels_rows_in_member_order():
     assert n == 2 * 15
 
 
+def test_a_head_pass_gives_each_member_the_rows_it_has_alone():
+    # one time's members with d > 0 are reduced in blocks of at most
+    # _BLOCK_NODES nodes; here they span several blocks, and a member with
+    # d = 0 is a row alone: each has the bits of one _gk15_panels call for
+    # it alone, with take and without.  (A member without a time cannot
+    # share a pass with timed ones: the integrand is then its own (value,
+    # magnitude), not their scale.)
+    def time(k):
+        return (scaled_time_kernel(k, 2.0, 1.0, d_omega=0.0),)
+
+    def f(k):
+        return k ** 3 / (4.0 * (1e-3 * k) ** 2 + 9.0) ** 6
+
+    lo = np.linspace(0.0, 60.0, 401)[:-1]
+    hi = lo + 0.15
+    ds = (0.5, 1.0, 2.5, 4.0, 7.0, 11.0, 13.0)
+    members = [(time, d) for d in ds] + [(time, 0.0)]
+    kernel, blocks = specfun.spherical_bessel_j0_plus_j2, []
+
+    def spy(x):
+        blocks.append(np.shape(x))
+        return kernel(x)
+
+    together = specfun._gk15_panels(f, lo, hi, spy, members)
+    # three blocks of two d, and the last d, alone in its block, as a row
+    assert [b[:-1] for b in blocks] == [(2,), (2,), (2,), ()]
+    assert 2 * blocks[0][1] <= specfun._BLOCK_NODES < 3 * blocks[0][1]
+    taken = {}
+    specfun._gk15_panels(f, lo, hi, kernel, members, taken.__setitem__)
+    for i, member in enumerate(members):
+        alone = specfun._gk15_panels(f, lo, hi, kernel, [member])
+        for j in range(3):
+            assert np.array_equal(together[j][i], alone[j][0])
+            assert np.array_equal(taken[i][j], alone[j][0])
+
+
 def test_integrate_gaussian_moment():
     spec = DampedKernelSpec(1.0, (), with_abs(lambda k: np.exp(-k * k)))
     (res,) = integrate_damped_group(spec)

@@ -1,3 +1,4 @@
+import itertools
 import math
 from dataclasses import replace
 
@@ -8,7 +9,8 @@ from vharvest import harvesting, specfun
 from vharvest.angular import EulerAngles
 from vharvest.atoms import SwitchingKind
 from vharvest.harvesting import ModelKind, compute_terms, compute_terms_many
-from vharvest.survey import (Axis, ScanGrid, ScanResult, harvestability_map,
+from vharvest.specfun import QuadratureConvergenceError
+from vharvest.survey import (Axis, ScanGrid, ScanResult, ScanRow, harvestability_map,
                              model_comparison, optimal_orientations,
                              orientation_scan, orientation_score,
                              pair_from_params, run_grid, spacetime_map)
@@ -112,6 +114,114 @@ def test_harvestability_map_channels():
     for row in res.rows:
         assert row.harvestable in (True, False)
         assert row.converged
+
+
+def test_harvestability_map_band_is_where_resolve_does_not_crop():
+    # the band of light contact is |d - |t_BA|| < 8 sigma, as resolve()
+    # has it: at t_BA = -10 T it lies about d = 10 T, not about d = -10 T
+    res = harvestability_map(Axis("omega_T", 1.0, 2.0, 2),
+                             Axis("d_over_T", 9.0, 11.0, 2), tba_over_T=-10.0)
+    lo, hi = res.metadata["lightcone_d"]
+    assert lo < 10.0 < hi
+    auto, sigma = SwitchingKind("auto"), 1.0 / math.sqrt(2.0)
+    for d, variant in ((lo - 1e-9, "cropped_gaussian"), (lo + 1e-9, "gaussian"),
+                       (hi - 1e-9, "gaussian"), (hi + 1e-9, "cropped_gaussian")):
+        assert auto.resolve(d, -10.0, sigma).variant == variant
+
+
+def _rows_of_a_pair_per_point(grid, coupling=1.0, rtol=1e-10):
+    # the rows of a grid from compute_terms_many on pair_from_params of each
+    # point: the points that miss the tolerance retried together at 1e3 x
+    # the tolerances, and each row from its HarvestTerms
+    names = [a.name for a in grid.axes]
+    coords = list(itertools.product(*(a.values().tolist() for a in grid.axes)))
+    pairs = [pair_from_params({**grid.fixed, **dict(zip(names, c))}, grid.model, coupling)
+             for c in coords]
+    auto = SwitchingKind("auto")
+    results = compute_terms_many(pairs, switching=auto, include_cross=False, rtol=rtol)
+    missed = [i for i, r in enumerate(results) if isinstance(r, QuadratureConvergenceError)]
+    retried = dict(zip(missed, compute_terms_many(
+        [pairs[i] for i in missed], switching=auto, include_cross=False, atol=1e-13,
+        rtol=rtol * 1e3)))
+    rows = []
+    for i, c in enumerate(coords):
+        t = retried.get(i, results[i])
+        rows.append(ScanRow(c, math.nan, math.nan, math.nan, math.nan, False, False, math.inf)
+                    if isinstance(t, QuadratureConvergenceError) else ScanRow(
+                        c, float(t.l_aa), float(t.l_bb), float(abs(t.m)), float(t.negativity2),
+                        t.harvestable(), i not in retried,
+                        math.exp(t.log_scale) * t.negativity2_error_scaled()))
+    return rows
+
+
+@pytest.mark.parametrize("axes, fixed, model, coupling, rtol", [
+    # d = 0 and B at -z, at coupling 0.1
+    ((Axis("d_over_T", -4.0, 4.0, 5),), {"tba_over_T": 2.0}, ModelKind.EM_DIPOLE, 0.1, 1e-10),
+    # negative t_BA, with cropped and uncropped points (auto switching)
+    ((Axis("tba_over_T", -12.0, 12.0, 4), Axis("d_over_T", 0.5, 4.0, 3)), {},
+     ModelKind.UDW_SCALAR, 1.0, 1e-10),
+    # points that share one integral
+    ((Axis("theta", 0.0, 3.0, 4),), {"d_over_T": 2.0, "tba_over_T": 2.0},
+     ModelKind.EM_DIPOLE, 1.0, 1e-10),
+    # one M group per row
+    ((Axis("a0_omega", 1e-4, 1e-2, 3, "log"), Axis("d_over_T", 0.5, 4.0, 3)), {},
+     ModelKind.EM_DIPOLE, 1.0, 1e-10),
+    ((Axis("omega_T", 0.5, 12.0, 3), Axis("d_over_T", 1.0, 6.0, 3)), {"tba_over_T": -3.0},
+     ModelKind.UDW_DERIVATIVE, 1.0, 1e-10),
+])
+def test_grid_rows_equal_the_rows_of_a_pair_per_point(axes, fixed, model, coupling, rtol):
+    grid = ScanGrid(axes=axes, fixed=fixed, model=model)
+    rows = run_grid(grid, coupling=coupling, rtol=rtol).rows
+    assert rows == _rows_of_a_pair_per_point(grid, coupling, rtol)
+    assert all(type(x) in (float, bool) for r in rows for x in (
+        r.l_aa, r.l_bb, r.abs_m, r.n2, r.harvestable, r.converged, r.quad_error))
+
+
+def test_grid_retries_as_a_pair_per_point_does(monkeypatch):
+    # a ripple of 3e-9 on the time factor of the member at d = 3 T, which no
+    # head resolves: that point misses rtol 1e-10 and is retried, in the
+    # grid as in a pair per point
+    spec_of = harvesting._spec
+
+    def rippled(time):
+        def f(k):
+            (value, mag), *rest = time(k)
+            return (value * (1.0 + 3e-9 * np.sin(1e7 * k)), mag), *rest
+        return f
+
+    def spec(share, members):
+        s = spec_of(share, members)
+        return s if share[0] != "M" else replace(s, members=tuple(
+            (rippled(time) if d == 3.0 else time, d, cutoff) for time, d, cutoff in s.members))
+
+    monkeypatch.setattr(harvesting, "_spec", spec)
+    grid = ScanGrid(axes=(Axis("d_over_T", 1.0, 5.0, 5),),
+                    fixed={"omega_T": 2.0, "tba_over_T": 3.0}, model=ModelKind.UDW_SCALAR)
+    rows = run_grid(grid).rows
+    assert rows == _rows_of_a_pair_per_point(grid)
+    assert [r.converged for r in rows] == [True, True, False, True, True]
+
+
+@pytest.mark.parametrize("axes, fixed, coupling", [
+    ((Axis("omega_T", -1.0, 2.0, 4),), {"d_over_T": 2.0}, 1.0),
+    ((Axis("a0_omega", 1e-3, 1e3, 4, "log"),), {"d_over_T": 2.0}, 1.0),
+    ((Axis("d_over_T", 1.0, 2.0, 2),), {"omega_T": 0.0}, 1.0),
+    ((Axis("d_over_T", 1.0, 2.0, 2),), {"theta": math.nan}, 1.0),
+    ((Axis("omega_T", 1e-300, 1.0, 3),), {"a0_omega": 1e300}, 1.0),
+    ((Axis("d_over_T", 1.0, 2.0, 2),), {}, 0.0),
+])
+def test_grid_rejects_each_point_with_the_words_of_its_pair(axes, fixed, coupling):
+    # without a pair per point, a grid rejects its first bad point in raster
+    # order as building and computing that point's pair does
+    grid = ScanGrid(axes=axes, fixed=fixed, model=ModelKind.UDW_SCALAR)
+    names = [a.name for a in axes]
+    with pytest.raises(ValueError) as want:
+        for c in itertools.product(*(a.values().tolist() for a in axes)):
+            compute_terms(pair_from_params({**fixed, **dict(zip(names, c))}, grid.model,
+                                           coupling), include_cross=False)
+    with pytest.raises(ValueError) as got:
+        run_grid(grid, coupling=coupling)
+    assert str(got.value) == str(want.value)
 
 
 def test_model_comparison_structure():
@@ -243,9 +353,9 @@ def test_distance_row_evaluates_the_head_kernel_once_per_pass(monkeypatch):
     def head_passes(run):
         kernel, panels, m_shared = [], [], []
 
-        def spec(term, ds=None):
-            out = real_spec(term, ds)
-            if term.share[0] == "M":
+        def spec(share, members):
+            out = real_spec(share, members)
+            if share[0] == "M":
                 m_shared.append(out.integrand)
             return out
 
@@ -273,24 +383,25 @@ def test_distance_row_evaluates_the_head_kernel_once_per_pass(monkeypatch):
 
 def test_spacetime_map_evaluates_each_kernel_once_per_head_pass(monkeypatch):
     # 4 delays x 5 separations are one M group: each head pass evaluates the
-    # spatial kernel once per distinct d > 0 and the time kernel once per
-    # distinct t_BA among its members, not once per (t_BA, d)
+    # spatial kernel at its nodes once per distinct d > 0 and the time kernel
+    # once per distinct t_BA among its members, not once per (t_BA, d)
     k_hi = math.sqrt(750.0 / 0.5)
-    calls, passes = {"space": 0, "time": 0}, []
+    nodes, passes = {"space": 0, "time": 0}, []
     real_panels = specfun._gk15_panels
 
     def counted(name, real):
-        def spy(*args, **kwargs):
-            calls[name] += 1
-            return real(*args, **kwargs)
+        def spy(k, *args, **kwargs):
+            nodes[name] += np.size(k)
+            return real(k, *args, **kwargs)
         return spy
 
     def gk15_panels(f, lo, hi, kernel=None, members=((None, 0.0),), take=None):
-        before = dict(calls)
+        before = dict(nodes)
         out = real_panels(f, lo, hi, kernel, members, take)
         if kernel is not None and lo.ndim == 1 and hi.max() <= k_hi:
             passes.append(({d for _, d in members if d > 0}, {t for t, _ in members},
-                           calls["space"] - before["space"], calls["time"] - before["time"]))
+                           nodes["space"] - before["space"], nodes["time"] - before["time"],
+                           15 * lo.size))
         return out
 
     monkeypatch.setattr(harvesting, "spherical_bessel_j0_plus_j2",
@@ -300,9 +411,9 @@ def test_spacetime_map_evaluates_each_kernel_once_per_head_pass(monkeypatch):
     monkeypatch.setattr(specfun, "_gk15_panels", gk15_panels)
     spacetime_map(Axis("d_over_T", 0.0, 24.0, 5), Axis("tba_over_T", 0.0, 24.0, 4),
                   omega_T=12.0)
-    assert [(len(d), len(t)) for d, t, _, _ in passes[:1]] == [(4, 4)]
-    for ds, times, space, time in passes:
-        assert (space, time) == (len(ds), len(times))
+    assert [(len(d), len(t)) for d, t, _, _, _ in passes[:1]] == [(4, 4)]
+    for ds, times, space, time, n in passes:
+        assert (space, time) == (len(ds) * n, len(times) * n)
 
 
 def test_distance_row_sums_its_tails_in_one_kernel_call_per_chunk(monkeypatch):
@@ -350,9 +461,9 @@ def test_a_member_that_misses_its_tolerance_is_retried_alone(monkeypatch):
             return (value * (1.0 + noise), mag), *rest
         return f
 
-    def spec(term, members=None):
-        s = spec_of(term, members)
-        if term.clock[0] != "M":
+    def spec(share, members):
+        s = spec_of(share, members)
+        if share[0] != "M":
             return s
         return replace(s, members=tuple((noisy(time) if d == target else time, d, cutoff)
                                         for time, d, cutoff in s.members))
