@@ -83,7 +83,3 @@ class AtomSpec:
         if len(self.position) != 3 or not all(map(math.isfinite, self.position)):
             raise ValueError("position must be three finite numbers")
 
-    @property
-    def sigma(self) -> float:
-        return self.switching_width / math.sqrt(2.0)
-

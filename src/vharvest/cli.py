@@ -180,7 +180,9 @@ def cmd_scan(args) -> int:
                                  for a in axes)
     columns = names + list(_ROW_FIELDS)
     rows = [(*r.coords, *(getattr(r, f) for f in _ROW_FIELDS)) for r in result.rows]
-    if args.format == "json":
+    if args.format == "json":  # JSON has no NaN: a twice-failed row's is null
+        rows = ([None if isinstance(v, float) and not math.isfinite(v) else v for v in row]
+                for row in rows)
         text = json.dumps({"command": command, "metadata": result.metadata,
                            "rows": [dict(zip(columns, row)) for row in rows]},
                           indent=2, default=float) + "\n"
@@ -368,7 +370,7 @@ def main(argv=None) -> int:
     except QuadratureConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # OSError: an unwritable output path
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -34,17 +34,18 @@ one by exactly k^2 in every integrand.  S at the mean gap stays out of the
 integrals as a log scale, so the sign of |M| - L (the harvesting criterion)
 is available even where the values underflow (Omega T > ~38); a pair whose
 terms relative to it leave double range (very unequal gaps) raises
-ValueError.
+ValueError, and a term view where its own term does.
 
 ``compute_terms_many`` evaluates a batch of pairs and shares the work: the
 M and L_AB terms with the same scale k^p / (4u+9)^6 and kern (and the L
 terms with the same scale) integrate on one head panel set, each distinct
 (time, d) once, to its own tolerance and with its own tail (none for L and
 L_AB), and each pass evaluates each distinct time(k) and kern(kd) once.
-The engine takes a batch as columns, one array per parameter (a survey
-grid's without a pair per point), and applies the prefactors and builds
-the results on arrays, in a float's order of operations, so that a point
-has the bits it has alone.  ``compute_terms`` is its one-pair case.
+The engine, ``_terms``, takes a batch as columns, one array per parameter
+(a survey grid's without a pair per point), applies the prefactors and
+builds the results on arrays, in a float's order of operations, so that a
+point has the bits it has alone.  Batches, grids and the term views all
+read it; ``compute_terms`` is its one-pair case.
 """
 
 from __future__ import annotations
@@ -78,8 +79,6 @@ __all__ = [
     "assemble_state",
     "negativity_leading",
     "positivity_report",
-    "local_integrand",
-    "nonlocal_integrand",
 ]
 
 # prefactors of the closed-form kernels (perturbed by the self-check
@@ -162,10 +161,6 @@ class DetectorPair:
     def separation(self) -> float:
         dx = np.asarray(self.atom_b.position) - np.asarray(self.atom_a.position)
         return float(np.linalg.norm(dx))
-
-    @property
-    def t_ba(self) -> float:
-        return self.atom_b.switching_center - self.atom_a.switching_center
 
     @property
     def cos_relative_angle(self) -> float:
@@ -519,33 +514,34 @@ def _evaluate(table: dict, bare: list) -> tuple:
             np.abs(pref) * absint, np.where(out, size, np.nan))
 
 
-def _range_error(size: float, log_scale: float) -> ValueError:
-    return ValueError(f"a term is exp({size:.6g}) times exp(log_scale) "
-                      f"= exp({log_scale:.6g}): outside double range")
+def _check_range(size: np.ndarray, log_scale: np.ndarray, live) -> None:
+    # ValueError at the first live point (live: a mask over points, or True),
+    # and its first term, whose size of _terms (names, points) leaves range
+    bad = ~np.isnan(size) & live
+    if bad.any():
+        i = int(bad.any(axis=0).argmax())
+        raise ValueError(f"a term is exp({size[bad[:, i].argmax(), i]:.6g}) times exp(log_scale) "
+                         f"= exp({log_scale[i]:.6g}): outside double range")
 
 
 def _terms(cols: dict, names, atol: float, rtol: float) -> dict:
     """The terms names of a batch given as columns, each integrated with the
-    batch's terms of its share: per name (value, error, abs_integral) over
-    the points (``_evaluate``; L's values real), the columns "log_scale",
-    "T", "d" and "t_ba", and "failed", per point the
-    QuadratureConvergenceError of its first term that missed, or None.
-    Raises ValueError as ``_table`` does, and at the first point without a
-    failed term where a term relative to exp(log_scale) leaves double range."""
+    batch's terms of its share, by the one caller of ``_table``,
+    ``_quadratures`` and ``_evaluate``: per name (value, error, abs_integral)
+    (L's values real), "size", "quads" and "at", as those give them, "failed",
+    per point its first missed term's QuadratureConvergenceError or None, and
+    the columns "log_scale", "T", "d" and "t_ba".  Raises their ValueErrors;
+    the range errors of "size" are left to ``_harvest`` and ``_field``."""
     with np.errstate(all="ignore"):  # as float arithmetic: no warnings
         table = _table(cols, names)
         quads, at = _quadratures([m for ms in table["members"] for m in ms], atol, rtol)
         at = at.reshape(len(names), -1)
         value, error, absint, size = _evaluate(table, [x[at] for x in _bare(quads)])
     missed = np.array([isinstance(quad, QuadratureConvergenceError) for quad in quads])[at]
-    failed = missed.any(axis=0)
-    bad = ~np.isnan(size) & ~failed
-    if bad.any():
-        i = int(bad.any(axis=0).argmax())
-        raise _range_error(size[bad[:, i].argmax(), i], table["log_scale"][i])
     out = {key: table[key] for key in ("log_scale", "T", "d", "t_ba")}
-    out["failed"] = [quads[at[missed[:, i].argmax(), i]] if f else None
-                     for i, f in enumerate(failed.tolist())]
+    out.update(size=size, quads=quads, at=at, failed=[
+        quads[at[missed[:, i].argmax(), i]] if f else None
+        for i, f in enumerate(missed.any(axis=0).tolist())])
     out.update((name, (v if name in ("m", "l_ab") else v.real, e, a))
                for name, v, e, a in zip(names, value, error, absint))
     return out
@@ -553,42 +549,23 @@ def _terms(cols: dict, names, atol: float, rtol: float) -> dict:
 
 def _field(pair: DetectorPair, name: str, atol: float = 1e-16,
            rtol: float = 1e-10) -> tuple[complex, QuadratureResult]:
-    """A field of ``compute_terms(pair)`` and its bare integral: the term
-    integrated with exactly those of the pair's terms that share its key
-    (L_AA with L_BB, M with L_AB for identical atoms)."""
+    """A field of ``compute_terms(pair)`` and its bare integral, picked from
+    ``_terms`` of the pair's terms that share its key (L_AA with L_BB, M with
+    L_AB for identical atoms): it raises its own QuadratureConvergenceError,
+    then its own range error, and neither of the other term."""
     names = ("l_aa", "l_bb") if name in ("l_aa", "l_bb") else ("m", "l_ab")[:1 + pair.identical]
     j = names.index(name)
-    with np.errstate(all="ignore"):
-        table = _table(_columns([pair]), names)
-        quads, at = _quadratures([ms[0] for ms in table["members"]], atol, rtol)
-        if isinstance(quads[at[j]], QuadratureConvergenceError):
-            raise quads[at[j]]
-        value, _, _, size = _evaluate(table, [x[at][:, None] for x in _bare(quads)])
-    if not np.isnan(size[j, 0]):
-        raise _range_error(size[j, 0], table["log_scale"][0])
-    value = value[j, 0] if name in ("m", "l_ab") else value[j, 0].real
-    return math.exp(table["log_scale"][0]) * value, quads[at[j]]
+    out = _terms(_columns([pair]), names, atol, rtol)
+    quad = out["quads"][out["at"][j, 0]]
+    if isinstance(quad, QuadratureConvergenceError):
+        raise quad
+    _check_range(out["size"][[j]], out["log_scale"], True)
+    return math.exp(out["log_scale"][0]) * out[name][0][0], quad
 
 
 # ----------------------------------------------------------------------------
 # Public views of the engine
 # ----------------------------------------------------------------------------
-
-def local_integrand(model: ModelKind, a0: float, omega: float, T: float):
-    """Scaled local-term integrand's value (the closed kernel with exp(T^2
-    omega^2/2) factored out); exposed so tests can compare models pointwise."""
-    atom = AtomSpec(a0=a0, omega=omega, switching_width=T)
-    f = _integrand(*_table(_columns([DetectorPair(atom, atom, model)]), ("l_aa",))["members"][0][0])
-    return lambda k: f(k)[0]
-
-
-def nonlocal_integrand(pair: DetectorPair):
-    """Scaled nonlocal-term integrand's value (the time kernel, with
-    exp(T^2 Omega^2/2) at the mean gap Omega factored out); the derivative
-    and scalar models differ by exactly k^2 here."""
-    f = _integrand(*_table(_columns([pair]), ("m",))["members"][0][0])
-    return lambda k: f(k)[0]
-
 
 def local_term(pair: DetectorPair, which: str = "A",
                atol: float = 1e-16, rtol: float = 1e-10) -> float:
@@ -703,9 +680,11 @@ def _harvest(cols: dict, switching: SwitchingKind, include_cross: bool,
     L_BB, M and, with include_cross, L_AB; "cropped", where the switching,
     resolved as ``SwitchingKind.resolve`` does, crops; "errors" by name and
     "crop_tail", a cropped point's bound 2 erfc(crop_sigmas/sqrt(2)) times
-    the terms' scaled integrals of |f|, else 0; and "factor", exp(log_scale)."""
+    the terms' scaled integrals of |f|, else 0; and "factor", exp(log_scale).
+    Raises the range error of the first point without a failed term."""
     names = _NAMES[:3 + include_cross]
     out = _terms(cols, names, atol, rtol)
+    _check_range(out["size"], out["log_scale"], np.array([f is None for f in out["failed"]]))
     cropped = (_outside_lightcone(out["d"], out["t_ba"], out["T"] / math.sqrt(2.0))
                if switching.variant == "auto"
                else np.full(out["d"].shape, switching.variant == "cropped_gaussian"))

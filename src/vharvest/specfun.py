@@ -100,8 +100,8 @@ class DampedKernelSpec:
     oscillation_lengths: periods in k of the members' time factors (the
         time phase's 2*pi/t_ba).
     integrand: vectorized callable on arrays of k >= 0: the scale by which
-        every member's product is multiplied last, or, for a member without
-        time factors, its arrays (value, magnitude) of the rounding model.
+        every member's product is multiplied last, or, where the members
+        have no time factors, their (value, magnitude) of the rounding model.
     kernel: callable x -> (value, magnitude), the spatial factor at x = k d
         for d > 0; it oscillates with period 2*pi/d in k, which also sets
         the panels of the member's tail.  None: no spatial factor.
@@ -136,6 +136,9 @@ class DampedKernelSpec:
             raise ValueError("oscillation_lengths must all be positive")
         if not self.members or any(not (d >= 0.0) for _, d, _ in self.members):
             raise ValueError("a spec needs members, each with d >= 0")
+        if len({time is None for time, _, _ in self.members}) > 1:
+            raise ValueError("a spec cannot mix members with and without a time: its "
+                             "integrand is the scale of one and the value of the other")
         if not (self.live_edge > 0.0) or (
                 self.edge_bounds and len(self.edge_bounds) != len(self.members)):
             raise ValueError("live_edge must be positive, with one bound per member")

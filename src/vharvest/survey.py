@@ -200,11 +200,11 @@ def run_grid(grid: ScanGrid, threads: int = 1,
     The grid's points go to the engine as columns, without a pair per
     point (``harvesting._harvest``, ``compute_terms_many``'s work), so
     points that differ only in d and orientation share their M integrals,
-    and the rows come from its arrays.  A point whose
-    terms miss the tolerance is retried, with the other such points, at
-    atol and rtol x 1e3 and marked ``converged=False``; one that misses
-    that too is a row of NaN.  The default switching is "auto", which crops
-    pairs outside the lightcone band (``SwitchingKind.resolve``).
+    and the rows come from its arrays.  A point whose terms miss the
+    tolerance is retried, with the other such points, at atol and rtol x
+    1e3 and marked ``converged=False``; one that misses that too is a row
+    of NaN (null in a JSON scan).  The default switching is "auto", which
+    crops pairs outside the lightcone band (``SwitchingKind.resolve``).
     ``threads`` is accepted and has no effect.  Raises ValueError at the
     first point ``pair_from_params`` rejects, and at the first point whose
     terms no state has (``harvesting.assemble_state``)."""

@@ -314,19 +314,24 @@ def test_criterion_10_harvestability_map():
 
 def test_criterion_11_derivative_scalar_ratio():
     """The derivative coupling inserts exactly k^2 into the integrands."""
-    from vharvest.harvesting import local_integrand, nonlocal_integrand
+    from vharvest import harvesting
+
+    def integrand(pair, name):
+        # the value of one term's integrand, its member in the pair's table
+        member = harvesting._table(harvesting._columns([pair]), (name,))["members"][0][0]
+        return lambda k: harvesting._integrand(*member)(k)[0]
+
     pair_sc = pair_from_params({"a0_omega": 1e-3, "omega_T": 2.0,
                                 "d_over_T": 3.0, "tba_over_T": 1.0},
                                ModelKind.UDW_SCALAR)
     pair_dv = pair_from_params({"a0_omega": 1e-3, "omega_T": 2.0,
                                 "d_over_T": 3.0, "tba_over_T": 1.0},
                                ModelKind.UDW_DERIVATIVE)
-    a = pair_sc.atom_a
     ks = np.geomspace(0.01, 25.0, 300)  # past k ~ 37 the Gaussian underflows
-    f_sc = local_integrand(ModelKind.UDW_SCALAR, a.a0, a.omega, 1.0)(ks)
-    f_dv = local_integrand(ModelKind.UDW_DERIVATIVE, a.a0, a.omega, 1.0)(ks)
-    g_sc = nonlocal_integrand(pair_sc)(ks)
-    g_dv = nonlocal_integrand(pair_dv)(ks)
+    f_sc = integrand(pair_sc, "l_aa")(ks)
+    f_dv = integrand(pair_dv, "l_aa")(ks)
+    g_sc = integrand(pair_sc, "m")(ks)
+    g_dv = integrand(pair_dv, "m")(ks)
     mask = np.abs(g_sc) > 0
     assert f_sc.min() > 0 and mask.sum() >= 290  # j0 zeros are measure zero
     worst = max(float(np.max(np.abs(f_dv / f_sc - ks * ks) / (ks * ks))),

@@ -4,10 +4,11 @@ import warnings
 
 import pytest
 
-from vharvest import cli
+from vharvest import cli, harvesting
 from vharvest.atoms import SwitchingKind
 from vharvest.cli import main
 from vharvest.harvesting import ModelKind, compute_terms
+from vharvest.specfun import QuadratureConvergenceError
 from vharvest.survey import pair_from_params
 
 
@@ -252,7 +253,7 @@ def test_selfcheck_mutated_fails(capsys):
 
 
 def test_compute_nonconvergence_exit_code(monkeypatch, capsys):
-    from vharvest import cli
+    from vharvest import cli, harvesting
     from vharvest.specfun import QuadratureConvergenceError, QuadratureResult
 
     def explode(*args, **kwargs):
@@ -380,3 +381,41 @@ def test_scan_header_records_coupling_and_crop(tmp_path, capsys):
     assert "# coupling: 2.0" in header("--coupling", "2")
     assert "# crop_sigmas: 3.0" in header("--crop-sigmas", "3")
     capsys.readouterr()
+
+
+def test_scan_json_writes_a_twice_failed_row_as_null(monkeypatch, capsys):
+    # the point at d = 2 T misses at both tolerances, a row of NaN: JSON has
+    # no NaN, so its JSON row is null and parses strictly; CSV keeps nan
+    real = harvesting.integrate_damped_group
+
+    def group(spec, *args, **kwargs):
+        return [QuadratureConvergenceError("forced miss", getattr(q, "result", q))
+                if d == 2.0 else q
+                for q, (_, d, _) in zip(real(spec, *args, **kwargs), spec.members)]
+
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    monkeypatch.setattr(harvesting, "integrate_damped_group", group)
+    scan = ["scan", "--axis", "d_over_T:1:3:3"]
+    code, out, _ = run_cli([*scan, "--format", "json"], capsys)
+    assert code == 0
+    rows = json.loads(out, parse_constant=reject)["rows"]
+    assert [r["converged"] for r in rows] == [True, False, True]
+    assert all(rows[1][f] is None and isinstance(rows[0][f], float)
+               for f in ("l_aa", "l_bb", "abs_m", "n2", "n"))
+    code, out, _ = run_cli(scan, capsys)
+    assert code == 0 and out.splitlines()[-2] == "2,nan,nan,nan,nan,nan,0,0"
+
+
+@pytest.mark.parametrize("command", ["scan", "figure"])
+def test_an_unwritable_output_path_is_invalid_configuration(tmp_path, capsys, command):
+    # exit 2 with an error line, as for any invalid configuration; exit 1
+    # means a failed self-check
+    taken = tmp_path / "a_file"
+    taken.write_text("")
+    args = (["scan", "--axis", "d_over_T:0.5:1:2", "--output", str(tmp_path / "missing" / "x.csv")]
+            if command == "scan" else ["figure", "fig7", "--points", "2", "--output-dir", str(taken)])
+    code, out, err = run_cli(args, capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1

@@ -15,9 +15,9 @@ from vharvest.angular import EulerAngles
 from vharvest.atoms import AtomSpec, SwitchingKind
 from vharvest.harvesting import (DetectorPair, HarvestTerms, ModelKind,
                                  assemble_state, compute_terms,
-                                 cross_noise_term, local_integrand, local_term,
-                                 negativity_leading, nonlocal_integrand,
-                                 nonlocal_term, positivity_report)
+                                 cross_noise_term, local_term,
+                                 negativity_leading, nonlocal_term,
+                                 positivity_report)
 from vharvest.oracle import (em_decomposition_identity, negativity_bruteforce,
                              time_integral_bruteforce, time_integral_closed)
 from vharvest.specfun import scaled_time_kernel, spherical_bessel_j
@@ -91,11 +91,14 @@ def test_derivative_vs_scalar_integrand_ratio(rng):
     # the derivative coupling inserts exactly k^2 in every integrand
     pair_sc = make_pair(model=ModelKind.UDW_SCALAR)
     pair_dv = make_pair(model=ModelKind.UDW_DERIVATIVE)
-    a = pair_sc.atom_a
-    f_sc = local_integrand(ModelKind.UDW_SCALAR, a.a0, a.omega, 1.0)
-    f_dv = local_integrand(ModelKind.UDW_DERIVATIVE, a.a0, a.omega, 1.0)
-    g_sc = nonlocal_integrand(pair_sc)
-    g_dv = nonlocal_integrand(pair_dv)
+
+    def integrand(pair, name):
+        # the value of one term's integrand, its member in the pair's table
+        f = harvesting._integrand(*_member(pair, name))
+        return lambda k: f(k)[0]
+
+    f_sc, f_dv = integrand(pair_sc, "l_aa"), integrand(pair_dv, "l_aa")
+    g_sc, g_dv = integrand(pair_sc, "m"), integrand(pair_dv, "m")
     ks = rng.uniform(0.05, 30.0, 200)
     assert np.max(np.abs(f_dv(ks) / f_sc(ks) - ks * ks) / (ks * ks)) <= 1e-12
     assert np.max(np.abs(g_dv(ks) / g_sc(ks) - ks * ks) / (ks * ks)) <= 1e-12
@@ -647,6 +650,42 @@ def test_identical_pair_integrates_m_and_l_ab_on_one_panel_set(monkeypatch):
     assert all(nodes == [n] for _, nodes, n in passes)
 
 
+def test_a_view_raises_only_its_own_range_error():
+    # L_BB relative to M's scale at the mean gap leaves double range, L_AA
+    # does not: the view of L_AA returns it, that of L_BB and compute_terms
+    # raise the range error
+    a = AtomSpec(a0=1e-4, omega=10.0)
+    b = AtomSpec(a0=1e-4, omega=60.0, position=(0.0, 0.0, 3.0), switching_center=1.0)
+    pair = DetectorPair(a, b, ModelKind.EM_DIPOLE)
+    assert local_term(pair, "A") == pytest.approx(3.098e-35, rel=1e-3)
+    with pytest.raises(ValueError, match="outside double range") as view:
+        local_term(pair, "B")
+    with pytest.raises(ValueError, match="outside double range") as terms:
+        compute_terms(pair, include_cross=False)
+    assert str(view.value) == str(terms.value)
+
+
+def test_nonlocal_term_returns_m_when_only_l_ab_misses(monkeypatch):
+    # M and L_AB of an identical pair are one group; a miss of L_AB alone
+    # fails cross_noise_term and compute_terms, not nonlocal_term
+    pair = make_pair()
+    m = nonlocal_term(pair)
+    real = harvesting.integrate_damped_group
+
+    def group(spec, *args, **kwargs):
+        # L_AB: a member with a spatial kernel and no wing cutoff
+        return [specfun.QuadratureConvergenceError("forced miss", q)
+                if spec.kernel is not None and cutoff is None else q
+                for q, (_, _, cutoff) in zip(real(spec, *args, **kwargs), spec.members)]
+
+    monkeypatch.setattr(harvesting, "integrate_damped_group", group)
+    assert nonlocal_term(pair) == m
+    with pytest.raises(specfun.QuadratureConvergenceError, match="forced miss"):
+        cross_noise_term(pair)
+    with pytest.raises(specfun.QuadratureConvergenceError, match="forced miss"):
+        compute_terms(pair)
+
+
 def test_unequal_pair_integrates_l_aa_and_l_bb_as_one_group(monkeypatch):
     # two group calls (L_AA with L_BB, two members; M), and the view of L_BB
     # integrates the same group, so it has compute_terms' bits
@@ -673,9 +712,8 @@ def test_unequal_pair_integrates_l_aa_and_l_bb_as_one_group(monkeypatch):
 @pytest.mark.parametrize("model", list(ModelKind))
 @pytest.mark.parametrize("ratio", [1.0, 1.15])
 def test_integrands_equal_their_group_rows_bitwise(model, ratio):
-    # a term's integrand alone (_integrand, and the views local_integrand and
-    # nonlocal_integrand) has the bits of its member's row in the group spec
-    # that compute_terms integrates
+    # a term's integrand alone (_integrand) has the bits of its member's row
+    # in the group spec that compute_terms integrates
     T = 1.3
     a = AtomSpec(a0=1e-3, omega=2.0, switching_width=T)
     b = AtomSpec(a0=1e-3, omega=2.0 * ratio, position=(0.0, 0.0, 3.0),
@@ -683,8 +721,6 @@ def test_integrands_equal_their_group_rows_bitwise(model, ratio):
     pair = DetectorPair(a, b, model)
     names = harvesting._NAMES[:3 + pair.identical]
     members = {name: _member(pair, name) for name in names}
-    views = {"l_aa": local_integrand(model, a.a0, a.omega, T),
-             "l_bb": local_integrand(model, b.a0, b.omega, T), "m": nonlocal_integrand(pair)}
     k = np.concatenate((np.linspace(0.0, 60.0, 601), np.geomspace(60.0, 1e6, 80)))
     for kind in ("L", "M"):
         group = [n for n in names if members[n][0][0] == kind]
@@ -697,8 +733,6 @@ def test_integrands_equal_their_group_rows_bitwise(model, ratio):
         for i, name in enumerate(group):
             value, mag = harvesting._integrand(*members[name])(k)
             assert np.array_equal(value, rows[i][0]) and np.array_equal(mag, rows[i][1])
-            if name in views:
-                assert np.array_equal(views[name](k), rows[i][0])
 
 
 @settings(max_examples=100, deadline=None)

@@ -630,6 +630,15 @@ def test_kernel_spec_validation():
         DampedKernelSpec(1.0, (0.0,), lambda k: k)
 
 
+def test_kernel_spec_rejects_members_with_and_without_a_time():
+    # its integrand is the scale of a member with a time and the (value,
+    # magnitude) of one without, so one spec cannot hold both kinds
+    time = lambda k: ((np.exp(-k * k), np.exp(-k * k)),)
+    with pytest.raises(ValueError, match="mix members with and without a time"):
+        DampedKernelSpec(1.0, (), lambda k: k, members=((time, 0.0, None), (None, 0.0, None)))
+    DampedKernelSpec(1.0, (), lambda k: k, members=((time, 0.0, None), (time, 1.0, None)))
+
+
 def test_nonconvergence_carries_best_estimate():
     # a discontinuous comb the panel scheme cannot resolve to 1e-10
     rough = lambda k: np.exp(-k * k) * np.sign(np.sin(1000.0 * k) + 0.1)
