@@ -171,6 +171,8 @@ def cmd_scan(args) -> int:
     names = [a.name for a in axes]
     fixed = {k: v for k, v in _params(args).items() if k not in names}
     grid = ScanGrid(axes=axes, fixed=fixed, model=ModelKind.from_name(args.model))
+    if args.output not in (None, "-"):
+        open(args.output, "a").close()  # an unwritable path fails before the run, not after
     result = run_grid(grid, **_sweep_kw(args))
     bad = sum(not r.converged for r in result.rows)
     if args.strict and bad:

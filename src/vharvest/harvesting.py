@@ -243,6 +243,10 @@ _LOG_TINY, _LOG_HUGE = math.log(sys.float_info.min), math.log(sys.float_info.max
 # units of 1/(2 a0): the cutoff of the algebraic erfc wings
 _WING_CUTOFF = {3: 120.0, 5: 400.0, 7: 4000.0}
 
+# the spatial kernel of p decays as |kern(x)| <= C/x^m, as (m, log C): |j0(x)| <= 1/x, and
+# |3 j1(x)/x| = 3 |sin x/x - cos x|/x^2 <= 6/x^2 past x = 1, <= 1 below it (EM, p = 3)
+_KERN_DECAY = {3: (2, math.log(6.0)), 5: (1, 0.0), 7: (1, 0.0)}
+
 # past the live edge every member's Gaussian part is e^-_LIVE_EXPONENT below its peak
 _LIVE_EXPONENT = 60.0
 _SQRT2 = math.sqrt(2.0)
@@ -291,24 +295,30 @@ def _log_upper_gamma(n: int, x: float) -> float:
             + math.log(sum(x ** (j - n + 1) / math.factorial(j) for j in range(n))))
 
 
-def _live_edge(share: tuple, clocks) -> tuple[float, tuple]:
-    """The live edge k_live of a group of members of one share, by their
-    clocks, past which every member's Gaussian part, times k^p, is
+def _live_edge(share: tuple, members) -> tuple[float, tuple]:
+    """The live edge k_live of a group of members (clock, d) of one share,
+    past which every member's Gaussian part, times k^p, is
     e^-_LIVE_EXPONENT below its peak,
     and per member a rigorous bound B on its integral of |f| over
     [k_live, inf), in the units of its bare integral (a member whose B is
     far below its roundoff floor stops at k_live).  With b = T k/sqrt2 and
     c = T (Omega_A - Omega_B)/(2 sqrt2), M's Gaussian part is 2 e^{-(b+c)^2},
-    so k_live = (sqrt(_LIVE_EXPONENT) + max|c|) sqrt2/T.  B bounds |kern| by
-    1 and the rational by 9^-6 times:
-    - the Gaussian part: with y = b - |c| >= y0 past the edge,
-      (y + |c|)^p <= (y y_live/y0)^p, and the integral of y^p e^{-y^2} is
-      the upper incomplete gamma Gamma((p+1)/2, y0^2)/2; L and L_AB, whose
-      G(k) <= e^{-b^2} since Omega > 0, have this part alone, of weight 1;
-    - M's wings: |w(z)| <= min(1, 1/(sqrt(pi) Im z)) at Im z = a (A&S
-      7.1.3), |kern| <= 1 and the whole rational integral,
-      int_0^inf k^p (4 a0^2 k^2 + 9)^-6 dk
-      = (3/(2 a0))^{p+1} 9^-6 B((p+1)/2, 6 - (p+1)/2)/2.
+    so k_live = (sqrt(_LIVE_EXPONENT) + max|c|) sqrt2/T.  B is the sum of:
+    - the Gaussian part, with |kern| <= 1 and the rational <= 9^-6: with
+      y = b - |c| >= y0 past the edge, (y + |c|)^p <= (y y_live/y0)^p, and
+      the integral of y^p e^{-y^2} is the upper incomplete gamma
+      Gamma((p+1)/2, y0^2)/2; L and L_AB, whose G(k) <= e^{-b^2} since
+      Omega > 0, have this part alone, of weight 1;
+    - M's wings, the smaller of two bounds.  One takes |w(z)| <=
+      min(1, 1/(sqrt(pi) Im z)) at Im z = a (A&S 7.1.3), |kern| <= 1 and the
+      whole rational integral, with I(s) = int_0^inf k^(s-1) (4 a0^2 k^2 +
+      9)^-6 dk = (3/(2 a0))^s 9^-6 B(s/2, 6 - s/2)/2 at s = p + 1.  The
+      other takes |w(z)| <= 2/(sqrt(pi) |z|) for Im z >= 0 (integrate
+      w(z) = pi^-1/2 int_0^inf e^{-t^2/4 + izt} dt by parts once), with
+      |z| >= b - |c| >= k (T/sqrt2)(1 - |c|/y_live) past the edge, and
+      |kern| <= 1 or, for d > 0 where smaller, the kernel's decay
+      |kern(x)| <= C/x^m (_KERN_DECAY): the power of 3/(2 a0) falls from
+      p + 1 to I's at s = p, or s = p - m.
     All in logs: where B leaves double range it is inf, and the member
     runs on.  p is odd, so (p+1)/2 is an integer.  Where every B exceeds
     50 eps 9^-6 k_live^{p+1}/(p+1), 1e3x the floor of a member whose time
@@ -316,31 +326,42 @@ def _live_edge(share: tuple, clocks) -> tuple[float, tuple]:
     gets no edge, (inf, ()), and its first pass takes all the seeds."""
     _, p, a0, T, _ = share
     n = (p + 1) // 2
-    # members of one clock have one bound
-    cs = {c: abs(T * c[2]) / (2.0 * _SQRT2) if c[0] == "M" else 0.0 for c in dict.fromkeys(clocks)}
+    # members of one clock have one Gaussian part and one first bound of the
+    # wings, members of one d one rational integral of the second
+    cs = {c: abs(T * c[2]) / (2.0 * _SQRT2) if c[0] == "M" else 0.0
+          for c in dict.fromkeys(c for c, _ in members)}
     root, c_max = math.sqrt(_LIVE_EXPONENT), max(cs.values())
     y_live = root + c_max
     log_sqrt_w = math.log(T) - 0.5 * math.log(2.0)
     log_9_6 = 6.0 * math.log(9.0)
-    log_rational = ((p + 1) * (math.log(1.5) - math.log(a0)) - log_9_6 - math.log(2.0)
-                    + math.lgamma(n) + math.lgamma(6 - n) - math.lgamma(6))
-    k_live, log_bounds = y_live * _SQRT2 / T, {}
+    # log I(s) at the powers the wings take: s = p + 1, p and p - m
+    (m, log_c), log_knee = _KERN_DECAY[p], math.log(1.5) - math.log(a0)
+    log_i = {s: (s * log_knee - log_9_6 - math.log(2.0) + math.lgamma(0.5 * s)
+                 + math.lgamma(6.0 - 0.5 * s) - math.lgamma(6)) for s in (p + 1, p, p - m)}
+    k_live, part = y_live * _SQRT2 / T, {}
     for clock, c in cs.items():
-        y0 = root + (c_max - c)
-        winged = clock[0] == "M"
-        log_b = (math.log(2.0 if winged else 1.0) - log_9_6 + p * math.log(y_live / y0)
-                 + _log_upper_gamma(n, y0 * y0) - math.log(2.0) - (p + 1) * log_sqrt_w)
-        if winged:
+        y0, wings = root + (c_max - c), None
+        if clock[0] == "M":
+            # the first bound, and the second's e^-a^2 4/(sqrt(pi) (T/sqrt2) y0/y_live)
             a = abs(clock[1]) / (_SQRT2 * T)
             log_w = min(0.0, -math.log(math.sqrt(math.pi) * a)) if a > 0.0 else 0.0
-            wings = math.log(2.0) - a * a + log_w + log_rational
-            log_b = max(log_b, wings) + math.log1p(math.exp(-abs(log_b - wings)))
-        log_bounds[clock] = log_b
+            wings = (math.log(2.0) - a * a + log_w + log_i[p + 1],
+                     math.log(4.0 / math.sqrt(math.pi) * y_live / y0) - log_sqrt_w - a * a)
+        part[clock] = (math.log(2.0 if wings else 1.0) - log_9_6 + p * math.log(y_live / y0)
+                       + _log_upper_gamma(n, y0 * y0) - math.log(2.0) - (p + 1) * log_sqrt_w, wings)
+    rational = {d: min(log_i[p], log_i[p - m] + log_c - m * math.log(d)) if d > 0.0 else log_i[p]
+                for d in {d for _, d in members}}
+    log_bounds = []
+    for clock, d in members:
+        log_b, wings = part[clock]
+        if wings:
+            w = min(wings[0], wings[1] + rational[d])
+            log_b = max(log_b, w) + math.log1p(math.exp(-abs(log_b - w)))
+        log_bounds.append(log_b)
     screen = math.log(_ROUNDOFF) - log_9_6 + (p + 1) * math.log(k_live) - math.log(p + 1)
-    if not any(b <= screen for b in log_bounds.values()):
+    if not any(b <= screen for b in log_bounds):
         return math.inf, ()
-    bounds = {c: math.exp(b) if b < _LOG_HUGE else math.inf for c, b in log_bounds.items()}
-    return k_live, tuple(map(bounds.get, clocks))
+    return k_live, tuple(math.exp(b) if b < _LOG_HUGE else math.inf for b in log_bounds)
 
 
 def _spec(share: tuple, members) -> DampedKernelSpec:
@@ -351,9 +372,9 @@ def _spec(share: tuple, members) -> DampedKernelSpec:
     scale k^p / (4u+9)^6, the last factor of every one, and its kernel the
     share's."""
     _, p, a0, T, kernel = share
-    clocks, cutoff = [c for c, _ in members], _WING_CUTOFF[p] / (2.0 * a0)
-    times = {c: functools.partial(_time, c, T) for c in dict.fromkeys(clocks)}
-    k_live, bounds = _live_edge(share, clocks)
+    cutoff = _WING_CUTOFF[p] / (2.0 * a0)
+    times = {c: functools.partial(_time, c, T) for c in dict.fromkeys(c for c, _ in members)}
+    k_live, bounds = _live_edge(share, members)
     return DampedKernelSpec(
         damping_width=0.5 * T * T,
         oscillation_lengths=tuple(2.0 * math.pi / abs(c[1]) for c in times if c[1] != 0.0),

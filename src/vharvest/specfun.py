@@ -14,10 +14,10 @@ grid's t_BA and d) are integrated as the members of one group
 (``integrate_damped_group``): on one head panel set, so each pass evaluates
 each distinct time factor and spatial kernel once for all of them, and
 reduces the members of one time as blocks of rows, and past it with the
-member as the leading array axis of the tails.  The head stops
-at the group's live edge, where the Gaussian part is e^-60 below its peak,
-for every member whose rigorous bound on the rest (the caller's) is far
-below its roundoff floor; that bound joins its error.
+member as the leading array axis of one tail pass for all times.  The head
+stops at the group's live edge, where the Gaussian part is e^-60 below its
+peak, for every member whose rigorous bound on the rest (the caller's) is
+far below its roundoff floor; that bound joins its error.
 
 Rounding model: an integrand returns (value, magnitude) per node, with
 magnitude >= |value| such that 50 eps x magnitude bounds the node's rounding
@@ -418,11 +418,23 @@ def _integrands(f, k, kernel, members):
     kernel(k d) call held across the times; a time's members in a block of
     more than one d are its rows, ids a list.  Any other member is a row
     alone, ids its index (a spatial factor 1 would change its magnitude).
-    With k one row per member (the tails: one time, d > 0), one block."""
-    scale, by_time, place = f(k), {}, {}  # place: (block, row) of each d > 0 under a time
-    size = len(members) if k.ndim > 1 else max(1, _BLOCK_NODES // k.size)
-    for i, (time, d) in enumerate(members):
+    With k one row per member (the tails: members with a time and d > 0),
+    each time's rows in blocks of at most _BLOCK_NODES nodes, ids a list:
+    f, the time and kernel(k d) on the block's rows alone."""
+    by_time = {}
+    for i, (time, _) in enumerate(members):
         by_time.setdefault(time, []).append(i)
+    if k.ndim > 1:
+        size = max(1, _BLOCK_NODES // k.shape[1])
+        for time, ids in by_time.items():
+            for j in range(0, len(ids), size):
+                block = ids[j:j + size]
+                kb, d = k[block], np.array([members[i][1] for i in block])[:, None]
+                yield block, _product((kernel(kb * d), *time(kb)), f(kb))
+        return
+    scale, place = f(k), {}  # place: (block, row) of each d > 0 under a time
+    size = max(1, _BLOCK_NODES // k.size)
+    for time, d in members:
         if kernel is not None and time is not None and d > 0.0:
             place.setdefault(d, divmod(len(place), size))
     ds, held = list(place), {}
@@ -455,17 +467,18 @@ def _gk15_panels(f, lo, hi, kernel=None, members=((None, 0.0),), take=None):
     the roundoff floor counts the integrand's rounding.  Each member's
     integrand comes from ``_integrands`` (f the spec's integrand), so the
     first three entries are (members, panels) arrays.  lo and hi are one row of
-    panels that the members share, each block of members reduced as one
-    (block, panels, 15) array, or one row per member, all of one time, in
-    one call on the column of their d.
+    panels that the members share, or one row per member (the tails), each
+    block of members reduced as one (block, panels, 15) array.
     With take, each member's row of the three goes to take(i, row) instead.
     """
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
     k = (mid[..., None] + half[..., None] * _XGK).reshape(lo.shape[:-1] + (-1,))
-    if lo.ndim > 1:
-        ((_, fk),) = _integrands(f, k, kernel, members)
-        return (*_gk15_reduce(*fk, half), k.size)
+    if lo.ndim > 1:  # the blocks' rows, put back in member order
+        ids, parts = zip(*[(ids, _gk15_reduce(*fk, half[ids]))
+                           for ids, fk in _integrands(f, k, kernel, members)])
+        order = np.argsort(np.concatenate(ids))
+        return (*(np.concatenate(x)[order] for x in zip(*parts)), k.size)
     rows = [None] * len(members)  # in member order; _integrands goes time by time
     put = take or rows.__setitem__
     for ids, fk in _integrands(f, k, kernel, members):
@@ -612,15 +625,17 @@ def _wynn_epsilon(partial_sums):
 def _oscillatory_tails(f, kernel, members, start: float, steps: np.ndarray,
                        heads: np.ndarray, atol: float, rtol: float,
                        max_panels: int = _TAIL_PANELS):
-    """Sum the integrand of members[i], all of one time, over [start, inf),
-    where it oscillates with half-period ~steps[i], as QUADPACK's QAWF does
+    """Sum the integrand of members[i] over [start, inf), where it
+    oscillates with half-period ~steps[i], as QUADPACK's QAWF does
     (Piessens et al., 1983): Wynn epsilon (MTAC 10, 1956) on its partial
     sums over half-period panels, from the fifth on.
 
-    The member is the leading array axis: each chunk of panels is one
-    ``_gk15_panels`` call and each extrapolation one Wynn table for all
-    members.  An estimate's error is Wynn's, the difference of its last two
-    successive estimates, plus its panels' own, roundoff floors included.
+    One pass for a group's members of every time: the member is the leading
+    array axis, each chunk of panels is one ``_gk15_panels`` call, which
+    evaluates each time on its own rows in blocks of at most _BLOCK_NODES
+    nodes, and each extrapolation one Wynn table for all members.  An
+    estimate's error is Wynn's, the difference of its last two successive
+    estimates, plus its panels' own, roundoff floors included.
     A member stops after the first chunk of 24 panels if that error is
     within its tol = max(atol, rtol |heads[i] + estimate|).  The others sum
     the rest of max_panels in one more chunk and keep that estimate: a tail
@@ -673,11 +688,12 @@ def integrate_damped_group(spec: DampedKernelSpec, atol: float = 1e-16,
     running, and each member stops on its own tolerance (``_adaptive_gk``).
     Whatever survives past k_hi (the algebraically decaying erfc wings of
     a member with a cutoff that ran on) is each member's own, and the
-    members of one time sum theirs together: those that oscillate over more
-    than _TAIL_PANELS half periods before the rational-kernel cutoff by Wynn
-    epsilon over their half-period panels, each until it settles
-    (``_oscillatory_tails``), the others on geometric panels out to the
-    cutoff.  Raises ValueError where the head's half periods below k_hi
+    members of all times sum theirs in one pass of each kind: those that
+    oscillate over more than _TAIL_PANELS half periods before the
+    rational-kernel cutoff by Wynn epsilon over their half-period panels,
+    each until it settles (one ``_oscillatory_tails`` call, in blocks), the
+    others on geometric panels out to the cutoff (one ``_adaptive_gk``
+    call).  Raises ValueError where the head's half periods below k_hi
     outnumber 2^53, which its seed arithmetic cannot represent.
 
     Returns one entry per member: its QuadratureResult, or, where its
@@ -726,27 +742,27 @@ def integrate_damped_group(spec: DampedKernelSpec, atol: float = 1e-16,
             for i, (value, err, absint, evals) in zip(group, runs):
                 heads[i] = (value, err + (bounds[i] if i in stop else 0.0), absint,
                             evals + nodes)
-    tails, by_time = {}, {}
+    # the wings of the members that ran on, in one pass of each kind for all
+    # their times: a wing of more half periods than a tail sums is summed over them
+    osc, rest, tails = [], {}, {}
     for i in go_on:
-        time, _, cutoff = spec.members[i]
-        if cutoff is not None:
-            by_time.setdefault((time, cutoff), []).append(i)
-    for (_, cutoff), group in by_time.items():
-        # a wing of more half periods than a tail sums is summed over them
-        osc = [i for i in group if own[i] and cutoff - k_hi > _TAIL_PANELS * 0.5 * own[i]]
-        if osc:
-            steps = np.array([0.5 * own[i] for i in osc])
-            summed = _oscillatory_tails(spec.integrand, kernel, [members[i] for i in osc], k_hi,
-                                        steps, np.array([heads[i][0] for i in osc]),
-                                        0.5 * atol, 0.5 * rtol)
-            tails.update(zip(osc, zip(*summed)))
-        rest = [i for i in group if i not in osc]
-        if rest and cutoff > k_hi:
-            # geometric panels in k out to the cutoff
-            n_dec = max(1, int(math.ceil(math.log10(cutoff / k_hi))))
-            tails.update(zip(rest, _adaptive_gk(
-                spec.integrand, np.geomspace(k_hi, cutoff, 8 * n_dec + 1), 0.5 * atol,
-                0.5 * rtol, kernel=kernel, members=[members[i] for i in rest])))
+        cutoff = spec.members[i][2]
+        if cutoff is not None and own[i] and cutoff - k_hi > _TAIL_PANELS * 0.5 * own[i]:
+            osc.append(i)
+        elif cutoff is not None and cutoff > k_hi:
+            rest.setdefault(cutoff, []).append(i)
+    if osc:
+        steps = np.array([0.5 * own[i] for i in osc])
+        summed = _oscillatory_tails(spec.integrand, kernel, [members[i] for i in osc], k_hi,
+                                    steps, np.array([heads[i][0] for i in osc]),
+                                    0.5 * atol, 0.5 * rtol)
+        tails.update(zip(osc, zip(*summed)))
+    for cutoff, group in rest.items():
+        # geometric panels in k out to the cutoff
+        n_dec = max(1, int(math.ceil(math.log10(cutoff / k_hi))))
+        tails.update(zip(group, _adaptive_gk(
+            spec.integrand, np.geomspace(k_hi, cutoff, 8 * n_dec + 1), 0.5 * atol,
+            0.5 * rtol, kernel=kernel, members=[members[i] for i in group])))
     out = []
     for i, head in enumerate(heads):
         value, err, absint, evals = head if i not in tails else (

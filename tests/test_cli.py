@@ -419,3 +419,14 @@ def test_an_unwritable_output_path_is_invalid_configuration(tmp_path, capsys, co
     code, out, err = run_cli(args, capsys)
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_scan_rejects_an_unwritable_output_path_before_it_runs(tmp_path, capsys, monkeypatch):
+    # the path is checked first, so the grid never runs
+    def no_run(*args, **kwargs):
+        raise AssertionError("run_grid ran before the output path was checked")
+
+    monkeypatch.setattr(cli, "run_grid", no_run)
+    code, out, err = run_cli(["scan", "--axis", "d_over_T:0.5:1:2",
+                              "--output", str(tmp_path / "missing" / "x.csv")], capsys)
+    assert code == 2 and out == "" and err.startswith("error: ")

@@ -20,7 +20,9 @@ from vharvest.harvesting import (DetectorPair, HarvestTerms, ModelKind,
                                  positivity_report)
 from vharvest.oracle import (em_decomposition_identity, negativity_bruteforce,
                              time_integral_bruteforce, time_integral_closed)
-from vharvest.specfun import scaled_time_kernel, spherical_bessel_j
+from vharvest.specfun import (scaled_time_kernel, spherical_bessel_j,
+                              spherical_bessel_j0_plus_j2)
+from vharvest.survey import Axis, spacetime_map
 
 
 def _member(pair, name):
@@ -869,10 +871,12 @@ def _abs_integral(term, lo, hi, panels):
 
 
 def test_edge_bound_holds(rng):
-    # B bounds the integral of |f| from the live edge into the wings, brute force
+    # B bounds the integral of |f| from the live edge into the wings, brute
+    # force, at each member's d and, for M with its twin's L_AB, at d = 0
     for _ in range(30):
-        for group in _edge_groups(rng):
-            k_live, bounds = harvesting._live_edge(group[0][0], [c for _, c, _ in group])
+        m_group, l_group = _edge_groups(rng)
+        for group in (m_group, [(s, c, 0.0) for s, c, _ in m_group], l_group):
+            k_live, bounds = harvesting._live_edge(group[0][0], [(c, d) for _, c, d in group])
             for term, bound in zip(group, bounds):
                 _, p, a0, T, _ = term[0]
                 sqrt_w = T / math.sqrt(2.0)
@@ -899,8 +903,8 @@ def test_a_member_that_stops_lies_within_its_error_of_the_full_range(monkeypatch
     assert not tails
     real_edge = harvesting._live_edge
     monkeypatch.setattr(harvesting, "_live_edge",
-                        lambda share, clocks: (real_edge(share, clocks)[0],
-                                               (math.inf,) * len(clocks)))
+                        lambda share, members: (real_edge(share, members)[0],
+                                                (math.inf,) * len(members)))
     full = harvesting.compute_terms_many(pairs)
     assert tails
     for s, f in zip(stopped, full):
@@ -939,8 +943,8 @@ def test_a_group_where_no_member_could_stop_has_no_edge(monkeypatch):
     # while with L_AB, which stops, the group keeps its edge
     pair = make_pair(model=ModelKind.UDW_SCALAR, d=3.0, tba=1.5)
     (share, m, d), (_, l_ab, _) = _member(pair, "m"), _member(pair, "l_ab")
-    assert harvesting._live_edge(share, [m]) == (math.inf, ())
-    k_live, bounds = harvesting._live_edge(share, [m, l_ab])
+    assert harvesting._live_edge(share, [(m, d)]) == (math.inf, ())
+    k_live, bounds = harvesting._live_edge(share, [(m, d), (l_ab, d)])
     assert k_live < math.sqrt(1500.0) and bounds[0] > 1e-10 > bounds[1]
     passes = []
     real_panels = specfun._gk15_panels
@@ -970,7 +974,8 @@ def test_edge_bound_is_overflow_safe(a0, T, tba):
             # most of these lie past the range _table accepts
             _, _, p, _, kernel = harvesting._model_params(model)
             k_live, bounds = harvesting._live_edge(
-                ("M", p, a0, T, kernel), [("M", tba, a.omega - b.omega), ("L_AB", tba, a.omega)])
+                ("M", p, a0, T, kernel), [(("M", tba, a.omega - b.omega), 0.0),
+                                          (("L_AB", tba, a.omega), 0.0)])
             assert k_live > 0.0 and all(bound >= 0.0 for bound in bounds)
             if a0 == 1e-200:
                 assert bounds[0] == math.inf
@@ -999,6 +1004,75 @@ def test_a_member_whose_bound_overflows_runs_on(monkeypatch):
     assert spec.live_edge < math.sqrt(1500.0) and spec.edge_bounds[0] == math.inf
     assert all(isinstance(q, specfun.QuadratureResult) for q in quads)
     assert [len(args[2]) for args in tails] == [1]
+
+
+@pytest.mark.parametrize("d", [3.0, 1e-300, 1e300])
+@pytest.mark.parametrize("a0,tba", [(1e-200, 20.0), (1e-200, 0.0), (1e200, 20.0), (1e-3, 1e200)])
+def test_edge_bound_with_the_spatial_decay_is_overflow_safe(a0, tba, d):
+    # the kernel's decay C/(k d)^m enters in logs too: no exception and no
+    # RuntimeWarning at any d, and a bound past double range is inf (at
+    # a0 = 1e-200 the scalar couplings' (1.5/a0)^(p-m), m = 1, is past it)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for model in ModelKind:
+            _, _, p, _, kernel = harvesting._model_params(model)
+            k_live, bounds = harvesting._live_edge(
+                ("M", p, a0, 1.0, kernel), [(("M", tba, -0.6), d), (("L_AB", tba, 2.0), d)])
+            assert k_live > 0.0 and all(bound >= 0.0 for bound in bounds)
+            if a0 == 1e-200 and model is not ModelKind.EM_DIPOLE:
+                assert bounds[0] == math.inf
+
+
+@pytest.mark.parametrize("p,kernel", [(3, spherical_bessel_j0_plus_j2), (5, harvesting._j0),
+                                      (7, harvesting._j0)])
+def test_spatial_kernels_decay_as_the_edge_bound_takes(p, kernel):
+    # |kern(x)| <= C/x^m: |3 j1(x)/x| <= 6/x^2, |j0(x)| <= 1/x
+    m, log_c = harvesting._KERN_DECAY[p]
+    x = np.concatenate([np.geomspace(1e-3, 1e6, 4001), np.linspace(0.01, 60.0, 6000)])
+    value, _ = kernel(x)
+    assert np.all(np.abs(value) <= math.exp(log_c) / x ** m)
+
+
+def test_a_group_of_several_times_sums_its_tails_in_one_pass(monkeypatch):
+    # 3 times x 3 d, none late enough to stop at the edge: one tail pass for
+    # all nine, and each member has the bits of a group of its time alone
+    passes = []
+    real_tails = specfun._oscillatory_tails
+
+    def spy(*args, **kwargs):
+        passes.append(len(args[2]))
+        return real_tails(*args, **kwargs)
+
+    monkeypatch.setattr(specfun, "_oscillatory_tails", spy)
+    for model in ModelKind:
+        _, _, p, _, kernel = harvesting._model_params(model)
+        share = ("M", p, 5e-4, 1.0, kernel)
+        members = [(("M", t, 0.0), d) for t in (1.0, 3.0, 5.0) for d in (2.0, 6.0, 12.0)]
+        passes.clear()
+        together = specfun.integrate_damped_group(harvesting._spec(share, members))
+        assert passes == [9]
+        for j in range(0, 9, 3):
+            alone = specfun.integrate_damped_group(harvesting._spec(share, members[j:j + 3]))
+            assert all(isinstance(q, specfun.QuadratureResult) for q in alone)
+            assert together[j:j + 3] == alone
+
+
+def test_fig5a_members_stop_at_the_edge_from_its_delay_10_7(monkeypatch):
+    # on fig5a's 10 x 10 map the kernel's decay and |w(z)| <= 2/(sqrt(pi)|z|)
+    # stop every d > 0 member at t_BA = 32/3 T at the live edge: no tail
+    tails = []
+    real_tails = specfun._oscillatory_tails
+
+    def spy(f, kernel, members, *args, **kwargs):
+        tails.extend((time.args[0][1], d) for time, d in members)
+        return real_tails(f, kernel, members, *args, **kwargs)
+
+    monkeypatch.setattr(specfun, "_oscillatory_tails", spy)
+    spacetime_map(Axis("d_over_T", 0.0, 24.0, 10), Axis("tba_over_T", 0.0, 24.0, 10),
+                  omega_T=12.0)
+    delays = {tba for tba, _ in tails}
+    assert len(delays) == 4 and max(delays) == pytest.approx(8.0)
+    assert not any(tba == pytest.approx(32.0 / 3.0) for tba, _ in tails)
 
 
 def test_head_seeds_do_not_grow_with_the_delay():

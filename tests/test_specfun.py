@@ -74,6 +74,18 @@ def test_faddeeva_asymptotic_large_real():
     assert w == pytest.approx(faddeeva_cf(x + 0.0j), rel=1e-13)
 
 
+@pytest.mark.parametrize("a", [0.0, 1e-3, 1.0, 10.0])
+def test_faddeeva_is_within_the_live_edge_bound(a):
+    # |w(z)| <= 2/(sqrt(pi) |z|) in the upper half plane, the bound the live
+    # edge takes for M's wings, over |z| in [1e-2, 1e6] on both sides of 0
+    r = np.geomspace(1e-2, 1e6, 2001)
+    r = r[r >= a]
+    x = np.sqrt(r * r - a * a)
+    for side in (x, -x):
+        w = specfun._faddeeva(side, a)
+        assert np.all(np.abs(w) <= 2.0 / (math.sqrt(math.pi) * np.hypot(side, a)))
+
+
 # ----------------------------------------------------------------------------
 # time kernel
 # ----------------------------------------------------------------------------
@@ -560,6 +572,37 @@ def test_a_head_pass_gives_each_member_the_rows_it_has_alone():
         for j in range(3):
             assert np.array_equal(together[j][i], alone[j][0])
             assert np.array_equal(taken[i][j], alone[j][0])
+
+
+def test_tail_rows_of_several_times_have_the_bits_of_each_time_alone(monkeypatch):
+    # one row of panels per member (the tails): each time is evaluated on
+    # its own rows, in blocks of at most _BLOCK_NODES nodes, so a member's
+    # rows are those of a call with its time's members alone
+    def time(t):
+        return lambda k: (scaled_time_kernel(k, t, 1.0, d_omega=0.0),)
+
+    def f(k):
+        return k ** 3 / (4.0 * (1e-3 * k) ** 2 + 9.0) ** 6
+
+    t1, t2 = time(1.0), time(3.0)
+    members = [(t1, 2.0), (t2, 2.0), (t1, 5.0), (t2, 9.0), (t1, 11.0)]
+    steps = np.array([math.pi / d for _, d in members])
+    lo = 40.0 + steps[:, None] * np.arange(24)
+    monkeypatch.setattr(specfun, "_BLOCK_NODES", 2 * 15 * 24)
+    kernel, blocks = specfun.spherical_bessel_j0_plus_j2, []
+
+    def spy(x):
+        blocks.append(np.shape(x))
+        return kernel(x)
+
+    together = specfun._gk15_panels(f, lo, lo + steps[:, None], spy, members)
+    assert blocks == [(2, 360), (1, 360), (2, 360)]
+    for t in (t1, t2):
+        ids = [i for i, (tm, _) in enumerate(members) if tm is t]
+        alone = specfun._gk15_panels(f, lo[ids], lo[ids] + steps[ids, None], kernel,
+                                     [members[i] for i in ids])
+        for j in range(3):
+            assert np.array_equal(together[j][ids], alone[j])
 
 
 def test_integrate_gaussian_moment():
