@@ -19,33 +19,34 @@ t_BA and gaps), d and the prefactor:
 
 with S = exp(-T^2 Omega^2/2), G(k) = exp(-T^2 (k^2/2 + Omega k)), kern = 1
 for L, and K(k, t_BA) the time kernel ``scaled_time_kernel`` at d_omega =
-Omega_A - Omega_B.  In M, Omega is the mean gap (Omega_A + Omega_B)/2, so one
-row serves every gap: pi T^2/2 S e^{i Omega (t_A+t_B)} K is the ordered
-double time integral ``oracle.time_integral_closed``.  Like every time factor K is
-evaluated once per batch of quadrature nodes; its erfc wings decay only
-algebraically in k, so M integrates them to the rational cutoff or sums them
-over the spatial period.  A term stops instead at the live edge, where its
-Gaussian part is e^-60 below its peak, if a rigorous bound B on the rest of
-its integral of |f| (``_live_edge``) is at most 1e-3 of its roundoff floor:
-the wings carry e^{-t_BA^2/(2 T^2)}, so M does at large |t_BA|, and L and
-L_AB, which have no wings, almost always do.  B is then part of its
-reported error.  The derivative coupling differs from the scalar
-one by exactly k^2 in every integrand.  S at the mean gap stays out of the
-integrals as a log scale, so the sign of |M| - L (the harvesting criterion)
-is available even where the values underflow (Omega T > ~38); a pair whose
-terms relative to it leave double range (very unequal gaps) raises
-ValueError, and a term view where its own term does.
+Omega_A - Omega_B.  In M, Omega is the mean gap (Omega_A + Omega_B)/2, so
+one row serves every gap: pi T^2/2 S e^{i Omega (t_A+t_B)} K is the ordered
+double time integral ``oracle.time_integral_closed``.  Like every time
+factor K is evaluated once per batch of quadrature nodes; its erfc wings
+decay only algebraically in k, so M integrates them to the rational cutoff
+or sums them over the spatial period.  M stops instead at the live edge,
+where its Gaussian part is e^-60 below its peak, if a rigorous bound on the
+rest of its integral of |f| (``_live_edge``) is at most 1e-3 of its roundoff
+floor: the wings carry e^{-t_BA^2/(2 T^2)}, so it does at large |t_BA|.  L
+and L_AB have no wings: one GK15 pass on a fixed panel set to where their
+Gaussian is e^-60 down (``_fixed``).  Either bound joins the error.  The
+derivative coupling differs from the scalar one by exactly k^2 in every
+integrand.  S at the mean gap stays out of the integrals as a log scale, so
+the sign of |M| - L (the harvesting criterion) is available even where the
+values underflow (Omega T > ~38); a pair whose terms relative to it leave
+double range (very unequal gaps) raises ValueError, and a term view where
+its own term does.
 
-``compute_terms_many`` evaluates a batch of pairs and shares the work: the
-M and L_AB terms with the same scale k^p / (4u+9)^6 and kern (and the L
-terms with the same scale) integrate on one head panel set, each distinct
-(time, d) once, to its own tolerance and with its own tail (none for L and
-L_AB), and each pass evaluates each distinct time(k) and kern(kd) once.
-The engine, ``_terms``, takes a batch as columns, one array per parameter
-(a survey grid's without a pair per point), applies the prefactors and
-builds the results on arrays, in a float's order of operations, so that a
-point has the bits it has alone.  Batches, grids and the term views all
-read it; ``compute_terms`` is its one-pair case.
+``compute_terms_many`` evaluates a batch of pairs and shares the work: the M
+terms with the same scale k^p / (4u+9)^6 and kern integrate on one head
+panel set, the L and the L_AB terms with the same scale and Omega on one
+fixed panel set, each distinct (time, d) once and to its own tolerance, and
+each pass evaluates each distinct time(k) and kern(kd) once.  The engine,
+``_terms``, takes a batch as columns, one array per parameter (a survey
+grid's without a pair per point), applies the prefactors and builds the
+results on arrays, in a float's order of operations, so that a point has the
+bits it has alone.  Batches, grids and the term views all read it;
+``compute_terms`` is its one-pair case.
 """
 
 from __future__ import annotations
@@ -63,8 +64,8 @@ import numpy as np
 from .atoms import AtomSpec, SwitchingKind, _outside_lightcone
 from .specfun import (_GAUSS_DEAD, _ROUNDOFF, _SEED_DEPTH, DampedKernelSpec,
                       QuadratureConvergenceError, QuadratureResult, _integrands,
-                      integrate_damped_group, scaled_time_kernel, spherical_bessel_j,
-                      spherical_bessel_j0_plus_j2)
+                      integrate_damped_group, integrate_fixed_group, scaled_time_kernel,
+                      spherical_bessel_j, spherical_bessel_j0_plus_j2)
 
 __all__ = [
     "ModelKind",
@@ -247,8 +248,9 @@ _WING_CUTOFF = {3: 120.0, 5: 400.0, 7: 4000.0}
 # |3 j1(x)/x| = 3 |sin x/x - cos x|/x^2 <= 6/x^2 past x = 1, <= 1 below it (EM, p = 3)
 _KERN_DECAY = {3: (2, math.log(6.0)), 5: (1, 0.0), 7: (1, 0.0)}
 
-# past the live edge every member's Gaussian part is e^-_LIVE_EXPONENT below its peak
+# past the live edge and a fixed panel set (``_fixed``) the Gaussian is e^-_LIVE_EXPONENT down
 _LIVE_EXPONENT = 60.0
+_FIXED_PANELS, _KNEE_SHARE = 4000, 0.5
 _SQRT2 = math.sqrt(2.0)
 
 
@@ -257,9 +259,10 @@ _SQRT2 = math.sqrt(2.0)
 # orientation factor, e2 the squared coupling).  Per point a term is a member
 # (share, clock, d) and a prefactor (``_table``).  share = ("L" or "M", p, a0,
 # T, kern), T that of exp(-T^2 k^2/2), kern the spatial kernel (None for L):
-# terms of one share integrate on one panel set, one member per distinct
-# (clock, d).  clock = (kind, t_BA, frequency), ("L", 0, Omega), ("M", t_BA,
-# Omega_A - Omega_B) or ("L_AB", t_BA, Omega), fixes time(k) (``_time``).
+# M terms of one share, and L or L_AB of one share and Omega, integrate on one
+# panel set, one member per distinct (clock, d).  clock = (kind, t_BA,
+# frequency), ("L", 0, Omega), ("M", t_BA, Omega_A - Omega_B) or ("L_AB",
+# t_BA, Omega), fixes time(k) (``_time``).
 _COLUMNS = ("a0", "T", "omega_a", "omega_b", "t_a", "t_b", "d", "rel", "e2")
 _NAMES = ("l_aa", "l_bb", "m", "l_ab")
 
@@ -296,20 +299,18 @@ def _log_upper_gamma(n: int, x: float) -> float:
 
 
 def _live_edge(share: tuple, members) -> tuple[float, tuple]:
-    """The live edge k_live of a group of members (clock, d) of one share,
-    past which every member's Gaussian part, times k^p, is
-    e^-_LIVE_EXPONENT below its peak,
-    and per member a rigorous bound B on its integral of |f| over
-    [k_live, inf), in the units of its bare integral (a member whose B is
-    far below its roundoff floor stops at k_live).  With b = T k/sqrt2 and
-    c = T (Omega_A - Omega_B)/(2 sqrt2), M's Gaussian part is 2 e^{-(b+c)^2},
-    so k_live = (sqrt(_LIVE_EXPONENT) + max|c|) sqrt2/T.  B is the sum of:
+    """The live edge k_live of a group of M members (clock, d) of one share,
+    past which every member's Gaussian part, times k^p, is e^-_LIVE_EXPONENT
+    below its peak, and per member a rigorous bound B on its integral of |f|
+    over [k_live, inf), in the units of its bare integral (a member whose B
+    is far below its roundoff floor stops at k_live).  With b = T k/sqrt2,
+    c = T (Omega_A - Omega_B)/(2 sqrt2), the Gaussian part is 2 e^{-(b+c)^2}
+    and k_live = (sqrt(_LIVE_EXPONENT) + max|c|) sqrt2/T.  B is the sum of:
     - the Gaussian part, with |kern| <= 1 and the rational <= 9^-6: with
       y = b - |c| >= y0 past the edge, (y + |c|)^p <= (y y_live/y0)^p, and
       the integral of y^p e^{-y^2} is the upper incomplete gamma
-      Gamma((p+1)/2, y0^2)/2; L and L_AB, whose G(k) <= e^{-b^2} since
-      Omega > 0, have this part alone, of weight 1;
-    - M's wings, the smaller of two bounds.  One takes |w(z)| <=
+      Gamma((p+1)/2, y0^2)/2;
+    - the wings, the smaller of two bounds.  One takes |w(z)| <=
       min(1, 1/(sqrt(pi) Im z)) at Im z = a (A&S 7.1.3), |kern| <= 1 and the
       whole rational integral, with I(s) = int_0^inf k^(s-1) (4 a0^2 k^2 +
       9)^-6 dk = (3/(2 a0))^s 9^-6 B(s/2, 6 - s/2)/2 at s = p + 1.  The
@@ -319,58 +320,53 @@ def _live_edge(share: tuple, members) -> tuple[float, tuple]:
       |kern| <= 1 or, for d > 0 where smaller, the kernel's decay
       |kern(x)| <= C/x^m (_KERN_DECAY): the power of 3/(2 a0) falls from
       p + 1 to I's at s = p, or s = p - m.
-    All in logs: where B leaves double range it is inf, and the member
-    runs on.  p is odd, so (p+1)/2 is an integer.  Where every B exceeds
-    50 eps 9^-6 k_live^{p+1}/(p+1), 1e3x the floor of a member whose time
-    and spatial factors had magnitude 1, no member would stop: the group
-    gets no edge, (inf, ()), and its first pass takes all the seeds."""
+    All in logs: a B past double range is inf, and its member runs on (p is
+    odd, so (p+1)/2 is an integer).  Where every B exceeds its screen, 50
+    eps 9^-6 int_0^k_live k^p min(1, C/(kd)^m) dk, 1e3x the floor of a
+    member of time factor 1 whose kernel meets its decay, no member would
+    stop: no edge, (inf, ()), and the first pass takes all the seeds."""
     _, p, a0, T, _ = share
-    n = (p + 1) // 2
-    # members of one clock have one Gaussian part and one first bound of the
-    # wings, members of one d one rational integral of the second
-    cs = {c: abs(T * c[2]) / (2.0 * _SQRT2) if c[0] == "M" else 0.0
-          for c in dict.fromkeys(c for c, _ in members)}
+    # per clock one Gaussian part and first bound of the wings, per d one screen
+    # and one rational integral of the second
+    cs = {c: abs(T * c[2]) / (2.0 * _SQRT2) for c in dict.fromkeys(c for c, _ in members)}
     root, c_max = math.sqrt(_LIVE_EXPONENT), max(cs.values())
     y_live = root + c_max
-    log_sqrt_w = math.log(T) - 0.5 * math.log(2.0)
-    log_9_6 = 6.0 * math.log(9.0)
+    log_sqrt_w, log_9_6 = math.log(T) - 0.5 * math.log(2.0), 6.0 * math.log(9.0)
     # log I(s) at the powers the wings take: s = p + 1, p and p - m
     (m, log_c), log_knee = _KERN_DECAY[p], math.log(1.5) - math.log(a0)
     log_i = {s: (s * log_knee - log_9_6 - math.log(2.0) + math.lgamma(0.5 * s)
                  + math.lgamma(6.0 - 0.5 * s) - math.lgamma(6)) for s in (p + 1, p, p - m)}
     k_live, part = y_live * _SQRT2 / T, {}
     for clock, c in cs.items():
-        y0, wings = root + (c_max - c), None
-        if clock[0] == "M":
-            # the first bound, and the second's e^-a^2 4/(sqrt(pi) (T/sqrt2) y0/y_live)
-            a = abs(clock[1]) / (_SQRT2 * T)
-            log_w = min(0.0, -math.log(math.sqrt(math.pi) * a)) if a > 0.0 else 0.0
-            wings = (math.log(2.0) - a * a + log_w + log_i[p + 1],
-                     math.log(4.0 / math.sqrt(math.pi) * y_live / y0) - log_sqrt_w - a * a)
-        part[clock] = (math.log(2.0 if wings else 1.0) - log_9_6 + p * math.log(y_live / y0)
-                       + _log_upper_gamma(n, y0 * y0) - math.log(2.0) - (p + 1) * log_sqrt_w, wings)
-    rational = {d: min(log_i[p], log_i[p - m] + log_c - m * math.log(d)) if d > 0.0 else log_i[p]
-                for d in {d for _, d in members}}
+        # the first bound, and the second's e^-a^2 4/(sqrt(pi) (T/sqrt2) y0/y_live)
+        y0, a = root + (c_max - c), abs(clock[1]) / (_SQRT2 * T)
+        log_w = min(0.0, -math.log(math.sqrt(math.pi) * a)) if a > 0.0 else 0.0
+        wings = (math.log(2.0) - a * a + log_w + log_i[p + 1],
+                 math.log(4.0 / math.sqrt(math.pi) * y_live / y0) - log_sqrt_w - a * a)
+        part[clock] = (-log_9_6 + p * math.log(y_live / y0) - (p + 1) * log_sqrt_w
+                       + _log_upper_gamma((p + 1) // 2, y0 * y0), wings)
+    log_k, rational, screen = math.log(k_live), {}, {}
+    for d in {d for _, d in members}:
+        decay = log_c - m * math.log(d) if d > 0.0 else math.inf
+        rational[d] = min(log_i[p], log_i[p - m] + decay)
+        screen[d] = math.log(_ROUNDOFF) - log_9_6 + min(
+            (p + 1) * log_k - math.log(p + 1), decay + (p + 1 - m) * log_k - math.log(p + 1 - m))
     log_bounds = []
     for clock, d in members:
         log_b, wings = part[clock]
-        if wings:
-            w = min(wings[0], wings[1] + rational[d])
-            log_b = max(log_b, w) + math.log1p(math.exp(-abs(log_b - w)))
-        log_bounds.append(log_b)
-    screen = math.log(_ROUNDOFF) - log_9_6 + (p + 1) * math.log(k_live) - math.log(p + 1)
-    if not any(b <= screen for b in log_bounds):
+        w = min(wings[0], wings[1] + rational[d])
+        log_bounds.append(max(log_b, w) + math.log1p(math.exp(-abs(log_b - w))))
+    if not any(b <= screen[d] for b, (_, d) in zip(log_bounds, members)):
         return math.inf, ()
     return k_live, tuple(math.exp(b) if b < _LOG_HUGE else math.inf for b in log_bounds)
 
 
 def _spec(share: tuple, members) -> DampedKernelSpec:
-    """The quadrature spec of a group of members (clock, d) of one share:
-    one member (time, d, cutoff) per entry, with one time object per clock
-    (``_time``) and the wing cutoff for M, and the group's live edge with
-    each member's bound past it (``_live_edge``).  Its integrand is the
-    scale k^p / (4u+9)^6, the last factor of every one, and its kernel the
-    share's."""
+    """The quadrature spec of a group of M members (clock, d) of one share:
+    a member (time, d, cutoff) per entry, one time object per clock
+    (``_time``), and the group's live edge with each member's bound past it
+    (``_live_edge``); its integrand the scale k^p / (4u+9)^6, the last
+    factor of every one, and its kernel the share's."""
     _, p, a0, T, kernel = share
     cutoff = _WING_CUTOFF[p] / (2.0 * a0)
     times = {c: functools.partial(_time, c, T) for c in dict.fromkeys(c for c, _ in members)}
@@ -380,10 +376,38 @@ def _spec(share: tuple, members) -> DampedKernelSpec:
         oscillation_lengths=tuple(2.0 * math.pi / abs(c[1]) for c in times if c[1] != 0.0),
         integrand=_scale(p, a0),
         kernel=kernel,
-        members=tuple((times[c], d, cutoff if c[0] == "M" else None) for c, d in members),
+        members=tuple((times[c], d, cutoff) for c, d in members),
         live_edge=k_live,
         edge_bounds=bounds,
     )
+
+
+def _fixed(share: tuple, omega: float, members) -> tuple:
+    """integrate_fixed_group's arguments but the tolerances for the L or L_AB
+    members (clock, d) of one share at gap Omega: panels to k_end, where
+    E(k) = T^2 (k^2/2 + Omega k) is _LIVE_EXPONENT, h wide, the Gaussian's
+    width 1/sqrt(T^2 + (T^2 Omega)^2/4) or the half period pi/(d + |t_BA|),
+    at most _FIXED_PANELS; nearer the knee 3/(2 a0), one to _KNEE_SHARE of
+    it, then _KNEE_SHARE of their k wide.  The bound past k_end takes |kern|
+    <= 1, the rational <= 9^-6 and E above its tangent, of slope s: in logs,
+    e^-_LIVE_EXPONENT 9^-6 times int_0^inf (k_end + x)^p e^{-sx} dx =
+    k_end^(p+1)/y sum_{j<=p} p!/((p-j)! y^j), y = s k_end = 60 + (T k_end)^2/2."""
+    _, p, a0, T, kernel = share
+    x, span = T * omega, max(d + abs(c[1]) for c, d in members)
+    k_end = 2.0 * _LIVE_EXPONENT / (math.hypot(x, math.sqrt(2.0 * _LIVE_EXPONENT)) + x) / T
+    h = min(1.0 / (T * math.hypot(1.0, 0.5 * x)), math.pi / span if span > 0.0 else math.inf)
+    edges, lo = [], 0.0
+    if _KNEE_SHARE * 1.5 / a0 < h:
+        top, lo = min(_KNEE_SHARE * 1.5 / a0, k_end), min(h / _KNEE_SHARE, k_end)
+        n = math.ceil(math.log(lo / top) / math.log1p(_KNEE_SHARE))
+        edges = [[0.0], np.geomspace(top, lo, n + 1)[:-1]]
+    edges.append(np.linspace(lo, k_end, min(math.ceil((k_end - lo) / h), _FIXED_PANELS) + 1))
+    y = _LIVE_EXPONENT + 0.5 * (T * k_end) ** 2
+    log_b = ((p + 1) * math.log(k_end) - math.log(y) - _LIVE_EXPONENT - 6.0 * math.log(9.0)
+             + math.log(sum(math.perm(p, j) / y ** j for j in range(p + 1))))
+    times = {c: functools.partial(_time, c, T) for c in dict.fromkeys(c for c, _ in members)}
+    return (_scale(p, a0), np.concatenate(edges), kernel, [(times[c], d) for c, d in members],
+            math.exp(log_b) if log_b < _LOG_HUGE else math.inf)
 
 
 def _integrand(share: tuple, clock: tuple, d: float):
@@ -394,23 +418,26 @@ def _integrand(share: tuple, clock: tuple, d: float):
 
 
 def _quadratures(members: list, atol: float, rtol: float) -> tuple[list, np.ndarray]:
-    """The bare integrals of the distinct members (share, clock, d), those of
-    one share in one integrate_damped_group call, and per member the index
-    of its own: a QuadratureResult, or the QuadratureConvergenceError of a
-    member that missed the tolerance.  Raises ValueError unless atol and
+    """The bare integrals of the distinct members (share, clock, d), the M of
+    one share in one integrate_damped_group call, the L or L_AB of one share
+    and Omega in one integrate_fixed_group call (``_fixed``), and per member
+    the index of its own: a QuadratureResult, or the QuadratureConvergenceError
+    of a member that missed the tolerance.  Raises ValueError unless atol and
     rtol are finite and >= 0."""
     for name, tol in (("atol", atol), ("rtol", rtol)):
         if not 0.0 <= tol < math.inf:
             raise ValueError(f"{name} must be finite and >= 0, not {tol!r}")
     index, groups = {member: j for j, member in enumerate(dict.fromkeys(members))}, {}
     for (share, clock, d), j in index.items():
-        groups.setdefault(share, []).append((j, (clock, d)))
-    done = [None] * len(index)
-    for share, group in groups.items():
+        groups.setdefault((share, None if clock[0] == "M" else clock[2]), []).append(
+            (j, (clock, d)))
+    done = {}
+    for (share, omega), group in groups.items():
         js, group = zip(*group)
-        for j, quad in zip(js, integrate_damped_group(_spec(share, group), atol=atol, rtol=rtol)):
-            done[j] = quad
-    return done, np.array(list(map(index.get, members)))
+        quads = (integrate_damped_group(_spec(share, group), atol, rtol) if omega is None
+                 else integrate_fixed_group(*_fixed(share, omega, group), atol, rtol))
+        done.update(zip(js, quads))
+    return [done[j] for j in range(len(done))], np.array(list(map(index.get, members)))
 
 
 def _bare(quads: list) -> list:
@@ -570,17 +597,15 @@ def _terms(cols: dict, names, atol: float, rtol: float) -> dict:
 
 def _field(pair: DetectorPair, name: str, atol: float = 1e-16,
            rtol: float = 1e-10) -> tuple[complex, QuadratureResult]:
-    """A field of ``compute_terms(pair)`` and its bare integral, picked from
-    ``_terms`` of the pair's terms that share its key (L_AA with L_BB, M with
-    L_AB for identical atoms): it raises its own QuadratureConvergenceError,
-    then its own range error, and neither of the other term."""
-    names = ("l_aa", "l_bb") if name in ("l_aa", "l_bb") else ("m", "l_ab")[:1 + pair.identical]
-    j = names.index(name)
-    out = _terms(_columns([pair]), names, atol, rtol)
-    quad = out["quads"][out["at"][j, 0]]
+    """A field of ``compute_terms(pair)`` and its bare integral, from
+    ``_terms`` of its term alone, which no other term of a pair shares a
+    group with: it raises its own QuadratureConvergenceError, then its own
+    range error, and neither of another term."""
+    out = _terms(_columns([pair]), (name,), atol, rtol)
+    quad = out["quads"][out["at"][0, 0]]
     if isinstance(quad, QuadratureConvergenceError):
         raise quad
-    _check_range(out["size"][[j]], out["log_scale"], True)
+    _check_range(out["size"], out["log_scale"], True)
     return math.exp(out["log_scale"][0]) * out[name][0][0], quad
 
 
@@ -601,9 +626,8 @@ def local_term(pair: DetectorPair, which: str = "A",
 def nonlocal_term(pair: DetectorPair, atol: float = 1e-16,
                   rtol: float = 1e-10) -> complex:
     """Nonlocal correlation term M (phase retained; |M| feeds the
-    negativity).  One time kernel serves every gap.  Identical atoms
-    integrate it with L_AB, so it equals ``compute_terms(pair).m``; other
-    pairs alone, as ``compute_terms(pair, include_cross=False)`` does."""
+    negativity).  One time kernel serves every gap.  It equals
+    ``compute_terms(pair).m``, with or without include_cross."""
     return _field(pair, "m", atol, rtol)[0]
 
 
@@ -611,7 +635,7 @@ def cross_noise_term(pair: DetectorPair, atol: float = 1e-16,
                      rtol: float = 1e-10) -> complex:
     """Cross noise term L_AB: same spatial kernel as M, full-plane Gaussian
     time factor with phase exp(i (Omega+k) t_AB).  Identical atoms only;
-    integrated with M, so it equals ``compute_terms(pair).l_ab``."""
+    it equals ``compute_terms(pair).l_ab``."""
     if not pair.identical:
         raise ValueError("cross_noise_term requires identical atoms")
     return _field(pair, "l_ab", atol, rtol)[0]
@@ -628,9 +652,7 @@ def compute_terms(pair: DetectorPair, switching: SwitchingKind = SwitchingKind()
     of ``compute_terms_many``.
 
     L_AB is computed for identical atoms only; other pairs need
-    ``include_cross=False``.  L_AB is integrated with M, so for identical
-    atoms ``include_cross=False`` may give an M that differs from the
-    default's by less than the reported error.  Cropped switching does not
+    ``include_cross=False``.  Cropped switching does not
     integrate a cropped window: it evaluates the same Gaussian closed forms
     and adds the error bound "crop_tail", 2 erfc(crop_sigmas/sqrt(2)) times
     the terms' scaled integrals of |f|.  That bound is known to understate
@@ -654,18 +676,16 @@ def compute_terms_many(pairs, switching: SwitchingKind = SwitchingKind(),
     """``compute_terms`` of every pair, sharing the momentum integrals.
 
     The pairs go to the engine as columns (``_harvest``).  The M terms of
-    pairs with the same model, a0 and T are integrated on
-    one head panel set (``specfun.integrate_damped_group``), each distinct
-    (t_BA, Omega_A - Omega_B, d) once: a pass evaluates the time kernel
-    once per (t_BA, Omega_A - Omega_B) and the spatial kernel once per d,
-    so a spacetime map (fig5a, fig5b) is one group.  Each L_AB joins that
-    group as one more member per distinct (t_BA, Omega, d), which shares
-    the spatial kernel with M's member at its d.  The L of every atom with
-    the same model, a0 and T is one more group, one member per distinct
-    Omega, so an unequal-gap pair makes two group calls, as an identical
-    one does.  A pair alone gives the same bits as in a group of one; in a
-    larger group its values may differ from that by less than the reported
-    errors.
+    pairs with the same model, a0 and T are integrated on one head panel
+    set (``specfun.integrate_damped_group``), each distinct (t_BA,
+    Omega_A - Omega_B, d) once: a pass evaluates the time kernel once per
+    (t_BA, Omega_A - Omega_B) and the spatial kernel once per d, so a
+    spacetime map (fig5a, fig5b) is one group.  The L_AB with the same model,
+    a0, T and Omega are one GK15 pass on one fixed panel set for their
+    largest d + |t_BA| (``specfun.integrate_fixed_group``), and each atom's
+    L one on its own, so its bits depend on its model, a0, T and Omega
+    alone.  A pair alone gives the bits it has in a group of one; in a
+    larger group its M and L_AB may move by less than the reported errors.
 
     Returns one entry per pair: its HarvestTerms, or the
     QuadratureConvergenceError of its first term that missed the tolerance,

@@ -54,6 +54,7 @@ __all__ = [
     "spherical_bessel_j",
     "spherical_bessel_j0_plus_j2",
     "integrate_damped_group",
+    "integrate_fixed_group",
 ]
 
 _SQRT2 = math.sqrt(2.0)
@@ -763,15 +764,34 @@ def integrate_damped_group(spec: DampedKernelSpec, atol: float = 1e-16,
         tails.update(zip(group, _adaptive_gk(
             spec.integrand, np.geomspace(k_hi, cutoff, 8 * n_dec + 1), 0.5 * atol,
             0.5 * rtol, kernel=kernel, members=[members[i] for i in group])))
-    out = []
-    for i, head in enumerate(heads):
-        value, err, absint, evals = head if i not in tails else (
-            h + t for h, t in zip(head, tails[i]))
-        result = QuadratureResult(value=value, abs_error_estimate=float(err),
-                                  evaluations=int(evals), abs_integral=float(absint))
-        if err > max(atol, rtol * abs(value)) and err > 1e3 * np.finfo(float).eps * absint:
-            result = QuadratureConvergenceError(
-                f"quadrature stalled at abs error {err:.3e} for value {value:.6e}", result)
-        out.append(result)
-    return out
+    return [_result(*(head if i not in tails else (h + t for h, t in zip(head, tails[i]))),
+                    atol, rtol) for i, head in enumerate(heads)]
 
+
+def _result(value, err, absint, evals, atol: float, rtol: float):
+    # the QuadratureResult, or the QuadratureConvergenceError of one past tolerance and roundoff
+    result = QuadratureResult(value, float(err), int(evals), float(absint))
+    if err > max(atol, rtol * abs(value)) and err > 1e3 * np.finfo(float).eps * absint:
+        return QuadratureConvergenceError(
+            f"quadrature stalled at abs error {err:.3e} for value {value:.6e}", result)
+    return result
+
+
+def integrate_fixed_group(f, edges: np.ndarray, kernel, members, bound: float,
+                          atol: float = 1e-16, rtol: float = 1e-10) -> list:
+    """Integrate every member (time, d) of f and kernel, as a spec's, over
+    [0, inf) in one GK15 pass on the panels between edges: its error is their
+    summed estimates plus bound, on its integral of |f| past edges[-1].  One
+    that misses the tolerance refines through ``_adaptive_gk``, seeded with
+    the panels, with up to 4000 more.  Returns what integrate_damped_group does."""
+    lo, hi, rows = edges[:-1], edges[1:], {}
+    nodes = _gk15_panels(f, lo, hi, kernel, members, rows.__setitem__)[3]
+    sums = [(*(x.sum() for x in rows[i]), nodes) for i in range(len(members))]
+    miss = [i for i, (v, e, _, _) in enumerate(sums) if e + bound > max(atol, rtol * abs(v))]
+    if miss:
+        for i, (*run, evals) in zip(miss, _adaptive_gk(
+                f, edges[:0], atol, rtol, lo.size + 4000, kernel, [members[i] for i in miss],
+                (lo, hi, [rows[i] for i in miss]))):
+            sums[i] = (*run, evals + nodes)
+    return [_result(value, err + bound, absint, evals, atol, rtol)
+            for value, err, absint, evals in sums]

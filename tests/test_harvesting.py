@@ -1,4 +1,5 @@
 import cmath
+import functools
 import math
 import tracemalloc
 import warnings
@@ -107,18 +108,24 @@ def test_derivative_vs_scalar_integrand_ratio(rng):
 
 
 def test_grid_integrates_one_l(monkeypatch):
-    # every point of a grid at one gap shares L: one integral, one member
-    specs = []
-    real = harvesting._spec
+    # every point of a grid at one gap shares L: one integral, one member,
+    # on a fixed panel set (no kernel), and M's group never holds it
+    fixed, damped = [], []
+    real_fixed, real_damped = harvesting.integrate_fixed_group, harvesting.integrate_damped_group
 
-    def spy(share, members):
-        specs.append((share[0], [d for _, d in members]))
-        return real(share, members)
+    def fixed_spy(f, edges, kernel, members, *args, **kwargs):
+        fixed.append((kernel, [d for _, d in members]))
+        return real_fixed(f, edges, kernel, members, *args, **kwargs)
 
-    monkeypatch.setattr(harvesting, "_spec", spy)
+    def damped_spy(spec, *args, **kwargs):
+        damped.append(len(spec.members))
+        return real_damped(spec, *args, **kwargs)
+
+    monkeypatch.setattr(harvesting, "integrate_fixed_group", fixed_spy)
+    monkeypatch.setattr(harvesting, "integrate_damped_group", damped_spy)
     pairs = [make_pair(omega=12.0, d=d, tba=tba) for d in (3.0, 11.0) for tba in (0.5, 10.0)]
     terms = harvesting.compute_terms_many(pairs, include_cross=False)
-    assert [s for s in specs if s[0] == "L"] == [("L", [0.0])]
+    assert fixed == [(None, [0.0])] and damped == [4]
     assert len({t.l_aa for t in terms} | {t.l_bb for t in terms}) == 1
 
 
@@ -552,14 +559,13 @@ def _view_pairs(rng, unequal: bool):
                          orientation=EulerAngles(*rng.uniform(0.0, math.pi, 3)))
             yield DetectorPair(a, b, model)
     if not unequal:
-        yield _group_moves_m()
+        yield _edge_pair()
 
 
-def _group_moves_m():
+def _edge_pair():
     # near scatter pool pair 4226 (each parameter within 10 %): here M and
-    # L_AB both stop at the live edge and split panels there together, so M
-    # integrated with L_AB differs from M alone, and the views must
-    # integrate the same group as compute_terms
+    # L_AB both stop at the live edge, where M's panels once depended on
+    # whether L_AB was integrated with it
     omega, a0_omega = 0.607473638360221, 0.0024294886767909003
     a = AtomSpec(a0=a0_omega / omega, omega=omega)
     b = AtomSpec(a0=a0_omega / omega, omega=omega, position=(0.0, 0.0, 16.255138927132),
@@ -611,45 +617,57 @@ def test_auto_switching_crops_only_outside_the_lightcone_band():
 
 
 def test_m_without_l_ab_within_the_reported_error():
-    # at this pair M integrated alone differs from M integrated with L_AB
-    pair = _group_moves_m()
+    # M is integrated in a group of M members alone: L_AB cannot move it
+    pair = _edge_pair()
     terms = compute_terms(pair)
     alone = compute_terms(pair, include_cross=False)
-    assert alone.m != terms.m
+    assert alone.m == terms.m
     assert abs(alone.m_scaled - terms.m_scaled) <= (alone.quadrature_errors["m"]
                                                     + terms.quadrature_errors["m"])
 
 
-def test_identical_pair_integrates_m_and_l_ab_on_one_panel_set(monkeypatch):
-    # two group calls (L; M with L_AB), and each head pass of the second
-    # evaluates the spatial kernel once for both members
-    k_hi = math.sqrt(750.0 / 0.5)
-    groups, passes, space = [], [], []
-    real_group, real_panels, real_j0 = (harvesting.integrate_damped_group,
-                                        specfun._gk15_panels, harvesting._j0)
+def test_identical_pair_integrates_l_ab_in_one_pass_on_its_fixed_panel_set(monkeypatch):
+    # three group calls (L and L_AB on fixed panel sets, M alone on its
+    # head panels); L_AB's is one GK15 pass and one reduction, which
+    # evaluate the spatial kernel once on its nodes, out to where the
+    # Gaussian is e^-60 down, on panels of at most a half period
+    groups, passes, reduces, space = [], [], [], []
+    real_fixed, real_damped = harvesting.integrate_fixed_group, harvesting.integrate_damped_group
+    real_panels, real_reduce, real_j0 = specfun._gk15_panels, specfun._gk15_reduce, harvesting._j0
 
-    def group(spec, *args, **kwargs):
-        groups.append(len(spec.members))
-        return real_group(spec, *args, **kwargs)
+    def fixed(f, edges, kernel, members, *args, **kwargs):
+        groups.append(("fixed", kernel is not None, len(members)))
+        return real_fixed(f, edges, kernel, members, *args, **kwargs)
+
+    def damped(spec, *args, **kwargs):
+        groups.append(("damped", True, len(spec.members)))
+        return real_damped(spec, *args, **kwargs)
 
     def j0(x):
         space.append(np.size(x))
         return real_j0(x)
 
     def gk15_panels(f, lo, hi, kernel=None, members=((None, 0.0),), take=None):
-        before = len(space)
-        out = real_panels(f, lo, hi, kernel, members, take)
-        if kernel is not None and lo.ndim == 1 and hi.max() <= k_hi:
-            passes.append(({t for t, _ in members}, space[before:], 15 * lo.size))
-        return out
+        if groups[-1][:2] == ("fixed", True):
+            passes.append((lo, hi))
+        return real_panels(f, lo, hi, kernel, members, take)
 
-    monkeypatch.setattr(harvesting, "integrate_damped_group", group)
+    def gk15_reduce(*args):
+        reduces.append(groups[-1])
+        return real_reduce(*args)
+
+    monkeypatch.setattr(harvesting, "integrate_fixed_group", fixed)
+    monkeypatch.setattr(harvesting, "integrate_damped_group", damped)
     monkeypatch.setattr(harvesting, "_j0", j0)
     monkeypatch.setattr(specfun, "_gk15_panels", gk15_panels)
-    compute_terms(make_pair(model=ModelKind.UDW_SCALAR, d=3.0, tba=1.5))
-    assert groups == [1, 2]
-    assert len(passes[0][0]) == 2
-    assert all(nodes == [n] for _, nodes, n in passes)
+    monkeypatch.setattr(specfun, "_gk15_reduce", gk15_reduce)
+    compute_terms(make_pair(model=ModelKind.UDW_SCALAR, omega=2.0, d=3.0, tba=1.5))
+    assert groups == [("fixed", False, 1), ("damped", True, 1), ("fixed", True, 1)]
+    ((lo, hi),) = passes
+    assert reduces.count(("fixed", True, 1)) == 1
+    assert space[-1] == 15 * lo.size
+    assert lo[0] == 0.0 and 0.5 * hi[-1] ** 2 + 2.0 * hi[-1] == pytest.approx(60.0)
+    assert np.max(hi - lo) <= math.pi / 4.5 * (1.0 + 1e-12)
 
 
 def test_a_view_raises_only_its_own_range_error():
@@ -668,19 +686,18 @@ def test_a_view_raises_only_its_own_range_error():
 
 
 def test_nonlocal_term_returns_m_when_only_l_ab_misses(monkeypatch):
-    # M and L_AB of an identical pair are one group; a miss of L_AB alone
+    # M and L_AB of an identical pair are two groups; a miss of L_AB alone
     # fails cross_noise_term and compute_terms, not nonlocal_term
     pair = make_pair()
     m = nonlocal_term(pair)
-    real = harvesting.integrate_damped_group
+    real = harvesting.integrate_fixed_group
 
-    def group(spec, *args, **kwargs):
-        # L_AB: a member with a spatial kernel and no wing cutoff
-        return [specfun.QuadratureConvergenceError("forced miss", q)
-                if spec.kernel is not None and cutoff is None else q
-                for q, (_, _, cutoff) in zip(real(spec, *args, **kwargs), spec.members)]
+    def group(f, edges, kernel, members, *args, **kwargs):
+        # L_AB: a fixed panel set with a spatial kernel
+        return [specfun.QuadratureConvergenceError("forced miss", q) if kernel is not None else q
+                for q in real(f, edges, kernel, members, *args, **kwargs)]
 
-    monkeypatch.setattr(harvesting, "integrate_damped_group", group)
+    monkeypatch.setattr(harvesting, "integrate_fixed_group", group)
     assert nonlocal_term(pair) == m
     with pytest.raises(specfun.QuadratureConvergenceError, match="forced miss"):
         cross_noise_term(pair)
@@ -688,27 +705,38 @@ def test_nonlocal_term_returns_m_when_only_l_ab_misses(monkeypatch):
         compute_terms(pair)
 
 
-def test_unequal_pair_integrates_l_aa_and_l_bb_as_one_group(monkeypatch):
-    # two group calls (L_AA with L_BB, two members; M), and the view of L_BB
-    # integrates the same group, so it has compute_terms' bits
+def test_unequal_pair_integrates_l_aa_and_l_bb_apart(monkeypatch):
+    # three group calls (L_AA and L_BB, one fixed panel set each; M): each
+    # L's integral depends only on its own atom's gap, so it has the bits of
+    # the L of an identical pair of that atom, and the views have
+    # compute_terms' bits
     groups = []
-    real_group = harvesting.integrate_damped_group
+    real_fixed, real_damped = harvesting.integrate_fixed_group, harvesting.integrate_damped_group
 
-    def group(spec, *args, **kwargs):
-        groups.append(len(spec.members))
-        return real_group(spec, *args, **kwargs)
+    def fixed(f, edges, kernel, members, *args, **kwargs):
+        groups.append(("fixed", len(members)))
+        return real_fixed(f, edges, kernel, members, *args, **kwargs)
 
-    monkeypatch.setattr(harvesting, "integrate_damped_group", group)
+    def damped(spec, *args, **kwargs):
+        groups.append(("damped", len(spec.members)))
+        return real_damped(spec, *args, **kwargs)
+
+    monkeypatch.setattr(harvesting, "integrate_fixed_group", fixed)
+    monkeypatch.setattr(harvesting, "integrate_damped_group", damped)
     a = AtomSpec(a0=5e-4, omega=2.0)
     b = AtomSpec(a0=5e-4, omega=2.3, position=(0.0, 0.0, 3.0), switching_center=1.5)
     pair = DetectorPair(a, b, ModelKind.UDW_SCALAR)
     terms = compute_terms(pair, include_cross=False)
-    assert groups == [2, 1]
+    assert groups == [("fixed", 1), ("fixed", 1), ("damped", 1)]
     assert terms.l_aa != terms.l_bb
     groups.clear()
     assert local_term(pair, "B") == terms.l_bb
     assert local_term(pair, "A") == terms.l_aa
-    assert groups == [2, 2]
+    assert groups == [("fixed", 1)] * 2
+    twins = [DetectorPair(atom, replace(atom, position=(0.0, 0.0, 5.0), switching_center=-2.0),
+                          ModelKind.UDW_SCALAR) for atom in (a, b)]
+    assert ([harvesting._field(twin, "l_aa")[1] for twin in twins]
+            == [harvesting._field(pair, name)[1] for name in ("l_aa", "l_bb")])
 
 
 @pytest.mark.parametrize("model", list(ModelKind))
@@ -844,8 +872,10 @@ def test_cross_term_sums_no_tail(monkeypatch):
 # ----------------------------------------------------------------------------
 
 def _edge_groups(rng):
-    # M of a random pair (unequal gaps in half the draws) with the L_AB of its
-    # identical twin, so the two members' c differ; and its atom's L
+    # M of a random pair (unequal gaps in half the draws) with the M of its
+    # identical twin, so the two members' c differ, and of the twin delayed
+    # to 30 T, which stops, so the group has an edge; and the wingless terms
+    # of the twin, L_AB and L
     model = ModelKind(rng.choice([m.value for m in ModelKind]))
     T = rng.uniform(0.5, 2.0)
     omega = rng.uniform(0.5, 15.0) / T
@@ -856,8 +886,9 @@ def _edge_groups(rng):
     b = AtomSpec(a0=a0, omega=omega * ratio, position=(0.0, 0.0, d),
                  switching_center=tba, switching_width=T)
     twin = DetectorPair(a, replace(b, omega=omega), model)
-    return ([_member(DetectorPair(a, b, model), "m"), _member(twin, "l_ab")],
-            [_member(twin, "l_aa")])
+    late = DetectorPair(a, replace(b, omega=omega, switching_center=30.0 * T), model)
+    return ([_member(DetectorPair(a, b, model), "m"), _member(twin, "m"), _member(late, "m")],
+            [_member(twin, "l_ab"), _member(twin, "l_aa")])
 
 
 def _abs_integral(term, lo, hi, panels):
@@ -872,12 +903,19 @@ def _abs_integral(term, lo, hi, panels):
 
 def test_edge_bound_holds(rng):
     # B bounds the integral of |f| from the live edge into the wings, brute
-    # force, at each member's d and, for M with its twin's L_AB, at d = 0
+    # force, for M at each member's d and at d = 0; and the bound past the
+    # end of an L or L_AB member's fixed panel set bounds its integral there
     for _ in range(30):
-        m_group, l_group = _edge_groups(rng)
-        for group in (m_group, [(s, c, 0.0) for s, c, _ in m_group], l_group):
-            k_live, bounds = harvesting._live_edge(group[0][0], [(c, d) for _, c, d in group])
-            for term, bound in zip(group, bounds):
+        m_group, fixed = _edge_groups(rng)
+        for group in (m_group, [(s, c, 0.0) for s, c, _ in m_group], fixed):
+            if group is fixed:
+                sets = [harvesting._fixed(s, c[2], [(c, d)]) for s, c, d in fixed]
+                edges = [(x[1][-1], x[4]) for x in sets]
+            else:
+                k_live, bounds = harvesting._live_edge(group[0][0], [(c, d) for _, c, d in group])
+                assert k_live < math.inf
+                edges = [(k_live, bound) for bound in bounds]
+            for term, (k_live, bound) in zip(group, edges):
                 _, p, a0, T, _ = term[0]
                 sqrt_w = T / math.sqrt(2.0)
                 near = k_live + 12.0 / sqrt_w   # past it b - |c| > 19: the Gaussian is dead
@@ -940,11 +978,12 @@ def test_a_late_pair_evaluates_its_time_kernel_only_below_the_live_edge(monkeypa
 def test_a_group_where_no_member_could_stop_has_no_edge(monkeypatch):
     # at t_BA = 1.5 T the bound of M's wings is far above any floor it could
     # have: M alone gets no edge and takes all its seeds in its first pass,
-    # while with L_AB, which stops, the group keeps its edge
+    # while with the M of t_BA = 20 T, which stops, the group keeps its edge
     pair = make_pair(model=ModelKind.UDW_SCALAR, d=3.0, tba=1.5)
-    (share, m, d), (_, l_ab, _) = _member(pair, "m"), _member(pair, "l_ab")
+    share, m, d = _member(pair, "m")
+    late = _member(make_pair(model=ModelKind.UDW_SCALAR, d=3.0, tba=20.0), "m")[1]
     assert harvesting._live_edge(share, [(m, d)]) == (math.inf, ())
-    k_live, bounds = harvesting._live_edge(share, [(m, d), (l_ab, d)])
+    k_live, bounds = harvesting._live_edge(share, [(m, d), (late, d)])
     assert k_live < math.sqrt(1500.0) and bounds[0] > 1e-10 > bounds[1]
     passes = []
     real_panels = specfun._gk15_panels
@@ -970,21 +1009,22 @@ def test_edge_bound_is_overflow_safe(a0, T, tba):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for model in ModelKind:
-            # M of the pair and L_AB of its identical twin, built directly:
-            # most of these lie past the range _table accepts
+            # M of the pair and of its identical twin, built directly: most
+            # of these lie past the range _table accepts
             _, _, p, _, kernel = harvesting._model_params(model)
             k_live, bounds = harvesting._live_edge(
                 ("M", p, a0, T, kernel), [(("M", tba, a.omega - b.omega), 0.0),
-                                          (("L_AB", tba, a.omega), 0.0)])
+                                          (("M", tba, 0.0), 0.0)])
             assert k_live > 0.0 and all(bound >= 0.0 for bound in bounds)
             if a0 == 1e-200:
-                assert bounds[0] == math.inf
+                # every bound is inf: no member could stop, so no edge
+                assert (k_live, bounds) == (math.inf, ())
 
 
 def test_a_member_whose_bound_overflows_runs_on(monkeypatch):
-    # at a0 = 1e-200 the wings' (1.5/a0)^(p+1) leaves double range: M runs
-    # on past the edge of its group with L_AB into its tail, without a
-    # RuntimeWarning
+    # at a0 = 1e-200 the wings' (1.5/a0)^(p+1) leaves double range: M and
+    # its identical twin cannot stop, so their group has no edge, and both
+    # run on into one tail pass, without a RuntimeWarning
     tails = []
     real_tails = specfun._oscillatory_tails
 
@@ -996,31 +1036,32 @@ def test_a_member_whose_bound_overflows_runs_on(monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         pair = make_pair(model=ModelKind.UDW_DERIVATIVE, a0_omega=2e-200, tba=20.0)
-        # past the range _table accepts: M and L_AB built directly
+        # past the range _table accepts: the members built directly
         share, d = ("M", 7, pair.atom_a.a0, 1.0, harvesting._j0), pair.separation
-        spec = harvesting._spec(share, [(("M", 20.0, 0.0), d),
-                                        (("L_AB", 20.0, pair.atom_a.omega), d)])
+        spec = harvesting._spec(share, [(("M", 20.0, 0.0), d), (("M", 20.0, 0.3), d)])
         quads = specfun.integrate_damped_group(spec)
-    assert spec.live_edge < math.sqrt(1500.0) and spec.edge_bounds[0] == math.inf
+    assert spec.live_edge == math.inf and spec.edge_bounds == ()
     assert all(isinstance(q, specfun.QuadratureResult) for q in quads)
-    assert [len(args[2]) for args in tails] == [1]
+    assert [len(args[2]) for args in tails] == [2]
 
 
 @pytest.mark.parametrize("d", [3.0, 1e-300, 1e300])
 @pytest.mark.parametrize("a0,tba", [(1e-200, 20.0), (1e-200, 0.0), (1e200, 20.0), (1e-3, 1e200)])
 def test_edge_bound_with_the_spatial_decay_is_overflow_safe(a0, tba, d):
-    # the kernel's decay C/(k d)^m enters in logs too: no exception and no
-    # RuntimeWarning at any d, and a bound past double range is inf (at
-    # a0 = 1e-200 the scalar couplings' (1.5/a0)^(p-m), m = 1, is past it)
+    # the kernel's decay C/(k d)^m enters the bound and the screen in logs
+    # too: no exception and no RuntimeWarning at any d.  At a0 = 1e-200 the
+    # bound is past double range (the scalar couplings' (1.5/a0)^(p-m),
+    # m = 1) or far above the floor the screen allows, so no member stops
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for model in ModelKind:
             _, _, p, _, kernel = harvesting._model_params(model)
             k_live, bounds = harvesting._live_edge(
-                ("M", p, a0, 1.0, kernel), [(("M", tba, -0.6), d), (("L_AB", tba, 2.0), d)])
+                ("M", p, a0, 1.0, kernel), [(("M", tba, -0.6), d), (("M", tba, 0.0), d)])
             assert k_live > 0.0 and all(bound >= 0.0 for bound in bounds)
-            if a0 == 1e-200 and model is not ModelKind.EM_DIPOLE:
-                assert bounds[0] == math.inf
+            if a0 == 1e-200:
+                # no bound is below the floor of its kernel: no edge
+                assert (k_live, bounds) == (math.inf, ())
 
 
 @pytest.mark.parametrize("p,kernel", [(3, spherical_bessel_j0_plus_j2), (5, harvesting._j0),
@@ -1073,6 +1114,74 @@ def test_fig5a_members_stop_at_the_edge_from_its_delay_10_7(monkeypatch):
     delays = {tba for tba, _ in tails}
     assert len(delays) == 4 and max(delays) == pytest.approx(8.0)
     assert not any(tba == pytest.approx(32.0 / 3.0) for tba, _ in tails)
+
+
+def test_fig5b_m_group_gets_no_edge(monkeypatch):
+    # at t_BA <= 8 T and d >= 4 T no M member of fig5b's map can stop: with
+    # the kernel's decay at each member's d the screen gives the group no
+    # edge, so its head is one pass over all the seeds
+    edges = []
+    real_edge = harvesting._live_edge
+
+    def spy(share, members):
+        edges.append((len(members), real_edge(share, members)))
+        return edges[-1][1]
+
+    monkeypatch.setattr(harvesting, "_live_edge", spy)
+    spacetime_map(Axis("d_over_T", 4.0, 14.0, 40), Axis("tba_over_T", 0.0, 8.0, 40), omega_T=12.0,
+                  switching=SwitchingKind("cropped_gaussian", 8.0))
+    assert edges == [(1600, (math.inf, ()))]
+
+
+def _fixed_reference(share, clock, d):
+    # a wingless member by _adaptive_gk to rtol 1e-13 on [0, k_hi], from
+    # geometric seeds (past the knee) and its half periods
+    _, p, a0, T, kernel = share
+    k_hi, span = math.sqrt(1500.0) / T, d + abs(clock[1])
+    seeds = [[0.0, k_hi], np.geomspace(1e-7 * k_hi, k_hi, 50)]
+    if span > 0.0:
+        seeds.append(np.arange(0.0, k_hi, math.pi / span))
+    time = functools.partial(harvesting._time, clock, T)
+    return specfun._adaptive_gk(harvesting._scale(p, a0), np.unique(np.concatenate(seeds)), 0.0,
+                                1e-13, 10 ** 6, kernel, [(time, d)])[0]
+
+
+def test_fixed_panel_sets_agree_with_the_adaptive_driver(rng):
+    # L and L_AB as compute_terms integrates them, against _adaptive_gk at
+    # rtol 1e-13: Omega T in [0.5, 40], a0 from 1e-4/Omega to 387 T, d and
+    # t_BA in [0, 16] T, and t_BA = 3e3 T at Omega T <= 4, where L_AB's set
+    # is at its cap (and may refine past it)
+    for i in range(45):
+        model = list(ModelKind)[i % 3]
+        T = rng.uniform(0.5, 2.0)
+        omega = rng.uniform(0.5, 4.0 if i >= 39 else 40.0) / T
+        a0 = 10.0 ** rng.uniform(math.log10(1e-4 / omega), math.log10(387.0 * T))
+        d, tba = T * rng.uniform(0.0, 16.0), T * (3e3 if i >= 39 else rng.uniform(-16.0, 16.0))
+        _, _, p, _, kernel = harvesting._model_params(model)
+        for member in ((("L", p, a0, T, None), ("L", 0.0, omega), 0.0),
+                       (("M", p, a0, T, kernel), ("L_AB", tba, omega), d)):
+            (quad,), _ = harvesting._quadratures([member], 1e-16, 1e-10)
+            if i >= 39 and member[1][0] == "L_AB":
+                assert quad.evaluations >= 15 * harvesting._FIXED_PANELS
+            value, err, _, _ = _fixed_reference(*member)
+            assert isinstance(quad, specfun.QuadratureResult)
+            assert abs(quad.value - value) <= quad.abs_error_estimate + err
+
+
+def test_fixed_panel_sets_follow_the_knee_and_are_capped():
+    # uniform panels 1/a0 wide would need ~1,000 panels at a0 = 100 T; near
+    # the knee they follow the rational's scale instead.  At t_BA = 1e6 T a
+    # half period is 3e-6 T: the uniform panels stop at the cap
+    def edges(a0, t_ba):
+        share = ("M", 5, a0, 1.0, harvesting._j0)
+        return harvesting._fixed(share, 1.0, [(("L_AB", t_ba, 1.0), 0.0)])[1]
+
+    at_knee = edges(100.0, 3.0)
+    assert at_knee.size < 60 and np.all(np.diff(at_knee) <= math.pi / 3.0 * (1.0 + 1e-12))
+    far = edges(1e-3, 1e6)
+    assert far.size == harvesting._FIXED_PANELS + 1
+    for ks in (at_knee, far):
+        assert ks[0] == 0.0 and 0.5 * ks[-1] ** 2 + ks[-1] == pytest.approx(60.0)
 
 
 def test_head_seeds_do_not_grow_with_the_delay():

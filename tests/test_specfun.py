@@ -659,6 +659,31 @@ def test_integrate_linearity():
     assert abs(lhs - (a * r1 + b * r2)) <= 1e-12
 
 
+def test_fixed_group_refines_a_member_that_misses_from_its_panel_set(monkeypatch):
+    # int_0^inf e^{-k^2/2} cos(w k) dk = sqrt(pi/2) e^{-w^2/2}: on 8 panels
+    # of [0, 12] w = 1 meets the tolerance in one pass, w = 3 misses, refines
+    # through _adaptive_gk seeded with those panels, and lands within its error
+    runs = []
+    real = specfun._adaptive_gk
+
+    def spy(f, breakpoints, atol, rtol, max_panels, kernel, members, prior):
+        runs.append((breakpoints.size, max_panels, len(members), prior[0].size))
+        return real(f, breakpoints, atol, rtol, max_panels, kernel, members, prior)
+
+    monkeypatch.setattr(specfun, "_adaptive_gk", spy)
+    times = [(lambda k, w=w: ((np.cos(w * k), 1.0 + w * k), (np.exp(-0.5 * k * k),) * 2), 0.0)
+             for w in (1.0, 3.0)]
+    edges = np.linspace(0.0, 12.0, 9)
+    quads = specfun.integrate_fixed_group(lambda k: np.ones_like(k), edges, None, times, 1e-30)
+    assert runs == [(0, 4008, 1, 8)]
+    for w, quad in zip((1.0, 3.0), quads):
+        exact = math.sqrt(math.pi / 2.0) * math.exp(-0.5 * w * w)
+        assert isinstance(quad, QuadratureResult)
+        assert 1e-30 <= quad.abs_error_estimate <= 1e-10 * exact
+        assert abs(quad.value - exact) <= quad.abs_error_estimate
+    assert quads[0].evaluations == 120 < quads[1].evaluations
+
+
 def test_quadrature_result_validation():
     with pytest.raises(ValueError):
         QuadratureResult(value=1.0, abs_error_estimate=-1.0, evaluations=10)
