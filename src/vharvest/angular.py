@@ -300,9 +300,15 @@ def gaunt_integral(indices: Sequence) -> float:
 # ----------------------------------------------------------------------------
 
 def _cross(a, b) -> np.ndarray:
-    # a x b of two 3-sequences of floats, in np.cross's expression order
-    return np.array([a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2],
-                     a[0] * b[1] - a[1] * b[0]])
+    # a x b row by row of two (..., 3) arrays, in np.cross's expression order
+    (a0, a1, a2), (b0, b1, b2) = np.moveaxis(a, -1, 0), np.moveaxis(b, -1, 0)
+    return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=-1)
+
+
+def _row_norm(x: np.ndarray) -> np.ndarray:
+    # |x| of each row of (..., 3); matmul's row products are np.dot's, so
+    # each row gets the bits of np.linalg.norm (a row .sum() or einsum does not)
+    return np.sqrt(np.matmul(x[..., None, :], x[..., :, None])[..., 0, 0])
 
 
 def polarization_completeness(k) -> np.ndarray:
@@ -310,20 +316,24 @@ def polarization_completeness(k) -> np.ndarray:
 
     Builds an explicit orthonormal transverse pair and returns
     eps1 (x) eps1 + eps2 (x) eps2, which must equal 1 - k k^T / |k|^2.
+    k is one 3-vector, shape (3,), giving a (3, 3) matrix, or a stack of
+    them, shape (..., 3), giving (..., 3, 3); each row of a stack gets the
+    bits of its own single-vector call.
     """
     k = np.asarray(k, dtype=float)
-    if k.shape != (3,):
-        raise ValueError("k must be a 3-vector")
-    if not np.isfinite(k).all():
-        raise ValueError(f"k must be finite, got {k.tolist()}")
-    # a power of two keeps k/|k| and the norm's squares within double range
-    k = np.ldexp(k, -math.frexp(max(map(abs, k.tolist())))[1])
-    norm = np.linalg.norm(k)
-    if norm == 0.0:
+    if k.shape[-1:] != (3,):
+        raise ValueError("k must be a 3-vector or a stack of them, shape (..., 3)")
+    finite = np.isfinite(k).all(axis=-1)
+    if not finite.all():
+        raise ValueError(f"k must be finite, got {k[~finite][0].tolist()}")
+    # a power of two per row keeps k/|k| and the norm's squares within double range
+    k = np.ldexp(k, -np.frexp(np.abs(k).max(axis=-1))[1][..., None])
+    norm = _row_norm(k)
+    if not norm.all():
         raise ValueError("polarization vectors are undefined for k = 0")
-    khat = (k / norm).tolist()
-    aux = (0.0, 1.0, 0.0) if abs(khat[0]) > 0.9 else (1.0, 0.0, 0.0)
-    e1 = _cross(khat, aux)
-    e1 /= np.linalg.norm(e1)
-    e2 = _cross(khat, e1.tolist())
-    return np.outer(e1, e1) + np.outer(e2, e2)
+    khat = k / norm[..., None]
+    near_x = (np.abs(khat[..., 0]) > 0.9)[..., None]
+    e1 = _cross(khat, np.where(near_x, (0.0, 1.0, 0.0), (1.0, 0.0, 0.0)))
+    e1 /= _row_norm(e1)[..., None]
+    e2 = _cross(khat, e1)
+    return e1[..., :, None] * e1[..., None, :] + e2[..., :, None] * e2[..., None, :]

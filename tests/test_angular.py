@@ -328,6 +328,47 @@ def test_polarization_zero_vector():
         polarization_completeness([0.0, 0.0, 0.0])
 
 
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e200, 1e-170, 2.0 ** -1070])
+def test_polarization_stack_gives_each_row_its_single_vector_bits(rng, scale):
+    # directions a hair either side of |khat_x| = 0.9, where the auxiliary
+    # vector switches from x to y, then random ones and two axes
+    alpha = math.acos(0.9) + rng.uniform(-1e-9, 1e-9, 40)
+    beta = rng.uniform(-math.pi, math.pi, 40)
+    near = np.stack([rng.choice([-1.0, 1.0], 40) * np.cos(alpha),
+                     np.sin(alpha) * np.cos(beta), np.sin(alpha) * np.sin(beta)], axis=1)
+    assert (np.abs(near[:, 0]) > 0.9).any() and (np.abs(near[:, 0]) < 0.9).any()
+    k = scale * np.concatenate([near, rng.normal(size=(40, 3)),
+                                [[0.0, 0.0, 1.0], [-1.0, 0.0, 0.0]]])
+    got = polarization_completeness(k)
+    assert got.shape == (len(k), 3, 3)
+    for row, one in zip(k, got):
+        assert _same_bits(one, polarization_completeness(row))
+    assert _same_bits(polarization_completeness(k.reshape(2, -1, 3)), got.reshape(2, -1, 3, 3))
+
+
+@pytest.mark.parametrize("bad", [[0.0, 0.0, 0.0], [math.nan, 1.0, 0.0],
+                                 [0.0, -math.inf, 2.0]])
+def test_polarization_stack_with_one_bad_row_raises_the_single_vector_error(rng, bad):
+    with pytest.raises(ValueError) as single:
+        polarization_completeness(bad)
+    k = rng.normal(size=(5, 3))
+    k[3] = bad
+    with pytest.raises(ValueError) as stacked:
+        polarization_completeness(k)
+    assert str(stacked.value) == str(single.value)
+
+
+@pytest.mark.parametrize("k", [[1.0, 2.0], 1.0, np.ones((3, 2))])
+def test_polarization_rejects_rows_that_are_not_3_vectors(k):
+    with pytest.raises(ValueError, match="shape"):
+        polarization_completeness(k)
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 3), st.integers(0, 3),
        st.floats(0.01, 3.13), st.floats(-3.1, 3.1))

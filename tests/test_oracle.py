@@ -5,10 +5,17 @@ import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
 
-from vharvest.angular import EulerAngles, sph_harm_y
+from vharvest import oracle
+from vharvest.angular import EulerAngles, gaunt_integral, polarization_completeness, sph_harm_y
+from vharvest.harvesting import negativity_leading
 from vharvest.oracle import (OracleReport, negativity_bruteforce, radial_bruteforce,
                              radial_overlap, rotation_bruteforce, run_all,
                              sphere_quadrature, time_integral_bruteforce)
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def test_run_all_passes():
@@ -117,6 +124,28 @@ def test_sphere_quadrature_equals_meshgrid_evaluation():
         want = complex((prod * wg[:, None]).sum() * (2.0 * math.pi / 128))
         assert sphere_quadrature(idx) == want, idx
 
+@pytest.mark.parametrize("n_theta, n_phi", [(64, 128), (48, 64)])
+def test_cached_grid_harmonics_are_read_only_fresh_grids(n_theta, n_phi):
+    # the cache holds m >= 0; m < 0 and the conjugates derive from it with
+    # the bits of sph_harm_y on the grid
+    theta = np.arccos(leggauss(n_theta)[0])
+    phi = np.linspace(0.0, 2.0 * math.pi, n_phi, endpoint=False)
+    for l in range(4):
+        for m in range(-l, l + 1):
+            fresh = sph_harm_y(l, m, theta[:, None], phi[None, :])
+            if m >= 0:
+                cached = oracle._grid_harmonic(l, m, n_theta, n_phi)
+                assert not cached.flags.writeable
+                assert _same_bits(cached, fresh)
+            assert _same_bits(oracle._grid_factor(l, m, False, n_theta, n_phi), fresh)
+            assert _same_bits(oracle._grid_factor(l, m, True, n_theta, n_phi), np.conj(fresh))
+
+
+def test_sphere_quadrature_rejects_an_invalid_harmonic():
+    with pytest.raises(ValueError, match="l=1, m=-2"):
+        sphere_quadrature([(1, -2), (1, 0), (0, 0)])
+
+
 def test_radial_bruteforce_k0():
     val, err, _ = radial_bruteforce(0, 0.0, 0.7)
     assert val == pytest.approx(128.0 * math.sqrt(6.0) / 243.0 * 0.7, rel=1e-11)
@@ -155,6 +184,78 @@ def test_negativity_bruteforce_known_value():
     # symmetric case: N = |M| - L when positive
     assert negativity_bruteforce(0.3, 0.3, 0.0, 0.5) == pytest.approx(0.2, abs=1e-14)
     assert negativity_bruteforce(0.5, 0.5, 0.0, 0.1) == pytest.approx(0.0, abs=1e-14)
+
+
+def test_negativity_bruteforce_on_arrays_is_its_cases_bit_for_bit():
+    rng = np.random.default_rng(11)
+    l_aa, l_bb, am, phm = rng.uniform(0.0, [0.4, 0.4, 0.4, 2 * math.pi], size=(300, 4)).T
+    l_ab = rng.uniform(-0.05, 0.05, 300) + 1j * rng.uniform(-0.05, 0.05, 300)
+    m = am * np.exp(1j * phm)
+    l_ab[:100], m[:100] = 0.0, 1e-3 * m[:100]  # no negative eigenvalue: separable
+    got = negativity_bruteforce(l_aa, l_bb, l_ab, m)
+    want = [negativity_bruteforce(*case) for case in
+            zip(l_aa.tolist(), l_bb.tolist(), l_ab.tolist(), m.tolist())]
+    assert all(type(w) is float for w in want)
+    assert 0 < sum(w > 0 for w in want) < len(want)  # entangled and separable cases
+    assert _same_bits(got, np.array(want))
+    # a scalar broadcasts against a stack of any shape
+    stack = negativity_bruteforce(l_aa.reshape(3, 100), l_bb.reshape(3, 100), 0.0, m.reshape(3, 100))
+    assert stack.shape == (3, 100)
+    assert _same_bits(stack.ravel(), np.array([negativity_bruteforce(*case, 0.0, mm) for *case, mm in
+                                               zip(l_aa.tolist(), l_bb.tolist(), m.tolist())]))
+
+
+def _stacked_checks_as_loops(seed: int) -> dict:
+    # checks 4, 6 and 9 of run_all one case at a time, drawing from the
+    # battery's generator in its order (check 5 draws between 4 and 6)
+    rng = np.random.default_rng(seed)
+    xg, wg = leggauss(64)
+    theta, phi = np.arccos(xg), np.linspace(0.0, 2.0 * math.pi, 128, endpoint=False)
+    gaunt = 0.0
+    for n in (3, 4, 5):
+        for _ in range(40):
+            idx = []
+            for _ in range(n):
+                l = int(rng.integers(0, 4))
+                m = int(rng.integers(-l, l + 1))
+                idx.append((l, m, bool(rng.integers(0, 2))))
+            prod = np.ones((64, 128), dtype=complex)
+            for l, m, conj in idx:
+                y = sph_harm_y(l, m, theta[:, None], phi[None, :])
+                prod *= np.conj(y) if conj else y
+            brute = complex((prod * wg[:, None]).sum() * (2.0 * math.pi / 128))
+            gaunt = max(gaunt, abs(gaunt_integral(idx) - brute))
+    for _ in range(100):
+        rng.uniform(-math.pi, math.pi, 3)
+        rng.uniform(0.05, math.pi - 0.05)
+        rng.uniform(-math.pi, math.pi)
+    polarization = 0.0
+    for _ in range(1000):
+        k = rng.normal(size=3)
+        khat = k / np.linalg.norm(k)
+        target = np.eye(3) - np.outer(khat, khat)
+        polarization = max(polarization, float(np.max(np.abs(
+            polarization_completeness(k) - target))))
+    negativity = 0.0
+    for _ in range(200):
+        l_aa, l_bb = rng.uniform(0.0, 0.4, 2)
+        am = rng.uniform(0.0, 0.4)
+        phm = rng.uniform(0, 2 * math.pi)
+        n2 = negativity_leading(l_aa, l_bb, am)
+        brute = negativity_bruteforce(l_aa, l_bb, 0.0, am * cmath.exp(1j * phm))
+        negativity = max(negativity, abs(max(0.0, n2) - brute))
+    return {"gaunt_vs_sphere_quadrature": (gaunt, 120 * 64 * 128),
+            "polarization_completeness": (polarization, 1000),
+            "negativity_vs_eigensolver": (negativity, 200)}
+
+
+@pytest.mark.parametrize("seed", [1234, 7])
+def test_stacked_checks_report_the_bits_of_per_case_loops(seed):
+    reports = {r.name: r for r in run_all(seed)}
+    for name, (rel_err, evaluations) in _stacked_checks_as_loops(seed).items():
+        assert float(reports[name].rel_err).hex() == float(rel_err).hex(), name
+        assert reports[name].evaluations == evaluations, name
+        assert rel_err > 0.0, name
 
 
 def test_reports_have_stable_names():
