@@ -250,7 +250,7 @@ _KERN_DECAY = {3: (2, math.log(6.0)), 5: (1, 0.0), 7: (1, 0.0)}
 
 # past the live edge and a fixed panel set (``_fixed``) the Gaussian is e^-_LIVE_EXPONENT down
 _LIVE_EXPONENT = 60.0
-_FIXED_PANELS, _KNEE_SHARE = 4000, 0.5
+_FIXED_PANELS, _KNEE_SHARE = 4000, 1.0 / 3.0
 _SQRT2 = math.sqrt(2.0)
 
 

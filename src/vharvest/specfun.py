@@ -12,12 +12,13 @@ ever exponentiated.  All functions are pure and accept numpy arrays where
 it matters.  Integrands that differ in their time factor and separation (a
 grid's t_BA and d) are integrated as the members of one group
 (``integrate_damped_group``): on one head panel set, so each pass evaluates
-each distinct time factor and spatial kernel once for all of them, and
-reduces the members of one time as blocks of rows, and past it with the
-member as the leading array axis of one tail pass for all times.  The head
-stops at the group's live edge, where the Gaussian part is e^-60 below its
-peak, for every member whose rigorous bound on the rest (the caller's) is
-far below its roundoff floor; that bound joins its error.
+each distinct time factor and spatial kernel once for all of them, scales
+each time's factors once, and reduces the members of one time as blocks of
+rows (forming |f - mean| only where it can move QUADPACK's error), and past
+it with the member as the leading array axis of one tail pass for all times.
+The head stops at the group's live edge, where the Gaussian part is e^-60
+below its peak, for every member whose rigorous bound on the rest (the
+caller's) is far below its roundoff floor; that bound joins its error.
 
 Rounding model: an integrand returns (value, magnitude) per node, with
 magnitude >= |value| such that 50 eps x magnitude bounds the node's rounding
@@ -206,10 +207,11 @@ def scaled_time_kernel(k, t_ba: float, T: float, *, d_omega: float):
     exp(-T^2 Omega^2/2 + i Omega (t_A + t_B)) times the kernel, Omega the
     mean gap (``oracle.time_integral_closed``).  At c = 0 the two
     Faddeeva arguments coincide, so equal gaps take one ``_faddeeva`` call
-    and unequal gaps two: wofz where |z| < 7, the asymptotic series from
-    there.  A call skips the Gaussian where (b+c)^2 >= 750 at every node
-    (the tails past k_hi), since its exp is 0.0 there.  Accepts a scalar or
-    array k >= 0 and returns (value, magnitude) of its shape: the wings
+    (the wings -2i Im w, exactly conj w - w) and unequal gaps two: wofz
+    where |z| < 7, the asymptotic series from there.  A call skips the
+    Gaussian where (b+c)^2 >= 750 at every node (the tails past k_hi),
+    since its exp is 0.0 there.  Accepts a scalar or array k >= 0 and
+    returns (value, magnitude) of its shape: the wings
     weigh 2 + a^2 (one for the Faddeeva function), the Gaussian 1 + its
     exponent's parts.  Where the value is subnormal (near (b+c)^2 ~ 730)
     that bound fails: it is off by a few units of 2^-1074 in absolute terms.
@@ -224,9 +226,12 @@ def scaled_time_kernel(k, t_ba: float, T: float, *, d_omega: float):
         c = -c
     e_a = np.exp(-a * a)
     w_lo = _faddeeva(b - c, a)
-    w_hi = w_lo if c == 0.0 else _faddeeva(b + c, a)
-    out = e_a * (w_lo.conj() - w_hi)
-    mag = e_a * (2.0 + a * a) * (np.abs(w_lo) + np.abs(w_hi))
+    if c == 0.0:  # conj(w) - w = -2i Im w and |w| + |w| = 2|w|, both exactly
+        out, mag = (-2j * e_a) * w_lo.imag, e_a * (2.0 + a * a) * (2.0 * np.abs(w_lo))
+    else:
+        w_hi = _faddeeva(b + c, a)
+        out = e_a * (w_lo.conj() - w_hi)
+        mag = e_a * (2.0 + a * a) * (np.abs(w_lo) + np.abs(w_hi))
     bc = b + c
     w_lo = w_hi = b = None  # freed before the Gaussian, where a head pass peaks
     # past (b+c)^2 = 750 the Gaussian's exp is 0.0: a call dead at every node skips it
@@ -384,11 +389,19 @@ _WG = np.array([
 
 # the roundoff floor of one GK15 panel, per unit of its integral of the magnitude
 _ROUNDOFF = 50.0 * np.finfo(float).eps
+# the first moment sum w x f as (Re, Im) of a complex row viewed as (..., 30)
+# doubles: antisymmetric weights, so they sum to exactly 0, each |w x| < w
+_MOMENT = np.zeros((2 * _XGK.size, 2))
+_MOMENT[0::2, 0] = _MOMENT[1::2, 1] = _WGK * _XGK
+_SURE = 1.0 - 8.0 * np.finfo(float).eps  # 200|K - G| this far below F proves err = F
 
 
 def _gk15_reduce(fv, fm, half: np.ndarray):
     # GK15 sums of node values fv and magnitudes fm, 15 nodes per panel of
-    # half, as matrix products on (..., panels, 15) arrays
+    # half, as matrix products on (..., panels, 15) arrays, with QUADPACK's
+    # error.  A head pass's block forms resasc, the integral of |f - mean|,
+    # only on the (row, panel) pairs where that error is not proved to be
+    # the floor (README, Numerical notes), each in its place in the products.
     shape = np.shape(fv)[:-1] + (half.shape[-1], _XGK.size)
     fv = np.reshape(fv, shape)
     habs = np.abs(half)
@@ -396,12 +409,28 @@ def _gk15_reduce(fv, fm, half: np.ndarray):
     resk = sumk * half
     resg = (fv[..., 1::2] @ _WG) * half
     resabs = (np.reshape(fm, shape) @ _WGK) * habs
-    resasc = (np.abs(fv - 0.5 * sumk[..., None]) @ _WGK) * habs
     err = np.abs(resk - resg)
+    big, floor = 200.0 * err, _ROUNDOFF * resabs
+    sure = None
+    if fv.ndim == 3 and half.ndim == 1 and len(fv) > 1:
+        moment = np.ascontiguousarray(fv, dtype=complex).view(float) @ _MOMENT
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            q = floor / big
+            lhs = np.maximum(np.abs(moment[..., 0]), np.abs(moment[..., 1])) * habs
+            sure = (big <= _SURE * floor) | (lhs * q * q > 2.0 * big)
+        sure &= floor < np.inf
+        if sure.all():
+            return resk, floor, resabs
+        dev, rest = np.zeros(shape), ~sure
+        dev[rest] = np.abs(fv[rest] - 0.5 * sumk[rest][:, None])
+    else:
+        dev = np.abs(fv - 0.5 * sumk[..., None])
+    resasc = (dev @ _WGK) * habs
     nonzero = resasc > 0.0
-    ratio = np.divide(200.0 * err, resasc, out=np.zeros_like(err), where=nonzero)
+    ratio = np.divide(big, resasc, out=np.zeros_like(err), where=nonzero)
     err = np.where(nonzero, resasc * np.minimum(1.0, ratio ** 1.5), err)
-    return resk, np.maximum(err, _ROUNDOFF * resabs), resabs  # with the roundoff floor
+    err = np.maximum(err, floor)  # with the roundoff floor
+    return resk, err if sure is None else np.where(sure, floor, err), resabs
 
 
 def _product(factors, scale):
@@ -410,6 +439,21 @@ def _product(factors, scale):
     for v, m in rest:
         value, mag = value * v, mag * np.abs(v) + np.abs(value) * m
     return scale * value, scale * mag
+
+
+def _spatial_rows(spatial, unit):
+    # rows (sv, sm) of kernel(k d) times (U, |U|, U_mag), U the scale times a
+    # time's factors: (sv U, sm |U| + |sv| U_mag).  A block's sv U is two real
+    # products (numpy casts a real block through a buffer, at times ~6x
+    # slower); its values are those of sv * U.
+    (sv, sm), (u, absu, umag) = spatial, unit
+    if sv.ndim == 1 or not np.iscomplexobj(u):
+        value = sv * u
+    else:
+        value = np.empty(sv.shape, dtype=complex)
+        np.multiply(sv, u.real, out=value.real)
+        np.multiply(sv, u.imag, out=value.imag)
+    return value, sm * absu + np.abs(sv) * umag
 
 
 def _integrands(f, k, kernel, members):
@@ -440,14 +484,16 @@ def _integrands(f, k, kernel, members):
             place.setdefault(d, divmod(len(place), size))
     ds, held = list(place), {}
     for time, ids in by_time.items():
-        factors = None  # the previous time's go before the next is evaluated
-        factors = None if time is None else time(k)
+        unit = None  # the previous time's go before the next is evaluated
+        unit = None if time is None else _product(time(k), scale)
         blocks = {}
         for i in ids:
-            if factors is not None and members[i][1] in place:
+            if unit is not None and members[i][1] in place:
                 blocks.setdefault(place[members[i][1]][0], []).append(i)
             else:
-                yield i, scale if factors is None else _product(factors, scale)
+                yield i, scale if unit is None else unit
+        if blocks:
+            unit = (unit[0], np.abs(unit[0]), unit[1])
         for j, block in blocks.items():
             col = ds[j * size:(j + 1) * size]
             spatial = held.get(j)
@@ -455,9 +501,9 @@ def _integrands(f, k, kernel, members):
                 spatial = kernel(k * (col[0] if len(col) == 1 else np.array(col)[:, None]))
             held[j] = spatial if len(by_time) > 1 else None
             rows = [place[members[i][1]][1] for i in block]
-            if len(col) > 1 and rows != list(range(len(col))):
-                spatial = tuple(x[rows] for x in spatial)
-            yield block if len(col) > 1 else block[0], _product((spatial, *factors), scale)
+            if rows != list(range(len(col))):  # a subset of the block's d, or repeats
+                spatial = tuple(np.atleast_2d(x)[rows] for x in spatial)
+            yield (block[0] if len(col) == len(block) == 1 else block), _spatial_rows(spatial, unit)
 
 
 def _gk15_panels(f, lo, hi, kernel=None, members=((None, 0.0),), take=None):
@@ -470,26 +516,25 @@ def _gk15_panels(f, lo, hi, kernel=None, members=((None, 0.0),), take=None):
     first three entries are (members, panels) arrays.  lo and hi are one row of
     panels that the members share, or one row per member (the tails), each
     block of members reduced as one (block, panels, 15) array.
-    With take, each member's row of the three goes to take(i, row) instead.
+    With take, each member's row of the three also goes to take(i, row).
     """
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
     k = (mid[..., None] + half[..., None] * _XGK).reshape(lo.shape[:-1] + (-1,))
-    if lo.ndim > 1:  # the blocks' rows, put back in member order
-        ids, parts = zip(*[(ids, _gk15_reduce(*fk, half[ids]))
-                           for ids, fk in _integrands(f, k, kernel, members)])
-        order = np.argsort(np.concatenate(ids))
-        return (*(np.concatenate(x)[order] for x in zip(*parts)), k.size)
-    rows = [None] * len(members)  # in member order; _integrands goes time by time
-    put = take or rows.__setitem__
-    for ids, fk in _integrands(f, k, kernel, members):
-        parts = _gk15_reduce(*fk, half)
-        if isinstance(ids, list):
-            for j, i in enumerate(ids):
-                put(i, tuple(x[j] for x in parts))
-        else:
-            put(ids, parts)
-    return (*((None,) * 3 if take else map(np.array, zip(*rows))), k.size)
+    ids, parts = [], []
+    for i, fk in _integrands(f, k, kernel, members):
+        ids.append(i)
+        parts.append(_gk15_reduce(*fk, half if lo.ndim == 1 else half[i]))
+    if len(parts) > 1:  # _integrands goes time by time: rows go back in member order
+        rows = tuple(np.empty((len(members), lo.shape[-1]), np.result_type(*x)) for x in zip(*parts))
+        for i, part in zip(ids, parts):
+            for row, x in zip(rows, part):
+                row[i] = x
+    else:  # one block of every member, in order, or one row
+        rows = parts[0] if isinstance(ids[0], list) else tuple(x[None] for x in parts[0])
+    for i in range(len(members)) if take else ():
+        take(i, tuple(x[i] for x in rows))
+    return (*rows, k.size)
 
 
 def _adaptive_gk(f, breakpoints: np.ndarray, atol: float, rtol: float,
@@ -511,51 +556,46 @@ def _adaptive_gk(f, breakpoints: np.ndarray, atol: float, rtol: float,
     set, each pass evaluating each time and kernel(k d) once for the rows
     still running.  Each row keeps its own error, tol and stopping tests
     and is dropped, its panels too, as soon as it stops; a pass splits the
-    panels with the worst err_i / tol_i over the rows left.  Returns one
-    (value, error, abs_integral, evals) per member, or the one of f.
+    panels with the worst err_i / tol_i over the rows left.  The rows are
+    three (members, panels) arrays.  Returns one (value, error,
+    abs_integral, evals) per member, or the one of f.
 
-    prior: (lo, hi, rows), panels already evaluated, with each member's
-    (values, errors, abs_integrals) on them: the first pass adds the panels
-    of breakpoints (if any) and tests the members on all of them, as if
-    this run had evaluated them.  evals counts only this run's nodes.
+    prior: (lo, hi, rows), panels already evaluated, with the members' rows
+    of (values, errors, abs_integrals) on them: the first pass adds the
+    panels of breakpoints (if any) and tests the members on all of them, as
+    if this run had evaluated them.  evals counts only this run's nodes.
     """
     lo = np.asarray(breakpoints[:-1], dtype=float)
     hi = np.asarray(breakpoints[1:], dtype=float)
     one = members is None
     members = ((None, 0.0),) if one else tuple(members)
-    out, rows, evals = [None] * len(members), {}, 0
-    running, keep, new_lo, new_hi = list(range(len(members))), slice(0), lo, hi
+    out, rows, evals = [None] * len(members), None, 0
+    running, keep, new_lo, new_hi = np.arange(len(members)), None, lo, hi
     if prior is not None:
-        rows, keep = dict(enumerate(prior[2])), slice(None)
+        rows, keep = prior[2], np.arange(prior[0].size)
         lo, hi = np.concatenate((prior[0], lo)), np.concatenate((prior[1], hi))
-
-    def take(j, new):
-        # member running[j]: its kept panels and the new ones; it stops or runs on
-        i = running[j]
-        old = rows.pop(i, None)
-        val, err, absl = new if old is None else old[:3] if new is None else (
-            np.concatenate((x[keep], y)) for x, y in zip(old, new))
-        total, err_sum, abs_sum = val.sum(), err.sum(), absl.sum()
-        tol = np.maximum(atol, rtol * np.abs(total))
-        floor = _ROUNDOFF * abs_sum
-        if (err_sum <= tol or (floor >= tol and err_sum - floor <= tol)
-                or lo.size >= max_panels):
-            out[i] = (total, float(err_sum), float(abs_sum), evals)
-        else:
-            rows[i] = (val, err, absl, tol)
-
     while True:
         if new_lo.size:
             evals += 15 * new_lo.size
-            _gk15_panels(f, new_lo, new_hi, kernel, [members[i] for i in running], take)
-        else:
-            for j in range(len(running)):
-                take(j, None)
-        if not rows:
-            break
-        running = list(rows)
-        score = rows[running[0]][1] if len(running) == 1 else np.max(
-            [rows[i][1] / rows[i][3] for i in running], axis=0)
+            new = _gk15_panels(f, new_lo, new_hi, kernel, [members[i] for i in running])[:3]
+            rows = new if rows is None else [
+                np.concatenate((x.take(keep, axis=1), y), axis=1) for x, y in zip(rows, new)]
+        total, err_sum, abs_sum = (x.sum(axis=1) for x in rows)
+        tol = np.maximum(atol, rtol * np.abs(total))
+        floor = _ROUNDOFF * abs_sum
+        done, floored = err_sum <= tol, floor >= tol
+        if np.count_nonzero(floored):  # no split can meet tol: stop within tol above the floor
+            done |= floored & (err_sum - floor <= tol)
+        done |= lo.size >= max_panels
+        n_done = np.count_nonzero(done)
+        if n_done:
+            for j in done.nonzero()[0]:
+                out[running[j]] = (total[j], float(err_sum[j]), float(abs_sum[j]), evals)
+            if n_done == running.size:
+                break
+            left = ~done
+            running, tol, rows = running[left], tol[left], [x[left] for x in rows]
+        score = rows[1][0] if running.size == 1 else (rows[1] / tol[:, None]).max(axis=0)
         order = np.argsort(score, kind="stable")
         n_split = min(16, max(1, lo.size // 8))
         keep, worst = order[:-n_split], order[-n_split:]
@@ -727,21 +767,21 @@ def integrate_damped_group(spec: DampedKernelSpec, atol: float = 1e-16,
     # every member's row of the seed panels below the edge; a member whose
     # bound past the edge is below _EDGE_SHARE of its floor on them stops at
     # the edge, the others run on to k_hi on the seeds there
-    lo, hi, first = edge[:-1], edge[1:], {}
-    nodes = _gk15_panels(spec.integrand, lo, hi, kernel, members, first.__setitem__)[3]
-    stop = {i for i in first
-            if bounds and bounds[i] <= _EDGE_SHARE * _ROUNDOFF * first[i][2].sum()}
-    go_on = [i for i in range(len(members)) if i not in stop]
+    lo, hi = edge[:-1], edge[1:]
+    *first, nodes = _gk15_panels(spec.integrand, lo, hi, kernel, members)
+    stop = np.less_equal(bounds, _EDGE_SHARE * _ROUNDOFF * first[2].sum(axis=1)) if bounds else (
+        np.zeros(len(members), dtype=bool))
+    go_on = (~stop).nonzero()[0].tolist()
     past = np.append(k_live, breakpoints[breakpoints > k_live])
     heads = [None] * len(members)
-    # each refines as one run with its row of the seed panels
-    for group, new in ((sorted(stop), ()), (go_on, past)):
+    # each refines as one run with its rows of the seed panels
+    for group, new in ((stop.nonzero()[0].tolist(), ()), (go_on, past)):
         if group:
+            rows = first if len(group) == len(members) else [x[group] for x in first]
             runs = _adaptive_gk(spec.integrand, new, 0.5 * atol, 0.5 * rtol, max_panels,
-                                kernel, [members[i] for i in group],
-                                (lo, hi, [first[i] for i in group]))
+                                kernel, [members[i] for i in group], (lo, hi, rows))
             for i, (value, err, absint, evals) in zip(group, runs):
-                heads[i] = (value, err + (bounds[i] if i in stop else 0.0), absint,
+                heads[i] = (value, err + (bounds[i] if stop[i] else 0.0), absint,
                             evals + nodes)
     # the wings of the members that ran on, in one pass of each kind for all
     # their times: a wing of more half periods than a tail sums is summed over them
@@ -784,14 +824,14 @@ def integrate_fixed_group(f, edges: np.ndarray, kernel, members, bound: float,
     summed estimates plus bound, on its integral of |f| past edges[-1].  One
     that misses the tolerance refines through ``_adaptive_gk``, seeded with
     the panels, with up to 4000 more.  Returns what integrate_damped_group does."""
-    lo, hi, rows = edges[:-1], edges[1:], {}
-    nodes = _gk15_panels(f, lo, hi, kernel, members, rows.__setitem__)[3]
-    sums = [(*(x.sum() for x in rows[i]), nodes) for i in range(len(members))]
+    lo, hi = edges[:-1], edges[1:]
+    *rows, nodes = _gk15_panels(f, lo, hi, kernel, members)
+    sums = [(*(x.sum() for x in row), nodes) for row in zip(*rows)]
     miss = [i for i, (v, e, _, _) in enumerate(sums) if e + bound > max(atol, rtol * abs(v))]
     if miss:
         for i, (*run, evals) in zip(miss, _adaptive_gk(
                 f, edges[:0], atol, rtol, lo.size + 4000, kernel, [members[i] for i in miss],
-                (lo, hi, [rows[i] for i in miss]))):
+                (lo, hi, rows if len(miss) == len(members) else [x[miss] for x in rows]))):
             sums[i] = (*run, evals + nodes)
     return [_result(value, err + bound, absint, evals, atol, rtol)
             for value, err, absint, evals in sums]

@@ -1184,6 +1184,24 @@ def test_fixed_panel_sets_follow_the_knee_and_are_capped():
         assert ks[0] == 0.0 and 0.5 * ks[-1] ** 2 + ks[-1] == pytest.approx(60.0)
 
 
+@pytest.mark.parametrize("model, omega_T, a0_T", [(ModelKind.UDW_SCALAR, 2.7, 1.26),
+                                                  (ModelKind.UDW_SCALAR, 3.0, 1.29),
+                                                  (ModelKind.UDW_DERIVATIVE, 1.27, 0.84)])
+def test_l_near_its_knee_converges_on_its_fixed_panel_set(model, omega_T, a0_T):
+    # at a0 ~ T the knee 3/(2 a0) is about two Gaussian widths out: panels a
+    # third of their k wide there, not uniform ones that straddle the
+    # rational's order-6 poles, so L meets 1e-16 in the one pass (on uniform
+    # panels these three miss it at T = 0.5 and take an _adaptive_gk pass)
+    _, _, p, _, _ = harvesting._model_params(model)
+    for T in (0.5, 0.6, 0.7, 1.0, 1.6):
+        omega, a0 = omega_T / T, a0_T * T
+        args = harvesting._fixed(("L", p, a0, T, None), omega, [(("L", 0.0, omega), 0.0)])
+        (quad,) = specfun.integrate_fixed_group(*args, 1e-16, 1e-10)
+        assert quad.evaluations == 15 * (args[1].size - 1)
+        value, err, _, _ = _fixed_reference(("L", p, a0, T, None), ("L", 0.0, omega), 0.0)
+        assert abs(quad.value - value) <= quad.abs_error_estimate + err
+
+
 def test_head_seeds_do_not_grow_with_the_delay():
     # the strided seeds are built strided: at t_BA = 1e6 T the head stalls
     # (its seeds alias the time phase), but without an array of its 1.2e7

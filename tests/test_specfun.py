@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import wofz
 
 from vharvest import specfun
@@ -272,6 +274,34 @@ def test_kernel_equal_gaps_bitwise_equal_to_one_wofz_form(T):
             assert same_bits(value[near], ref_value), t_ba
             assert same_bits(mag[near], ref_mag), t_ba
         assert_far_nodes_within_bound(k, t_ba, T, 0.0, value, mag, ~near, count=12)
+
+
+def two_term_kernel(k, t_ba, T):
+    # equal gaps as e^-a^2 (conj w - w) and |w| + |w|, w from one _faddeeva
+    # call (wofz or its asymptotic series), plus the Gaussian
+    a, b = abs(t_ba) / (SQRT2 * T), T * k / SQRT2
+    e_a, w = np.exp(-a * a), specfun._faddeeva(b, a)
+    value = e_a * (w.conj() - w)
+    mag = e_a * (2.0 + a * a) * (np.abs(w) + np.abs(w))
+    if np.count_nonzero(b * b < 750.0):
+        gauss = 2.0 * np.exp(-b * b - 2j * a * b)
+        value, mag = value + gauss, mag + np.abs(gauss) * (1.0 + b * b + 2.0 * a * np.abs(b))
+    return value, mag
+
+
+@pytest.mark.parametrize("T", [0.3, 1.0, 7.0])
+def test_kernel_equal_gaps_from_im_w_keep_the_two_term_bits(T):
+    # -2i Im w and 2|w| are conj w - w and |w| + |w| exactly: the same bits
+    # at every node, near and far, for delays of both signs, and where the
+    # Gaussian 2 e^-b^2 is subnormal (b^2 ~ 730, T k ~ 38.2)
+    k = np.concatenate([np.linspace(0.0, 60.0 / T, 6001), [38.2 / T, 38.6 / T]])
+    assert 0.0 < 2.0 * math.exp(-(38.2 / SQRT2) ** 2) < np.finfo(float).tiny
+    for t_ba in (0.0, 1.0, -1.0, 5.0, -5.0, 12.0, -12.0, 20.0, -20.0):
+        value, mag = scaled_time_kernel(k, t_ba, T, d_omega=0.0)
+        ref_value, ref_mag = two_term_kernel(k, t_ba, T)
+        assert same_bits(value, ref_value) and same_bits(mag, ref_mag), t_ba
+        one = scaled_time_kernel(38.2 / T, t_ba, T, d_omega=0.0)
+        assert same_bits(one[0], complex(ref_value[-2])) and one[1] == ref_mag[-2]
 
 
 @pytest.mark.parametrize("d_omega, calls", [(0.0, 1), (-0.0, 1), (0.3, 2), (-1.5, 2)])
@@ -572,6 +602,81 @@ def test_a_head_pass_gives_each_member_the_rows_it_has_alone():
         for j in range(3):
             assert np.array_equal(together[j][i], alone[j][0])
             assert np.array_equal(taken[i][j], alone[j][0])
+
+
+ROW_KINDS = ("random", "smooth", "even", "constant", "nan", "inf")
+
+
+def reduce_row(rng, kind, scale, p):
+    # one member's (values, magnitudes) on p panels of 15 nodes: the
+    # magnitude at least |value|, as the rounding model asks
+    x = specfun._XGK
+    if kind == "smooth":
+        c = rng.standard_normal((p, 3, 2)) @ [1.0, 1j]
+        fv = c[:, :1] * np.exp(0.3 * x) + c[:, 1:2] * x + 1e-9 * c[:, 2:] * np.cos(9.0 * x)
+    else:
+        fv = rng.standard_normal((p, 15)) + 1j * rng.standard_normal((p, 15))
+    if kind == "even":  # first moment exactly 0
+        fv = fv + fv[:, ::-1]
+    elif kind == "constant":  # |f - mean| is 0 or rounding
+        fv = np.repeat(fv[:, :1], 15, axis=1)
+    fv = fv * scale
+    if kind in ("nan", "inf"):
+        fv[rng.integers(p), rng.integers(15)] = np.nan if kind == "nan" else np.inf
+    return fv.ravel(), (np.abs(fv) * (1.0 + rng.uniform(0.0, 2.0, fv.shape))).ravel()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(ROW_KINDS),
+                          st.sampled_from([1.0, 1e-300, 1e250, 3e-7, 4e12])),
+                min_size=2, max_size=6),
+       st.integers(1, 40), st.integers(0, 2 ** 32 - 1))
+def test_gk15_reduce_block_rows_have_the_full_formulas_bits(rows, p, seed):
+    # the block path forms |f - mean| only where QUADPACK's error is proved
+    # to be the floor: each row gets, bit for bit, what the full formula
+    # gives it alone (the row path), NaN and inf rows included
+    rng = np.random.default_rng(seed)
+    fv, fm = map(np.array, zip(*(reduce_row(rng, kind, scale, p) for kind, scale in rows)))
+    half = rng.uniform(1e-3, 2.0, p)
+    # finite rows raise no floating-point warning; inf ones warn on the row path too
+    bad = any(kind in ("nan", "inf") for kind, _ in rows)
+    with np.errstate(**dict.fromkeys(("divide", "over", "invalid"), "ignore" if bad else "raise")):
+        block = specfun._gk15_reduce(fv, fm, half)
+        for b in range(len(rows)):
+            alone = specfun._gk15_reduce(fv[b], fm[b], half)
+            for x, y in zip(block, alone):
+                assert same_bits(x[b], y), rows[b]
+
+
+def test_gk15_reduce_block_path_claims_the_floor_of_smooth_rows(monkeypatch):
+    # a block of smooth rows is proved at every panel: no |f - mean| pass
+    rng = np.random.default_rng(5)
+    c = (rng.standard_normal((2, 4, 30, 2)) @ [1.0, 1j])[..., None]
+    fv = (c[0] * np.exp(0.3 * specfun._XGK) + c[1] * specfun._XGK).reshape(4, -1)
+    fm, half = 2.0 * np.abs(fv), np.full(30, 0.01)
+    monkeypatch.setattr(specfun.np, "zeros", None)
+    value, err, absl = specfun._gk15_reduce(fv, fm, half)
+    assert np.array_equal(err, specfun._ROUNDOFF * absl)
+
+
+def test_adaptive_gk_gives_identical_members_the_bits_of_one_alone():
+    # k copies of one member share every pass as rows of one block, are
+    # tested, scored and dropped as rows of the driver's arrays, and each
+    # gets the (value, error, abs_integral, evals) of the member alone
+    def time(k):
+        return (scaled_time_kernel(k, 6.0, 1.0, d_omega=0.0),)
+
+    def f(k):
+        return k ** 3 / (4.0 * (1e-3 * k) ** 2 + 9.0) ** 6
+
+    kernel = spherical_bessel_j0_plus_j2
+    breakpoints = np.linspace(0.0, 40.0, 9)
+    alone = _adaptive_gk(f, breakpoints, 1e-300, 1e-12, kernel=kernel, members=[(time, 3.0)])
+    assert alone[0][3] > 15 * 8  # it refines
+    for k in (2, 3, 5):
+        copies = _adaptive_gk(f, breakpoints, 1e-300, 1e-12, kernel=kernel,
+                              members=[(time, 3.0)] * k)
+        assert all(same_bits(x, y) for copy in copies for x, y in zip(copy, alone[0]))
 
 
 def test_tail_rows_of_several_times_have_the_bits_of_each_time_alone(monkeypatch):

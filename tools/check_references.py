@@ -1,0 +1,67 @@
+"""Check every point of the benchmark's reference sets against the current code.
+
+    python3 tools/check_references.py [WORKLOAD ...]
+
+Evaluates all 8,000 ``scatter_terms`` and 1,000 ``unequal_gaps`` pool pairs
+and the 100 points of the ``spacetime_grid`` (fig5a) map, and checks each
+against ``perfbench/references`` with ``perfbench/workloads.check``: a
+point fails if it raised, is not finite, was retried at the loosened
+tolerance, or moved from its reference by more than the two reported
+quadrature errors.  Prints attempted and failed counts per workload (and
+the first failures) and exits 1 if any point failed.  Takes about 30 s on
+one core.  The benchmark's files are only imported, never written.
+"""
+
+from __future__ import annotations
+
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+sys.dont_write_bytecode = True  # leave no cache files in perfbench/
+
+import vharvest  # noqa: E402
+import workloads  # noqa: E402
+
+CHECKED = ("scatter_terms", "unequal_gaps", "spacetime_grid")
+
+
+def outcomes(workload: str) -> list:
+    """Every point of a workload's reference set, as workloads.check reads it."""
+    if workload == "spacetime_grid":
+        return [workloads.Outcome(i, record=row)
+                for i, row in enumerate(workloads.fig5a_grid().rows)]
+    params, found = workloads.pool_params(workload), []
+    for i in range(workloads.POOL_SIZE[workload]):
+        try:
+            terms = vharvest.compute_terms(workloads.make_pair(params, i),
+                                           include_cross=workload == "scatter_terms")
+        except Exception as exc:  # a failed point is counted, not fatal
+            found.append(workloads.Outcome(i, failure=f"raised {exc!r}"))
+        else:
+            found.append(workloads.Outcome(i, record=terms))
+    return found
+
+
+def main(argv: list[str]) -> int:
+    names = argv or list(CHECKED)
+    unknown = sorted(set(names) - set(CHECKED))
+    if unknown:
+        print(f"unknown workload(s) {unknown}; choose from {list(CHECKED)}", file=sys.stderr)
+        return 2
+    failed = 0
+    for name in names:
+        t0 = time.perf_counter()
+        result = workloads.check(name, workloads.BodyResult(outcomes=outcomes(name)))
+        failed += result["failed"]
+        print(f"{name}: attempted {result['attempted']}, failed {result['failed']} "
+              f"({time.perf_counter() - t0:.1f} s)")
+        for line in result["failures"]:
+            print(f"    {line}")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
