@@ -118,7 +118,7 @@ def _j0(x):
     # Maclaurin terms, sinh x / x (evaluated there alone); above it |j_0|
     j0 = spherical_bessel_j(0, x)
     mag, small = np.abs(j0), x < 5.0
-    if small.any():
+    if np.count_nonzero(small):
         s = np.maximum(x[small], 1e-300)
         mag[small] = np.sinh(s) / s
     return j0, mag
@@ -401,7 +401,9 @@ def _fixed(share: tuple, omega: float, members) -> tuple:
         top, lo = min(_KNEE_SHARE * 1.5 / a0, k_end), min(h / _KNEE_SHARE, k_end)
         n = math.ceil(math.log(lo / top) / math.log1p(_KNEE_SHARE))
         edges = [[0.0], np.geomspace(top, lo, n + 1)[:-1]]
-    edges.append(np.linspace(lo, k_end, min(math.ceil((k_end - lo) / h), _FIXED_PANELS) + 1))
+    n = min(math.ceil((k_end - lo) / h), _FIXED_PANELS)  # np.linspace(lo, k_end, n + 1)'s steps
+    edges.append(np.arange(n + 1) * ((k_end - lo) / max(n, 1)) + lo)
+    edges[-1][-1] = k_end
     y = _LIVE_EXPONENT + 0.5 * (T * k_end) ** 2
     log_b = ((p + 1) * math.log(k_end) - math.log(y) - _LIVE_EXPONENT - 6.0 * math.log(9.0)
              + math.log(sum(math.perm(p, j) / y ** j for j in range(p + 1))))
@@ -440,11 +442,11 @@ def _quadratures(members: list, atol: float, rtol: float) -> tuple[list, np.ndar
     return [done[j] for j in range(len(done))], np.array(list(map(index.get, members)))
 
 
-def _bare(quads: list) -> list:
-    # (value, error, abs_integral) arrays of quadratures, of a failed one its estimate
+def _bare(quads: list, at: np.ndarray) -> list:
+    # (value, error, abs_integral) of quadratures at the indices at, a failed one's estimate
     get = operator.attrgetter("value", "abs_error_estimate", "abs_integral")
-    table = np.array([get(getattr(quad, "result", quad)) for quad in quads])
-    return [table[:, 0], table[:, 1].real, table[:, 2].real]
+    table = np.array([get(getattr(quad, "result", quad)) for quad in quads])[at]
+    return [table[..., 0], table[..., 1].real, table[..., 2].real]
 
 
 # Term by term, floats and complex floats with the bits of Python's scalar
@@ -513,12 +515,12 @@ def _table(cols: dict, names) -> dict:
     lowest = {x: 0.5 * _WING_CUTOFF[x] * math.exp(-_LOG_HUGE / x) for x in set(ps)}
     a0_min, k_hi = np.array([lowest[x] for x in ps]), math.sqrt(2.0 * _GAUSS_DEAD) / T
     a0_max = 1.5 / (_SEED_DEPTH * k_hi)
-    bad = ~((a0_min < a0) & (a0 <= a0_max) & (p * np.log(k_hi) < _LOG_HUGE))
-    if bad.any():
-        i = int(bad.argmax())
+    ok = (a0_min < a0) & (a0 <= a0_max) & (p * np.log(k_hi) < _LOG_HUGE)
+    if not ok.all():
+        i = int(ok.argmin())
         raise ValueError(f"a0 = {a0[i]:.6g} at T = {T[i]:.6g} is outside the range of the "
                          f"momentum integrals, {a0_min[i]:.3g} < a0 <= {a0_max[i]:.6g}")
-    t_ba, local, ones = tb - ta, e2 * (np.array(c_l) / math.pi), np.ones_like(a0)
+    t_ba, local, ones = tb - ta, e2 * np.divide(c_l, math.pi), np.ones_like(a0)
     log_scale, phase = _mean_gap_factor(oa, ob, ta, tb, T)
     a0s, Ts, zeros = a0.tolist(), T.tolist(), [0.0] * len(ps)
     L = list(zip(repeat("L"), ps, a0s, Ts, repeat(None)))
@@ -534,7 +536,7 @@ def _table(cols: dict, names) -> dict:
             # the time kernel at every gap; the k-independent rest of the
             # double time integral, _mean_gap_factor, goes into the prefactor
             rows.append((zip(M, zip(repeat("M"), t_ba.tolist(), (oa - ob).tolist()), d.tolist()),
-                         -e2 * (np.array(c_m) / math.pi), rel, phase, log_scale))
+                         -e2 * np.divide(c_m, math.pi), rel, phase, log_scale))
         else:
             rows.append((zip(M, zip(repeat("L_AB"), t_ba.tolist(), oa.tolist()), d.tolist()),
                          local, rel, np.exp(1j * (-oa * t_ba)), scale_a))
@@ -584,7 +586,7 @@ def _terms(cols: dict, names, atol: float, rtol: float) -> dict:
         table = _table(cols, names)
         quads, at = _quadratures([m for ms in table["members"] for m in ms], atol, rtol)
         at = at.reshape(len(names), -1)
-        value, error, absint, size = _evaluate(table, [x[at] for x in _bare(quads)])
+        value, error, absint, size = _evaluate(table, _bare(quads, at))
     missed = np.array([isinstance(quad, QuadratureConvergenceError) for quad in quads])[at]
     out = {key: table[key] for key in ("log_scale", "T", "d", "t_ba")}
     out.update(size=size, quads=quads, at=at, failed=[

@@ -37,6 +37,7 @@ estimates.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
@@ -159,6 +160,9 @@ _W_FAR = 7.0
 _W_COEFFS = tuple(itertools.accumulate(range(1, 39, 2), operator.mul, initial=1.0))
 _W_RADII = tuple(math.sqrt(0.5 * (c * (2 * n + 1) * 4.0 / np.finfo(float).eps) ** (1.0 / (n + 1)))
                  for n, c in enumerate(_W_COEFFS))
+# the loops' operands as 0-d complex arrays: a Python float costs a conversion per call
+_W_TERMS = tuple(np.array(complex(c)) for c in _W_COEFFS)
+_ONE = np.array(1 + 0j)  # the numerator of Wynn's reciprocals, likewise
 
 
 def _faddeeva(x, a: float):
@@ -174,11 +178,11 @@ def _faddeeva(x, a: float):
         return _wofz(x + 1j * a)
     mixed = n_far < far.size
     r_min = math.sqrt((r2[far] if mixed else r2).min())
-    n = max(2, 1 + sum(r > r_min for r in _W_RADII))  # Horner starts from two terms
+    n = max(2, 1 + len(_W_RADII) - bisect.bisect_right(_W_RADII[::-1], r_min))  # from two terms
     u = 1.0 / ((x[far] if mixed else x) + 1j * a)
     y = 0.5 * u * u
     acc = _W_COEFFS[n - 1] * y + _W_COEFFS[n - 2]
-    for coef in reversed(_W_COEFFS[:n - 2]):
+    for coef in reversed(_W_TERMS[:n - 2]):
         acc *= y
         acc += coef
     w = (1j / math.sqrt(math.pi)) * u * acc
@@ -225,20 +229,20 @@ def scaled_time_kernel(k, t_ba: float, T: float, *, d_omega: float):
     if t_ba < 0.0:
         c = -c
     e_a = np.exp(-a * a)
-    w_lo = _faddeeva(b - c, a)
+    w_lo = _faddeeva(b - c if c else b, a)  # b - 0.0 is b
     if c == 0.0:  # conj(w) - w = -2i Im w and |w| + |w| = 2|w|, both exactly
         out, mag = (-2j * e_a) * w_lo.imag, e_a * (2.0 + a * a) * (2.0 * np.abs(w_lo))
     else:
         w_hi = _faddeeva(b + c, a)
         out = e_a * (w_lo.conj() - w_hi)
         mag = e_a * (2.0 + a * a) * (np.abs(w_lo) + np.abs(w_hi))
-    bc = b + c
+    bc = b + c if c else b
     w_lo = w_hi = b = None  # freed before the Gaussian, where a head pass peaks
-    # past (b+c)^2 = 750 the Gaussian's exp is 0.0: a call dead at every node skips it
-    if np.count_nonzero(bc * bc < _GAUSS_DEAD):
-        gauss = 2.0 * np.exp(-bc * bc - 2j * a * bc)
-        out = out + gauss
-        mag = mag + np.abs(gauss) * (1.0 + bc * bc + 2.0 * a * np.abs(bc))
+    bb = bc * bc  # past (b+c)^2 = 750 exp is 0.0: a call dead at every node skips it
+    if np.count_nonzero(bb < _GAUSS_DEAD):
+        gauss = 2.0 * np.exp(-bb - 2j * a * bc)
+        out += gauss
+        mag += np.abs(gauss) * (1.0 + bb + 2.0 * a * (np.abs(bc) if c else bc))  # b >= 0
     return (complex(out), float(mag)) if k_arr.ndim == 0 else (out, mag)
 
 
@@ -287,23 +291,23 @@ def spherical_bessel_j(l: int, x):
     if l not in (0, 1, 2, 3, 4):
         raise ValueError(f"spherical_bessel_j supports l = 0..4, got {l}")
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    if np.any(x_arr < 0.0):
-        raise ValueError("spherical_bessel_j requires x >= 0")
-    # the closed form everywhere (at x >= lo only: the series or 1 overwrites below)
     lo = 5.0 if l else 1e-8
     small = x_arr < lo
+    if np.count_nonzero(small) and x_arr[small].min() < 0.0:  # no NaN: every x < 0 is small
+        raise ValueError("spherical_bessel_j requires x >= 0")
+    # the closed form everywhere (at x >= lo only: the series or 1 overwrites below)
     xl = np.maximum(x_arr, lo)
     out = _bessel_trig(l, np.sin(xl), np.cos(xl) if l else None, 1.0 / xl)
-    if np.any(small):
+    if np.count_nonzero(small):
         out[small] = _bessel_series(l, x_arr[small]) if l else 1.0
     return float(out[0]) if np.ndim(x) == 0 else out
 
 
 # Maclaurin coefficients of 3 j_1(x)/x in y = x^2, highest power first (Horner
-# order): c_0 = 1, c_m = c_{m-1} (-1/2) / (m (2m+3)).  The twentieth term is
-# below 1e-19 at the x = 5 switch point.
-_J0J2_SERIES = tuple(reversed(list(itertools.accumulate(
-    range(1, 20), lambda c, m: c * -0.5 / (m * (2 * m + 3)), initial=1.0))))
+# order, as 0-d arrays): c_0 = 1, c_m = c_{m-1} (-1/2) / (m (2m+3)).  The
+# twentieth term is below 1e-19 at the x = 5 switch point.
+_J0J2_SERIES = tuple(map(np.array, reversed(list(itertools.accumulate(
+    range(1, 20), lambda c, m: c * -0.5 / (m * (2 * m + 3)), initial=1.0)))))
 
 
 def spherical_bessel_j0_plus_j2(x):
@@ -318,17 +322,17 @@ def spherical_bessel_j0_plus_j2(x):
     give floats.
     """
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    if np.any(x_arr < 0.0):
+    small = x_arr < 5.0
+    xs = x_arr[small]  # every x < 0, and no NaN
+    if xs.size and xs.min() < 0.0:
         raise ValueError("spherical_bessel_j0_plus_j2 requires x >= 0")
     # the closed form everywhere (at x >= 5 only: the series overwrites below)
-    small = x_arr < 5.0
     xl = np.maximum(x_arr, 5.0)
-    s, c = np.sin(xl), np.cos(xl)
-    out = 3.0 * (s / xl - c) / (xl * xl)
-    mag = 3.0 * (np.abs(s) / xl + np.abs(c)) / (xl * xl)
-    if np.any(small):
-        y = x_arr[small] ** 2
-        y = np.stack((y, -y))
+    s, c, xx = np.sin(xl), np.cos(xl), xl * xl
+    out = 3.0 * (s / xl - c) / xx
+    mag = 3.0 * (np.abs(s) / xl + np.abs(c)) / xx
+    if xs.size:
+        y = xs * np.array((xs, -xs))  # (x^2, -x^2)
         acc = np.full_like(y, _J0J2_SERIES[0])
         for coef in _J0J2_SERIES[1:]:
             acc *= y
@@ -402,13 +406,13 @@ def _gk15_reduce(fv, fm, half: np.ndarray):
     # error.  A head pass's block forms resasc, the integral of |f - mean|,
     # only on the (row, panel) pairs where that error is not proved to be
     # the floor (README, Numerical notes), each in its place in the products.
-    shape = np.shape(fv)[:-1] + (half.shape[-1], _XGK.size)
-    fv = np.reshape(fv, shape)
+    shape = fv.shape[:-1] + (half.shape[-1], _XGK.size)
+    fv = fv.reshape(shape)
     habs = np.abs(half)
     sumk = fv @ _WGK
     resk = sumk * half
     resg = (fv[..., 1::2] @ _WG) * half
-    resabs = (np.reshape(fm, shape) @ _WGK) * habs
+    resabs = (fm.reshape(shape) @ _WGK) * habs
     err = np.abs(resk - resg)
     big, floor = 200.0 * err, _ROUNDOFF * resabs
     sure = None
@@ -427,7 +431,7 @@ def _gk15_reduce(fv, fm, half: np.ndarray):
         dev = np.abs(fv - 0.5 * sumk[..., None])
     resasc = (dev @ _WGK) * habs
     nonzero = resasc > 0.0
-    ratio = np.divide(big, resasc, out=np.zeros_like(err), where=nonzero)
+    ratio = np.divide(big, resasc, out=np.zeros(err.shape), where=nonzero)
     err = np.where(nonzero, resasc * np.minimum(1.0, ratio ** 1.5), err)
     err = np.maximum(err, floor)  # with the roundoff floor
     return resk, err if sure is None else np.where(sure, floor, err), resabs
@@ -506,20 +510,16 @@ def _integrands(f, k, kernel, members):
             yield (block[0] if len(col) == len(block) == 1 else block), _spatial_rows(spatial, unit)
 
 
-def _gk15_panels(f, lo, hi, kernel=None, members=((None, 0.0),), take=None):
-    """Vectorized GK15 on a batch of panels, for each member of a spec.
-
-    Returns (integral, error_estimate, abs_integral, n_evals) per panel, with
-    the QUADPACK error heuristic; abs_integral integrates the magnitude, so
-    the roundoff floor counts the integrand's rounding.  Each member's
-    integrand comes from ``_integrands`` (f the spec's integrand), so the
-    first three entries are (members, panels) arrays.  lo and hi are one row of
-    panels that the members share, or one row per member (the tails), each
-    block of members reduced as one (block, panels, 15) array.
-    With take, each member's row of the three also goes to take(i, row).
+def _gk15_panels(f, lo, hi, kernel=None, members=((None, 0.0),)):
+    """Vectorized GK15 on a batch of panels, for each member of a spec:
+    (integral, error_estimate, abs_integral) as (members, panels) arrays, with
+    the QUADPACK error heuristic, and the node count.  abs_integral integrates
+    the magnitude, so the roundoff floor counts the integrand's rounding.  The
+    members' integrands come from ``_integrands`` (f the spec's integrand); lo
+    and hi are one row of panels that the members share, or one row per member
+    (the tails), each block of members reduced as one (block, panels, 15) array.
     """
-    half = 0.5 * (hi - lo)
-    mid = 0.5 * (hi + lo)
+    half, mid = 0.5 * (hi - lo), 0.5 * (hi + lo)
     k = (mid[..., None] + half[..., None] * _XGK).reshape(lo.shape[:-1] + (-1,))
     ids, parts = [], []
     for i, fk in _integrands(f, k, kernel, members):
@@ -532,8 +532,6 @@ def _gk15_panels(f, lo, hi, kernel=None, members=((None, 0.0),), take=None):
                 row[i] = x
     else:  # one block of every member, in order, or one row
         rows = parts[0] if isinstance(ids[0], list) else tuple(x[None] for x in parts[0])
-    for i in range(len(members)) if take else ():
-        take(i, tuple(x[i] for x in rows))
     return (*rows, k.size)
 
 
@@ -565,8 +563,7 @@ def _adaptive_gk(f, breakpoints: np.ndarray, atol: float, rtol: float,
     panels of breakpoints (if any) and tests the members on all of them, as
     if this run had evaluated them.  evals counts only this run's nodes.
     """
-    lo = np.asarray(breakpoints[:-1], dtype=float)
-    hi = np.asarray(breakpoints[1:], dtype=float)
+    lo, hi = (np.asarray(x, dtype=float) for x in (breakpoints[:-1], breakpoints[1:]))
     one = members is None
     members = ((None, 0.0),) if one else tuple(members)
     out, rows, evals = [None] * len(members), None, 0
@@ -601,8 +598,8 @@ def _adaptive_gk(f, breakpoints: np.ndarray, atol: float, rtol: float,
         keep, worst = order[:-n_split], order[-n_split:]
         a, b = lo[worst], hi[worst]
         m = 0.5 * (a + b)
-        new_lo = np.column_stack((a, m)).ravel()
-        new_hi = np.column_stack((m, b)).ravel()
+        new_lo, new_hi = np.empty((2, 2 * n_split))  # each panel's halves, in its place
+        new_lo[0::2], new_lo[1::2], new_hi[0::2], new_hi[1::2] = a, m, m, b
         lo = np.concatenate((lo[keep], new_lo))
         hi = np.concatenate((hi[keep], new_hi))
     return out[0] if one else out
@@ -616,7 +613,7 @@ def _wynn_epsilon(partial_sums):
     Even table columns approximate the limit; odd columns are auxiliary
     reciprocals.  Differences below a row's roundoff floor stop its table,
     otherwise 1/diff amplifies noise into garbage.  Each column is one array
-    operation; the stop rules scan a row's differences in order.
+    operation; an even column's estimate and stop rule read one |diff|.
     """
     s = np.asarray(partial_sums, dtype=complex)
     curr = np.atleast_2d(s)
@@ -636,6 +633,11 @@ def _wynn_epsilon(partial_sums):
         diff = curr[:, 1:] - curr[:, :-1]
         if col % 2 == 0:
             adiff = np.abs(diff)
+            # an even column's estimate first: its error |curr[-1] - curr[-2]| is adiff's last
+            take = adiff[:, -1] < best_err if col else rows < 0
+            if np.count_nonzero(take):
+                take &= alive
+                best[take], best_err[take] = curr[take, -1], adiff[take, -1]
             low = adiff <= floor_col
             if np.count_nonzero(low):
                 first = low.argmax(axis=1)
@@ -651,14 +653,9 @@ def _wynn_epsilon(partial_sums):
         if running < rows.size:
             # the reciprocals of a row that stopped are never read: keep them finite
             diff[~alive] = 1.0
-        prev, curr = curr, prev[:, 1:curr.shape[1]] + 1.0 / diff
+        np.divide(_ONE, diff, out=diff)
+        prev, curr = curr, np.add(diff, prev[:, 1:curr.shape[1]], out=diff)
         col += 1
-        if col % 2 == 0 and curr.shape[1] >= 2:
-            cand_err = np.abs(curr[:, -1] - curr[:, -2])
-            take = cand_err < best_err
-            if np.count_nonzero(take):
-                take &= alive
-                best[take], best_err[take] = curr[take, -1], cand_err[take]
     err = np.maximum(best_err, floor)
     return (complex(best[0]), float(err[0])) if s.ndim == 1 else (best, err)
 
@@ -689,9 +686,9 @@ def _oscillatory_tails(f, kernel, members, start: float, steps: np.ndarray,
     value, error, absint = np.zeros(n, dtype=complex), np.zeros(n), np.zeros(n)
     evals, run, have = np.zeros(n, dtype=int), np.arange(n), 0
     for p in (24, max_panels):
-        lo = start + steps[run, None] * np.arange(have, p)
-        *chunk, nodes = _gk15_panels(f, lo, lo + steps[run, None], kernel,
-                                     [members[i] for i in run])
+        step = steps[run, None]
+        lo = start + step * np.arange(have, p)
+        *chunk, nodes = _gk15_panels(f, lo, lo + step, kernel, [members[i] for i in run])
         for table, part in zip((vals, errs, absl), chunk):
             table[run, have:p] = part
         evals[run] += nodes // run.size
@@ -756,12 +753,12 @@ def integrate_damped_group(spec: DampedKernelSpec, atol: float = 1e-16,
                              f"half periods below k = {k_hi:.6g}: beyond the seed panels")
         n_osc = int(k_hi / h)
         if n_osc > 1:
-            max_seed = 600
-            stride = max(1, int(math.ceil(n_osc / max_seed)))
+            stride = max(1, int(math.ceil(n_osc / 600)))  # at most 600 seeds
             pts.append(np.arange(1, n_osc + 1, stride) * h)
-    breakpoints = np.unique(np.concatenate(pts))
+    pts = np.sort(np.concatenate(pts))  # np.unique's steps, without its overhead
+    breakpoints = pts[np.concatenate(((True,), pts[1:] != pts[:-1]))]
     k_live = min(spec.live_edge, k_hi)
-    edge = np.append(breakpoints[breakpoints < k_live], k_live)
+    edge = np.concatenate((breakpoints[breakpoints < k_live], (k_live,)))
     bounds = spec.edge_bounds if k_live < k_hi else ()
 
     # every member's row of the seed panels below the edge; a member whose
@@ -772,7 +769,7 @@ def integrate_damped_group(spec: DampedKernelSpec, atol: float = 1e-16,
     stop = np.less_equal(bounds, _EDGE_SHARE * _ROUNDOFF * first[2].sum(axis=1)) if bounds else (
         np.zeros(len(members), dtype=bool))
     go_on = (~stop).nonzero()[0].tolist()
-    past = np.append(k_live, breakpoints[breakpoints > k_live])
+    past = np.concatenate(((k_live,), breakpoints[breakpoints > k_live]))
     heads = [None] * len(members)
     # each refines as one run with its rows of the seed panels
     for group, new in ((stop.nonzero()[0].tolist(), ()), (go_on, past)):
@@ -811,7 +808,7 @@ def integrate_damped_group(spec: DampedKernelSpec, atol: float = 1e-16,
 def _result(value, err, absint, evals, atol: float, rtol: float):
     # the QuadratureResult, or the QuadratureConvergenceError of one past tolerance and roundoff
     result = QuadratureResult(value, float(err), int(evals), float(absint))
-    if err > max(atol, rtol * abs(value)) and err > 1e3 * np.finfo(float).eps * absint:
+    if err > max(atol, rtol * abs(value)) and err > 20.0 * _ROUNDOFF * absint:  # 1e3 eps
         return QuadratureConvergenceError(
             f"quadrature stalled at abs error {err:.3e} for value {value:.6e}", result)
     return result
@@ -826,7 +823,7 @@ def integrate_fixed_group(f, edges: np.ndarray, kernel, members, bound: float,
     the panels, with up to 4000 more.  Returns what integrate_damped_group does."""
     lo, hi = edges[:-1], edges[1:]
     *rows, nodes = _gk15_panels(f, lo, hi, kernel, members)
-    sums = [(*(x.sum() for x in row), nodes) for row in zip(*rows)]
+    sums = [(v, e, a, nodes) for v, e, a in zip(*(x.sum(axis=1) for x in rows))]
     miss = [i for i, (v, e, _, _) in enumerate(sums) if e + bound > max(atol, rtol * abs(v))]
     if miss:
         for i, (*run, evals) in zip(miss, _adaptive_gk(

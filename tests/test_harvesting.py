@@ -647,10 +647,10 @@ def test_identical_pair_integrates_l_ab_in_one_pass_on_its_fixed_panel_set(monke
         space.append(np.size(x))
         return real_j0(x)
 
-    def gk15_panels(f, lo, hi, kernel=None, members=((None, 0.0),), take=None):
+    def gk15_panels(f, lo, hi, kernel=None, members=((None, 0.0),)):
         if groups[-1][:2] == ("fixed", True):
             passes.append((lo, hi))
-        return real_panels(f, lo, hi, kernel, members, take)
+        return real_panels(f, lo, hi, kernel, members)
 
     def gk15_reduce(*args):
         reduces.append(groups[-1])
@@ -1236,7 +1236,7 @@ def _brute_m_scaled(pair):
     value, _ = harvesting._integrand(share, clock, d)((mid[:, None] + half[:, None] * x).ravel())
     bare = np.sum((value.reshape(-1, 16) @ w) * half)
     quad = specfun.QuadratureResult(value=bare, abs_error_estimate=0.0, evaluations=1)
-    return harvesting._evaluate(table, [x[:, None] for x in harvesting._bare([quad])])[0][0, 0]
+    return harvesting._evaluate(table, harvesting._bare([quad], np.zeros((1, 1), int)))[0][0, 0]
 
 
 @pytest.mark.parametrize("omega", [1.0, 12.0])

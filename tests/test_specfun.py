@@ -549,7 +549,8 @@ def test_seed_breakpoints_keep_every_bit(monkeypatch):
 
 def test_gk15_panels_rows_in_member_order():
     # _integrands visits the members time by time, (t1, t1, t2); the rows
-    # come back in member order, with take and without
+    # come back in member order: member i's row of each returned array is
+    # that of a call with it alone
     def constant(c):
         return lambda k: ((np.full_like(k, c), np.zeros_like(k)),)
 
@@ -560,21 +561,19 @@ def test_gk15_panels_rows_in_member_order():
     value, err, absl, n = specfun._gk15_panels(f, lo, hi, members=members)
     assert value.shape == err.shape == absl.shape == (3, 2)
     assert np.allclose(value, [[1.0, 2.0], [2.0, 4.0], [1.0, 2.0]], rtol=1e-15)
-    taken = {}
-    specfun._gk15_panels(f, lo, hi, members=members, take=taken.__setitem__)
-    assert sorted(taken) == [0, 1, 2]
-    for i, row in taken.items():
-        assert np.array_equal(row[0], value[i])
+    for i, member in enumerate(members):
+        alone = specfun._gk15_panels(f, lo, hi, members=[member])
+        assert np.array_equal(alone[0][0], value[i])
     assert n == 2 * 15
 
 
 def test_a_head_pass_gives_each_member_the_rows_it_has_alone():
     # one time's members with d > 0 are reduced in blocks of at most
     # _BLOCK_NODES nodes; here they span several blocks, and a member with
-    # d = 0 is a row alone: each has the bits of one _gk15_panels call for
-    # it alone, with take and without.  (A member without a time cannot
-    # share a pass with timed ones: the integrand is then its own (value,
-    # magnitude), not their scale.)
+    # d = 0 is a row alone: each member's row of the returned (members,
+    # panels) arrays has the bits of one _gk15_panels call for it alone.
+    # (A member without a time cannot share a pass with timed ones: the
+    # integrand is then its own (value, magnitude), not their scale.)
     def time(k):
         return (scaled_time_kernel(k, 2.0, 1.0, d_omega=0.0),)
 
@@ -595,13 +594,10 @@ def test_a_head_pass_gives_each_member_the_rows_it_has_alone():
     # three blocks of two d, and the last d, alone in its block, as a row
     assert [b[:-1] for b in blocks] == [(2,), (2,), (2,), ()]
     assert 2 * blocks[0][1] <= specfun._BLOCK_NODES < 3 * blocks[0][1]
-    taken = {}
-    specfun._gk15_panels(f, lo, hi, kernel, members, taken.__setitem__)
     for i, member in enumerate(members):
         alone = specfun._gk15_panels(f, lo, hi, kernel, [member])
         for j in range(3):
             assert np.array_equal(together[j][i], alone[j][0])
-            assert np.array_equal(taken[i][j], alone[j][0])
 
 
 ROW_KINDS = ("random", "smooth", "even", "constant", "nan", "inf")

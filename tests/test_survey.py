@@ -395,9 +395,9 @@ def test_spacetime_map_evaluates_each_kernel_once_per_head_pass(monkeypatch):
             return real(k, *args, **kwargs)
         return spy
 
-    def gk15_panels(f, lo, hi, kernel=None, members=((None, 0.0),), take=None):
+    def gk15_panels(f, lo, hi, kernel=None, members=((None, 0.0),)):
         before = dict(nodes)
-        out = real_panels(f, lo, hi, kernel, members, take)
+        out = real_panels(f, lo, hi, kernel, members)
         if kernel is not None and lo.ndim == 1 and hi.max() <= k_hi:
             passes.append(({d for _, d in members if d > 0}, {t for t, _ in members},
                            nodes["space"] - before["space"], nodes["time"] - before["time"],

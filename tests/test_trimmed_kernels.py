@@ -1,0 +1,106 @@
+"""The engine's time kernel, GK15 row reduce and Wynn table make fewer
+array calls than their straightforward forms (``reference_kernels``), on
+the same arithmetic: each returns those forms' bits, signed zeros and NaN
+payloads included, on random inputs, rows with zeros, NaN and inf, scales
+from 1e-300 to 1e250, unequal gaps and delays of both signs."""
+
+import numpy as np
+import reference_kernels as ref
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from vharvest import specfun
+
+SCALES = st.sampled_from([1.0, 1e-300, 1e-150, 3e-7, 4e12, 1e250])
+
+
+def same_bits(x, y):
+    x, y = np.asarray(x), np.asarray(y)
+    return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(1e-3, 1e3), st.floats(0.0, 1e3) | st.just(0.0), st.booleans(),
+       st.just(0.0) | st.floats(-60.0, 60.0), st.sampled_from([40.0, 400.0, 1e5]),
+       st.integers(1, 40), st.integers(0, 2 ** 32 - 1), st.booleans())
+def test_time_kernel_has_the_reference_bits(T, t, negative, d_omega, reach, n, seed, scalar):
+    # equal gaps (one Faddeeva call) and unequal ones; nodes out to T k =
+    # reach: near and far Faddeeva arguments, a live and a dead Gaussian;
+    # and a scalar k (numpy scalars)
+    t_ba = -t if negative else t
+    k = np.random.default_rng(seed).uniform(0.0, 1.0, n) ** 2 * reach / T
+    x = float(k[0]) if scalar else k
+    with np.errstate(all="ignore"):
+        got = specfun.scaled_time_kernel(x, t_ba, T, d_omega=d_omega)
+        want = ref.scaled_time_kernel(x, t_ba, T, d_omega=d_omega)
+    assert type(got[0]) is type(want[0])
+    assert same_bits(got[0], want[0]) and same_bits(got[1], want[1])
+
+
+ROW_KINDS = ("random", "smooth", "even", "constant", "zero", "nan", "inf")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(ROW_KINDS), SCALES, st.booleans(), st.integers(1, 40),
+       st.integers(0, 2 ** 32 - 1))
+def test_gk15_reduce_row_has_the_reference_bits(kind, scale, real, p, seed):
+    # one member's row of p panels: real (L) or complex values, magnitudes
+    # at least |value|
+    rng = np.random.default_rng(seed)
+    x = specfun._XGK
+    fv = rng.standard_normal((p, 15)) + (0.0 if real else 1j * rng.standard_normal((p, 15)))
+    if kind == "smooth":
+        fv = fv[:, :1] * np.exp(0.3 * x) + fv[:, 1:2] * x
+    elif kind == "even":  # first moment exactly 0
+        fv = fv + fv[:, ::-1]
+    elif kind == "constant":  # |f - mean| is 0 or rounding
+        fv = np.repeat(fv[:, :1], 15, axis=1)
+    elif kind == "zero":
+        fv = np.zeros_like(fv)
+    fv = fv * scale
+    if kind in ("nan", "inf"):
+        fv[rng.integers(p), rng.integers(15)] = np.nan if kind == "nan" else np.inf
+    fm = np.abs(fv) * (1.0 + rng.uniform(0.0, 2.0, fv.shape))
+    half = rng.uniform(1e-3, 2.0, p)
+    with np.errstate(all="ignore"):
+        got = specfun._gk15_reduce(fv.ravel(), fm.ravel(), half)
+        want = ref.gk15_reduce_row(fv.ravel(), fm.ravel(), half)
+    assert all(same_bits(a, b) for a, b in zip(got, want)), kind
+
+
+TABLE_KINDS = ("random", "geometric", "harmonic", "steps", "constant", "nan", "inf")
+
+
+def partial_sums(rng, kind, width, scale):
+    # one row of complex partial sums: settling, slow, stalled or broken
+    n = np.arange(width)
+    if kind == "geometric":
+        ratio = rng.uniform(-0.95, 0.95)
+        row = np.cumsum(ratio ** n * (1.0 + 1j * rng.uniform(-1.0, 1.0)))
+    elif kind == "harmonic":  # alternating, slowly settling
+        row = np.cumsum((-1.0) ** n / (n + 1.0) ** rng.uniform(1.0, 3.0)) + 0j
+    elif kind == "steps":  # repeated sums: zero differences
+        row = np.cumsum(rng.standard_normal(width) * (rng.random(width) < 0.3)) + 0j
+    elif kind == "constant":
+        row = np.full(width, rng.standard_normal() + 0j)
+    else:
+        row = rng.standard_normal(width) + 1j * rng.standard_normal(width)
+    row = row * scale
+    if kind in ("nan", "inf"):
+        row[rng.integers(width)] = np.nan if kind == "nan" else np.inf
+    return row
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(TABLE_KINDS), min_size=1, max_size=5), SCALES,
+       st.integers(1, 40), st.integers(0, 2 ** 32 - 1))
+def test_wynn_table_has_the_reference_bits(kinds, scale, width, seed):
+    # each row stops as it does alone; a one-row sequence gives scalars
+    rng = np.random.default_rng(seed)
+    table = np.array([partial_sums(rng, kind, width, scale) for kind in kinds])
+    with np.errstate(all="ignore"):
+        got, want = specfun._wynn_epsilon(table), ref.wynn_epsilon(table)
+        got_one, want_one = specfun._wynn_epsilon(table[0]), ref.wynn_epsilon(table[0])
+    assert same_bits(got[0], want[0]) and same_bits(got[1], want[1])
+    assert type(got_one[0]) is complex and type(got_one[1]) is float
+    assert same_bits(got_one[0], want_one[0]) and same_bits(got_one[1], want_one[1])

@@ -8,12 +8,17 @@ against ``perfbench/references`` with ``perfbench/workloads.check``: a
 point fails if it raised, is not finite, was retried at the loosened
 tolerance, or moved from its reference by more than the two reported
 quadrature errors.  Prints attempted and failed counts per workload (and
-the first failures) and exits 1 if any point failed.  Takes about 30 s on
-one core.  The benchmark's files are only imported, never written.
+the first failures), then one SHA-256 per workload over every point's
+values and errors in checking order (a failed point: its reason), so that
+two trees give the same bits exactly when a ``diff`` of their outputs shows
+only the timings.  Exits 1 if any point failed.  Takes about 30 s on one
+core.  The benchmark's files are only imported, never written.
 """
 
 from __future__ import annotations
 
+import hashlib
+import struct
 import sys
 import time
 from pathlib import Path
@@ -45,21 +50,37 @@ def outcomes(workload: str) -> list:
     return found
 
 
+def digest(workload: str, found: list) -> str:
+    """SHA-256 over each point's values and errors as doubles, in order."""
+    h = hashlib.sha256()
+    for o in found:
+        record = workloads.to_record(workload, o)
+        if record is None:
+            h.update(o.failure.encode())
+        else:
+            for part in record:
+                h.update(struct.pack(f"<{len(part)}d", *part.values()))
+    return h.hexdigest()
+
+
 def main(argv: list[str]) -> int:
     names = argv or list(CHECKED)
     unknown = sorted(set(names) - set(CHECKED))
     if unknown:
         print(f"unknown workload(s) {unknown}; choose from {list(CHECKED)}", file=sys.stderr)
         return 2
-    failed = 0
+    failed, digests = 0, []
     for name in names:
         t0 = time.perf_counter()
-        result = workloads.check(name, workloads.BodyResult(outcomes=outcomes(name)))
+        found = outcomes(name)
+        result = workloads.check(name, workloads.BodyResult(outcomes=found))
         failed += result["failed"]
         print(f"{name}: attempted {result['attempted']}, failed {result['failed']} "
               f"({time.perf_counter() - t0:.1f} s)")
         for line in result["failures"]:
             print(f"    {line}")
+        digests.append(f"{name} sha256 {digest(name, found)}")
+    print(*digests, sep="\n")
     return 1 if failed else 0
 
 
