@@ -63,9 +63,9 @@ import numpy as np
 
 from .atoms import AtomSpec, SwitchingKind, _outside_lightcone
 from .specfun import (_GAUSS_DEAD, _ROUNDOFF, _SEED_DEPTH, DampedKernelSpec,
-                      QuadratureConvergenceError, QuadratureResult, _integrands,
-                      integrate_damped_group, integrate_fixed_group, scaled_time_kernel,
-                      spherical_bessel_j, spherical_bessel_j0_plus_j2)
+                      QuadratureConvergenceError, QuadratureResult, integrate_damped_group,
+                      integrate_fixed_group, scaled_time_kernel, spherical_bessel_j,
+                      spherical_bessel_j0_plus_j2)
 
 __all__ = [
     "ModelKind",
@@ -160,8 +160,11 @@ class DetectorPair:
 
     @property
     def separation(self) -> float:
+        # |dx| at a power-of-two scale, so the squares cannot overflow: the
+        # bits of np.linalg.norm(dx) wherever they neither overflow nor underflow
         dx = np.asarray(self.atom_b.position) - np.asarray(self.atom_a.position)
-        return float(np.linalg.norm(dx))
+        e = np.frexp(np.abs(dx).max())[1]
+        return float(np.ldexp(np.linalg.norm(np.ldexp(dx, -e)), e))
 
     @property
     def cos_relative_angle(self) -> float:
@@ -363,20 +366,20 @@ def _live_edge(share: tuple, members) -> tuple[float, tuple]:
 
 def _spec(share: tuple, members) -> DampedKernelSpec:
     """The quadrature spec of a group of M members (clock, d) of one share:
-    a member (time, d, cutoff) per entry, one time object per clock
-    (``_time``), and the group's live edge with each member's bound past it
-    (``_live_edge``); its integrand the scale k^p / (4u+9)^6, the last
-    factor of every one, and its kernel the share's."""
+    a member (time, d) per entry, one time object per clock (``_time``),
+    the share's wing cutoff, and the group's live edge with each member's
+    bound past it (``_live_edge``); its integrand the scale k^p / (4u+9)^6,
+    the last factor of every one, and its kernel the share's."""
     _, p, a0, T, kernel = share
-    cutoff = _WING_CUTOFF[p] / (2.0 * a0)
     times = {c: functools.partial(_time, c, T) for c in dict.fromkeys(c for c, _ in members)}
     k_live, bounds = _live_edge(share, members)
     return DampedKernelSpec(
         damping_width=0.5 * T * T,
         oscillation_lengths=tuple(2.0 * math.pi / abs(c[1]) for c in times if c[1] != 0.0),
         integrand=_scale(p, a0),
+        members=tuple((times[c], d) for c, d in members),
         kernel=kernel,
-        members=tuple((times[c], d, cutoff) for c, d in members),
+        cutoff=_WING_CUTOFF[p] / (2.0 * a0),
         live_edge=k_live,
         edge_bounds=bounds,
     )
@@ -410,13 +413,6 @@ def _fixed(share: tuple, omega: float, members) -> tuple:
     times = {c: functools.partial(_time, c, T) for c in dict.fromkeys(c for c, _ in members)}
     return (_scale(p, a0), np.concatenate(edges), kernel, [(times[c], d) for c, d in members],
             math.exp(log_b) if log_b < _LOG_HUGE else math.inf)
-
-
-def _integrand(share: tuple, clock: tuple, d: float):
-    # k -> (value, magnitude) of one member's whole integrand, its row in a group
-    _, p, a0, T, kernel = share
-    members = [(functools.partial(_time, clock, T), d)]
-    return lambda k: next(_integrands(_scale(p, a0), k, kernel, members))[1]
 
 
 def _quadratures(members: list, atol: float, rtol: float) -> tuple[list, np.ndarray]:
@@ -550,8 +546,9 @@ def _evaluate(table: dict, bare: list) -> tuple:
     """The terms' values, errors and integrals of the magnitude relative to
     exp(log_scale) from their bare ones (``_bare``) as (names, points)
     arrays, and the log of a value's size where it leaves the normal
-    doubles, else nan: the one place a prefactor is applied, in a float's
-    order of operations, so a point has the bits it has alone."""
+    doubles (-inf where exp(log_scale) is 0, so that the size is undefined),
+    else nan: the one place a prefactor is applied, in a float's order of
+    operations, so a point has the bits it has alone."""
     value, error, absint = bare
     shift = table["scale"] - table["log_scale"]
     T, rel = table["T"], table["rel"]
@@ -561,7 +558,7 @@ def _evaluate(table: dict, bare: list) -> tuple:
     shift = np.where(out, 0.0, shift)
     pref = table["coeff"] * table["a0q"] * T * T * (_exp(shift) if shift.any() else 1.0)
     return (_cmul(_cmul(pref * rel, table["phase"]), value), np.abs(pref) * np.abs(rel) * error,
-            np.abs(pref) * absint, np.where(out, size, np.nan))
+            np.abs(pref) * absint, np.where(out, np.fmax(size, -np.inf), np.nan))
 
 
 def _check_range(size: np.ndarray, log_scale: np.ndarray, live) -> None:

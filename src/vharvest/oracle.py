@@ -666,7 +666,7 @@ def _run_all_inner(seed: int) -> list[OracleReport]:
     reports.append(OracleReport("polarization_completeness", worst, 1e-14, len(k)))
 
     # 7. Bessel recurrence j_{l-1} + j_{l+1} = (2l+1)/x j_l; at l = 1 the
-    # left side is the EM spatial kernel j0 + j2
+    # left side is the EM spatial kernel j0 + j2, the right scipy's j1
     worst = 0.0
     xs = np.geomspace(0.1, 100.0, 400)
     for l in (1, 2, 3):

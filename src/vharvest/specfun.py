@@ -8,14 +8,17 @@ The momentum integrals of the harvesting terms all look like
 with w = T^2/2.  The time kernel contains complex complementary error
 functions whose naive evaluation overflows once T*k > ~38; everything here
 keeps exponents combined analytically so only non-positive real parts are
-ever exponentiated.  All functions are pure and accept numpy arrays where
-it matters.  Integrands that differ in their time factor and separation (a
-grid's t_BA and d) are integrated as the members of one group
-(``integrate_damped_group``): on one head panel set, so each pass evaluates
-each distinct time factor and spatial kernel once for all of them, scales
-each time's factors once, and reduces the members of one time as blocks of
-rows (forming |f - mean| only where it can move QUADPACK's error), and past
-it with the member as the leading array axis of one tail pass for all times.
+ever exponentiated.  The spatial kernels are j_0 (UdW and derivative
+couplings) and j_0 + j_2 = 3 j_1/x (EM dipole); j_1..j_4, which only the
+self-check and tests read, are scipy's.  All functions are pure and accept
+numpy arrays where it matters.  Integrands that differ in their time factor
+and separation (a grid's t_BA and d) are integrated as the members of one
+group (``integrate_damped_group``): on one head panel set, so each pass
+evaluates each distinct time factor and spatial kernel once for all of them,
+scales each time's factors once, and reduces the members of one time as
+blocks of rows (forming |f - mean| only where it can move QUADPACK's error),
+and past it with the member as the leading array axis of one tail pass for
+all times.
 The head stops at the group's live edge, where the Gaussian part is e^-60
 below its peak, for every member whose rigorous bound on the rest (the
 caller's) is far below its roundoff floor; that bound joins its error.
@@ -46,7 +49,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import wofz as _wofz
+from scipy.special import spherical_jn as _spherical_jn, wofz as _wofz
 
 __all__ = [
     "QuadratureConvergenceError",
@@ -103,19 +106,18 @@ class DampedKernelSpec:
     oscillation_lengths: periods in k of the members' time factors (the
         time phase's 2*pi/t_ba).
     integrand: vectorized callable on arrays of k >= 0: the scale by which
-        every member's product is multiplied last, or, where the members
-        have no time factors, their (value, magnitude) of the rounding model.
+        every member's product is multiplied last.
+    members: (time, d) per member, each integrated to its own tolerance,
+        time a callable k -> tuple of (value, magnitude) factors: kernel(k d)
+        times the time factors in order, then times the scale.
     kernel: callable x -> (value, magnitude), the spatial factor at x = k d
         for d > 0; it oscillates with period 2*pi/d in k, which also sets
         the panels of the member's tail.  None: no spatial factor.
-    members: (time, d, cutoff) per member, each integrated to its own
-        tolerance, time None or a callable k -> tuple of (value, magnitude)
-        factors: kernel(k d) times the time factors in order, then times the
-        scale.  cutoff: the member's erfc wings decay only algebraically:
-        past the Gaussian truncation point a member that oscillates over
-        more than 80 half periods before this k sums them by extrapolation
-        over its half periods, any other integrates them out to this k.
-        None: nothing survives.
+    cutoff: the members' erfc wings decay only algebraically: past the
+        Gaussian truncation point k_hi a member that oscillates over more
+        than 80 half periods before this k sums them by extrapolation over
+        its half periods, any other integrates them out to this k.  At most
+        k_hi (the default 0): nothing survives.
     live_edge: k past which every member's Gaussian part is e^-60 below its
         peak; inf: no edge.
     edge_bounds: per member, a rigorous bound on the integral of |f| over
@@ -127,8 +129,9 @@ class DampedKernelSpec:
     damping_width: float
     oscillation_lengths: tuple[float, ...]
     integrand: Callable[[np.ndarray], object]
+    members: tuple
     kernel: Callable | None = None
-    members: tuple = ((None, 0.0, None),)
+    cutoff: float = 0.0
     live_edge: float = math.inf
     edge_bounds: tuple = ()
 
@@ -137,11 +140,8 @@ class DampedKernelSpec:
             raise ValueError("damping_width must be positive")
         if any(not (ell > 0.0) for ell in self.oscillation_lengths):
             raise ValueError("oscillation_lengths must all be positive")
-        if not self.members or any(not (d >= 0.0) for _, d, _ in self.members):
-            raise ValueError("a spec needs members, each with d >= 0")
-        if len({time is None for time, _, _ in self.members}) > 1:
-            raise ValueError("a spec cannot mix members with and without a time: its "
-                             "integrand is the scale of one and the value of the other")
+        if not self.members or any(time is None or not (d >= 0.0) for time, d in self.members):
+            raise ValueError("a spec needs members, each with a time and d >= 0")
         if not (self.live_edge > 0.0) or (
                 self.edge_bounds and len(self.edge_bounds) != len(self.members)):
             raise ValueError("live_edge must be positive, with one bound per member")
@@ -247,59 +247,29 @@ def scaled_time_kernel(k, t_ba: float, T: float, *, d_omega: float):
 
 
 # ----------------------------------------------------------------------------
-# Spherical Bessel functions, l = 0..4
+# Spherical Bessel functions
 # ----------------------------------------------------------------------------
-
-_DOUBLE_FACT = {0: 1.0, 1: 3.0, 2: 15.0, 3: 105.0, 4: 945.0}  # (2l+1)!!
-
-
-def _bessel_series(l: int, x: np.ndarray) -> np.ndarray:
-    # Maclaurin series; below the x=5 switch point the largest term never
-    # exceeds ~30x the result, so double precision keeps ~1e-14 relative.
-    x2 = x * x
-    term = np.ones_like(x)
-    acc = np.ones_like(x)
-    for m in range(1, 40):
-        term = term * (-0.5 * x2) / (m * (2 * l + 2 * m + 1))
-        acc = acc + term
-        # every 4th term: the terms past the first pass are < half an ulp
-        if m % 4 == 0 and np.all(np.abs(term) <= 1e-18 * np.abs(acc)):
-            break
-    return np.where(x > 0, x, 0.0) ** l / _DOUBLE_FACT[l] * acc
-
-
-def _bessel_trig(l: int, s: np.ndarray, c: np.ndarray, u: np.ndarray) -> np.ndarray:
-    # closed forms in s = sin x, c = cos x (unread at l = 0) and u = 1/x
-    if l == 0:
-        return s * u
-    if l == 1:
-        return s * u * u - c * u
-    if l == 2:
-        return (3.0 * u ** 3 - u) * s - 3.0 * u ** 2 * c
-    if l == 3:
-        return (15.0 * u ** 4 - 6.0 * u ** 2) * s - (15.0 * u ** 3 - u) * c
-    return (105.0 * u ** 5 - 45.0 * u ** 3 + u) * s - (105.0 * u ** 4 - 10.0 * u ** 2) * c
-
 
 def spherical_bessel_j(l: int, x):
     """Spherical Bessel function j_l(x) for l = 0..4, x >= 0.
 
-    j_0 = sin x / x, which cancels nothing, at every x >= 1e-8 and 1 below.
-    For l >= 1 the series below x = 5, the closed trigonometric forms above;
-    the switch point is where both sides hold ~1e-14 relative accuracy.
+    j_0 = sin x / x, which cancels nothing, at every x >= 1e-8 and 1 below:
+    the engine's UdW and derivative kernel.  For l >= 1, which only the
+    self-check and tests read, scipy's ``spherical_jn``.
     """
     if l not in (0, 1, 2, 3, 4):
         raise ValueError(f"spherical_bessel_j supports l = 0..4, got {l}")
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    lo = 5.0 if l else 1e-8
-    small = x_arr < lo
+    small = x_arr < 1e-8
     if np.count_nonzero(small) and x_arr[small].min() < 0.0:  # no NaN: every x < 0 is small
         raise ValueError("spherical_bessel_j requires x >= 0")
-    # the closed form everywhere (at x >= lo only: the series or 1 overwrites below)
-    xl = np.maximum(x_arr, lo)
-    out = _bessel_trig(l, np.sin(xl), np.cos(xl) if l else None, 1.0 / xl)
-    if np.count_nonzero(small):
-        out[small] = _bessel_series(l, x_arr[small]) if l else 1.0
+    if l:
+        out = _spherical_jn(l, x_arr)
+    else:  # sin x / x at x >= 1e-8 only: 1 overwrites below
+        xl = np.maximum(x_arr, 1e-8)
+        out = np.sin(xl) * (1.0 / xl)
+        if np.count_nonzero(small):
+            out[small] = 1.0
     return float(out[0]) if np.ndim(x) == 0 else out
 
 
@@ -724,15 +694,15 @@ def integrate_damped_group(spec: DampedKernelSpec, atol: float = 1e-16,
     below, so each is judged on its whole value, as without an edge.  Each
     pass evaluates each time and kernel(k d) once for the members still
     running, and each member stops on its own tolerance (``_adaptive_gk``).
-    Whatever survives past k_hi (the algebraically decaying erfc wings of
-    a member with a cutoff that ran on) is each member's own, and the
-    members of all times sum theirs in one pass of each kind: those that
-    oscillate over more than _TAIL_PANELS half periods before the
-    rational-kernel cutoff by Wynn epsilon over their half-period panels,
-    each until it settles (one ``_oscillatory_tails`` call, in blocks), the
-    others on geometric panels out to the cutoff (one ``_adaptive_gk``
-    call).  Raises ValueError where the head's half periods below k_hi
-    outnumber 2^53, which its seed arithmetic cannot represent.
+    Whatever survives past k_hi, out to the spec's cutoff (the algebraically
+    decaying erfc wings of a member that ran on), is each member's own, and
+    the members of all times sum theirs in one pass of each kind: those that
+    oscillate over more than _TAIL_PANELS half periods before the cutoff by
+    Wynn epsilon over their half-period panels, each until it settles (one
+    ``_oscillatory_tails`` call, in blocks), the others on geometric panels
+    out to the cutoff (one ``_adaptive_gk`` call).  Raises ValueError where
+    the head's half periods below k_hi outnumber 2^53, which its seed
+    arithmetic cannot represent.
 
     Returns one entry per member: its QuadratureResult, or, where its
     requested tolerance is unreachable, a QuadratureConvergenceError
@@ -741,7 +711,7 @@ def integrate_damped_group(spec: DampedKernelSpec, atol: float = 1e-16,
     """
     k_hi = math.sqrt(_GAUSS_DEAD / spec.damping_width)
 
-    members, kernel = [(time, d) for time, d, _ in spec.members], spec.kernel
+    members, kernel, cutoff = spec.members, spec.kernel, spec.cutoff
     own = [2.0 * math.pi / d if kernel is not None and d > 0.0 else None for _, d in members]
     pts = [_seeds(k_hi)]
     lengths = spec.oscillation_lengths + tuple(ell for ell in own if ell)
@@ -782,25 +752,23 @@ def integrate_damped_group(spec: DampedKernelSpec, atol: float = 1e-16,
                             evals + nodes)
     # the wings of the members that ran on, in one pass of each kind for all
     # their times: a wing of more half periods than a tail sums is summed over them
-    osc, rest, tails = [], {}, {}
+    osc, rest, tails = [], [], {}
     for i in go_on:
-        cutoff = spec.members[i][2]
-        if cutoff is not None and own[i] and cutoff - k_hi > _TAIL_PANELS * 0.5 * own[i]:
+        if own[i] and cutoff - k_hi > _TAIL_PANELS * 0.5 * own[i]:
             osc.append(i)
-        elif cutoff is not None and cutoff > k_hi:
-            rest.setdefault(cutoff, []).append(i)
+        elif cutoff > k_hi:
+            rest.append(i)
     if osc:
         steps = np.array([0.5 * own[i] for i in osc])
         summed = _oscillatory_tails(spec.integrand, kernel, [members[i] for i in osc], k_hi,
                                     steps, np.array([heads[i][0] for i in osc]),
                                     0.5 * atol, 0.5 * rtol)
         tails.update(zip(osc, zip(*summed)))
-    for cutoff, group in rest.items():
-        # geometric panels in k out to the cutoff
+    if rest:  # geometric panels in k out to the cutoff
         n_dec = max(1, int(math.ceil(math.log10(cutoff / k_hi))))
-        tails.update(zip(group, _adaptive_gk(
+        tails.update(zip(rest, _adaptive_gk(
             spec.integrand, np.geomspace(k_hi, cutoff, 8 * n_dec + 1), 0.5 * atol,
-            0.5 * rtol, kernel=kernel, members=[members[i] for i in group])))
+            0.5 * rtol, kernel=kernel, members=[members[i] for i in rest])))
     return [_result(*(head if i not in tails else (h + t for h, t in zip(head, tails[i]))),
                     atol, rtol) for i, head in enumerate(heads)]
 

@@ -173,7 +173,7 @@ def _grid_columns(grid: ScanGrid, coupling: float) -> tuple[tuple, dict]:
         return coords, {
             "model": [grid.model] * n, "a0": np.broadcast_to(a0, n), "T": np.ones(n),
             "omega_a": omega, "omega_b": omega, "t_a": np.zeros(n), "t_b": tba,
-            "d": np.sqrt(d * d),  # the norm of B's position (0, 0, d)
+            "d": np.abs(d),  # the norm of B's position (0, 0, d)
             "rel": np.cos(theta) if grid.model is ModelKind.EM_DIPOLE else np.ones(n),
             "e2": np.full(n, coupling ** 2)}
 

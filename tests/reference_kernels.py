@@ -1,10 +1,13 @@
-"""Straightforward forms of three engine functions, kept as the references
-that their trimmed versions in ``vharvest.specfun`` must match bit for bit
+"""Straightforward forms of engine functions, kept as the references that
+their versions in ``vharvest.specfun`` must match bit for bit
 (``test_trimmed_kernels.py``): the time kernel with its Faddeeva function,
-GK15's reduce of one row of panels, and the Wynn epsilon table.  Each runs
-its array operations as the formulas read, one temporary per step; the
-engine's versions make fewer calls on the same arithmetic."""
+GK15's reduce of one row of panels, the Wynn epsilon table, and j_0 as
+``spherical_bessel_j`` computed it before its l >= 1 came from scipy.  Each
+runs its array operations as the formulas read, one temporary per step; the
+engine's versions make fewer calls on the same arithmetic.  Also one term's
+integrand alone, the row a group gives it (``integrand``)."""
 
+import functools
 import itertools
 import math
 import operator
@@ -12,7 +15,8 @@ import operator
 import numpy as np
 from scipy.special import wofz
 
-from vharvest.specfun import _ROUNDOFF, _WG, _WGK, _XGK
+from vharvest import harvesting
+from vharvest.specfun import _ROUNDOFF, _WG, _WGK, _XGK, _integrands
 
 SQRT2 = math.sqrt(2.0)
 W_FAR = 7.0
@@ -129,3 +133,21 @@ def wynn_epsilon(partial_sums):
                 best[take], best_err[take] = curr[take, -1], cand_err[take]
     err = np.maximum(best_err, floor)
     return (complex(best[0]), float(err[0])) if s.ndim == 1 else (best, err)
+
+
+def spherical_bessel_j0(x):
+    # sin x / x through the closed form s u, u = 1/x, at x >= 1e-8, and 1 below
+    x_arr = np.atleast_1d(np.asarray(x, dtype=float))
+    xl = np.maximum(x_arr, 1e-8)
+    s, u = np.sin(xl), 1.0 / xl
+    out = s * u
+    out[x_arr < 1e-8] = 1.0
+    return out
+
+
+def integrand(share, clock, d):
+    # k -> (value, magnitude) of one term's whole integrand (share, clock, d),
+    # the row a group gives its member
+    _, p, a0, T, kernel = share
+    members = [(functools.partial(harvesting._time, clock, T), d)]
+    return lambda k: next(_integrands(harvesting._scale(p, a0), k, kernel, members))[1]

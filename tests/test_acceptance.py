@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 import pytest
+import reference_kernels
 
 from vharvest.angular import EulerAngles, polarization_completeness, rotate_harmonic
 from vharvest.angular import gaunt_integral
@@ -319,7 +320,7 @@ def test_criterion_11_derivative_scalar_ratio():
     def integrand(pair, name):
         # the value of one term's integrand, its member in the pair's table
         member = harvesting._table(harvesting._columns([pair]), (name,))["members"][0][0]
-        return lambda k: harvesting._integrand(*member)(k)[0]
+        return lambda k: reference_kernels.integrand(*member)(k)[0]
 
     pair_sc = pair_from_params({"a0_omega": 1e-3, "omega_T": 2.0,
                                 "d_over_T": 3.0, "tba_over_T": 1.0},

@@ -391,7 +391,7 @@ def test_scan_json_writes_a_twice_failed_row_as_null(monkeypatch, capsys):
     def group(spec, *args, **kwargs):
         return [QuadratureConvergenceError("forced miss", getattr(q, "result", q))
                 if d == 2.0 else q
-                for q, (_, d, _) in zip(real(spec, *args, **kwargs), spec.members)]
+                for q, (_, d) in zip(real(spec, *args, **kwargs), spec.members)]
 
     def reject(constant):
         raise ValueError(f"{constant} is not JSON")
@@ -430,3 +430,56 @@ def test_scan_rejects_an_unwritable_output_path_before_it_runs(tmp_path, capsys,
     code, out, err = run_cli(["scan", "--axis", "d_over_T:0.5:1:2",
                               "--output", str(tmp_path / "missing" / "x.csv")], capsys)
     assert code == 2 and out == "" and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("command", ["compute", "scan"])
+@pytest.mark.parametrize("flags, message", [
+    (["--d", "1e155"], "a separation d of 1e+155 oscillates"),
+    (["--omega-T", "1e160", "--a0-omega", "1e157", "--d", "1"],
+     "= exp(-inf): outside double range")])
+def test_a_separation_or_gap_past_the_squares_range_is_invalid_configuration(
+        capsys, command, flags, message):
+    # d^2 and (Omega T)^2 overflow past ~1.34e154: exit 2 with the error of
+    # d = 1e150 and Omega T = 1e150, and no warning on the way
+    args = ["compute", "--model", "udw", *flags] if command == "compute" else [
+        "scan", "--model", "udw", *flags, "--axis", "tba_over_T:0:1:2"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run_cli(args, capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and message in err
+
+
+def test_figure_fig5b_is_the_cropped_window_outside_light_contact(tmp_path, capsys):
+    # cropped whatever --switching says, t_BA/T over 0..8 and d/T over 4..14
+    code, _, _ = run_cli(["figure", "fig5b", "--nx", "3", "--ny", "2", "--switching", "gaussian",
+                          "--output-dir", str(tmp_path)], capsys)
+    assert code == 0
+    lines = (tmp_path / "fig5b.csv").read_text().splitlines()
+    assert "# switching: cropped_gaussian" in lines
+    assert lines[lines.index("# switching: cropped_gaussian") - 1] == "# omega_T: 12"
+    rows = [[float(x) for x in line.split(",")] for line in lines if not line.startswith("#")]
+    assert [row[:2] for row in rows] == [[t, d] for t in (0.0, 8.0) for d in (4.0, 9.0, 14.0)]
+
+
+def test_strict_scan_exits_3_on_a_twice_failed_row(monkeypatch, capsys):
+    # the point at d = 2 T misses at both tolerances (forced, as in the JSON
+    # test above): --strict exits 3 and names the count, without a table
+    real = harvesting.integrate_damped_group
+
+    def group(spec, *args, **kwargs):
+        return [QuadratureConvergenceError("forced miss", getattr(q, "result", q))
+                if d == 2.0 else q
+                for q, (_, d) in zip(real(spec, *args, **kwargs), spec.members)]
+
+    monkeypatch.setattr(harvesting, "integrate_damped_group", group)
+    code, out, err = run_cli(["scan", "--strict", "--axis", "d_over_T:1:3:3"], capsys)
+    assert code == 3 and out == ""
+    assert err == "error: 1 rows failed to converge\n"
+
+
+def test_scan_rejects_a_malformed_axis(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["scan", "--axis", "d_over_T:0:1"])
+    assert exc.value.code == 2
+    assert "axis must be name:lo:hi:count[:log|linear]" in capsys.readouterr().err

@@ -1,12 +1,14 @@
 import cmath
 import functools
 import math
+import re
 import tracemalloc
 import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+import reference_kernels
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial.legendre import leggauss
@@ -97,7 +99,7 @@ def test_derivative_vs_scalar_integrand_ratio(rng):
 
     def integrand(pair, name):
         # the value of one term's integrand, its member in the pair's table
-        f = harvesting._integrand(*_member(pair, name))
+        f = reference_kernels.integrand(*_member(pair, name))
         return lambda k: f(k)[0]
 
     f_sc, f_dv = integrand(pair_sc, "l_aa"), integrand(pair_dv, "l_aa")
@@ -277,7 +279,7 @@ def test_unequal_gap_integrand_array_equals_node_by_node(rng):
                                  / scale) for kk in k])
         p = share[1]
         want = k ** p * share[4](k * 4.0)[0] * time / (4.0 * (a0 * k) ** 2 + 9.0) ** 6
-        got, mag = harvesting._integrand(share, clock, d)(k)
+        got, mag = reference_kernels.integrand(share, clock, d)(k)
         assert np.all(np.abs(got - want) <= specfun._ROUNDOFF * mag)
 
 
@@ -685,6 +687,31 @@ def test_a_view_raises_only_its_own_range_error():
     assert str(view.value) == str(terms.value)
 
 
+def test_a_separation_past_the_squares_range_is_beyond_the_seed_panels():
+    # d^2 overflows past d ~ 1.34e154 T and underflows below ~1.5e-154 T; the
+    # separation does neither, so a far pair is rejected for its oscillation,
+    # with the message it has at d = 1e150 T
+    assert make_pair(d=1e-170).separation == 1e-170
+    for d in (1e150, 1e155, 1e300):
+        pair = make_pair(model=ModelKind.UDW_SCALAR, d=d)
+        assert pair.separation == d
+        with pytest.raises(ValueError, match=re.escape(f"a separation d of {d:.6g} oscillates")):
+            compute_terms(pair)
+
+
+@pytest.mark.parametrize("omega_b", [1e160, 2e160])
+def test_gaps_past_the_squares_range_raise_the_range_error(omega_b):
+    # (Omega T)^2 overflows past Omega ~ 1.34e154/T, so exp(log_scale) is 0
+    # and a term relative to it is undefined: out of range, as at 1e150/T
+    a = AtomSpec(a0=1e-3, omega=1e160)
+    b = AtomSpec(a0=1e-3, omega=omega_b, position=(0.0, 0.0, 1.0))
+    pair = DetectorPair(a, b, ModelKind.UDW_SCALAR)
+    with pytest.raises(ValueError, match=re.escape("= exp(-inf): outside double range")):
+        compute_terms(pair, include_cross=False)
+    with pytest.raises(ValueError, match="outside double range"):
+        local_term(pair)
+
+
 def test_nonlocal_term_returns_m_when_only_l_ab_misses(monkeypatch):
     # M and L_AB of an identical pair are two groups; a miss of L_AB alone
     # fails cross_noise_term and compute_terms, not nonlocal_term
@@ -742,7 +769,7 @@ def test_unequal_pair_integrates_l_aa_and_l_bb_apart(monkeypatch):
 @pytest.mark.parametrize("model", list(ModelKind))
 @pytest.mark.parametrize("ratio", [1.0, 1.15])
 def test_integrands_equal_their_group_rows_bitwise(model, ratio):
-    # a term's integrand alone (_integrand) has the bits of its member's row
+    # a term's integrand alone (reference_kernels.integrand) has the bits of its row
     # in the group spec that compute_terms integrates
     T = 1.3
     a = AtomSpec(a0=1e-3, omega=2.0, switching_width=T)
@@ -757,11 +784,11 @@ def test_integrands_equal_their_group_rows_bitwise(model, ratio):
         spec = harvesting._spec(members[group[0]][0], [members[n][1:] for n in group])
         rows = {}
         for ids, (value, mag) in specfun._integrands(spec.integrand, k, spec.kernel,
-                                                     [(time, d) for time, d, _ in spec.members]):
+                                                     spec.members):
             for j, i in enumerate(ids if isinstance(ids, list) else [ids]):
                 rows[i] = (value[j], mag[j]) if isinstance(ids, list) else (value, mag)
         for i, name in enumerate(group):
-            value, mag = harvesting._integrand(*members[name])(k)
+            value, mag = reference_kernels.integrand(*members[name])(k)
             assert np.array_equal(value, rows[i][0]) and np.array_equal(mag, rows[i][1])
 
 
@@ -897,7 +924,7 @@ def _abs_integral(term, lo, hi, panels):
     edges = np.geomspace(lo, hi, panels + 1)
     half, mid = 0.5 * np.diff(edges), 0.5 * (edges[1:] + edges[:-1])
     k = (mid[:, None] + half[:, None] * x).ravel()
-    value, _ = harvesting._integrand(*term)(k)
+    value, _ = reference_kernels.integrand(*term)(k)
     return float(np.sum((np.abs(value).reshape(panels, -1) @ w) * half))
 
 
@@ -1233,7 +1260,8 @@ def _brute_m_scaled(pair):
                                       np.arange(0.0, far, 0.5 * math.pi / pair.separation))))
     x, w = leggauss(16)
     half, mid = 0.5 * np.diff(edges), 0.5 * (edges[1:] + edges[:-1])
-    value, _ = harvesting._integrand(share, clock, d)((mid[:, None] + half[:, None] * x).ravel())
+    value, _ = reference_kernels.integrand(share, clock, d)(
+        (mid[:, None] + half[:, None] * x).ravel())
     bare = np.sum((value.reshape(-1, 16) @ w) * half)
     quad = specfun.QuadratureResult(value=bare, abs_error_estimate=0.0, evaluations=1)
     return harvesting._evaluate(table, harvesting._bare([quad], np.zeros((1, 1), int)))[0][0, 0]

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -192,7 +193,7 @@ def test_grid_retries_as_a_pair_per_point_does(monkeypatch):
     def spec(share, members):
         s = spec_of(share, members)
         return s if share[0] != "M" else replace(s, members=tuple(
-            (rippled(time) if d == 3.0 else time, d, cutoff) for time, d, cutoff in s.members))
+            (rippled(time) if d == 3.0 else time, d) for time, d in s.members))
 
     monkeypatch.setattr(harvesting, "_spec", spec)
     grid = ScanGrid(axes=(Axis("d_over_T", 1.0, 5.0, 5),),
@@ -465,8 +466,8 @@ def test_a_member_that_misses_its_tolerance_is_retried_alone(monkeypatch):
         s = spec_of(share, members)
         if share[0] != "M":
             return s
-        return replace(s, members=tuple((noisy(time) if d == target else time, d, cutoff)
-                                        for time, d, cutoff in s.members))
+        return replace(s, members=tuple((noisy(time) if d == target else time, d)
+                                        for time, d in s.members))
 
     monkeypatch.setattr(harvesting, "_spec", spec)
     res = run_grid(grid)
@@ -492,3 +493,16 @@ def test_grid_names_the_first_point_no_state_has():
     with pytest.raises(ValueError, match=r"^at tba_over_T = 0, d_over_T = 2: L_AA \+ L_BB = 2.27"):
         run_grid(grid, coupling=1e7)
     assert len(run_grid(grid, coupling=0.1).rows) == 6
+
+
+@pytest.mark.parametrize("fixed, message", [
+    ({"d_over_T": 1e155}, "a separation d of 1e+155 oscillates"),
+    ({"d_over_T": -1e155}, "a separation d of 1e+155 oscillates"),
+    ({"omega_T": 1e160, "a0_omega": 1e157, "d_over_T": 1.0}, "= exp(-inf): outside double range")])
+def test_grid_rejects_a_separation_or_gap_past_the_squares_range(fixed, message):
+    # d^2 and (Omega T)^2 overflow past ~1.34e154: the grid raises the error
+    # that compute_terms raises for the same pair
+    grid = ScanGrid(axes=(Axis("tba_over_T", 0.0, 1.0, 2),), fixed=fixed,
+                    model=ModelKind.UDW_SCALAR)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        run_grid(grid)

@@ -2,7 +2,8 @@
 array calls than their straightforward forms (``reference_kernels``), on
 the same arithmetic: each returns those forms' bits, signed zeros and NaN
 payloads included, on random inputs, rows with zeros, NaN and inf, scales
-from 1e-300 to 1e250, unequal gaps and delays of both signs."""
+from 1e-300 to 1e250, unequal gaps and delays of both signs.  And j_0
+keeps the bits it had before j_1..j_4 came from scipy."""
 
 import numpy as np
 import reference_kernels as ref
@@ -104,3 +105,13 @@ def test_wynn_table_has_the_reference_bits(kinds, scale, width, seed):
     assert same_bits(got[0], want[0]) and same_bits(got[1], want[1])
     assert type(got_one[0]) is complex and type(got_one[1]) is float
     assert same_bits(got_one[0], want_one[0]) and same_bits(got_one[1], want_one[1])
+
+
+def test_j0_has_the_reference_bits(rng):
+    # x = 0, both sides of the 1e-8 switch and 1e-9 to 1e6, as arrays and scalars
+    x = np.concatenate(([0.0, 1e-8, np.nextafter(1e-8, 0.0), np.nextafter(1e-8, 1.0)],
+                        np.geomspace(1e-9, 1e6, 200001), 10.0 ** rng.uniform(-9.0, 6.0, 2000)))
+    assert same_bits(specfun.spherical_bessel_j(0, x), ref.spherical_bessel_j0(x))
+    for v in x[::997].tolist():
+        got = specfun.spherical_bessel_j(0, v)
+        assert type(got) is float and same_bits(got, ref.spherical_bessel_j0(v)[0])

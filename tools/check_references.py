@@ -11,15 +11,21 @@ quadrature errors.  Prints attempted and failed counts per workload (and
 the first failures), then one SHA-256 per workload over every point's
 values and errors in checking order (a failed point: its reason), so that
 two trees give the same bits exactly when a ``diff`` of their outputs shows
-only the timings.  Exits 1 if any point failed.  Takes about 30 s on one
+only the timings.  Then one SHA-256 per default-resolution ``vharvest
+figure`` CSV (fig3, fig4, fig5a, fig5b, fig7), each written to a temporary
+directory, so that a ``diff`` shows the figure data unchanged too.  Exits 1
+if any point failed or any figure exited nonzero.  Takes about 30 s on one
 core.  The benchmark's files are only imported, never written.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import struct
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -29,8 +35,10 @@ sys.dont_write_bytecode = True  # leave no cache files in perfbench/
 
 import vharvest  # noqa: E402
 import workloads  # noqa: E402
+from vharvest import cli  # noqa: E402
 
 CHECKED = ("scatter_terms", "unequal_gaps", "spacetime_grid")
+FIGURES = ("fig3", "fig4", "fig5a", "fig5b", "fig7")
 
 
 def outcomes(workload: str) -> list:
@@ -63,6 +71,21 @@ def digest(workload: str, found: list) -> str:
     return h.hexdigest()
 
 
+def figure_digests() -> tuple[int, list]:
+    """The count of figures that exited nonzero, and per figure the SHA-256
+    of its default-resolution CSV (or its exit code)."""
+    failed, lines = 0, []
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in FIGURES:
+            with contextlib.redirect_stdout(io.StringIO()):  # its "wrote ..." line
+                code = cli.main(["figure", name, "--output-dir", tmp])
+            failed += code != 0
+            csv = Path(tmp) / f"{name}.csv"
+            lines.append(f"{name} exit {code}" if code else
+                         f"{name} sha256 {hashlib.sha256(csv.read_bytes()).hexdigest()}")
+    return failed, lines
+
+
 def main(argv: list[str]) -> int:
     names = argv or list(CHECKED)
     unknown = sorted(set(names) - set(CHECKED))
@@ -80,8 +103,12 @@ def main(argv: list[str]) -> int:
         for line in result["failures"]:
             print(f"    {line}")
         digests.append(f"{name} sha256 {digest(name, found)}")
-    print(*digests, sep="\n")
-    return 1 if failed else 0
+    t0 = time.perf_counter()
+    figures_failed, lines = figure_digests()
+    print(f"figures: {len(FIGURES)} written, {figures_failed} failed "
+          f"({time.perf_counter() - t0:.1f} s)")
+    print(*digests, *lines, sep="\n")
+    return 1 if failed or figures_failed else 0
 
 
 if __name__ == "__main__":
