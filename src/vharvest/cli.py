@@ -117,7 +117,7 @@ def _table(meta: dict, columns, rows) -> str:
 # ----------------------------------------------------------------------------
 
 def cmd_compute(args) -> int:
-    model = ModelKind.from_name(args.model)
+    model = ModelKind(args.model)
     params = _params(args)
     pair = pair_from_params(params, model, coupling=args.coupling)
     terms = compute_terms(pair, switching=_switching_kind(args), include_cross=True,
@@ -170,7 +170,7 @@ def cmd_scan(args) -> int:
     axes = tuple(args.axis)
     names = [a.name for a in axes]
     fixed = {k: v for k, v in _params(args).items() if k not in names}
-    grid = ScanGrid(axes=axes, fixed=fixed, model=ModelKind.from_name(args.model))
+    grid = ScanGrid(axes=axes, fixed=fixed, model=ModelKind(args.model))
     if args.output not in (None, "-"):
         open(args.output, "a").close()  # an unwritable path fails before the run, not after
     result = run_grid(grid, **_sweep_kw(args))
@@ -220,7 +220,7 @@ def _fig4(args, kw):
     res = harvestability_map(
         Axis("omega_T", 0.5, 40.0, args.ny), Axis("d_over_T", 0.5, 40.0, args.nx),
         tba_over_T=10.0, a0_omega=args.a0_omega,
-        model=ModelKind.from_name(args.model), **kw)
+        model=ModelKind(args.model), **kw)
     meta = {"model": args.model, "a0_omega": _fmt(args.a0_omega), "tba_over_T": 10,
             "lightcone_d": res.metadata["lightcone_d"]}
     return meta, [(*r.coords, r.n, r.harvestable) for r in res.rows]
@@ -235,7 +235,7 @@ def _fig5(args, kw, zoom: bool):
         delay = Axis("tba_over_T", 0.0, 24.0, args.ny)
         dist = Axis("d_over_T", 0.0, 24.0, args.nx)
     res = spacetime_map(dist, delay, omega_T=12.0, a0_omega=args.a0_omega,
-                        model=ModelKind.from_name(args.model), **kw)
+                        model=ModelKind(args.model), **kw)
     sigma = res.metadata["sigma_over_T"]
     meta = {"model": args.model, "a0_omega": _fmt(args.a0_omega), "omega_T": 12,
             "switching": res.metadata["switching"],

@@ -34,18 +34,18 @@ derivative coupling differs from the scalar one by exactly k^2 in every
 integrand.  S at the mean gap stays out of the integrals as a log scale, so
 the sign of |M| - L (the harvesting criterion) is available even where the
 values underflow (Omega T > ~38); a pair whose terms relative to it leave
-double range (very unequal gaps) raises ValueError, and a term view where
-its own term does.
+double range (very unequal gaps), or whose M has no finite phase e^{i Omega
+(t_A+t_B)}, raises ValueError, and a term view where its own term does.
 
 ``compute_terms_many`` evaluates a batch of pairs and shares the work: the M
 terms with the same scale k^p / (4u+9)^6 and kern integrate on one head
 panel set, the L and the L_AB terms with the same scale and Omega on one
 fixed panel set, each distinct (time, d) once and to its own tolerance, and
 each pass evaluates each distinct time(k) and kern(kd) once.  The engine,
-``_terms``, takes a batch as columns, one array per parameter (a survey
+``_harvest``, takes a batch as columns, one array per parameter (a survey
 grid's without a pair per point), applies the prefactors and builds the
 results on arrays, in a float's order of operations, so that a point has the
-bits it has alone.  Batches, grids and the term views all read it;
+bits it has alone.  Batches, grids and the term views all call it;
 ``compute_terms`` is its one-pair case.
 """
 
@@ -64,7 +64,7 @@ import numpy as np
 from .atoms import AtomSpec, SwitchingKind, _outside_lightcone
 from .specfun import (_GAUSS_DEAD, _ROUNDOFF, _SEED_DEPTH, DampedKernelSpec,
                       QuadratureConvergenceError, QuadratureResult, integrate_damped_group,
-                      integrate_fixed_group, scaled_time_kernel, spherical_bessel_j,
+                      integrate_fixed_group, scaled_time_kernel, spherical_bessel_j0,
                       spherical_bessel_j0_plus_j2)
 
 __all__ = [
@@ -104,33 +104,14 @@ class ModelKind(Enum):
     UDW_SCALAR = "udw"
     UDW_DERIVATIVE = "derivative"
 
-    @classmethod
-    def from_name(cls, name: str) -> "ModelKind":
-        for kind in cls:
-            if kind.value == name:
-                return kind
-        raise ValueError(f"unknown model {name!r} (choose from "
-                         f"{[k.value for k in cls]})")
-
-
-def _j0(x):
-    # j_0 = sin x / x and its magnitude: below x = 5 the sizes of its
-    # Maclaurin terms, sinh x / x (evaluated there alone); above it |j_0|
-    j0 = spherical_bessel_j(0, x)
-    mag, small = np.abs(j0), x < 5.0
-    if np.count_nonzero(small):
-        s = np.maximum(x[small], 1e-300)
-        mag[small] = np.sinh(s) / s
-    return j0, mag
-
 
 def _model_params(model: ModelKind):
     # (C_L, C_M, p, q, kern), read at call time
     if model is ModelKind.EM_DIPOLE:
         return EM_LOCAL_COEFF, EM_NONLOCAL_COEFF, 3, 2, spherical_bessel_j0_plus_j2
     if model is ModelKind.UDW_SCALAR:
-        return SCALAR_LOCAL_COEFF, SCALAR_NONLOCAL_COEFF, 5, 4, _j0
-    return SCALAR_LOCAL_COEFF, SCALAR_NONLOCAL_COEFF, 7, 4, _j0
+        return SCALAR_LOCAL_COEFF, SCALAR_NONLOCAL_COEFF, 5, 4, spherical_bessel_j0
+    return SCALAR_LOCAL_COEFF, SCALAR_NONLOCAL_COEFF, 7, 4, spherical_bessel_j0
 
 
 @dataclass(frozen=True)
@@ -149,12 +130,21 @@ class DetectorPair:
                              "orientation must be the identity")
         if not (0 < self.coupling < math.inf):
             raise ValueError("coupling must be positive and finite")
+        if self.coupling * self.coupling == math.inf:
+            raise ValueError(f"coupling {self.coupling:g} is too large: its square, "
+                             "the terms' factor e^2, overflows")
         # not computed correctly yet, so rejected: M uses atom A's a0 and T
         # for both atoms, and the EM kernel assumes B on A's 2p_z axis
         if a.a0 != b.a0 or a.switching_width != b.switching_width:
             raise ValueError("atoms with unequal a0 or unequal switching "
                              "widths are not supported")
-        dx = np.subtract(b.position, a.position)
+        # as floats: inf, not a warning, past double range
+        dx = [float(xb) - float(xa) for xa, xb in zip(a.position, b.position)]
+        if not all(map(math.isfinite, dx)):
+            raise ValueError(f"the separation B - A of positions {a.position} and "
+                             f"{b.position} overflows")
+        if not math.isfinite(float(b.switching_center) - float(a.switching_center)):
+            raise ValueError("the delay t_B - t_A of the switching centres overflows")
         if self.model is ModelKind.EM_DIPOLE and (dx[0] or dx[1]):
             raise ValueError("EM dipole pairs need atom B on atom A's z axis")
 
@@ -438,13 +428,6 @@ def _quadratures(members: list, atol: float, rtol: float) -> tuple[list, np.ndar
     return [done[j] for j in range(len(done))], np.array(list(map(index.get, members)))
 
 
-def _bare(quads: list, at: np.ndarray) -> list:
-    # (value, error, abs_integral) of quadratures at the indices at, a failed one's estimate
-    get = operator.attrgetter("value", "abs_error_estimate", "abs_integral")
-    table = np.array([get(getattr(quad, "result", quad)) for quad in quads])[at]
-    return [table[..., 0], table[..., 1].real, table[..., 2].real]
-
-
 # Term by term, floats and complex floats with the bits of Python's scalar
 # arithmetic, which numpy's vectorized power, exp and complex product miss
 # in the last bit (libm's pow and exp; multiply-adds unfused)
@@ -501,7 +484,9 @@ def _table(cols: dict, names) -> dict:
     "T", "q", "a0q", "d" and "t_ba".  Raises ValueError at the first point
     whose scale k^p / (4u+9)^6 the quadrature cannot follow: its knee at
     k = 3/(2 a0) must lie above the head's lowest seed, and k^p finite out
-    to a term's last node, the wing cutoff or the Gaussian's dead point."""
+    to a term's last node, the wing cutoff or the Gaussian's dead point;
+    and, with M among names, at the first whose phase (``_mean_gap_factor``)
+    is not finite."""
     a0, T, oa, ob, ta, tb, d, rel, e2 = np.array([cols[c] for c in _COLUMNS], dtype=float)
     models = cols["model"]
     c_l, c_m, ps, qs, kern = zip(*([_model_params(models[0])] * len(models)
@@ -518,6 +503,10 @@ def _table(cols: dict, names) -> dict:
                          f"momentum integrals, {a0_min[i]:.3g} < a0 <= {a0_max[i]:.6g}")
     t_ba, local, ones = tb - ta, e2 * np.divide(c_l, math.pi), np.ones_like(a0)
     log_scale, phase = _mean_gap_factor(oa, ob, ta, tb, T)
+    if "m" in names and not np.isfinite(phase).all():
+        i = int(np.isfinite(phase).argmin())
+        raise ValueError(f"M's phase exp(i Omega (t_A + t_B)) is not finite at Omega = "
+                         f"{0.5 * (oa[i] + ob[i]):.6g}, t_A + t_B = {ta[i] + tb[i]:.6g}")
     a0s, Ts, zeros = a0.tolist(), T.tolist(), [0.0] * len(ps)
     L = list(zip(repeat("L"), ps, a0s, Ts, repeat(None)))
     M = list(zip(repeat("M"), ps, a0s, Ts, kern))
@@ -544,7 +533,7 @@ def _table(cols: dict, names) -> dict:
 
 def _evaluate(table: dict, bare: list) -> tuple:
     """The terms' values, errors and integrals of the magnitude relative to
-    exp(log_scale) from their bare ones (``_bare``) as (names, points)
+    exp(log_scale) from their bare ones as (names, points)
     arrays, and the log of a value's size where it leaves the normal
     doubles (-inf where exp(log_scale) is 0, so that the size is undefined),
     else nan: the one place a prefactor is applied, in a float's order of
@@ -561,51 +550,65 @@ def _evaluate(table: dict, bare: list) -> tuple:
             np.abs(pref) * absint, np.where(out, np.fmax(size, -np.inf), np.nan))
 
 
-def _check_range(size: np.ndarray, log_scale: np.ndarray, live) -> None:
-    # ValueError at the first live point (live: a mask over points, or True),
-    # and its first term, whose size of _terms (names, points) leaves range
-    bad = ~np.isnan(size) & live
-    if bad.any():
-        i = int(bad.any(axis=0).argmax())
-        raise ValueError(f"a term is exp({size[bad[:, i].argmax(), i]:.6g}) times exp(log_scale) "
-                         f"= exp({log_scale[i]:.6g}): outside double range")
-
-
-def _terms(cols: dict, names, atol: float, rtol: float) -> dict:
-    """The terms names of a batch given as columns, each integrated with the
-    batch's terms of its share, by the one caller of ``_table``,
-    ``_quadratures`` and ``_evaluate``: per name (value, error, abs_integral)
-    (L's values real), "size", "quads" and "at", as those give them, "failed",
-    per point its first missed term's QuadratureConvergenceError or None, and
-    the columns "log_scale", "T", "d" and "t_ba".  Raises their ValueErrors;
-    the range errors of "size" are left to ``_harvest`` and ``_field``."""
+def _harvest(cols: dict, names, switching: SwitchingKind, atol: float, rtol: float) -> dict:
+    """The terms names (of _NAMES) of a batch given as columns, each
+    integrated with the batch's terms of its share, for
+    ``compute_terms_many``, ``survey.run_grid`` and the term views: per name
+    (value, error, abs_integral) relative to exp(log_scale) (L's values
+    real); "quads" and "at", as ``_quadratures`` gives them; "failed", per
+    point its first missed term's QuadratureConvergenceError or None;
+    "cropped", where the switching, resolved as ``SwitchingKind.resolve``
+    does, crops; "errors" by name and "crop_tail", a cropped point's bound
+    2 erfc(crop_sigmas/sqrt(2)) times the terms' scaled integrals of |f|,
+    else 0; "factor", exp(log_scale); and the columns "log_scale", "T", "d"
+    and "t_ba".  Raises the ValueErrors of ``_table`` and ``_quadratures``,
+    and the range error of the first point without a failed term."""
     with np.errstate(all="ignore"):  # as float arithmetic: no warnings
         table = _table(cols, names)
         quads, at = _quadratures([m for ms in table["members"] for m in ms], atol, rtol)
         at = at.reshape(len(names), -1)
-        value, error, absint, size = _evaluate(table, _bare(quads, at))
+        # the bare (value, error, abs_integral) of each term, a failed one's estimate
+        get = operator.attrgetter("value", "abs_error_estimate", "abs_integral")
+        bare = np.array([get(getattr(quad, "result", quad)) for quad in quads])[at]
+        value, error, absint, size = _evaluate(
+            table, [bare[..., 0], bare[..., 1].real, bare[..., 2].real])
     missed = np.array([isinstance(quad, QuadratureConvergenceError) for quad in quads])[at]
+    failed = missed.any(axis=0)
+    bad = ~np.isnan(size) & ~failed
+    if bad.any():
+        i = int(bad.any(axis=0).argmax())
+        raise ValueError(f"a term is exp({size[bad[:, i].argmax(), i]:.6g}) times exp(log_scale) "
+                         f"= exp({table['log_scale'][i]:.6g}): outside double range")
     out = {key: table[key] for key in ("log_scale", "T", "d", "t_ba")}
-    out.update(size=size, quads=quads, at=at, failed=[
-        quads[at[missed[:, i].argmax(), i]] if f else None
-        for i, f in enumerate(missed.any(axis=0).tolist())])
+    out.update(quads=quads, at=at, failed=[quads[at[missed[:, i].argmax(), i]] if f else None
+                                           for i, f in enumerate(failed.tolist())])
     out.update((name, (v if name in ("m", "l_ab") else v.real, e, a))
                for name, v, e, a in zip(names, value, error, absint))
+    cropped = (_outside_lightcone(out["d"], out["t_ba"], out["T"] / math.sqrt(2.0))
+               if switching.variant == "auto"
+               else np.full(out["d"].shape, switching.variant == "cropped_gaussian"))
+    crop = np.zeros(cropped.shape)
+    if cropped.any():
+        tail_fraction = 2.0 * math.erfc(switching.crop_sigmas / math.sqrt(2.0))
+        with np.errstate(all="ignore"):
+            crop = np.where(cropped, tail_fraction * (
+                0.5 * (out["l_aa"][2] + out["l_bb"][2]) + out["m"][2]), 0.0)
+    out["errors"] = {**{name: out[name][1] for name in names}, "crop_tail": crop}
+    out["cropped"], out["factor"] = cropped, _exp(out["log_scale"])
     return out
 
 
 def _field(pair: DetectorPair, name: str, atol: float = 1e-16,
            rtol: float = 1e-10) -> tuple[complex, QuadratureResult]:
     """A field of ``compute_terms(pair)`` and its bare integral, from
-    ``_terms`` of its term alone, which no other term of a pair shares a
+    ``_harvest`` of its term alone, which no other term of a pair shares a
     group with: it raises its own QuadratureConvergenceError, then its own
     range error, and neither of another term."""
-    out = _terms(_columns([pair]), (name,), atol, rtol)
+    out = _harvest(_columns([pair]), (name,), SwitchingKind(), atol, rtol)
     quad = out["quads"][out["at"][0, 0]]
     if isinstance(quad, QuadratureConvergenceError):
         raise quad
-    _check_range(out["size"], out["log_scale"], True)
-    return math.exp(out["log_scale"][0]) * out[name][0][0], quad
+    return out["factor"][0] * out[name][0][0], quad
 
 
 # ----------------------------------------------------------------------------
@@ -660,8 +663,8 @@ def compute_terms(pair: DetectorPair, switching: SwitchingKind = SwitchingKind()
     separation and delay (``SwitchingKind.resolve``); the default is the
     uncropped Gaussian.
     Raises QuadratureConvergenceError where a term misses the tolerance, and
-    ValueError where a term relative to exp(log_scale) leaves double range
-    or a0 leaves the range the momentum integrals follow (``_table``).
+    ValueError where a term relative to exp(log_scale) leaves double range,
+    and where ``_table`` does: a0 outside its range, or M's phase not finite.
     """
     (terms,) = compute_terms_many([pair], switching, include_cross, atol, rtol)
     if isinstance(terms, QuadratureConvergenceError):
@@ -697,7 +700,7 @@ def compute_terms_many(pairs, switching: SwitchingKind = SwitchingKind(),
     if not pairs:
         return []
     names = _NAMES[:3 + include_cross]
-    h = _harvest(_columns(pairs), switching, include_cross, atol, rtol)
+    h = _harvest(_columns(pairs), names, switching, atol, rtol)
     scaled = [h[name][0] for name in names]
     # exp(log_scale) times each, as a float times a float or a complex
     full = [h["factor"] * v if v.dtype.kind == "f" else _cmul(h["factor"], v) for v in scaled]
@@ -711,31 +714,6 @@ def compute_terms_many(pairs, switching: SwitchingKind = SwitchingKind(),
             quadrature_errors=dict(zip(keys[:len(names) + cropped], e)),
             log_scale=float(h["log_scale"][i]), l_aa_scaled=scaled[0][i],
             l_bb_scaled=scaled[1][i], l_ab_scaled=l_ab[1], m_scaled=scaled[2][i]))
-    return out
-
-
-def _harvest(cols: dict, switching: SwitchingKind, include_cross: bool,
-             atol: float, rtol: float) -> dict:
-    """``compute_terms_many`` on a batch given as columns: ``_terms`` of L_AA,
-    L_BB, M and, with include_cross, L_AB; "cropped", where the switching,
-    resolved as ``SwitchingKind.resolve`` does, crops; "errors" by name and
-    "crop_tail", a cropped point's bound 2 erfc(crop_sigmas/sqrt(2)) times
-    the terms' scaled integrals of |f|, else 0; and "factor", exp(log_scale).
-    Raises the range error of the first point without a failed term."""
-    names = _NAMES[:3 + include_cross]
-    out = _terms(cols, names, atol, rtol)
-    _check_range(out["size"], out["log_scale"], np.array([f is None for f in out["failed"]]))
-    cropped = (_outside_lightcone(out["d"], out["t_ba"], out["T"] / math.sqrt(2.0))
-               if switching.variant == "auto"
-               else np.full(out["d"].shape, switching.variant == "cropped_gaussian"))
-    crop = np.zeros(cropped.shape)
-    if cropped.any():
-        tail_fraction = 2.0 * math.erfc(switching.crop_sigmas / math.sqrt(2.0))
-        with np.errstate(all="ignore"):
-            crop = np.where(cropped, tail_fraction * (
-                0.5 * (out["l_aa"][2] + out["l_bb"][2]) + out["m"][2]), 0.0)
-    out["errors"] = {**{name: out[name][1] for name in names}, "crop_tail": crop}
-    out["cropped"], out["factor"] = cropped, _exp(out["log_scale"])
     return out
 
 

@@ -21,6 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
+from scipy.special import spherical_jn
 
 from . import atoms, harvesting
 from .angular import (EulerAngles, _rotated, _row_norm, euler_rotation_matrix,
@@ -28,8 +29,7 @@ from .angular import (EulerAngles, _rotated, _row_norm, euler_rotation_matrix,
                       sph_harm_y)
 from .atoms import AtomSpec
 from .harvesting import DetectorPair, ModelKind, _mean_gap_factor, negativity_leading
-from .specfun import (_adaptive_gk, _faddeeva, scaled_time_kernel, spherical_bessel_j,
-                      spherical_bessel_j0_plus_j2)
+from .specfun import _adaptive_gk, _faddeeva, scaled_time_kernel, spherical_bessel_j0_plus_j2
 
 __all__ = [
     "OracleReport",
@@ -98,9 +98,9 @@ class EmDecomposition:
     m_total: float | None = None
 
 
-def em_decomposition_identity(k: float, a0: float,
-                              d: float | None = None) -> EmDecomposition:
-    """Identity/dyadic decomposition of the EM kernels at one momentum.
+def em_decomposition_identity(k, a0: float, d: float | None = None) -> EmDecomposition:
+    """Identity/dyadic decomposition of the EM kernels at the momenta k (a
+    float, or an array whose fields are arrays term by term).
 
     The numerators over (4u+9)^8 satisfy
 
@@ -110,7 +110,7 @@ def em_decomposition_identity(k: float, a0: float,
     subtraction reproduces the 49152 (4u+9)^2 (j0 + j2)(kd) kernel of the
     nonlocal term.
     """
-    if k < 0:
+    if np.any(np.less(k, 0)):
         raise ValueError("k must be >= 0")
     u = (a0 * k) ** 2
     l_id = harvesting.EM_DECOMP_IDENTITY_COEFF * (16.0 * u * u - 8.0 * u + 9.0)
@@ -119,8 +119,7 @@ def em_decomposition_identity(k: float, a0: float,
     if d is None:
         return EmDecomposition(u=u, l_identity=l_id, l_dyadic=l_dy, l_total=l_tot)
     x = k * d
-    j0 = spherical_bessel_j(0, x)
-    j2 = spherical_bessel_j(2, x)
+    j0, j2 = spherical_jn(0, x), spherical_jn(2, x)
     m_id = j0 * l_id - j2 * harvesting.EM_DECOMP_M_J2_COEFF * u * (8.0 * u - 9.0)
     m_dy = l_dy * (j0 - 2.0 * j2)
     return EmDecomposition(u=u, l_identity=l_id, l_dyadic=l_dy, l_total=l_tot,
@@ -412,7 +411,7 @@ def radial_bruteforce(l: int, k: float, a0: float) -> tuple[float, float, int]:
         hi = 60.0 * a0
 
         def f(r):
-            v = norm * r ** 4 * np.exp(-b * r) * spherical_bessel_j(l, k * r)
+            v = norm * r ** 4 * np.exp(-b * r) * spherical_jn(l, k * r)
             return v, np.abs(v)
 
         pts = set(np.linspace(0.0, hi, 49))
@@ -455,7 +454,7 @@ def scalar_smearing_fourier_bruteforce(k: float, a0: float) -> float:
         on_axis = np.zeros(rr.shape + (3,))
         on_axis[..., 2] = rr
         v = 4.0 * math.pi * rr * rr * smearing_scalar(atom, on_axis) \
-            * spherical_bessel_j(0, k * rr)
+            * spherical_jn(0, k * rr)
         return v, np.abs(v)
 
     hi = 60.0 * a0
@@ -594,17 +593,13 @@ def _run_all_inner(seed: int) -> list[OracleReport]:
 
     # 2. EM identity/dyadic decomposition reproduces the final kernels
     a0 = 0.003
-    worst = 0.0
     us = np.geomspace(1e-6, 1e6, 40)
-    for u in us:
-        k = math.sqrt(u) / a0
-        dec = em_decomposition_identity(k, a0, d=2.5)
-        target_l = harvesting.EM_LOCAL_COEFF * (4.0 * u + 9.0) ** 2
-        worst = _worse(worst, abs(dec.l_total - target_l) / target_l)
-        kern = spherical_bessel_j(0, 2.5 * k) + spherical_bessel_j(2, 2.5 * k)
-        target_m = harvesting.EM_LOCAL_COEFF * (4.0 * u + 9.0) ** 2 * kern
-        scale = target_l  # j0+j2 passes through zero; compare on the kernel scale
-        worst = _worse(worst, abs(dec.m_total - target_m) / scale)
+    k = np.sqrt(us) / a0
+    dec = em_decomposition_identity(k, a0, d=2.5)
+    target_l = harvesting.EM_LOCAL_COEFF * (4.0 * us + 9.0) ** 2
+    target_m = target_l * (spherical_jn(0, 2.5 * k) + spherical_jn(2, 2.5 * k))
+    # j0+j2 passes through zero: compare M on the kernel scale too
+    worst = _worst(np.abs((dec.l_total - target_l, dec.m_total - target_m)) / target_l)
     reports.append(OracleReport("em_decomposition_identity", worst, 1e-12, 2 * len(us)))
 
     # 3. closed radial overlaps vs quadrature (real axis and rotated ray)
@@ -671,10 +666,10 @@ def _run_all_inner(seed: int) -> list[OracleReport]:
     xs = np.geomspace(0.1, 100.0, 400)
     for l in (1, 2, 3):
         lhs = (spherical_bessel_j0_plus_j2(xs)[0] if l == 1 else
-               spherical_bessel_j(l - 1, xs) + spherical_bessel_j(l + 1, xs))
-        rhs = (2 * l + 1) / xs * spherical_bessel_j(l, xs)
+               spherical_jn(l - 1, xs) + spherical_jn(l + 1, xs))
+        rhs = (2 * l + 1) / xs * spherical_jn(l, xs)
         scale = np.maximum(np.abs(lhs), np.abs(rhs))
-        scale = np.maximum(scale, np.abs(spherical_bessel_j(l, xs)))
+        scale = np.maximum(scale, np.abs(spherical_jn(l, xs)))
         worst = _worse(worst, float(np.max(np.abs(lhs - rhs) / scale)))
     reports.append(OracleReport("bessel_recurrence", worst, 1e-11, 5 * 400))
 
@@ -715,8 +710,7 @@ def _run_all_inner(seed: int) -> list[OracleReport]:
             - (i0 - 2 * i2) ** 2 / (36 * math.pi)
         worst = _worse(worst, abs(engine_l - reduction_l) / reduction_l)
         # nonlocal kernel with the Bessel factors
-        j0 = spherical_bessel_j(0, k * d)
-        j2 = spherical_bessel_j(2, k * d)
+        j0, j2 = spherical_jn(0, k * d), spherical_jn(2, k * d)
         engine_m = 2 * harvesting.EM_NONLOCAL_COEFF / math.pi ** 2 * a0 ** 2 \
             * (j0 + j2) / (4 * u + 9) ** 6
         reduction_m = (j0 * (i0 * i0 + 2 * i2 * i2)

@@ -9,8 +9,8 @@ with w = T^2/2.  The time kernel contains complex complementary error
 functions whose naive evaluation overflows once T*k > ~38; everything here
 keeps exponents combined analytically so only non-positive real parts are
 ever exponentiated.  The spatial kernels are j_0 (UdW and derivative
-couplings) and j_0 + j_2 = 3 j_1/x (EM dipole); j_1..j_4, which only the
-self-check and tests read, are scipy's.  All functions are pure and accept
+couplings) and j_0 + j_2 = 3 j_1/x (EM dipole), each with its magnitude;
+the self-check reads every j_l from scipy.  All functions are pure and accept
 numpy arrays where it matters.  Integrands that differ in their time factor
 and separation (a grid's t_BA and d) are integrated as the members of one
 group (``integrate_damped_group``): on one head panel set, so each pass
@@ -49,14 +49,14 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import spherical_jn as _spherical_jn, wofz as _wofz
+from scipy.special import wofz as _wofz
 
 __all__ = [
     "QuadratureConvergenceError",
     "QuadratureResult",
     "DampedKernelSpec",
     "scaled_time_kernel",
-    "spherical_bessel_j",
+    "spherical_bessel_j0",
     "spherical_bessel_j0_plus_j2",
     "integrate_damped_group",
     "integrate_fixed_group",
@@ -250,27 +250,28 @@ def scaled_time_kernel(k, t_ba: float, T: float, *, d_omega: float):
 # Spherical Bessel functions
 # ----------------------------------------------------------------------------
 
-def spherical_bessel_j(l: int, x):
-    """Spherical Bessel function j_l(x) for l = 0..4, x >= 0.
+def spherical_bessel_j0(x):
+    """j_0(x) = sin x / x for x >= 0, the UdW and derivative spatial kernel,
+    and its magnitude.
 
-    j_0 = sin x / x, which cancels nothing, at every x >= 1e-8 and 1 below:
-    the engine's UdW and derivative kernel.  For l >= 1, which only the
-    self-check and tests read, scipy's ``spherical_jn``.
+    sin x / x cancels nothing: at every x >= 1e-8, and 1 below.  The
+    magnitude is |j_0| from x = 5 and, below it, the sum of the sizes of
+    the Maclaurin terms, sinh x / x.  Returns (value, magnitude); scalars
+    give floats.
     """
-    if l not in (0, 1, 2, 3, 4):
-        raise ValueError(f"spherical_bessel_j supports l = 0..4, got {l}")
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    small = x_arr < 1e-8
-    if np.count_nonzero(small) and x_arr[small].min() < 0.0:  # no NaN: every x < 0 is small
-        raise ValueError("spherical_bessel_j requires x >= 0")
-    if l:
-        out = _spherical_jn(l, x_arr)
-    else:  # sin x / x at x >= 1e-8 only: 1 overwrites below
-        xl = np.maximum(x_arr, 1e-8)
-        out = np.sin(xl) * (1.0 / xl)
-        if np.count_nonzero(small):
-            out[small] = 1.0
-    return float(out[0]) if np.ndim(x) == 0 else out
+    tiny = x_arr < 1e-8
+    if np.count_nonzero(tiny) and x_arr[tiny].min() < 0.0:  # no NaN: every x < 0 is tiny
+        raise ValueError("spherical_bessel_j0 requires x >= 0")
+    xl = np.maximum(x_arr, 1e-8)  # sin x / x at x >= 1e-8 only: 1 overwrites below
+    out = np.sin(xl) * (1.0 / xl)
+    if np.count_nonzero(tiny):
+        out[tiny] = 1.0
+    mag, small = np.abs(out), x_arr < 5.0
+    if np.count_nonzero(small):
+        s = np.maximum(x_arr[small], 1e-300)
+        mag[small] = np.sinh(s) / s
+    return (float(out[0]), float(mag[0])) if np.ndim(x) == 0 else (out, mag)
 
 
 # Maclaurin coefficients of 3 j_1(x)/x in y = x^2, highest power first (Horner

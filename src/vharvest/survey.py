@@ -26,7 +26,7 @@ import numpy as np
 
 from .angular import EulerAngles, euler_rotation_matrix
 from .atoms import LIGHTCONE_SIGMAS, AtomSpec, SwitchingKind
-from .harvesting import (ERROR_FACTOR, DetectorPair, ModelKind, _harvest,
+from .harvesting import (_NAMES, ERROR_FACTOR, DetectorPair, ModelKind, _harvest,
                          _negativity2_error, _state_fault, negativity_leading)
 
 __all__ = [
@@ -165,7 +165,8 @@ def _grid_columns(grid: ScanGrid, coupling: float) -> tuple[tuple, dict]:
         a0 = np.divide(p["a0_omega"], p["omega_T"])
         valid = ((p["omega_T"] > 0) & (p["a0_omega"] > 0) & (a0 > 0) & np.isfinite(a0)
                  & all(math.isfinite(v) for k, v in p.items() if k not in names)
-                 & isinstance(grid.model, ModelKind) & (0 < coupling < math.inf))
+                 & isinstance(grid.model, ModelKind)
+                 & (0 < coupling and coupling * coupling < math.inf))
         for i in np.flatnonzero(~np.broadcast_to(valid, n)):
             pair_from_params({**grid.fixed, **dict(zip(names, coords[i]))}, grid.model, coupling)
         omega, tba, d, theta = (np.full(n, float(v)) if np.ndim(v) == 0 else v for v in (
@@ -209,11 +210,11 @@ def run_grid(grid: ScanGrid, threads: int = 1,
     first point ``pair_from_params`` rejects, and at the first point whose
     terms no state has (``harvesting.assemble_state``)."""
     coords, cols = _grid_columns(grid, coupling)
-    row = _row_columns(_harvest(cols, switching, False, atol, rtol))
+    row = _row_columns(_harvest(cols, _NAMES[:3], switching, atol, rtol))
     missed = np.flatnonzero(row["failed"])
     if missed.size:
         cols = {k: [v[i] for i in missed] if k == "model" else v[missed] for k, v in cols.items()}
-        for key, col in _row_columns(_harvest(cols, switching, False, atol * 1e3,
+        for key, col in _row_columns(_harvest(cols, _NAMES[:3], switching, atol * 1e3,
                                               rtol * 1e3)).items():
             row[key][missed] = col
     fault = _state_fault(*(np.where(row["failed"], 0.0, row[k]) for k in ("l_aa", "l_bb", "abs_m")))

@@ -1,8 +1,8 @@
 """Straightforward forms of engine functions, kept as the references that
 their versions in ``vharvest.specfun`` must match bit for bit
 (``test_trimmed_kernels.py``): the time kernel with its Faddeeva function,
-GK15's reduce of one row of panels, the Wynn epsilon table, and j_0 as
-``spherical_bessel_j`` computed it before its l >= 1 came from scipy.  Each
+GK15's reduce of one row of panels, the Wynn epsilon table, and the value
+of ``spherical_bessel_j0``.  Each
 runs its array operations as the formulas read, one temporary per step; the
 engine's versions make fewer calls on the same arithmetic.  Also one term's
 integrand alone, the row a group gives it (``integrand``)."""

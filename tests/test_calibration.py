@@ -14,7 +14,8 @@ from vharvest import harvesting, specfun
 from vharvest.atoms import AtomSpec
 from vharvest.harvesting import DetectorPair, ModelKind, compute_terms
 from vharvest.oracle import time_integral_closed
-from vharvest.specfun import scaled_time_kernel, spherical_bessel_j0_plus_j2
+from vharvest.specfun import (scaled_time_kernel, spherical_bessel_j0,
+                              spherical_bessel_j0_plus_j2)
 
 # (model, Omega_A T, a0 Omega_A, d/T, t_BA/T, Omega_B/Omega_A) of benchmark
 # pool pairs whose errors the quadrature alone used to understate: unequal
@@ -121,7 +122,7 @@ def test_spatial_kernels_within_their_bounds():
     j0 = np.array([float(s) for s in sin_x])
     j0_j2 = np.array([float(3 * (s - mp.cos(mp.mpf(v))) / mp.mpf(v) ** 2) if v else 1.0
                       for s, v in zip(sin_x, x)])
-    assert_within_bound(*harvesting._j0(x), j0)
+    assert_within_bound(*spherical_bessel_j0(x), j0)
     assert_within_bound(*spherical_bessel_j0_plus_j2(x), j0_j2)
 
 

@@ -450,6 +450,17 @@ def test_a_separation_or_gap_past_the_squares_range_is_invalid_configuration(
     assert err.startswith("error: ") and message in err
 
 
+@pytest.mark.parametrize("args", [["compute", "--d", "1"], ["scan", "--axis", "d_over_T:1:2:2"]])
+def test_a_coupling_whose_square_overflows_is_invalid_configuration(capsys, args):
+    # exit 2 with the pair's error, not a traceback and the self-check's exit 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run_cli([*args, "--coupling", "1e200"], capsys)
+    assert code == 2 and out == ""
+    assert err == ("error: coupling 1e+200 is too large: its square, the terms' factor e^2, "
+                   "overflows\n")
+
+
 def test_figure_fig5b_is_the_cropped_window_outside_light_contact(tmp_path, capsys):
     # cropped whatever --switching says, t_BA/T over 0..8 and d/T over 4..14
     code, _, _ = run_cli(["figure", "fig5b", "--nx", "3", "--ny", "2", "--switching", "gaussian",

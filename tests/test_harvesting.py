@@ -12,6 +12,7 @@ import reference_kernels
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial.legendre import leggauss
+from scipy.special import spherical_jn
 
 from vharvest import harvesting, specfun
 from vharvest.angular import EulerAngles
@@ -23,8 +24,7 @@ from vharvest.harvesting import (DetectorPair, HarvestTerms, ModelKind,
                                  positivity_report)
 from vharvest.oracle import (em_decomposition_identity, negativity_bruteforce,
                              time_integral_bruteforce, time_integral_closed)
-from vharvest.specfun import (scaled_time_kernel, spherical_bessel_j,
-                              spherical_bessel_j0_plus_j2)
+from vharvest.specfun import scaled_time_kernel, spherical_bessel_j0, spherical_bessel_j0_plus_j2
 from vharvest.survey import Axis, spacetime_map
 
 
@@ -319,7 +319,7 @@ def test_nonlocal_scalar_small_d_vs_time_bruteforce():
     for lo, hi in zip(k_panels[:-1], k_panels[1:]):
         ks = 0.5 * (hi + lo) + 0.5 * (hi - lo) * xg
         for k, w in zip(ks, wg * 0.5 * (hi - lo)):
-            weight = k ** 5 * spherical_bessel_j(0, k * d) \
+            weight = k ** 5 * spherical_bessel_j0(k * d)[0] \
                 / (4.0 * (a0 * k) ** 2 + 9.0) ** 6
             total_closed += w * weight * time_integral_closed(
                 omega, omega, k, 0.0, 0.0, T)[0]
@@ -503,7 +503,7 @@ def test_em_decomposition_m_kernel():
     for u in np.geomspace(1e-4, 1e4, 50):
         k = math.sqrt(u) / a0
         dec = em_decomposition_identity(k, a0, d=d)
-        kern = spherical_bessel_j(0, k * d) + spherical_bessel_j(2, k * d)
+        kern = spherical_bessel_j0(k * d)[0] + spherical_jn(2, k * d)
         target = 49152.0 * (4.0 * u + 9.0) ** 2 * kern
         scale = 49152.0 * (4.0 * u + 9.0) ** 2
         assert abs(dec.m_total - target) <= 1e-12 * scale
@@ -635,7 +635,8 @@ def test_identical_pair_integrates_l_ab_in_one_pass_on_its_fixed_panel_set(monke
     # Gaussian is e^-60 down, on panels of at most a half period
     groups, passes, reduces, space = [], [], [], []
     real_fixed, real_damped = harvesting.integrate_fixed_group, harvesting.integrate_damped_group
-    real_panels, real_reduce, real_j0 = specfun._gk15_panels, specfun._gk15_reduce, harvesting._j0
+    real_panels, real_reduce = specfun._gk15_panels, specfun._gk15_reduce
+    real_j0 = harvesting.spherical_bessel_j0
 
     def fixed(f, edges, kernel, members, *args, **kwargs):
         groups.append(("fixed", kernel is not None, len(members)))
@@ -660,7 +661,7 @@ def test_identical_pair_integrates_l_ab_in_one_pass_on_its_fixed_panel_set(monke
 
     monkeypatch.setattr(harvesting, "integrate_fixed_group", fixed)
     monkeypatch.setattr(harvesting, "integrate_damped_group", damped)
-    monkeypatch.setattr(harvesting, "_j0", j0)
+    monkeypatch.setattr(harvesting, "spherical_bessel_j0", j0)
     monkeypatch.setattr(specfun, "_gk15_panels", gk15_panels)
     monkeypatch.setattr(specfun, "_gk15_reduce", gk15_reduce)
     compute_terms(make_pair(model=ModelKind.UDW_SCALAR, omega=2.0, d=3.0, tba=1.5))
@@ -868,13 +869,13 @@ def test_j0_keeps_the_bits_of_its_formulas():
     # j0 without the cos, and sinh s / s on the nodes below 5 alone
     x = np.concatenate([np.linspace(0.0, 30.0, 30001),
                         [0.0, np.nextafter(5.0, 0.0), 5.0, 1e-300, 5e-324]])
-    j0, mag = harvesting._j0(x)
-    ref = spherical_bessel_j(0, x)
+    j0, mag = spherical_bessel_j0(x)
+    ref = reference_kernels.spherical_bessel_j0(x)
     s = np.clip(x, 1e-300, 5.0)
     assert np.array_equal(j0, ref)
     assert np.array_equal(mag, np.where(x < 5.0, np.sinh(s) / s, np.abs(ref)))
     # the tails' (members, nodes) arrays
-    j0_2d, mag_2d = harvesting._j0(x[:30000].reshape(3, -1))
+    j0_2d, mag_2d = spherical_bessel_j0(x[:30000].reshape(3, -1))
     assert np.array_equal(j0_2d.ravel(), j0[:30000])
     assert np.array_equal(mag_2d.ravel(), mag[:30000])
 
@@ -1064,7 +1065,7 @@ def test_a_member_whose_bound_overflows_runs_on(monkeypatch):
         warnings.simplefilter("error")
         pair = make_pair(model=ModelKind.UDW_DERIVATIVE, a0_omega=2e-200, tba=20.0)
         # past the range _table accepts: the members built directly
-        share, d = ("M", 7, pair.atom_a.a0, 1.0, harvesting._j0), pair.separation
+        share, d = ("M", 7, pair.atom_a.a0, 1.0, spherical_bessel_j0), pair.separation
         spec = harvesting._spec(share, [(("M", 20.0, 0.0), d), (("M", 20.0, 0.3), d)])
         quads = specfun.integrate_damped_group(spec)
     assert spec.live_edge == math.inf and spec.edge_bounds == ()
@@ -1091,8 +1092,8 @@ def test_edge_bound_with_the_spatial_decay_is_overflow_safe(a0, tba, d):
                 assert (k_live, bounds) == (math.inf, ())
 
 
-@pytest.mark.parametrize("p,kernel", [(3, spherical_bessel_j0_plus_j2), (5, harvesting._j0),
-                                      (7, harvesting._j0)])
+@pytest.mark.parametrize("p,kernel", [(3, spherical_bessel_j0_plus_j2),
+                                      (5, spherical_bessel_j0), (7, spherical_bessel_j0)])
 def test_spatial_kernels_decay_as_the_edge_bound_takes(p, kernel):
     # |kern(x)| <= C/x^m: |3 j1(x)/x| <= 6/x^2, |j0(x)| <= 1/x
     m, log_c = harvesting._KERN_DECAY[p]
@@ -1200,7 +1201,7 @@ def test_fixed_panel_sets_follow_the_knee_and_are_capped():
     # the knee they follow the rational's scale instead.  At t_BA = 1e6 T a
     # half period is 3e-6 T: the uniform panels stop at the cap
     def edges(a0, t_ba):
-        share = ("M", 5, a0, 1.0, harvesting._j0)
+        share = ("M", 5, a0, 1.0, spherical_bessel_j0)
         return harvesting._fixed(share, 1.0, [(("L_AB", t_ba, 1.0), 0.0)])[1]
 
     at_knee = edges(100.0, 3.0)
@@ -1249,6 +1250,69 @@ def test_a_delay_beyond_the_seed_arithmetic_is_rejected_by_name():
         compute_terms(make_pair(omega=1.0, d=3.0, tba=1e200))
 
 
+def _centred_pair(omega, centre):
+    # A and B switched at the same centre, B at (0, 0, 3); EM, a0 Omega = 1e-3
+    a = AtomSpec(a0=1e-3 / omega, omega=omega, switching_center=centre)
+    return DetectorPair(a, replace(a, position=(0.0, 0.0, 3.0)), ModelKind.EM_DIPOLE)
+
+
+def _apart(z, t=0.0):
+    # A at (0, 0, -z) switched at -t, and B at (0, 0, z) switched at t
+    a = AtomSpec(a0=1e-3, omega=1.0, position=(0.0, 0.0, -z), switching_center=-t)
+    return DetectorPair(a, replace(a, position=(0.0, 0.0, z), switching_center=t),
+                        ModelKind.EM_DIPOLE)
+
+
+# per point: the pair's builder, and the message of its ValueError, or None
+# where its scaled terms are finite
+_EDGE_POINTS = {
+    "figure point": (lambda: make_pair(), None),
+    "gap 40/T": (lambda: make_pair(omega=40.0, d=2.0, tba=1.0), None),
+    "M's phase at centres 1e306 T": (lambda: _centred_pair(1e-3, 1e306), None),
+    "coupling 1e154": (lambda: make_pair(coupling=1e154), "outside double range"),
+    "coupling 1e200": (lambda: make_pair(coupling=1e200), r"coupling 1e\+200 is too large"),
+    "M's phase at centres 1e308 T": (lambda: _centred_pair(1.0, 1e308), "M's phase"),
+    "M's phase at gap 1e3/T": (lambda: _centred_pair(1e3, 1e306), "M's phase"),
+    "B - A past double range": (lambda: _apart(1e308), r"separation B - A .* overflows"),
+    "B - A at 1.6e308 T": (lambda: _apart(8e307), r"a separation d of 1.6e\+308 oscillates"),
+    "d 1e155 T": (lambda: make_pair(model=ModelKind.UDW_SCALAR, d=1e155),
+                  r"a separation d of 1e\+155 oscillates"),
+    "gap 1e160/T": (lambda: make_pair(model=ModelKind.UDW_SCALAR, omega=1e160, a0_omega=1e157,
+                                      d=1.0), "outside double range"),
+    "a0 past its range": (lambda: make_pair(omega=1.0, a0_omega=1e200, d=1.0),
+                          "outside the range of the momentum integrals"),
+    "t_BA 1e200 T": (lambda: make_pair(omega=1.0, d=3.0, tba=1e200), "delay"),
+    "t_B - t_A past double range": (lambda: _apart(1.5, 1e308), "the delay t_B - t_A"),
+}
+
+
+@pytest.mark.parametrize("point", list(_EDGE_POINTS))
+def test_every_accepted_pair_is_computed_or_rejected_by_name(point):
+    # no OverflowError, no RuntimeWarning and no NaN: finite scaled terms, or
+    # a ValueError that names the cause
+    build, message = _EDGE_POINTS[point]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        if message is not None:
+            with pytest.raises(ValueError, match=message):
+                compute_terms(build())
+            return
+        terms = compute_terms(build())
+    assert all(map(cmath.isfinite, (terms.l_aa_scaled, terms.l_bb_scaled, terms.m_scaled,
+                                    terms.l_ab_scaled, terms.log_scale)))
+
+
+def test_m_without_a_finite_phase_is_rejected_where_it_is_requested():
+    # exp(i Omega (t_A + t_B)) at t_A + t_B = inf: M and every view of it
+    # raise; L, which has no such phase, is computed
+    pair = _centred_pair(1.0, 1e308)
+    for view in (compute_terms, nonlocal_term):
+        with pytest.raises(ValueError, match=re.escape("M's phase exp(i Omega (t_A + t_B)) is "
+                                                       "not finite at Omega = 1, t_A + t_B = inf")):
+            view(pair)
+    assert local_term(pair) > 0.0 and cmath.isfinite(cross_noise_term(pair))
+
+
 def _brute_m_scaled(pair):
     # composite 16-point Gauss-Legendre of M's integrand out to 3x its wing
     # cutoff, on geometric panels and on panels of a quarter spatial period
@@ -1263,8 +1327,8 @@ def _brute_m_scaled(pair):
     value, _ = reference_kernels.integrand(share, clock, d)(
         (mid[:, None] + half[:, None] * x).ravel())
     bare = np.sum((value.reshape(-1, 16) @ w) * half)
-    quad = specfun.QuadratureResult(value=bare, abs_error_estimate=0.0, evaluations=1)
-    return harvesting._evaluate(table, harvesting._bare([quad], np.zeros((1, 1), int)))[0][0, 0]
+    return harvesting._evaluate(table, [np.full((1, 1), bare), np.zeros((1, 1)),
+                                        np.zeros((1, 1))])[0][0, 0]
 
 
 @pytest.mark.parametrize("omega", [1.0, 12.0])
@@ -1345,7 +1409,7 @@ def test_detector_pair_validation():
     with pytest.raises(ValueError):
         DetectorPair(a, b, ModelKind.EM_DIPOLE)
     with pytest.raises(ValueError):
-        ModelKind.from_name("tensor")
+        ModelKind("tensor")
 
 
 @pytest.mark.parametrize("model", ["em", "udw", "derivative", None])

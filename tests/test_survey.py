@@ -495,6 +495,14 @@ def test_grid_names_the_first_point_no_state_has():
     assert len(run_grid(grid, coupling=0.1).rows) == 6
 
 
+def test_grid_rejects_a_coupling_whose_square_overflows():
+    # the error of DetectorPair, not the OverflowError of a float's 1e200 ** 2
+    grid = ScanGrid(axes=(Axis("d_over_T", 1.0, 2.0, 2),), fixed={}, model=ModelKind.EM_DIPOLE)
+    with pytest.raises(ValueError, match=r"coupling 1e\+200 is too large"):
+        run_grid(grid, coupling=1e200)
+    assert len(run_grid(grid, coupling=1e-3).rows) == 2
+
+
 @pytest.mark.parametrize("fixed, message", [
     ({"d_over_T": 1e155}, "a separation d of 1e+155 oscillates"),
     ({"d_over_T": -1e155}, "a separation d of 1e+155 oscillates"),
