@@ -28,8 +28,7 @@ from pathlib import Path
 
 from . import __version__
 from .atoms import SwitchingKind
-from .harvesting import (ModelKind, assemble_state, compute_terms,
-                         positivity_report)
+from .harvesting import ModelKind, compute_terms, positivity_report
 from .oracle import MUTABLE_CONSTANTS, run_all
 from .specfun import QuadratureConvergenceError
 from .survey import (LIGHTCONE_HALF_WIDTH, Axis, ScanGrid, harvestability_map,
@@ -122,7 +121,6 @@ def cmd_compute(args) -> int:
     pair = pair_from_params(params, model, coupling=args.coupling)
     terms = compute_terms(pair, switching=_switching_kind(args), include_cross=True,
                           atol=args.tol_abs, rtol=args.tol_rel)
-    assemble_state(terms)  # rejects terms no state has: L_AA + L_BB > 1 or |M| > 1/2
     pos = positivity_report(terms)
     record = {
         "model": model.value,

@@ -664,7 +664,8 @@ def compute_terms(pair: DetectorPair, switching: SwitchingKind = SwitchingKind()
     uncropped Gaussian.
     Raises QuadratureConvergenceError where a term misses the tolerance, and
     ValueError where a term relative to exp(log_scale) leaves double range,
-    and where ``_table`` does: a0 outside its range, or M's phase not finite.
+    where ``_table`` does: a0 outside its range, or M's phase not finite,
+    and where no density matrix has the terms (``_state_fault``).
     """
     (terms,) = compute_terms_many([pair], switching, include_cross, atol, rtol)
     if isinstance(terms, QuadratureConvergenceError):
@@ -692,7 +693,8 @@ def compute_terms_many(pairs, switching: SwitchingKind = SwitchingKind(),
     Returns one entry per pair: its HarvestTerms, or the
     QuadratureConvergenceError of its first term that missed the tolerance,
     which leaves the other pairs as they are.  Raises ValueError as
-    ``compute_terms`` does.
+    ``compute_terms`` does, and, naming the pair, its point and its coupling,
+    at the first pair whose terms no density matrix has (``_state_fault``).
     """
     pairs = list(pairs)
     if include_cross and not all(pair.identical for pair in pairs):
@@ -704,6 +706,12 @@ def compute_terms_many(pairs, switching: SwitchingKind = SwitchingKind(),
     scaled = [h[name][0] for name in names]
     # exp(log_scale) times each, as a float times a float or a complex
     full = [h["factor"] * v if v.dtype.kind == "f" else _cmul(h["factor"], v) for v in scaled]
+    fault = _state_fault(*(np.where([f is not None for f in h["failed"]], 0.0, x)
+                           for x in (full[0], full[1], np.abs(full[2]))))
+    if fault:
+        i, why = fault
+        raise ValueError(f"pair {i} at d = {h['d'][i]:g}, t_BA = {h['t_ba'][i]:g}, "
+                         f"coupling {pairs[i].coupling:g}: {why}")
     keys = (*names, "crop_tail")
     errors = np.array([h["errors"][key] for key in keys]).T.tolist()
     out = []

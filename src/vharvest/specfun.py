@@ -15,10 +15,13 @@ numpy arrays where it matters.  Integrands that differ in their time factor
 and separation (a grid's t_BA and d) are integrated as the members of one
 group (``integrate_damped_group``): on one head panel set, so each pass
 evaluates each distinct time factor and spatial kernel once for all of them,
-scales each time's factors once, and reduces the members of one time as
-blocks of rows (forming |f - mean| only where it can move QUADPACK's error),
-and past it with the member as the leading array axis of one tail pass for
-all times.
+scales each time's factors once, and reduces the members with d > 0 by matrix
+products per panel of kernel(k d) and the times (forming |f - mean| only
+where it can move QUADPACK's error), and past it with the member as the
+leading array axis of one tail pass for all times.  A pair alone keeps every
+bit of its rows; a row of such a block agrees with the row alone within its
+panel's roundoff floor (its error estimate within 200 floors), and the
+figures agree within their errors (``tests/golden``).
 The head stops at the group's live edge, where the Gaussian part is e^-60
 below its peak, for every member whose rigorous bound on the rest (the
 caller's) is far below its roundoff floor; that bound joins its error.
@@ -364,19 +367,24 @@ _WG = np.array([
 
 # the roundoff floor of one GK15 panel, per unit of its integral of the magnitude
 _ROUNDOFF = 50.0 * np.finfo(float).eps
-# the first moment sum w x f as (Re, Im) of a complex row viewed as (..., 30)
-# doubles: antisymmetric weights, so they sum to exactly 0, each |w x| < w
-_MOMENT = np.zeros((2 * _XGK.size, 2))
-_MOMENT[0::2, 0] = _MOMENT[1::2, 1] = _WGK * _XGK
+# per panel, the Kronrod sum K, the first moment sum w x f and K - G (G the
+# Gauss sum on the odd nodes) as rows of weights for one matrix product; the
+# moment's weights are antisymmetric, so they sum to exactly 0, each |w x| < w
+_SUMS = np.array([_WGK, _WGK * _XGK, _WGK])
+_SUMS[2, 1::2] -= _WG
 _SURE = 1.0 - 8.0 * np.finfo(float).eps  # 200|K - G| this far below F proves err = F
+
+
+def _quadpack_error(err, resasc, floor):
+    # QUADPACK's error of panels from |K - G|, resasc and the roundoff floor
+    nonzero = resasc > 0.0
+    ratio = np.divide(200.0 * err, resasc, out=np.zeros(err.shape), where=nonzero)
+    return np.maximum(np.where(nonzero, resasc * np.minimum(1.0, ratio ** 1.5), err), floor)
 
 
 def _gk15_reduce(fv, fm, half: np.ndarray):
     # GK15 sums of node values fv and magnitudes fm, 15 nodes per panel of
-    # half, as matrix products on (..., panels, 15) arrays, with QUADPACK's
-    # error.  A head pass's block forms resasc, the integral of |f - mean|,
-    # only on the (row, panel) pairs where that error is not proved to be
-    # the floor (README, Numerical notes), each in its place in the products.
+    # half, as matrix products on (..., panels, 15) arrays, with QUADPACK's error
     shape = fv.shape[:-1] + (half.shape[-1], _XGK.size)
     fv = fv.reshape(shape)
     habs = np.abs(half)
@@ -384,28 +392,53 @@ def _gk15_reduce(fv, fm, half: np.ndarray):
     resk = sumk * half
     resg = (fv[..., 1::2] @ _WG) * half
     resabs = (fm.reshape(shape) @ _WGK) * habs
-    err = np.abs(resk - resg)
+    resasc = (np.abs(fv - 0.5 * sumk[..., None]) @ _WGK) * habs
+    return resk, _quadpack_error(np.abs(resk - resg), resasc, _ROUNDOFF * resabs), resabs
+
+
+def _gk15_blocks(spatial, units, at, half: np.ndarray):
+    """GK15 of the rows f = kernel(k d) U of a block of d under the times of
+    a pass, per member at its (d, time) index pair of at: (integral, error,
+    abs_integral) on each panel of half as (members, panels) arrays.
+    spatial is kernel(k d) as (value, magnitude) rows per d, units U, |U|
+    and U_mag as (panels, 15, times) arrays.  K, the first moment, K - G and
+    resabs are matrix products per panel of the weighted spatial rows and
+    the times (of f and the weights, for one time); resasc, the integral of
+    |f - mean|, only where QUADPACK's error is not proved to be the floor
+    (README, Numerical notes)."""
+    (sv, sm), (u, absu, umag) = spatial, units
+    n_p, habs = half.size, np.abs(half)
+    sv, sm = (x.reshape(len(x), n_p, _XGK.size) for x in (sv, sm))  # (d, panels, 15)
+    ha = habs[:, None, None]
+    if u.shape[2] == 1:  # one time: f = sv U as two real products, then its weighted sums
+        f = np.empty(sv.shape, complex)
+        np.multiply(sv, u[..., 0].real, out=f.real)
+        np.multiply(sv, u[..., 0].imag, out=f.imag)
+        sums = (f @ _SUMS.T).transpose(1, 2, 0)[..., None]
+        resabs = ((sm * absu[..., 0] + np.abs(sv) * umag[..., 0]) @ _WGK).T[..., None] * ha
+    else:  # the weighted spatial rows against the times, per panel
+        svt = sv.transpose(1, 0, 2)
+        sums = ((svt[:, None] * _SUMS[:, None]).reshape(n_p, -1, _XGK.size) @ u.view(float)).view(
+            complex).reshape(n_p, 3, len(sv), -1)
+        resabs = ((sm.transpose(1, 0, 2) * _WGK) @ absu + (np.abs(svt) * _WGK) @ umag) * ha
+    # sums: (panels, (K, moment, K - G), d, time)
+    resk, err = sums[:, 0] * half[:, None, None], np.abs(sums[:, 2]) * ha
     big, floor = 200.0 * err, _ROUNDOFF * resabs
-    sure = None
-    if fv.ndim == 3 and half.ndim == 1 and len(fv) > 1:
-        moment = np.ascontiguousarray(fv, dtype=complex).view(float) @ _MOMENT
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            q = floor / big
-            lhs = np.maximum(np.abs(moment[..., 0]), np.abs(moment[..., 1])) * habs
-            sure = (big <= _SURE * floor) | (lhs * q * q > 2.0 * big)
-        sure &= floor < np.inf
-        if sure.all():
-            return resk, floor, resabs
-        dev, rest = np.zeros(shape), ~sure
-        dev[rest] = np.abs(fv[rest] - 0.5 * sumk[rest][:, None])
-    else:
-        dev = np.abs(fv - 0.5 * sumk[..., None])
-    resasc = (dev @ _WGK) * habs
-    nonzero = resasc > 0.0
-    ratio = np.divide(big, resasc, out=np.zeros(err.shape), where=nonzero)
-    err = np.where(nonzero, resasc * np.minimum(1.0, ratio ** 1.5), err)
-    err = np.maximum(err, floor)  # with the roundoff floor
-    return resk, err if sure is None else np.where(sure, floor, err), resabs
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        q = floor / big
+        lhs = np.maximum(np.abs(sums[:, 1].real), np.abs(sums[:, 1].imag)) * ha
+        sure = (big <= _SURE * floor) | (lhs * q * q > 2.0 * big)
+    sure &= floor < np.inf
+    rest = (~sure).nonzero()
+    if rest[0].size:
+        p, d, t = rest
+        mean = 0.5 * sums[:, 0][rest][:, None]
+        sums = q = lhs = big = None  # freed before the rest's rows, where a head pass peaks
+        fv = u[p, :, t]
+        fv *= sv[d, p]
+        fv -= mean
+        err[rest] = _quadpack_error(err[rest], (np.abs(fv) @ _WGK) * habs[p], floor[rest])
+    return tuple(x[:, at[0], at[1]].T for x in (resk, np.where(sure, floor, err), resabs))
 
 
 def _product(factors, scale):
@@ -416,31 +449,16 @@ def _product(factors, scale):
     return scale * value, scale * mag
 
 
-def _spatial_rows(spatial, unit):
-    # rows (sv, sm) of kernel(k d) times (U, |U|, U_mag), U the scale times a
-    # time's factors: (sv U, sm |U| + |sv| U_mag).  A block's sv U is two real
-    # products (numpy casts a real block through a buffer, at times ~6x
-    # slower); its values are those of sv * U.
-    (sv, sm), (u, absu, umag) = spatial, unit
-    if sv.ndim == 1 or not np.iscomplexobj(u):
-        value = sv * u
-    else:
-        value = np.empty(sv.shape, dtype=complex)
-        np.multiply(sv, u.real, out=value.real)
-        np.multiply(sv, u.imag, out=value.imag)
-    return value, sm * absu + np.abs(sv) * umag
-
-
 def _integrands(f, k, kernel, members):
-    """Yield (ids, (value, magnitude)) of the members' integrands at the nodes
-    k, time by time: f once and each distinct time once.  The distinct d > 0
-    under a time are in blocks of at most _BLOCK_NODES nodes, each one
-    kernel(k d) call held across the times; a time's members in a block of
-    more than one d are its rows, ids a list.  Any other member is a row
-    alone, ids its index (a spatial factor 1 would change its magnitude).
-    With k one row per member (the tails: members with a time and d > 0),
-    each time's rows in blocks of at most _BLOCK_NODES nodes, ids a list:
-    f, the time and kernel(k d) on the block's rows alone."""
+    """Yield (ids, integrand) of the members at the nodes k: f once and each
+    distinct time once.  With k one row of nodes that the members share,
+    members of two or more distinct (time, d > 0) with a kernel come last,
+    in blocks of distinct d of at most _BLOCK_NODES nodes of kernel(k d):
+    ids a list, integrand the arguments of ``_gk15_blocks``.  Any other is a
+    row alone, ids its index: U, f times the time's factors, or kernel(k d)
+    U (a spatial factor 1 would change its magnitude).  With k one row per
+    member (the tails), each time's rows in blocks of at most _BLOCK_NODES
+    nodes, ids a list: f, the time and kernel(k d) on the block's rows."""
     by_time = {}
     for i, (time, _) in enumerate(members):
         by_time.setdefault(time, []).append(i)
@@ -452,33 +470,36 @@ def _integrands(f, k, kernel, members):
                 kb, d = k[block], np.array([members[i][1] for i in block])[:, None]
                 yield block, _product((kernel(kb * d), *time(kb)), f(kb))
         return
-    scale, place = f(k), {}  # place: (block, row) of each d > 0 under a time
-    size = max(1, _BLOCK_NODES // k.size)
-    for time, d in members:
+    cells = {}  # the members of each (time, d > 0) with a kernel
+    for i, (time, d) in enumerate(members):
         if kernel is not None and time is not None and d > 0.0:
-            place.setdefault(d, divmod(len(place), size))
-    ds, held = list(place), {}
+            cells.setdefault((time, d), []).append(i)
+    times = {t: n for n, t in enumerate(dict.fromkeys(t for t, _ in cells))} if len(
+        cells) > 1 else {}
+    shape = (k.size // _XGK.size, _XGK.size, len(times))
+    units = np.empty(shape, complex), np.empty(shape), np.empty(shape)
+    scale = f(k)
     for time, ids in by_time.items():
         unit = None  # the previous time's go before the next is evaluated
         unit = None if time is None else _product(time(k), scale)
-        blocks = {}
+        if time in times:  # U, |U| and U_mag per panel and node
+            for column, x in zip(units, (unit[0], np.abs(unit[0]), unit[1])):
+                column[..., times[time]] = x.reshape(shape[:2])
         for i in ids:
-            if unit is not None and members[i][1] in place:
-                blocks.setdefault(place[members[i][1]][0], []).append(i)
-            else:
+            if (time, members[i][1]) not in cells:
                 yield i, scale if unit is None else unit
-        if blocks:
-            unit = (unit[0], np.abs(unit[0]), unit[1])
-        for j, block in blocks.items():
-            col = ds[j * size:(j + 1) * size]
-            spatial = held.get(j)
-            if spatial is None:
-                spatial = kernel(k * (col[0] if len(col) == 1 else np.array(col)[:, None]))
-            held[j] = spatial if len(by_time) > 1 else None
-            rows = [place[members[i][1]][1] for i in block]
-            if rows != list(range(len(col))):  # a subset of the block's d, or repeats
-                spatial = tuple(np.atleast_2d(x)[rows] for x in spatial)
-            yield (block[0] if len(col) == len(block) == 1 else block), _spatial_rows(spatial, unit)
+            elif not times:
+                sv, sm = kernel(k * members[i][1])
+                yield i, (sv * unit[0], sm * np.abs(unit[0]) + np.abs(sv) * unit[1])
+    size, ds, blocks = max(1, _BLOCK_NODES // k.size), {}, {}
+    for (time, d), ids in cells.items() if times else ():
+        j, row = ds.setdefault(d, divmod(len(ds), size))
+        blocks.setdefault(j, []).extend((i, row, times[time]) for i in ids)
+    ds = list(ds)
+    for j, block in blocks.items():
+        ids, rows, cols = zip(*block)
+        yield list(ids), (kernel(k * np.array(ds[j * size:(j + 1) * size])[:, None]), units,
+                          (np.array(rows), np.array(cols)))
 
 
 def _gk15_panels(f, lo, hi, kernel=None, members=((None, 0.0),)):
@@ -487,22 +508,24 @@ def _gk15_panels(f, lo, hi, kernel=None, members=((None, 0.0),)):
     the QUADPACK error heuristic, and the node count.  abs_integral integrates
     the magnitude, so the roundoff floor counts the integrand's rounding.  The
     members' integrands come from ``_integrands`` (f the spec's integrand); lo
-    and hi are one row of panels that the members share, or one row per member
-    (the tails), each block of members reduced as one (block, panels, 15) array.
+    and hi are one row of panels that the members share, each member a row
+    alone or in a block (``_gk15_blocks``), or one row per member (the tails),
+    each time's rows reduced as one (rows, panels, 15) array.
     """
     half, mid = 0.5 * (hi - lo), 0.5 * (hi + lo)
     k = (mid[..., None] + half[..., None] * _XGK).reshape(lo.shape[:-1] + (-1,))
     ids, parts = [], []
     for i, fk in _integrands(f, k, kernel, members):
         ids.append(i)
-        parts.append(_gk15_reduce(*fk, half if lo.ndim == 1 else half[i]))
-    if len(parts) > 1:  # _integrands goes time by time: rows go back in member order
+        parts.append(_gk15_blocks(*fk, half) if len(fk) == 3 else  # a block, or rows
+                     _gk15_reduce(*fk, half if lo.ndim == 1 else half[i]))
+    if len(parts) == 1 and ids[0] in (0, list(range(len(members)))):  # all, in order
+        rows = tuple(x.reshape(len(members), -1) for x in parts[0])
+    else:  # rows go back in member order
         rows = tuple(np.empty((len(members), lo.shape[-1]), np.result_type(*x)) for x in zip(*parts))
         for i, part in zip(ids, parts):
             for row, x in zip(rows, part):
                 row[i] = x
-    else:  # one block of every member, in order, or one row
-        rows = parts[0] if isinstance(ids[0], list) else tuple(x[None] for x in parts[0])
     return (*rows, k.size)
 
 

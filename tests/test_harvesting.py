@@ -770,8 +770,13 @@ def test_unequal_pair_integrates_l_aa_and_l_bb_apart(monkeypatch):
 @pytest.mark.parametrize("model", list(ModelKind))
 @pytest.mark.parametrize("ratio", [1.0, 1.15])
 def test_integrands_equal_their_group_rows_bitwise(model, ratio):
-    # a term's integrand alone (reference_kernels.integrand) has the bits of its row
-    # in the group spec that compute_terms integrates
+    # a term's integrand alone (reference_kernels.integrand), reduced by GK15
+    # on its own, has the bits of its row of a head pass in the group spec
+    # that compute_terms integrates where that pass reduces the row alone,
+    # and agrees with it within each panel's roundoff floor F = 50 eps x
+    # resabs (its error within 200 F) where the pass reduces it in a block
+    # (two or more distinct (time, d > 0): here M and L_AB), up to a few
+    # units of 2^-1074 where the magnitudes are subnormal
     T = 1.3
     a = AtomSpec(a0=1e-3, omega=2.0, switching_width=T)
     b = AtomSpec(a0=1e-3, omega=2.0 * ratio, position=(0.0, 0.0, 3.0),
@@ -779,18 +784,25 @@ def test_integrands_equal_their_group_rows_bitwise(model, ratio):
     pair = DetectorPair(a, b, model)
     names = harvesting._NAMES[:3 + pair.identical]
     members = {name: _member(pair, name) for name in names}
-    k = np.concatenate((np.linspace(0.0, 60.0, 601), np.geomspace(60.0, 1e6, 80)))
+    edges = np.concatenate((np.linspace(0.0, 60.0, 41), np.geomspace(60.0, 1e6, 9)[1:]))
+    lo, hi = edges[:-1], edges[1:]
+    half = 0.5 * (hi - lo)
+    k = (0.5 * (hi + lo)[:, None] + half[:, None] * specfun._XGK).ravel()
     for kind in ("L", "M"):
         group = [n for n in names if members[n][0][0] == kind]
         spec = harvesting._spec(members[group[0]][0], [members[n][1:] for n in group])
-        rows = {}
-        for ids, (value, mag) in specfun._integrands(spec.integrand, k, spec.kernel,
-                                                     spec.members):
-            for j, i in enumerate(ids if isinstance(ids, list) else [ids]):
-                rows[i] = (value[j], mag[j]) if isinstance(ids, list) else (value, mag)
+        rows = specfun._gk15_panels(spec.integrand, lo, hi, spec.kernel, spec.members)[:3]
+        block = spec.kernel is not None and len({m for m in spec.members if m[1] > 0.0}) > 1
         for i, name in enumerate(group):
-            value, mag = reference_kernels.integrand(*members[name])(k)
-            assert np.array_equal(value, rows[i][0]) and np.array_equal(mag, rows[i][1])
+            alone = specfun._gk15_reduce(*reference_kernels.integrand(*members[name])(k), half)
+            if block and spec.members[i][1] > 0.0:
+                floor = specfun._ROUNDOFF * alone[2]
+                units = 64.0 * np.finfo(float).smallest_subnormal
+                assert np.all(np.abs(rows[0][i] - alone[0]) <= floor + units)
+                assert np.all(np.abs(rows[1][i] - alone[1]) <= 200.0 * floor + units)
+                assert np.allclose(rows[2][i], alone[2], rtol=8.0 * np.finfo(float).eps, atol=units)
+            else:
+                assert all(np.array_equal(x[i], y) for x, y in zip(rows, alone))
 
 
 @settings(max_examples=100, deadline=None)
@@ -1104,7 +1116,9 @@ def test_spatial_kernels_decay_as_the_edge_bound_takes(p, kernel):
 
 def test_a_group_of_several_times_sums_its_tails_in_one_pass(monkeypatch):
     # 3 times x 3 d, none late enough to stop at the edge: one tail pass for
-    # all nine, and each member has the bits of a group of its time alone
+    # all nine, and each member agrees with a group of its time alone, with
+    # the same evaluations, within its roundoff floor F = 50 eps x its
+    # integral of |f| (its error within 200 F, that integral within 8 eps)
     passes = []
     real_tails = specfun._oscillatory_tails
 
@@ -1123,7 +1137,13 @@ def test_a_group_of_several_times_sums_its_tails_in_one_pass(monkeypatch):
         for j in range(0, 9, 3):
             alone = specfun.integrate_damped_group(harvesting._spec(share, members[j:j + 3]))
             assert all(isinstance(q, specfun.QuadratureResult) for q in alone)
-            assert together[j:j + 3] == alone
+            for q, a in zip(together[j:j + 3], alone):
+                floor = specfun._ROUNDOFF * a.abs_integral
+                assert q.evaluations == a.evaluations
+                assert abs(q.value - a.value) <= floor
+                assert abs(q.abs_error_estimate - a.abs_error_estimate) <= 200.0 * floor
+                assert abs(q.abs_integral - a.abs_integral) <= 8.0 * np.finfo(float).eps * (
+                    a.abs_integral)
 
 
 def test_fig5a_members_stop_at_the_edge_from_its_delay_10_7(monkeypatch):
@@ -1336,14 +1356,16 @@ def _brute_m_scaled(pair):
 def test_small_separations_match_a_brute_panel_sum(omega, d):
     # below d ~ 0.03 T a wing [k_hi, cutoff] of at most 80 half periods is
     # integrated to the cutoff, and a longer one summed over its own half
-    # periods, which alternate
+    # periods, which alternate.  At Omega T = 1 no density matrix has these
+    # terms (|M| > 1/2), which compute_terms rejects: the engine's M itself
     pair = make_pair(omega=omega, d=d, tba=0.0)
-    terms = compute_terms(pair)
+    m_scaled, error, _ = harvesting._harvest(harvesting._columns([pair]), ("m",),
+                                             SwitchingKind(), 1e-16, 1e-10)["m"]
     brute = _brute_m_scaled(pair)
     if omega == 1.0:
         expected = {1e-4: 3.40182, 1e-3: 3.10092, 3e-3: 1.67765}[d]
         assert brute.imag == pytest.approx(expected, abs=5e-6)
-    assert abs(terms.m_scaled - brute) <= terms.quadrature_errors["m"]
+    assert abs(m_scaled[0] - brute) <= error[0]
 
 
 def test_rejects_em_pair_off_the_z_axis():
@@ -1357,6 +1379,18 @@ def test_rejects_em_pair_off_the_z_axis():
     off_axis = AtomSpec(a0=1e-3, omega=2.0, position=(1.5, 0.0, 0.0))
     assert (nonlocal_term(DetectorPair(a, off_axis, ModelKind.UDW_SCALAR))
             == nonlocal_term(DetectorPair(a, on_axis, ModelKind.UDW_SCALAR)))
+
+
+def test_compute_terms_names_the_pair_no_state_has():
+    # at coupling 1e150 the terms are finite, ~1e292, but L_AA + L_BB > 1
+    # (and N^(2) overflows): rejected, as compute and run_grid reject them
+    pairs = [make_pair(d=3.0, tba=1.0, omega=1.0), make_pair(d=3.0, tba=1.0, omega=1.0,
+                                                              coupling=1e150)]
+    with pytest.raises(ValueError, match=r"^pair 0 at d = 3, t_BA = 1, coupling 1e\+150: "
+                                         r"L_AA \+ L_BB = .* > 1: .*invalid at this coupling"):
+        compute_terms(pairs[1])
+    with pytest.raises(ValueError, match=r"^pair 1 at d = 3, t_BA = 1, coupling 1e\+150"):
+        harvesting.compute_terms_many(pairs)
 
 
 @pytest.mark.parametrize("coupling", [math.inf, math.nan, 0.0, -1.0])

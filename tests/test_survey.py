@@ -479,8 +479,11 @@ def test_a_member_that_misses_its_tolerance_is_retried_alone(monkeypatch):
             assert math.isnan(row.n2) and row.quad_error == math.inf
         else:
             # its neighbours stop on the seed panels, before the noisy
-            # member drives any split
-            assert row == ref
+            # member drives any split; their head pass reduces a second
+            # time with them, so they agree within their errors
+            assert row.converged and (row.l_aa, row.l_bb) == (ref.l_aa, ref.l_bb)
+            assert abs(row.n2 - ref.n2) <= row.quad_error + ref.quad_error
+            assert abs(row.abs_m - ref.abs_m) <= row.quad_error + ref.quad_error
 
 
 def test_grid_names_the_first_point_no_state_has():

@@ -2,8 +2,10 @@
 array calls than their straightforward forms (``reference_kernels``), on
 the same arithmetic: each returns those forms' bits, signed zeros and NaN
 payloads included, on random inputs, rows with zeros, NaN and inf, scales
-from 1e-300 to 1e250, unequal gaps and delays of both signs.  And j_0
-keeps the bits it had before j_1..j_4 came from scipy."""
+from 1e-300 to 1e250, unequal gaps and delays of both signs.  GK15's block
+reduce, on other arithmetic, agrees with the row reduce within each
+panel's roundoff floor on the same rows.  And j_0 keeps the bits it had
+before j_1..j_4 came from scipy."""
 
 import numpy as np
 import reference_kernels as ref
@@ -67,6 +69,63 @@ def test_gk15_reduce_row_has_the_reference_bits(kind, scale, real, p, seed):
         got = specfun._gk15_reduce(fv.ravel(), fm.ravel(), half)
         want = ref.gk15_reduce_row(fv.ravel(), fm.ravel(), half)
     assert all(same_bits(a, b) for a, b in zip(got, want)), kind
+
+
+def kind_rows(rng, kind, n, p, real, scale=1.0):
+    # n rows on p panels of one of ROW_KINDS, real or complex, times scale
+    x = specfun._XGK
+    v = rng.standard_normal((n, p, 15)) + (0.0 if real else 1j * rng.standard_normal((n, p, 15)))
+    if kind == "smooth":
+        v = v[..., :1] * np.exp(0.3 * x) + v[..., 1:2] * x
+    elif kind == "even":  # first moment exactly 0
+        v = v + v[..., ::-1]
+    elif kind == "constant":
+        v = np.repeat(v[..., :1], 15, axis=2)
+    elif kind == "zero":
+        v = np.zeros_like(v)
+    v = v * scale
+    if kind in ("nan", "inf"):
+        v[rng.integers(n), rng.integers(p), rng.integers(15)] = np.nan if kind == "nan" else np.inf
+    return v.reshape(n, -1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(ROW_KINDS), st.sampled_from(ROW_KINDS), SCALES, st.integers(1, 4),
+       st.integers(1, 4), st.integers(1, 40), st.integers(0, 2 ** 32 - 1))
+def test_gk15_blocks_agree_with_each_row_alone_within_the_floor(
+        space, time, scale, n_d, n_t, p, seed):
+    # the block's rows kernel(k d) x U of n_d distances and n_t times, a
+    # random subset of them, against _gk15_reduce of each row alone (the
+    # path of a pair alone): each panel's value within its roundoff floor
+    # F = 50 eps x resabs (both sums are within ~17 eps x resabs of the
+    # exact value), its resabs within 8 eps, and its error, which amplifies
+    # the sums' rounding in |K - G| by up to 300, within 200 F.  A panel
+    # that is not finite alone is not finite in the block either, and the
+    # other way round; finite rows raise no floating-point warning
+    rng = np.random.default_rng(seed)
+    sv = kind_rows(rng, space, n_d, p, True)
+    u = kind_rows(rng, time, n_t, p, False, scale)
+    sm, umag = (np.abs(x) * (1.0 + rng.uniform(0.0, 2.0, x.shape)) for x in (sv, u))
+    half = rng.uniform(1e-3, 2.0, p)
+    cells = np.argwhere(rng.random((n_d, n_t)) < 0.7)
+    at = tuple(cells[rng.permutation(len(cells))].T) if len(cells) else ((0,), (0,))
+    bad = "nan" in (space, time) or "inf" in (space, time)
+    # U, |U| and U_mag per panel, node and time
+    units = [np.ascontiguousarray(x.reshape(n_t, p, -1).transpose(1, 2, 0))
+             for x in (u, np.abs(u), umag)]
+    with np.errstate(**dict.fromkeys(("divide", "over", "invalid"), "ignore" if bad else "raise")):
+        block = specfun._gk15_blocks((sv, sm), units, at, half)
+        for n, (d, t) in enumerate(zip(*at)):
+            mag = sm[d] * np.abs(u[t]) + np.abs(sv[d]) * umag[t]
+            alone = specfun._gk15_reduce(sv[d] * u[t], mag, half)
+            floor = specfun._ROUNDOFF * alone[2]
+            ok = np.isfinite(alone[0]) & np.isfinite(alone[1]) & np.isfinite(floor)
+            for x, y in zip(block, alone):
+                assert np.array_equal(np.isfinite(x[n]), np.isfinite(y)), (space, time)
+            assert np.all(np.abs(block[0][n] - alone[0])[ok] <= floor[ok])
+            assert np.all(np.abs(block[1][n] - alone[1])[ok] <= 200.0 * floor[ok])
+            assert np.all(np.abs(block[2][n] - alone[2])[ok] <= 8.0 * np.finfo(float).eps
+                          * alone[2][ok])
 
 
 TABLE_KINDS = ("random", "geometric", "harmonic", "steps", "constant", "nan", "inf")
