@@ -22,14 +22,16 @@ for L, and K(k, t_BA) the time kernel ``scaled_time_kernel`` at d_omega =
 Omega_A - Omega_B.  In M, Omega is the mean gap (Omega_A + Omega_B)/2, so
 one row serves every gap: pi T^2/2 S e^{i Omega (t_A+t_B)} K is the ordered
 double time integral ``oracle.time_integral_closed``.  Like every time
-factor K is evaluated once per batch of quadrature nodes; its erfc wings
-decay only algebraically in k, so M integrates them to the rational cutoff
-or sums them over the spatial period.  M stops instead at the live edge,
-where its Gaussian part is e^-60 below its peak, if a rigorous bound on the
-rest of its integral of |f| (``_live_edge``) is at most 1e-3 of its roundoff
-floor: the wings carry e^{-t_BA^2/(2 T^2)}, so it does at large |t_BA|.  L
-and L_AB have no wings: one GK15 pass on a fixed panel set to where their
-Gaussian is e^-60 down (``_fixed``).  Either bound joins the error.  The
+factor K is evaluated once per batch of quadrature nodes.  M's head stops
+at the live edge, where its Gaussian part is e^-60 below its peak, and a
+rigorous bound on that part past it (``_live_edge``) joins its error.  Its
+erfc wings decay only algebraically in k; past the edge they are analytic
+(``_time_wings``, the far-field series continued to complex k), and so is
+kern, as two waves e^{+-ikd} times algebraic factors (``_KERN_WAVE``): M
+takes them along the rays k0 +- iy, where they decay as e^{-yd}, or, at d =
+0, on the real axis out to the rational cutoff.  L and L_AB have no wings:
+one GK15 pass on a fixed panel set to where their Gaussian is e^-60 down
+(``_fixed``), its bound past the set joining the error.  The
 derivative coupling differs from the scalar one by exactly k^2 in every
 integrand.  S at the mean gap stays out of the integrals as a log scale, so
 the sign of |M| - L (the harvesting criterion) is available even where the
@@ -62,10 +64,10 @@ from itertools import repeat
 import numpy as np
 
 from .atoms import AtomSpec, SwitchingKind, _outside_lightcone
-from .specfun import (_GAUSS_DEAD, _ROUNDOFF, _SEED_DEPTH, DampedKernelSpec,
-                      QuadratureConvergenceError, QuadratureResult, integrate_damped_group,
-                      integrate_fixed_group, scaled_time_kernel, spherical_bessel_j0,
-                      spherical_bessel_j0_plus_j2)
+from .specfun import (_GAUSS_DEAD, _SEED_DEPTH, DampedKernelSpec, QuadratureConvergenceError,
+                      QuadratureResult, _j0_plus_j2_wave, _j0_wave, _time_wings,
+                      integrate_damped_group, integrate_fixed_group, scaled_time_kernel,
+                      spherical_bessel_j0, spherical_bessel_j0_plus_j2)
 
 __all__ = [
     "ModelKind",
@@ -237,9 +239,8 @@ _LOG_TINY, _LOG_HUGE = math.log(sys.float_info.min), math.log(sys.float_info.max
 # units of 1/(2 a0): the cutoff of the algebraic erfc wings
 _WING_CUTOFF = {3: 120.0, 5: 400.0, 7: 4000.0}
 
-# the spatial kernel of p decays as |kern(x)| <= C/x^m, as (m, log C): |j0(x)| <= 1/x, and
-# |3 j1(x)/x| = 3 |sin x/x - cos x|/x^2 <= 6/x^2 past x = 1, <= 1 below it (EM, p = 3)
-_KERN_DECAY = {3: (2, math.log(6.0)), 5: (1, 0.0), 7: (1, 0.0)}
+# the wave A of the spatial kernel of p, kern(x) = 2 Re(e^{ix} A(x)) at real x
+_KERN_WAVE = {3: _j0_plus_j2_wave, 5: _j0_wave, 7: _j0_wave}
 
 # past the live edge and a fixed panel set (``_fixed``) the Gaussian is e^-_LIVE_EXPONENT down
 _LIVE_EXPONENT = 60.0
@@ -294,74 +295,40 @@ def _log_upper_gamma(n: int, x: float) -> float:
 def _live_edge(share: tuple, members) -> tuple[float, tuple]:
     """The live edge k_live of a group of M members (clock, d) of one share,
     past which every member's Gaussian part, times k^p, is e^-_LIVE_EXPONENT
-    below its peak, and per member a rigorous bound B on its integral of |f|
-    over [k_live, inf), in the units of its bare integral (a member whose B
-    is far below its roundoff floor stops at k_live).  With b = T k/sqrt2,
-    c = T (Omega_A - Omega_B)/(2 sqrt2), the Gaussian part is 2 e^{-(b+c)^2}
-    and k_live = (sqrt(_LIVE_EXPONENT) + max|c|) sqrt2/T.  B is the sum of:
-    - the Gaussian part, with |kern| <= 1 and the rational <= 9^-6: with
-      y = b - |c| >= y0 past the edge, (y + |c|)^p <= (y y_live/y0)^p, and
-      the integral of y^p e^{-y^2} is the upper incomplete gamma
-      Gamma((p+1)/2, y0^2)/2;
-    - the wings, the smaller of two bounds.  One takes |w(z)| <=
-      min(1, 1/(sqrt(pi) Im z)) at Im z = a (A&S 7.1.3), |kern| <= 1 and the
-      whole rational integral, with I(s) = int_0^inf k^(s-1) (4 a0^2 k^2 +
-      9)^-6 dk = (3/(2 a0))^s 9^-6 B(s/2, 6 - s/2)/2 at s = p + 1.  The
-      other takes |w(z)| <= 2/(sqrt(pi) |z|) for Im z >= 0 (integrate
-      w(z) = pi^-1/2 int_0^inf e^{-t^2/4 + izt} dt by parts once), with
-      |z| >= b - |c| >= k (T/sqrt2)(1 - |c|/y_live) past the edge, and
-      |kern| <= 1 or, for d > 0 where smaller, the kernel's decay
-      |kern(x)| <= C/x^m (_KERN_DECAY): the power of 3/(2 a0) falls from
-      p + 1 to I's at s = p, or s = p - m.
-    All in logs: a B past double range is inf, and its member runs on (p is
-    odd, so (p+1)/2 is an integer).  Where every B exceeds its screen, 50
-    eps 9^-6 int_0^k_live k^p min(1, C/(kd)^m) dk, 1e3x the floor of a
-    member of time factor 1 whose kernel meets its decay, no member would
-    stop: no edge, (inf, ()), and the first pass takes all the seeds."""
-    _, p, a0, T, _ = share
-    # per clock one Gaussian part and first bound of the wings, per d one screen
-    # and one rational integral of the second
+    below its peak, and per member a rigorous bound on the integral of that
+    part's |f| over [k_live, inf), in the units of its bare integral.  With
+    b = T k/sqrt2, c = T (Omega_A - Omega_B)/(2 sqrt2), the Gaussian part is
+    2 e^{-(b+c)^2} and k_live = (sqrt(_LIVE_EXPONENT) + max|c|) sqrt2/T, so
+    that past it b - |c| >= sqrt(60) > 7: the wings are the Faddeeva
+    function's far field.  The bound takes |kern| <= 1 and the rational <=
+    9^-6: with y = b - |c| >= y0 past the edge, (y + |c|)^p <= (y
+    y_live/y0)^p, and the integral of y^p e^{-y^2} is the upper incomplete
+    gamma Gamma((p+1)/2, y0^2)/2 (p is odd, so (p+1)/2 is an integer).  In
+    logs: a bound past double range is inf."""
+    _, p, _, T, _ = share
     cs = {c: abs(T * c[2]) / (2.0 * _SQRT2) for c in dict.fromkeys(c for c, _ in members)}
     root, c_max = math.sqrt(_LIVE_EXPONENT), max(cs.values())
-    y_live = root + c_max
-    log_sqrt_w, log_9_6 = math.log(T) - 0.5 * math.log(2.0), 6.0 * math.log(9.0)
-    # log I(s) at the powers the wings take: s = p + 1, p and p - m
-    (m, log_c), log_knee = _KERN_DECAY[p], math.log(1.5) - math.log(a0)
-    log_i = {s: (s * log_knee - log_9_6 - math.log(2.0) + math.lgamma(0.5 * s)
-                 + math.lgamma(6.0 - 0.5 * s) - math.lgamma(6)) for s in (p + 1, p, p - m)}
-    k_live, part = y_live * _SQRT2 / T, {}
+    y_live, log_sqrt_w = root + c_max, math.log(T) - 0.5 * math.log(2.0)
+    part = {}
     for clock, c in cs.items():
-        # the first bound, and the second's e^-a^2 4/(sqrt(pi) (T/sqrt2) y0/y_live)
-        y0, a = root + (c_max - c), abs(clock[1]) / (_SQRT2 * T)
-        log_w = min(0.0, -math.log(math.sqrt(math.pi) * a)) if a > 0.0 else 0.0
-        wings = (math.log(2.0) - a * a + log_w + log_i[p + 1],
-                 math.log(4.0 / math.sqrt(math.pi) * y_live / y0) - log_sqrt_w - a * a)
-        part[clock] = (-log_9_6 + p * math.log(y_live / y0) - (p + 1) * log_sqrt_w
-                       + _log_upper_gamma((p + 1) // 2, y0 * y0), wings)
-    log_k, rational, screen = math.log(k_live), {}, {}
-    for d in {d for _, d in members}:
-        decay = log_c - m * math.log(d) if d > 0.0 else math.inf
-        rational[d] = min(log_i[p], log_i[p - m] + decay)
-        screen[d] = math.log(_ROUNDOFF) - log_9_6 + min(
-            (p + 1) * log_k - math.log(p + 1), decay + (p + 1 - m) * log_k - math.log(p + 1 - m))
-    log_bounds = []
-    for clock, d in members:
-        log_b, wings = part[clock]
-        w = min(wings[0], wings[1] + rational[d])
-        log_bounds.append(max(log_b, w) + math.log1p(math.exp(-abs(log_b - w))))
-    if not any(b <= screen[d] for b, (_, d) in zip(log_bounds, members)):
-        return math.inf, ()
-    return k_live, tuple(math.exp(b) if b < _LOG_HUGE else math.inf for b in log_bounds)
+        y0 = root + (c_max - c)
+        log_b = (-6.0 * math.log(9.0) + p * math.log(y_live / y0) - (p + 1) * log_sqrt_w
+                 + _log_upper_gamma((p + 1) // 2, y0 * y0))
+        part[clock] = math.exp(log_b) if log_b < _LOG_HUGE else math.inf
+    return y_live * _SQRT2 / T, tuple(part[clock] for clock, _ in members)
 
 
 def _spec(share: tuple, members) -> DampedKernelSpec:
     """The quadrature spec of a group of M members (clock, d) of one share:
-    a member (time, d) per entry, one time object per clock (``_time``),
-    the share's wing cutoff, and the group's live edge with each member's
-    bound past it (``_live_edge``); its integrand the scale k^p / (4u+9)^6,
-    the last factor of every one, and its kernel the share's."""
+    a member (time, d) per entry, one time object (``_time``) and one wings
+    object (``_time_wings``) per clock, the share's wing cutoff, the group's
+    live edge with each member's bound past it (``_live_edge``) and the
+    kernel's wave; its integrand the scale k^p / (4u+9)^6, the last factor
+    of every one, and its kernel the share's."""
     _, p, a0, T, kernel = share
-    times = {c: functools.partial(_time, c, T) for c in dict.fromkeys(c for c, _ in members)}
+    clocks = dict.fromkeys(c for c, _ in members)
+    times = {c: functools.partial(_time, c, T) for c in clocks}
+    wings = {c: functools.partial(_time_wings, t_ba=c[1], T=T, d_omega=c[2]) for c in clocks}
     k_live, bounds = _live_edge(share, members)
     return DampedKernelSpec(
         damping_width=0.5 * T * T,
@@ -372,6 +339,8 @@ def _spec(share: tuple, members) -> DampedKernelSpec:
         cutoff=_WING_CUTOFF[p] / (2.0 * a0),
         live_edge=k_live,
         edge_bounds=bounds,
+        wings=tuple(wings[c] for c, _ in members),
+        wave=_KERN_WAVE[p],
     )
 
 
@@ -475,6 +444,12 @@ def _columns(pairs) -> dict:
             "e2": [pair.coupling ** 2 for pair in pairs]}
 
 
+def _point_names(pairs, cols: dict):
+    # i -> the name of point i of a batch of pairs in its errors: the pair, its point, its coupling
+    return lambda i: (f"pair {i} at d = {cols['d'][i]:g}, t_BA = "
+                      f"{cols['t_b'][i] - cols['t_a'][i]:g}, coupling {pairs[i].coupling:g}")
+
+
 def _table(cols: dict, names) -> dict:
     """The terms names (of _NAMES) of a batch given as columns: "members",
     per term its points' (share, clock, d); its prefactor coeff a0^q T^2
@@ -550,7 +525,8 @@ def _evaluate(table: dict, bare: list) -> tuple:
             np.abs(pref) * absint, np.where(out, np.fmax(size, -np.inf), np.nan))
 
 
-def _harvest(cols: dict, names, switching: SwitchingKind, atol: float, rtol: float) -> dict:
+def _harvest(cols: dict, names, switching: SwitchingKind, atol: float, rtol: float,
+             point=None) -> dict:
     """The terms names (of _NAMES) of a batch given as columns, each
     integrated with the batch's terms of its share, for
     ``compute_terms_many``, ``survey.run_grid`` and the term views: per name
@@ -562,7 +538,8 @@ def _harvest(cols: dict, names, switching: SwitchingKind, atol: float, rtol: flo
     2 erfc(crop_sigmas/sqrt(2)) times the terms' scaled integrals of |f|,
     else 0; "factor", exp(log_scale); and the columns "log_scale", "T", "d"
     and "t_ba".  Raises the ValueErrors of ``_table`` and ``_quadratures``,
-    and the range error of the first point without a failed term."""
+    and the range error of the first point without a failed term, named by
+    point(i) where given."""
     with np.errstate(all="ignore"):  # as float arithmetic: no warnings
         table = _table(cols, names)
         quads, at = _quadratures([m for ms in table["members"] for m in ms], atol, rtol)
@@ -577,7 +554,8 @@ def _harvest(cols: dict, names, switching: SwitchingKind, atol: float, rtol: flo
     bad = ~np.isnan(size) & ~failed
     if bad.any():
         i = int(bad.any(axis=0).argmax())
-        raise ValueError(f"a term is exp({size[bad[:, i].argmax(), i]:.6g}) times exp(log_scale) "
+        raise ValueError(f"{point(i) + ': ' if point else ''}a term is "
+                         f"exp({size[bad[:, i].argmax(), i]:.6g}) times exp(log_scale) "
                          f"= exp({table['log_scale'][i]:.6g}): outside double range")
     out = {key: table[key] for key in ("log_scale", "T", "d", "t_ba")}
     out.update(quads=quads, at=at, failed=[quads[at[missed[:, i].argmax(), i]] if f else None
@@ -604,7 +582,8 @@ def _field(pair: DetectorPair, name: str, atol: float = 1e-16,
     ``_harvest`` of its term alone, which no other term of a pair shares a
     group with: it raises its own QuadratureConvergenceError, then its own
     range error, and neither of another term."""
-    out = _harvest(_columns([pair]), (name,), SwitchingKind(), atol, rtol)
+    cols = _columns([pair])
+    out = _harvest(cols, (name,), SwitchingKind(), atol, rtol, _point_names([pair], cols))
     quad = out["quads"][out["at"][0, 0]]
     if isinstance(quad, QuadratureConvergenceError):
         raise quad
@@ -693,25 +672,25 @@ def compute_terms_many(pairs, switching: SwitchingKind = SwitchingKind(),
     Returns one entry per pair: its HarvestTerms, or the
     QuadratureConvergenceError of its first term that missed the tolerance,
     which leaves the other pairs as they are.  Raises ValueError as
-    ``compute_terms`` does, and, naming the pair, its point and its coupling,
-    at the first pair whose terms no density matrix has (``_state_fault``).
+    ``compute_terms`` does, naming the pair, its point and its coupling where
+    a term leaves double range or no density matrix has the terms
+    (``_state_fault``).
     """
     pairs = list(pairs)
     if include_cross and not all(pair.identical for pair in pairs):
         raise ValueError("L_AB requires identical atoms; pass include_cross=False")
     if not pairs:
         return []
-    names = _NAMES[:3 + include_cross]
-    h = _harvest(_columns(pairs), names, switching, atol, rtol)
+    names, cols = _NAMES[:3 + include_cross], _columns(pairs)
+    point = _point_names(pairs, cols)
+    h = _harvest(cols, names, switching, atol, rtol, point)
     scaled = [h[name][0] for name in names]
     # exp(log_scale) times each, as a float times a float or a complex
     full = [h["factor"] * v if v.dtype.kind == "f" else _cmul(h["factor"], v) for v in scaled]
     fault = _state_fault(*(np.where([f is not None for f in h["failed"]], 0.0, x)
                            for x in (full[0], full[1], np.abs(full[2]))))
     if fault:
-        i, why = fault
-        raise ValueError(f"pair {i} at d = {h['d'][i]:g}, t_BA = {h['t_ba'][i]:g}, "
-                         f"coupling {pairs[i].coupling:g}: {why}")
+        raise ValueError(f"{point(fault[0])}: {fault[1]}")
     keys = (*names, "crop_tail")
     errors = np.array([h["errors"][key] for key in keys]).T.tolist()
     out = []

@@ -17,14 +17,25 @@ group (``integrate_damped_group``): on one head panel set, so each pass
 evaluates each distinct time factor and spatial kernel once for all of them,
 scales each time's factors once, and reduces the members with d > 0 by matrix
 products per panel of kernel(k d) and the times (forming |f - mean| only
-where it can move QUADPACK's error), and past it with the member as the
-leading array axis of one tail pass for all times.  A pair alone keeps every
-bit of its rows; a row of such a block agrees with the row alone within its
+where it can move QUADPACK's error).  A pair alone keeps every bit of its
+head's rows; a row of such a block agrees with the row alone within its
 panel's roundoff floor (its error estimate within 200 floors), and the
 figures agree within their errors (``tests/golden``).
-The head stops at the group's live edge, where the Gaussian part is e^-60
-below its peak, for every member whose rigorous bound on the rest (the
-caller's) is far below its roundoff floor; that bound joins its error.
+
+Every member's head stops at the group's live edge k_live, where the
+Gaussian part is e^-60 below its peak; the caller's rigorous bound on that
+part past the edge joins its error.  What is left past the edge, the wings,
+is analytic on Re k >= k_live: the time factor's wings (the Faddeeva
+function's far-field series, a polynomial in 1/z), the scale (poles on the
+imaginary axis) and the kernel's waves e^{+-ikd} times algebraic factors.
+So, by Cauchy's theorem, a member with d > 0 takes its wings along the rays
+k0 +- iy, where they decay as e^{-yd}, by Gauss-Laguerre in y d (``_rays``,
+one pass for the group; Huybrechs and Vandewalle, SIAM J. Numer. Anal. 44,
+2006), in place of QUADPACK's QAWF on the real axis.  The rays start where
+k d >= 15; the stretch before that, and the wings of d = 0, which do not
+oscillate, are integrated on the real axis on geometric panels.  A ray
+member's integral of the magnitude is its real-axis envelope's, over the
+span that QAWF would have summed.
 
 Rounding model: an integrand returns (value, magnitude) per node, with
 magnitude >= |value| such that 50 eps x magnitude bounds the node's rounding
@@ -67,10 +78,11 @@ __all__ = [
 
 _SQRT2 = math.sqrt(2.0)
 _GAUSS_DEAD = 750.0        # exp(-750) < 1e-300: Gaussian tail treated as dead
-_EDGE_SHARE = 1e-3         # a member stops at the live edge below this share of its floor
 _MAX_HALF_PERIODS = 2.0 ** 53  # seed counts up to here are exact doubles and int64s
 _SEED_DEPTH = 1e-4         # the geometric head seeds reach down to this share of k_hi
-_TAIL_PANELS = 80          # half-period panels an oscillatory tail sums at most
+_RAY_X = 15.0              # wings take rays from where k d reaches this
+_SPAN_HALF_PERIODS = 80    # a ray member's magnitude spans this many half periods past k_hi
+_ENVELOPE_RATIO = 1.5      # the ratio of a geometric GK15 panel of that span, at most
 _BLOCK_NODES = 16384       # nodes of one block of a head pass's members (a measured budget)
 
 
@@ -108,25 +120,28 @@ class DampedKernelSpec:
         by exp(-w k^2); for the harvesting kernels w = T^2/2.
     oscillation_lengths: periods in k of the members' time factors (the
         time phase's 2*pi/t_ba).
-    integrand: vectorized callable on arrays of k >= 0: the scale by which
-        every member's product is multiplied last.
+    integrand: vectorized callable on arrays of k >= 0 (and, with wings,
+        complex k with Re k >= live_edge): the scale by which every
+        member's product is multiplied last.
     members: (time, d) per member, each integrated to its own tolerance,
         time a callable k -> tuple of (value, magnitude) factors: kernel(k d)
         times the time factors in order, then times the scale.
     kernel: callable x -> (value, magnitude), the spatial factor at x = k d
-        for d > 0; it oscillates with period 2*pi/d in k, which also sets
-        the panels of the member's tail.  None: no spatial factor.
-    cutoff: the members' erfc wings decay only algebraically: past the
-        Gaussian truncation point k_hi a member that oscillates over more
-        than 80 half periods before this k sums them by extrapolation over
-        its half periods, any other integrates them out to this k.  At most
-        k_hi (the default 0): nothing survives.
+        for d > 0; it oscillates with period 2*pi/d in k.  None: no spatial
+        factor.
+    cutoff: where the scale has rolled off: a member's wings that do not
+        oscillate (d = 0) are integrated out to this k.
     live_edge: k past which every member's Gaussian part is e^-60 below its
-        peak; inf: no edge.
-    edge_bounds: per member, a rigorous bound on the integral of |f| over
-        [live_edge, inf), or () for none: a member whose bound is at most
-        1e-3 of its head's roundoff floor stops at the edge, the bound added
-        to its error.
+        peak, where the head stops; inf: no edge, the head runs to k_hi.
+    edge_bounds: per member, a rigorous bound on the integral of |f|'s
+        Gaussian part over [live_edge, inf) (all of it, without wings),
+        added to its error, or () for none.
+    wings: per member, a callable on complex arrays of k -> (W(k), W(conj
+        k)), W its time factor less the Gaussian part, analytic on Re k >=
+        live_edge, where that part is what the time factor has left; or ()
+        for none: nothing survives past the edge.
+    wave: callable on complex x -> A(x), algebraic, such that kernel(x) =
+        2 Re(e^{ix} A(x)) at real x: the rays of the wings.
     """
 
     damping_width: float
@@ -137,6 +152,8 @@ class DampedKernelSpec:
     cutoff: float = 0.0
     live_edge: float = math.inf
     edge_bounds: tuple = ()
+    wings: tuple = ()
+    wave: Callable | None = None
 
     def __post_init__(self):
         if not (self.damping_width > 0.0):
@@ -145,9 +162,12 @@ class DampedKernelSpec:
             raise ValueError("oscillation_lengths must all be positive")
         if not self.members or any(time is None or not (d >= 0.0) for time, d in self.members):
             raise ValueError("a spec needs members, each with a time and d >= 0")
-        if not (self.live_edge > 0.0) or (
-                self.edge_bounds and len(self.edge_bounds) != len(self.members)):
-            raise ValueError("live_edge must be positive, with one bound per member")
+        if not (self.live_edge > 0.0) or any(
+                x and len(x) != len(self.members) for x in (self.edge_bounds, self.wings)):
+            raise ValueError("live_edge must be positive, with one bound and wing per member")
+        if self.wings and not (self.live_edge < math.inf and (
+                self.kernel is None or self.wave is not None)):
+            raise ValueError("wings need a live edge, and a kernel its wave")
 
 
 # ----------------------------------------------------------------------------
@@ -165,7 +185,19 @@ _W_RADII = tuple(math.sqrt(0.5 * (c * (2 * n + 1) * 4.0 / np.finfo(float).eps) *
                  for n, c in enumerate(_W_COEFFS))
 # the loops' operands as 0-d complex arrays: a Python float costs a conversion per call
 _W_TERMS = tuple(np.array(complex(c)) for c in _W_COEFFS)
-_ONE = np.array(1 + 0j)  # the numerator of Wynn's reciprocals, likewise
+
+
+def _w_far(z, r2_min: float):
+    # w(z) at |z|^2 >= r2_min >= 49 by its asymptotic series in Horner form,
+    # with the terms r2_min needs: a polynomial in 1/z, analytic off z = 0
+    n = max(2, 1 + len(_W_RADII) - bisect.bisect_right(_W_RADII[::-1], math.sqrt(r2_min)))
+    u = 1.0 / z
+    y = 0.5 * u * u
+    acc = _W_COEFFS[n - 1] * y + _W_COEFFS[n - 2]  # from two terms
+    for coef in reversed(_W_TERMS[:n - 2]):
+        acc *= y
+        acc += coef
+    return (1j / math.sqrt(math.pi)) * u * acc
 
 
 def _faddeeva(x, a: float):
@@ -180,15 +212,7 @@ def _faddeeva(x, a: float):
     if n_far == 0:
         return _wofz(x + 1j * a)
     mixed = n_far < far.size
-    r_min = math.sqrt((r2[far] if mixed else r2).min())
-    n = max(2, 1 + len(_W_RADII) - bisect.bisect_right(_W_RADII[::-1], r_min))  # from two terms
-    u = 1.0 / ((x[far] if mixed else x) + 1j * a)
-    y = 0.5 * u * u
-    acc = _W_COEFFS[n - 1] * y + _W_COEFFS[n - 2]
-    for coef in reversed(_W_TERMS[:n - 2]):
-        acc *= y
-        acc += coef
-    w = (1j / math.sqrt(math.pi)) * u * acc
+    w = _w_far((x[far] if mixed else x) + 1j * a, (r2[far] if mixed else r2).min())
     if not mixed:
         return w
     out = np.empty(far.shape, dtype=complex)
@@ -247,6 +271,27 @@ def scaled_time_kernel(k, t_ba: float, T: float, *, d_omega: float):
         out += gauss
         mag += np.abs(gauss) * (1.0 + bb + 2.0 * a * (np.abs(bc) if c else bc))  # b >= 0
     return (complex(out), float(mag)) if k_arr.ndim == 0 else (out, mag)
+
+
+def _time_wings(k, t_ba: float, T: float, *, d_omega: float):
+    """The wings of ``scaled_time_kernel``, W = e^{-a^2} [conj w(b - c + ia)
+    - w(b + c + ia)] = e^{-a^2} [w(c - b + ia) - w(b + c + ia)] on the real
+    axis, continued to a complex array k through the asymptotic series P of
+    w (a polynomial in 1/z): analytic wherever Re b - |c| >= 7, as past M's
+    live edge, where on the real axis they are the kernel less its Gaussian
+    part within a few eps.  Returns (W(k), W(conj k)): P is odd and P(conj
+    z) = -conj P(z), so W(conj k) = -conj W(k) at equal gaps, and at
+    unequal ones -conj of W(k) at -c."""
+    a = abs(t_ba) / (_SQRT2 * T)
+    b = (T / _SQRT2) * k
+    c = T * d_omega / (2.0 * _SQRT2)
+    if t_ba < 0.0:
+        c = -c
+    z = np.array((c - b, b + c, -c - b, b - c)[:4 if c else 2]) + 1j * a
+    w = _w_far(z, float((z.real * z.real + z.imag * z.imag).min()))
+    e_a = math.exp(-a * a)
+    value = e_a * (w[0] - w[1])
+    return value, -(e_a * (w[2] - w[3]) if c else value).conj()
 
 
 # ----------------------------------------------------------------------------
@@ -313,6 +358,22 @@ def spherical_bessel_j0_plus_j2(x):
             acc += coef
         out[small], mag[small] = acc
     return (float(out[0]), float(mag[0])) if np.ndim(x) == 0 else (out, mag)
+
+
+def _j0_wave(x):
+    """A(x) = -i/(2x) for complex x != 0, the wave of j_0(x) = 2 Re(e^{ix}
+    A(x)) at real x: j_0(x) = e^{ix} A(x) + e^{-ix} conj A(conj x)
+    everywhere.  At real x, 2|A| = 1/x bounds |j_0| and its magnitude from
+    x = 5."""
+    return -0.5j / x
+
+
+def _j0_plus_j2_wave(x):
+    """A(x) = 3 (-i/(2x) - 1/2)/x^2 for complex x != 0, the wave of 3
+    j_1(x)/x = 2 Re(e^{ix} A(x)) at real x, as ``_j0_wave``.  At real x,
+    2|A| = 3 sqrt(1 + 1/x^2)/x^2 bounds |3 j_1(x)/x| and, by Cauchy-Schwarz,
+    its magnitude 3 (|sin x|/x + |cos x|)/x^2 from x = 5."""
+    return (3.0 / (x * x)) * (-0.5j / x - 0.5)
 
 
 # ----------------------------------------------------------------------------
@@ -441,6 +502,13 @@ def _gk15_blocks(spatial, units, at, half: np.ndarray):
     return tuple(x[:, at[0], at[1]].T for x in (resk, np.where(sure, floor, err), resabs))
 
 
+def _index(items):
+    # the distinct items in order of first appearance, and each item's index among them
+    first = {}
+    at = [first.setdefault(item, len(first)) for item in items]
+    return list(first), np.array(at, dtype=int)
+
+
 def _product(factors, scale):
     # the factors' (value, magnitude) product in order, then times the scale
     (value, mag), *rest = factors
@@ -450,26 +518,16 @@ def _product(factors, scale):
 
 
 def _integrands(f, k, kernel, members):
-    """Yield (ids, integrand) of the members at the nodes k: f once and each
-    distinct time once.  With k one row of nodes that the members share,
-    members of two or more distinct (time, d > 0) with a kernel come last,
-    in blocks of distinct d of at most _BLOCK_NODES nodes of kernel(k d):
-    ids a list, integrand the arguments of ``_gk15_blocks``.  Any other is a
-    row alone, ids its index: U, f times the time's factors, or kernel(k d)
-    U (a spatial factor 1 would change its magnitude).  With k one row per
-    member (the tails), each time's rows in blocks of at most _BLOCK_NODES
-    nodes, ids a list: f, the time and kernel(k d) on the block's rows."""
+    """Yield (ids, integrand) of the members at the nodes k, one row of nodes
+    that they share: f once and each distinct time once.  Members of two or
+    more distinct (time, d > 0) with a kernel come last, in blocks of
+    distinct d of at most _BLOCK_NODES nodes of kernel(k d): ids a list,
+    integrand the arguments of ``_gk15_blocks``.  Any other is a row alone,
+    ids its index: U, f times the time's factors, or kernel(k d) U (a
+    spatial factor 1 would change its magnitude)."""
     by_time = {}
     for i, (time, _) in enumerate(members):
         by_time.setdefault(time, []).append(i)
-    if k.ndim > 1:
-        size = max(1, _BLOCK_NODES // k.shape[1])
-        for time, ids in by_time.items():
-            for j in range(0, len(ids), size):
-                block = ids[j:j + size]
-                kb, d = k[block], np.array([members[i][1] for i in block])[:, None]
-                yield block, _product((kernel(kb * d), *time(kb)), f(kb))
-        return
     cells = {}  # the members of each (time, d > 0) with a kernel
     for i, (time, d) in enumerate(members):
         if kernel is not None and time is not None and d > 0.0:
@@ -507,22 +565,20 @@ def _gk15_panels(f, lo, hi, kernel=None, members=((None, 0.0),)):
     (integral, error_estimate, abs_integral) as (members, panels) arrays, with
     the QUADPACK error heuristic, and the node count.  abs_integral integrates
     the magnitude, so the roundoff floor counts the integrand's rounding.  The
-    members' integrands come from ``_integrands`` (f the spec's integrand); lo
-    and hi are one row of panels that the members share, each member a row
-    alone or in a block (``_gk15_blocks``), or one row per member (the tails),
-    each time's rows reduced as one (rows, panels, 15) array.
+    members' integrands come from ``_integrands`` (f the spec's integrand) on
+    the panels lo to hi, which they share: each member a row alone or in a
+    block (``_gk15_blocks``).
     """
     half, mid = 0.5 * (hi - lo), 0.5 * (hi + lo)
-    k = (mid[..., None] + half[..., None] * _XGK).reshape(lo.shape[:-1] + (-1,))
+    k = (mid[:, None] + half[:, None] * _XGK).ravel()
     ids, parts = [], []
     for i, fk in _integrands(f, k, kernel, members):
         ids.append(i)
-        parts.append(_gk15_blocks(*fk, half) if len(fk) == 3 else  # a block, or rows
-                     _gk15_reduce(*fk, half if lo.ndim == 1 else half[i]))
+        parts.append(_gk15_blocks(*fk, half) if len(fk) == 3 else _gk15_reduce(*fk, half))
     if len(parts) == 1 and ids[0] in (0, list(range(len(members)))):  # all, in order
         rows = tuple(x.reshape(len(members), -1) for x in parts[0])
     else:  # rows go back in member order
-        rows = tuple(np.empty((len(members), lo.shape[-1]), np.result_type(*x)) for x in zip(*parts))
+        rows = tuple(np.empty((len(members), lo.size), np.result_type(*x)) for x in zip(*parts))
         for i, part in zip(ids, parts):
             for row, x in zip(rows, part):
                 row[i] = x
@@ -599,101 +655,78 @@ def _adaptive_gk(f, breakpoints: np.ndarray, atol: float, rtol: float,
     return out[0] if one else out
 
 
-def _wynn_epsilon(partial_sums):
-    """Wynn epsilon extrapolation of a sequence of partial sums, or of each
-    row of a (members, sums) table of them: (limit, error_estimate), scalars
-    for a sequence, arrays for a table, each row as if alone.
-
-    Even table columns approximate the limit; odd columns are auxiliary
-    reciprocals.  Differences below a row's roundoff floor stop its table,
-    otherwise 1/diff amplifies noise into garbage.  Each column is one array
-    operation; an even column's estimate and stop rule read one |diff|.
-    """
-    s = np.asarray(partial_sums, dtype=complex)
-    curr = np.atleast_2d(s)
-    rows = np.arange(curr.shape[0])
-    best = curr[:, -1].copy()
-    if curr.shape[1] < 3:
-        best_err, floor, alive = np.abs(best - curr[:, 0]), np.zeros(rows.size), rows < 0
-    else:
-        best_err = np.abs(best - curr[:, -2])
-        floor = 4.0 * np.finfo(float).eps * np.abs(curr).max(axis=1)
-        alive = floor > 0.0
-        best[~alive], best_err[~alive] = 0.0, 0.0
-    prev = np.zeros((rows.size, curr.shape[1] + 1), dtype=complex)
-    # count_nonzero: the any/all methods cost more than the small table's arithmetic
-    floor_col, col, running = floor[:, None], 0, np.count_nonzero(alive)
-    while running and curr.shape[1] >= 2:
-        diff = curr[:, 1:] - curr[:, :-1]
-        if col % 2 == 0:
-            adiff = np.abs(diff)
-            # an even column's estimate first: its error |curr[-1] - curr[-2]| is adiff's last
-            take = adiff[:, -1] < best_err if col else rows < 0
-            if np.count_nonzero(take):
-                take &= alive
-                best[take], best_err[take] = curr[take, -1], adiff[take, -1]
-            low = adiff <= floor_col
-            if np.count_nonzero(low):
-                first = low.argmax(axis=1)
-                at = adiff[rows, first]
-                hit = alive & (at <= floor)
-                take = hit & (at <= best_err)
-                best[take], best_err[take] = curr[take, first[take] + 1], floor[take]
-                alive &= ~hit
-                running = np.count_nonzero(alive)
-        elif np.count_nonzero(diff) < diff.size:
-            alive &= diff.all(axis=1)
-            running = np.count_nonzero(alive)
-        if running < rows.size:
-            # the reciprocals of a row that stopped are never read: keep them finite
-            diff[~alive] = 1.0
-        np.divide(_ONE, diff, out=diff)
-        prev, curr = curr, np.add(diff, prev[:, 1:curr.shape[1]], out=diff)
-        col += 1
-    err = np.maximum(best_err, floor)
-    return (complex(best[0]), float(err[0])) if s.ndim == 1 else (best, err)
+# Gauss-Laguerre rules in u = y d along a ray, 28 nodes then 16: the nodes
+# i u of both, and the sum and its check as one (2, 44) matrix of weights
+_RAYS = tuple(np.polynomial.laguerre.laggauss(n) for n in (28, 16))
+_RAY_Y = 1j * np.concatenate([u for u, _ in _RAYS])
+_RAY_W = np.zeros((2, _RAY_Y.size))
+_RAY_W[0, :28], _RAY_W[1, 28:] = _RAYS[0][1], _RAYS[1][1]
 
 
-def _oscillatory_tails(f, kernel, members, start: float, steps: np.ndarray,
-                       heads: np.ndarray, atol: float, rtol: float,
-                       max_panels: int = _TAIL_PANELS):
-    """Sum the integrand of members[i] over [start, inf), where it
-    oscillates with half-period ~steps[i], as QUADPACK's QAWF does
-    (Piessens et al., 1983): Wynn epsilon (MTAC 10, 1956) on its partial
-    sums over half-period panels, from the fifth on.
+def _rays(f, wave, members, wings, k0, top):
+    """The wings of members i = (time, d) over [k0[i], inf), each kernel(k
+    d) W_i(k) f(k), with the scale f real and kernel(x) = 2 Re(e^{ix} A(x))
+    on the real axis (wave: x -> A(x)) and W_i analytic, all on Re k >=
+    k0[i].  By Cauchy's theorem the wave e^{ikd} A(kd) integrates along the
+    ray k0 + iy and its conjugate e^{-ikd} conj A(conj(k) d) along k0 - iy,
+    where both decay as e^{-yd} (Huybrechs and Vandewalle, SIAM J. Numer.
+    Anal. 44, 2006); f and A on the lower ray are the conjugates of their
+    values on the upper one, and wings[i] gives W_i on both from the upper
+    ray's nodes.  Gauss-Laguerre in u = y d with 28 nodes gives the value
+    and with 16 its error, |Q28 - Q16| plus the roundoff floor of the 28
+    nodes' |f|.
 
-    One pass for a group's members of every time: the member is the leading
-    array axis, each chunk of panels is one ``_gk15_panels`` call, which
-    evaluates each time on its own rows in blocks of at most _BLOCK_NODES
-    nodes, and each extrapolation one Wynn table for all members.  An
-    estimate's error is Wynn's, the difference of its last two successive
-    estimates, plus its panels' own, roundoff floors included.
-    A member stops after the first chunk of 24 panels if that error is
-    within its tol = max(atol, rtol |heads[i] + estimate|).  The others sum
-    the rest of max_panels in one more chunk and keep that estimate: a tail
-    that has not settled by 24 panels is held up by its floors, which only
-    grow.  Returns (value, error, abs_integral, evals) arrays.
-    """
-    n = len(members)
-    vals = np.zeros((n, max_panels), dtype=complex)
-    errs, absl = np.zeros((2, n, max_panels))
-    value, error, absint = np.zeros(n, dtype=complex), np.zeros(n), np.zeros(n)
-    evals, run, have = np.zeros(n, dtype=int), np.arange(n), 0
-    for p in (24, max_panels):
-        step = steps[run, None]
-        lo = start + step * np.arange(have, p)
-        *chunk, nodes = _gk15_panels(f, lo, lo + step, kernel, [members[i] for i in run])
-        for table, part in zip((vals, errs, absl), chunk):
-            table[run, have:p] = part
-        evals[run] += nodes // run.size
-        have = p
-        est, est_err = _wynn_epsilon(np.cumsum(vals[run, :p], axis=1)[:, 4:])
-        est_err += errs[run, :p].sum(axis=1)
-        value[run], error[run], absint[run] = est, est_err, absl[run, :p].sum(axis=1)
-        run = run[est_err > np.maximum(atol, rtol * np.abs(heads[run] + est))]
-        if not run.size:
-            break
-    return value, error, absint, evals
+    On the real axis, GK15 integrates the member's own time factor against
+    the smooth envelope f 2|A(k d)|, which bounds the kernel and its
+    magnitude from k d = 5, over the panels that meet [k0[i], top[i]] of
+    one row of geometric panels, each of ratio at most _ENVELOPE_RATIO,
+    from the least k0 to the largest top: the integral of the magnitude is
+    that of |time value| + time magnitude, and that of |time value - W|
+    joins the error, which is W's Gaussian part where the time factor is
+    the one W continues.  One pass for every member: f and A once per
+    distinct (k0, d), each time once on that row, each wings callable once
+    on its members' upper rays and that row, and the envelope's panel sums
+    as matrix products of the time rows and the spatial ones.  Returns
+    (value, error, abs_integral, evaluations) arrays."""
+    n, d = _RAY_Y.size, np.array([d for _, d in members])
+    # the distinct (k0, d), times, wings callables and (time, wings) pairs,
+    # and per member the index of its own among each
+    spatial, s_at = _index(zip(k0.tolist(), d.tolist()))
+    times, t_at = _index(time for time, _ in members)
+    fns, w_at = _index(wings)
+    pairs, p_at = _index(zip(t_at.tolist(), w_at.tolist()))
+    ks, ds = np.array(spatial).T
+    x0 = ks * ds
+    up = ks[:, None] + _RAY_Y / ds[:, None]  # the upper ray, (row, node)
+    # f A on the upper ray, with e^{i k0 d} and dk = i dy
+    h = f(up) * wave(x0[:, None] + _RAY_Y) * (1j * np.exp(1j * x0) / ds)[:, None]
+    lo, hi = k0.min(), top.max()
+    panels = max(1, math.ceil(math.log(hi / lo) / math.log(_ENVELOPE_RATIO)))
+    edges = lo * (hi / lo) ** (np.arange(panels + 1) / panels)
+    half = 0.5 * (edges[1:] - edges[:-1])
+    kr = ((edges[1:] - half)[:, None] + half[:, None] * _XGK).ravel()
+    u, m = np.empty((len(times), kr.size), complex), np.empty((len(times), kr.size))
+    for j, time in enumerate(times):
+        u[j], m[j] = _product(time(kr), 1.0)
+    w, w_real = np.empty((2, d.size, n), complex), np.empty((len(fns), kr.size), complex)
+    for j, fn in enumerate(fns):
+        ids = (w_at == j).nonzero()[0]
+        on_ray, conj_ray = fn(np.concatenate((up[s_at[ids]].ravel(), kr)))  # W(k), W(conj k)
+        w[0, ids], w[1, ids] = (x[:-kr.size].reshape(ids.size, n) for x in (on_ray, conj_ray))
+        w_real[j] = on_ray[-kr.size:]
+    hm = h[s_at]
+    q = (hm * w[0] + hm.conj() * w[1]) @ _RAY_W.T
+    floor = _ROUNDOFF * ((np.abs(hm) * np.abs(w).sum(axis=0)) @ _RAY_W[0])
+    # per panel, GK15 of every time row (and (time, wings) row) against every
+    # envelope row as one matrix product; a member sums its own entry over
+    # the panels that meet its span
+    env = (f(kr) * (2.0 * np.abs(wave(kr * ds[:, None])))).reshape(-1, panels, 15)
+    mine = half[:, None] * ((edges[1:, None] > k0) & (edges[:-1, None] < top))
+    t, p = (list(x) for x in zip(*pairs))
+    absint, off = ((((x.reshape(-1, panels, 15) * _WGK).transpose(1, 0, 2)
+                     @ env.transpose(1, 2, 0))[:, at, s_at] * mine).sum(axis=0)
+                   for x, at in ((np.abs(u) + m, t_at), (np.abs(u[t] - w_real[p]), p_at)))
+    return q[:, 0], np.abs(q[:, 0] - q[:, 1]) + floor + off, absint, np.full(d.size, 2 * n + kr.size)
 
 
 @functools.lru_cache(maxsize=16)
@@ -710,23 +743,14 @@ def integrate_damped_group(spec: DampedKernelSpec, atol: float = 1e-16,
     head's seed panels are geometric below k_hi and at half periods of the
     fastest oscillation across the members, cut at the spec's live edge
     k_live (past which every member's Gaussian part is e^-60 below its
-    peak), plus k_live itself.  Its first pass evaluates every member on
-    them.  A member whose bound past the edge (``edge_bounds``) is at most
-    _EDGE_SHARE of its roundoff floor on those panels stops at the edge:
-    it is refined on [0, k_live] and its error gains the bound.  The others
-    run on to k_hi on the seeds there, refined as one run with their panels
-    below, so each is judged on its whole value, as without an edge.  Each
-    pass evaluates each time and kernel(k d) once for the members still
-    running, and each member stops on its own tolerance (``_adaptive_gk``).
-    Whatever survives past k_hi, out to the spec's cutoff (the algebraically
-    decaying erfc wings of a member that ran on), is each member's own, and
-    the members of all times sum theirs in one pass of each kind: those that
-    oscillate over more than _TAIL_PANELS half periods before the cutoff by
-    Wynn epsilon over their half-period panels, each until it settles (one
-    ``_oscillatory_tails`` call, in blocks), the others on geometric panels
-    out to the cutoff (one ``_adaptive_gk`` call).  Raises ValueError where
-    the head's half periods below k_hi outnumber 2^53, which its seed
-    arithmetic cannot represent.
+    peak; k_hi without one), plus k_live itself.  Every member is refined
+    on [0, k_live] as one run (``_adaptive_gk``) to half the tolerances:
+    each pass evaluates each time and kernel(k d) once for the members
+    still running, and each member stops on its own tolerance.  Its bound
+    past the edge (``edge_bounds``) joins its error.  With wings, each
+    member adds its wings past k_live (``_wings``), to the other half.
+    Raises ValueError where the head's half periods below k_hi outnumber
+    2^53, which its seed arithmetic cannot represent.
 
     Returns one entry per member: its QuadratureResult, or, where its
     requested tolerance is unreachable, a QuadratureConvergenceError
@@ -735,10 +759,10 @@ def integrate_damped_group(spec: DampedKernelSpec, atol: float = 1e-16,
     """
     k_hi = math.sqrt(_GAUSS_DEAD / spec.damping_width)
 
-    members, kernel, cutoff = spec.members, spec.kernel, spec.cutoff
-    own = [2.0 * math.pi / d if kernel is not None and d > 0.0 else None for _, d in members]
+    members, kernel = spec.members, spec.kernel
     pts = [_seeds(k_hi)]
-    lengths = spec.oscillation_lengths + tuple(ell for ell in own if ell)
+    lengths = spec.oscillation_lengths + tuple(
+        2.0 * math.pi / d for _, d in members if kernel is not None and d > 0.0)
     if lengths:
         h = min(lengths) / 2.0
         if not k_hi / h < _MAX_HALF_PERIODS:
@@ -751,55 +775,66 @@ def integrate_damped_group(spec: DampedKernelSpec, atol: float = 1e-16,
             pts.append(np.arange(1, n_osc + 1, stride) * h)
     pts = np.sort(np.concatenate(pts))  # np.unique's steps, without its overhead
     breakpoints = pts[np.concatenate(((True,), pts[1:] != pts[:-1]))]
-    k_live = min(spec.live_edge, k_hi)
+    k_live = spec.live_edge if spec.wings else min(spec.live_edge, k_hi)
     edge = np.concatenate((breakpoints[breakpoints < k_live], (k_live,)))
-    bounds = spec.edge_bounds if k_live < k_hi else ()
+    heads = _adaptive_gk(spec.integrand, edge, 0.5 * atol, 0.5 * rtol, max_panels, kernel,
+                         members)
+    value, err, absint, evals = map(np.array, zip(*heads))
+    if spec.edge_bounds:
+        err = err + spec.edge_bounds
+    if spec.wings:
+        value, err, absint, evals = (x + y for x, y in zip(
+            (value, err, absint, evals), _wings(spec, k_live, k_hi, 0.5 * atol, 0.5 * rtol)))
+    return [_result(*row, atol, rtol) for row in zip(
+        value.tolist(), err.tolist(), absint.tolist(), evals.tolist())]
 
-    # every member's row of the seed panels below the edge; a member whose
-    # bound past the edge is below _EDGE_SHARE of its floor on them stops at
-    # the edge, the others run on to k_hi on the seeds there
-    lo, hi = edge[:-1], edge[1:]
-    *first, nodes = _gk15_panels(spec.integrand, lo, hi, kernel, members)
-    stop = np.less_equal(bounds, _EDGE_SHARE * _ROUNDOFF * first[2].sum(axis=1)) if bounds else (
-        np.zeros(len(members), dtype=bool))
-    go_on = (~stop).nonzero()[0].tolist()
-    past = np.concatenate(((k_live,), breakpoints[breakpoints > k_live]))
-    heads = [None] * len(members)
-    # each refines as one run with its rows of the seed panels
-    for group, new in ((stop.nonzero()[0].tolist(), ()), (go_on, past)):
-        if group:
-            rows = first if len(group) == len(members) else [x[group] for x in first]
-            runs = _adaptive_gk(spec.integrand, new, 0.5 * atol, 0.5 * rtol, max_panels,
-                                kernel, [members[i] for i in group], (lo, hi, rows))
-            for i, (value, err, absint, evals) in zip(group, runs):
-                heads[i] = (value, err + (bounds[i] if stop[i] else 0.0), absint,
-                            evals + nodes)
-    # the wings of the members that ran on, in one pass of each kind for all
-    # their times: a wing of more half periods than a tail sums is summed over them
-    osc, rest, tails = [], [], {}
-    for i in go_on:
-        if own[i] and cutoff - k_hi > _TAIL_PANELS * 0.5 * own[i]:
-            osc.append(i)
-        elif cutoff > k_hi:
-            rest.append(i)
-    if osc:
-        steps = np.array([0.5 * own[i] for i in osc])
-        summed = _oscillatory_tails(spec.integrand, kernel, [members[i] for i in osc], k_hi,
-                                    steps, np.array([heads[i][0] for i in osc]),
-                                    0.5 * atol, 0.5 * rtol)
-        tails.update(zip(osc, zip(*summed)))
-    if rest:  # geometric panels in k out to the cutoff
-        n_dec = max(1, int(math.ceil(math.log10(cutoff / k_hi))))
-        tails.update(zip(rest, _adaptive_gk(
-            spec.integrand, np.geomspace(k_hi, cutoff, 8 * n_dec + 1), 0.5 * atol,
-            0.5 * rtol, kernel=kernel, members=[members[i] for i in rest])))
-    return [_result(*(head if i not in tails else (h + t for h, t in zip(head, tails[i]))),
-                    atol, rtol) for i, head in enumerate(heads)]
+
+def _wings(spec: DampedKernelSpec, k_live: float, k_hi: float, atol: float,
+           rtol: float) -> tuple:
+    """The wings of spec's members past the live edge k_live: kernel(k d)
+    W(k) f(k), W the member's ``wings``, analytic on Re k >= k_live.  A
+    member with d > 0 takes them along rays (``_rays``, with the kernel's
+    ``wave``) from k_ray, the larger of k_live and _RAY_X/d: from there the
+    rule meets no pole of the wave or the scale closer than k d >= 15.  From
+    k_live to k_ray, a stretch of less than five half periods, and for d =
+    0 (or no kernel, or k_ray past the cutoff) out to the cutoff, where the
+    wings do not oscillate, it integrates the member's own integrand on
+    geometric panels, refined as one run per stretch.  A ray member's
+    integral of the magnitude is its envelope's over the panels that cover
+    [k_ray, k_hi + 80 half periods], the span that the head which ran on to
+    k_hi and the QAWF tail past it would have integrated, and 50 eps of it
+    joins its error.
+    Returns (value, error, abs_integral, evals) arrays over the members."""
+    members, cutoff = spec.members, spec.cutoff
+    d = np.array([d if spec.kernel is not None else 0.0 for _, d in members])
+    with np.errstate(divide="ignore"):
+        k_ray = np.maximum(k_live, _RAY_X / d)
+    ray = k_ray < cutoff
+    out = np.zeros(d.size, complex), np.zeros(d.size), np.zeros(d.size), np.zeros(d.size, int)
+    ends = np.where(ray, k_ray, cutoff)
+    for end in dict.fromkeys(ends[ends > k_live].tolist()):
+        ids = (ends == end).nonzero()[0]
+        n_dec = max(1, int(math.ceil(math.log10(end / k_live))))
+        runs = _adaptive_gk(spec.integrand, np.geomspace(k_live, end, 8 * n_dec + 1), atol, rtol,
+                            kernel=spec.kernel, members=[members[i] for i in ids])
+        for x, y in zip(out, zip(*runs)):
+            x[ids] = y
+    ids = ray.nonzero()[0]
+    if ids.size:
+        k0 = k_ray[ids]
+        top = np.maximum(k0, k_hi + _SPAN_HALF_PERIODS * math.pi / d[ids])
+        value, error, absint, evals = _rays(spec.integrand, spec.wave, [members[i] for i in ids],
+                                            [spec.wings[i] for i in ids], k0, top)
+        for x, y in zip(out, (value, error + _ROUNDOFF * absint, absint, evals)):
+            x[ids] += y
+    return out
 
 
 def _result(value, err, absint, evals, atol: float, rtol: float):
-    # the QuadratureResult, or the QuadratureConvergenceError of one past tolerance and roundoff
-    result = QuadratureResult(value, float(err), int(evals), float(absint))
+    # the QuadratureResult, or the QuadratureConvergenceError of one past tolerance and
+    # roundoff; an error that is not a number (an integrand past double range) is inf
+    err = float(err) if err >= 0.0 else math.inf
+    result = QuadratureResult(value, err, int(evals), float(absint))
     if err > max(atol, rtol * abs(value)) and err > 20.0 * _ROUNDOFF * absint:  # 1e3 eps
         return QuadratureConvergenceError(
             f"quadrature stalled at abs error {err:.3e} for value {value:.6e}", result)

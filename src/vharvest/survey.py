@@ -207,20 +207,24 @@ def run_grid(grid: ScanGrid, threads: int = 1,
     of NaN (null in a JSON scan).  The default switching is "auto", which
     crops pairs outside the lightcone band (``SwitchingKind.resolve``).
     ``threads`` is accepted and has no effect.  Raises ValueError at the
-    first point ``pair_from_params`` rejects, and at the first point whose
-    terms no state has (``harvesting.assemble_state``)."""
+    first point ``pair_from_params`` rejects, and, named by its
+    coordinates, at the first point with a term outside double range or
+    whose terms no state has (``harvesting.assemble_state``)."""
     coords, cols = _grid_columns(grid, coupling)
-    row = _row_columns(_harvest(cols, _NAMES[:3], switching, atol, rtol))
+
+    def point(i):
+        return "at " + ", ".join(f"{a.name} = {v:g}" for a, v in zip(grid.axes, coords[i]))
+
+    row = _row_columns(_harvest(cols, _NAMES[:3], switching, atol, rtol, point))
     missed = np.flatnonzero(row["failed"])
     if missed.size:
         cols = {k: [v[i] for i in missed] if k == "model" else v[missed] for k, v in cols.items()}
-        for key, col in _row_columns(_harvest(cols, _NAMES[:3], switching, atol * 1e3,
-                                              rtol * 1e3)).items():
+        for key, col in _row_columns(_harvest(cols, _NAMES[:3], switching, atol * 1e3, rtol * 1e3,
+                                              lambda i: point(missed[i]))).items():
             row[key][missed] = col
     fault = _state_fault(*(np.where(row["failed"], 0.0, row[k]) for k in ("l_aa", "l_bb", "abs_m")))
     if fault:
-        point = ", ".join(f"{a.name} = {v:g}" for a, v in zip(grid.axes, coords[fault[0]]))
-        raise ValueError(f"at {point}: {fault[1]}")
+        raise ValueError(f"{point(fault[0])}: {fault[1]}")
     floats = {}  # plain floats, one object per distinct L value: a scan keeps every row
     l_aa, l_bb = (list(map(floats.setdefault, v, v)) for v in (row["l_aa"].tolist(),
                                                                 row["l_bb"].tolist()))

@@ -1,8 +1,8 @@
 """Straightforward forms of engine functions, kept as the references that
 their versions in ``vharvest.specfun`` must match bit for bit
 (``test_trimmed_kernels.py``): the time kernel with its Faddeeva function,
-GK15's reduce of one row of panels, the Wynn epsilon table, and the value
-of ``spherical_bessel_j0``.  Each
+GK15's reduce of one row of panels, and the value of
+``spherical_bessel_j0``.  Each
 runs its array operations as the formulas read, one temporary per step; the
 engine's versions make fewer calls on the same arithmetic.  Also one term's
 integrand alone, the row a group gives it (``integrand``)."""
@@ -89,50 +89,6 @@ def gk15_reduce_row(fv, fm, half):
     ratio = np.divide(big, resasc, out=np.zeros_like(err), where=nonzero)
     err = np.where(nonzero, resasc * np.minimum(1.0, ratio ** 1.5), err)
     return resk, np.maximum(err, floor), resabs
-
-
-def wynn_epsilon(partial_sums):
-    s = np.asarray(partial_sums, dtype=complex)
-    curr = np.atleast_2d(s)
-    rows = np.arange(curr.shape[0])
-    best = curr[:, -1].copy()
-    if curr.shape[1] < 3:
-        best_err, floor, alive = np.abs(best - curr[:, 0]), np.zeros(rows.size), rows < 0
-    else:
-        best_err = np.abs(best - curr[:, -2])
-        floor = 4.0 * np.finfo(float).eps * np.abs(curr).max(axis=1)
-        alive = floor > 0.0
-        best[~alive], best_err[~alive] = 0.0, 0.0
-    prev = np.zeros((rows.size, curr.shape[1] + 1), dtype=complex)
-    floor_col, col, running = floor[:, None], 0, np.count_nonzero(alive)
-    while running and curr.shape[1] >= 2:
-        diff = curr[:, 1:] - curr[:, :-1]
-        if col % 2 == 0:
-            adiff = np.abs(diff)
-            low = adiff <= floor_col
-            if np.count_nonzero(low):
-                first = low.argmax(axis=1)
-                at = adiff[rows, first]
-                hit = alive & (at <= floor)
-                take = hit & (at <= best_err)
-                best[take], best_err[take] = curr[take, first[take] + 1], floor[take]
-                alive &= ~hit
-                running = np.count_nonzero(alive)
-        elif np.count_nonzero(diff) < diff.size:
-            alive &= diff.all(axis=1)
-            running = np.count_nonzero(alive)
-        if running < rows.size:
-            diff[~alive] = 1.0
-        prev, curr = curr, prev[:, 1:curr.shape[1]] + 1.0 / diff
-        col += 1
-        if col % 2 == 0 and curr.shape[1] >= 2:
-            cand_err = np.abs(curr[:, -1] - curr[:, -2])
-            take = cand_err < best_err
-            if np.count_nonzero(take):
-                take &= alive
-                best[take], best_err[take] = curr[take, -1], cand_err[take]
-    err = np.maximum(best_err, floor)
-    return (complex(best[0]), float(err[0])) if s.ndim == 1 else (best, err)
 
 
 def spherical_bessel_j0(x):

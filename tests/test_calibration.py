@@ -2,13 +2,14 @@
 
 Per node, every integrand factor lies within its rounding bound, 50 eps x
 magnitude, of a 40-digit value.  Per integral, a rerun at rtol x 1e-2 with
-twice the tail panels moves each result by less than its reported error.
+finer rays for the wings moves each result by less than its reported error.
 """
 
 import math
 
 import numpy as np
 import pytest
+from numpy.polynomial.laguerre import laggauss
 
 from vharvest import harvesting, specfun
 from vharvest.atoms import AtomSpec
@@ -141,14 +142,22 @@ def rerun_pairs():
     return pairs
 
 
+def finer_rays(monkeypatch):
+    # the rays' Gauss-Laguerre sum on 64 nodes, checked against 40, in
+    # place of 28 and 16
+    (u64, w64), (u40, w40) = laggauss(64), laggauss(40)
+    weights = np.zeros((2, 104))
+    weights[0, :64], weights[1, 64:] = w64, w40
+    monkeypatch.setattr(specfun, "_RAY_Y", 1j * np.concatenate((u64, u40)))
+    monkeypatch.setattr(specfun, "_RAY_W", weights)
+
+
 @pytest.mark.parametrize("params", rerun_pairs())
 def test_tighter_rerun_lands_inside_the_error(params, monkeypatch):
     pair = make_pair(*params)
     terms = compute_terms(pair, include_cross=pair.identical)
-    # every tail sums all 160 panels: no tolerance stops it early
-    tails = specfun._oscillatory_tails
-    monkeypatch.setattr(specfun, "_oscillatory_tails",
-                        lambda *a: tails(*a[:-2], 0.0, 0.0, max_panels=160))
+    # the wings' rays on more nodes: no rule of the first run is reused
+    finer_rays(monkeypatch)
     tight = compute_terms(pair, include_cross=pair.identical, rtol=1e-12)
     errors = terms.quadrature_errors
     assert (abs(tight.negativity2_scaled - terms.negativity2_scaled)
@@ -168,20 +177,21 @@ def test_unequal_gap_pairs_are_harvestable(name):
 
 
 def test_tail_error_counts_its_panels_rounding(monkeypatch):
-    # unequal gaps pair 700: 80 tail panels with an integral of |f| ~ 1.4e7
-    # against a tail of ~22, which the head cancels down to ~2e-5
-    tails = []
+    # unequal gaps pair 700: past the live edge its wings' envelope over
+    # k_hi + 80 half periods has an integral of |f| ~ 1.4e7 against a value
+    # of ~2e-5 for M: 50 eps of that integral joins M's error
+    rays = []
 
-    def spy(*args, **kwargs):
-        tails.append(tail_sum(*args, **kwargs))
-        return tails[-1]
+    def spy(*args):
+        rays.append(real_rays(*args))
+        return rays[-1]
 
-    tail_sum = specfun._oscillatory_tails
-    monkeypatch.setattr(specfun, "_oscillatory_tails", spy)
+    real_rays = specfun._rays
+    monkeypatch.setattr(specfun, "_rays", spy)
     pair = make_pair(*POOL_PAIRS["unequal_gaps_700"])
     share, clock, d = harvesting._table(harvesting._columns([pair]), ("m",))["members"][0][0]
     (m,) = specfun.integrate_damped_group(harvesting._spec(share, [(clock, d)]))
-    (_, tail_err, tail_abs, _), = tails
-    assert tail_abs > 1e5 * abs(m.value)
-    assert tail_err >= specfun._ROUNDOFF * tail_abs
-    assert m.abs_error_estimate >= specfun._ROUNDOFF * tail_abs
+    (_, ray_err, ray_abs, _), = rays
+    assert ray_abs > 1e5 * abs(m.value)
+    assert m.abs_integral >= ray_abs[0]
+    assert m.abs_error_estimate >= ray_err[0] + specfun._ROUNDOFF * ray_abs[0]

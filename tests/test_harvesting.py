@@ -817,9 +817,12 @@ def test_relabelling_and_translating_the_pair_keeps_its_terms(
     omega, d, tba = omega_T / T, d_over_T * T, tba_over_T * T
     a = AtomSpec(a0=10.0 ** log_a0_omega / omega, omega=omega, switching_width=T)
     b = replace(a, omega=omega * ratio, position=(0.0, 0.0, d), switching_center=tba)
-    pair = DetectorPair(a, b, model)
+    # coupling 1e-3: every term is scaled by e^2, and at coupling 1 a pair at
+    # small d can have |M| > 1/2, which compute_terms rejects
+    pair = DetectorPair(a, b, model, coupling=1e-3)
     swapped = DetectorPair(replace(b, position=(0.0, 0.0, 0.0), switching_center=0.0),
-                           replace(a, position=(0.0, 0.0, -d), switching_center=-tba), model)
+                           replace(a, position=(0.0, 0.0, -d), switching_center=-tba), model,
+                           coupling=1e-3)
     try:
         one = compute_terms(pair, include_cross=pair.identical)
     except specfun.QuadratureConvergenceError:
@@ -852,7 +855,7 @@ def test_rotating_the_pair_keeps_its_terms(
     omega, d, tba = omega_T / T, d_over_T * T, tba_over_T * T
     a = AtomSpec(a0=10.0 ** log_a0_omega / omega, omega=omega, switching_width=T)
     b = replace(a, omega=omega * ratio, position=(0.0, 0.0, d), switching_center=tba)
-    pair = DetectorPair(a, b, model)
+    pair = DetectorPair(a, b, model, coupling=1e-3)  # as above: no pair has |M| > 1/2
     mirrored = replace(pair, atom_b=replace(b, position=(0.0, 0.0, -d)))
     try:
         one = compute_terms(pair, include_cross=pair.identical)
@@ -893,29 +896,30 @@ def test_j0_keeps_the_bits_of_its_formulas():
 
 
 def test_cross_term_sums_no_tail(monkeypatch):
-    # the Gaussian of L_AB is exactly 0.0 past the head's cutoff k_hi: the
-    # tails of its group are M's alone
-    tails = specfun._oscillatory_tails
+    # the Gaussian of L_AB is exactly 0.0 past its fixed panel set: L_AB has
+    # no wings, and no member of its group takes a ray pass
+    rays = []
+    real_rays = specfun._rays
 
-    def no_tail(f, kernel, members, *args, **kwargs):
-        if any(time.args[0][0] == "L_AB" for time, _ in members):
-            raise AssertionError("L_AB summed a tail past k_hi")
-        return tails(f, kernel, members, *args, **kwargs)
+    def spy(f, wave, members, *args):
+        rays.extend(time.args[0][0] for time, _ in members)
+        return real_rays(f, wave, members, *args)
 
-    monkeypatch.setattr(specfun, "_oscillatory_tails", no_tail)
+    monkeypatch.setattr(specfun, "_rays", spy)
     for d, tba in ((3.0, 1.5), (3.0, 0.0), (0.0, 1.5)):
         assert math.isfinite(abs(cross_noise_term(make_pair(d=d, tba=tba))))
+    assert "L_AB" not in rays
 
 
 # ----------------------------------------------------------------------------
-# the live edge: members that stop where their Gaussian is dead
+# the live edge: every M member stops where its Gaussian is dead, and takes
+# its wings past it along rays
 # ----------------------------------------------------------------------------
 
 def _edge_groups(rng):
     # M of a random pair (unequal gaps in half the draws) with the M of its
     # identical twin, so the two members' c differ, and of the twin delayed
-    # to 30 T, which stops, so the group has an edge; and the wingless terms
-    # of the twin, L_AB and L
+    # to 30 T; and the wingless terms of the twin, L_AB and L
     model = ModelKind(rng.choice([m.value for m in ModelKind]))
     T = rng.uniform(0.5, 2.0)
     omega = rng.uniform(0.5, 15.0) / T
@@ -931,100 +935,123 @@ def _edge_groups(rng):
             [_member(twin, "l_ab"), _member(twin, "l_aa")])
 
 
-def _abs_integral(term, lo, hi, panels):
-    # composite 16-point Gauss-Legendre of |f| on geometric panels
+def _abs_integral(f, lo, hi, panels):
+    # composite 16-point Gauss-Legendre of |f(k)| on geometric panels
     x, w = leggauss(16)
     edges = np.geomspace(lo, hi, panels + 1)
     half, mid = 0.5 * np.diff(edges), 0.5 * (edges[1:] + edges[:-1])
     k = (mid[:, None] + half[:, None] * x).ravel()
-    value, _ = reference_kernels.integrand(*term)(k)
-    return float(np.sum((np.abs(value).reshape(panels, -1) @ w) * half))
+    return float(np.sum((np.abs(f(k)).reshape(panels, -1) @ w) * half))
+
+
+def _gaussian_part(term):
+    # k -> M's integrand less its wings: |kern(kd)| 2 e^{-(b+c)^2} k^p / (4u+9)^6
+    (_, p, a0, T, kernel), (_, t_ba, d_omega), d = term
+    c = math.copysign(T * d_omega / (2.0 * math.sqrt(2.0)), 1.0 if t_ba >= 0.0 else -1.0)
+    return lambda k: (np.abs(kernel(k * d)[0]) * 2.0 * np.exp(-(T * k / math.sqrt(2.0) + c) ** 2)
+                      * harvesting._scale(p, a0)(k))
 
 
 def test_edge_bound_holds(rng):
-    # B bounds the integral of |f| from the live edge into the wings, brute
-    # force, for M at each member's d and at d = 0; and the bound past the
-    # end of an L or L_AB member's fixed panel set bounds its integral there
+    # B bounds the integral of the Gaussian part's |f| past the live edge,
+    # brute force, for M at each member's d and at d = 0; and the bound
+    # past the end of an L or L_AB member's fixed panel set bounds its
+    # integral of |f| there
     for _ in range(30):
         m_group, fixed = _edge_groups(rng)
-        for group in (m_group, [(s, c, 0.0) for s, c, _ in m_group], fixed):
-            if group is fixed:
-                sets = [harvesting._fixed(s, c[2], [(c, d)]) for s, c, d in fixed]
-                edges = [(x[1][-1], x[4]) for x in sets]
-            else:
-                k_live, bounds = harvesting._live_edge(group[0][0], [(c, d) for _, c, d in group])
-                assert k_live < math.inf
-                edges = [(k_live, bound) for bound in bounds]
-            for term, (k_live, bound) in zip(group, edges):
-                _, p, a0, T, _ = term[0]
-                sqrt_w = T / math.sqrt(2.0)
-                near = k_live + 12.0 / sqrt_w   # past it b - |c| > 19: the Gaussian is dead
-                far = 3.0 * harvesting._WING_CUTOFF[p] / (2.0 * a0)
-                brute = (_abs_integral(term, k_live, near, 200)
-                         + _abs_integral(term, near, far, 1500))
+        for group in (m_group, [(s, c, 0.0) for s, c, _ in m_group]):
+            k_live, bounds = harvesting._live_edge(group[0][0], [(c, d) for _, c, d in group])
+            for term, bound in zip(group, bounds):
+                T = term[0][3]
+                # past k_live + 12 sqrt2/T, b - |c| > 19: the Gaussian part is dead
+                brute = _abs_integral(_gaussian_part(term), k_live,
+                                      k_live + 12.0 * math.sqrt(2.0) / T, 200)
                 assert 0.0 < brute <= bound
+        for share, clock, d in fixed:
+            _, edges, _, _, bound = harvesting._fixed(share, clock[2], [(clock, d)])
+            _, p, a0, T, _ = share
+            f = reference_kernels.integrand(share, clock, d)
+            near = edges[-1] + 12.0 * math.sqrt(2.0) / T  # past it the Gaussian is dead
+            far = 3.0 * harvesting._WING_CUTOFF[p] / (2.0 * a0)
+            brute = (_abs_integral(lambda k: f(k)[0], edges[-1], near, 200)
+                     + _abs_integral(lambda k: f(k)[0], near, far, 1500))
+            assert 0.0 < brute <= bound
 
 
 def test_a_member_that_stops_lies_within_its_error_of_the_full_range(monkeypatch):
+    # at t_BA >= 16 T the wings carry e^{-t_BA^2/(2 T^2)} < e^-128: without
+    # its ray pass's value, each member lies within its error of its full
+    # value
     pairs = [make_pair(model=model, omega=omega, d=d, tba=tba)
              for model in ModelKind for omega in (1.0, 2.0)
              for d, tba in ((3.0, 20.0), (0.0, 16.0), (18.0, 16.0))]
-    tails = []
-    real_tails = specfun._oscillatory_tails
-
-    def spy(*args, **kwargs):
-        tails.append(len(args[2]))
-        return real_tails(*args, **kwargs)
-
-    monkeypatch.setattr(specfun, "_oscillatory_tails", spy)
-    stopped = harvesting.compute_terms_many(pairs)
-    assert not tails
-    real_edge = harvesting._live_edge
-    monkeypatch.setattr(harvesting, "_live_edge",
-                        lambda share, members: (real_edge(share, members)[0],
-                                                (math.inf,) * len(members)))
     full = harvesting.compute_terms_many(pairs)
-    assert tails
+    real_rays, rays = specfun._rays, []
+
+    def no_value(*args):
+        value, *rest = real_rays(*args)
+        rays.append(value)
+        return (0.0 * value, *rest)
+
+    monkeypatch.setattr(specfun, "_rays", no_value)
+    stopped = harvesting.compute_terms_many(pairs)
     for s, f in zip(stopped, full):
         for name in ("m", "l_aa", "l_ab"):
             assert (abs(getattr(s, name + "_scaled") - getattr(f, name + "_scaled"))
                     <= s.quadrature_errors[name])
+    assert rays
 
 
 def test_a_late_pair_evaluates_its_time_kernel_only_below_the_live_edge(monkeypatch):
-    # at t_BA = 20 T the wings are e^-200 down: M stops at the live edge
-    # (sqrt(60) sqrt(2)/T for equal gaps), with no tail
-    k_live = math.sqrt(120.0)
-    nodes, tails = [], []
-    real_kernel, real_tails = harvesting.scaled_time_kernel, specfun._oscillatory_tails
+    # at t_BA = 20 T, M's head, where the time kernel's values enter M,
+    # stops at the live edge (sqrt(60) sqrt(2)/T for equal gaps), and one
+    # ray pass takes its wings; past the edge the time kernel is evaluated
+    # only inside that pass, on its envelope row, for the magnitude
+    k_live = math.sqrt(60.0) * math.sqrt(2.0)
+    heads, rays, past, inside = [], [], [], [False]
+    real_panels, real_rays = specfun._gk15_panels, specfun._rays
+    real_kernel = harvesting.scaled_time_kernel
 
     def kernel(k, *args, **kwargs):
-        nodes.append(np.max(k))
+        if np.max(k) > k_live:
+            past.append(inside[0])
         return real_kernel(k, *args, **kwargs)
 
-    def no_tail(*args, **kwargs):
-        tails.append(args)
-        return real_tails(*args, **kwargs)
+    def panels(f, lo, hi, *args, **kwargs):
+        heads.append(hi.max())
+        return real_panels(f, lo, hi, *args, **kwargs)
+
+    def spy(*args):
+        rays.append(args[4])
+        inside[0] = True
+        try:
+            return real_rays(*args)
+        finally:
+            inside[0] = False
 
     monkeypatch.setattr(harvesting, "scaled_time_kernel", kernel)
-    monkeypatch.setattr(specfun, "_oscillatory_tails", no_tail)
+    monkeypatch.setattr(specfun, "_gk15_panels", panels)
+    monkeypatch.setattr(specfun, "_rays", spy)
     for model in ModelKind:
-        terms = compute_terms(make_pair(model=model, d=3.0, tba=20.0))
-        assert math.isfinite(abs(terms.m_scaled)) and terms.m_scaled != 0.0
-    assert nodes and max(nodes) < k_live
-    assert not tails
+        m = nonlocal_term(make_pair(model=model, d=3.0, tba=20.0))
+        assert math.isfinite(abs(m)) and m != 0.0
+    assert heads and max(heads) == k_live
+    assert len(rays) == 3 and all(k0 == [k_live] for k0 in rays)
+    assert len(past) == 3 and all(past)
 
 
 def test_a_group_where_no_member_could_stop_has_no_edge(monkeypatch):
-    # at t_BA = 1.5 T the bound of M's wings is far above any floor it could
-    # have: M alone gets no edge and takes all its seeds in its first pass,
-    # while with the M of t_BA = 20 T, which stops, the group keeps its edge
+    # every M member can stop: at t_BA = 1.5 T the wings are far above any
+    # floor, and M alone still stops at the live edge, with the bound of its
+    # Gaussian part alone, and takes the seeds below the edge in its first
+    # pass.  A spec whose members could not stop (no bounds, no wings) has
+    # no edge: its first pass takes all the seeds, to k_hi = sqrt(1500)/T
     pair = make_pair(model=ModelKind.UDW_SCALAR, d=3.0, tba=1.5)
     share, m, d = _member(pair, "m")
     late = _member(make_pair(model=ModelKind.UDW_SCALAR, d=3.0, tba=20.0), "m")[1]
-    assert harvesting._live_edge(share, [(m, d)]) == (math.inf, ())
-    k_live, bounds = harvesting._live_edge(share, [(m, d), (late, d)])
-    assert k_live < math.sqrt(1500.0) and bounds[0] > 1e-10 > bounds[1]
+    k_live, (bound,) = harvesting._live_edge(share, [(m, d)])
+    assert k_live == math.sqrt(60.0) * math.sqrt(2.0) and 0.0 < bound < 1e-20
+    assert harvesting._live_edge(share, [(m, d), (late, d)]) == (k_live, (bound, bound))
     passes = []
     real_panels = specfun._gk15_panels
 
@@ -1033,7 +1060,11 @@ def test_a_group_where_no_member_could_stop_has_no_edge(monkeypatch):
         return real_panels(f, lo, hi, *args, **kwargs)
 
     monkeypatch.setattr(specfun, "_gk15_panels", panels)
-    specfun.integrate_damped_group(harvesting._spec(share, [(m, d)]))
+    spec = harvesting._spec(share, [(m, d)])
+    specfun.integrate_damped_group(spec)
+    assert passes[0] == k_live
+    passes.clear()
+    specfun.integrate_damped_group(replace(spec, live_edge=math.inf, edge_bounds=(), wings=()))
     assert passes[0] == math.sqrt(1500.0)
 
 
@@ -1042,7 +1073,8 @@ def test_a_group_where_no_member_could_stop_has_no_edge(monkeypatch):
     (1e-3, 1e150, 1e151), (1e-3, 1.0, 1e200), (1e-3, 1.0, 1e-200)])
 def test_edge_bound_is_overflow_safe(a0, T, tba):
     # the bound is formed in logs: where it leaves double range it is inf,
-    # and the member runs on, with no exception and no RuntimeWarning
+    # with no exception and no RuntimeWarning; it takes the rational <=
+    # 9^-6, so at a0 = 1e-200 it is the bound at a0 = 1e-3
     a = AtomSpec(a0=a0, omega=2.0 / T, switching_width=T)
     b = AtomSpec(a0=a0, omega=2.6 / T, position=(0.0, 0.0, 3.0 * T),
                  switching_center=tba, switching_width=T)
@@ -1052,27 +1084,29 @@ def test_edge_bound_is_overflow_safe(a0, T, tba):
             # M of the pair and of its identical twin, built directly: most
             # of these lie past the range _table accepts
             _, _, p, _, kernel = harvesting._model_params(model)
-            k_live, bounds = harvesting._live_edge(
-                ("M", p, a0, T, kernel), [(("M", tba, a.omega - b.omega), 0.0),
-                                          (("M", tba, 0.0), 0.0)])
+            members = [(("M", tba, a.omega - b.omega), 0.0), (("M", tba, 0.0), 0.0)]
+            k_live, bounds = harvesting._live_edge(("M", p, a0, T, kernel), members)
             assert k_live > 0.0 and all(bound >= 0.0 for bound in bounds)
             if a0 == 1e-200:
-                # every bound is inf: no member could stop, so no edge
-                assert (k_live, bounds) == (math.inf, ())
+                assert (k_live, bounds) == harvesting._live_edge(("M", p, 1e-3, T, kernel),
+                                                                 members)
+                assert all(bound < math.inf for bound in bounds)
 
 
 def test_a_member_whose_bound_overflows_runs_on(monkeypatch):
-    # at a0 = 1e-200 the wings' (1.5/a0)^(p+1) leaves double range: M and
-    # its identical twin cannot stop, so their group has no edge, and both
-    # run on into one tail pass, without a RuntimeWarning
-    tails = []
-    real_tails = specfun._oscillatory_tails
+    # at a0 = 1e-200 a bound on the wings, (1.5/a0)^(p+1), leaves double
+    # range, so no member may drop them: M and its twin of unequal gaps run
+    # on past the live edge, their wings in one ray pass, and their heads
+    # stop there with finite bounds on the Gaussian part (which do not see
+    # a0), without a RuntimeWarning
+    rays = []
+    real_rays = specfun._rays
 
-    def spy(*args, **kwargs):
-        tails.append(args)
-        return real_tails(*args, **kwargs)
+    def spy(*args):
+        rays.append(len(args[2]))
+        return real_rays(*args)
 
-    monkeypatch.setattr(specfun, "_oscillatory_tails", spy)
+    monkeypatch.setattr(specfun, "_rays", spy)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         pair = make_pair(model=ModelKind.UDW_DERIVATIVE, a0_omega=2e-200, tba=20.0)
@@ -1080,53 +1114,134 @@ def test_a_member_whose_bound_overflows_runs_on(monkeypatch):
         share, d = ("M", 7, pair.atom_a.a0, 1.0, spherical_bessel_j0), pair.separation
         spec = harvesting._spec(share, [(("M", 20.0, 0.0), d), (("M", 20.0, 0.3), d)])
         quads = specfun.integrate_damped_group(spec)
-    assert spec.live_edge == math.inf and spec.edge_bounds == ()
+    assert spec.live_edge < math.inf and all(0.0 < b < math.inf for b in spec.edge_bounds)
     assert all(isinstance(q, specfun.QuadratureResult) for q in quads)
-    assert [len(args[2]) for args in tails] == [2]
+    assert rays == [2]
 
 
 @pytest.mark.parametrize("d", [3.0, 1e-300, 1e300])
 @pytest.mark.parametrize("a0,tba", [(1e-200, 20.0), (1e-200, 0.0), (1e200, 20.0), (1e-3, 1e200)])
 def test_edge_bound_with_the_spatial_decay_is_overflow_safe(a0, tba, d):
-    # the kernel's decay C/(k d)^m enters the bound and the screen in logs
-    # too: no exception and no RuntimeWarning at any d.  At a0 = 1e-200 the
-    # bound is past double range (the scalar couplings' (1.5/a0)^(p-m),
-    # m = 1) or far above the floor the screen allows, so no member stops
+    # the bound takes |kern| <= 1: no exception and no RuntimeWarning at any
+    # d, and the same bound at every d; the kernel's decay past the edge is
+    # its wave's, along the rays
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for model in ModelKind:
             _, _, p, _, kernel = harvesting._model_params(model)
-            k_live, bounds = harvesting._live_edge(
-                ("M", p, a0, 1.0, kernel), [(("M", tba, -0.6), d), (("M", tba, 0.0), d)])
+            share = ("M", p, a0, 1.0, kernel)
+            k_live, bounds = harvesting._live_edge(share, [(("M", tba, -0.6), d),
+                                                           (("M", tba, 0.0), d)])
             assert k_live > 0.0 and all(bound >= 0.0 for bound in bounds)
-            if a0 == 1e-200:
-                # no bound is below the floor of its kernel: no edge
-                assert (k_live, bounds) == (math.inf, ())
+            assert harvesting._live_edge(share, [(("M", tba, -0.6), 0.0),
+                                                 (("M", tba, 0.0), 0.0)]) == (k_live, bounds)
 
 
 @pytest.mark.parametrize("p,kernel", [(3, spherical_bessel_j0_plus_j2),
                                       (5, spherical_bessel_j0), (7, spherical_bessel_j0)])
 def test_spatial_kernels_decay_as_the_edge_bound_takes(p, kernel):
-    # |kern(x)| <= C/x^m: |3 j1(x)/x| <= 6/x^2, |j0(x)| <= 1/x
-    m, log_c = harvesting._KERN_DECAY[p]
+    # kern(x) = 2 Re(e^{ix} A(x)), A its wave; 2|A| bounds |kern| and, from
+    # x = 5, its magnitude: the envelope of a ray member's integral of |f|
+    wave = harvesting._KERN_WAVE[p]
     x = np.concatenate([np.geomspace(1e-3, 1e6, 4001), np.linspace(0.01, 60.0, 6000)])
-    value, _ = kernel(x)
-    assert np.all(np.abs(value) <= math.exp(log_c) / x ** m)
+    value, mag = kernel(x)
+    a = wave(x.astype(complex))
+    far = x >= 5.0
+    assert np.allclose(2.0 * (np.exp(1j * x[far]) * a[far]).real, value[far], rtol=0.0,
+                       atol=1e-15 * (2.0 * np.abs(a[far])).max())
+    assert np.all(np.abs(value) <= 2.0 * np.abs(a) * (1.0 + 1e-15))
+    assert np.all(mag[far] <= 2.0 * np.abs(a[far]) * (1.0 + 1e-15))
+
+
+def _ray_member(model, d, tba, d_omega):
+    # the spec of one M member at T = 1, a0 = 1e-2 (a0 Omega ~ 1e-2, so the
+    # rational cutoff is 6e3 for EM and 2e4 for UdW), and its live edge; d
+    # None: k_live d just above the rays' threshold
+    _, _, p, _, kernel = harvesting._model_params(model)
+    share, clock = ("M", p, 1e-2, 1.0, kernel), ("M", tba, d_omega)
+    k_live = harvesting._spec(share, [(clock, 1.0)]).live_edge
+    d = 1.02 * specfun._RAY_X / k_live if d is None else d
+    return harvesting._spec(share, [(clock, d)]), d, k_live
+
+
+def _real_axis(spec, d, lo, hi):
+    # (value, error) of GK15 on half-period panels of [lo, hi] of the
+    # member's own integrand on the real axis, and its integral of the magnitude
+    edges = np.linspace(lo, hi, int(math.ceil((hi - lo) * d / math.pi)) + 1)
+    rows = specfun._gk15_panels(spec.integrand, edges[:-1], edges[1:], spec.kernel,
+                                list(spec.members))[:3]
+    return tuple(x.sum() for x in rows)
+
+
+@pytest.mark.parametrize("model, d, tba, d_omega", [
+    (ModelKind.EM_DIPOLE, 2.0, 1.5, 0.0), (ModelKind.UDW_SCALAR, 3.0, 1.0, 0.4),
+    (ModelKind.EM_DIPOLE, 2.0, -2.0, -0.5), (ModelKind.UDW_SCALAR, None, 0.5, 0.0),
+    (ModelKind.EM_DIPOLE, None, -1.0, 0.3)])
+def test_rays_agree_with_a_real_axis_sum(model, d, tba, d_omega):
+    # the rays from the live edge against GK15 over half periods of the
+    # member's own integrand, time kernel and kernel on the real axis, out to
+    # the rational cutoff: within the summed errors and the edge's bound of
+    # the Gaussian part.  And, by Cauchy's theorem, the rays from k_live are
+    # the real axis's [k_live, k_hi] plus the rays from k_hi
+    spec, d, k_live = _ray_member(model, d, tba, d_omega)
+    k_hi, rays = math.sqrt(1500.0), functools.partial(
+        specfun._rays, spec.integrand, spec.wave, list(spec.members), list(spec.wings))
+    top = np.array([k_hi + 80.0 * math.pi / d])
+    value, error, _, _ = rays(np.array([k_live]), top)
+    brute, brute_error, _ = _real_axis(spec, d, k_live, spec.cutoff)
+    assert abs(value[0] - brute) <= error[0] + brute_error + spec.edge_bounds[0]
+    assert abs(value[0]) > 1e3 * (error[0] + brute_error)
+    head, head_error, _ = _real_axis(spec, d, k_live, k_hi)
+    far, far_error, _, _ = rays(np.array([k_hi]), top)
+    assert (abs(head + far[0] - value[0])
+            <= head_error + far_error[0] + error[0] + spec.edge_bounds[0])
+
+
+@pytest.mark.parametrize("params", [
+    # scatter_terms pool points 3697 and 7718, and fig5a's (d, t_BA) = (32/3, 16/3) T
+    (ModelKind.UDW_DERIVATIVE, 3.3924109053354776, 0.005218682006759862,
+     22.676400891851895, 2.695044910399141),
+    (ModelKind.UDW_DERIVATIVE, 4.694129795522743, 0.005765700184913115,
+     22.942136984275507, 0.5956099511827957),
+    (ModelKind.EM_DIPOLE, 12.0, 1e-3, 32.0 / 3.0, 16.0 / 3.0)])
+def test_a_ray_members_magnitude_is_at_least_the_real_axis(params, monkeypatch):
+    # a ray member's integral of the magnitude is at least the one the real
+    # axis gives over [k_live, k_hi + 80 half periods], the span of the head
+    # that ran on and the tail it summed, brute force: its error's 50 eps of
+    # it is no tighter than theirs
+    model, omega, a0_omega, d, tba = params
+    rays = []
+    real_rays = specfun._rays
+
+    def spy(*args):
+        rays.append((args[4], args[5], real_rays(*args)))
+        return rays[-1][2]
+
+    monkeypatch.setattr(specfun, "_rays", spy)
+    share, clock, d = _member(make_pair(model=model, omega=omega, a0_omega=a0_omega, d=d,
+                                        tba=tba), "m")
+    spec = harvesting._spec(share, [(clock, d)])
+    (quad,) = specfun.integrate_damped_group(spec)
+    ((k0, top, (_, error, absint, _)),) = rays
+    assert k0[0] == spec.live_edge and top[0] == math.sqrt(1500.0) + 80.0 * math.pi / d
+    _, _, brute = _real_axis(spec, d, k0[0], top[0])
+    assert absint[0] >= brute > 0.0
+    assert quad.abs_error_estimate >= error[0] + specfun._ROUNDOFF * brute
 
 
 def test_a_group_of_several_times_sums_its_tails_in_one_pass(monkeypatch):
-    # 3 times x 3 d, none late enough to stop at the edge: one tail pass for
-    # all nine, and each member agrees with a group of its time alone, with
-    # the same evaluations, within its roundoff floor F = 50 eps x its
-    # integral of |f| (its error within 200 F, that integral within 8 eps)
+    # 3 times x 3 d: one ray pass for all nine members' wings, and each
+    # member agrees with a group of its time alone, with the same
+    # evaluations, within its roundoff floor F = 50 eps x its integral of
+    # |f| (its error within 200 F, that integral within 8 eps)
     passes = []
-    real_tails = specfun._oscillatory_tails
+    real_rays = specfun._rays
 
-    def spy(*args, **kwargs):
+    def spy(*args):
         passes.append(len(args[2]))
-        return real_tails(*args, **kwargs)
+        return real_rays(*args)
 
-    monkeypatch.setattr(specfun, "_oscillatory_tails", spy)
+    monkeypatch.setattr(specfun, "_rays", spy)
     for model in ModelKind:
         _, _, p, _, kernel = harvesting._model_params(model)
         share = ("M", p, 5e-4, 1.0, kernel)
@@ -1147,38 +1262,50 @@ def test_a_group_of_several_times_sums_its_tails_in_one_pass(monkeypatch):
 
 
 def test_fig5a_members_stop_at_the_edge_from_its_delay_10_7(monkeypatch):
-    # on fig5a's 10 x 10 map the kernel's decay and |w(z)| <= 2/(sqrt(pi)|z|)
-    # stop every d > 0 member at t_BA = 32/3 T at the live edge: no tail
-    tails = []
-    real_tails = specfun._oscillatory_tails
+    # on fig5a's 10 x 10 map every M member's head stops at the live edge,
+    # at every delay (not only from 32/3 T on): the 90 members with d > 0
+    # take their wings in one ray pass, the 10 at d = 0 on one run of
+    # geometric panels from the edge to the cutoff
+    rays, runs = [], []
+    real_rays, real_gk = specfun._rays, specfun._adaptive_gk
 
-    def spy(f, kernel, members, *args, **kwargs):
-        tails.extend((time.args[0][1], d) for time, d in members)
-        return real_tails(f, kernel, members, *args, **kwargs)
+    def spy(f, wave, members, wings, k0, top):
+        rays.append((len(members), set(k0.tolist())))
+        return real_rays(f, wave, members, wings, k0, top)
 
-    monkeypatch.setattr(specfun, "_oscillatory_tails", spy)
+    def adaptive(f, breakpoints, *args, **kwargs):
+        runs.append((breakpoints[0], breakpoints[-1], len(kwargs.get("members") or args[4])))
+        return real_gk(f, breakpoints, *args, **kwargs)
+
+    monkeypatch.setattr(specfun, "_rays", spy)
+    monkeypatch.setattr(specfun, "_adaptive_gk", adaptive)
     spacetime_map(Axis("d_over_T", 0.0, 24.0, 10), Axis("tba_over_T", 0.0, 24.0, 10),
                   omega_T=12.0)
-    delays = {tba for tba, _ in tails}
-    assert len(delays) == 4 and max(delays) == pytest.approx(8.0)
-    assert not any(tba == pytest.approx(32.0 / 3.0) for tba, _ in tails)
+    k_live = math.sqrt(60.0) * math.sqrt(2.0)
+    assert rays == [(90, {k_live})]
+    assert runs == [(0.0, k_live, 100), (k_live, 120.0 / (2.0 * 1e-3 / 12.0), 10)]
 
 
-def test_fig5b_m_group_gets_no_edge(monkeypatch):
-    # at t_BA <= 8 T and d >= 4 T no M member of fig5b's map can stop: with
-    # the kernel's decay at each member's d the screen gives the group no
-    # edge, so its head is one pass over all the seeds
-    edges = []
-    real_edge = harvesting._live_edge
+def test_fig5b_m_group_takes_one_ray_pass(monkeypatch):
+    # at t_BA <= 8 T and d >= 4 T every M member of fig5b's map stops at the
+    # live edge and takes its wings in one ray pass of all 1600
+    edges, rays = [], []
+    real_edge, real_rays = harvesting._live_edge, specfun._rays
 
     def spy(share, members):
-        edges.append((len(members), real_edge(share, members)))
-        return edges[-1][1]
+        edges.append((len(members), real_edge(share, members)[0]))
+        return real_edge(share, members)
+
+    def ray_spy(*args):
+        rays.append(len(args[2]))
+        return real_rays(*args)
 
     monkeypatch.setattr(harvesting, "_live_edge", spy)
+    monkeypatch.setattr(specfun, "_rays", ray_spy)
     spacetime_map(Axis("d_over_T", 4.0, 14.0, 40), Axis("tba_over_T", 0.0, 8.0, 40), omega_T=12.0,
                   switching=SwitchingKind("cropped_gaussian", 8.0))
-    assert edges == [(1600, (math.inf, ()))]
+    assert edges == [(1600, math.sqrt(60.0) * math.sqrt(2.0))]
+    assert rays == [1600]
 
 
 def _fixed_reference(share, clock, d):
@@ -1354,10 +1481,10 @@ def _brute_m_scaled(pair):
 @pytest.mark.parametrize("omega", [1.0, 12.0])
 @pytest.mark.parametrize("d", [1e-4, 1e-3, 3e-3])
 def test_small_separations_match_a_brute_panel_sum(omega, d):
-    # below d ~ 0.03 T a wing [k_hi, cutoff] of at most 80 half periods is
-    # integrated to the cutoff, and a longer one summed over its own half
-    # periods, which alternate.  At Omega T = 1 no density matrix has these
-    # terms (|M| > 1/2), which compute_terms rejects: the engine's M itself
+    # at these separations the wings are integrated on the real axis from
+    # the live edge to k d = 15, and along rays past it.  At Omega T = 1 no
+    # density matrix has these terms (|M| > 1/2), which compute_terms
+    # rejects: the engine's M itself
     pair = make_pair(omega=omega, d=d, tba=0.0)
     m_scaled, error, _ = harvesting._harvest(harvesting._columns([pair]), ("m",),
                                              SwitchingKind(), 1e-16, 1e-10)["m"]
@@ -1366,6 +1493,18 @@ def test_small_separations_match_a_brute_panel_sum(omega, d):
         expected = {1e-4: 3.40182, 1e-3: 3.10092, 3e-3: 1.67765}[d]
         assert brute.imag == pytest.approx(expected, abs=5e-6)
     assert abs(m_scaled[0] - brute) <= error[0]
+
+
+@pytest.mark.parametrize("d", [1e-3, 1.5e-3, 2e-3])
+def test_derivative_small_separations_converge_to_a_brute_panel_sum(d):
+    # the derivative coupling's M stalled here while its wings were summed
+    # over real-axis half periods; with the rays it converges, within its
+    # error (~1e-12 relative) of the brute sum
+    pair = make_pair(model=ModelKind.UDW_DERIVATIVE, omega=1.0, d=d, tba=0.0)
+    out = harvesting._harvest(harvesting._columns([pair]), ("m",), SwitchingKind(), 1e-16, 1e-10)
+    (m_scaled,), (error,), _ = out["m"]
+    assert out["failed"] == [None]
+    assert abs(m_scaled - _brute_m_scaled(pair)) <= error
 
 
 def test_rejects_em_pair_off_the_z_axis():
@@ -1391,6 +1530,25 @@ def test_compute_terms_names_the_pair_no_state_has():
         compute_terms(pairs[1])
     with pytest.raises(ValueError, match=r"^pair 1 at d = 3, t_BA = 1, coupling 1e\+150"):
         harvesting.compute_terms_many(pairs)
+
+
+@pytest.mark.parametrize("coupling, why", [
+    (1e150, r"L_AA \+ L_BB = .* > 1"), (1e152, r"L_AA \+ L_BB = .* > 1"),
+    (1e153, r"a term is exp\(inf\) .* outside double range"),
+    (1e154, r"a term is exp\(inf\) .* outside double range")])
+def test_compute_terms_names_the_pair_at_any_large_coupling(coupling, why):
+    # from 1e153 a term relative to exp(log_scale) leaves double range
+    # before the state is checked: that error names the pair, its point and
+    # its coupling too, alone, in a batch and in a term's view
+    pair = make_pair(d=3.0, tba=1.0, omega=1.0, coupling=coupling)
+    name = re.escape(f"at d = 3, t_BA = 1, coupling {coupling:g}: ")
+    with pytest.raises(ValueError, match=f"^pair 0 {name}{why}"):
+        compute_terms(pair)
+    with pytest.raises(ValueError, match=f"^pair 1 {name}{why}"):
+        harvesting.compute_terms_many([make_pair(d=3.0, tba=1.0, omega=1.0), pair])
+    if coupling >= 1e153:
+        with pytest.raises(ValueError, match=f"^pair 0 {name}{why}"):
+            local_term(pair)
 
 
 @pytest.mark.parametrize("coupling", [math.inf, math.nan, 0.0, -1.0])

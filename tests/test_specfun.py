@@ -10,7 +10,7 @@ from scipy.special import spherical_jn, wofz
 from vharvest import specfun
 from vharvest.oracle import radial_bruteforce, radial_overlap
 from vharvest.specfun import (DampedKernelSpec, QuadratureConvergenceError,
-                              QuadratureResult, _adaptive_gk, _wynn_epsilon,
+                              QuadratureResult, _adaptive_gk,
                               integrate_damped_group, scaled_time_kernel,
                               spherical_bessel_j0, spherical_bessel_j0_plus_j2)
 
@@ -89,8 +89,8 @@ def test_faddeeva_asymptotic_large_real():
 
 @pytest.mark.parametrize("a", [0.0, 1e-3, 1.0, 10.0])
 def test_faddeeva_is_within_the_live_edge_bound(a):
-    # |w(z)| <= 2/(sqrt(pi) |z|) in the upper half plane, the bound the live
-    # edge takes for M's wings, over |z| in [1e-2, 1e6] on both sides of 0
+    # |w(z)| <= 2/(sqrt(pi) |z|) in the upper half plane (w = pi^-1/2 int_0^inf
+    # e^{-t^2/4 + izt} dt by parts once), over |z| in [1e-2, 1e6] on both sides of 0
     r = np.geomspace(1e-2, 1e6, 2001)
     r = r[r >= a]
     x = np.sqrt(r * r - a * a)
@@ -382,6 +382,28 @@ def test_faddeeva_series_within_4_eps_of_mpmath():
         assert_faddeeva_within_4_eps(sign * np.sqrt(r * r - a * a), a)
 
 
+@pytest.mark.parametrize("t_ba, d_omega", [(0.0, 0.0), (1.5, 0.0), (-2.0, 0.7), (3.0, -1.2),
+                                           (24.0, 0.0)])
+def test_time_wings_are_the_kernel_less_its_gaussian_past_the_live_edge(t_ba, d_omega):
+    # on the real axis past b - |c| = sqrt(60) the wings are the time kernel
+    # less its Gaussian part 2 e^{-(b+c)^2 - 2ia(b+c)}, within the kernel's
+    # rounding bound; at complex k the second value, W(conj k) by symmetry,
+    # is W evaluated at conj k
+    T = 0.8
+    a, c = abs(t_ba) / (SQRT2 * T), math.copysign(T * d_omega / (2.0 * SQRT2), t_ba or 1.0)
+    k = SQRT2 / T * (math.sqrt(60.0) + abs(c)) * np.geomspace(1.0, 1e4, 400)
+    value, mag = scaled_time_kernel(k, t_ba, T, d_omega=d_omega)
+    bc = T * k / SQRT2 + c
+    gauss = 2.0 * np.exp(-bc * bc - 2j * a * bc)
+    wings, mirror = specfun._time_wings(k.astype(complex), t_ba, T, d_omega=d_omega)
+    assert np.all(np.abs(wings - (value - gauss)) <= specfun._ROUNDOFF * mag)
+    assert np.allclose(mirror, wings, rtol=1e-15, atol=0.0)
+    z = k[::40] * (1.0 + 0.7j)
+    assert np.allclose(specfun._time_wings(z, t_ba, T, d_omega=d_omega)[1],
+                       specfun._time_wings(z.conj(), t_ba, T, d_omega=d_omega)[0],
+                       rtol=1e-14, atol=0.0)
+
+
 def test_kernel_rejects_bad_width():
     with pytest.raises(ValueError):
         scaled_time_kernel(1.0, 0.0, -1.0, d_omega=0.0)
@@ -630,7 +652,7 @@ def reduce_row(rng, kind, scale, p):
                 min_size=2, max_size=6),
        st.integers(1, 40), st.integers(0, 2 ** 32 - 1))
 def test_gk15_reduce_block_rows_have_the_full_formulas_bits(rows, p, seed):
-    # a stack of rows (a tail pass's block) gets, row by row and bit for
+    # a stack of rows gets, row by row and bit for
     # bit, what the full formula gives each row alone, NaN and inf rows
     # included
     rng = np.random.default_rng(seed)
@@ -682,35 +704,49 @@ def test_adaptive_gk_gives_identical_members_the_bits_of_one_alone():
         assert all(same_bits(x, y) for copy in copies for x, y in zip(copy, alone[0]))
 
 
-def test_tail_rows_of_several_times_have_the_bits_of_each_time_alone(monkeypatch):
-    # one row of panels per member (the tails): each time is evaluated on
-    # its own rows, in blocks of at most _BLOCK_NODES nodes, so a member's
-    # rows are those of a call with its time's members alone
+def test_tail_rows_of_several_times_have_the_bits_of_each_time_alone():
+    # the tails past the live edge, one ray pass for members of two times:
+    # each time is evaluated once, on the envelope row, and each wings
+    # callable once, on its members' upper rays and that row.  A member's
+    # value and evaluations have the bits of a pass of its time alone; its
+    # error and abs_integral, whose envelope sums are matrix products over
+    # the pass's times, agree within 2 eps
+    calls = []
+
     def time(t):
-        return lambda k: (scaled_time_kernel(k, t, 1.0, d_omega=0.0),)
+        def factors(k):
+            calls.append(("time", t, k.size))
+            return (scaled_time_kernel(k, t, 1.0, d_omega=0.0),)
+        return factors
+
+    def wings(t):
+        def w(k):
+            calls.append(("wings", t, k.size))
+            return specfun._time_wings(k, t_ba=t, T=1.0, d_omega=0.0)
+        return w
 
     def f(k):
         return k ** 3 / (4.0 * (1e-3 * k) ** 2 + 9.0) ** 6
 
-    t1, t2 = time(1.0), time(3.0)
+    t1, t2, w1, w2 = time(1.0), time(3.0), wings(1.0), wings(3.0)
     members = [(t1, 2.0), (t2, 2.0), (t1, 5.0), (t2, 9.0), (t1, 11.0)]
-    steps = np.array([math.pi / d for _, d in members])
-    lo = 40.0 + steps[:, None] * np.arange(24)
-    monkeypatch.setattr(specfun, "_BLOCK_NODES", 2 * 15 * 24)
-    kernel, blocks = specfun.spherical_bessel_j0_plus_j2, []
-
-    def spy(x):
-        blocks.append(np.shape(x))
-        return kernel(x)
-
-    together = specfun._gk15_panels(f, lo, lo + steps[:, None], spy, members)
-    assert blocks == [(2, 360), (1, 360), (2, 360)]
+    ws = [w1 if t is t1 else w2 for t, _ in members]
+    d = np.array([d for _, d in members])
+    k0 = np.full(d.size, math.sqrt(120.0))  # the live edge of equal gaps at T = 1
+    top = math.sqrt(1500.0) + 80.0 * math.pi / d
+    wave, n = specfun._j0_plus_j2_wave, specfun._RAY_Y.size
+    together = specfun._rays(f, wave, members, ws, k0, top)
+    row = calls[0][2]
+    assert row % 15 == 0 and calls == [("time", 1.0, row), ("time", 3.0, row),
+                                       ("wings", 1.0, 3 * n + row), ("wings", 3.0, 2 * n + row)]
     for t in (t1, t2):
         ids = [i for i, (tm, _) in enumerate(members) if tm is t]
-        alone = specfun._gk15_panels(f, lo[ids], lo[ids] + steps[ids, None], kernel,
-                                     [members[i] for i in ids])
-        for j in range(3):
-            assert np.array_equal(together[j][ids], alone[j])
+        alone = specfun._rays(f, wave, [members[i] for i in ids], [ws[i] for i in ids], k0[ids],
+                              top[ids])
+        value, error, absint, evals = (x[ids] for x in together)
+        assert np.array_equal(value, alone[0]) and np.array_equal(evals, alone[3])
+        for x, y in ((error, alone[1]), (absint, alone[2])):
+            assert np.all(np.abs(x - y) <= 2.0 * np.finfo(float).eps * y)
 
 
 def test_integrate_gaussian_moment():
@@ -825,122 +861,8 @@ def test_nonconvergence_carries_best_estimate():
 
 
 # ----------------------------------------------------------------------------
-# Wynn epsilon and the adaptive GK15 loop
+# The adaptive GK15 loop
 # ----------------------------------------------------------------------------
-
-def wynn_reference(partial_sums):
-    # the list-and-loop Wynn table the array version replaced
-    s = [complex(v) for v in partial_sums]
-    if len(s) < 3:
-        return s[-1], abs(s[-1] - s[0])
-    scale = max(abs(v) for v in s)
-    if scale == 0.0:
-        return 0.0 + 0.0j, 0.0
-    floor = 4.0 * np.finfo(float).eps * scale
-    prev = [0.0 + 0.0j] * (len(s) + 1)
-    curr = list(s)
-    best = s[-1]
-    best_err = abs(s[-1] - s[-2])
-    col = 0
-    while len(curr) >= 2:
-        nxt = []
-        converged = False
-        for j in range(len(curr) - 1):
-            diff = curr[j + 1] - curr[j]
-            if col % 2 == 0 and abs(diff) <= floor:
-                if abs(diff) <= best_err:
-                    best, best_err = curr[j + 1], max(abs(diff), floor)
-                converged = True
-                break
-            if diff == 0:
-                converged = True
-                break
-            nxt.append(prev[j + 1] + 1.0 / diff)
-        if converged or not nxt:
-            break
-        prev, curr = curr, nxt
-        col += 1
-        if col % 2 == 0 and len(curr) >= 2:
-            cand_err = abs(curr[-1] - curr[-2])
-            if cand_err < best_err:
-                best, best_err = curr[-1], cand_err
-    return best, max(best_err, floor)
-
-
-def _assert_wynn_agrees(seq, limit=None):
-    val, err = _wynn_epsilon(seq)
-    ref_val, ref_err = wynn_reference(seq)
-    # the array table reciprocates with numpy's complex division, which can
-    # differ from Python's in the last bit
-    assert abs(val - ref_val) <= 64 * np.finfo(float).eps * max(1.0, abs(ref_val))
-    assert err == pytest.approx(ref_err, rel=1e-6, abs=1e-15)
-    if limit is not None:
-        assert abs(val - limit) <= max(10.0 * err, 1e-13)
-    return val, err
-
-
-@pytest.mark.parametrize("n_terms", [5, 8, 12, 40])
-def test_wynn_alternating_log2(n_terms):
-    # short tables stop on the candidate rule, long ones on the roundoff floor
-    terms = [(-1) ** (n + 1) / n for n in range(1, n_terms + 1)]
-    _assert_wynn_agrees(np.cumsum(terms), math.log(2.0))
-
-
-@pytest.mark.parametrize("n_terms", [6, 11, 60])
-def test_wynn_leibniz_pi_over_4(n_terms):
-    terms = [(-1) ** n / (2 * n + 1) for n in range(n_terms)]
-    _assert_wynn_agrees(np.cumsum(terms), math.pi / 4.0)
-
-
-def test_wynn_complex_oscillatory_tail():
-    # partial sums of a damped complex Fourier tail, as _oscillatory_tail feeds it
-    n = np.arange(1, 77)
-    terms = (-1.0) ** n * np.exp(0.3j * n) / n ** 1.5
-    _assert_wynn_agrees(np.cumsum(terms))
-
-
-def test_wynn_constant_sequence_stops_on_zero_difference():
-    val, err = _assert_wynn_agrees([0.25 + 0.5j] * 12)
-    assert val == 0.25 + 0.5j
-    assert err == pytest.approx(4.0 * np.finfo(float).eps * abs(0.25 + 0.5j))
-
-
-def test_wynn_zero_difference_stops_the_table():
-    # a zero term mid-sequence stops column 0 and returns the sum before it
-    val, err = _assert_wynn_agrees(np.cumsum([1.0, -0.5, 0.0, 0.25, -0.125]))
-    assert val == 0.5
-    # two equal leading terms give a zero difference in column 1, which stops
-    # the table before any extrapolation: the last partial sum comes back
-    seq = [1.0, 2.0, 3.0] + list(3.0 + np.cumsum([(-1) ** n / (n + 1) for n in range(8)]))
-    val, err = _assert_wynn_agrees(seq)
-    assert val == seq[-1] and err == pytest.approx(0.125)
-
-
-def test_wynn_all_zero_sequence():
-    assert _wynn_epsilon([0.0] * 9) == (0.0 + 0.0j, 0.0)
-    assert wynn_reference([0.0] * 9) == (0.0 + 0.0j, 0.0)
-
-
-def test_wynn_table_equals_each_row_alone():
-    # a (members, sums) table: every row stops on its own rule, as alone
-    n = np.arange(1, 41)
-    rows = [np.cumsum((-1.0) ** n * np.exp(0.3j * n) / n ** 1.5),
-            np.cumsum((-1.0) ** (n + 1) / n),
-            np.full(40, 0.25 + 0.5j),
-            np.zeros(40),
-            np.r_[1.0, 2.0, 3.0, 3.0 + np.cumsum((-1.0) ** n[:37] / n[:37])],
-            np.cumsum(np.random.default_rng(3).standard_normal(40))]
-    for width in (1, 2, 3, 12, 40):
-        vals, errs = _wynn_epsilon(np.array([r[:width] for r in rows]))
-        assert [(v, e) for v, e in zip(vals, errs)] == [_wynn_epsilon(r[:width]) for r in rows]
-
-
-def test_wynn_short_sequences():
-    for seq in ([1.5], [1.0, 0.5 + 0.25j]):
-        val, err = _wynn_epsilon(seq)
-        ref_val, ref_err = wynn_reference(seq)
-        assert val == ref_val and err == ref_err
-
 
 def _counting(f):
     calls = []

@@ -418,20 +418,30 @@ def test_spacetime_map_evaluates_each_kernel_once_per_head_pass(monkeypatch):
 
 
 def test_distance_row_sums_its_tails_in_one_kernel_call_per_chunk(monkeypatch):
+    # past the live edge the nine members with d > 0 take their wings in one
+    # ray pass: one call of the time kernel on the one row of geometric
+    # envelope panels that they share, and one of the wings on their upper
+    # rays and that row
     fixed = {"omega_T": 12.0, "a0_omega": 1e-3, "tba_over_T": 8.0}
     grid = ScanGrid(axes=(Axis("d_over_T", 0.0, 24.0, 10),), fixed=fixed,
                     model=ModelKind.EM_DIPOLE)
-    kernel, chunks = [], []
+    kernel, wings, rays = [], [], []
     _spy(monkeypatch, harvesting, "scaled_time_kernel", kernel)
-    _spy(monkeypatch, specfun, "_gk15_panels", chunks, arg=1)
+    _spy(monkeypatch, harvesting, "_time_wings", wings)
+    real_rays = specfun._rays
+
+    def spy(f, wave, members, wings_, k0, top):
+        before = len(kernel), len(wings)
+        out = real_rays(f, wave, members, wings_, k0, top)
+        rays.append((len(members), k0, top, kernel[before[0]:], wings[before[1]:]))
+        return out
+
+    monkeypatch.setattr(specfun, "_rays", spy)
     run_grid(grid)
-    # the tails' chunks are the calls with one row of panels per member
-    chunks = [lo for lo in chunks if lo.ndim == 2]
-    assert [k.shape for k in kernel if k.ndim == 2] == [
-        (lo.shape[0], 15 * lo.shape[1]) for lo in chunks]
-    # the nine members with d > 0 start in one call, 24 panels each
-    assert chunks[0].shape == (9, 24)
-    assert len(chunks) <= 2
+    ((n, k0, top, times, waves),) = rays
+    panels = math.ceil(math.log(top.max() / k0.min()) / math.log(specfun._ENVELOPE_RATIO))
+    assert n == 9 and [k.shape for k in times] == [(15 * panels,)]
+    assert [k.shape for k in waves] == [(9 * specfun._RAY_Y.size + 15 * panels,)]
 
 
 def test_grid_rows_share_one_float_per_l():

@@ -1,5 +1,5 @@
-"""The engine's time kernel, GK15 row reduce and Wynn table make fewer
-array calls than their straightforward forms (``reference_kernels``), on
+"""The engine's time kernel and GK15 row reduce make fewer array calls
+than their straightforward forms (``reference_kernels``), on
 the same arithmetic: each returns those forms' bits, signed zeros and NaN
 payloads included, on random inputs, rows with zeros, NaN and inf, scales
 from 1e-300 to 1e250, unequal gaps and delays of both signs.  GK15's block
@@ -126,44 +126,6 @@ def test_gk15_blocks_agree_with_each_row_alone_within_the_floor(
             assert np.all(np.abs(block[1][n] - alone[1])[ok] <= 200.0 * floor[ok])
             assert np.all(np.abs(block[2][n] - alone[2])[ok] <= 8.0 * np.finfo(float).eps
                           * alone[2][ok])
-
-
-TABLE_KINDS = ("random", "geometric", "harmonic", "steps", "constant", "nan", "inf")
-
-
-def partial_sums(rng, kind, width, scale):
-    # one row of complex partial sums: settling, slow, stalled or broken
-    n = np.arange(width)
-    if kind == "geometric":
-        ratio = rng.uniform(-0.95, 0.95)
-        row = np.cumsum(ratio ** n * (1.0 + 1j * rng.uniform(-1.0, 1.0)))
-    elif kind == "harmonic":  # alternating, slowly settling
-        row = np.cumsum((-1.0) ** n / (n + 1.0) ** rng.uniform(1.0, 3.0)) + 0j
-    elif kind == "steps":  # repeated sums: zero differences
-        row = np.cumsum(rng.standard_normal(width) * (rng.random(width) < 0.3)) + 0j
-    elif kind == "constant":
-        row = np.full(width, rng.standard_normal() + 0j)
-    else:
-        row = rng.standard_normal(width) + 1j * rng.standard_normal(width)
-    row = row * scale
-    if kind in ("nan", "inf"):
-        row[rng.integers(width)] = np.nan if kind == "nan" else np.inf
-    return row
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.lists(st.sampled_from(TABLE_KINDS), min_size=1, max_size=5), SCALES,
-       st.integers(1, 40), st.integers(0, 2 ** 32 - 1))
-def test_wynn_table_has_the_reference_bits(kinds, scale, width, seed):
-    # each row stops as it does alone; a one-row sequence gives scalars
-    rng = np.random.default_rng(seed)
-    table = np.array([partial_sums(rng, kind, width, scale) for kind in kinds])
-    with np.errstate(all="ignore"):
-        got, want = specfun._wynn_epsilon(table), ref.wynn_epsilon(table)
-        got_one, want_one = specfun._wynn_epsilon(table[0]), ref.wynn_epsilon(table[0])
-    assert same_bits(got[0], want[0]) and same_bits(got[1], want[1])
-    assert type(got_one[0]) is complex and type(got_one[1]) is float
-    assert same_bits(got_one[0], want_one[0]) and same_bits(got_one[1], want_one[1])
 
 
 def test_j0_has_the_reference_bits(rng):
