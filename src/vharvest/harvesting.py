@@ -30,7 +30,8 @@ erfc wings decay only algebraically in k; past the edge they are analytic
 kern, as two waves e^{+-ikd} times algebraic factors (``_KERN_WAVE``): M
 takes them along the rays k0 +- iy, where they decay as e^{-yd}, or, at d =
 0, on the real axis out to the rational cutoff.  L and L_AB have no wings:
-one GK15 pass on a fixed panel set to where their Gaussian is e^-60 down
+one pass of QUADPACK's 31-point Gauss-Kronrod rule on a fixed panel set,
+panels up to four half periods wide, to where their Gaussian is e^-60 down
 (``_fixed``), its bound past the set joining the error.  The
 derivative coupling differs from the scalar one by exactly k^2 in every
 integrand.  S at the mean gap stays out of the integrals as a log scale, so
@@ -64,10 +65,10 @@ from itertools import repeat
 import numpy as np
 
 from .atoms import AtomSpec, SwitchingKind, _outside_lightcone
-from .specfun import (_GAUSS_DEAD, _SEED_DEPTH, DampedKernelSpec, QuadratureConvergenceError,
-                      QuadratureResult, _j0_plus_j2_wave, _j0_wave, _time_wings,
-                      integrate_damped_group, integrate_fixed_group, scaled_time_kernel,
-                      spherical_bessel_j0, spherical_bessel_j0_plus_j2)
+from .specfun import (_GAUSS_DEAD, _PANEL_HALF_PERIODS, _SEED_DEPTH, DampedKernelSpec,
+                      QuadratureConvergenceError, QuadratureResult, _j0_plus_j2_wave, _j0_wave,
+                      _time_wings, integrate_damped_group, integrate_fixed_group,
+                      scaled_time_kernel, spherical_bessel_j0, spherical_bessel_j0_plus_j2)
 
 __all__ = [
     "ModelKind",
@@ -347,17 +348,19 @@ def _spec(share: tuple, members) -> DampedKernelSpec:
 def _fixed(share: tuple, omega: float, members) -> tuple:
     """integrate_fixed_group's arguments but the tolerances for the L or L_AB
     members (clock, d) of one share at gap Omega: panels to k_end, where
-    E(k) = T^2 (k^2/2 + Omega k) is _LIVE_EXPONENT, h wide, the Gaussian's
-    width 1/sqrt(T^2 + (T^2 Omega)^2/4) or the half period pi/(d + |t_BA|),
-    at most _FIXED_PANELS; nearer the knee 3/(2 a0), one to _KNEE_SHARE of
-    it, then _KNEE_SHARE of their k wide.  The bound past k_end takes |kern|
-    <= 1, the rational <= 9^-6 and E above its tangent, of slope s: in logs,
+    E(k) = T^2 (k^2/2 + Omega k) is _LIVE_EXPONENT, h wide, _PANEL_HALF_PERIODS
+    times the smaller of the Gaussian's width 1/sqrt(T^2 + (T^2 Omega)^2/4)
+    and the half period pi/(d + |t_BA|), at most _FIXED_PANELS; nearer the
+    knee 3/(2 a0), one to _KNEE_SHARE of it, then _KNEE_SHARE of their k
+    wide.  The bound past k_end takes |kern| <= 1, the rational <= 9^-6 and
+    E above its tangent, of slope s: in logs,
     e^-_LIVE_EXPONENT 9^-6 times int_0^inf (k_end + x)^p e^{-sx} dx =
     k_end^(p+1)/y sum_{j<=p} p!/((p-j)! y^j), y = s k_end = 60 + (T k_end)^2/2."""
     _, p, a0, T, kernel = share
     x, span = T * omega, max(d + abs(c[1]) for c, d in members)
     k_end = 2.0 * _LIVE_EXPONENT / (math.hypot(x, math.sqrt(2.0 * _LIVE_EXPONENT)) + x) / T
-    h = min(1.0 / (T * math.hypot(1.0, 0.5 * x)), math.pi / span if span > 0.0 else math.inf)
+    h = _PANEL_HALF_PERIODS * min(1.0 / (T * math.hypot(1.0, 0.5 * x)),
+                                  math.pi / span if span > 0.0 else math.inf)
     edges, lo = [], 0.0
     if _KNEE_SHARE * 1.5 / a0 < h:
         top, lo = min(_KNEE_SHARE * 1.5 / a0, k_end), min(h / _KNEE_SHARE, k_end)
@@ -663,7 +666,7 @@ def compute_terms_many(pairs, switching: SwitchingKind = SwitchingKind(),
     Omega_A - Omega_B, d) once: a pass evaluates the time kernel once per
     (t_BA, Omega_A - Omega_B) and the spatial kernel once per d, so a
     spacetime map (fig5a, fig5b) is one group.  The L_AB with the same model,
-    a0, T and Omega are one GK15 pass on one fixed panel set for their
+    a0, T and Omega are one Gauss-Kronrod pass on one fixed panel set for their
     largest d + |t_BA| (``specfun.integrate_fixed_group``), and each atom's
     L one on its own, so its bits depend on its model, a0, T and Omega
     alone.  A pair alone gives the bits it has in a group of one; in a

@@ -37,6 +37,13 @@ oscillate, are integrated on the real axis on geometric panels.  A ray
 member's integral of the magnitude is its real-axis envelope's, over the
 span that QAWF would have summed.
 
+The rule on the real axis is QUADPACK's 31-point Gauss-Kronrod rule
+(dqk31; Piessens et al., 1983; ``tools/gauss_kronrod.py`` computes its
+table), whose 15-point Gauss part is exact to degree 29: its panels span
+four half periods of the fastest oscillation (the head's seeds and the
+fixed panel sets), geometric stretches take two panels a decade, and the
+rays' envelope panels a ratio of up to 2.25.
+
 Rounding model: an integrand returns (value, magnitude) per node, with
 magnitude >= |value| such that 50 eps x magnitude bounds the node's rounding
 for its arguments.  It adds the parts that cancel in the value, each weighted
@@ -46,10 +53,9 @@ to ~eps s), plus the error of the Faddeeva function (scipy's ``wofz`` below
 2.4 eps); products propagate as m(ab) = m(a)|b| + |a|m(b).  A subnormal
 value (the time kernel's Gaussian near (b+c)^2 ~ 730) rounds in absolute
 units of 2^-1074 instead: it may be a few of them off where 50 eps x
-magnitude is far below one, which is negligible in any integral.  GK15's
-roundoff floor, 50 eps times the integral of the magnitude (QUADPACK;
-Piessens et al., 1983), is the one place that rounding enters the error
-estimates.
+magnitude is far below one, which is negligible in any integral.  A
+panel's roundoff floor, 50 eps times the integral of the magnitude
+(QUADPACK), is the one place that rounding enters the error estimates.
 """
 
 from __future__ import annotations
@@ -80,9 +86,10 @@ _SQRT2 = math.sqrt(2.0)
 _GAUSS_DEAD = 750.0        # exp(-750) < 1e-300: Gaussian tail treated as dead
 _MAX_HALF_PERIODS = 2.0 ** 53  # seed counts up to here are exact doubles and int64s
 _SEED_DEPTH = 1e-4         # the geometric head seeds reach down to this share of k_hi
+_PANEL_HALF_PERIODS = 4    # a GK31 panel on the real axis spans this many half periods
 _RAY_X = 15.0              # wings take rays from where k d reaches this
 _SPAN_HALF_PERIODS = 80    # a ray member's magnitude spans this many half periods past k_hi
-_ENVELOPE_RATIO = 1.5      # the ratio of a geometric GK15 panel of that span, at most
+_ENVELOPE_RATIO = 2.25     # the ratio of a geometric GK31 panel of that span, at most
 _BLOCK_NODES = 16384       # nodes of one block of a head pass's members (a measured budget)
 
 
@@ -380,53 +387,42 @@ def _j0_plus_j2_wave(x):
 # Adaptive Gauss-Kronrod quadrature
 # ----------------------------------------------------------------------------
 
-# 15-point Kronrod extension of 7-point Gauss (QUADPACK dqk15)
-_XGK = np.array([
-    -0.991455371120812639206854697526329,
-    -0.949107912342758524526189684047851,
-    -0.864864423359769072789712788640926,
-    -0.741531185599394439863864773280788,
-    -0.586087235467691130294144838258730,
-    -0.405845151377397166906606412076961,
-    -0.207784955007898467600689403773245,
-    0.0,
-    0.207784955007898467600689403773245,
-    0.405845151377397166906606412076961,
-    0.586087235467691130294144838258730,
-    0.741531185599394439863864773280788,
-    0.864864423359769072789712788640926,
-    0.949107912342758524526189684047851,
-    0.991455371120812639206854697526329,
-])
-_WGK = np.array([
-    0.022935322010529224963732008058970,
-    0.063092092629978553290700663189204,
-    0.104790010322250183839876322541518,
-    0.140653259715525918745189590510238,
-    0.169004726639267902826583426598550,
-    0.190350578064785409913256402421014,
-    0.204432940075298892414161999234649,
-    0.209482141084727828012999174891714,
-    0.204432940075298892414161999234649,
-    0.190350578064785409913256402421014,
-    0.169004726639267902826583426598550,
-    0.140653259715525918745189590510238,
-    0.104790010322250183839876322541518,
-    0.063092092629978553290700663189204,
-    0.022935322010529224963732008058970,
-])
-_WG = np.array([
-    0.129484966168869693270611432679082,
-    0.279705391489276667901467771423780,
-    0.381830050505118944950369775488975,
-    0.417959183673469387755102040816327,
-    0.381830050505118944950369775488975,
-    0.279705391489276667901467771423780,
-    0.129484966168869693270611432679082,
-])
+# 31-point Kronrod extension of 15-point Gauss (QUADPACK dqk31), as
+# ``tools/gauss_kronrod.py`` prints it: the nodes x >= 0 from the end inward,
+# their Kronrod weights and the Gauss weights of every second node; mirrored
+# below into ascending arrays, whose odd indices are the Gauss nodes
+_XGK_HALF = (
+    0.998002298693397060285172840152271, 0.987992518020485428489565718586613,
+    0.967739075679139134257347978784337, 0.937273392400705904307758947710209,
+    0.897264532344081900882509656454496, 0.848206583410427216200648320774217,
+    0.790418501442465932967649294817947, 0.724417731360170047416186054613938,
+    0.650996741297416970533735895313275, 0.570972172608538847537226737253911,
+    0.485081863640239680693655740232351, 0.394151347077563369897207370981045,
+    0.299180007153168812166780024266389, 0.201194093997434522300628303394596,
+    0.101142066918717499027074231447392, 0.0,
+)
+_WGK_HALF = (
+    0.00537747987292334898779205143012765, 0.0150079473293161225383747630758073,
+    0.0254608473267153201868740010196534, 0.0353463607913758462220379484783600,
+    0.0445897513247648766082272993732797, 0.0534815246909280872653431472394303,
+    0.0620095678006706402851392309608029, 0.0698541213187282587095200770991475,
+    0.0768496807577203788944327774826590, 0.0830805028231330210382892472861038,
+    0.0885644430562117706472754436937743, 0.0931265981708253212254868727473457,
+    0.0966427269836236785051799076275893, 0.0991735987217919593323931734846031,
+    0.100769845523875595044946662617570, 0.101330007014791549017374792767493,
+)
+_WG_HALF = (
+    0.0307532419961172683546283935772044, 0.0703660474881081247092674164506673,
+    0.107159220467171935011869546685869, 0.139570677926154314447804794511028,
+    0.166269205816993933553200860481209, 0.186161000015562211026800561866423,
+    0.198431485327111576456118326443839, 0.202578241925561272880620199967519,
+)
+_XGK = np.array((*(-x for x in _XGK_HALF[:-1]), *_XGK_HALF[::-1]))
+_WGK = np.array((*_WGK_HALF[:-1], *_WGK_HALF[::-1]))
+_WG = np.array((*_WG_HALF[:-1], *_WG_HALF[::-1]))
 
 
-# the roundoff floor of one GK15 panel, per unit of its integral of the magnitude
+# the roundoff floor of one panel, per unit of its integral of the magnitude
 _ROUNDOFF = 50.0 * np.finfo(float).eps
 # per panel, the Kronrod sum K, the first moment sum w x f and K - G (G the
 # Gauss sum on the odd nodes) as rows of weights for one matrix product; the
@@ -444,8 +440,9 @@ def _quadpack_error(err, resasc, floor):
 
 
 def _gk15_reduce(fv, fm, half: np.ndarray):
-    # GK15 sums of node values fv and magnitudes fm, 15 nodes per panel of
-    # half, as matrix products on (..., panels, 15) arrays, with QUADPACK's error
+    # Gauss-Kronrod sums of node values fv and magnitudes fm, _XGK.size nodes
+    # per panel of half, as matrix products on (..., panels, nodes) arrays,
+    # with QUADPACK's error
     shape = fv.shape[:-1] + (half.shape[-1], _XGK.size)
     fv = fv.reshape(shape)
     habs = np.abs(half)
@@ -458,18 +455,18 @@ def _gk15_reduce(fv, fm, half: np.ndarray):
 
 
 def _gk15_blocks(spatial, units, at, half: np.ndarray):
-    """GK15 of the rows f = kernel(k d) U of a block of d under the times of
-    a pass, per member at its (d, time) index pair of at: (integral, error,
-    abs_integral) on each panel of half as (members, panels) arrays.
-    spatial is kernel(k d) as (value, magnitude) rows per d, units U, |U|
-    and U_mag as (panels, 15, times) arrays.  K, the first moment, K - G and
+    """The rule's sums of the rows f = kernel(k d) U of a block of d under
+    the times of a pass, per member at its (d, time) index pair of at:
+    (integral, error, abs_integral) on each panel of half as (members,
+    panels) arrays.  spatial is kernel(k d) as (value, magnitude) rows per
+    d, units U, |U| and U_mag as (panels, nodes, times) arrays.  K, the first moment, K - G and
     resabs are matrix products per panel of the weighted spatial rows and
     the times (of f and the weights, for one time); resasc, the integral of
     |f - mean|, only where QUADPACK's error is not proved to be the floor
     (README, Numerical notes)."""
     (sv, sm), (u, absu, umag) = spatial, units
     n_p, habs = half.size, np.abs(half)
-    sv, sm = (x.reshape(len(x), n_p, _XGK.size) for x in (sv, sm))  # (d, panels, 15)
+    sv, sm = (x.reshape(len(x), n_p, _XGK.size) for x in (sv, sm))  # (d, panels, nodes)
     ha = habs[:, None, None]
     if u.shape[2] == 1:  # one time: f = sv U as two real products, then its weighted sums
         f = np.empty(sv.shape, complex)
@@ -561,7 +558,8 @@ def _integrands(f, k, kernel, members):
 
 
 def _gk15_panels(f, lo, hi, kernel=None, members=((None, 0.0),)):
-    """Vectorized GK15 on a batch of panels, for each member of a spec:
+    """The Gauss-Kronrod rule (``_XGK``; the name is the one the benchmark's
+    tracer follows) on a batch of panels, for each member of a spec:
     (integral, error_estimate, abs_integral) as (members, panels) arrays, with
     the QUADPACK error heuristic, and the node count.  abs_integral integrates
     the magnitude, so the roundoff floor counts the integrand's rounding.  The
@@ -587,7 +585,7 @@ def _gk15_panels(f, lo, hi, kernel=None, members=((None, 0.0),)):
 
 def _adaptive_gk(f, breakpoints: np.ndarray, atol: float, rtol: float,
                  max_panels: int = 4000, kernel=None, members=None, prior=None):
-    """Adaptive GK15 over the panel decomposition given by breakpoints.
+    """Adaptive Gauss-Kronrod over the panels given by breakpoints.
 
     Panels live in parallel arrays (QUADPACK-style bookkeeping); each pass
     splits the n // 8 worst panels (at least 1, at most 16), chosen by a
@@ -623,7 +621,7 @@ def _adaptive_gk(f, breakpoints: np.ndarray, atol: float, rtol: float,
         lo, hi = np.concatenate((prior[0], lo)), np.concatenate((prior[1], hi))
     while True:
         if new_lo.size:
-            evals += 15 * new_lo.size
+            evals += _XGK.size * new_lo.size
             new = _gk15_panels(f, new_lo, new_hi, kernel, [members[i] for i in running])[:3]
             rows = new if rows is None else [
                 np.concatenate((x.take(keep, axis=1), y), axis=1) for x, y in zip(rows, new)]
@@ -676,8 +674,8 @@ def _rays(f, wave, members, wings, k0, top):
     and with 16 its error, |Q28 - Q16| plus the roundoff floor of the 28
     nodes' |f|.
 
-    On the real axis, GK15 integrates the member's own time factor against
-    the smooth envelope f 2|A(k d)|, which bounds the kernel and its
+    On the real axis, the rule integrates the member's own time factor
+    against the smooth envelope f 2|A(k d)|, which bounds the kernel and its
     magnitude from k d = 5, over the panels that meet [k0[i], top[i]] of
     one row of geometric panels, each of ratio at most _ENVELOPE_RATIO,
     from the least k0 to the largest top: the integral of the magnitude is
@@ -717,13 +715,13 @@ def _rays(f, wave, members, wings, k0, top):
     hm = h[s_at]
     q = (hm * w[0] + hm.conj() * w[1]) @ _RAY_W.T
     floor = _ROUNDOFF * ((np.abs(hm) * np.abs(w).sum(axis=0)) @ _RAY_W[0])
-    # per panel, GK15 of every time row (and (time, wings) row) against every
-    # envelope row as one matrix product; a member sums its own entry over
-    # the panels that meet its span
-    env = (f(kr) * (2.0 * np.abs(wave(kr * ds[:, None])))).reshape(-1, panels, 15)
+    # per panel, the rule's sums of every time row (and (time, wings) row)
+    # against every envelope row as one matrix product; a member sums its
+    # own entry over the panels that meet its span
+    env = (f(kr) * (2.0 * np.abs(wave(kr * ds[:, None])))).reshape(-1, panels, _XGK.size)
     mine = half[:, None] * ((edges[1:, None] > k0) & (edges[:-1, None] < top))
     t, p = (list(x) for x in zip(*pairs))
-    absint, off = ((((x.reshape(-1, panels, 15) * _WGK).transpose(1, 0, 2)
+    absint, off = ((((x.reshape(-1, panels, _XGK.size) * _WGK).transpose(1, 0, 2)
                      @ env.transpose(1, 2, 0))[:, at, s_at] * mine).sum(axis=0)
                    for x, at in ((np.abs(u) + m, t_at), (np.abs(u[t] - w_real[p]), p_at)))
     return q[:, 0], np.abs(q[:, 0] - q[:, 1]) + floor + off, absint, np.full(d.size, 2 * n + kr.size)
@@ -740,8 +738,8 @@ def integrate_damped_group(spec: DampedKernelSpec, atol: float = 1e-16,
     """Integrate every member of spec over [0, inf) on one head panel set.
 
     The Gaussian envelope is dead (< 1e-300) beyond k_hi = sqrt(750/w).  The
-    head's seed panels are geometric below k_hi and at half periods of the
-    fastest oscillation across the members, cut at the spec's live edge
+    head's seed panels are geometric below k_hi and four half periods of the
+    fastest oscillation across the members wide, cut at the spec's live edge
     k_live (past which every member's Gaussian part is e^-60 below its
     peak; k_hi without one), plus k_live itself.  Every member is refined
     on [0, k_live] as one run (``_adaptive_gk``) to half the tolerances:
@@ -769,10 +767,11 @@ def integrate_damped_group(spec: DampedKernelSpec, atol: float = 1e-16,
             what = "delay |t_BA|" if 2.0 * h in spec.oscillation_lengths else "separation d"
             raise ValueError(f"a {what} of {math.pi / h:.6g} oscillates {k_hi / h:.3g} "
                              f"half periods below k = {k_hi:.6g}: beyond the seed panels")
-        n_osc = int(k_hi / h)
+        width = _PANEL_HALF_PERIODS * h
+        n_osc = int(k_hi / width)
         if n_osc > 1:
             stride = max(1, int(math.ceil(n_osc / 600)))  # at most 600 seeds
-            pts.append(np.arange(1, n_osc + 1, stride) * h)
+            pts.append(np.arange(1, n_osc + 1, stride) * width)
     pts = np.sort(np.concatenate(pts))  # np.unique's steps, without its overhead
     breakpoints = pts[np.concatenate(((True,), pts[1:] != pts[:-1]))]
     k_live = spec.live_edge if spec.wings else min(spec.live_edge, k_hi)
@@ -799,11 +798,11 @@ def _wings(spec: DampedKernelSpec, k_live: float, k_hi: float, atol: float,
     k_live to k_ray, a stretch of less than five half periods, and for d =
     0 (or no kernel, or k_ray past the cutoff) out to the cutoff, where the
     wings do not oscillate, it integrates the member's own integrand on
-    geometric panels, refined as one run per stretch.  A ray member's
-    integral of the magnitude is its envelope's over the panels that cover
-    [k_ray, k_hi + 80 half periods], the span that the head which ran on to
-    k_hi and the QAWF tail past it would have integrated, and 50 eps of it
-    joins its error.
+    geometric panels, two a decade, refined as one run per stretch.  A ray
+    member's integral of the magnitude is its envelope's over the panels
+    that cover [k_ray, k_hi + 80 half periods], the span that the head which
+    ran on to k_hi and the QAWF tail past it would have integrated, and 50
+    eps of it joins its error.
     Returns (value, error, abs_integral, evals) arrays over the members."""
     members, cutoff = spec.members, spec.cutoff
     d = np.array([d if spec.kernel is not None else 0.0 for _, d in members])
@@ -815,7 +814,7 @@ def _wings(spec: DampedKernelSpec, k_live: float, k_hi: float, atol: float,
     for end in dict.fromkeys(ends[ends > k_live].tolist()):
         ids = (ends == end).nonzero()[0]
         n_dec = max(1, int(math.ceil(math.log10(end / k_live))))
-        runs = _adaptive_gk(spec.integrand, np.geomspace(k_live, end, 8 * n_dec + 1), atol, rtol,
+        runs = _adaptive_gk(spec.integrand, np.geomspace(k_live, end, 2 * n_dec + 1), atol, rtol,
                             kernel=spec.kernel, members=[members[i] for i in ids])
         for x, y in zip(out, zip(*runs)):
             x[ids] = y
@@ -844,10 +843,11 @@ def _result(value, err, absint, evals, atol: float, rtol: float):
 def integrate_fixed_group(f, edges: np.ndarray, kernel, members, bound: float,
                           atol: float = 1e-16, rtol: float = 1e-10) -> list:
     """Integrate every member (time, d) of f and kernel, as a spec's, over
-    [0, inf) in one GK15 pass on the panels between edges: its error is their
-    summed estimates plus bound, on its integral of |f| past edges[-1].  One
-    that misses the tolerance refines through ``_adaptive_gk``, seeded with
-    the panels, with up to 4000 more.  Returns what integrate_damped_group does."""
+    [0, inf) in one pass of the rule on the panels between edges: its error
+    is their summed estimates plus bound, on its integral of |f| past
+    edges[-1].  One that misses the tolerance refines through
+    ``_adaptive_gk``, seeded with the panels, with up to 4000 more.  Returns
+    what integrate_damped_group does."""
     lo, hi = edges[:-1], edges[1:]
     *rows, nodes = _gk15_panels(f, lo, hi, kernel, members)
     sums = [(v, e, a, nodes) for v, e, a in zip(*(x.sum(axis=1) for x in rows))]

@@ -1,11 +1,12 @@
 """Straightforward forms of engine functions, kept as the references that
 their versions in ``vharvest.specfun`` must match bit for bit
 (``test_trimmed_kernels.py``): the time kernel with its Faddeeva function,
-GK15's reduce of one row of panels, and the value of
-``spherical_bessel_j0``.  Each
-runs its array operations as the formulas read, one temporary per step; the
-engine's versions make fewer calls on the same arithmetic.  Also one term's
-integrand alone, the row a group gives it (``integrand``)."""
+the Gauss-Kronrod reduce of one row of panels on the module's rule
+(``specfun._XGK``, ``_WGK`` and ``_WG``), and the value of
+``spherical_bessel_j0``.  Each runs its array operations as the formulas
+read, one temporary per step; the engine's versions make fewer calls on the
+same arithmetic.  Also one term's integrand alone, the row a group gives it
+(``integrand``)."""
 
 import functools
 import itertools
@@ -73,7 +74,7 @@ def scaled_time_kernel(k, t_ba, T, *, d_omega):
 
 
 def gk15_reduce_row(fv, fm, half):
-    # one row: (panels x 15,) node values and magnitudes, half (panels,)
+    # one row: (panels x nodes,) node values and magnitudes, half (panels,)
     shape = (half.size, _XGK.size)
     fv = np.reshape(fv, shape)
     habs = np.abs(half)

@@ -2,10 +2,14 @@
 
 Per node, every integrand factor lies within its rounding bound, 50 eps x
 magnitude, of a 40-digit value.  Per integral, a rerun at rtol x 1e-2 with
-finer rays for the wings moves each result by less than its reported error.
+finer rays for the wings moves each result by less than its reported error,
+and so does a rerun on another Gauss-Kronrod rule (QUADPACK's dqk15 on half
+periods) at rtol 1e-12.
 """
 
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,10 +17,11 @@ from numpy.polynomial.laguerre import laggauss
 
 from vharvest import harvesting, specfun
 from vharvest.atoms import AtomSpec
-from vharvest.harvesting import DetectorPair, ModelKind, compute_terms
+from vharvest.harvesting import DetectorPair, ModelKind, compute_terms, compute_terms_many
 from vharvest.oracle import time_integral_closed
 from vharvest.specfun import (scaled_time_kernel, spherical_bessel_j0,
                               spherical_bessel_j0_plus_j2)
+from vharvest.survey import pair_from_params
 
 # (model, Omega_A T, a0 Omega_A, d/T, t_BA/T, Omega_B/Omega_A) of benchmark
 # pool pairs whose errors the quadrature alone used to understate: unequal
@@ -195,3 +200,57 @@ def test_tail_error_counts_its_panels_rounding(monkeypatch):
     assert ray_abs > 1e5 * abs(m.value)
     assert m.abs_integral >= ray_abs[0]
     assert m.abs_error_estimate >= ray_err[0] + specfun._ROUNDOFF * ray_abs[0]
+
+
+# ----------------------------------------------------------------------------
+# per integral: a rerun on an independent rule lands inside the reported error
+# ----------------------------------------------------------------------------
+
+def qk15(monkeypatch):
+    # QUADPACK's 15-point rule (its table from tools/gauss_kronrod.py) in
+    # place of the engine's, on panels of one half period (and envelope
+    # panels of ratio 1.5), as the engine ran it before the 31-point rule
+    path = Path(__file__).resolve().parents[1] / "tools" / "gauss_kronrod.py"
+    spec = importlib.util.spec_from_file_location("gauss_kronrod", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    x, w, g = tool.full(tool.DQK15)
+    sums = np.array([w, w * x, w])
+    sums[2, 1::2] -= g
+    for name, value in (("_XGK", x), ("_WGK", w), ("_WG", g), ("_SUMS", sums),
+                        ("_PANEL_HALF_PERIODS", 1), ("_ENVELOPE_RATIO", 1.5)):
+        monkeypatch.setattr(specfun, name, value)
+    monkeypatch.setattr(harvesting, "_PANEL_HALF_PERIODS", 1)
+
+
+def calibration_batches():
+    # 30 pairs over the benchmark pool's ranges, 10 per model, the last 10
+    # at unequal gaps; and a 5 x 5 fig5a map (one M group), as batches of
+    # (pairs, include_cross)
+    rng = np.random.default_rng(35)
+    models, batches = list(ModelKind), []
+    for i in range(30):
+        batches.append(([make_pair(models[i % 3], rng.uniform(0.5, 15.0),
+                                   10.0 ** rng.uniform(-4.0, -2.0), rng.uniform(0.5, 25.0),
+                                   rng.uniform(0.5, 25.0),
+                                   rng.uniform(0.8, 1.25) if i >= 20 else 1.0)], i < 20))
+    grid = [pair_from_params({"omega_T": 12.0, "a0_omega": 1e-3, "d_over_T": d,
+                              "tba_over_T": t}, ModelKind.EM_DIPOLE)
+            for t in np.linspace(0.0, 24.0, 5) for d in np.linspace(0.0, 24.0, 5)]
+    return batches + [(grid, False)]
+
+
+def test_an_independent_rule_lands_inside_the_error(monkeypatch):
+    # each L, L_AB and M against a rerun with QUADPACK's dqk15 on half
+    # periods and finer rays at rtol 1e-12: within its own reported error
+    batches = calibration_batches()
+    first = [compute_terms_many(pairs, include_cross=cross) for pairs, cross in batches]
+    qk15(monkeypatch)
+    finer_rays(monkeypatch)
+    names = ("l_aa", "l_bb", "m", "l_ab")
+    for (pairs, cross), terms in zip(batches, first):
+        rerun = compute_terms_many(pairs, include_cross=cross, rtol=1e-12)
+        for a, b in zip(terms, rerun):
+            for name in names[:3 + cross]:
+                moved = abs(getattr(a, name + "_scaled") - getattr(b, name + "_scaled"))
+                assert moved <= a.quadrature_errors[name], (name, a, b)

@@ -630,9 +630,9 @@ def test_m_without_l_ab_within_the_reported_error():
 
 def test_identical_pair_integrates_l_ab_in_one_pass_on_its_fixed_panel_set(monkeypatch):
     # three group calls (L and L_AB on fixed panel sets, M alone on its
-    # head panels); L_AB's is one GK15 pass and one reduction, which
-    # evaluate the spatial kernel once on its nodes, out to where the
-    # Gaussian is e^-60 down, on panels of at most a half period
+    # head panels); L_AB's is one Gauss-Kronrod pass and one reduction,
+    # which evaluate the spatial kernel once on its nodes, out to where the
+    # Gaussian is e^-60 down, on panels of at most four half periods
     groups, passes, reduces, space = [], [], [], []
     real_fixed, real_damped = harvesting.integrate_fixed_group, harvesting.integrate_damped_group
     real_panels, real_reduce = specfun._gk15_panels, specfun._gk15_reduce
@@ -668,9 +668,9 @@ def test_identical_pair_integrates_l_ab_in_one_pass_on_its_fixed_panel_set(monke
     assert groups == [("fixed", False, 1), ("damped", True, 1), ("fixed", True, 1)]
     ((lo, hi),) = passes
     assert reduces.count(("fixed", True, 1)) == 1
-    assert space[-1] == 15 * lo.size
+    assert space[-1] == specfun._XGK.size * lo.size
     assert lo[0] == 0.0 and 0.5 * hi[-1] ** 2 + 2.0 * hi[-1] == pytest.approx(60.0)
-    assert np.max(hi - lo) <= math.pi / 4.5 * (1.0 + 1e-12)
+    assert np.max(hi - lo) <= 4.0 * math.pi / 4.5 * (1.0 + 1e-12)
 
 
 def test_a_view_raises_only_its_own_range_error():
@@ -770,7 +770,7 @@ def test_unequal_pair_integrates_l_aa_and_l_bb_apart(monkeypatch):
 @pytest.mark.parametrize("model", list(ModelKind))
 @pytest.mark.parametrize("ratio", [1.0, 1.15])
 def test_integrands_equal_their_group_rows_bitwise(model, ratio):
-    # a term's integrand alone (reference_kernels.integrand), reduced by GK15
+    # a term's integrand alone (reference_kernels.integrand), reduced by the rule
     # on its own, has the bits of its row of a head pass in the group spec
     # that compute_terms integrates where that pass reduces the row alone,
     # and agrees with it within each panel's roundoff floor F = 50 eps x
@@ -1165,7 +1165,7 @@ def _ray_member(model, d, tba, d_omega):
 
 
 def _real_axis(spec, d, lo, hi):
-    # (value, error) of GK15 on half-period panels of [lo, hi] of the
+    # (value, error) of the rule on half-period panels of [lo, hi] of the
     # member's own integrand on the real axis, and its integral of the magnitude
     edges = np.linspace(lo, hi, int(math.ceil((hi - lo) * d / math.pi)) + 1)
     rows = specfun._gk15_panels(spec.integrand, edges[:-1], edges[1:], spec.kernel,
@@ -1178,7 +1178,7 @@ def _real_axis(spec, d, lo, hi):
     (ModelKind.EM_DIPOLE, 2.0, -2.0, -0.5), (ModelKind.UDW_SCALAR, None, 0.5, 0.0),
     (ModelKind.EM_DIPOLE, None, -1.0, 0.3)])
 def test_rays_agree_with_a_real_axis_sum(model, d, tba, d_omega):
-    # the rays from the live edge against GK15 over half periods of the
+    # the rays from the live edge against the rule over half periods of the
     # member's own integrand, time kernel and kernel on the real axis, out to
     # the rational cutoff: within the summed errors and the edge's bound of
     # the Gaussian part.  And, by Cauchy's theorem, the rays from k_live are
@@ -1310,12 +1310,12 @@ def test_fig5b_m_group_takes_one_ray_pass(monkeypatch):
 
 def _fixed_reference(share, clock, d):
     # a wingless member by _adaptive_gk to rtol 1e-13 on [0, k_hi], from
-    # geometric seeds (past the knee) and its half periods
+    # geometric seeds (past the knee) and every fourth of its half periods
     _, p, a0, T, kernel = share
     k_hi, span = math.sqrt(1500.0) / T, d + abs(clock[1])
     seeds = [[0.0, k_hi], np.geomspace(1e-7 * k_hi, k_hi, 50)]
     if span > 0.0:
-        seeds.append(np.arange(0.0, k_hi, math.pi / span))
+        seeds.append(np.arange(0.0, k_hi, 4.0 * math.pi / span))
     time = functools.partial(harvesting._time, clock, T)
     return specfun._adaptive_gk(harvesting._scale(p, a0), np.unique(np.concatenate(seeds)), 0.0,
                                 1e-13, 10 ** 6, kernel, [(time, d)])[0]
@@ -1324,20 +1324,20 @@ def _fixed_reference(share, clock, d):
 def test_fixed_panel_sets_agree_with_the_adaptive_driver(rng):
     # L and L_AB as compute_terms integrates them, against _adaptive_gk at
     # rtol 1e-13: Omega T in [0.5, 40], a0 from 1e-4/Omega to 387 T, d and
-    # t_BA in [0, 16] T, and t_BA = 3e3 T at Omega T <= 4, where L_AB's set
-    # is at its cap (and may refine past it)
+    # t_BA in [0, 16] T, and t_BA = 1.2e4 T at Omega T <= 4, where L_AB's
+    # set is at its cap (and may refine past it)
     for i in range(45):
         model = list(ModelKind)[i % 3]
         T = rng.uniform(0.5, 2.0)
         omega = rng.uniform(0.5, 4.0 if i >= 39 else 40.0) / T
         a0 = 10.0 ** rng.uniform(math.log10(1e-4 / omega), math.log10(387.0 * T))
-        d, tba = T * rng.uniform(0.0, 16.0), T * (3e3 if i >= 39 else rng.uniform(-16.0, 16.0))
+        d, tba = T * rng.uniform(0.0, 16.0), T * (1.2e4 if i >= 39 else rng.uniform(-16.0, 16.0))
         _, _, p, _, kernel = harvesting._model_params(model)
         for member in ((("L", p, a0, T, None), ("L", 0.0, omega), 0.0),
                        (("M", p, a0, T, kernel), ("L_AB", tba, omega), d)):
             (quad,), _ = harvesting._quadratures([member], 1e-16, 1e-10)
             if i >= 39 and member[1][0] == "L_AB":
-                assert quad.evaluations >= 15 * harvesting._FIXED_PANELS
+                assert quad.evaluations >= specfun._XGK.size * harvesting._FIXED_PANELS
             value, err, _, _ = _fixed_reference(*member)
             assert isinstance(quad, specfun.QuadratureResult)
             assert abs(quad.value - value) <= quad.abs_error_estimate + err
@@ -1345,14 +1345,15 @@ def test_fixed_panel_sets_agree_with_the_adaptive_driver(rng):
 
 def test_fixed_panel_sets_follow_the_knee_and_are_capped():
     # uniform panels 1/a0 wide would need ~1,000 panels at a0 = 100 T; near
-    # the knee they follow the rational's scale instead.  At t_BA = 1e6 T a
-    # half period is 3e-6 T: the uniform panels stop at the cap
+    # the knee they follow the rational's scale instead, out to panels four
+    # half periods wide.  At t_BA = 1e6 T a half period is 3e-6 T: the
+    # uniform panels stop at the cap
     def edges(a0, t_ba):
         share = ("M", 5, a0, 1.0, spherical_bessel_j0)
         return harvesting._fixed(share, 1.0, [(("L_AB", t_ba, 1.0), 0.0)])[1]
 
     at_knee = edges(100.0, 3.0)
-    assert at_knee.size < 60 and np.all(np.diff(at_knee) <= math.pi / 3.0 * (1.0 + 1e-12))
+    assert at_knee.size < 60 and np.all(np.diff(at_knee) <= 4.0 * math.pi / 3.0 * (1.0 + 1e-12))
     far = edges(1e-3, 1e6)
     assert far.size == harvesting._FIXED_PANELS + 1
     for ks in (at_knee, far):
@@ -1372,7 +1373,7 @@ def test_l_near_its_knee_converges_on_its_fixed_panel_set(model, omega_T, a0_T):
         omega, a0 = omega_T / T, a0_T * T
         args = harvesting._fixed(("L", p, a0, T, None), omega, [(("L", 0.0, omega), 0.0)])
         (quad,) = specfun.integrate_fixed_group(*args, 1e-16, 1e-10)
-        assert quad.evaluations == 15 * (args[1].size - 1)
+        assert quad.evaluations == specfun._XGK.size * (args[1].size - 1)
         value, err, _, _ = _fixed_reference(("L", p, a0, T, None), ("L", 0.0, omega), 0.0)
         assert abs(quad.value - value) <= quad.abs_error_estimate + err
 

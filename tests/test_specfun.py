@@ -15,6 +15,7 @@ from vharvest.specfun import (DampedKernelSpec, QuadratureConvergenceError,
                               spherical_bessel_j0, spherical_bessel_j0_plus_j2)
 
 SQRT2 = math.sqrt(2.0)
+NODES = specfun._XGK.size  # the nodes of one panel
 
 
 def j_l(l, x):
@@ -523,17 +524,37 @@ def test_bessel_domain_errors():
 # quadrature
 # ----------------------------------------------------------------------------
 
+def test_the_gauss_kronrod_table_is_qk31():
+    # QUADPACK's dqk31 in floats (tools/gauss_kronrod.py --check has its
+    # bits from 50 digits): symmetric nodes in (-1, 1) and positive weights,
+    # which the block reduce's proof of the floor needs; the Kronrod sum
+    # integrates x^j exactly for j <= 46 and the Gauss sum for j <= 29,
+    # within a few ulps of sum w |x|^j; and the Gauss nodes, every second
+    # one, are numpy's 15-point Gauss-Legendre rule within its rounding
+    x, w, g = specfun._XGK, specfun._WGK, specfun._WG
+    eps = np.finfo(float).eps
+    assert x.size == w.size == 31 and g.size == 15
+    assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1]) and x[15] == 0.0
+    assert np.all(np.diff(x) > 0.0) and -1.0 < x[0] and np.all(w > 0.0) and np.all(g > 0.0)
+    for nodes, weights, degree in ((x, w, 46), (x[1::2], g, 29)):
+        for j in range(degree + 1):
+            moment = 2.0 / (j + 1) if j % 2 == 0 else 0.0
+            assert abs(weights @ nodes ** j - moment) <= 8.0 * eps * (weights @ np.abs(nodes) ** j)
+    gauss_x, gauss_w = np.polynomial.legendre.leggauss(15)
+    assert np.all(np.abs(x[1::2] - gauss_x) <= eps) and np.all(np.abs(g - gauss_w) <= 4.0 * eps)
+
+
 def _seed_breakpoints(w, lengths):
     # the head's seed panels as a set of Python floats, sorted
     k_hi = math.sqrt(750.0 / w)
     pts = {0.0, k_hi}
     pts.update(np.geomspace(k_hi * 1e-4, k_hi, 17))
     if lengths:
-        h = min(lengths) / 2.0
-        n_osc = int(k_hi / h)
+        width = 4.0 * min(lengths) / 2.0  # four half periods
+        n_osc = int(k_hi / width)
         if n_osc > 1:
             stride = max(1, int(math.ceil(n_osc / 600)))
-            pts.update(np.arange(1, n_osc + 1)[::stride] * h)
+            pts.update(np.arange(1, n_osc + 1)[::stride] * width)
     return np.array(sorted(pts))
 
 
@@ -572,7 +593,7 @@ def test_gk15_panels_rows_in_member_order():
     for i, member in enumerate(members):
         alone = specfun._gk15_panels(f, lo, hi, members=[member])
         assert np.array_equal(alone[0][0], value[i])
-    assert n == 2 * 15
+    assert n == 2 * NODES
 
 
 def test_a_head_pass_gives_each_member_the_rows_it_has_alone():
@@ -590,8 +611,8 @@ def test_a_head_pass_gives_each_member_the_rows_it_has_alone():
     def f(k):
         return k ** 3 / (4.0 * (1e-3 * k) ** 2 + 9.0) ** 6
 
-    lo = np.linspace(0.0, 60.0, 401)[:-1]
-    hi = lo + 0.15
+    lo = np.linspace(0.0, 60.0, 201)[:-1]
+    hi = lo + 0.3
     ds = (0.5, 1.0, 2.5, 4.0, 7.0, 11.0, 13.0)
     members = [(time, d) for d in ds] + [(time, 0.0)]
     kernel, blocks = specfun.spherical_bessel_j0_plus_j2, []
@@ -628,21 +649,21 @@ ROW_KINDS = ("random", "smooth", "even", "constant", "nan", "inf")
 
 
 def reduce_row(rng, kind, scale, p):
-    # one member's (values, magnitudes) on p panels of 15 nodes: the
+    # one member's (values, magnitudes) on p panels of NODES nodes: the
     # magnitude at least |value|, as the rounding model asks
     x = specfun._XGK
     if kind == "smooth":
         c = rng.standard_normal((p, 3, 2)) @ [1.0, 1j]
         fv = c[:, :1] * np.exp(0.3 * x) + c[:, 1:2] * x + 1e-9 * c[:, 2:] * np.cos(9.0 * x)
     else:
-        fv = rng.standard_normal((p, 15)) + 1j * rng.standard_normal((p, 15))
+        fv = rng.standard_normal((p, NODES)) + 1j * rng.standard_normal((p, NODES))
     if kind == "even":  # first moment exactly 0
         fv = fv + fv[:, ::-1]
     elif kind == "constant":  # |f - mean| is 0 or rounding
-        fv = np.repeat(fv[:, :1], 15, axis=1)
+        fv = np.repeat(fv[:, :1], NODES, axis=1)
     fv = fv * scale
     if kind in ("nan", "inf"):
-        fv[rng.integers(p), rng.integers(15)] = np.nan if kind == "nan" else np.inf
+        fv[rng.integers(p), rng.integers(NODES)] = np.nan if kind == "nan" else np.inf
     return fv.ravel(), (np.abs(fv) * (1.0 + rng.uniform(0.0, 2.0, fv.shape))).ravel()
 
 
@@ -676,7 +697,7 @@ def test_gk15_reduce_block_path_claims_the_floor_of_smooth_rows(monkeypatch):
     u = (c[0] * np.exp(0.3 * specfun._XGK) + c[1] * specfun._XGK).reshape(4, -1)
     sv = (np.exp(-0.2 * specfun._XGK) * rng.uniform(1.0, 2.0, (3, 30, 1))).reshape(3, -1)
     at = np.divmod(np.arange(12), 4)
-    units = u.reshape(4, 30, 15).transpose(1, 2, 0)  # per panel, node and time
+    units = u.reshape(4, 30, NODES).transpose(1, 2, 0)  # per panel, node and time
     units = np.ascontiguousarray(units), np.abs(units), np.abs(units)
     monkeypatch.setattr(specfun, "_quadpack_error", None)
     value, err, absl = specfun._gk15_blocks((sv, sv), units, at, np.full(30, 0.01))
@@ -697,7 +718,7 @@ def test_adaptive_gk_gives_identical_members_the_bits_of_one_alone():
     kernel = spherical_bessel_j0_plus_j2
     breakpoints = np.linspace(0.0, 40.0, 9)
     alone = _adaptive_gk(f, breakpoints, 1e-300, 1e-12, kernel=kernel, members=[(time, 3.0)])
-    assert alone[0][3] > 15 * 8  # it refines
+    assert alone[0][3] > NODES * 8  # it refines
     for k in (2, 3, 5):
         copies = _adaptive_gk(f, breakpoints, 1e-300, 1e-12, kernel=kernel,
                               members=[(time, 3.0)] * k)
@@ -737,7 +758,7 @@ def test_tail_rows_of_several_times_have_the_bits_of_each_time_alone():
     wave, n = specfun._j0_plus_j2_wave, specfun._RAY_Y.size
     together = specfun._rays(f, wave, members, ws, k0, top)
     row = calls[0][2]
-    assert row % 15 == 0 and calls == [("time", 1.0, row), ("time", 3.0, row),
+    assert row % NODES == 0 and calls == [("time", 1.0, row), ("time", 3.0, row),
                                        ("wings", 1.0, 3 * n + row), ("wings", 3.0, 2 * n + row)]
     for t in (t1, t2):
         ids = [i for i, (tm, _) in enumerate(members) if tm is t]
@@ -804,7 +825,7 @@ def test_integrate_linearity():
 
 
 def test_fixed_group_refines_a_member_that_misses_from_its_panel_set(monkeypatch):
-    # int_0^inf e^{-k^2/2} cos(w k) dk = sqrt(pi/2) e^{-w^2/2}: on 8 panels
+    # int_0^inf e^{-k^2/2} cos(w k) dk = sqrt(pi/2) e^{-w^2/2}: on 2 panels
     # of [0, 12] w = 1 meets the tolerance in one pass, w = 3 misses, refines
     # through _adaptive_gk seeded with those panels, and lands within its error
     runs = []
@@ -817,15 +838,15 @@ def test_fixed_group_refines_a_member_that_misses_from_its_panel_set(monkeypatch
     monkeypatch.setattr(specfun, "_adaptive_gk", spy)
     times = [(lambda k, w=w: ((np.cos(w * k), 1.0 + w * k), (np.exp(-0.5 * k * k),) * 2), 0.0)
              for w in (1.0, 3.0)]
-    edges = np.linspace(0.0, 12.0, 9)
+    edges = np.linspace(0.0, 12.0, 3)
     quads = specfun.integrate_fixed_group(lambda k: np.ones_like(k), edges, None, times, 1e-30)
-    assert runs == [(0, 4008, 1, 8)]
+    assert runs == [(0, 4002, 1, 2)]
     for w, quad in zip((1.0, 3.0), quads):
         exact = math.sqrt(math.pi / 2.0) * math.exp(-0.5 * w * w)
         assert isinstance(quad, QuadratureResult)
         assert 1e-30 <= quad.abs_error_estimate <= 1e-10 * exact
         assert abs(quad.value - exact) <= quad.abs_error_estimate
-    assert quads[0].evaluations == 120 < quads[1].evaluations
+    assert quads[0].evaluations == 2 * NODES < quads[1].evaluations
 
 
 def test_quadrature_result_validation():
@@ -861,7 +882,7 @@ def test_nonconvergence_carries_best_estimate():
 
 
 # ----------------------------------------------------------------------------
-# The adaptive GK15 loop
+# The adaptive Gauss-Kronrod loop
 # ----------------------------------------------------------------------------
 
 def _counting(f):
@@ -925,7 +946,7 @@ def test_adaptive_gk_matches_list_version(f, breakpoints, max_panels):
                                            max_panels=max_panels)
     ref = adaptive_gk_reference(f, breakpoints, 1e-300, 1e-12, max_panels=max_panels)
     # same panels split in the same order; only the summation order differs
-    assert evals == ref[3] == sum(calls) and evals % 15 == 0
+    assert evals == ref[3] == sum(calls) and evals % NODES == 0
     tol = 64 * np.finfo(float).eps
     assert abs(val - ref[0]) <= tol * ref[2]
     assert err == pytest.approx(ref[1], rel=tol)
@@ -940,9 +961,9 @@ def test_adaptive_gk_honours_max_panels():
         _, err, _, evals = _adaptive_gk(f, breakpoints, 1e-300, 1e-14,
                                         max_panels=max_panels)
         assert err > 0.0
-        # every evaluation is one GK15 node: 15 per panel evaluated
-        assert evals == sum(calls) and evals % 15 == 0
-        evaluated = evals // 15
+        # every evaluation is one node: NODES per panel evaluated
+        assert evals == sum(calls) and evals % NODES == 0
+        evaluated = evals // NODES
         initial = breakpoints.size - 1
         # each split evaluates two halves and adds one panel net
         final = initial + (evaluated - initial) // 2
@@ -958,8 +979,8 @@ def test_adaptive_gk_roundoff_exit_below_the_floor():
     val, err, absint, evals = _adaptive_gk(with_abs(f), breakpoints, 1e-300, 1e-12)
     full = adaptive_gk_reference(f, breakpoints, 1e-300, 1e-12, roundoff_exit=False)
     # each split evaluates two halves and adds one panel net
-    panels = 3 + (evals // 15 - 3) // 2
-    assert panels < 4000 <= 3 + (full[3] // 15 - 3) // 2
+    panels = 3 + (evals // NODES - 3) // 2
+    assert panels < 4000 <= 3 + (full[3] // NODES - 3) // 2
     assert err >= 50.0 * np.finfo(float).eps * absint > 1e-12 * abs(val)
     assert abs(val - full[0]) <= err
 

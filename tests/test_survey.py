@@ -371,7 +371,7 @@ def test_distance_row_evaluates_the_head_kernel_once_per_pass(monkeypatch):
         monkeypatch.undo()
         # M's head passes: L's panels evaluate no time kernel
         head = [k.size for k in kernel if k.max() < k_hi]
-        assert head == [15 * hi.size for f, hi in panels
+        assert head == [specfun._XGK.size * hi.size for f, hi in panels
                         if f in m_shared and hi.max() <= k_hi]
         return len(head)
 
@@ -402,7 +402,7 @@ def test_spacetime_map_evaluates_each_kernel_once_per_head_pass(monkeypatch):
         if kernel is not None and lo.ndim == 1 and hi.max() <= k_hi:
             passes.append(({d for _, d in members if d > 0}, {t for t, _ in members},
                            nodes["space"] - before["space"], nodes["time"] - before["time"],
-                           15 * lo.size))
+                           specfun._XGK.size * lo.size))
         return out
 
     monkeypatch.setattr(harvesting, "spherical_bessel_j0_plus_j2",
@@ -440,8 +440,9 @@ def test_distance_row_sums_its_tails_in_one_kernel_call_per_chunk(monkeypatch):
     run_grid(grid)
     ((n, k0, top, times, waves),) = rays
     panels = math.ceil(math.log(top.max() / k0.min()) / math.log(specfun._ENVELOPE_RATIO))
-    assert n == 9 and [k.shape for k in times] == [(15 * panels,)]
-    assert [k.shape for k in waves] == [(9 * specfun._RAY_Y.size + 15 * panels,)]
+    nodes = specfun._XGK.size * panels
+    assert n == 9 and [k.shape for k in times] == [(nodes,)]
+    assert [k.shape for k in waves] == [(9 * specfun._RAY_Y.size + nodes,)]
 
 
 def test_grid_rows_share_one_float_per_l():

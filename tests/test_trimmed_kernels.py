@@ -1,8 +1,8 @@
-"""The engine's time kernel and GK15 row reduce make fewer array calls
-than their straightforward forms (``reference_kernels``), on
-the same arithmetic: each returns those forms' bits, signed zeros and NaN
+"""The engine's time kernel and Gauss-Kronrod row reduce make fewer array
+calls than their straightforward forms (``reference_kernels``), on the same
+arithmetic: each returns those forms' bits, signed zeros and NaN
 payloads included, on random inputs, rows with zeros, NaN and inf, scales
-from 1e-300 to 1e250, unequal gaps and delays of both signs.  GK15's block
+from 1e-300 to 1e250, unequal gaps and delays of both signs.  The block
 reduce, on other arithmetic, agrees with the row reduce within each
 panel's roundoff floor on the same rows.  And j_0 keeps the bits it had
 before j_1..j_4 came from scipy."""
@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from vharvest import specfun
 
+N = specfun._XGK.size  # the nodes of one panel
 SCALES = st.sampled_from([1.0, 1e-300, 1e-150, 3e-7, 4e12, 1e250])
 
 
@@ -51,18 +52,18 @@ def test_gk15_reduce_row_has_the_reference_bits(kind, scale, real, p, seed):
     # at least |value|
     rng = np.random.default_rng(seed)
     x = specfun._XGK
-    fv = rng.standard_normal((p, 15)) + (0.0 if real else 1j * rng.standard_normal((p, 15)))
+    fv = rng.standard_normal((p, N)) + (0.0 if real else 1j * rng.standard_normal((p, N)))
     if kind == "smooth":
         fv = fv[:, :1] * np.exp(0.3 * x) + fv[:, 1:2] * x
     elif kind == "even":  # first moment exactly 0
         fv = fv + fv[:, ::-1]
     elif kind == "constant":  # |f - mean| is 0 or rounding
-        fv = np.repeat(fv[:, :1], 15, axis=1)
+        fv = np.repeat(fv[:, :1], N, axis=1)
     elif kind == "zero":
         fv = np.zeros_like(fv)
     fv = fv * scale
     if kind in ("nan", "inf"):
-        fv[rng.integers(p), rng.integers(15)] = np.nan if kind == "nan" else np.inf
+        fv[rng.integers(p), rng.integers(N)] = np.nan if kind == "nan" else np.inf
     fm = np.abs(fv) * (1.0 + rng.uniform(0.0, 2.0, fv.shape))
     half = rng.uniform(1e-3, 2.0, p)
     with np.errstate(all="ignore"):
@@ -74,18 +75,18 @@ def test_gk15_reduce_row_has_the_reference_bits(kind, scale, real, p, seed):
 def kind_rows(rng, kind, n, p, real, scale=1.0):
     # n rows on p panels of one of ROW_KINDS, real or complex, times scale
     x = specfun._XGK
-    v = rng.standard_normal((n, p, 15)) + (0.0 if real else 1j * rng.standard_normal((n, p, 15)))
+    v = rng.standard_normal((n, p, N)) + (0.0 if real else 1j * rng.standard_normal((n, p, N)))
     if kind == "smooth":
         v = v[..., :1] * np.exp(0.3 * x) + v[..., 1:2] * x
     elif kind == "even":  # first moment exactly 0
         v = v + v[..., ::-1]
     elif kind == "constant":
-        v = np.repeat(v[..., :1], 15, axis=2)
+        v = np.repeat(v[..., :1], N, axis=2)
     elif kind == "zero":
         v = np.zeros_like(v)
     v = v * scale
     if kind in ("nan", "inf"):
-        v[rng.integers(n), rng.integers(p), rng.integers(15)] = np.nan if kind == "nan" else np.inf
+        v[rng.integers(n), rng.integers(p), rng.integers(N)] = np.nan if kind == "nan" else np.inf
     return v.reshape(n, -1)
 
 
