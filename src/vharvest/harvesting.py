@@ -22,7 +22,7 @@ for L, and K(k, t_BA) the time kernel ``scaled_time_kernel`` at d_omega =
 Omega_A - Omega_B.  In M, Omega is the mean gap (Omega_A + Omega_B)/2, so
 one row serves every gap: pi T^2/2 S e^{i Omega (t_A+t_B)} K is the ordered
 double time integral ``oracle.time_integral_closed``.  Like every time
-factor K is evaluated once per batch of quadrature nodes.  M's head stops
+factor, K is evaluated for all of a group's clocks at once.  M's head stops
 at the live edge, where its Gaussian part is e^-60 below its peak, and a
 rigorous bound on that part past it (``_live_edge``) joins its error.  Its
 erfc wings decay only algebraically in k; past the edge they are analytic
@@ -43,13 +43,13 @@ double range (very unequal gaps), or whose M has no finite phase e^{i Omega
 ``compute_terms_many`` evaluates a batch of pairs and shares the work: the M
 terms with the same scale k^p / (4u+9)^6 and kern integrate on one head
 panel set, the L and the L_AB terms with the same scale and Omega on one
-fixed panel set, each distinct (time, d) once and to its own tolerance, and
-each pass evaluates each distinct time(k) and kern(kd) once.  The engine,
-``_harvest``, takes a batch as columns, one array per parameter (a survey
-grid's without a pair per point), applies the prefactors and builds the
-results on arrays, in a float's order of operations, so that a point has the
-bits it has alone.  Batches, grids and the term views all call it;
-``compute_terms`` is its one-pair case.
+fixed panel set, each distinct (clock, d) once and to its own tolerance,
+and each pass evaluates time(k) of every clock in one call and kern(kd)
+once.  The engine, ``_harvest``, takes a batch as columns, one array per
+parameter (a survey grid's without a pair per point), applies the
+prefactors and builds the results on arrays, in a float's order of
+operations, so that a point has the bits it has alone.  Batches, grids and
+the term views all call it; ``compute_terms`` is its one-pair case.
 """
 
 from __future__ import annotations
@@ -262,24 +262,27 @@ _COLUMNS = ("a0", "T", "omega_a", "omega_b", "t_a", "t_b", "d", "rel", "e2")
 _NAMES = ("l_aa", "l_bb", "m", "l_ab")
 
 
-def _gaussian(k, T: float, omega: float):
-    # exp(-e), e = T^2 (k^2/2 + Omega k), with magnitude exp(-e) (1 + e)
-    e = 0.5 * T * T * k * k + T * T * omega * k
+def _time(T: float, clocks: list, k, wings: bool = False):
+    """The (value, magnitude) time factors of a group's clocks (of one kind)
+    at the nodes k, a row each: the time kernel for M, whose erfc wings decay
+    only algebraically, and e^{-ik t_BA} G(k) for L_AB and L (t_BA = 0); each
+    oscillates with period 2 pi/|t_BA|.  With wings, M's ``_time_wings``."""
+    _, t_ba, omega = zip(*clocks)
+    if wings or clocks[0][0] == "M":
+        kernel = _time_wings if wings else scaled_time_kernel
+        if len(clocks) == 1:  # the kernel's path of one clock, on its row
+            return tuple(x[None] for x in kernel(k[0] if wings else k, *t_ba, T, d_omega=omega[0]))
+        return kernel(k, np.array(t_ba), T, d_omega=np.array(omega))
+    e = 0.5 * T * T * k * k + T * T * np.array(omega)[:, None] * k  # G = exp(-e), |G| (1 + e)
     g = np.exp(-e)
-    return g, g * (1.0 + e)
-
-
-def _time(clock: tuple, T: float, k):
-    """The (value, magnitude) time factors of a clock at the nodes k, in
-    product order: the time kernel for M, whose erfc wings decay only
-    algebraically, and e^{-ik t_BA} G(k) for L_AB and L (t_BA = 0); each
-    oscillates with period 2 pi/|t_BA|."""
-    kind, t_ba, omega = clock
-    if kind == "M":
-        return (scaled_time_kernel(k, t_ba, T, d_omega=omega),)
-    if t_ba == 0.0:
-        return (_gaussian(k, T, omega),)
-    return (np.exp(-1j * k * t_ba), 1.0 + k * abs(t_ba)), _gaussian(k, T, omega)
+    g_mag = g * (1.0 + e)
+    if not any(t_ba):
+        return g, g_mag
+    t = np.array(t_ba)[:, None]
+    phase = np.exp(-1j * k * t)
+    value, mag = phase * g, (1.0 + k * np.abs(t)) * np.abs(g) + np.abs(phase) * g_mag
+    return (value, mag) if all(t_ba) else (np.where(t != 0.0, value, g),
+                                           np.where(t != 0.0, mag, g_mag))
 
 
 def _scale(p: int, a0: float):
@@ -321,26 +324,25 @@ def _live_edge(share: tuple, members) -> tuple[float, tuple]:
 
 def _spec(share: tuple, members) -> DampedKernelSpec:
     """The quadrature spec of a group of M members (clock, d) of one share:
-    a member (time, d) per entry, one time object (``_time``) and one wings
-    object (``_time_wings``) per clock, the share's wing cutoff, the group's
-    live edge with each member's bound past it (``_live_edge``) and the
-    kernel's wave; its integrand the scale k^p / (4u+9)^6, the last factor
-    of every one, and its kernel the share's."""
+    the members with their clocks as data, whose time factors and wings
+    (``_time``) a pass evaluates in one call for all of them, the share's
+    wing cutoff, the group's live edge with each member's bound past it
+    (``_live_edge``) and the kernel's wave; its integrand the scale k^p /
+    (4u+9)^6, the last factor of every one, and its kernel the share's."""
     _, p, a0, T, kernel = share
-    clocks = dict.fromkeys(c for c, _ in members)
-    times = {c: functools.partial(_time, c, T) for c in clocks}
-    wings = {c: functools.partial(_time_wings, t_ba=c[1], T=T, d_omega=c[2]) for c in clocks}
     k_live, bounds = _live_edge(share, members)
     return DampedKernelSpec(
         damping_width=0.5 * T * T,
-        oscillation_lengths=tuple(2.0 * math.pi / abs(c[1]) for c in times if c[1] != 0.0),
+        oscillation_lengths=tuple(dict.fromkeys(2.0 * math.pi / abs(t) for (_, t, _), _ in members
+                                                if t)),
         integrand=_scale(p, a0),
-        members=tuple((times[c], d) for c, d in members),
+        members=tuple(members),
+        time=functools.partial(_time, T),
         kernel=kernel,
         cutoff=_WING_CUTOFF[p] / (2.0 * a0),
         live_edge=k_live,
         edge_bounds=bounds,
-        wings=tuple(wings[c] for c, _ in members),
+        wings=functools.partial(_time, T, wings=True),
         wave=_KERN_WAVE[p],
     )
 
@@ -372,9 +374,8 @@ def _fixed(share: tuple, omega: float, members) -> tuple:
     y = _LIVE_EXPONENT + 0.5 * (T * k_end) ** 2
     log_b = ((p + 1) * math.log(k_end) - math.log(y) - _LIVE_EXPONENT - 6.0 * math.log(9.0)
              + math.log(sum(math.perm(p, j) / y ** j for j in range(p + 1))))
-    times = {c: functools.partial(_time, c, T) for c in dict.fromkeys(c for c, _ in members)}
-    return (_scale(p, a0), np.concatenate(edges), kernel, [(times[c], d) for c, d in members],
-            math.exp(log_b) if log_b < _LOG_HUGE else math.inf)
+    return (_scale(p, a0), np.concatenate(edges), kernel, list(members),
+            math.exp(log_b) if log_b < _LOG_HUGE else math.inf, functools.partial(_time, T))
 
 
 def _quadratures(members: list, atol: float, rtol: float) -> tuple[list, np.ndarray]:
@@ -663,13 +664,13 @@ def compute_terms_many(pairs, switching: SwitchingKind = SwitchingKind(),
     The pairs go to the engine as columns (``_harvest``).  The M terms of
     pairs with the same model, a0 and T are integrated on one head panel
     set (``specfun.integrate_damped_group``), each distinct (t_BA,
-    Omega_A - Omega_B, d) once: a pass evaluates the time kernel once per
-    (t_BA, Omega_A - Omega_B) and the spatial kernel once per d, so a
-    spacetime map (fig5a, fig5b) is one group.  The L_AB with the same model,
-    a0, T and Omega are one Gauss-Kronrod pass on one fixed panel set for their
-    largest d + |t_BA| (``specfun.integrate_fixed_group``), and each atom's
-    L one on its own, so its bits depend on its model, a0, T and Omega
-    alone.  A pair alone gives the bits it has in a group of one; in a
+    Omega_A - Omega_B, d) once: a pass evaluates the time kernel of every
+    (t_BA, Omega_A - Omega_B) in one call and the spatial kernel once per
+    d, so a spacetime map (fig5a, fig5b) is one group.  The L_AB with the
+    same model, a0, T and Omega are one Gauss-Kronrod pass on one fixed
+    panel set for their largest d + |t_BA| (``specfun.integrate_fixed_group``),
+    and each atom's L one on its own, so its bits depend on its model, a0, T
+    and Omega alone.  A pair alone gives the bits it has in a group of one; in a
     larger group its M and L_AB may move by less than the reported errors.
 
     Returns one entry per pair: its HarvestTerms, or the

@@ -11,16 +11,16 @@ keeps exponents combined analytically so only non-positive real parts are
 ever exponentiated.  The spatial kernels are j_0 (UdW and derivative
 couplings) and j_0 + j_2 = 3 j_1/x (EM dipole), each with its magnitude;
 the self-check reads every j_l from scipy.  All functions are pure and accept
-numpy arrays where it matters.  Integrands that differ in their time factor
-and separation (a grid's t_BA and d) are integrated as the members of one
-group (``integrate_damped_group``): on one head panel set, so each pass
-evaluates each distinct time factor and spatial kernel once for all of them,
-scales each time's factors once, and reduces the members with d > 0 by matrix
-products per panel of kernel(k d) and the times (forming |f - mean| only
-where it can move QUADPACK's error).  A pair alone keeps every bit of its
-head's rows; a row of such a block agrees with the row alone within its
-panel's roundoff floor (its error estimate within 200 floors), and the
-figures agree within their errors (``tests/golden``).
+numpy arrays where it matters.  Integrands that differ in their clock (a
+grid's t_BA) and separation d are integrated as the members of one group
+(``integrate_damped_group``): on one head panel set, so each pass evaluates
+the time factors of all the clocks as one (clocks, nodes) array in one call,
+each spatial kernel once, reduces the members without one as one stack and
+those with d > 0 by matrix products per panel of kernel(k d) and the clocks
+(|f - mean| only where it can move QUADPACK's error).  A pair alone keeps
+every bit of its head's rows; a row of such a block agrees with the row
+alone within its panel's roundoff floor (its error estimate within 200
+floors), and the figures agree within their errors (``tests/golden``).
 
 Every member's head stops at the group's live edge k_live, where the
 Gaussian part is e^-60 below its peak; the caller's rigorous bound on that
@@ -130,9 +130,9 @@ class DampedKernelSpec:
     integrand: vectorized callable on arrays of k >= 0 (and, with wings,
         complex k with Re k >= live_edge): the scale by which every
         member's product is multiplied last.
-    members: (time, d) per member, each integrated to its own tolerance,
-        time a callable k -> tuple of (value, magnitude) factors: kernel(k d)
-        times the time factors in order, then times the scale.
+    members: (clock, d) per member, each integrated to its own tolerance:
+        kernel(k d) times its clock's time factor, then times the scale.
+    time: callable (clocks, k) -> (value, magnitude) time factors, a row each.
     kernel: callable x -> (value, magnitude), the spatial factor at x = k d
         for d > 0; it oscillates with period 2*pi/d in k.  None: no spatial
         factor.
@@ -143,10 +143,10 @@ class DampedKernelSpec:
     edge_bounds: per member, a rigorous bound on the integral of |f|'s
         Gaussian part over [live_edge, inf) (all of it, without wings),
         added to its error, or () for none.
-    wings: per member, a callable on complex arrays of k -> (W(k), W(conj
-        k)), W its time factor less the Gaussian part, analytic on Re k >=
-        live_edge, where that part is what the time factor has left; or ()
-        for none: nothing survives past the edge.
+    wings: callable (clocks, k) -> (W(k), W(conj k)) on a complex
+        (clocks, nodes) array k, W a clock's time factor less the Gaussian
+        part, analytic on Re k >= live_edge, where that part is what the
+        time factor has left; or None: nothing survives past the edge.
     wave: callable on complex x -> A(x), algebraic, such that kernel(x) =
         2 Re(e^{ix} A(x)) at real x: the rays of the wings.
     """
@@ -155,11 +155,12 @@ class DampedKernelSpec:
     oscillation_lengths: tuple[float, ...]
     integrand: Callable[[np.ndarray], object]
     members: tuple
+    time: Callable
     kernel: Callable | None = None
     cutoff: float = 0.0
     live_edge: float = math.inf
     edge_bounds: tuple = ()
-    wings: tuple = ()
+    wings: Callable | None = None
     wave: Callable | None = None
 
     def __post_init__(self):
@@ -167,11 +168,10 @@ class DampedKernelSpec:
             raise ValueError("damping_width must be positive")
         if any(not (ell > 0.0) for ell in self.oscillation_lengths):
             raise ValueError("oscillation_lengths must all be positive")
-        if not self.members or any(time is None or not (d >= 0.0) for time, d in self.members):
-            raise ValueError("a spec needs members, each with a time and d >= 0")
-        if not (self.live_edge > 0.0) or any(
-                x and len(x) != len(self.members) for x in (self.edge_bounds, self.wings)):
-            raise ValueError("live_edge must be positive, with one bound and wing per member")
+        if not self.members or any(clock is None or not (d >= 0.0) for clock, d in self.members):
+            raise ValueError("a spec needs members, each with a clock and d >= 0")
+        if not (self.live_edge > 0.0) or len(self.edge_bounds) not in (0, len(self.members)):
+            raise ValueError("live_edge must be positive, with one bound per member")
         if self.wings and not (self.live_edge < math.inf and (
                 self.kernel is None or self.wave is not None)):
             raise ValueError("wings need a live edge, and a kernel its wave")
@@ -192,28 +192,56 @@ _W_RADII = tuple(math.sqrt(0.5 * (c * (2 * n + 1) * 4.0 / np.finfo(float).eps) *
                  for n, c in enumerate(_W_COEFFS))
 # the loops' operands as 0-d complex arrays: a Python float costs a conversion per call
 _W_TERMS = tuple(np.array(complex(c)) for c in _W_COEFFS)
+_ROW_BLOCK = 8192  # a column of clocks goes in blocks of rows of at most this many values
 
 
-def _w_far(z, r2_min: float):
+def _w_far(z, r2_min):
     # w(z) at |z|^2 >= r2_min >= 49 by its asymptotic series in Horner form,
-    # with the terms r2_min needs: a polynomial in 1/z, analytic off z = 0
-    n = max(2, 1 + len(_W_RADII) - bisect.bisect_right(_W_RADII[::-1], math.sqrt(r2_min)))
+    # with the terms r2_min needs: a polynomial in 1/z, analytic off z = 0.
+    # r2_min per row of z (axis 0): the rows in descending order of their
+    # terms, each step of Horner on the leading rows that need its term
+    lead = None  # per step, how many rows need its term
+    if isinstance(r2_min, np.ndarray):
+        n = np.searchsorted(_W_RADII[::-1], np.sqrt(r2_min), "right")
+        order = np.argsort(n, kind="stable")
+        z, n = z[order], np.maximum(2, len(_W_RADII) + 1 - n[order])
+        lead, top = np.count_nonzero(n[:, None] >= np.arange(n[0] + 1), axis=0).tolist(), int(n[0])
+    else:
+        top = max(2, len(_W_RADII) + 1 - bisect.bisect_right(_W_RADII[::-1], math.sqrt(r2_min)))
     u = 1.0 / z
     y = 0.5 * u * u
-    acc = _W_COEFFS[n - 1] * y + _W_COEFFS[n - 2]  # from two terms
-    for coef in reversed(_W_TERMS[:n - 2]):
+    acc = _W_COEFFS[top - 1] * y + _W_COEFFS[top - 2]  # from two terms
+    for coef in reversed(_W_TERMS[:top - 2] if lead is None else ()):
         acc *= y
         acc += coef
-    return (1j / math.sqrt(math.pi)) * u * acc
+    for j in range(top - 3, -1, -1) if lead else ():
+        go, new = lead[j + 3], lead[j + 2]
+        rows = acc[:go]
+        rows *= y[:go]
+        rows += _W_TERMS[j]
+        if new > go:  # rows that start here, from two terms
+            acc[go:new] = _W_COEFFS[j + 1] * y[go:new] + _W_COEFFS[j]
+    w = (1j / math.sqrt(math.pi)) * u * acc
+    if lead:
+        w[order] = w.copy()
+    return w
 
 
-def _faddeeva(x, a: float):
+def _faddeeva(x, a):
     """The Faddeeva function w(x + ia) for a real array x and a scalar
     a >= 0.  Where |z| >= 7 its asymptotic series in Horner form, with the
     terms the call's smallest such |z| needs (within 2.4 eps of 40-digit
     mpmath, where ``wofz`` is off by up to ~110 eps), elsewhere scipy's
-    ``wofz``.  A call whose arguments all lie on one side takes no mask."""
+    ``wofz``.  A call whose arguments all lie on one side takes no mask.  A
+    column of a: rows with every |z| >= 7 in one series, others alone."""
     r2 = x * x + a * a
+    if isinstance(a, np.ndarray):
+        far, out = (r2 >= _W_FAR * _W_FAR).all(axis=1), np.empty(x.shape, dtype=complex)
+        if far.any():
+            out[far] = _w_far(x[far] + 1j * a[far], r2[far].min(axis=1))
+        for i in (~far).nonzero()[0]:
+            out[i] = _faddeeva(x[i], a[i, 0])
+        return out
     far = r2 >= _W_FAR * _W_FAR
     n_far = np.count_nonzero(far)
     if n_far == 0:
@@ -228,7 +256,7 @@ def _faddeeva(x, a: float):
     return out
 
 
-def scaled_time_kernel(k, t_ba: float, T: float, *, d_omega: float):
+def scaled_time_kernel(k, t_ba, T: float, *, d_omega):
     """The ordered double time integral of two Gaussian switchings of width
     T without overflow, and its magnitude: the time factor of M.
 
@@ -253,34 +281,57 @@ def scaled_time_kernel(k, t_ba: float, T: float, *, d_omega: float):
     weigh 2 + a^2 (one for the Faddeeva function), the Gaussian 1 + its
     exponent's parts.  Where the value is subnormal (near (b+c)^2 ~ 730)
     that bound fails: it is off by a few units of 2^-1074 in absolute terms.
-    """
+    Arrays of clocks t_ba, d_omega give a row each, with its bits alone."""
     if T <= 0.0:
         raise ValueError("switching width T must be positive")
     k_arr = np.asarray(k, dtype=float)
-    a = abs(t_ba) / (_SQRT2 * T)
+    return _by_rows(_time_kernel, k_arr, t_ba, T, d_omega, k_arr.size)
+
+
+def _by_rows(kernel, k, t_ba, T: float, d_omega, width: int):
+    # kernel(k, t_ba, T, d_omega) of one clock, or of arrays of clocks: blocks of rows of at most
+    # _ROW_BLOCK values (width a row's), in cache, or row by row where 16 rows do not fit (cheaper)
+    if not isinstance(t_ba, np.ndarray):
+        return kernel(k, t_ba, T, d_omega)
+    step = _ROW_BLOCK // width if _ROW_BLOCK >= 16 * width else 1
+    rows = (kernel(k if k.ndim == 1 else k[i:i + step], t_ba[i:i + step, None], T,
+                   d_omega[i:i + step, None]) if step > 1 else tuple(x[None] for x in kernel(
+                       k if k.ndim == 1 else k[i], float(t_ba[i]), T, float(d_omega[i])))
+            for i in range(0, len(t_ba), step))
+    return next(rows) if len(t_ba) <= step else tuple(map(np.concatenate, zip(*rows)))
+
+
+def _time_kernel(k_arr, t_ba, T: float, d_omega):
+    # scaled_time_kernel of one clock or a block of them
+    a, c, e_a, unequal = _clock_parts(t_ba, T, d_omega, np.exp)
     b = T * k_arr / _SQRT2
-    c = T * d_omega / (2.0 * _SQRT2)
-    if t_ba < 0.0:
-        c = -c
-    e_a = np.exp(-a * a)
-    w_lo = _faddeeva(b - c if c else b, a)  # b - 0.0 is b
-    if c == 0.0:  # conj(w) - w = -2i Im w and |w| + |w| = 2|w|, both exactly
+    w_lo = _faddeeva(b - c if unequal or isinstance(c, np.ndarray) else b, a)  # b - 0.0 is b
+    if not unequal:  # conj(w) - w = -2i Im w and |w| + |w| = 2|w|, both exactly
         out, mag = (-2j * e_a) * w_lo.imag, e_a * (2.0 + a * a) * (2.0 * np.abs(w_lo))
     else:
         w_hi = _faddeeva(b + c, a)
         out = e_a * (w_lo.conj() - w_hi)
         mag = e_a * (2.0 + a * a) * (np.abs(w_lo) + np.abs(w_hi))
-    bc = b + c if c else b
+    bc = b + c if unequal else b
     w_lo = w_hi = b = None  # freed before the Gaussian, where a head pass peaks
     bb = bc * bc  # past (b+c)^2 = 750 exp is 0.0: a call dead at every node skips it
     if np.count_nonzero(bb < _GAUSS_DEAD):
         gauss = 2.0 * np.exp(-bb - 2j * a * bc)
         out += gauss
-        mag += np.abs(gauss) * (1.0 + bb + 2.0 * a * (np.abs(bc) if c else bc))  # b >= 0
+        mag += np.abs(gauss) * (1.0 + bb + 2.0 * a * (np.abs(bc) if unequal else bc))  # b >= 0
     return (complex(out), float(mag)) if k_arr.ndim == 0 else (out, mag)
 
 
-def _time_wings(k, t_ba: float, T: float, *, d_omega: float):
+def _clock_parts(t_ba, T: float, d_omega, exp):
+    # a, c, exp(-a^2) and c != 0 of one clock, or of a column (exp one by one)
+    a, c = abs(t_ba) / (_SQRT2 * T), T * d_omega / (2.0 * _SQRT2)
+    if not isinstance(a, np.ndarray):
+        return a, -c if t_ba < 0.0 else c, exp(-a * a), c != 0.0
+    e_a = np.array([exp(x) for x in (-a * a).ravel().tolist()])[:, None]
+    return a, np.where(t_ba < 0.0, -c, c), e_a, bool(c.any())
+
+
+def _time_wings(k, t_ba, T: float, *, d_omega):
     """The wings of ``scaled_time_kernel``, W = e^{-a^2} [conj w(b - c + ia)
     - w(b + c + ia)] = e^{-a^2} [w(c - b + ia) - w(b + c + ia)] on the real
     axis, continued to a complex array k through the asymptotic series P of
@@ -288,17 +339,21 @@ def _time_wings(k, t_ba: float, T: float, *, d_omega: float):
     live edge, where on the real axis they are the kernel less its Gaussian
     part within a few eps.  Returns (W(k), W(conj k)): P is odd and P(conj
     z) = -conj P(z), so W(conj k) = -conj W(k) at equal gaps, and at
-    unequal ones -conj of W(k) at -c."""
-    a = abs(t_ba) / (_SQRT2 * T)
+    unequal ones -conj of W(k) at -c.  Arrays of clocks take a row each."""
+    return _by_rows(_wings_kernel, k, t_ba, T, d_omega, 2 * np.shape(k)[-1])
+
+
+def _wings_kernel(k, t_ba, T: float, d_omega):
+    # _time_wings of one clock or a block of them
+    a, c, e_a, unequal = _clock_parts(t_ba, T, d_omega, math.exp)
+    col = isinstance(a, np.ndarray)
     b = (T / _SQRT2) * k
-    c = T * d_omega / (2.0 * _SQRT2)
-    if t_ba < 0.0:
-        c = -c
-    z = np.array((c - b, b + c, -c - b, b - c)[:4 if c else 2]) + 1j * a
-    w = _w_far(z, float((z.real * z.real + z.imag * z.imag).min()))
-    e_a = math.exp(-a * a)
-    value = e_a * (w[0] - w[1])
-    return value, -(e_a * (w[2] - w[3]) if c else value).conj()
+    z = (c - b, b + c, -c - b, b - c)[:4 if unequal else 2]
+    z = np.stack(z, axis=1) + 1j * a[..., None] if col else np.array(z) + 1j * a
+    r2 = z.real * z.real + z.imag * z.imag
+    w = _w_far(z, r2.min(axis=(1, 2)) if col else float(r2.min()))
+    value = e_a * (w[..., 0, :] - w[..., 1, :])
+    return value, -(e_a * (w[..., 2, :] - w[..., 3, :]) if unequal else value).conj()
 
 
 # ----------------------------------------------------------------------------
@@ -506,50 +561,48 @@ def _index(items):
     return list(first), np.array(at, dtype=int)
 
 
-def _product(factors, scale):
-    # the factors' (value, magnitude) product in order, then times the scale
-    (value, mag), *rest = factors
-    for v, m in rest:
-        value, mag = value * v, mag * np.abs(v) + np.abs(value) * m
-    return scale * value, scale * mag
-
-
-def _integrands(f, k, kernel, members):
+def _integrands(f, k, kernel, members, time=None):
     """Yield (ids, integrand) of the members at the nodes k, one row of nodes
-    that they share: f once and each distinct time once.  Members of two or
-    more distinct (time, d > 0) with a kernel come last, in blocks of
-    distinct d of at most _BLOCK_NODES nodes of kernel(k d): ids a list,
-    integrand the arguments of ``_gk15_blocks``.  Any other is a row alone,
-    ids its index: U, f times the time's factors, or kernel(k d) U (a
-    spatial factor 1 would change its magnitude)."""
-    by_time = {}
-    for i, (time, _) in enumerate(members):
-        by_time.setdefault(time, []).append(i)
-    cells = {}  # the members of each (time, d > 0) with a kernel
-    for i, (time, d) in enumerate(members):
-        if kernel is not None and time is not None and d > 0.0:
-            cells.setdefault((time, d), []).append(i)
-    times = {t: n for n, t in enumerate(dict.fromkeys(t for t, _ in cells))} if len(
-        cells) > 1 else {}
-    shape = (k.size // _XGK.size, _XGK.size, len(times))
-    units = np.empty(shape, complex), np.empty(shape), np.empty(shape)
+    that they share: f once and the time factors of their clocks in one
+    call.  Members of two or more distinct (clock, d > 0) with a kernel come
+    last, in blocks of distinct d of at most _BLOCK_NODES nodes of kernel(k
+    d): integrand the arguments of ``_gk15_blocks``.  The others are a stack
+    of rows (value, magnitude): U, f times the time factor, kernel(k d) U
+    for the one (clock, d > 0) (a spatial factor 1 would change U's
+    magnitude), or without a time f itself."""
+    if time is None:
+        yield list(range(len(members))), f(k)
+        return
+    row = {clock: i for i, clock in enumerate(dict.fromkeys(c for c, _ in members))}
+    cells = {}  # the members of each (clock, d > 0) with a kernel
+    for i, (clock, d) in enumerate(members):
+        if kernel is not None and d > 0.0:
+            cells.setdefault((clock, d), []).append(i)
     scale = f(k)
-    for time, ids in by_time.items():
-        unit = None  # the previous time's go before the next is evaluated
-        unit = None if time is None else _product(time(k), scale)
-        if time in times:  # U, |U| and U_mag per panel and node
-            for column, x in zip(units, (unit[0], np.abs(unit[0]), unit[1])):
-                column[..., times[time]] = x.reshape(shape[:2])
-        for i in ids:
-            if (time, members[i][1]) not in cells:
-                yield i, scale if unit is None else unit
-            elif not times:
-                sv, sm = kernel(k * members[i][1])
-                yield i, (sv * unit[0], sm * np.abs(unit[0]) + np.abs(sv) * unit[1])
+    unit, mag = (scale * x for x in time(list(row), k))
+    ids, rows = [i for i, m in enumerate(members) if len(cells) < 2 or m not in cells], []
+    for i in ids:
+        u, um = unit[row[members[i][0]]], mag[row[members[i][0]]]
+        if members[i] in cells:  # the one cell
+            sv, sm = kernel(k * members[i][1])
+            u, um = sv * u, sm * np.abs(u) + np.abs(sv) * um
+        rows.append((u, um))
+    if rows:  # one row as it is, and every row of U in order without a copy
+        every = len(cells) != 1 and [row[members[i][0]] for i in ids] == list(range(len(row)))
+        yield ids, rows[0] if len(rows) == 1 else (unit, mag) if every else tuple(
+            map(np.array, zip(*rows)))
+    if len(cells) < 2:
+        return
+    times = {t: n for n, t in enumerate(dict.fromkeys(t for t, _ in cells))}
+    cols = [row[t] for t in times]
+    u, um = (unit, mag) if cols == list(range(len(row))) else (unit[cols], mag[cols])
+    # U, |U| and U_mag per panel, node and time
+    units = tuple(np.ascontiguousarray(x.T).reshape(k.size // _XGK.size, _XGK.size, len(times))
+                  for x in (u, np.abs(u), um))
     size, ds, blocks = max(1, _BLOCK_NODES // k.size), {}, {}
-    for (time, d), ids in cells.items() if times else ():
-        j, row = ds.setdefault(d, divmod(len(ds), size))
-        blocks.setdefault(j, []).extend((i, row, times[time]) for i in ids)
+    for (clock, d), ids in cells.items():
+        j, r = ds.setdefault(d, divmod(len(ds), size))
+        blocks.setdefault(j, []).extend((i, r, times[clock]) for i in ids)
     ds = list(ds)
     for j, block in blocks.items():
         ids, rows, cols = zip(*block)
@@ -557,23 +610,23 @@ def _integrands(f, k, kernel, members):
                           (np.array(rows), np.array(cols)))
 
 
-def _gk15_panels(f, lo, hi, kernel=None, members=((None, 0.0),)):
+def _gk15_panels(f, lo, hi, kernel=None, members=((None, 0.0),), time=None):
     """The Gauss-Kronrod rule (``_XGK``; the name is the one the benchmark's
     tracer follows) on a batch of panels, for each member of a spec:
     (integral, error_estimate, abs_integral) as (members, panels) arrays, with
     the QUADPACK error heuristic, and the node count.  abs_integral integrates
     the magnitude, so the roundoff floor counts the integrand's rounding.  The
-    members' integrands come from ``_integrands`` (f the spec's integrand) on
-    the panels lo to hi, which they share: each member a row alone or in a
-    block (``_gk15_blocks``).
+    members' integrands come from ``_integrands`` (f the spec's integrand,
+    time its time) on the panels lo to hi, which they share: each member in
+    a stack of rows, a row alone or in a block (``_gk15_blocks``).
     """
     half, mid = 0.5 * (hi - lo), 0.5 * (hi + lo)
     k = (mid[:, None] + half[:, None] * _XGK).ravel()
     ids, parts = [], []
-    for i, fk in _integrands(f, k, kernel, members):
+    for i, fk in _integrands(f, k, kernel, members, time):
         ids.append(i)
         parts.append(_gk15_blocks(*fk, half) if len(fk) == 3 else _gk15_reduce(*fk, half))
-    if len(parts) == 1 and ids[0] in (0, list(range(len(members)))):  # all, in order
+    if len(parts) == 1 and ids[0] == list(range(len(members))):  # all, in order
         rows = tuple(x.reshape(len(members), -1) for x in parts[0])
     else:  # rows go back in member order
         rows = tuple(np.empty((len(members), lo.size), np.result_type(*x)) for x in zip(*parts))
@@ -584,7 +637,7 @@ def _gk15_panels(f, lo, hi, kernel=None, members=((None, 0.0),)):
 
 
 def _adaptive_gk(f, breakpoints: np.ndarray, atol: float, rtol: float,
-                 max_panels: int = 4000, kernel=None, members=None, prior=None):
+                 max_panels: int = 4000, kernel=None, members=None, prior=None, time=None):
     """Adaptive Gauss-Kronrod over the panels given by breakpoints.
 
     Panels live in parallel arrays (QUADPACK-style bookkeeping); each pass
@@ -598,13 +651,14 @@ def _adaptive_gk(f, breakpoints: np.ndarray, atol: float, rtol: float,
     the driver stops as soon as the error above the floor is within tol
     (QUADPACK's ier = 2).  The returned error still includes the floor.
 
-    With members, a spec's members (f its integrand) are rows of one panel
-    set, each pass evaluating each time and kernel(k d) once for the rows
-    still running.  Each row keeps its own error, tol and stopping tests
-    and is dropped, its panels too, as soon as it stops; a pass splits the
-    panels with the worst err_i / tol_i over the rows left.  The rows are
-    three (members, panels) arrays.  Returns one (value, error,
-    abs_integral, evals) per member, or the one of f.
+    With members, a spec's members (f its integrand, time its time) are rows
+    of one panel set, each pass evaluating their clocks' time factors in one
+    call and each kernel(k d) once for the rows still running.  Each row
+    keeps its own error, tol and stopping tests and is dropped, its panels
+    too, as soon as it stops; a pass splits the panels with the worst err_i
+    / tol_i over the rows left.  The rows are three (members, panels)
+    arrays.  Returns one (value, error, abs_integral, evals) per member, or
+    the one of f.
 
     prior: (lo, hi, rows), panels already evaluated, with the members' rows
     of (values, errors, abs_integrals) on them: the first pass adds the
@@ -622,7 +676,7 @@ def _adaptive_gk(f, breakpoints: np.ndarray, atol: float, rtol: float,
     while True:
         if new_lo.size:
             evals += _XGK.size * new_lo.size
-            new = _gk15_panels(f, new_lo, new_hi, kernel, [members[i] for i in running])[:3]
+            new = _gk15_panels(f, new_lo, new_hi, kernel, [members[i] for i in running], time)[:3]
             rows = new if rows is None else [
                 np.concatenate((x.take(keep, axis=1), y), axis=1) for x, y in zip(rows, new)]
         total, err_sum, abs_sum = (x.sum(axis=1) for x in rows)
@@ -661,15 +715,15 @@ _RAY_W = np.zeros((2, _RAY_Y.size))
 _RAY_W[0, :28], _RAY_W[1, 28:] = _RAYS[0][1], _RAYS[1][1]
 
 
-def _rays(f, wave, members, wings, k0, top):
-    """The wings of members i = (time, d) over [k0[i], inf), each kernel(k
+def _rays(f, wave, members, wings, k0, top, time):
+    """The wings of members i = (clock, d) over [k0[i], inf), each kernel(k
     d) W_i(k) f(k), with the scale f real and kernel(x) = 2 Re(e^{ix} A(x))
     on the real axis (wave: x -> A(x)) and W_i analytic, all on Re k >=
     k0[i].  By Cauchy's theorem the wave e^{ikd} A(kd) integrates along the
     ray k0 + iy and its conjugate e^{-ikd} conj A(conj(k) d) along k0 - iy,
     where both decay as e^{-yd} (Huybrechs and Vandewalle, SIAM J. Numer.
     Anal. 44, 2006); f and A on the lower ray are the conjugates of their
-    values on the upper one, and wings[i] gives W_i on both from the upper
+    values on the upper one, and wings gives W_i on both from the upper
     ray's nodes.  Gauss-Laguerre in u = y d with 28 nodes gives the value
     and with 16 its error, |Q28 - Q16| plus the roundoff floor of the 28
     nodes' |f|.
@@ -682,17 +736,14 @@ def _rays(f, wave, members, wings, k0, top):
     that of |time value| + time magnitude, and that of |time value - W|
     joins the error, which is W's Gaussian part where the time factor is
     the one W continues.  One pass for every member: f and A once per
-    distinct (k0, d), each time once on that row, each wings callable once
-    on its members' upper rays and that row, and the envelope's panel sums
-    as matrix products of the time rows and the spatial ones.  Returns
-    (value, error, abs_integral, evaluations) arrays."""
+    distinct (k0, d), one call of the time on that row and one of the wings
+    (a row per clock: its members' upper rays and that row), and the
+    envelope's panel sums as matrix products of the time rows and the
+    spatial ones.  Returns (value, error, abs_integral, evaluations) arrays."""
     n, d = _RAY_Y.size, np.array([d for _, d in members])
-    # the distinct (k0, d), times, wings callables and (time, wings) pairs,
-    # and per member the index of its own among each
+    # the distinct (k0, d) and clocks, and each member's own among them
     spatial, s_at = _index(zip(k0.tolist(), d.tolist()))
-    times, t_at = _index(time for time, _ in members)
-    fns, w_at = _index(wings)
-    pairs, p_at = _index(zip(t_at.tolist(), w_at.tolist()))
+    clocks, c_at = _index(clock for clock, _ in members)
     ks, ds = np.array(spatial).T
     x0 = ks * ds
     up = ks[:, None] + _RAY_Y / ds[:, None]  # the upper ray, (row, node)
@@ -703,27 +754,29 @@ def _rays(f, wave, members, wings, k0, top):
     edges = lo * (hi / lo) ** (np.arange(panels + 1) / panels)
     half = 0.5 * (edges[1:] - edges[:-1])
     kr = ((edges[1:] - half)[:, None] + half[:, None] * _XGK).ravel()
-    u, m = np.empty((len(times), kr.size), complex), np.empty((len(times), kr.size))
-    for j, time in enumerate(times):
-        u[j], m[j] = _product(time(kr), 1.0)
-    w, w_real = np.empty((2, d.size, n), complex), np.empty((len(fns), kr.size), complex)
-    for j, fn in enumerate(fns):
-        ids = (w_at == j).nonzero()[0]
-        on_ray, conj_ray = fn(np.concatenate((up[s_at[ids]].ravel(), kr)))  # W(k), W(conj k)
-        w[0, ids], w[1, ids] = (x[:-kr.size].reshape(ids.size, n) for x in (on_ray, conj_ray))
-        w_real[j] = on_ray[-kr.size:]
-    hm = h[s_at]
-    q = (hm * w[0] + hm.conj() * w[1]) @ _RAY_W.T
-    floor = _ROUNDOFF * ((np.abs(hm) * np.abs(w).sum(axis=0)) @ _RAY_W[0])
-    # per panel, the rule's sums of every time row (and (time, wings) row)
-    # against every envelope row as one matrix product; a member sums its
-    # own entry over the panels that meet its span
+    u, m = time(clocks, kr)
+    # a clock's row of wings: its members' rays in order (slot), kr, and kr[0] to fill it;
+    # a member per clock, in member order, needs no slots
+    width, at = n, (slice(None), slice(0, n))
+    if len(clocks) < d.size:
+        order, slot = np.argsort(c_at, kind="stable"), np.empty(d.size, dtype=int)
+        slot[order] = np.arange(d.size) - np.searchsorted(c_at[order], c_at[order])
+        width, at = n * (slot.max() + 1), (c_at[:, None], slot[:, None] * n + np.arange(n))
+    rows = np.full((len(clocks), width + kr.size), kr[0], dtype=complex)
+    rows[:, width:] = kr
+    rows[at] = up[s_at]
+    on_ray, conj_ray = wings(clocks, rows)  # W(k), W(conj k)
+    w, w_conj, hm = on_ray[at], conj_ray[at], h[s_at]
+    q = (hm * w + hm.conj() * w_conj) @ _RAY_W.T
+    floor = _ROUNDOFF * ((np.abs(hm) * (np.abs(w) + np.abs(w_conj))) @ _RAY_W[0])
+    # per panel, the rule's sums of every clock's rows against every
+    # envelope row as one matrix product; a member sums its own entry over
+    # the panels that meet its span
     env = (f(kr) * (2.0 * np.abs(wave(kr * ds[:, None])))).reshape(-1, panels, _XGK.size)
     mine = half[:, None] * ((edges[1:, None] > k0) & (edges[:-1, None] < top))
-    t, p = (list(x) for x in zip(*pairs))
     absint, off = ((((x.reshape(-1, panels, _XGK.size) * _WGK).transpose(1, 0, 2)
-                     @ env.transpose(1, 2, 0))[:, at, s_at] * mine).sum(axis=0)
-                   for x, at in ((np.abs(u) + m, t_at), (np.abs(u[t] - w_real[p]), p_at)))
+                     @ env.transpose(1, 2, 0))[:, c_at, s_at] * mine).sum(axis=0)
+                   for x in (np.abs(u) + m, np.abs(u - on_ray[:, width:])))
     return q[:, 0], np.abs(q[:, 0] - q[:, 1]) + floor + off, absint, np.full(d.size, 2 * n + kr.size)
 
 
@@ -777,7 +830,7 @@ def integrate_damped_group(spec: DampedKernelSpec, atol: float = 1e-16,
     k_live = spec.live_edge if spec.wings else min(spec.live_edge, k_hi)
     edge = np.concatenate((breakpoints[breakpoints < k_live], (k_live,)))
     heads = _adaptive_gk(spec.integrand, edge, 0.5 * atol, 0.5 * rtol, max_panels, kernel,
-                         members)
+                         members, time=spec.time)
     value, err, absint, evals = map(np.array, zip(*heads))
     if spec.edge_bounds:
         err = err + spec.edge_bounds
@@ -815,7 +868,7 @@ def _wings(spec: DampedKernelSpec, k_live: float, k_hi: float, atol: float,
         ids = (ends == end).nonzero()[0]
         n_dec = max(1, int(math.ceil(math.log10(end / k_live))))
         runs = _adaptive_gk(spec.integrand, np.geomspace(k_live, end, 2 * n_dec + 1), atol, rtol,
-                            kernel=spec.kernel, members=[members[i] for i in ids])
+                            kernel=spec.kernel, members=[members[i] for i in ids], time=spec.time)
         for x, y in zip(out, zip(*runs)):
             x[ids] = y
     ids = ray.nonzero()[0]
@@ -823,7 +876,7 @@ def _wings(spec: DampedKernelSpec, k_live: float, k_hi: float, atol: float,
         k0 = k_ray[ids]
         top = np.maximum(k0, k_hi + _SPAN_HALF_PERIODS * math.pi / d[ids])
         value, error, absint, evals = _rays(spec.integrand, spec.wave, [members[i] for i in ids],
-                                            [spec.wings[i] for i in ids], k0, top)
+                                            spec.wings, k0, top, spec.time)
         for x, y in zip(out, (value, error + _ROUNDOFF * absint, absint, evals)):
             x[ids] += y
     return out
@@ -840,22 +893,22 @@ def _result(value, err, absint, evals, atol: float, rtol: float):
     return result
 
 
-def integrate_fixed_group(f, edges: np.ndarray, kernel, members, bound: float,
+def integrate_fixed_group(f, edges: np.ndarray, kernel, members, bound: float, time,
                           atol: float = 1e-16, rtol: float = 1e-10) -> list:
-    """Integrate every member (time, d) of f and kernel, as a spec's, over
-    [0, inf) in one pass of the rule on the panels between edges: its error
-    is their summed estimates plus bound, on its integral of |f| past
+    """Integrate every member (clock, d) of f, time and kernel, as a spec's,
+    over [0, inf) in one pass of the rule on the panels between edges: its
+    error is their summed estimates plus bound, on its integral of |f| past
     edges[-1].  One that misses the tolerance refines through
     ``_adaptive_gk``, seeded with the panels, with up to 4000 more.  Returns
     what integrate_damped_group does."""
     lo, hi = edges[:-1], edges[1:]
-    *rows, nodes = _gk15_panels(f, lo, hi, kernel, members)
+    *rows, nodes = _gk15_panels(f, lo, hi, kernel, members, time)
     sums = [(v, e, a, nodes) for v, e, a in zip(*(x.sum(axis=1) for x in rows))]
     miss = [i for i, (v, e, _, _) in enumerate(sums) if e + bound > max(atol, rtol * abs(v))]
     if miss:
         for i, (*run, evals) in zip(miss, _adaptive_gk(
                 f, edges[:0], atol, rtol, lo.size + 4000, kernel, [members[i] for i in miss],
-                (lo, hi, rows if len(miss) == len(members) else [x[miss] for x in rows]))):
+                (lo, hi, rows if len(miss) == len(members) else [x[miss] for x in rows]), time)):
             sums[i] = (*run, evals + nodes)
     return [_result(value, err + bound, absint, evals, atol, rtol)
             for value, err, absint, evals in sums]

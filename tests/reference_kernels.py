@@ -106,5 +106,6 @@ def integrand(share, clock, d):
     # k -> (value, magnitude) of one term's whole integrand (share, clock, d),
     # the row a group gives its member
     _, p, a0, T, kernel = share
-    members = [(functools.partial(harvesting._time, clock, T), d)]
-    return lambda k: next(_integrands(harvesting._scale(p, a0), k, kernel, members))[1]
+    time = functools.partial(harvesting._time, T)
+    return lambda k: tuple(x.reshape(k.shape) for x in next(
+        _integrands(harvesting._scale(p, a0), k, kernel, [(clock, d)], time))[1])

@@ -650,10 +650,10 @@ def test_identical_pair_integrates_l_ab_in_one_pass_on_its_fixed_panel_set(monke
         space.append(np.size(x))
         return real_j0(x)
 
-    def gk15_panels(f, lo, hi, kernel=None, members=((None, 0.0),)):
+    def gk15_panels(f, lo, hi, kernel=None, members=((None, 0.0),), time=None):
         if groups[-1][:2] == ("fixed", True):
             passes.append((lo, hi))
-        return real_panels(f, lo, hi, kernel, members)
+        return real_panels(f, lo, hi, kernel, members, time)
 
     def gk15_reduce(*args):
         reduces.append(groups[-1])
@@ -767,16 +767,52 @@ def test_unequal_pair_integrates_l_aa_and_l_bb_apart(monkeypatch):
             == [harvesting._field(pair, name)[1] for name in ("l_aa", "l_bb")])
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_unequal_gaps_of_one_a0_share_a_pass_within_their_errors(seed, monkeypatch):
+    # 6 pairs a model at one a0 and T, t_BA in [-15, 15] T, Omega_B/Omega_A
+    # in [0.8, 1.25] and d = 0 among the scalar models' separations: each
+    # model's M is one group, whose passes evaluate the time factors of
+    # several clocks with Omega_A != Omega_B in one call.  Every M lies
+    # within the summed errors of the pair computed alone, and no
+    # harvestable() changes
+    rng = np.random.default_rng(seed)
+    T, omega, clocks = 1.0, 3.0, []
+    real = harvesting.scaled_time_kernel
+
+    def kernel(k, t_ba, T, *, d_omega):
+        clocks.append(np.size(d_omega) - np.count_nonzero(d_omega == 0.0))
+        return real(k, t_ba, T, d_omega=d_omega)
+
+    for model in ModelKind:
+        ds = rng.uniform(0.5, 10.0, 6)
+        ds[0] = 0.0 if model is not ModelKind.EM_DIPOLE else ds[0]
+        pairs = [DetectorPair(AtomSpec(a0=1e-3 / omega, omega=omega, switching_width=T),
+                              AtomSpec(a0=1e-3 / omega, omega=omega * rng.uniform(0.8, 1.25),
+                                       position=(0.0, 0.0, d), switching_width=T,
+                                       switching_center=rng.uniform(-15.0, 15.0) * T), model,
+                              coupling=1e-6) for d in ds]
+        monkeypatch.setattr(harvesting, "scaled_time_kernel", kernel)
+        together = harvesting.compute_terms_many(pairs, include_cross=False)
+        monkeypatch.undo()
+        for pair, terms in zip(pairs, together):
+            alone = compute_terms(pair, include_cross=False)
+            assert abs(terms.m - alone.m) <= (terms.quadrature_errors["m"]
+                                              + alone.quadrature_errors["m"])
+            assert terms.harvestable() == alone.harvestable()
+    assert max(clocks) == 6
+
+
 @pytest.mark.parametrize("model", list(ModelKind))
 @pytest.mark.parametrize("ratio", [1.0, 1.15])
 def test_integrands_equal_their_group_rows_bitwise(model, ratio):
     # a term's integrand alone (reference_kernels.integrand), reduced by the rule
-    # on its own, has the bits of its row of a head pass in the group spec
-    # that compute_terms integrates where that pass reduces the row alone,
-    # and agrees with it within each panel's roundoff floor F = 50 eps x
-    # resabs (its error within 200 F) where the pass reduces it in a block
-    # (two or more distinct (time, d > 0): here M and L_AB), up to a few
-    # units of 2^-1074 where the magnitudes are subnormal
+    # on its own, has the bits of its row of a head pass in a group spec of
+    # its clock's kind where that pass reduces the row alone (or in the
+    # stack of rows without a spatial factor: L_AA and L_BB), and agrees
+    # with it within each panel's roundoff floor F = 50 eps x resabs (its
+    # error within 200 F) where the pass reduces it in a block (two or more
+    # distinct (clock, d > 0): here M and M of the pair delayed by 2 T), up
+    # to a few units of 2^-1074 where the magnitudes are subnormal
     T = 1.3
     a = AtomSpec(a0=1e-3, omega=2.0, switching_width=T)
     b = AtomSpec(a0=1e-3, omega=2.0 * ratio, position=(0.0, 0.0, 3.0),
@@ -784,14 +820,19 @@ def test_integrands_equal_their_group_rows_bitwise(model, ratio):
     pair = DetectorPair(a, b, model)
     names = harvesting._NAMES[:3 + pair.identical]
     members = {name: _member(pair, name) for name in names}
+    share, (kind, t_ba, d_omega), d = members["m"]
+    members["late m"] = (share, (kind, t_ba + 2.0 * T, d_omega), d)
     edges = np.concatenate((np.linspace(0.0, 60.0, 41), np.geomspace(60.0, 1e6, 9)[1:]))
     lo, hi = edges[:-1], edges[1:]
     half = 0.5 * (hi - lo)
     k = (0.5 * (hi + lo)[:, None] + half[:, None] * specfun._XGK).ravel()
-    for kind in ("L", "M"):
-        group = [n for n in names if members[n][0][0] == kind]
+    for kind in ("L", "M", "L_AB"):
+        group = [n for n in members if members[n][1][0] == kind]
+        if not group:
+            continue
         spec = harvesting._spec(members[group[0]][0], [members[n][1:] for n in group])
-        rows = specfun._gk15_panels(spec.integrand, lo, hi, spec.kernel, spec.members)[:3]
+        rows = specfun._gk15_panels(spec.integrand, lo, hi, spec.kernel, spec.members,
+                                    spec.time)[:3]
         block = spec.kernel is not None and len({m for m in spec.members if m[1] > 0.0}) > 1
         for i, name in enumerate(group):
             alone = specfun._gk15_reduce(*reference_kernels.integrand(*members[name])(k), half)
@@ -902,7 +943,7 @@ def test_cross_term_sums_no_tail(monkeypatch):
     real_rays = specfun._rays
 
     def spy(f, wave, members, *args):
-        rays.extend(time.args[0][0] for time, _ in members)
+        rays.extend(clock[0] for clock, _ in members)
         return real_rays(f, wave, members, *args)
 
     monkeypatch.setattr(specfun, "_rays", spy)
@@ -968,7 +1009,7 @@ def test_edge_bound_holds(rng):
                                       k_live + 12.0 * math.sqrt(2.0) / T, 200)
                 assert 0.0 < brute <= bound
         for share, clock, d in fixed:
-            _, edges, _, _, bound = harvesting._fixed(share, clock[2], [(clock, d)])
+            _, edges, _, _, bound, _ = harvesting._fixed(share, clock[2], [(clock, d)])
             _, p, a0, T, _ = share
             f = reference_kernels.integrand(share, clock, d)
             near = edges[-1] + 12.0 * math.sqrt(2.0) / T  # past it the Gaussian is dead
@@ -1169,7 +1210,7 @@ def _real_axis(spec, d, lo, hi):
     # member's own integrand on the real axis, and its integral of the magnitude
     edges = np.linspace(lo, hi, int(math.ceil((hi - lo) * d / math.pi)) + 1)
     rows = specfun._gk15_panels(spec.integrand, edges[:-1], edges[1:], spec.kernel,
-                                list(spec.members))[:3]
+                                list(spec.members), spec.time)[:3]
     return tuple(x.sum() for x in rows)
 
 
@@ -1185,7 +1226,7 @@ def test_rays_agree_with_a_real_axis_sum(model, d, tba, d_omega):
     # the real axis's [k_live, k_hi] plus the rays from k_hi
     spec, d, k_live = _ray_member(model, d, tba, d_omega)
     k_hi, rays = math.sqrt(1500.0), functools.partial(
-        specfun._rays, spec.integrand, spec.wave, list(spec.members), list(spec.wings))
+        specfun._rays, spec.integrand, spec.wave, list(spec.members), spec.wings, time=spec.time)
     top = np.array([k_hi + 80.0 * math.pi / d])
     value, error, _, _ = rays(np.array([k_live]), top)
     brute, brute_error, _ = _real_axis(spec, d, k_live, spec.cutoff)
@@ -1269,9 +1310,9 @@ def test_fig5a_members_stop_at_the_edge_from_its_delay_10_7(monkeypatch):
     rays, runs = [], []
     real_rays, real_gk = specfun._rays, specfun._adaptive_gk
 
-    def spy(f, wave, members, wings, k0, top):
+    def spy(f, wave, members, wings, k0, top, time):
         rays.append((len(members), set(k0.tolist())))
-        return real_rays(f, wave, members, wings, k0, top)
+        return real_rays(f, wave, members, wings, k0, top, time)
 
     def adaptive(f, breakpoints, *args, **kwargs):
         runs.append((breakpoints[0], breakpoints[-1], len(kwargs.get("members") or args[4])))
@@ -1316,9 +1357,9 @@ def _fixed_reference(share, clock, d):
     seeds = [[0.0, k_hi], np.geomspace(1e-7 * k_hi, k_hi, 50)]
     if span > 0.0:
         seeds.append(np.arange(0.0, k_hi, 4.0 * math.pi / span))
-    time = functools.partial(harvesting._time, clock, T)
     return specfun._adaptive_gk(harvesting._scale(p, a0), np.unique(np.concatenate(seeds)), 0.0,
-                                1e-13, 10 ** 6, kernel, [(time, d)])[0]
+                                1e-13, 10 ** 6, kernel, [(clock, d)],
+                                time=functools.partial(harvesting._time, T))[0]
 
 
 def test_fixed_panel_sets_agree_with_the_adaptive_driver(rng):

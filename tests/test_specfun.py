@@ -31,10 +31,16 @@ def with_abs(f):
     return g
 
 
+def each(clocks, k):
+    # a time whose clocks are callables k -> (value, magnitude): their rows
+    rows = [clock(k) for clock in clocks]
+    return np.array([v for v, _ in rows]), np.array([m for _, m in rows])
+
+
 def alone(f):
-    # a spec's fields for one member whose one time factor is f, a (value,
-    # magnitude) integrand, times a scale of 1: f's bits
-    return {"integrand": np.ones_like, "members": (((lambda k: (f(k),)), 0.0),)}
+    # a spec's fields for one member whose clock is f, a (value, magnitude)
+    # integrand, times a scale of 1: f's bits
+    return {"integrand": np.ones_like, "time": each, "members": ((f, 0.0),)}
 
 
 # ----------------------------------------------------------------------------
@@ -405,6 +411,43 @@ def test_time_wings_are_the_kernel_less_its_gaussian_past_the_live_edge(t_ba, d_
                        rtol=1e-14, atol=0.0)
 
 
+@pytest.mark.parametrize("gaps", ["equal", "unequal"])
+@pytest.mark.parametrize("nodes", [200, 400, 3000])
+def test_column_kernels_give_each_clock_the_bits_it_has_alone(gaps, nodes):
+    # one call of the time kernel on real k, and of its wings on complex k
+    # (a row of nodes per clock), over a column of clocks: every row is the
+    # one-clock call's, bit for bit.  The column holds t_BA < 0 (where c
+    # flips sign) and t_BA = +-0, head rows with nodes on both sides of |z| =
+    # 7 (|t_BA| < 7 sqrt2 T), and all-far rows that need different term
+    # counts.  Of 24 rows (``specfun._by_rows``), the time kernel takes 200
+    # nodes a row in one block, 400 in two and 3000 row by row, and the
+    # wings (two values a node) 200 in two blocks and 400 and 3000 row by row
+    T = 1.3
+    t_ba = T * np.array([0.0, -0.0, 2.0, -3.0, 6.0, 9.0, 11.0, -15.0, 24.0, 30.0, -200.0, 1e4])
+    t_ba = np.concatenate((t_ba, 1.1 * t_ba))
+    d_omega = (np.zeros(t_ba.size) if gaps == "equal"
+               else np.tile([0.0, 0.4, -0.7], t_ba.size // 3) / T)
+    k = np.linspace(0.0, 40.0 / T, nodes)
+    value, mag = scaled_time_kernel(k, t_ba, T, d_omega=d_omega)
+    c = np.abs(T * d_omega / (2.0 * SQRT2)).max()
+    k_live = SQRT2 / T * (math.sqrt(60.0) + c)
+    rng = np.random.default_rng(nodes)
+    z = k_live + rng.uniform(0.0, 50.0 / T, (t_ba.size, nodes)) * np.array([1.0, 1j])[
+        rng.integers(2, size=(t_ba.size, nodes))]
+    wings = specfun._time_wings(z, t_ba, T, d_omega=d_omega)
+    a = np.abs(t_ba)[:, None] / (SQRT2 * T)
+    near = np.any(np.abs(T * k / SQRT2 + 1j * a) < 7.0, axis=1)
+    assert near.any() and not near.all()
+    # the terms each all-far row takes, from its smallest |z|
+    r = np.abs(T * k / SQRT2 + 1j * a[~near]).min(axis=1)
+    assert len({np.searchsorted(specfun._W_RADII[::-1], x, "right") for x in r}) > 1
+    for i, (t, w) in enumerate(zip(t_ba.tolist(), d_omega.tolist())):
+        alone = scaled_time_kernel(k, t, T, d_omega=w)
+        assert np.array_equal(value[i], alone[0]) and np.array_equal(mag[i], alone[1])
+        alone = specfun._time_wings(z[i], t, T, d_omega=w)
+        assert all(np.array_equal(x[i], y) for x, y in zip(wings, alone))
+
+
 def test_kernel_rejects_bad_width():
     with pytest.raises(ValueError):
         scaled_time_kernel(1.0, 0.0, -1.0, d_omega=0.0)
@@ -577,21 +620,21 @@ def test_seed_breakpoints_keep_every_bit(monkeypatch):
 
 
 def test_gk15_panels_rows_in_member_order():
-    # _integrands visits the members time by time, (t1, t1, t2); the rows
-    # come back in member order: member i's row of each returned array is
-    # that of a call with it alone
+    # _integrands stacks the rows of the members, in order of their clocks'
+    # first appearance (t1, t2); the rows come back in member order: member
+    # i's row of each returned array is that of a call with it alone
     def constant(c):
-        return lambda k: ((np.full_like(k, c), np.zeros_like(k)),)
+        return lambda k: (np.full_like(k, c), np.zeros_like(k))
 
     t1, t2 = constant(1.0), constant(2.0)
     members = ((t1, 0.0), (t2, 0.0), (t1, 0.0))
     f = np.ones_like  # the positive scale the time factors multiply
     lo, hi = np.array([0.0, 1.0]), np.array([1.0, 3.0])
-    value, err, absl, n = specfun._gk15_panels(f, lo, hi, members=members)
+    value, err, absl, n = specfun._gk15_panels(f, lo, hi, members=members, time=each)
     assert value.shape == err.shape == absl.shape == (3, 2)
     assert np.allclose(value, [[1.0, 2.0], [2.0, 4.0], [1.0, 2.0]], rtol=1e-15)
     for i, member in enumerate(members):
-        alone = specfun._gk15_panels(f, lo, hi, members=[member])
+        alone = specfun._gk15_panels(f, lo, hi, members=[member], time=each)
         assert np.array_equal(alone[0][0], value[i])
     assert n == 2 * NODES
 
@@ -606,7 +649,7 @@ def test_a_head_pass_gives_each_member_the_rows_it_has_alone():
     # with timed ones: the integrand is then its own (value, magnitude), not
     # their scale.)
     def time(k):
-        return (scaled_time_kernel(k, 2.0, 1.0, d_omega=0.0),)
+        return scaled_time_kernel(k, 2.0, 1.0, d_omega=0.0)
 
     def f(k):
         return k ** 3 / (4.0 * (1e-3 * k) ** 2 + 9.0) ** 6
@@ -621,12 +664,12 @@ def test_a_head_pass_gives_each_member_the_rows_it_has_alone():
         blocks.append(np.shape(x))
         return kernel(x)
 
-    together = specfun._gk15_panels(f, lo, hi, spy, members)
+    together = specfun._gk15_panels(f, lo, hi, spy, members, each)
     # three blocks of two d, and the last d alone in its block
     assert [b[:-1] for b in blocks] == [(2,), (2,), (2,), (1,)]
     assert 2 * blocks[0][1] <= specfun._BLOCK_NODES < 3 * blocks[0][1]
     for i, member in enumerate(members):
-        alone = [x[0] for x in specfun._gk15_panels(f, lo, hi, kernel, [member])[:3]]
+        alone = [x[0] for x in specfun._gk15_panels(f, lo, hi, kernel, [member], each)[:3]]
         row = [x[i] for x in together[:3]]
         if member[1] == 0.0:
             assert all(np.array_equal(x, y) for x, y in zip(row, alone))
@@ -710,60 +753,55 @@ def test_adaptive_gk_gives_identical_members_the_bits_of_one_alone():
     # tested, scored and dropped as rows of the driver's arrays, and each
     # gets the (value, error, abs_integral, evals) of the member alone
     def time(k):
-        return (scaled_time_kernel(k, 6.0, 1.0, d_omega=0.0),)
+        return scaled_time_kernel(k, 6.0, 1.0, d_omega=0.0)
 
     def f(k):
         return k ** 3 / (4.0 * (1e-3 * k) ** 2 + 9.0) ** 6
 
     kernel = spherical_bessel_j0_plus_j2
     breakpoints = np.linspace(0.0, 40.0, 9)
-    alone = _adaptive_gk(f, breakpoints, 1e-300, 1e-12, kernel=kernel, members=[(time, 3.0)])
+    alone = _adaptive_gk(f, breakpoints, 1e-300, 1e-12, kernel=kernel, members=[(time, 3.0)],
+                         time=each)
     assert alone[0][3] > NODES * 8  # it refines
     for k in (2, 3, 5):
         copies = _adaptive_gk(f, breakpoints, 1e-300, 1e-12, kernel=kernel,
-                              members=[(time, 3.0)] * k)
+                              members=[(time, 3.0)] * k, time=each)
         assert all(same_bits(x, y) for copy in copies for x, y in zip(copy, alone[0]))
 
 
 def test_tail_rows_of_several_times_have_the_bits_of_each_time_alone():
-    # the tails past the live edge, one ray pass for members of two times:
-    # each time is evaluated once, on the envelope row, and each wings
-    # callable once, on its members' upper rays and that row.  A member's
-    # value and evaluations have the bits of a pass of its time alone; its
-    # error and abs_integral, whose envelope sums are matrix products over
-    # the pass's times, agree within 2 eps
+    # the tails past the live edge, one ray pass for members of two clocks:
+    # one time call for both on the envelope row, and one wings call, a row
+    # per clock of its members' upper rays and that row (t = 3's padded to
+    # t = 1's three members).  A member's value and evaluations have the
+    # bits of a pass of its clock alone; its error and abs_integral, whose
+    # envelope sums are matrix products over the pass's clocks, agree within
+    # 2 eps
     calls = []
 
-    def time(t):
-        def factors(k):
-            calls.append(("time", t, k.size))
-            return (scaled_time_kernel(k, t, 1.0, d_omega=0.0),)
-        return factors
+    def time(clocks, k):
+        calls.append(("time", tuple(clocks), k.shape))
+        return scaled_time_kernel(k, np.array(clocks), 1.0, d_omega=np.zeros(len(clocks)))
 
-    def wings(t):
-        def w(k):
-            calls.append(("wings", t, k.size))
-            return specfun._time_wings(k, t_ba=t, T=1.0, d_omega=0.0)
-        return w
+    def wings(clocks, k):
+        calls.append(("wings", tuple(clocks), k.shape))
+        return specfun._time_wings(k, np.array(clocks), 1.0, d_omega=np.zeros(len(clocks)))
 
     def f(k):
         return k ** 3 / (4.0 * (1e-3 * k) ** 2 + 9.0) ** 6
 
-    t1, t2, w1, w2 = time(1.0), time(3.0), wings(1.0), wings(3.0)
-    members = [(t1, 2.0), (t2, 2.0), (t1, 5.0), (t2, 9.0), (t1, 11.0)]
-    ws = [w1 if t is t1 else w2 for t, _ in members]
+    members = [(1.0, 2.0), (3.0, 2.0), (1.0, 5.0), (3.0, 9.0), (1.0, 11.0)]
     d = np.array([d for _, d in members])
     k0 = np.full(d.size, math.sqrt(120.0))  # the live edge of equal gaps at T = 1
     top = math.sqrt(1500.0) + 80.0 * math.pi / d
     wave, n = specfun._j0_plus_j2_wave, specfun._RAY_Y.size
-    together = specfun._rays(f, wave, members, ws, k0, top)
-    row = calls[0][2]
-    assert row % NODES == 0 and calls == [("time", 1.0, row), ("time", 3.0, row),
-                                       ("wings", 1.0, 3 * n + row), ("wings", 3.0, 2 * n + row)]
-    for t in (t1, t2):
-        ids = [i for i, (tm, _) in enumerate(members) if tm is t]
-        alone = specfun._rays(f, wave, [members[i] for i in ids], [ws[i] for i in ids], k0[ids],
-                              top[ids])
+    together = specfun._rays(f, wave, members, wings, k0, top, time)
+    (row,) = calls[0][2]
+    assert row % NODES == 0 and calls == [("time", (1.0, 3.0), (row,)),
+                                       ("wings", (1.0, 3.0), (2, 3 * n + row))]
+    for t in (1.0, 3.0):
+        ids = [i for i, (clock, _) in enumerate(members) if clock == t]
+        alone = specfun._rays(f, wave, [members[i] for i in ids], wings, k0[ids], top[ids], time)
         value, error, absint, evals = (x[ids] for x in together)
         assert np.array_equal(value, alone[0]) and np.array_equal(evals, alone[3])
         for x, y in ((error, alone[1]), (absint, alone[2])):
@@ -831,15 +869,20 @@ def test_fixed_group_refines_a_member_that_misses_from_its_panel_set(monkeypatch
     runs = []
     real = specfun._adaptive_gk
 
-    def spy(f, breakpoints, atol, rtol, max_panels, kernel, members, prior):
+    def spy(f, breakpoints, atol, rtol, max_panels, kernel, members, prior, time):
         runs.append((breakpoints.size, max_panels, len(members), prior[0].size))
-        return real(f, breakpoints, atol, rtol, max_panels, kernel, members, prior)
+        return real(f, breakpoints, atol, rtol, max_panels, kernel, members, prior, time)
+
+    def clock(w):
+        # cos(w k) e^{-k^2/2}, with the magnitude of the product of the two
+        return lambda k: (np.cos(w * k) * np.exp(-0.5 * k * k),
+                          (1.0 + w * k + np.abs(np.cos(w * k))) * np.exp(-0.5 * k * k))
 
     monkeypatch.setattr(specfun, "_adaptive_gk", spy)
-    times = [(lambda k, w=w: ((np.cos(w * k), 1.0 + w * k), (np.exp(-0.5 * k * k),) * 2), 0.0)
-             for w in (1.0, 3.0)]
+    members = [(clock(w), 0.0) for w in (1.0, 3.0)]
     edges = np.linspace(0.0, 12.0, 3)
-    quads = specfun.integrate_fixed_group(lambda k: np.ones_like(k), edges, None, times, 1e-30)
+    quads = specfun.integrate_fixed_group(lambda k: np.ones_like(k), edges, None, members, 1e-30,
+                                          time=each)
     assert runs == [(0, 4002, 1, 2)]
     for w, quad in zip((1.0, 3.0), quads):
         exact = math.sqrt(math.pi / 2.0) * math.exp(-0.5 * w * w)
@@ -864,11 +907,14 @@ def test_kernel_spec_validation():
 
 
 def test_kernel_spec_rejects_a_member_without_a_time():
-    # its integrand is the scale that every member's time factors multiply
-    time = lambda k: ((np.exp(-k * k), np.exp(-k * k)),)
-    with pytest.raises(ValueError, match="each with a time and d >= 0"):
-        DampedKernelSpec(1.0, (), lambda k: k, members=((time, 0.0), (None, 0.0)))
-    DampedKernelSpec(1.0, (), lambda k: k, members=((time, 0.0), (time, 1.0)))
+    # its integrand is the scale that every member's time factor multiplies:
+    # a spec needs a time, and each member a clock for it
+    clock = lambda k: (np.exp(-k * k), np.exp(-k * k))
+    with pytest.raises(ValueError, match="each with a clock and d >= 0"):
+        DampedKernelSpec(1.0, (), lambda k: k, members=((clock, 0.0), (None, 0.0)), time=each)
+    with pytest.raises(TypeError, match="time"):
+        DampedKernelSpec(1.0, (), lambda k: k, members=((clock, 0.0), (clock, 1.0)))
+    DampedKernelSpec(1.0, (), lambda k: k, members=((clock, 0.0), (clock, 1.0)), time=each)
 
 
 def test_nonconvergence_carries_best_estimate():

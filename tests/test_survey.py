@@ -178,24 +178,38 @@ def test_grid_rows_equal_the_rows_of_a_pair_per_point(axes, fixed, model, coupli
         r.l_aa, r.l_bb, r.abs_m, r.n2, r.harvestable, r.converged, r.quad_error))
 
 
+def _marked_spec(target, factor):
+    # harvesting._spec with the M member at d = target on a clock of its own,
+    # ("marked", clock), whose time factor's value is multiplied by factor(k)
+    spec_of = harvesting._spec
+
+    def spec(share, members):
+        s = spec_of(share, members)
+        if share[0] != "M":
+            return s
+
+        def clocks_of(clocks):
+            return [c[1] if c[0] == "marked" else c for c in clocks]
+
+        def time(clocks, k):
+            value, mag = s.time(clocks_of(clocks), k)
+            marked = np.array([c[0] == "marked" for c in clocks])[:, None]
+            return (np.where(marked, value * factor(k), value) if marked.any() else value), mag
+
+        return replace(s, time=time, wings=lambda clocks, k: s.wings(clocks_of(clocks), k),
+                       members=tuple((("marked", c) if d == target else c, d)
+                                     for c, d in s.members))
+    return spec
+
+
 def test_grid_retries_as_a_pair_per_point_does(monkeypatch):
     # a ripple of 3e-9 on the time factor of the member at d = 3 T, which no
     # head resolves: that point misses rtol 1e-10 and is retried, in the
     # grid as in a pair per point
-    spec_of = harvesting._spec
+    def ripple(k):
+        return 1.0 + 3e-9 * np.sin(1e7 * k)
 
-    def rippled(time):
-        def f(k):
-            (value, mag), *rest = time(k)
-            return (value * (1.0 + 3e-9 * np.sin(1e7 * k)), mag), *rest
-        return f
-
-    def spec(share, members):
-        s = spec_of(share, members)
-        return s if share[0] != "M" else replace(s, members=tuple(
-            (rippled(time) if d == 3.0 else time, d) for time, d in s.members))
-
-    monkeypatch.setattr(harvesting, "_spec", spec)
+    monkeypatch.setattr(harvesting, "_spec", _marked_spec(3.0, ripple))
     grid = ScanGrid(axes=(Axis("d_over_T", 1.0, 5.0, 5),),
                     fixed={"omega_T": 2.0, "tba_over_T": 3.0}, model=ModelKind.UDW_SCALAR)
     rows = run_grid(grid).rows
@@ -384,25 +398,27 @@ def test_distance_row_evaluates_the_head_kernel_once_per_pass(monkeypatch):
 
 def test_spacetime_map_evaluates_each_kernel_once_per_head_pass(monkeypatch):
     # 4 delays x 5 separations are one M group: each head pass evaluates the
-    # spatial kernel at its nodes once per distinct d > 0 and the time kernel
-    # once per distinct t_BA among its members, not once per (t_BA, d)
+    # spatial kernel at its nodes once per distinct d > 0, and the time
+    # kernel in one call at its nodes for every distinct t_BA among its
+    # members, not once per (t_BA, d): clock-nodes, delays times nodes
     k_hi = math.sqrt(750.0 / 0.5)
-    nodes, passes = {"space": 0, "time": 0}, []
+    nodes, passes = {"space": 0, "time": 0, "calls": 0}, []
     real_panels = specfun._gk15_panels
 
     def counted(name, real):
         def spy(k, *args, **kwargs):
-            nodes[name] += np.size(k)
+            nodes[name] += np.size(k) * np.size(args[0] if args else 1)
+            nodes["calls"] += name == "time"
             return real(k, *args, **kwargs)
         return spy
 
-    def gk15_panels(f, lo, hi, kernel=None, members=((None, 0.0),)):
+    def gk15_panels(f, lo, hi, kernel=None, members=((None, 0.0),), time=None):
         before = dict(nodes)
-        out = real_panels(f, lo, hi, kernel, members)
+        out = real_panels(f, lo, hi, kernel, members, time)
         if kernel is not None and lo.ndim == 1 and hi.max() <= k_hi:
             passes.append(({d for _, d in members if d > 0}, {t for t, _ in members},
                            nodes["space"] - before["space"], nodes["time"] - before["time"],
-                           specfun._XGK.size * lo.size))
+                           specfun._XGK.size * lo.size, nodes["calls"] - before["calls"]))
         return out
 
     monkeypatch.setattr(harvesting, "spherical_bessel_j0_plus_j2",
@@ -412,9 +428,9 @@ def test_spacetime_map_evaluates_each_kernel_once_per_head_pass(monkeypatch):
     monkeypatch.setattr(specfun, "_gk15_panels", gk15_panels)
     spacetime_map(Axis("d_over_T", 0.0, 24.0, 5), Axis("tba_over_T", 0.0, 24.0, 4),
                   omega_T=12.0)
-    assert [(len(d), len(t)) for d, t, _, _, _ in passes[:1]] == [(4, 4)]
-    for ds, times, space, time, n in passes:
-        assert (space, time) == (len(ds) * n, len(times) * n)
+    assert [(len(d), len(t)) for d, t, _, _, _, _ in passes[:1]] == [(4, 4)]
+    for ds, times, space, time, n, calls in passes:
+        assert (space, time, calls) == (len(ds) * n, len(times) * n, 1)
 
 
 def test_distance_row_sums_its_tails_in_one_kernel_call_per_chunk(monkeypatch):
@@ -430,9 +446,9 @@ def test_distance_row_sums_its_tails_in_one_kernel_call_per_chunk(monkeypatch):
     _spy(monkeypatch, harvesting, "_time_wings", wings)
     real_rays = specfun._rays
 
-    def spy(f, wave, members, wings_, k0, top):
+    def spy(f, wave, members, wings_, k0, top, time):
         before = len(kernel), len(wings)
-        out = real_rays(f, wave, members, wings_, k0, top)
+        out = real_rays(f, wave, members, wings_, k0, top, time)
         rays.append((len(members), k0, top, kernel[before[0]:], wings[before[1]:]))
         return out
 
@@ -462,25 +478,13 @@ def test_a_member_that_misses_its_tolerance_is_retried_alone(monkeypatch):
     assert all(r.converged for r in clean.rows)
     target = 3.0
     k_hi = math.sqrt(750.0 / 0.5)
-    spec_of = harvesting._spec
     rng = np.random.default_rng(7)
 
-    def noisy(time):
-        # the target's own time object: noise on its head nodes alone
-        def f(k):
-            (value, mag), *rest = time(k)
-            noise = np.where(k < k_hi, 3e-9 * rng.standard_normal(np.shape(k)), 0.0)
-            return (value * (1.0 + noise), mag), *rest
-        return f
+    def noise(k):
+        # on the target's own clock: noise on its head nodes alone
+        return 1.0 + np.where(k < k_hi, 3e-9 * rng.standard_normal(np.shape(k)), 0.0)
 
-    def spec(share, members):
-        s = spec_of(share, members)
-        if share[0] != "M":
-            return s
-        return replace(s, members=tuple((noisy(time) if d == target else time, d)
-                                        for time, d in s.members))
-
-    monkeypatch.setattr(harvesting, "_spec", spec)
+    monkeypatch.setattr(harvesting, "_spec", _marked_spec(target, noise))
     res = run_grid(grid)
     for row, ref in zip(res.rows, clean.rows):
         if row.coords[0] == target:

@@ -1,11 +1,12 @@
 """The work the quadrature does, counted rather than timed: the passes of the
 Gauss-Kronrod rule (``specfun._gk15_panels`` calls), the nodes at which
-they evaluate the integrands, and the passes of M's heads.  These counts
-repeat exactly on any host, so they show a change of the rule or of the
-panel sets as work done, where wall times move with the host.  Each pin is
-the count measured with QUADPACK's 31-point rule on panels four half periods
-wide; the 15-point rule on half periods took 2,460 nodes in 3 passes for the
-fig5a map, and 459,495 nodes and 273 head passes for the 200 pool pairs.
+they evaluate the integrands, the passes of M's heads, and the calls of the
+time factor and its wings.  These counts repeat exactly on any host, so
+they show a change of the rule or of the panel sets as work done, where
+wall times move with the host.  Each pin is the count measured with
+QUADPACK's 31-point rule on panels four half periods wide; the 15-point
+rule on half periods took 2,460 nodes in 3 passes for the fig5a map, and
+459,495 nodes and 273 head passes for the 200 pool pairs.
 """
 
 import math
@@ -74,6 +75,29 @@ def test_the_fig5a_map_takes_at_most_1612_nodes_in_3_passes(monkeypatch):
     work = count_work(monkeypatch, lambda: spacetime_map(
         Axis("d_over_T", 0.0, 24.0, 10), Axis("tba_over_T", 0.0, 24.0, 10), omega_T=12.0))
     assert work["passes"] <= 3 and work["nodes"] <= 1612
+
+
+def test_the_fig5a_map_makes_3_time_calls_and_1_wings_call(monkeypatch):
+    # a pass evaluates the time factors of all its clocks in one call: the
+    # head's passes, the d = 0 wings' pass and the ray pass's envelope row
+    # make 3 calls of the time kernel on 15,190 clock-nodes (delays times
+    # nodes), and the ray pass 1 call of the wings on 5,200; with a call per
+    # delay they were 30 and 10 calls on as many clock-nodes
+    calls = {"time": [], "wings": []}
+
+    def spy(name, real):
+        def counted(k, t_ba, T, *, d_omega):
+            calls[name].append(np.size(k) * (np.size(t_ba) if np.ndim(k) == 1 else 1))
+            return real(k, t_ba, T, d_omega=d_omega)
+        return counted
+
+    monkeypatch.setattr(harvesting, "scaled_time_kernel",
+                        spy("time", harvesting.scaled_time_kernel))
+    monkeypatch.setattr(harvesting, "_time_wings", spy("wings", harvesting._time_wings))
+    spacetime_map(Axis("d_over_T", 0.0, 24.0, 10), Axis("tba_over_T", 0.0, 24.0, 10),
+                  omega_T=12.0)
+    assert len(calls["time"]) == 3 and sum(calls["time"]) <= 15190
+    assert len(calls["wings"]) == 1 and sum(calls["wings"]) <= 5200
 
 
 def test_200_pool_pairs_take_at_most_299956_nodes_and_205_head_passes(monkeypatch):
