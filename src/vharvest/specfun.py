@@ -17,10 +17,9 @@ grid's t_BA) and separation d are integrated as the members of one group
 the time factors of all the clocks as one (clocks, nodes) array in one call,
 each spatial kernel once, reduces the members without one as one stack and
 those with d > 0 by matrix products per panel of kernel(k d) and the clocks
-(|f - mean| only where it can move QUADPACK's error).  A pair alone keeps
-every bit of its head's rows; a row of such a block agrees with the row
-alone within its panel's roundoff floor (its error estimate within 200
-floors), and the figures agree within their errors (``tests/golden``).
+(|f - mean| only where it can move QUADPACK's error).  A row of such a
+block agrees with the row alone within its panel's roundoff floor, and the
+figures agree within their errors (``tests/golden``).
 
 Every member's head stops at the group's live edge k_live, where the
 Gaussian part is e^-60 below its peak; the caller's rigorous bound on that
@@ -195,64 +194,36 @@ _W_TERMS = tuple(np.array(complex(c)) for c in _W_COEFFS)
 _ROW_BLOCK = 8192  # a column of clocks goes in blocks of rows of at most this many values
 
 
-def _w_far(z, r2_min):
+def _w_far(z, r2_min: float):
     # w(z) at |z|^2 >= r2_min >= 49 by its asymptotic series in Horner form,
-    # with the terms r2_min needs: a polynomial in 1/z, analytic off z = 0.
-    # r2_min per row of z (axis 0): the rows in descending order of their
-    # terms, each step of Horner on the leading rows that need its term
-    lead = None  # per step, how many rows need its term
-    if isinstance(r2_min, np.ndarray):
-        n = np.searchsorted(_W_RADII[::-1], np.sqrt(r2_min), "right")
-        order = np.argsort(n, kind="stable")
-        z, n = z[order], np.maximum(2, len(_W_RADII) + 1 - n[order])
-        lead, top = np.count_nonzero(n[:, None] >= np.arange(n[0] + 1), axis=0).tolist(), int(n[0])
-    else:
-        top = max(2, len(_W_RADII) + 1 - bisect.bisect_right(_W_RADII[::-1], math.sqrt(r2_min)))
+    # with the terms r2_min needs: a polynomial in 1/z, analytic off z = 0
+    top = max(2, len(_W_RADII) + 1 - bisect.bisect_right(_W_RADII[::-1], math.sqrt(r2_min)))
     u = 1.0 / z
     y = 0.5 * u * u
     acc = _W_COEFFS[top - 1] * y + _W_COEFFS[top - 2]  # from two terms
-    for coef in reversed(_W_TERMS[:top - 2] if lead is None else ()):
+    for coef in reversed(_W_TERMS[:top - 2]):
         acc *= y
         acc += coef
-    for j in range(top - 3, -1, -1) if lead else ():
-        go, new = lead[j + 3], lead[j + 2]
-        rows = acc[:go]
-        rows *= y[:go]
-        rows += _W_TERMS[j]
-        if new > go:  # rows that start here, from two terms
-            acc[go:new] = _W_COEFFS[j + 1] * y[go:new] + _W_COEFFS[j]
-    w = (1j / math.sqrt(math.pi)) * u * acc
-    if lead:
-        w[order] = w.copy()
-    return w
+    return (1j / math.sqrt(math.pi)) * u * acc
 
 
 def _faddeeva(x, a):
-    """The Faddeeva function w(x + ia) for a real array x and a scalar
-    a >= 0.  Where |z| >= 7 its asymptotic series in Horner form, with the
-    terms the call's smallest such |z| needs (within 2.4 eps of 40-digit
-    mpmath, where ``wofz`` is off by up to ~110 eps), elsewhere scipy's
-    ``wofz``.  A call whose arguments all lie on one side takes no mask.  A
-    column of a: rows with every |z| >= 7 in one series, others alone."""
-    r2 = x * x + a * a
-    if isinstance(a, np.ndarray):
-        far, out = (r2 >= _W_FAR * _W_FAR).all(axis=1), np.empty(x.shape, dtype=complex)
-        if far.any():
-            out[far] = _w_far(x[far] + 1j * a[far], r2[far].min(axis=1))
-        for i in (~far).nonzero()[0]:
-            out[i] = _faddeeva(x[i], a[i, 0])
-        return out
+    """The Faddeeva function w(x + ia) for a real array x and a >= 0, a
+    scalar or a column.  Where |z| >= 7 its asymptotic series in Horner
+    form, with the terms the call's smallest such |z| needs (within 2.4 eps
+    of 40-digit mpmath, where ``wofz`` is off by up to ~110 eps), elsewhere
+    scipy's ``wofz``.  A call whose arguments all lie on one side takes no
+    mask."""
+    r2, z = x * x + a * a, x + 1j * a
     far = r2 >= _W_FAR * _W_FAR
     n_far = np.count_nonzero(far)
     if n_far == 0:
-        return _wofz(x + 1j * a)
-    mixed = n_far < far.size
-    w = _w_far((x[far] if mixed else x) + 1j * a, (r2[far] if mixed else r2).min())
-    if not mixed:
-        return w
+        return _wofz(z)
+    if n_far == far.size:
+        return _w_far(z, r2.min())
     out = np.empty(far.shape, dtype=complex)
-    out[far] = w
-    out[~far] = _wofz(x[~far] + 1j * a)
+    out[far] = _w_far(z[far], r2[far].min())
+    out[~far] = _wofz(z[~far])
     return out
 
 
@@ -281,7 +252,7 @@ def scaled_time_kernel(k, t_ba, T: float, *, d_omega):
     weigh 2 + a^2 (one for the Faddeeva function), the Gaussian 1 + its
     exponent's parts.  Where the value is subnormal (near (b+c)^2 ~ 730)
     that bound fails: it is off by a few units of 2^-1074 in absolute terms.
-    Arrays of clocks t_ba, d_omega give a row each, with its bits alone."""
+    Arrays of clocks t_ba, d_omega give a row each."""
     if T <= 0.0:
         raise ValueError("switching width T must be positive")
     k_arr = np.asarray(k, dtype=float)
@@ -303,7 +274,7 @@ def _by_rows(kernel, k, t_ba, T: float, d_omega, width: int):
 
 def _time_kernel(k_arr, t_ba, T: float, d_omega):
     # scaled_time_kernel of one clock or a block of them
-    a, c, e_a, unequal = _clock_parts(t_ba, T, d_omega, np.exp)
+    a, c, e_a, unequal = _clock_parts(t_ba, T, d_omega)
     b = T * k_arr / _SQRT2
     w_lo = _faddeeva(b - c if unequal or isinstance(c, np.ndarray) else b, a)  # b - 0.0 is b
     if not unequal:  # conj(w) - w = -2i Im w and |w| + |w| = 2|w|, both exactly
@@ -322,13 +293,12 @@ def _time_kernel(k_arr, t_ba, T: float, d_omega):
     return (complex(out), float(mag)) if k_arr.ndim == 0 else (out, mag)
 
 
-def _clock_parts(t_ba, T: float, d_omega, exp):
-    # a, c, exp(-a^2) and c != 0 of one clock, or of a column (exp one by one)
+def _clock_parts(t_ba, T: float, d_omega):
+    # a, c, exp(-a^2) and c != 0 of one clock, or of a column
     a, c = abs(t_ba) / (_SQRT2 * T), T * d_omega / (2.0 * _SQRT2)
     if not isinstance(a, np.ndarray):
-        return a, -c if t_ba < 0.0 else c, exp(-a * a), c != 0.0
-    e_a = np.array([exp(x) for x in (-a * a).ravel().tolist()])[:, None]
-    return a, np.where(t_ba < 0.0, -c, c), e_a, bool(c.any())
+        return a, -c if t_ba < 0.0 else c, np.exp(-a * a), c != 0.0
+    return a, np.where(t_ba < 0.0, -c, c), np.exp(-a * a), bool(c.any())
 
 
 def _time_wings(k, t_ba, T: float, *, d_omega):
@@ -345,13 +315,12 @@ def _time_wings(k, t_ba, T: float, *, d_omega):
 
 def _wings_kernel(k, t_ba, T: float, d_omega):
     # _time_wings of one clock or a block of them
-    a, c, e_a, unequal = _clock_parts(t_ba, T, d_omega, math.exp)
-    col = isinstance(a, np.ndarray)
+    a, c, e_a, unequal = _clock_parts(t_ba, T, d_omega)
     b = (T / _SQRT2) * k
-    z = (c - b, b + c, -c - b, b - c)[:4 if unequal else 2]
-    z = np.stack(z, axis=1) + 1j * a[..., None] if col else np.array(z) + 1j * a
+    z = np.stack((c - b, b + c, -c - b, b - c)[:4 if unequal else 2], axis=-2)
+    z = z + 1j * np.expand_dims(a, -1)
     r2 = z.real * z.real + z.imag * z.imag
-    w = _w_far(z, r2.min(axis=(1, 2)) if col else float(r2.min()))
+    w = _w_far(z, float(r2.min()))
     value = e_a * (w[..., 0, :] - w[..., 1, :])
     return value, -(e_a * (w[..., 2, :] - w[..., 3, :]) if unequal else value).conj()
 

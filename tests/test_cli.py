@@ -461,6 +461,28 @@ def test_a_coupling_whose_square_overflows_is_invalid_configuration(capsys, args
                    "overflows\n")
 
 
+def test_a_coupling_whose_scaled_terms_square_past_double_range_is_computed(capsys):
+    # at Omega T = 30 and coupling 1e90 the terms are ~1e151 to 1e170 in
+    # units of exp(log_scale) = e^-450, so their squares overflow: compute
+    # and scan print the finite N^(2) = |M| - L (L_AA = L_BB), within its
+    # error, positivity holds, and no warning is raised on the way
+    flags = ["--omega-T", "30", "--coupling", "1e90"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, _ = run_cli(["compute", *flags, "--d", "1"], capsys)
+        assert code == 0
+        rec = {key: float(val) for key, val in parse_record(out).items() if key != "model"}
+        code, out, _ = run_cli(["scan", *flags, "--axis", "d_over_T:1:2:2"], capsys)
+    assert code == 0
+    err = math.exp(rec["log_scale"]) * (rec["err_m_scaled"] + rec["err_l_aa_scaled"])
+    assert math.isfinite(rec["n2"]) and abs(rec["n2"] - (rec["abs_m"] - rec["l_aa"])) <= err
+    assert rec["n2"] == pytest.approx(5.747e-26, rel=1e-3, abs=0.0)
+    assert rec["positivity_ok"] == 1.0 and rec["harvestable"] == 1.0
+    first = out.splitlines()[-2].split(",")  # d = T
+    assert first[0] == "1" and abs(float(first[4]) - rec["n2"]) <= err
+    assert first[6:] == ["1", "1"]
+
+
 def test_figure_fig5b_is_the_cropped_window_outside_light_contact(tmp_path, capsys):
     # cropped whatever --switching says, t_BA/T over 0..8 and d/T over 4..14
     code, _, _ = run_cli(["figure", "fig5b", "--nx", "3", "--ny", "2", "--switching", "gaussian",

@@ -410,6 +410,57 @@ def test_negativity_asymmetric_vs_eigensolver():
     assert max(0.0, n2) == pytest.approx(brute, abs=1e-13)
 
 
+@pytest.mark.parametrize("l_aa, l_bb, abs_m, scale", [
+    (1e200, 1e190, 3e199, 2.0 ** -700),  # the squares overflow
+    (3e-170, 1e-170, 2e-170, 2.0 ** 600),  # the squares underflow
+    (1.0, 1.0, 1e308, None)])  # 2|M| overflows: inf
+def test_negativity_leading_past_the_squares_range(l_aa, l_bb, abs_m, scale):
+    # where squares of the inputs leave double range, N^(2) is the value of
+    # the inputs at a power-of-two scale, scaled back, or inf where 2|M|
+    # overflows; it raises nothing, and term by term of arrays it agrees
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        n2 = negativity_leading(l_aa, l_bb, abs_m)
+    if scale is None:
+        assert n2 == math.inf
+    else:
+        want = negativity_leading(l_aa * scale, l_bb * scale, abs_m * scale) / scale
+        assert math.isfinite(n2) and n2 == pytest.approx(want, rel=1e-15, abs=0.0)
+    with np.errstate(over="ignore"):
+        many = negativity_leading(*(np.array([x, 0.5]) for x in (l_aa, l_bb, abs_m)))
+    assert many[0] == n2 and many[1] == negativity_leading(0.5, 0.5, 0.5)
+
+
+@pytest.mark.parametrize("T", [1e200, 1e-200])
+def test_mean_gap_factor_past_double_range(T):
+    # (T Omega)^2 past double range: a log modulus of -inf (or a finite one
+    # where T Omega is small), no OverflowError from a float's power, and
+    # the same value term by term of arrays
+    args = (3.0, 5.0, 0.0, 0.0, T)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        log_modulus, phase = harvesting._mean_gap_factor(*args)
+    assert phase == 1.0
+    assert log_modulus == (-math.inf if T > 1.0 else -0.5 * (4.0 * T) ** 2)
+    with np.errstate(over="ignore"):
+        many = harvesting._mean_gap_factor(*(np.array([x, 1.0]) for x in args))
+    assert many[0][0] == log_modulus and many[1][0] == phase
+
+
+def test_positivity_where_the_scaled_terms_square_past_double_range():
+    # at Omega T = 30 and coupling 1e90 the scaled terms are ~1e151 to
+    # 1e170: positivity holds with finite eigenvalues and cross inequality
+    terms = compute_terms(make_pair(omega=30.0, d=1.0, tba=0.0, coupling=1e90))
+    assert float(terms.l_aa_scaled) * float(terms.l_bb_scaled) == math.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = positivity_report(terms)
+    assert rep.passed
+    assert all(map(math.isfinite, (rep.e3, rep.e4, rep.cross_inequality, rep.tolerance)))
+    assert rep.cross_inequality > 0.0 and rep.e4 > -rep.tolerance
+    assert terms.negativity2 == pytest.approx(abs(terms.m) - terms.l_aa, rel=1e-9, abs=0.0)
+
+
 def test_state_shape_and_trace():
     terms = _terms(0.1, 0.2, 0.05 + 0.02j, l_ab=0.01 - 0.03j)
     rho = assemble_state(terms)

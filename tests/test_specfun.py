@@ -416,9 +416,10 @@ def test_time_wings_are_the_kernel_less_its_gaussian_past_the_live_edge(t_ba, d_
 def test_column_kernels_give_each_clock_the_bits_it_has_alone(gaps, nodes):
     # one call of the time kernel on real k, and of its wings on complex k
     # (a row of nodes per clock), over a column of clocks: every row is the
-    # one-clock call's, bit for bit.  The column holds t_BA < 0 (where c
-    # flips sign) and t_BA = +-0, head rows with nodes on both sides of |z| =
-    # 7 (|t_BA| < 7 sqrt2 T), and all-far rows that need different term
+    # one-clock call's within the roundoff floor, _ROUNDOFF times its
+    # magnitude, at every node.  The column holds t_BA < 0 (where c flips
+    # sign) and t_BA = +-0, head rows with nodes on both sides of |z| = 7
+    # (|t_BA| < 7 sqrt2 T), and all-far rows that alone take different term
     # counts.  Of 24 rows (``specfun._by_rows``), the time kernel takes 200
     # nodes a row in one block, 400 in two and 3000 row by row, and the
     # wings (two values a node) 200 in two blocks and 400 and 3000 row by row
@@ -438,14 +439,22 @@ def test_column_kernels_give_each_clock_the_bits_it_has_alone(gaps, nodes):
     a = np.abs(t_ba)[:, None] / (SQRT2 * T)
     near = np.any(np.abs(T * k / SQRT2 + 1j * a) < 7.0, axis=1)
     assert near.any() and not near.all()
-    # the terms each all-far row takes, from its smallest |z|
+    # the terms each all-far row takes alone, from its smallest |z|
     r = np.abs(T * k / SQRT2 + 1j * a[~near]).min(axis=1)
     assert len({np.searchsorted(specfun._W_RADII[::-1], x, "right") for x in r}) > 1
     for i, (t, w) in enumerate(zip(t_ba.tolist(), d_omega.tolist())):
         alone = scaled_time_kernel(k, t, T, d_omega=w)
-        assert np.array_equal(value[i], alone[0]) and np.array_equal(mag[i], alone[1])
+        floor = specfun._ROUNDOFF * alone[1]
+        assert np.all(np.abs(value[i] - alone[0]) <= floor)
+        assert np.all(np.abs(mag[i] - alone[1]) <= floor)
+        # the wings' magnitude: e^-a^2 times the sizes of their two series
+        b, ci = T * z[i] / SQRT2, math.copysign(T * w / (2.0 * SQRT2), t or 1.0)
+        size = [math.exp(-a[i, 0] ** 2) * sum(np.abs(specfun._w_far(x + 1j * a[i, 0], 49.0))
+                                              for x in pair)
+                for pair in ((ci - b, b + ci), (-ci - b, b - ci))]
         alone = specfun._time_wings(z[i], t, T, d_omega=w)
-        assert all(np.array_equal(x[i], y) for x, y in zip(wings, alone))
+        assert all(np.all(np.abs(x[i] - y) <= specfun._ROUNDOFF * m)
+                   for x, y, m in zip(wings, alone, size))
 
 
 def test_kernel_rejects_bad_width():
