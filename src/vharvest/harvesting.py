@@ -64,9 +64,8 @@ from itertools import repeat
 import numpy as np
 
 from .atoms import AtomSpec, SwitchingKind, _outside_lightcone
-from .specfun import (_GAUSS_DEAD, _PANEL_HALF_PERIODS, _SEED_DEPTH, DampedKernelSpec,
-                      QuadratureConvergenceError, QuadratureResult, _j0_plus_j2_wave, _j0_wave,
-                      _time_wings, integrate_damped_group, integrate_fixed_group,
+from .specfun import (_GAUSS_DEAD, QuadratureConvergenceError, QuadratureResult,
+                      _j0_plus_j2_wave, _j0_wave, _time_wings, integrate_group,
                       scaled_time_kernel, spherical_bessel_j0, spherical_bessel_j0_plus_j2)
 
 __all__ = [
@@ -244,7 +243,12 @@ _KERN_WAVE = {3: _j0_plus_j2_wave, 5: _j0_wave, 7: _j0_wave}
 
 # past the live edge and a fixed panel set (``_fixed``) the Gaussian is e^-_LIVE_EXPONENT down
 _LIVE_EXPONENT = 60.0
+# at most _FIXED_PANELS uniform panels in a fixed set, and as many more to refine it (an M
+# head's panels in all)
 _FIXED_PANELS, _KNEE_SHARE = 4000, 1.0 / 3.0
+_PANEL_HALF_PERIODS = 4        # a GK31 panel on the real axis spans this many half periods
+_SEED_DEPTH = 1e-4             # the geometric head seeds reach down to this share of k_hi
+_MAX_HALF_PERIODS = 2.0 ** 53  # seed counts up to here are exact doubles and int64s
 _SQRT2 = math.sqrt(2.0)
 
 
@@ -321,40 +325,62 @@ def _live_edge(share: tuple, members) -> tuple[float, tuple]:
     return y_live * _SQRT2 / T, tuple(part[clock] for clock, _ in members)
 
 
-def _spec(share: tuple, members) -> DampedKernelSpec:
-    """The quadrature spec of a group of M members (clock, d) of one share:
-    the members with their clocks as data, whose time factors and wings
-    (``_time``) a pass evaluates in one call for all of them, the share's
-    wing cutoff, the group's live edge with each member's bound past it
-    (``_live_edge``) and the kernel's wave; its integrand the scale k^p /
-    (4u+9)^6, the last factor of every one, and its kernel the share's."""
+@functools.lru_cache(maxsize=16)
+def _seeds(k_hi: float) -> tuple:
+    # 0, k_hi and 17 geometric points for the low-k structure of k^p * rational
+    return (0.0, k_hi, *np.geomspace(k_hi * _SEED_DEPTH, k_hi, 17))
+
+
+def _head(share: tuple, members) -> tuple:
+    """integrate_group's arguments but the tolerances for a group of M
+    members (clock, d) of one share: the scale k^p / (4u+9)^6, the head's
+    panel edges, the share's kernel, the members with their clocks as data,
+    whose time factors and wings (``_time``) a pass evaluates in one call
+    for all of them, each member's bound past the group's live edge
+    (``_live_edge``), _FIXED_PANELS panels in all, and the wings (k_hi, the
+    share's wing cutoff, the wings' time factors, the kernel's wave).  The
+    Gaussian is dead (< 1e-300) beyond k_hi = sqrt(750/w), w = T^2/2.  The
+    head's seed panels are geometric below k_hi and _PANEL_HALF_PERIODS half
+    periods of the fastest oscillation across the members wide (at most 600
+    of them), cut at the live edge k_live, plus k_live itself.  Raises
+    ValueError where the head's half periods below k_hi outnumber 2^53,
+    which its seed arithmetic cannot represent."""
     _, p, a0, T, kernel = share
     k_live, bounds = _live_edge(share, members)
-    return DampedKernelSpec(
-        damping_width=0.5 * T * T,
-        oscillation_lengths=tuple(dict.fromkeys(2.0 * math.pi / abs(t) for (_, t, _), _ in members
-                                                if t)),
-        integrand=_scale(p, a0),
-        members=tuple(members),
-        time=functools.partial(_time, T),
-        kernel=kernel,
-        cutoff=_WING_CUTOFF[p] / (2.0 * a0),
-        live_edge=k_live,
-        edge_bounds=bounds,
-        wings=functools.partial(_time, T, wings=True),
-        wave=_KERN_WAVE[p],
-    )
+    k_hi = math.sqrt(_GAUSS_DEAD / (0.5 * T * T))
+    pts = [_seeds(k_hi)]
+    times = [2.0 * math.pi / abs(t) for (_, t, _), _ in members if t]
+    lengths = times + [2.0 * math.pi / d for _, d in members if d > 0.0]
+    if lengths:
+        h = min(lengths) / 2.0
+        if not k_hi / h < _MAX_HALF_PERIODS:
+            what = "delay |t_BA|" if 2.0 * h in times else "separation d"
+            raise ValueError(f"a {what} of {math.pi / h:.6g} oscillates {k_hi / h:.3g} "
+                             f"half periods below k = {k_hi:.6g}: beyond the seed panels")
+        width = _PANEL_HALF_PERIODS * h
+        n_osc = int(k_hi / width)
+        if n_osc > 1:
+            stride = max(1, int(math.ceil(n_osc / 600)))  # at most 600 seeds
+            pts.append(np.arange(1, n_osc + 1, stride) * width)
+    pts = np.sort(np.concatenate(pts))  # np.unique's steps, without its overhead
+    breakpoints = pts[np.concatenate(((True,), pts[1:] != pts[:-1]))]
+    edges = np.concatenate((breakpoints[breakpoints < k_live], (k_live,)))
+    wings = (k_hi, _WING_CUTOFF[p] / (2.0 * a0), functools.partial(_time, T, wings=True),
+             _KERN_WAVE[p])
+    return (_scale(p, a0), edges, kernel, members, bounds, functools.partial(_time, T),
+            _FIXED_PANELS, wings)
 
 
 def _fixed(share: tuple, omega: float, members) -> tuple:
-    """integrate_fixed_group's arguments but the tolerances for the L or L_AB
+    """integrate_group's arguments but the tolerances for the L or L_AB
     members (clock, d) of one share at gap Omega: panels to k_end, where
     E(k) = T^2 (k^2/2 + Omega k) is _LIVE_EXPONENT, h wide, _PANEL_HALF_PERIODS
     times the smaller of the Gaussian's width 1/sqrt(T^2 + (T^2 Omega)^2/4)
     and the half period pi/(d + |t_BA|), at most _FIXED_PANELS; nearer the
     knee 3/(2 a0), one to _KNEE_SHARE of it, then _KNEE_SHARE of their k
-    wide.  The bound past k_end takes |kern| <= 1, the rational <= 9^-6 and
-    E above its tangent, of slope s: in logs,
+    wide, plus _FIXED_PANELS more to refine.  The bound past k_end takes
+    |kern| <= 1, the rational <= 9^-6 and E above its tangent, of slope s:
+    in logs,
     e^-_LIVE_EXPONENT 9^-6 times int_0^inf (k_end + x)^p e^{-sx} dx =
     k_end^(p+1)/y sum_{j<=p} p!/((p-j)! y^j), y = s k_end = 60 + (T k_end)^2/2."""
     _, p, a0, T, kernel = share
@@ -373,16 +399,18 @@ def _fixed(share: tuple, omega: float, members) -> tuple:
     y = _LIVE_EXPONENT + 0.5 * (T * k_end) ** 2
     log_b = ((p + 1) * math.log(k_end) - math.log(y) - _LIVE_EXPONENT - 6.0 * math.log(9.0)
              + math.log(sum(math.perm(p, j) / y ** j for j in range(p + 1))))
-    return (_scale(p, a0), np.concatenate(edges), kernel, list(members),
-            math.exp(log_b) if log_b < _LOG_HUGE else math.inf, functools.partial(_time, T))
+    edges = np.concatenate(edges)
+    return (_scale(p, a0), edges, kernel, list(members),
+            math.exp(log_b) if log_b < _LOG_HUGE else math.inf, functools.partial(_time, T),
+            edges.size - 1 + _FIXED_PANELS, None)
 
 
 def _quadratures(members: list, atol: float, rtol: float) -> tuple[list, np.ndarray]:
     """The bare integrals of the distinct members (share, clock, d), the M of
-    one share in one integrate_damped_group call, the L or L_AB of one share
-    and Omega in one integrate_fixed_group call (``_fixed``), and per member
-    the index of its own: a QuadratureResult, or the QuadratureConvergenceError
-    of a member that missed the tolerance.  Raises ValueError unless atol and
+    one share (``_head``) and the L or L_AB of one share and Omega
+    (``_fixed``) in one integrate_group call each, and per member the index
+    of its own: a QuadratureResult, or the QuadratureConvergenceError of a
+    member that missed the tolerance.  Raises ValueError unless atol and
     rtol are finite and >= 0."""
     for name, tol in (("atol", atol), ("rtol", rtol)):
         if not 0.0 <= tol < math.inf:
@@ -394,9 +422,9 @@ def _quadratures(members: list, atol: float, rtol: float) -> tuple[list, np.ndar
     done = {}
     for (share, omega), group in groups.items():
         js, group = zip(*group)
-        quads = (integrate_damped_group(_spec(share, group), atol, rtol) if omega is None
-                 else integrate_fixed_group(*_fixed(share, omega, group), atol, rtol))
-        done.update(zip(js, quads))
+        *args, max_panels, wings = (_head(share, group) if omega is None
+                                    else _fixed(share, omega, group))
+        done.update(zip(js, integrate_group(*args, atol, rtol, max_panels, wings)))
     return [done[j] for j in range(len(done))], np.array(list(map(index.get, members)))
 
 
@@ -635,13 +663,13 @@ def compute_terms_many(pairs, switching: SwitchingKind = SwitchingKind(),
 
     The pairs go to the engine as columns (``_harvest``).  The M terms of
     pairs with the same model, a0 and T are integrated on one head panel
-    set (``specfun.integrate_damped_group``), each distinct (t_BA,
+    set (``_head``, ``specfun.integrate_group``), each distinct (t_BA,
     Omega_A - Omega_B, d) once: a pass evaluates the time kernel of every
     (t_BA, Omega_A - Omega_B) in one call and the spatial kernel once per
     d, so a spacetime map (fig5a, fig5b) is one group.  The L_AB with the
     same model, a0, T and Omega are one Gauss-Kronrod pass on one fixed
-    panel set for their largest d + |t_BA| (``specfun.integrate_fixed_group``),
-    and each atom's L one on its own.  A pair alone and in a batch agree
+    panel set for their largest d + |t_BA| (``_fixed``), and each atom's L
+    one on its own.  A pair alone and in a batch agree
     within 1e-3 of the reported errors.
 
     Returns one entry per pair: its HarvestTerms, or the

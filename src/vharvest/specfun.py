@@ -13,11 +13,11 @@ couplings) and j_0 + j_2 = 3 j_1/x (EM dipole), each with its magnitude;
 the self-check reads every j_l from scipy.  All functions are pure and accept
 numpy arrays where it matters.  Integrands that differ in their clock (a
 grid's t_BA) and separation d are integrated as the members of one group
-(``integrate_damped_group``): on one head panel set, so each pass evaluates
-the time factors of all the clocks as one (clocks, nodes) array in one call,
-each spatial kernel once, reduces the members without one as one stack and
-those with d > 0 by matrix products per panel of kernel(k d) and the clocks
-(|f - mean| only where it can move QUADPACK's error).  A row of such a
+(``integrate_group``): on one panel set, which the caller builds, so each
+pass evaluates the time factors of all the clocks as one (clocks, nodes)
+array in one call, each spatial kernel once, reduces the members without one
+as one stack and those with d > 0 by matrix products per panel of kernel(k
+d) and the clocks (|f - mean| only where it can move QUADPACK's error).  A row of such a
 block agrees with the row alone within its panel's roundoff floor, and the
 figures agree within their errors (``tests/golden``).
 
@@ -39,8 +39,8 @@ span that QAWF would have summed.
 The rule on the real axis is QUADPACK's 31-point Gauss-Kronrod rule
 (dqk31; Piessens et al., 1983; ``tools/gauss_kronrod.py`` computes its
 table), whose 15-point Gauss part is exact to degree 29: its panels span
-four half periods of the fastest oscillation (the head's seeds and the
-fixed panel sets), geometric stretches take two panels a decade, and the
+four half periods of the fastest oscillation (``harvesting``'s head seeds
+and fixed panel sets), geometric stretches take two panels a decade, and the
 rays' envelope panels a ratio of up to 2.25.
 
 Rounding model: an integrand returns (value, magnitude) per node, with
@@ -60,12 +60,10 @@ panel's roundoff floor, 50 eps times the integral of the magnitude
 from __future__ import annotations
 
 import bisect
-import functools
 import itertools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 from scipy.special import wofz as _wofz
@@ -73,19 +71,14 @@ from scipy.special import wofz as _wofz
 __all__ = [
     "QuadratureConvergenceError",
     "QuadratureResult",
-    "DampedKernelSpec",
     "scaled_time_kernel",
     "spherical_bessel_j0",
     "spherical_bessel_j0_plus_j2",
-    "integrate_damped_group",
-    "integrate_fixed_group",
+    "integrate_group",
 ]
 
 _SQRT2 = math.sqrt(2.0)
 _GAUSS_DEAD = 750.0        # exp(-750) < 1e-300: Gaussian tail treated as dead
-_MAX_HALF_PERIODS = 2.0 ** 53  # seed counts up to here are exact doubles and int64s
-_SEED_DEPTH = 1e-4         # the geometric head seeds reach down to this share of k_hi
-_PANEL_HALF_PERIODS = 4    # a GK31 panel on the real axis spans this many half periods
 _RAY_X = 15.0              # wings take rays from where k d reaches this
 _SPAN_HALF_PERIODS = 80    # a ray member's magnitude spans this many half periods past k_hi
 _ENVELOPE_RATIO = 2.25     # the ratio of a geometric GK31 panel of that span, at most
@@ -115,65 +108,6 @@ class QuadratureResult:
             raise ValueError("abs_error_estimate must be >= 0")
         if self.evaluations <= 0:
             raise ValueError("evaluations must be positive")
-
-
-@dataclass(frozen=True)
-class DampedKernelSpec:
-    """Semi-infinite integrands with a known Gaussian envelope, one per
-    member, integrated on one head panel set.
-
-    damping_width: w such that the Gaussian part of the integrand is bounded
-        by exp(-w k^2); for the harvesting kernels w = T^2/2.
-    oscillation_lengths: periods in k of the members' time factors (the
-        time phase's 2*pi/t_ba).
-    integrand: vectorized callable on arrays of k >= 0 (and, with wings,
-        complex k with Re k >= live_edge): the scale by which every
-        member's product is multiplied last.
-    members: (clock, d) per member, each integrated to its own tolerance:
-        kernel(k d) times its clock's time factor, then times the scale.
-    time: callable (clocks, k) -> (value, magnitude) time factors, a row each.
-    kernel: callable x -> (value, magnitude), the spatial factor at x = k d
-        for d > 0; it oscillates with period 2*pi/d in k.  None: no spatial
-        factor.
-    cutoff: where the scale has rolled off: a member's wings that do not
-        oscillate (d = 0) are integrated out to this k.
-    live_edge: k past which every member's Gaussian part is e^-60 below its
-        peak, where the head stops; inf: no edge, the head runs to k_hi.
-    edge_bounds: per member, a rigorous bound on the integral of |f|'s
-        Gaussian part over [live_edge, inf) (all of it, without wings),
-        added to its error, or () for none.
-    wings: callable (clocks, k) -> (W(k), W(conj k)) on a complex
-        (clocks, nodes) array k, W a clock's time factor less the Gaussian
-        part, analytic on Re k >= live_edge, where that part is what the
-        time factor has left; or None: nothing survives past the edge.
-    wave: callable on complex x -> A(x), algebraic, such that kernel(x) =
-        2 Re(e^{ix} A(x)) at real x: the rays of the wings.
-    """
-
-    damping_width: float
-    oscillation_lengths: tuple[float, ...]
-    integrand: Callable[[np.ndarray], object]
-    members: tuple
-    time: Callable
-    kernel: Callable | None = None
-    cutoff: float = 0.0
-    live_edge: float = math.inf
-    edge_bounds: tuple = ()
-    wings: Callable | None = None
-    wave: Callable | None = None
-
-    def __post_init__(self):
-        if not (self.damping_width > 0.0):
-            raise ValueError("damping_width must be positive")
-        if any(not (ell > 0.0) for ell in self.oscillation_lengths):
-            raise ValueError("oscillation_lengths must all be positive")
-        if not self.members or any(clock is None or not (d >= 0.0) for clock, d in self.members):
-            raise ValueError("a spec needs members, each with a clock and d >= 0")
-        if not (self.live_edge > 0.0) or len(self.edge_bounds) not in (0, len(self.members)):
-            raise ValueError("live_edge must be positive, with one bound per member")
-        if self.wings and not (self.live_edge < math.inf and (
-                self.kernel is None or self.wave is not None)):
-            raise ValueError("wings need a live edge, and a kernel its wave")
 
 
 # ----------------------------------------------------------------------------
@@ -581,11 +515,11 @@ def _integrands(f, k, kernel, members, time=None):
 
 def _gk15_panels(f, lo, hi, kernel=None, members=((None, 0.0),), time=None):
     """The Gauss-Kronrod rule (``_XGK``; the name is the one the benchmark's
-    tracer follows) on a batch of panels, for each member of a spec:
+    tracer follows) on a batch of panels, for each member of a group:
     (integral, error_estimate, abs_integral) as (members, panels) arrays, with
     the QUADPACK error heuristic, and the node count.  abs_integral integrates
     the magnitude, so the roundoff floor counts the integrand's rounding.  The
-    members' integrands come from ``_integrands`` (f the spec's integrand,
+    members' integrands come from ``_integrands`` (f the group's scale,
     time its time) on the panels lo to hi, which they share: each member in
     a stack of rows, a row alone or in a block (``_gk15_blocks``).
     """
@@ -620,7 +554,7 @@ def _adaptive_gk(f, breakpoints: np.ndarray, atol: float, rtol: float,
     the driver stops as soon as the error above the floor is within tol
     (QUADPACK's ier = 2).  The returned error still includes the floor.
 
-    With members, a spec's members (f its integrand, time its time) are rows
+    With members, a group's members (f its scale, time its time) are rows
     of one panel set, each pass evaluating their clocks' time factors in one
     call and each kernel(k d) once for the rows still running.  Each row
     keeps its own error, tol and stopping tests and is dropped, its panels
@@ -749,85 +683,66 @@ def _rays(f, wave, members, wings, k0, top, time):
     return q[:, 0], np.abs(q[:, 0] - q[:, 1]) + floor + off, absint, np.full(d.size, 2 * n + kr.size)
 
 
-@functools.lru_cache(maxsize=16)
-def _seeds(k_hi: float) -> tuple:
-    # 0, k_hi and 17 geometric points for the low-k structure of k^p * rational
-    return (0.0, k_hi, *np.geomspace(k_hi * _SEED_DEPTH, k_hi, 17))
-
-
-def integrate_damped_group(spec: DampedKernelSpec, atol: float = 1e-16,
-                           rtol: float = 1e-10, max_panels: int = 4000) -> list:
-    """Integrate every member of spec over [0, inf) on one head panel set.
-
-    The Gaussian envelope is dead (< 1e-300) beyond k_hi = sqrt(750/w).  The
-    head's seed panels are geometric below k_hi and four half periods of the
-    fastest oscillation across the members wide, cut at the spec's live edge
-    k_live (past which every member's Gaussian part is e^-60 below its
-    peak; k_hi without one), plus k_live itself.  Every member is refined
-    on [0, k_live] as one run (``_adaptive_gk``) to half the tolerances:
-    each pass evaluates each time and kernel(k d) once for the members
-    still running, and each member stops on its own tolerance.  Its bound
-    past the edge (``edge_bounds``) joins its error.  With wings, each
-    member adds its wings past k_live (``_wings``), to the other half.
-    Raises ValueError where the head's half periods below k_hi outnumber
-    2^53, which its seed arithmetic cannot represent.
+def integrate_group(f, edges: np.ndarray, kernel, members, bounds, time, atol: float = 1e-16,
+                    rtol: float = 1e-10, max_panels: int = 4000, wings=None) -> list:
+    """Integrate every member (clock, d) over [0, inf), each to its own
+    tolerance: kernel(k d) (none at d = 0 or without a kernel) times its
+    clock's time factor times the scale f, the time factors of all the
+    clocks coming from one call time(clocks, k) -> (value, magnitude), a row
+    each.  One pass of the rule on the panels between edges (``_gk15_panels``);
+    a member that misses its tolerance refines through ``_adaptive_gk``,
+    seeded with those panels, up to max_panels in all.  bounds, one for all
+    or one per member, bounds the integral of |f| past edges[-1] that the
+    member leaves out, and joins its error.  With wings = (k_hi, cutoff,
+    wings, wave), each member adds its wings past edges[-1], the group's
+    live edge (``_wings``), and the head and the wings take half the
+    tolerances each.
 
     Returns one entry per member: its QuadratureResult, or, where its
     requested tolerance is unreachable, a QuadratureConvergenceError
     carrying its best estimate.  One member's failure leaves the others'
     results as they are.
     """
-    k_hi = math.sqrt(_GAUSS_DEAD / spec.damping_width)
-
-    members, kernel = spec.members, spec.kernel
-    pts = [_seeds(k_hi)]
-    lengths = spec.oscillation_lengths + tuple(
-        2.0 * math.pi / d for _, d in members if kernel is not None and d > 0.0)
-    if lengths:
-        h = min(lengths) / 2.0
-        if not k_hi / h < _MAX_HALF_PERIODS:
-            what = "delay |t_BA|" if 2.0 * h in spec.oscillation_lengths else "separation d"
-            raise ValueError(f"a {what} of {math.pi / h:.6g} oscillates {k_hi / h:.3g} "
-                             f"half periods below k = {k_hi:.6g}: beyond the seed panels")
-        width = _PANEL_HALF_PERIODS * h
-        n_osc = int(k_hi / width)
-        if n_osc > 1:
-            stride = max(1, int(math.ceil(n_osc / 600)))  # at most 600 seeds
-            pts.append(np.arange(1, n_osc + 1, stride) * width)
-    pts = np.sort(np.concatenate(pts))  # np.unique's steps, without its overhead
-    breakpoints = pts[np.concatenate(((True,), pts[1:] != pts[:-1]))]
-    k_live = spec.live_edge if spec.wings else min(spec.live_edge, k_hi)
-    edge = np.concatenate((breakpoints[breakpoints < k_live], (k_live,)))
-    heads = _adaptive_gk(spec.integrand, edge, 0.5 * atol, 0.5 * rtol, max_panels, kernel,
-                         members, time=spec.time)
-    value, err, absint, evals = map(np.array, zip(*heads))
-    if spec.edge_bounds:
-        err = err + spec.edge_bounds
-    if spec.wings:
+    head_atol, head_rtol = (0.5 * atol, 0.5 * rtol) if wings else (atol, rtol)
+    lo, hi = edges[:-1], edges[1:]
+    *rows, nodes = _gk15_panels(f, lo, hi, kernel, members, time)
+    value, err, absint = (x.sum(axis=1) for x in rows)
+    evals = np.full(value.size, nodes)
+    miss = (~(err + bounds <= np.maximum(head_atol, head_rtol * np.abs(value)))).nonzero()[0]
+    if miss.size:
+        runs = _adaptive_gk(f, edges[:0], head_atol, head_rtol, max_panels, kernel,
+                            [members[i] for i in miss], (lo, hi, rows if miss.size == value.size
+                                                         else [x[miss] for x in rows]), time)
+        for i, (v, e, a, n) in zip(miss.tolist(), runs):
+            value[i], err[i], absint[i], evals[i] = v, e, a, n + nodes
+    err = err + bounds
+    if wings:
         value, err, absint, evals = (x + y for x, y in zip(
-            (value, err, absint, evals), _wings(spec, k_live, k_hi, 0.5 * atol, 0.5 * rtol)))
+            (value, err, absint, evals),
+            _wings(f, kernel, members, time, edges[-1], *wings, head_atol, head_rtol)))
     return [_result(*row, atol, rtol) for row in zip(
         value.tolist(), err.tolist(), absint.tolist(), evals.tolist())]
 
 
-def _wings(spec: DampedKernelSpec, k_live: float, k_hi: float, atol: float,
-           rtol: float) -> tuple:
-    """The wings of spec's members past the live edge k_live: kernel(k d)
-    W(k) f(k), W the member's ``wings``, analytic on Re k >= k_live.  A
-    member with d > 0 takes them along rays (``_rays``, with the kernel's
-    ``wave``) from k_ray, the larger of k_live and _RAY_X/d: from there the
-    rule meets no pole of the wave or the scale closer than k d >= 15.  From
-    k_live to k_ray, a stretch of less than five half periods, and for d =
-    0 (or no kernel, or k_ray past the cutoff) out to the cutoff, where the
-    wings do not oscillate, it integrates the member's own integrand on
-    geometric panels, two a decade, refined as one run per stretch.  A ray
-    member's integral of the magnitude is its envelope's over the panels
-    that cover [k_ray, k_hi + 80 half periods], the span that the head which
-    ran on to k_hi and the QAWF tail past it would have integrated, and 50
-    eps of it joins its error.
+def _wings(f, kernel, members, time, k_live: float, k_hi: float, cutoff: float, wings, wave,
+           atol: float, rtol: float) -> tuple:
+    """The wings of the members past the live edge k_live: kernel(k d) W(k)
+    f(k), W the member's time factor less its Gaussian part (wings(clocks,
+    k) -> (W(k), W(conj k)) on a complex (clocks, nodes) array k), analytic
+    on Re k >= k_live.  A member with d > 0 takes them along rays
+    (``_rays``, with the kernel's wave: x -> A(x), kernel(x) = 2 Re(e^{ix}
+    A(x)) at real x) from k_ray, the larger of k_live and _RAY_X/d: from
+    there the rule meets no pole of the wave or the scale closer than k d >=
+    15.  From k_live to k_ray, a stretch of less than five half periods, and
+    for d = 0 (or k_ray past the cutoff, where the scale has rolled off) out
+    to the cutoff, where the wings do not oscillate, it integrates the
+    member's own integrand on geometric panels, two a decade, refined as one
+    run per stretch.  A ray member's integral of the magnitude is its
+    envelope's over the panels that cover [k_ray, k_hi + 80 half periods],
+    the span that the head which ran on to k_hi and the QAWF tail past it
+    would have integrated, and 50 eps of it joins its error.
     Returns (value, error, abs_integral, evals) arrays over the members."""
-    members, cutoff = spec.members, spec.cutoff
-    d = np.array([d if spec.kernel is not None else 0.0 for _, d in members])
+    d = np.array([d for _, d in members])
     with np.errstate(divide="ignore"):
         k_ray = np.maximum(k_live, _RAY_X / d)
     ray = k_ray < cutoff
@@ -836,16 +751,16 @@ def _wings(spec: DampedKernelSpec, k_live: float, k_hi: float, atol: float,
     for end in dict.fromkeys(ends[ends > k_live].tolist()):
         ids = (ends == end).nonzero()[0]
         n_dec = max(1, int(math.ceil(math.log10(end / k_live))))
-        runs = _adaptive_gk(spec.integrand, np.geomspace(k_live, end, 2 * n_dec + 1), atol, rtol,
-                            kernel=spec.kernel, members=[members[i] for i in ids], time=spec.time)
+        runs = _adaptive_gk(f, np.geomspace(k_live, end, 2 * n_dec + 1), atol, rtol,
+                            kernel=kernel, members=[members[i] for i in ids], time=time)
         for x, y in zip(out, zip(*runs)):
             x[ids] = y
     ids = ray.nonzero()[0]
     if ids.size:
         k0 = k_ray[ids]
         top = np.maximum(k0, k_hi + _SPAN_HALF_PERIODS * math.pi / d[ids])
-        value, error, absint, evals = _rays(spec.integrand, spec.wave, [members[i] for i in ids],
-                                            spec.wings, k0, top, spec.time)
+        value, error, absint, evals = _rays(f, wave, [members[i] for i in ids], wings, k0, top,
+                                            time)
         for x, y in zip(out, (value, error + _ROUNDOFF * absint, absint, evals)):
             x[ids] += y
     return out
@@ -860,24 +775,3 @@ def _result(value, err, absint, evals, atol: float, rtol: float):
         return QuadratureConvergenceError(
             f"quadrature stalled at abs error {err:.3e} for value {value:.6e}", result)
     return result
-
-
-def integrate_fixed_group(f, edges: np.ndarray, kernel, members, bound: float, time,
-                          atol: float = 1e-16, rtol: float = 1e-10) -> list:
-    """Integrate every member (clock, d) of f, time and kernel, as a spec's,
-    over [0, inf) in one pass of the rule on the panels between edges: its
-    error is their summed estimates plus bound, on its integral of |f| past
-    edges[-1].  One that misses the tolerance refines through
-    ``_adaptive_gk``, seeded with the panels, with up to 4000 more.  Returns
-    what integrate_damped_group does."""
-    lo, hi = edges[:-1], edges[1:]
-    *rows, nodes = _gk15_panels(f, lo, hi, kernel, members, time)
-    sums = [(v, e, a, nodes) for v, e, a in zip(*(x.sum(axis=1) for x in rows))]
-    miss = [i for i, (v, e, _, _) in enumerate(sums) if e + bound > max(atol, rtol * abs(v))]
-    if miss:
-        for i, (*run, evals) in zip(miss, _adaptive_gk(
-                f, edges[:0], atol, rtol, lo.size + 4000, kernel, [members[i] for i in miss],
-                (lo, hi, rows if len(miss) == len(members) else [x[miss] for x in rows]), time)):
-            sums[i] = (*run, evals + nodes)
-    return [_result(value, err + bound, absint, evals, atol, rtol)
-            for value, err, absint, evals in sums]

@@ -105,7 +105,7 @@ def test_criterion_03_radial_oracle():
             if abs(closed) > 0:
                 worst = max(worst, abs(closed - brute) / max(abs(closed), 10 * err))
     assert radial_overlap(0, 0.0, a0) == pytest.approx(
-        128.0 * math.sqrt(6.0) / 243.0 * a0, rel=1e-11)
+        128.0 * math.sqrt(6.0) / 243.0 * a0, rel=1e-11, abs=0.0)
     report(3, f"radial overlaps match quadrature (worst conditioned rel "
               f"{worst:.2e}); k=0 value exact to 1e-11")
 

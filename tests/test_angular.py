@@ -22,11 +22,11 @@ def test_3j_parity_zero():
 
 
 def test_3j_110():
-    assert wigner_3j(1, 1, 0, 0, 0, 0) == pytest.approx(-1.0 / math.sqrt(3.0), rel=1e-15)
+    assert wigner_3j(1, 1, 0, 0, 0, 0) == pytest.approx(-1.0 / math.sqrt(3.0), rel=1e-15, abs=0.0)
 
 
 def test_3j_112():
-    assert wigner_3j(1, 1, 2, 0, 0, 0) == pytest.approx(math.sqrt(2.0 / 15.0), rel=1e-15)
+    assert wigner_3j(1, 1, 2, 0, 0, 0) == pytest.approx(math.sqrt(2.0 / 15.0), rel=1e-15, abs=0.0)
 
 
 def test_3j_110_against_sphere_quadrature():
@@ -35,7 +35,7 @@ def test_3j_110_against_sphere_quadrature():
     quad = sphere_quadrature([(1, 0), (1, 0), (0, 0)]).real
     pref = math.sqrt(3.0 * 3.0 * 1.0 / (4.0 * math.pi))
     sym = wigner_3j(1, 1, 0, 0, 0, 0)
-    assert quad == pytest.approx(pref * sym * sym, rel=1e-12)
+    assert quad == pytest.approx(pref * sym * sym, rel=1e-12, abs=0.0)
 
 
 def test_3j_selection_rules_return_zero():
@@ -173,7 +173,7 @@ def test_rotate_spec_example():
     want = rotation_bruteforce(1, 0, EulerAngles(0.0, math.pi / 2, 0.0),
                                math.pi / 2, 0.0)
     assert got == pytest.approx(want, abs=1e-13)
-    assert got.real == pytest.approx(-math.sqrt(3.0 / (4.0 * math.pi)), rel=1e-13)
+    assert got.real == pytest.approx(-math.sqrt(3.0 / (4.0 * math.pi)), rel=1e-13, abs=0.0)
 
 
 def test_rotate_matches_rotation_oracle(rng):
@@ -215,13 +215,13 @@ def test_rotate_validates_m():
 
 def test_gaunt_three_y00():
     got = gaunt_integral([(0, 0), (0, 0), (0, 0)])
-    assert got == pytest.approx(1.0 / math.sqrt(4.0 * math.pi), rel=1e-14)
+    assert got == pytest.approx(1.0 / math.sqrt(4.0 * math.pi), rel=1e-14, abs=0.0)
 
 
 def test_gaunt_four_orthonormality():
     # integral Y10 Y10 Y00 Y00 = (1/4pi) integral |Y10|^2 (Y10 real)
     got = gaunt_integral([(1, 0), (1, 0), (0, 0), (0, 0)])
-    assert got == pytest.approx(1.0 / (4.0 * math.pi), rel=1e-13)
+    assert got == pytest.approx(1.0 / (4.0 * math.pi), rel=1e-13, abs=0.0)
 
 
 def test_gaunt_azimuthal_selection():
@@ -232,7 +232,7 @@ def test_gaunt_azimuthal_selection():
 def test_gaunt_conjugation_flags():
     # Y*_21 Y_21 integrates to 1 with a pure pair
     got = gaunt_integral([(2, 1, True), (2, 1), (0, 0)])
-    assert got == pytest.approx(1.0 / math.sqrt(4.0 * math.pi), rel=1e-13)
+    assert got == pytest.approx(1.0 / math.sqrt(4.0 * math.pi), rel=1e-13, abs=0.0)
 
 
 def test_gaunt_against_sphere_quadrature(rng):

@@ -34,7 +34,7 @@ def quad(f, lo, hi, n=4001):
 def test_radial_normalization(n, l):
     val, _, _, _ = adaptive_gk(lambda r: radial_R(n, l, r, A0) ** 2 * r * r,
                                np.linspace(0.0, 80 * A0, 41), 1e-14, 1e-12)
-    assert val.real == pytest.approx(1.0, rel=1e-10)
+    assert val.real == pytest.approx(1.0, rel=1e-10, abs=0.0)
 
 
 def test_radial_r20_node():
@@ -50,7 +50,7 @@ def test_radial_dipole_overlap_value():
     val, _, _, _ = adaptive_gk(
         lambda r: radial_R(2, 1, r, A0) * radial_R(1, 0, r, A0) * r ** 3,
         np.linspace(0.0, 80 * A0, 41), 1e-14, 1e-12)
-    assert val.real == pytest.approx(128.0 * math.sqrt(6.0) / 243.0 * A0, rel=1e-11)
+    assert val.real == pytest.approx(128.0 * math.sqrt(6.0) / 243.0 * A0, rel=1e-11, abs=0.0)
 
 
 # ----------------------------------------------------------------------------
@@ -74,7 +74,7 @@ def test_smearing_vector_on_axis_value():
     want_z = math.exp(-1.5) / (4.0 * math.pi * math.sqrt(2.0) * A0 ** 2)
     assert got[0] == pytest.approx(0.0, abs=1e-18)
     assert got[1] == pytest.approx(0.0, abs=1e-18)
-    assert got[2].real == pytest.approx(want_z, rel=1e-13)
+    assert got[2].real == pytest.approx(want_z, rel=1e-13, abs=0.0)
 
 
 def test_smearing_vector_parity(rng):
@@ -130,7 +130,7 @@ def test_smearing_scalar_node_and_origin():
     atom = AtomSpec(a0=A0, omega=1.0)
     assert smearing_scalar(atom, np.array([0.0, 0.0, 2.0 * A0])) == 0.0
     want = 1.0 / (2.0 * math.sqrt(2.0) * math.pi * A0 ** 3)
-    assert smearing_scalar(atom, np.zeros(3)) == pytest.approx(want, rel=1e-14)
+    assert smearing_scalar(atom, np.zeros(3)) == pytest.approx(want, rel=1e-14, abs=0.0)
 
 
 def test_smearing_scalar_array_equals_per_point_calls(rng):
@@ -184,7 +184,7 @@ def test_switching_kind_validation():
 
 def test_radial_overlap_k0_values():
     assert radial_overlap(0, 0.0, A0) == pytest.approx(
-        128.0 * math.sqrt(6.0) / 243.0 * A0, rel=1e-14)
+        128.0 * math.sqrt(6.0) / 243.0 * A0, rel=1e-14, abs=0.0)
     assert radial_overlap(2, 0.0, A0) == 0.0
 
 

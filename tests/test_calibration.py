@@ -195,7 +195,8 @@ def test_tail_error_counts_its_panels_rounding(monkeypatch):
     monkeypatch.setattr(specfun, "_rays", spy)
     pair = make_pair(*POOL_PAIRS["unequal_gaps_700"])
     share, clock, d = harvesting._table(harvesting._columns([pair]), ("m",))["members"][0][0]
-    (m,) = specfun.integrate_damped_group(harvesting._spec(share, [(clock, d)]))
+    *args, max_panels, wings = harvesting._head(share, [(clock, d)])
+    (m,) = specfun.integrate_group(*args, 1e-16, 1e-10, max_panels, wings)
     (_, ray_err, ray_abs, _), = rays
     assert ray_abs > 1e5 * abs(m.value)
     assert m.abs_integral >= ray_abs[0]
@@ -218,7 +219,7 @@ def qk15(monkeypatch):
     sums = np.array([w, w * x, w])
     sums[2, 1::2] -= g
     for name, value in (("_XGK", x), ("_WGK", w), ("_WG", g), ("_SUMS", sums),
-                        ("_PANEL_HALF_PERIODS", 1), ("_ENVELOPE_RATIO", 1.5)):
+                        ("_ENVELOPE_RATIO", 1.5)):
         monkeypatch.setattr(specfun, name, value)
     monkeypatch.setattr(harvesting, "_PANEL_HALF_PERIODS", 1)
 

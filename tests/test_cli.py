@@ -294,18 +294,36 @@ def scan_n2_error(monkeypatch, capsys, *extra):
     return results[0].rows[0].quad_error
 
 
+def library_n2_error(ds, crop_sigmas=8.0):
+    # the N^(2) error, crop tail included, that compute_terms_many gives the
+    # first of the out-of-band pairs at d/T in ds, computed as one batch under
+    # 'auto' switching
+    pairs = [pair_from_params({"omega_T": 12.0, "tba_over_T": 1.0, "d_over_T": d},
+                              ModelKind.EM_DIPOLE) for d in ds]
+    terms = harvesting.compute_terms_many(pairs, SwitchingKind("auto", crop_sigmas),
+                                          include_cross=False)[0]
+    return math.exp(terms.log_scale) * terms.negativity2_error_scaled()
+
+
 def test_auto_switching_same_crop_for_compute_and_scan(monkeypatch, capsys):
+    # 'auto' crops the out-of-band point in compute and in scan alike: each
+    # reports the error the library gives its points, compute's pair alone
+    # and scan's two points as one batch (whose M shares one panel set, so
+    # its errors are not the pair's alone: ~1e-3 apart here)
     crop, compute_err = compute_n2_error(capsys)
     assert crop > 0.0
-    assert scan_n2_error(monkeypatch, capsys) == pytest.approx(compute_err, rel=1e-14)
+    assert compute_err == pytest.approx(library_n2_error((20.0,)), rel=1e-14, abs=0.0)
+    assert scan_n2_error(monkeypatch, capsys) == pytest.approx(
+        library_n2_error((20.0, 21.0)), rel=1e-14, abs=0.0)
 
 
 def test_auto_switching_honours_crop_sigmas(monkeypatch, capsys):
     crop8, err8 = compute_n2_error(capsys)
     crop3, err3 = compute_n2_error(capsys, "--crop-sigmas", "3")
     assert crop3 > 1e6 * crop8
+    assert err3 == pytest.approx(library_n2_error((20.0,), 3.0), rel=1e-14, abs=0.0)
     assert scan_n2_error(monkeypatch, capsys, "--crop-sigmas", "3") == pytest.approx(
-        err3, rel=1e-14)
+        library_n2_error((20.0, 21.0), 3.0), rel=1e-14, abs=0.0)
     assert err3 > err8
 
 
@@ -386,17 +404,18 @@ def test_scan_header_records_coupling_and_crop(tmp_path, capsys):
 def test_scan_json_writes_a_twice_failed_row_as_null(monkeypatch, capsys):
     # the point at d = 2 T misses at both tolerances, a row of NaN: JSON has
     # no NaN, so its JSON row is null and parses strictly; CSV keeps nan
-    real = harvesting.integrate_damped_group
+    real = harvesting.integrate_group
 
-    def group(spec, *args, **kwargs):
+    def group(f, edges, kernel, members, *args):
+        # M's group is the one with wings
         return [QuadratureConvergenceError("forced miss", getattr(q, "result", q))
-                if d == 2.0 else q
-                for q, (_, d) in zip(real(spec, *args, **kwargs), spec.members)]
+                if d == 2.0 and args[-1] is not None else q
+                for q, (_, d) in zip(real(f, edges, kernel, members, *args), members)]
 
     def reject(constant):
         raise ValueError(f"{constant} is not JSON")
 
-    monkeypatch.setattr(harvesting, "integrate_damped_group", group)
+    monkeypatch.setattr(harvesting, "integrate_group", group)
     scan = ["scan", "--axis", "d_over_T:1:3:3"]
     code, out, _ = run_cli([*scan, "--format", "json"], capsys)
     assert code == 0
@@ -498,14 +517,15 @@ def test_figure_fig5b_is_the_cropped_window_outside_light_contact(tmp_path, caps
 def test_strict_scan_exits_3_on_a_twice_failed_row(monkeypatch, capsys):
     # the point at d = 2 T misses at both tolerances (forced, as in the JSON
     # test above): --strict exits 3 and names the count, without a table
-    real = harvesting.integrate_damped_group
+    real = harvesting.integrate_group
 
-    def group(spec, *args, **kwargs):
+    def group(f, edges, kernel, members, *args):
+        # M's group is the one with wings
         return [QuadratureConvergenceError("forced miss", getattr(q, "result", q))
-                if d == 2.0 else q
-                for q, (_, d) in zip(real(spec, *args, **kwargs), spec.members)]
+                if d == 2.0 and args[-1] is not None else q
+                for q, (_, d) in zip(real(f, edges, kernel, members, *args), members)]
 
-    monkeypatch.setattr(harvesting, "integrate_damped_group", group)
+    monkeypatch.setattr(harvesting, "integrate_group", group)
     code, out, err = run_cli(["scan", "--strict", "--axis", "d_over_T:1:3:3"], capsys)
     assert code == 3 and out == ""
     assert err == "error: 1 rows failed to converge\n"

@@ -88,8 +88,8 @@ def test_local_time_factor_vs_2d_bruteforce():
 def test_local_independent_of_separation_and_delay():
     vals = [local_term(make_pair(d=d, tba=t))
             for d, t in ((0.5, 0.0), (3.0, 1.5), (11.0, 10.0))]
-    assert vals[0] == pytest.approx(vals[1], rel=1e-14)
-    assert vals[0] == pytest.approx(vals[2], rel=1e-14)
+    assert vals[0] == pytest.approx(vals[1], rel=1e-14, abs=0.0)
+    assert vals[0] == pytest.approx(vals[2], rel=1e-14, abs=0.0)
 
 
 def test_derivative_vs_scalar_integrand_ratio(rng):
@@ -113,18 +113,17 @@ def test_grid_integrates_one_l(monkeypatch):
     # every point of a grid at one gap shares L: one integral, one member,
     # on a fixed panel set (no kernel), and M's group never holds it
     fixed, damped = [], []
-    real_fixed, real_damped = harvesting.integrate_fixed_group, harvesting.integrate_damped_group
+    real = harvesting.integrate_group
 
-    def fixed_spy(f, edges, kernel, members, *args, **kwargs):
-        fixed.append((kernel, [d for _, d in members]))
-        return real_fixed(f, edges, kernel, members, *args, **kwargs)
+    def spy(f, edges, kernel, members, *args):
+        # M's group is the one with wings
+        if args[-1] is None:
+            fixed.append((kernel, [d for _, d in members]))
+        else:
+            damped.append(len(members))
+        return real(f, edges, kernel, members, *args)
 
-    def damped_spy(spec, *args, **kwargs):
-        damped.append(len(spec.members))
-        return real_damped(spec, *args, **kwargs)
-
-    monkeypatch.setattr(harvesting, "integrate_fixed_group", fixed_spy)
-    monkeypatch.setattr(harvesting, "integrate_damped_group", damped_spy)
+    monkeypatch.setattr(harvesting, "integrate_group", spy)
     pairs = [make_pair(omega=12.0, d=d, tba=tba) for d in (3.0, 11.0) for tba in (0.5, 10.0)]
     terms = harvesting.compute_terms_many(pairs, include_cross=False)
     assert fixed == [(None, [0.0])] and damped == [4]
@@ -151,8 +150,8 @@ def test_mutated_local_coefficient_moves_l(monkeypatch):
     monkeypatch.setattr(harvesting, "EM_LOCAL_COEFF",
                         harvesting.EM_LOCAL_COEFF * (1.0 + 1e-6))
     mutated = compute_terms(pair, include_cross=False)
-    assert mutated.l_aa / base.l_aa - 1.0 == pytest.approx(1e-6, rel=1e-8)
-    assert local_term(pair) / base.l_aa - 1.0 == pytest.approx(1e-6, rel=1e-8)
+    assert mutated.l_aa / base.l_aa - 1.0 == pytest.approx(1e-6, rel=1e-8, abs=0.0)
+    assert local_term(pair) / base.l_aa - 1.0 == pytest.approx(1e-6, rel=1e-8, abs=0.0)
     assert mutated.m == base.m
 
 
@@ -190,7 +189,7 @@ def test_time_integral_exchange_symmetry():
     # summing both orderings makes t_BA -> -t_BA a relabeling
     j1, _ = time_integral_closed(1.1, 1.1, 2.0, 0.0, 3.0, 1.0)
     j2, _ = time_integral_closed(1.1, 1.1, 2.0, 3.0, 0.0, 1.0)
-    assert j1 == pytest.approx(j2, rel=1e-13)
+    assert j1 == pytest.approx(j2, rel=1e-13, abs=0.0)
 
 
 def test_time_integral_k0_elementary():
@@ -202,13 +201,13 @@ def test_time_integral_k0_elementary():
         want = math.pi * T * T \
             * math.exp(-0.25 * T * T * (oa * oa + ob * ob)) \
             * cmath.exp(1j * (oa * t_a + ob * t_b))
-        assert closed == pytest.approx(want, rel=1e-12)
+        assert closed == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 def test_time_integral_translation_phase():
     j0, _ = time_integral_closed(1.0, 1.7, 2.5, 0.0, 2.0, 1.0)
     js, _ = time_integral_closed(1.0, 1.7, 2.5, 5.0, 7.0, 1.0)
-    assert abs(js) == pytest.approx(abs(j0), rel=1e-12)
+    assert abs(js) == pytest.approx(abs(j0), rel=1e-12, abs=0.0)
 
 
 def test_time_integral_vs_bruteforce_sample():
@@ -291,7 +290,7 @@ def test_nonlocal_cos_theta_factorization():
     base = abs(nonlocal_term(make_pair(theta=0.0)))
     for theta in (math.pi / 6.0, math.pi / 3.0):
         got = abs(nonlocal_term(make_pair(theta=theta)))
-        assert got == pytest.approx(base * abs(math.cos(theta)), rel=1e-9)
+        assert got == pytest.approx(base * abs(math.cos(theta)), rel=1e-9, abs=0.0)
 
 
 def test_nonlocal_perpendicular_below_floor():
@@ -304,7 +303,7 @@ def test_nonlocal_perpendicular_below_floor():
 def test_nonlocal_even_in_tba():
     m_plus = nonlocal_term(make_pair(tba=2.5))
     m_minus = nonlocal_term(make_pair(tba=-2.5))
-    assert abs(m_plus) == pytest.approx(abs(m_minus), rel=1e-12)
+    assert abs(m_plus) == pytest.approx(abs(m_minus), rel=1e-12, abs=0.0)
 
 
 def test_nonlocal_scalar_small_d_vs_time_bruteforce():
@@ -348,7 +347,7 @@ def test_cross_noise_coincidence_limit():
     pair = make_pair(d=1e-9, tba=0.0, theta=0.0)
     l_ab = cross_noise_term(pair)
     l_aa = local_term(pair)
-    assert l_ab.real == pytest.approx(l_aa, rel=1e-9)
+    assert l_ab.real == pytest.approx(l_aa, rel=1e-9, abs=0.0)
     assert abs(l_ab.imag) <= 1e-9 * l_aa
 
 
@@ -489,8 +488,8 @@ def test_state_rejects_an_m_no_density_matrix_has(m):
 def test_coupling_rescales_quadratically():
     t1 = compute_terms(make_pair(coupling=1.0), include_cross=True)
     t2 = compute_terms(make_pair(coupling=2.0), include_cross=True)
-    assert t2.l_aa == pytest.approx(4.0 * t1.l_aa, rel=1e-13)
-    assert abs(t2.m) == pytest.approx(4.0 * abs(t1.m), rel=1e-13)
+    assert t2.l_aa == pytest.approx(4.0 * t1.l_aa, rel=1e-13, abs=0.0)
+    assert abs(t2.m) == pytest.approx(4.0 * abs(t1.m), rel=1e-13, abs=0.0)
     # the sign of N2 (harvest or not) is coupling independent
     assert (t2.negativity2 > 0) == (t1.negativity2 > 0)
 
@@ -522,7 +521,7 @@ def test_positivity_e2_is_fourth_order_in_the_coupling():
         reps[e] = positivity_report(terms)
         assert reps[e].e2_fourth_order == -abs(terms.m) ** 2
     assert reps[0.5].e2_fourth_order == pytest.approx(
-        reps[1.0].e2_fourth_order / 16.0, rel=1e-13)
+        reps[1.0].e2_fourth_order / 16.0, rel=1e-13, abs=0.0)
 
 
 def test_positivity_degenerate_e4():
@@ -546,7 +545,7 @@ def test_em_decomposition_algebra():
 
 def test_em_decomposition_at_zero():
     dec = em_decomposition_identity(0.0, 0.01)
-    assert dec.l_total == pytest.approx(49152.0 * 81.0, rel=1e-15)
+    assert dec.l_total == pytest.approx(49152.0 * 81.0, rel=1e-15, abs=0.0)
 
 
 def test_em_decomposition_m_kernel():
@@ -685,17 +684,15 @@ def test_identical_pair_integrates_l_ab_in_one_pass_on_its_fixed_panel_set(monke
     # which evaluate the spatial kernel once on its nodes, out to where the
     # Gaussian is e^-60 down, on panels of at most four half periods
     groups, passes, reduces, space = [], [], [], []
-    real_fixed, real_damped = harvesting.integrate_fixed_group, harvesting.integrate_damped_group
+    real_group = harvesting.integrate_group
     real_panels, real_reduce = specfun._gk15_panels, specfun._gk15_reduce
     real_j0 = harvesting.spherical_bessel_j0
 
-    def fixed(f, edges, kernel, members, *args, **kwargs):
-        groups.append(("fixed", kernel is not None, len(members)))
-        return real_fixed(f, edges, kernel, members, *args, **kwargs)
-
-    def damped(spec, *args, **kwargs):
-        groups.append(("damped", True, len(spec.members)))
-        return real_damped(spec, *args, **kwargs)
+    def group(f, edges, kernel, members, *args):
+        # M's group is the one with wings
+        groups.append(("fixed", kernel is not None, len(members)) if args[-1] is None
+                      else ("damped", True, len(members)))
+        return real_group(f, edges, kernel, members, *args)
 
     def j0(x):
         space.append(np.size(x))
@@ -710,8 +707,7 @@ def test_identical_pair_integrates_l_ab_in_one_pass_on_its_fixed_panel_set(monke
         reduces.append(groups[-1])
         return real_reduce(*args)
 
-    monkeypatch.setattr(harvesting, "integrate_fixed_group", fixed)
-    monkeypatch.setattr(harvesting, "integrate_damped_group", damped)
+    monkeypatch.setattr(harvesting, "integrate_group", group)
     monkeypatch.setattr(harvesting, "spherical_bessel_j0", j0)
     monkeypatch.setattr(specfun, "_gk15_panels", gk15_panels)
     monkeypatch.setattr(specfun, "_gk15_reduce", gk15_reduce)
@@ -731,7 +727,7 @@ def test_a_view_raises_only_its_own_range_error():
     a = AtomSpec(a0=1e-4, omega=10.0)
     b = AtomSpec(a0=1e-4, omega=60.0, position=(0.0, 0.0, 3.0), switching_center=1.0)
     pair = DetectorPair(a, b, ModelKind.EM_DIPOLE)
-    assert local_term(pair, "A") == pytest.approx(3.098e-35, rel=1e-3)
+    assert local_term(pair, "A") == pytest.approx(3.098e-35, rel=1e-3, abs=0.0)
     with pytest.raises(ValueError, match="outside double range") as view:
         local_term(pair, "B")
     with pytest.raises(ValueError, match="outside double range") as terms:
@@ -749,6 +745,18 @@ def test_a_separation_past_the_squares_range_is_beyond_the_seed_panels():
         assert pair.separation == d
         with pytest.raises(ValueError, match=re.escape(f"a separation d of {d:.6g} oscillates")):
             compute_terms(pair)
+
+
+@pytest.mark.parametrize("d, tba, what", [
+    (3.0, 1e200, "a delay |t_BA| of 1e+200 oscillates 1.23e+201"),
+    (1e15, 0.0, "a separation d of 1e+15 oscillates 1.23e+16")])
+def test_a_head_past_2_53_half_periods_is_beyond_the_seed_panels(d, tba, what):
+    # M's head seeds count the half periods of its fastest oscillation below
+    # k_hi = sqrt(1500)/T in doubles: past 2^53 of them compute_terms rejects
+    # the pair, naming the delay or the separation that oscillates
+    message = f"{what} half periods below k = 38.7298: beyond the seed panels"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        compute_terms(make_pair(d=d, tba=tba))
 
 
 @pytest.mark.parametrize("omega_b", [1e160, 2e160])
@@ -769,14 +777,15 @@ def test_nonlocal_term_returns_m_when_only_l_ab_misses(monkeypatch):
     # fails cross_noise_term and compute_terms, not nonlocal_term
     pair = make_pair()
     m = nonlocal_term(pair)
-    real = harvesting.integrate_fixed_group
+    real = harvesting.integrate_group
 
-    def group(f, edges, kernel, members, *args, **kwargs):
-        # L_AB: a fixed panel set with a spatial kernel
-        return [specfun.QuadratureConvergenceError("forced miss", q) if kernel is not None else q
-                for q in real(f, edges, kernel, members, *args, **kwargs)]
+    def group(f, edges, kernel, members, *args):
+        # L_AB: a fixed panel set (no wings) with a spatial kernel
+        return [specfun.QuadratureConvergenceError("forced miss", q)
+                if kernel is not None and args[-1] is None else q
+                for q in real(f, edges, kernel, members, *args)]
 
-    monkeypatch.setattr(harvesting, "integrate_fixed_group", group)
+    monkeypatch.setattr(harvesting, "integrate_group", group)
     assert nonlocal_term(pair) == m
     with pytest.raises(specfun.QuadratureConvergenceError, match="forced miss"):
         cross_noise_term(pair)
@@ -790,18 +799,14 @@ def test_unequal_pair_integrates_l_aa_and_l_bb_apart(monkeypatch):
     # the L of an identical pair of that atom, and the views have
     # compute_terms' bits
     groups = []
-    real_fixed, real_damped = harvesting.integrate_fixed_group, harvesting.integrate_damped_group
+    real = harvesting.integrate_group
 
-    def fixed(f, edges, kernel, members, *args, **kwargs):
-        groups.append(("fixed", len(members)))
-        return real_fixed(f, edges, kernel, members, *args, **kwargs)
+    def group(f, edges, kernel, members, *args):
+        # M's group is the one with wings
+        groups.append(("fixed" if args[-1] is None else "damped", len(members)))
+        return real(f, edges, kernel, members, *args)
 
-    def damped(spec, *args, **kwargs):
-        groups.append(("damped", len(spec.members)))
-        return real_damped(spec, *args, **kwargs)
-
-    monkeypatch.setattr(harvesting, "integrate_fixed_group", fixed)
-    monkeypatch.setattr(harvesting, "integrate_damped_group", damped)
+    monkeypatch.setattr(harvesting, "integrate_group", group)
     a = AtomSpec(a0=5e-4, omega=2.0)
     b = AtomSpec(a0=5e-4, omega=2.3, position=(0.0, 0.0, 3.0), switching_center=1.5)
     pair = DetectorPair(a, b, ModelKind.UDW_SCALAR)
@@ -857,8 +862,8 @@ def test_unequal_gaps_of_one_a0_share_a_pass_within_their_errors(seed, monkeypat
 @pytest.mark.parametrize("ratio", [1.0, 1.15])
 def test_integrands_equal_their_group_rows_bitwise(model, ratio):
     # a term's integrand alone (reference_kernels.integrand), reduced by the rule
-    # on its own, has the bits of its row of a head pass in a group spec of
-    # its clock's kind where that pass reduces the row alone (or in the
+    # on its own, has the bits of its row of a head pass in a group of its
+    # clock's kind (``harvesting._head``'s arguments) where that pass reduces the row alone (or in the
     # stack of rows without a spatial factor: L_AA and L_BB), and agrees
     # with it within each panel's roundoff floor F = 50 eps x resabs (its
     # error within 200 F) where the pass reduces it in a block (two or more
@@ -881,13 +886,13 @@ def test_integrands_equal_their_group_rows_bitwise(model, ratio):
         group = [n for n in members if members[n][1][0] == kind]
         if not group:
             continue
-        spec = harvesting._spec(members[group[0]][0], [members[n][1:] for n in group])
-        rows = specfun._gk15_panels(spec.integrand, lo, hi, spec.kernel, spec.members,
-                                    spec.time)[:3]
-        block = spec.kernel is not None and len({m for m in spec.members if m[1] > 0.0}) > 1
+        f, _, kernel, group_members, _, time, *_ = harvesting._head(
+            members[group[0]][0], [members[n][1:] for n in group])
+        rows = specfun._gk15_panels(f, lo, hi, kernel, group_members, time)[:3]
+        block = kernel is not None and len({m for m in group_members if m[1] > 0.0}) > 1
         for i, name in enumerate(group):
             alone = specfun._gk15_reduce(*reference_kernels.integrand(*members[name])(k), half)
-            if block and spec.members[i][1] > 0.0:
+            if block and group_members[i][1] > 0.0:
                 floor = specfun._ROUNDOFF * alone[2]
                 units = 64.0 * np.finfo(float).smallest_subnormal
                 assert np.all(np.abs(rows[0][i] - alone[0]) <= floor + units)
@@ -1060,7 +1065,7 @@ def test_edge_bound_holds(rng):
                                       k_live + 12.0 * math.sqrt(2.0) / T, 200)
                 assert 0.0 < brute <= bound
         for share, clock, d in fixed:
-            _, edges, _, _, bound, _ = harvesting._fixed(share, clock[2], [(clock, d)])
+            _, edges, _, _, bound, *_ = harvesting._fixed(share, clock[2], [(clock, d)])
             _, p, a0, T, _ = share
             f = reference_kernels.integrand(share, clock, d)
             near = edges[-1] + 12.0 * math.sqrt(2.0) / T  # past it the Gaussian is dead
@@ -1132,12 +1137,19 @@ def test_a_late_pair_evaluates_its_time_kernel_only_below_the_live_edge(monkeypa
     assert len(past) == 3 and all(past)
 
 
+def _group(share, members, atol=1e-16, rtol=1e-10):
+    # M's group of members (clock, d) of one share as _quadratures integrates
+    # it: its results, and its arguments (``harvesting._head``)
+    *args, max_panels, wings = head = harvesting._head(share, members)
+    return specfun.integrate_group(*args, atol, rtol, max_panels, wings), head
+
+
 def test_a_group_where_no_member_could_stop_has_no_edge(monkeypatch):
     # every M member can stop: at t_BA = 1.5 T the wings are far above any
     # floor, and M alone still stops at the live edge, with the bound of its
     # Gaussian part alone, and takes the seeds below the edge in its first
-    # pass.  A spec whose members could not stop (no bounds, no wings) has
-    # no edge: its first pass takes all the seeds, to k_hi = sqrt(1500)/T
+    # pass.  A group whose members could not stop would take all the seeds,
+    # which run to k_hi = sqrt(1500)/T
     pair = make_pair(model=ModelKind.UDW_SCALAR, d=3.0, tba=1.5)
     share, m, d = _member(pair, "m")
     late = _member(make_pair(model=ModelKind.UDW_SCALAR, d=3.0, tba=20.0), "m")[1]
@@ -1152,12 +1164,9 @@ def test_a_group_where_no_member_could_stop_has_no_edge(monkeypatch):
         return real_panels(f, lo, hi, *args, **kwargs)
 
     monkeypatch.setattr(specfun, "_gk15_panels", panels)
-    spec = harvesting._spec(share, [(m, d)])
-    specfun.integrate_damped_group(spec)
-    assert passes[0] == k_live
-    passes.clear()
-    specfun.integrate_damped_group(replace(spec, live_edge=math.inf, edge_bounds=(), wings=()))
-    assert passes[0] == math.sqrt(1500.0)
+    _, (_, edges, _, _, _, _, _, (k_hi, *_)) = _group(share, [(m, d)])
+    assert passes[0] == edges[-1] == k_live
+    assert k_hi == max(harvesting._seeds(k_hi)) == math.sqrt(1500.0)
 
 
 @pytest.mark.parametrize("a0,T,tba", [
@@ -1204,9 +1213,9 @@ def test_a_member_whose_bound_overflows_runs_on(monkeypatch):
         pair = make_pair(model=ModelKind.UDW_DERIVATIVE, a0_omega=2e-200, tba=20.0)
         # past the range _table accepts: the members built directly
         share, d = ("M", 7, pair.atom_a.a0, 1.0, spherical_bessel_j0), pair.separation
-        spec = harvesting._spec(share, [(("M", 20.0, 0.0), d), (("M", 20.0, 0.3), d)])
-        quads = specfun.integrate_damped_group(spec)
-    assert spec.live_edge < math.inf and all(0.0 < b < math.inf for b in spec.edge_bounds)
+        quads, (_, edges, _, _, bounds, *_) = _group(
+            share, [(("M", 20.0, 0.0), d), (("M", 20.0, 0.3), d)])
+    assert edges[-1] < math.inf and all(0.0 < b < math.inf for b in bounds)
     assert all(isinstance(q, specfun.QuadratureResult) for q in quads)
     assert rays == [2]
 
@@ -1246,22 +1255,23 @@ def test_spatial_kernels_decay_as_the_edge_bound_takes(p, kernel):
 
 
 def _ray_member(model, d, tba, d_omega):
-    # the spec of one M member at T = 1, a0 = 1e-2 (a0 Omega ~ 1e-2, so the
-    # rational cutoff is 6e3 for EM and 2e4 for UdW), and its live edge; d
-    # None: k_live d just above the rays' threshold
+    # the group arguments (``harvesting._head``) of one M member at T = 1, a0
+    # = 1e-2 (a0 Omega ~ 1e-2, so the rational cutoff is 6e3 for EM and 2e4
+    # for UdW), and its live edge; d None: k_live d just above the rays'
+    # threshold
     _, _, p, _, kernel = harvesting._model_params(model)
     share, clock = ("M", p, 1e-2, 1.0, kernel), ("M", tba, d_omega)
-    k_live = harvesting._spec(share, [(clock, 1.0)]).live_edge
+    k_live = harvesting._live_edge(share, [(clock, 1.0)])[0]
     d = 1.02 * specfun._RAY_X / k_live if d is None else d
-    return harvesting._spec(share, [(clock, d)]), d, k_live
+    return harvesting._head(share, [(clock, d)]), d, k_live
 
 
-def _real_axis(spec, d, lo, hi):
+def _real_axis(head, d, lo, hi):
     # (value, error) of the rule on half-period panels of [lo, hi] of the
     # member's own integrand on the real axis, and its integral of the magnitude
+    f, _, kernel, members, _, time, *_ = head
     edges = np.linspace(lo, hi, int(math.ceil((hi - lo) * d / math.pi)) + 1)
-    rows = specfun._gk15_panels(spec.integrand, edges[:-1], edges[1:], spec.kernel,
-                                list(spec.members), spec.time)[:3]
+    rows = specfun._gk15_panels(f, edges[:-1], edges[1:], kernel, list(members), time)[:3]
     return tuple(x.sum() for x in rows)
 
 
@@ -1275,18 +1285,19 @@ def test_rays_agree_with_a_real_axis_sum(model, d, tba, d_omega):
     # the rational cutoff: within the summed errors and the edge's bound of
     # the Gaussian part.  And, by Cauchy's theorem, the rays from k_live are
     # the real axis's [k_live, k_hi] plus the rays from k_hi
-    spec, d, k_live = _ray_member(model, d, tba, d_omega)
+    group, d, k_live = _ray_member(model, d, tba, d_omega)
+    f, _, _, members, (bound,), time, _, (_, cutoff, wings, wave) = group
     k_hi, rays = math.sqrt(1500.0), functools.partial(
-        specfun._rays, spec.integrand, spec.wave, list(spec.members), spec.wings, time=spec.time)
+        specfun._rays, f, wave, list(members), wings, time=time)
     top = np.array([k_hi + 80.0 * math.pi / d])
     value, error, _, _ = rays(np.array([k_live]), top)
-    brute, brute_error, _ = _real_axis(spec, d, k_live, spec.cutoff)
-    assert abs(value[0] - brute) <= error[0] + brute_error + spec.edge_bounds[0]
+    brute, brute_error, _ = _real_axis(group, d, k_live, cutoff)
+    assert abs(value[0] - brute) <= error[0] + brute_error + bound
     assert abs(value[0]) > 1e3 * (error[0] + brute_error)
-    head, head_error, _ = _real_axis(spec, d, k_live, k_hi)
+    head, head_error, _ = _real_axis(group, d, k_live, k_hi)
     far, far_error, _, _ = rays(np.array([k_hi]), top)
     assert (abs(head + far[0] - value[0])
-            <= head_error + far_error[0] + error[0] + spec.edge_bounds[0])
+            <= head_error + far_error[0] + error[0] + bound)
 
 
 @pytest.mark.parametrize("params", [
@@ -1312,11 +1323,10 @@ def test_a_ray_members_magnitude_is_at_least_the_real_axis(params, monkeypatch):
     monkeypatch.setattr(specfun, "_rays", spy)
     share, clock, d = _member(make_pair(model=model, omega=omega, a0_omega=a0_omega, d=d,
                                         tba=tba), "m")
-    spec = harvesting._spec(share, [(clock, d)])
-    (quad,) = specfun.integrate_damped_group(spec)
+    (quad,), head = _group(share, [(clock, d)])
     ((k0, top, (_, error, absint, _)),) = rays
-    assert k0[0] == spec.live_edge and top[0] == math.sqrt(1500.0) + 80.0 * math.pi / d
-    _, _, brute = _real_axis(spec, d, k0[0], top[0])
+    assert k0[0] == head[1][-1] and top[0] == math.sqrt(1500.0) + 80.0 * math.pi / d
+    _, _, brute = _real_axis(head, d, k0[0], top[0])
     assert absint[0] >= brute > 0.0
     assert quad.abs_error_estimate >= error[0] + specfun._ROUNDOFF * brute
 
@@ -1339,10 +1349,10 @@ def test_a_group_of_several_times_sums_its_tails_in_one_pass(monkeypatch):
         share = ("M", p, 5e-4, 1.0, kernel)
         members = [(("M", t, 0.0), d) for t in (1.0, 3.0, 5.0) for d in (2.0, 6.0, 12.0)]
         passes.clear()
-        together = specfun.integrate_damped_group(harvesting._spec(share, members))
+        together, _ = _group(share, members)
         assert passes == [9]
         for j in range(0, 9, 3):
-            alone = specfun.integrate_damped_group(harvesting._spec(share, members[j:j + 3]))
+            alone, _ = _group(share, members[j:j + 3])
             assert all(isinstance(q, specfun.QuadratureResult) for q in alone)
             for q, a in zip(together[j:j + 3], alone):
                 floor = specfun._ROUNDOFF * a.abs_integral
@@ -1355,11 +1365,18 @@ def test_a_group_of_several_times_sums_its_tails_in_one_pass(monkeypatch):
 
 def test_fig5a_members_stop_at_the_edge_from_its_delay_10_7(monkeypatch):
     # on fig5a's 10 x 10 map every M member's head stops at the live edge,
-    # at every delay (not only from 32/3 T on): the 90 members with d > 0
-    # take their wings in one ray pass, the 10 at d = 0 on one run of
-    # geometric panels from the edge to the cutoff
-    rays, runs = [], []
-    real_rays, real_gk = specfun._rays, specfun._adaptive_gk
+    # at every delay (not only from 32/3 T on), in its one pass, which no
+    # member refines: the 90 members with d > 0 take their wings in one ray
+    # pass, the 10 at d = 0 on one run of geometric panels from the edge to
+    # the cutoff
+    heads, rays, runs = [], [], []
+    real_group, real_rays = harvesting.integrate_group, specfun._rays
+    real_gk = specfun._adaptive_gk
+
+    def group(f, edges, kernel, members, *args):
+        if args[-1] is not None:  # M's, the group with wings
+            heads.append((edges[0], edges[-1], len(members)))
+        return real_group(f, edges, kernel, members, *args)
 
     def spy(f, wave, members, wings, k0, top, time):
         rays.append((len(members), set(k0.tolist())))
@@ -1369,13 +1386,15 @@ def test_fig5a_members_stop_at_the_edge_from_its_delay_10_7(monkeypatch):
         runs.append((breakpoints[0], breakpoints[-1], len(kwargs.get("members") or args[4])))
         return real_gk(f, breakpoints, *args, **kwargs)
 
+    monkeypatch.setattr(harvesting, "integrate_group", group)
     monkeypatch.setattr(specfun, "_rays", spy)
     monkeypatch.setattr(specfun, "_adaptive_gk", adaptive)
     spacetime_map(Axis("d_over_T", 0.0, 24.0, 10), Axis("tba_over_T", 0.0, 24.0, 10),
                   omega_T=12.0)
     k_live = math.sqrt(60.0) * math.sqrt(2.0)
+    assert heads == [(0.0, k_live, 100)]
     assert rays == [(90, {k_live})]
-    assert runs == [(0.0, k_live, 100), (k_live, 120.0 / (2.0 * 1e-3 / 12.0), 10)]
+    assert runs == [(k_live, 120.0 / (2.0 * 1e-3 / 12.0), 10)]
 
 
 def test_fig5b_m_group_takes_one_ray_pass(monkeypatch):
@@ -1463,8 +1482,9 @@ def test_l_near_its_knee_converges_on_its_fixed_panel_set(model, omega_T, a0_T):
     _, _, p, _, _ = harvesting._model_params(model)
     for T in (0.5, 0.6, 0.7, 1.0, 1.6):
         omega, a0 = omega_T / T, a0_T * T
-        args = harvesting._fixed(("L", p, a0, T, None), omega, [(("L", 0.0, omega), 0.0)])
-        (quad,) = specfun.integrate_fixed_group(*args, 1e-16, 1e-10)
+        *args, max_panels, wings = harvesting._fixed(("L", p, a0, T, None), omega,
+                                                     [(("L", 0.0, omega), 0.0)])
+        (quad,) = specfun.integrate_group(*args, 1e-16, 1e-10, max_panels, wings)
         assert quad.evaluations == specfun._XGK.size * (args[1].size - 1)
         value, err, _, _ = _fixed_reference(("L", p, a0, T, None), ("L", 0.0, omega), 0.0)
         assert abs(quad.value - value) <= quad.abs_error_estimate + err

@@ -74,7 +74,7 @@ def test_time_bruteforce_k0_elementary():
 def test_time_bruteforce_translation_invariant_magnitude():
     v0, _, _ = time_integral_bruteforce(1.0, 1.0, 1.0, 0.0, 1.0, 1.0)
     vs, _, _ = time_integral_bruteforce(1.0, 1.0, 1.0, 4.0, 5.0, 1.0)
-    assert abs(vs) == pytest.approx(abs(v0), rel=1e-8)
+    assert abs(vs) == pytest.approx(abs(v0), rel=1e-8, abs=0.0)
 
 
 def test_time_bruteforce_cropped_switchings():
@@ -97,7 +97,7 @@ def test_time_bruteforce_cropped_switchings():
 
 def test_sphere_quadrature_normalization():
     assert sphere_quadrature([(2, 1, True), (2, 1)]).real == pytest.approx(
-        1.0, rel=1e-12)
+        1.0, rel=1e-12, abs=0.0)
 
 
 def test_sphere_quadrature_selection_rule():
@@ -148,7 +148,7 @@ def test_sphere_quadrature_rejects_an_invalid_harmonic():
 
 def test_radial_bruteforce_k0():
     val, err, _ = radial_bruteforce(0, 0.0, 0.7)
-    assert val == pytest.approx(128.0 * math.sqrt(6.0) / 243.0 * 0.7, rel=1e-11)
+    assert val == pytest.approx(128.0 * math.sqrt(6.0) / 243.0 * 0.7, rel=1e-11, abs=0.0)
     val2, _, _ = radial_bruteforce(2, 0.0, 0.7)
     assert abs(val2) <= 1e-14 * 0.7
 
@@ -177,7 +177,7 @@ def test_radial_bruteforce_ray_path():
 def test_rotation_bruteforce_identity():
     got = rotation_bruteforce(2, 1, EulerAngles(), 0.7, 1.1)
     from vharvest.angular import sph_harm_y
-    assert got == pytest.approx(sph_harm_y(2, 1, 0.7, 1.1), rel=1e-14)
+    assert got == pytest.approx(sph_harm_y(2, 1, 0.7, 1.1), rel=1e-14, abs=0.0)
 
 
 def test_negativity_bruteforce_known_value():

@@ -7,11 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import spherical_jn, wofz
 
-from vharvest import specfun
+from vharvest import harvesting, specfun
 from vharvest.oracle import radial_bruteforce, radial_overlap
-from vharvest.specfun import (DampedKernelSpec, QuadratureConvergenceError,
-                              QuadratureResult, _adaptive_gk,
-                              integrate_damped_group, scaled_time_kernel,
+from vharvest.specfun import (QuadratureConvergenceError, QuadratureResult, _adaptive_gk,
+                              integrate_group, scaled_time_kernel,
                               spherical_bessel_j0, spherical_bessel_j0_plus_j2)
 
 SQRT2 = math.sqrt(2.0)
@@ -37,10 +36,12 @@ def each(clocks, k):
     return np.array([v for v, _ in rows]), np.array([m for _, m in rows])
 
 
-def alone(f):
-    # a spec's fields for one member whose clock is f, a (value, magnitude)
-    # integrand, times a scale of 1: f's bits
-    return {"integrand": np.ones_like, "time": each, "members": ((f, 0.0),)}
+def alone(f, edges, **tolerances):
+    # integrate_group of one member whose clock is f, a (value, magnitude)
+    # integrand, times a scale of 1 (f's bits), on the panels between edges,
+    # with nothing past them
+    (res,) = integrate_group(np.ones_like, edges, None, ((f, 0.0),), 0.0, each, **tolerances)
+    return res
 
 
 # ----------------------------------------------------------------------------
@@ -71,7 +72,7 @@ def test_faddeeva_at_i():
     # w(i) = e * erfc(1), erfc(1) from the independent series
     ref = math.e * erfc_series(1.0 + 0.0j).real
     assert ref == pytest.approx(0.4275836, abs=1e-7)
-    assert faddeeva_w(1j).real == pytest.approx(ref, rel=1e-12)
+    assert faddeeva_w(1j).real == pytest.approx(ref, rel=1e-12, abs=0.0)
     assert abs(faddeeva_w(1j).imag) < 1e-15
 
 
@@ -91,7 +92,7 @@ def test_faddeeva_asymptotic_large_real():
     lead = 1j / (math.sqrt(math.pi) * x)
     w = faddeeva_w(x + 0.0j)
     assert abs(w - lead) <= 1e-9 * abs(lead)
-    assert w == pytest.approx(faddeeva_cf(x + 0.0j), rel=1e-13)
+    assert w == pytest.approx(faddeeva_cf(x + 0.0j), rel=1e-13, abs=0.0)
 
 
 @pytest.mark.parametrize("a", [0.0, 1e-3, 1.0, 10.0])
@@ -135,16 +136,16 @@ def test_kernel_tba_zero_real_part():
     # Re[E+E] = 2 independent of k
     for k in (0.3, 1.0, 4.0):
         val, _ = scaled_time_kernel(k, 0.0, 1.0, d_omega=0.0)
-        assert val.real == pytest.approx(2.0 * math.exp(-0.5 * k * k), rel=1e-13)
+        assert val.real == pytest.approx(2.0 * math.exp(-0.5 * k * k), rel=1e-13, abs=0.0)
         bare = val * math.exp(0.5 * k * k)
-        assert bare.real == pytest.approx(2.0, rel=1e-12)
+        assert bare.real == pytest.approx(2.0, rel=1e-12, abs=0.0)
 
 
 def test_kernel_matches_naive_path():
     # Tk = 5, t_ba/T = 3: still representable directly
     got = damped_kernel(5.0, 3.0, 1.0, 0.7)
     ref = naive_bracket(5.0, 3.0, 1.0, 0.7)
-    assert got == pytest.approx(ref, rel=1e-11)
+    assert got == pytest.approx(ref, rel=1e-11, abs=0.0)
 
 
 def test_kernel_finite_where_naive_overflows():
@@ -165,7 +166,7 @@ def test_kernel_even_in_tba(rng):
         T = rng.uniform(0.5, 2.0)
         a = damped_kernel(k, t, T, 0.3)
         b = damped_kernel(k, -t, T, 0.3)
-        assert a == pytest.approx(b, rel=1e-14)
+        assert a == pytest.approx(b, rel=1e-14, abs=0.0)
         d_om = rng.uniform(-2.0, 2.0)
         assert (scaled_time_kernel(k, t, T, d_omega=d_om)
                 == scaled_time_kernel(k, -t, T, d_omega=-d_om))
@@ -495,7 +496,7 @@ def test_bessel_limits():
 def test_bessel_j2_series_value():
     ref = bessel_series_ref(2, 1.0)
     assert ref == pytest.approx(0.0620350520, abs=1e-9)
-    assert spherical_jn(2, 1.0) == pytest.approx(ref, rel=1e-13)
+    assert spherical_jn(2, 1.0) == pytest.approx(ref, rel=1e-13, abs=0.0)
 
 
 def bessel_recurrence_ref(l, x):
@@ -610,22 +611,20 @@ def _seed_breakpoints(w, lengths):
     return np.array(sorted(pts))
 
 
-def test_seed_breakpoints_keep_every_bit(monkeypatch):
-    # the first pass of the head evaluates the seed panels
-    seen = []
-    real = specfun._gk15_panels
-
-    def spy(f, lo, hi, *args, **kwargs):
-        seen.append(np.append(lo, hi[-1]))
-        return real(f, lo, hi, *args, **kwargs)
-
-    monkeypatch.setattr(specfun, "_gk15_panels", spy)
-    f = with_abs(lambda k: np.exp(-k * k))
-    for w in (0.5, 0.5, 1.0, 0.08, 3.7):
-        for lengths in ((), (2 * math.pi / 4.0,), (2 * math.pi / 25.0, 1.3), (1e-3,)):
-            seen.clear()
-            integrate_damped_group(DampedKernelSpec(w, lengths, **alone(f)))
-            assert np.array_equal(seen[0], _seed_breakpoints(w, lengths))
+def test_seed_breakpoints_keep_every_bit():
+    # M's head panels (``harvesting._head``) are the seeds below the group's
+    # live edge, and the edge; T repeats, so that the cached seeds serve it
+    for T in (1.0, 1.0, math.sqrt(2.0), 0.4, 2.72):
+        share = ("M", 3, 1e-3, T, spherical_bessel_j0_plus_j2)
+        for members in ([(("M", 0.0, 0.0), 0.0)], [(("M", 4.0, 0.0), 0.0)],
+                        [(("M", 25.0, 0.0), 0.0), (("M", 0.0, 0.0), 4.8)],
+                        [(("M", 2 * math.pi / 1e-3, 0.3), 2.0)]):
+            lengths = [2 * math.pi / abs(t) for (_, t, _), _ in members if t]
+            lengths += [2 * math.pi / d for _, d in members if d > 0.0]
+            seeds = _seed_breakpoints(0.5 * T * T, lengths)
+            k_live = harvesting._live_edge(share, members)[0]
+            edges = harvesting._head(share, members)[1]
+            assert np.array_equal(edges, np.append(seeds[seeds < k_live], k_live))
 
 
 def test_gk15_panels_rows_in_member_order():
@@ -818,16 +817,14 @@ def test_tail_rows_of_several_times_have_the_bits_of_each_time_alone():
 
 
 def test_integrate_gaussian_moment():
-    spec = DampedKernelSpec(1.0, (), **alone(with_abs(lambda k: np.exp(-k * k))))
-    (res,) = integrate_damped_group(spec)
+    res = alone(with_abs(lambda k: np.exp(-k * k)), _seed_breakpoints(1.0, ()))
     assert abs(res.value - math.sqrt(math.pi) / 2.0) <= 1e-12
     assert res.abs_error_estimate >= 0
     assert res.evaluations > 0
 
 
 def test_integrate_k3_gaussian():
-    spec = DampedKernelSpec(1.0, (), **alone(with_abs(lambda k: k ** 3 * np.exp(-k * k))))
-    (res,) = integrate_damped_group(spec)
+    res = alone(with_abs(lambda k: k ** 3 * np.exp(-k * k)), _seed_breakpoints(1.0, ()))
     assert res.value == pytest.approx(0.5, abs=1e-13)
 
 
@@ -855,8 +852,7 @@ def romberg_reference(f, a, b, n_levels=20):
 
 def test_integrate_oscillatory_vs_romberg():
     f = lambda k: np.exp(-k * k) * spherical_bessel_j0(10.0 * k)[0]
-    spec = DampedKernelSpec(1.0, (2 * math.pi / 10.0,), **alone(with_abs(f)))
-    (res,) = integrate_damped_group(spec)
+    res = alone(with_abs(f), _seed_breakpoints(1.0, (2 * math.pi / 10.0,)))
     ref = romberg_reference(f, 0.0, 30.0)
     assert abs(res.value - ref) <= 1e-10
 
@@ -864,9 +860,9 @@ def test_integrate_oscillatory_vs_romberg():
 def test_integrate_linearity():
     f1 = lambda k: np.exp(-0.8 * k * k)
     f2 = lambda k: k ** 2 * np.exp(-0.8 * k * k) * np.cos(4.0 * k)
-    mk = lambda f: DampedKernelSpec(0.8, (2 * math.pi / 4.0,), **alone(with_abs(f)))
+    edges = _seed_breakpoints(0.8, (2 * math.pi / 4.0,))
     a, b = 1.7, -2.4
-    lhs, r1, r2 = (integrate_damped_group(mk(f))[0].value
+    lhs, r1, r2 = (alone(with_abs(f), edges).value
                    for f in (lambda k: a * f1(k) + b * f2(k), f1, f2))
     assert abs(lhs - (a * r1 + b * r2)) <= 1e-12
 
@@ -890,8 +886,8 @@ def test_fixed_group_refines_a_member_that_misses_from_its_panel_set(monkeypatch
     monkeypatch.setattr(specfun, "_adaptive_gk", spy)
     members = [(clock(w), 0.0) for w in (1.0, 3.0)]
     edges = np.linspace(0.0, 12.0, 3)
-    quads = specfun.integrate_fixed_group(lambda k: np.ones_like(k), edges, None, members, 1e-30,
-                                          time=each)
+    quads = integrate_group(lambda k: np.ones_like(k), edges, None, members, 1e-30, each,
+                            max_panels=edges.size - 1 + 4000)
     assert runs == [(0, 4002, 1, 2)]
     for w, quad in zip((1.0, 3.0), quads):
         exact = math.sqrt(math.pi / 2.0) * math.exp(-0.5 * w * w)
@@ -908,29 +904,11 @@ def test_quadrature_result_validation():
         QuadratureResult(value=1.0, abs_error_estimate=0.0, evaluations=0)
 
 
-def test_kernel_spec_validation():
-    with pytest.raises(ValueError):
-        DampedKernelSpec(-1.0, (), **alone(lambda k: k))
-    with pytest.raises(ValueError):
-        DampedKernelSpec(1.0, (0.0,), **alone(lambda k: k))
-
-
-def test_kernel_spec_rejects_a_member_without_a_time():
-    # its integrand is the scale that every member's time factor multiplies:
-    # a spec needs a time, and each member a clock for it
-    clock = lambda k: (np.exp(-k * k), np.exp(-k * k))
-    with pytest.raises(ValueError, match="each with a clock and d >= 0"):
-        DampedKernelSpec(1.0, (), lambda k: k, members=((clock, 0.0), (None, 0.0)), time=each)
-    with pytest.raises(TypeError, match="time"):
-        DampedKernelSpec(1.0, (), lambda k: k, members=((clock, 0.0), (clock, 1.0)))
-    DampedKernelSpec(1.0, (), lambda k: k, members=((clock, 0.0), (clock, 1.0)), time=each)
-
-
 def test_nonconvergence_carries_best_estimate():
     # a discontinuous comb the panel scheme cannot resolve to 1e-10
     rough = lambda k: np.exp(-k * k) * np.sign(np.sin(1000.0 * k) + 0.1)
-    spec = DampedKernelSpec(1.0, (), **alone(with_abs(rough)))
-    (err,) = integrate_damped_group(spec, rtol=1e-12, atol=1e-300, max_panels=64)
+    err = alone(with_abs(rough), _seed_breakpoints(1.0, ()), rtol=1e-12, atol=1e-300,
+                max_panels=64)
     assert isinstance(err, QuadratureConvergenceError)
     assert isinstance(err.result, QuadratureResult)
     assert err.result.abs_error_estimate > 0
@@ -1004,8 +982,8 @@ def test_adaptive_gk_matches_list_version(f, breakpoints, max_panels):
     assert evals == ref[3] == sum(calls) and evals % NODES == 0
     tol = 64 * np.finfo(float).eps
     assert abs(val - ref[0]) <= tol * ref[2]
-    assert err == pytest.approx(ref[1], rel=tol)
-    assert absint == pytest.approx(ref[2], rel=tol)
+    assert err == pytest.approx(ref[1], rel=tol, abs=0.0)
+    assert absint == pytest.approx(ref[2], rel=tol, abs=0.0)
 
 
 def test_adaptive_gk_honours_max_panels():

@@ -20,8 +20,8 @@ from vharvest.survey import Axis, pair_from_params, spacetime_map
 
 def count_work(monkeypatch, run) -> dict:
     """The passes, nodes and M head passes of the rule while run() runs: a
-    head pass is a pass made inside ``integrate_damped_group`` but not
-    inside its wings (``specfun._wings``)."""
+    head pass is a pass made inside an ``integrate_group`` call with wings
+    (M's) but not inside its wings (``specfun._wings``)."""
     work, inside = {"passes": 0, "nodes": 0, "head": 0}, []
     real_panels = specfun._gk15_panels
 
@@ -42,8 +42,14 @@ def count_work(monkeypatch, run) -> dict:
         return spy
 
     monkeypatch.setattr(specfun, "_gk15_panels", panels)
-    monkeypatch.setattr(harvesting, "integrate_damped_group",
-                        within("head", harvesting.integrate_damped_group))
+    real_group = harvesting.integrate_group
+
+    def group(f, edges, kernel, members, *args):
+        if args[-1] is None:  # L's or L_AB's, no wings
+            return real_group(f, edges, kernel, members, *args)
+        return within("head", real_group)(f, edges, kernel, members, *args)
+
+    monkeypatch.setattr(harvesting, "integrate_group", group)
     monkeypatch.setattr(specfun, "_wings", within("wings", specfun._wings))
     try:
         run()
